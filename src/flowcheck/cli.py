@@ -157,9 +157,14 @@ def main(argv=None) -> int:
                           default=engine.DEFAULT_MAX_STEPS)
 
     args = parser.parse_args(argv)
-    if args.command == "analyze":
-        return run_analyze(args.file, args.format, args.trace, args.max_steps)
-    return run_corpus(args.directory, args.max_steps)
+    try:
+        if args.command == "analyze":
+            return run_analyze(args.file, args.format, args.trace, args.max_steps)
+        return run_corpus(args.directory, args.max_steps)
+    except Exception as e:  # a crash must never exit with a verdict's code
+        message = " ".join(str(e).split())
+        print("error: %s: %s" % (type(e).__name__, message), file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

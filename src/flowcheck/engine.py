@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .notation import render
-from .preds import TRUE, conj, neg, pred_free_vars, pred_simplify
+from .preds import TRUE, conj, neg, pred_evaluate, pred_free_vars, pred_simplify
 from .solver import BOTTOM, Universe, match, solve
 from .terms import (
     Constrained,
@@ -102,8 +102,6 @@ def _decide(guard, assumption, universe):
     if guard == TRUE:
         return True
     if not pred_free_vars(guard):
-        from .preds import pred_evaluate
-
         return pred_evaluate(guard, {}, universe.relations)
     if solve(conj(guard, assumption), universe) is None:
         return False
@@ -112,83 +110,69 @@ def _decide(guard, assumption, universe):
     return None
 
 
-def _resolve_flow(items, universe, assumption):
-    """Resolve every union in a flow; returns [(items, guard)] variants.
+def _resolve(t, decide, part):
+    """Pick the branches of every union in ``t``; returns [(value, guard)].
 
-    Guards decided by the assumption pick a single branch; undecided guards
-    enumerate one variant per satisfiable branch, carrying the guard along.
+    ``decide`` settles a guard (True / False / None), and a definite branch
+    wins outright; undecided guards give one variant per satisfiable branch,
+    carrying the guard along.  ``part`` resolves what is not a union.
     """
-    variants = [([], TRUE)]
-    for item in items:
-        item_choices = _resolve_item(item, universe, assumption)
+    t = flatten(t)
+    if not isinstance(t, Union):
+        return part(t, decide)
+    alternatives = []
+    any_satisfiable = False
+    for payload, guard in _branches(t):
+        verdict = decide(guard)
+        if verdict is False:
+            continue
+        any_satisfiable = True
+        inner = _resolve(payload, decide, part)
+        if verdict is True:
+            return inner
+        alternatives.extend((value, conj(guard, g)) for value, g in inner)
+    if not any_satisfiable:
+        raise NoSatisfiableBranch(render(t))
+    return alternatives
+
+
+def _product(choices):
+    """One (value, guard) from each choice list, every way: [(values, guard)]."""
+    variants = [((), TRUE)]
+    for options in choices:
         variants = [
-            (done + list(extra), conj(guard, g2))
+            (done + (value,), conj(guard, g))
             for done, guard in variants
-            for extra, g2 in item_choices
+            for value, g in options
         ]
     return variants
 
 
-def _resolve_item(item, universe, assumption):
-    item = flatten(item)
-    if isinstance(item, Union):
-        alternatives = []
-        any_satisfiable = False
-        for payload, guard in _branches(item):
-            verdict = _decide(guard, assumption, universe)
-            if verdict is False:
-                continue
-            any_satisfiable = True
-            inner = _resolve_item(payload, universe, assumption)
-            if verdict is True:
-                # a branch the assumption makes definite wins outright
-                return inner
-            alternatives.extend(
-                (items2, conj(guard, g2)) for items2, g2 in inner
-            )
-        if not any_satisfiable:
-            raise NoSatisfiableBranch(render(item))
-        return alternatives
+def _flow_variants(items, decide):
+    """[(flow items, guard)] for a flow whose unions are resolved."""
+    return [
+        (list(itertools.chain.from_iterable(parts)), guard)
+        for parts, guard in _product(_resolve(i, decide, _item_part) for i in items)
+    ]
+
+
+def _item_part(item, decide):
     if isinstance(item, Directed):
-        out = []
-        for payload, guard in _resolve_payload(item.payload, universe, assumption):
-            out.append((list(distribute(item.direction, payload)), guard))
-        return out
+        return [
+            (distribute(item.direction, payload), guard)
+            for payload, guard in _resolve(item.payload, decide, _payload_part)
+        ]
     if isinstance(item, Seq):
-        return _resolve_flow(item.items, universe, assumption)
+        return _flow_variants(item.items, decide)
     if isinstance(item, ZeroType):
         return [([], TRUE)]
     return [([item], TRUE)]
 
 
-def _resolve_payload(t, universe, assumption):
-    """Resolve unions inside a yielded/received payload; [(payload, guard)]."""
-    t = flatten(t)
-    if isinstance(t, Union):
-        alternatives = []
-        any_satisfiable = False
-        for payload, guard in _branches(t):
-            verdict = _decide(guard, assumption, universe)
-            if verdict is False:
-                continue
-            any_satisfiable = True
-            inner = _resolve_payload(payload, universe, assumption)
-            if verdict is True:
-                return inner
-            alternatives.extend((p2, conj(guard, g2)) for p2, g2 in inner)
-        if not any_satisfiable:
-            raise NoSatisfiableBranch(render(t))
-        return alternatives
+def _payload_part(t, decide):
     if isinstance(t, Seq):
-        variants = [((), TRUE)]
-        for item in t.items:
-            choices = _resolve_payload(item, universe, assumption)
-            variants = [
-                (done + (p2,), conj(g, g2))
-                for done, g in variants
-                for p2, g2 in choices
-            ]
-        return [(flatten(Seq(done)), g) for done, g in variants]
+        choices = (_resolve(i, decide, _payload_part) for i in t.items)
+        return [(flatten(Seq(done)), guard) for done, guard in _product(choices)]
     return [(t, TRUE)]
 
 
@@ -204,7 +188,9 @@ def start(definition, bindings=None, universe=None, assumption=TRUE):
     if universe is None:
         universe = Universe.collect(definition)
     bound = substitute(definition, dict(bindings or {}))
-    variants = _resolve_flow(bound.flow, universe, assumption)
+    variants = _flow_variants(
+        bound.flow, lambda guard: _decide(guard, assumption, universe)
+    )
     out = []
     for items, guard in variants:
         inst = flatten(CorIns(tuple(items), bound.constraint, definition.label))
@@ -278,7 +264,6 @@ class _Live:
 class TraceEntry:
     step: int
     rule: str
-    state_before: str
     state_after: str
 
     def line(self) -> str:
@@ -362,14 +347,12 @@ class ReductionState:
         return name
 
 
-def _record(state, rule, before):
+def _record(state, rule):
     state.steps += 1
-    state.trace.append(
-        TraceEntry(state.steps, rule, before, state.render_state())
-    )
+    state.trace.append(TraceEntry(state.steps, rule, state.render_state()))
 
 
-def _try_spawn(state, before) -> bool:
+def _try_spawn(state) -> bool:
     """Evaluate the first yielded coroutine or start application, appending
     the new instance at the end of the live list."""
     for entry in state.live:
@@ -390,7 +373,7 @@ def _try_spawn(state, before) -> bool:
             continue
         entry.inst = CorIns(entry.inst.flow[1:], entry.inst.constraint, entry.inst.label)
         state.live.append(_Live(inst, state.fresh_name(inst.label)))
-        _record(state, "YieldCo", before)
+        _record(state, "YieldCo")
         return True
     return False
 
@@ -402,7 +385,6 @@ def reduce_step(state: ReductionState):
         return state
     if state.steps >= state.max_steps:
         raise StepCapExceeded(state.max_steps)
-    before = state.render_state()
     universe = state.universe
 
     # 1. inline evaluation at a head
@@ -414,7 +396,7 @@ def reduce_step(state: ReductionState):
             )
             items = list(spliced.flow) + list(entry.inst.flow[1:])
             entry.inst = flatten(CorIns(tuple(items), entry.inst.constraint, entry.inst.label))
-            _record(state, "InlineEval", before)
+            _record(state, "InlineEval")
             return state
 
     # 2. drop a head item with no behavior
@@ -422,7 +404,7 @@ def reduce_step(state: ReductionState):
         head = entry.head()
         if isinstance(head, Directed) and isinstance(head.payload, ZeroType):
             entry.inst = CorIns(entry.inst.flow[1:], entry.inst.constraint, entry.inst.label)
-            _record(state, "RemoveVoid", before)
+            _record(state, "RemoveVoid")
             return state
 
     # 3. a value is in flight: resume a receiver or externalize it
@@ -446,14 +428,14 @@ def reduce_step(state: ReductionState):
             entry.inst = flatten(CorIns(tuple(rest), constraint, entry.inst.label))
             state.pending = ZERO
             state.last_yielder = None
-            _record(state, "Resume", before)
+            _record(state, "Resume")
             return state
-        if _try_spawn(state, before):
+        if _try_spawn(state):
             return state
         state.externals.append(state.pending)
         state.pending = ZERO
         state.last_yielder = None
-        _record(state, "External", before)
+        _record(state, "External")
         return state
 
     # 4. a receiver expecting a whole coroutine
@@ -482,7 +464,7 @@ def reduce_step(state: ReductionState):
                 constraint = conditions.residual
             receiver.inst = flatten(CorIns(tuple(rest), constraint, receiver.inst.label))
             state.live.remove(other)
-            _record(state, "ResumeCo", before)
+            _record(state, "ResumeCo")
             return state
 
     # 5. the main coroutine finished; all values have settled
@@ -493,7 +475,7 @@ def reduce_step(state: ReductionState):
         and not isinstance(e.head().payload, (CorIns, CorDef, StartApp))
         for e in state.live
     ):
-        _record(state, "MainExit", before)
+        _record(state, "MainExit")
         if state.externals:
             residual = cor_ins(*[yielded(e) for e in state.externals])
         else:
@@ -522,15 +504,15 @@ def reduce_step(state: ReductionState):
             state.pending = payload
             state.last_yielder = entry.name
             entry.inst = CorIns(entry.inst.flow[1:], entry.inst.constraint, entry.inst.label)
-            _record(state, "Yield", before)
+            _record(state, "Yield")
             return state
 
     # 7. spawn a yielded coroutine or started definition, breadth-first
-    if _try_spawn(state, before):
+    if _try_spawn(state):
         return state
 
     # 8. nothing can move
-    _record(state, "CoToExt", before)
+    _record(state, "CoToExt")
     items = [yielded(e) for e in state.externals]
     for entry in state.live:
         if entry.inst.flow:
@@ -559,12 +541,11 @@ def reduce(initial, max_steps=DEFAULT_MAX_STEPS, universe=None, assumption=TRUE,
         for k, item in enumerate(initial):
             if state.steps >= state.max_steps:
                 raise StepCapExceeded(state.max_steps)
-            before = state.render_state()
             if isinstance(item, StartApp):
                 inst = _start_single(item.target, dict(item.bindings), universe, assumption, state.defs)
                 entry = _Live(inst, state.fresh_name(inst.label or ("main" if k == 0 else None)))
                 state.live.append(entry)
-                _record(state, "StartEval", before)
+                _record(state, "StartEval")
             elif isinstance(item, CorIns):
                 state.live.append(_Live(item, state.fresh_name(item.label or ("main" if k == 0 else None))))
             else:

@@ -29,7 +29,6 @@ from ..terms import (
     StartApp,
     Union,
     Var,
-    ZERO,
     cor_def,
     constrained,
     received,
@@ -142,6 +141,35 @@ class Translation:
     subtype_pairs: list
 
 
+def body_nodes(nodes):
+    """Every statement and expression of a function body, outside in.
+
+    The branches of an ``if`` are entered but not its condition, and the
+    arguments of a call but not its callee, so a function literal is never
+    entered (it is a function of its own)."""
+    for n in nodes:
+        if n is None:
+            continue
+        yield n
+        if isinstance(n, If):
+            children = n.then + ((n.els,) if isinstance(n.els, If) else n.els or ())
+        elif isinstance(n, Send):
+            children = (n.chan, n.value)
+        elif isinstance(n, (GoStmt, DeferStmt)):
+            children = (n.call,)
+        elif isinstance(n, Recv):
+            children = (n.chan,)
+        elif isinstance(n, Call):
+            children = n.args
+        elif isinstance(n, Unary):
+            children = (n.operand,)
+        elif isinstance(n, Binary):
+            children = (n.left, n.right)
+        else:  # declarations, assignments, expression statements, returns
+            children = (getattr(n, "expr", None),)
+        yield from body_nodes(children)
+
+
 class Translator:
     def __init__(self, program: Program):
         self.program = program
@@ -151,102 +179,18 @@ class Translator:
 
     # -- membership ----------------------------------------------------------
 
-    def _uses_channels(self, f: Func) -> bool:
-        found = False
-
-        def walk_expr(e):
-            nonlocal found
-            if isinstance(e, Recv):
-                found = True
-                walk_expr(e.chan)
-            elif isinstance(e, Call):
-                for a in e.args:
-                    walk_expr(a)
-            elif isinstance(e, (Unary,)):
-                walk_expr(e.operand)
-            elif isinstance(e, Binary):
-                walk_expr(e.left)
-                walk_expr(e.right)
-
-        def walk_stmt(s):
-            nonlocal found
-            if isinstance(s, Send):
-                found = True
-            elif isinstance(s, (ShortVarDecl, VarDecl, Assign)):
-                if getattr(s, "expr", None) is not None:
-                    walk_expr(s.expr)
-            elif isinstance(s, ExprStmt):
-                walk_expr(s.expr)
-            elif isinstance(s, (GoStmt, DeferStmt)):
-                for a in s.call.args:
-                    walk_expr(a)
-            elif isinstance(s, If):
-                for inner in s.then:
-                    walk_stmt(inner)
-                if isinstance(s.els, If):
-                    walk_stmt(s.els)
-                elif s.els:
-                    for inner in s.els:
-                        walk_stmt(inner)
-            elif isinstance(s, Return) and s.expr is not None:
-                walk_expr(s.expr)
-
-        for s in f.body:
-            walk_stmt(s)
-        return found
-
-    def _called_names(self, f: Func) -> set:
-        names = set()
-
-        def walk_expr(e):
-            if isinstance(e, Call):
-                if isinstance(e.fn, Ident):
-                    names.add(e.fn.name)
-                elif isinstance(e.fn, FuncLit):
-                    names.add(e.fn.func.name)
-                for a in e.args:
-                    walk_expr(a)
-            elif isinstance(e, Recv):
-                walk_expr(e.chan)
-            elif isinstance(e, Unary):
-                walk_expr(e.operand)
-            elif isinstance(e, Binary):
-                walk_expr(e.left)
-                walk_expr(e.right)
-
-        def walk_stmt(s):
-            if isinstance(s, (GoStmt, DeferStmt)):
-                walk_expr(s.call)
-            elif isinstance(s, (ShortVarDecl, VarDecl, Assign)):
-                if getattr(s, "expr", None) is not None:
-                    walk_expr(s.expr)
-            elif isinstance(s, ExprStmt):
-                walk_expr(s.expr)
-            elif isinstance(s, Send):
-                walk_expr(s.chan)
-                walk_expr(s.value)
-            elif isinstance(s, If):
-                for inner in s.then:
-                    walk_stmt(inner)
-                if isinstance(s.els, If):
-                    walk_stmt(s.els)
-                elif s.els:
-                    for inner in s.els:
-                        walk_stmt(inner)
-            elif isinstance(s, Return) and s.expr is not None:
-                walk_expr(s.expr)
-
-        for s in f.body:
-            walk_stmt(s)
-        return names
-
     def _member_fixed_point(self) -> set:
-        members = {
-            name for name, f in self.program.functions.items() if self._uses_channels(f)
-        }
-        edges = {
-            name: self._called_names(f) for name, f in self.program.functions.items()
-        }
+        members = set()
+        edges = {}
+        for name, f in self.program.functions.items():
+            nodes = list(body_nodes(f.body))
+            if any(isinstance(n, (Send, Recv)) for n in nodes):
+                members.add(name)
+            edges[name] = {
+                n.fn.name if isinstance(n.fn, Ident) else n.fn.func.name
+                for n in nodes
+                if isinstance(n, Call) and isinstance(n.fn, (Ident, FuncLit))
+            }
         changed = True
         while changed:
             changed = False
@@ -357,12 +301,13 @@ class Translator:
         self._merge_branch(env, else_env)
         if t_ret or e_ret:
             raise Unsupported("return inside an undecided conditional", s.line)
-        then_payload = seq(*then_items) if then_items else ZERO
-        else_payload = seq(*else_items) if else_items else ZERO
-        item = union(
-            constrained(then_payload, pred), constrained(else_payload, neg(pred))
-        )
-        return [item], False
+        then_branch = constrained(seq(*then_items), pred)
+        else_branch = constrained(seq(*else_items), neg(pred))
+        # an empty branch flattens to an unguarded 0, which resolution takes
+        # as definite, so it must come last
+        if then_items:
+            return [union(then_branch, else_branch)], False
+        return [union(else_branch, then_branch)], False
 
     def _merge_branch(self, env: Env, branch: Env):
         # a value assigned under a condition is no longer a known constant
@@ -443,8 +388,7 @@ class Translator:
             if value is not None:
                 bindings[pname] = value
             elif isinstance(arg, Ident):
-                if arg.name != pname:
-                    bindings[pname] = Var(arg.name)
+                bindings[pname] = Var(arg.name)
             else:
                 bindings[pname] = Var("arg@%d" % getattr(arg, "line", 0))
         return bindings

@@ -168,31 +168,50 @@ def cmp(lhs, op, rhs):
 # traversal and evaluation
 
 
+def pred_atoms(p):
+    """The comparison, binding and relation atoms of a predicate, left to
+    right."""
+    if isinstance(p, (And, Or)):
+        for item in p.items:
+            yield from pred_atoms(item)
+    elif isinstance(p, Not):
+        yield from pred_atoms(p.item)
+    elif isinstance(p, (Cmp, Binding, Relation)):
+        yield p
+
+
+def atom_terms(a) -> tuple:
+    """The operands of one atom, in order."""
+    if isinstance(a, Cmp):
+        return (a.lhs, a.rhs)
+    if isinstance(a, Binding):
+        return (a.var, a.value)
+    return a.args
+
+
+def pred_map(p, atom_fn):
+    """Rebuild a predicate with ``atom_fn`` applied to every atom; the smart
+    constructors fold whatever constants that produces."""
+    if isinstance(p, (TruePred, FalsePred)):
+        return p
+    if isinstance(p, And):
+        return conj(*(pred_map(i, atom_fn) for i in p.items))
+    if isinstance(p, Or):
+        return disj(*(pred_map(i, atom_fn) for i in p.items))
+    if isinstance(p, Not):
+        return neg(pred_map(p.item, atom_fn))
+    if isinstance(p, (Cmp, Binding, Relation)):
+        return atom_fn(p)
+    raise TypeError("not a predicate: %r" % (p,))
+
+
 def pred_free_vars(p):
     """Variable names occurring in a predicate, in first-occurrence order."""
     out = []
-
-    def walk(q):
-        if isinstance(q, (And, Or)):
-            for item in q.items:
-                walk(item)
-        elif isinstance(q, Not):
-            walk(q.item)
-        elif isinstance(q, Cmp):
-            for side in (q.lhs, q.rhs):
-                if isinstance(side, Var) and side.name not in out:
-                    out.append(side.name)
-        elif isinstance(q, Binding):
-            if q.var.name not in out:
-                out.append(q.var.name)
-            if isinstance(q.value, Var) and q.value.name not in out:
-                out.append(q.value.name)
-        elif isinstance(q, Relation):
-            for a in q.args:
-                if isinstance(a, Var) and a.name not in out:
-                    out.append(a.name)
-
-    walk(p)
+    for atom in pred_atoms(p):
+        for t in atom_terms(atom):
+            if isinstance(t, Var) and t.name not in out:
+                out.append(t.name)
     return out
 
 
@@ -204,15 +223,7 @@ def pred_substitute(p, binding: dict):
             return binding.get(t.name, t)
         return t
 
-    def walk(q):
-        if isinstance(q, (TruePred, FalsePred)):
-            return q
-        if isinstance(q, And):
-            return conj(*(walk(i) for i in q.items))
-        if isinstance(q, Or):
-            return disj(*(walk(i) for i in q.items))
-        if isinstance(q, Not):
-            return neg(walk(q.item))
+    def atom(q):
         if isinstance(q, Cmp):
             return _fold_cmp(Cmp(sub_term(q.lhs), q.op, sub_term(q.rhs)))
         if isinstance(q, Binding):
@@ -221,11 +232,9 @@ def pred_substitute(p, binding: dict):
             if isinstance(lhs, Var):
                 return Binding(lhs, rhs)
             return _fold_cmp(Cmp(lhs, "=", rhs))
-        if isinstance(q, Relation):
-            return Relation(q.name, tuple(sub_term(a) for a in q.args))
-        raise TypeError("not a predicate: %r" % (q,))
+        return Relation(q.name, tuple(sub_term(a) for a in q.args))
 
-    return walk(p)
+    return pred_map(p, atom)
 
 
 def _fold_cmp(c):
@@ -248,10 +257,6 @@ def _cmp_ints(a, op, b):
         ">=": a >= b,
         ">": a > b,
     }[op]
-
-
-def pred_is_ground(p) -> bool:
-    return not pred_free_vars(p)
 
 
 def pred_evaluate(p, assignment: dict, relations: dict | None = None) -> bool:
@@ -302,27 +307,17 @@ def pred_evaluate(p, assignment: dict, relations: dict | None = None) -> bool:
 def pred_simplify(p, relations: dict | None = None):
     """Fold every ground subformula down to true/false."""
 
-    def walk(q):
-        if isinstance(q, (TruePred, FalsePred)):
-            return q
-        if isinstance(q, And):
-            return conj(*(walk(i) for i in q.items))
-        if isinstance(q, Or):
-            return disj(*(walk(i) for i in q.items))
-        if isinstance(q, Not):
-            return neg(walk(q.item))
+    def atom(q):
         if isinstance(q, Cmp):
             return _fold_cmp(q)
         if isinstance(q, Binding):
             if isinstance(q.value, Var) and q.value.name == q.var.name:
                 return TRUE
             return q
-        if isinstance(q, Relation):
-            if relations is not None and all(isinstance(a, Concrete) for a in q.args):
-                if q.name in relations:
-                    row = tuple(a.name for a in q.args)
-                    return TRUE if row in relations[q.name] else FALSE
-            return q
-        raise TypeError("not a predicate: %r" % (q,))
+        if relations is not None and all(isinstance(a, Concrete) for a in q.args):
+            if q.name in relations:
+                row = tuple(a.name for a in q.args)
+                return TRUE if row in relations[q.name] else FALSE
+        return q
 
-    return walk(p)
+    return pred_map(p, atom)

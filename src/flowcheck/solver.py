@@ -23,10 +23,12 @@ from .preds import (
     Or,
     Relation,
     TRUE,
+    atom_terms,
     cmp,
     conj,
     disj,
     neg,
+    pred_atoms,
     pred_evaluate,
     pred_free_vars,
     pred_simplify,
@@ -85,9 +87,6 @@ class ConditionSet:
 
     bindings: dict
     residual: object = TRUE
-
-    def is_trivial(self) -> bool:
-        return not self.bindings and self.residual == TRUE
 
     def __repr__(self):
         from .notation import render, render_pred
@@ -162,19 +161,9 @@ def collect_concrete(t) -> set:
         # bare variables and Zero contribute nothing
 
     def walk_pred(p):
-        if isinstance(p, (And, Or)):
-            for i in p.items:
-                walk_pred(i)
-        elif isinstance(p, Not):
-            walk_pred(p.item)
-        elif isinstance(p, Cmp):
-            walk(p.lhs)
-            walk(p.rhs)
-        elif isinstance(p, Binding):
-            walk(p.value)
-        elif isinstance(p, Relation):
-            for a in p.args:
-                walk(a)
+        for atom in pred_atoms(p):
+            for t in atom_terms(atom):
+                walk(t)
 
     walk(flatten(t))
     return out
@@ -386,14 +375,9 @@ def _infer_domains(expr, universe: Universe):
                     )
                 assign(var.name, SYM, why)
 
-    def walk(p):
-        if isinstance(p, (And, Or)):
-            for i in p.items:
-                walk(i)
-        elif isinstance(p, Not):
-            walk(p.item)
-        elif isinstance(p, Cmp):
-            if p.op != "=" :
+    for p in pred_atoms(expr):
+        if isinstance(p, Cmp):
+            if p.op != "=":
                 for side in (p.lhs, p.rhs):
                     if isinstance(side, Var):
                         assign(side.name, INT, "ordering comparison")
@@ -404,12 +388,10 @@ def _infer_domains(expr, universe: Universe):
             atom(p.lhs, p.op, p.rhs, "comparison")
         elif isinstance(p, Binding):
             atom(p.var, "=", p.value, "binding")
-        elif isinstance(p, Relation):
+        else:
             for a in p.args:
                 if isinstance(a, Var):
                     assign(a.name, SYM, "relation argument")
-
-    walk(expr)
     out = {}
     for name in pred_free_vars(expr):
         dom = domain.get(find(name))
@@ -420,38 +402,13 @@ def _infer_domains(expr, universe: Universe):
 
 
 def _int_constants(expr):
-    consts = set()
-
-    def walk(p):
-        if isinstance(p, (And, Or)):
-            for i in p.items:
-                walk(i)
-        elif isinstance(p, Not):
-            walk(p.item)
-        elif isinstance(p, Cmp):
-            for side in (p.lhs, p.rhs):
-                if isinstance(side, int):
-                    consts.add(side)
-        elif isinstance(p, Binding):
-            if isinstance(p.value, int):
-                consts.add(p.value)
-
-    walk(expr)
-    return consts
+    return {t for a in pred_atoms(expr) for t in atom_terms(a) if isinstance(t, int)}
 
 
 def _check_relations(expr, universe: Universe):
-    def walk(p):
-        if isinstance(p, (And, Or)):
-            for i in p.items:
-                walk(i)
-        elif isinstance(p, Not):
-            walk(p.item)
-        elif isinstance(p, Relation):
-            if p.name not in universe.relations:
-                raise UnsupportedPredicate(p.name)
-
-    walk(expr)
+    for atom in pred_atoms(expr):
+        if isinstance(atom, Relation) and atom.name not in universe.relations:
+            raise UnsupportedPredicate(atom.name)
 
 
 def solve(expr, universe: Universe):
@@ -599,37 +556,28 @@ def partition_cases(predicates, universe: Universe) -> list[Case]:
 
     def boundaries(var):
         points = set()
-
-        def walk(q):
-            if isinstance(q, (And, Or)):
-                for i in q.items:
-                    walk(i)
-            elif isinstance(q, Not):
-                walk(q.item)
-            elif isinstance(q, Cmp):
-                sides = (q.lhs, q.rhs)
-                if not any(isinstance(s, Var) and s.name == var for s in sides):
-                    return
-                const = next((s for s in sides if isinstance(s, int)), None)
-                if const is None:
-                    raise ConstraintError(
-                        "cannot partition %s: comparison against a non-constant"
-                        % var
-                    )
-                # orient as var-op-const
-                op = q.op
-                if isinstance(q.rhs, Var) and q.rhs.name == var:
-                    op = {"<": ">", "<=": ">=", "=": "=", ">=": "<=", ">": "<"}[op]
-                if op in ("<", ">="):
-                    points.add(const)
-                elif op in ("<=", ">"):
-                    points.add(const + 1)
-                else:  # equality flips entering and leaving the value
-                    points.add(const)
-                    points.add(const + 1)
-
-        for p in predicates:
-            walk(p)
+        for q in (a for p in predicates for a in pred_atoms(p)):
+            if not isinstance(q, Cmp):
+                continue
+            sides = (q.lhs, q.rhs)
+            if not any(isinstance(s, Var) and s.name == var for s in sides):
+                continue
+            const = next((s for s in sides if isinstance(s, int)), None)
+            if const is None:
+                raise ConstraintError(
+                    "cannot partition %s: comparison against a non-constant" % var
+                )
+            # orient as var-op-const
+            op = q.op
+            if isinstance(q.rhs, Var) and q.rhs.name == var:
+                op = {"<": ">", "<=": ">=", "=": "=", ">=": "<=", ">": "<"}[op]
+            if op in ("<", ">="):
+                points.add(const)
+            elif op in ("<=", ">"):
+                points.add(const + 1)
+            else:  # equality flips entering and leaving the value
+                points.add(const)
+                points.add(const + 1)
         return sorted(points)
 
     def intervals(var):

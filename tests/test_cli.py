@@ -155,3 +155,18 @@ class TestMain:
             ["analyze", str(CORPUS / "nodeadlock" / "p01_basic.go"), "--max-steps", "3"]
         )
         assert code == EXIT_ERROR  # inconclusive under a tiny cap
+
+    def test_internal_error_exits_three_with_one_line(self, tmp_path, capsys):
+        depth = 3000  # deep enough to exhaust the interpreter's recursion limit
+        source = "package main\n\nfunc main() {\n\tx := %s1%s\n}\n" % (
+            "(" * depth,
+            ")" * depth,
+        )
+        (tmp_path / "deadlock").mkdir()
+        deep = tmp_path / "deadlock" / "deep.go"
+        deep.write_text(source)
+        for argv in (["analyze", str(deep)], ["corpus", str(tmp_path)]):
+            assert main(argv) == EXIT_ERROR
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert err.count("\n") == 1

@@ -95,6 +95,67 @@ class TestStart:
             start(d, {})
 
 
+class TestUnionResolution:
+    """Unions sitting directly in a flow, and unions inside a sequence
+    payload, resolve like the payload-level ones above."""
+
+    v_small = Cmp(Var("v"), "<", 10)
+    w_small = Cmp(Var("w"), "<", 3)
+
+    def item_union(self):
+        p = self.v_small
+        return cor_def(
+            union(
+                constrained(seq(yielded(Int), received(Bool)), p),
+                constrained(received(Str), neg(p)),
+            ),
+            label="s",
+        )
+
+    def test_undecided_item_union_gives_one_variant_per_branch(self):
+        p = self.v_small
+        assert start(self.item_union(), {}) == [
+            (cor_ins(yielded(Int), received(Bool)), p),
+            (cor_ins(received(Str)), neg(p)),
+        ]
+
+    def test_decided_item_union_splices_its_sequence(self):
+        assumption = Cmp(Var("v"), "<", 5)
+        result = start(self.item_union(), {}, assumption=assumption)
+        assert result == cor_ins(yielded(Int), received(Bool))
+
+    def test_every_item_branch_unsatisfiable(self):
+        v = Var("v")
+        d = cor_def(
+            union(
+                constrained(received(Int), conj(Cmp(v, "<", 0), Cmp(v, ">", 0))),
+                constrained(received(Bool), conj(Cmp(v, "<", 5), Cmp(v, ">", 5))),
+            )
+        )
+        with pytest.raises(NoSatisfiableBranch):
+            start(d, {})
+
+    def nested_payload(self):
+        p, q = self.v_small, self.w_small
+        inner = union(constrained(Bool, q), constrained(Str, neg(q)))
+        return cor_def(
+            yielded(union(constrained(seq(Int, inner), p), constrained(Err, neg(p))))
+        )
+
+    def test_union_inside_a_sequence_payload(self):
+        p, q = self.v_small, self.w_small
+        assert start(self.nested_payload(), {}) == [
+            (cor_ins(yielded(Int), yielded(Bool)), conj(p, q)),
+            (cor_ins(yielded(Int), yielded(Str)), conj(p, neg(q))),
+            (cor_ins(yielded(Err)), neg(p)),
+        ]
+
+    def test_decided_union_inside_a_sequence_payload(self):
+        assumption = conj(Cmp(Var("v"), "<", 5), Cmp(Var("w"), ">=", 3))
+        result = start(self.nested_payload(), {}, assumption=assumption)
+        assert result == cor_ins(yielded(Int), yielded(Str))
+
+
 class TestInline:
     def test_splice_replaces_the_application(self):
         run = cor_def(start_app(cor_def(yielded(Err))), label="run")

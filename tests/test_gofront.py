@@ -376,6 +376,135 @@ func main() {
         assert analysis.worst() == "NoDeadlock"
 
 
+class TestMembershipScan:
+    """Channel use and member calls are found wherever a body holds them."""
+
+    def test_channel_use_and_member_call_only_in_else_branches(self):
+        source = '''package main
+
+import "fmt"
+
+var x int
+
+func sender(ch chan int) {
+	if x > 0 {
+		fmt.Println(x)
+	} else if x < -5 {
+		fmt.Println(x)
+	} else {
+		ch <- 1
+	}
+}
+
+func relay(ch chan int) {
+	if x > 0 {
+		fmt.Println(x)
+	} else if x < -5 {
+		fmt.Println(x)
+	} else {
+		sender(ch)
+	}
+}
+
+func quiet() {
+	if x > 0 {
+		fmt.Println(x)
+	} else {
+		fmt.Println(x)
+	}
+}
+
+func main() {
+	ch := make(chan int)
+	go relay(ch)
+	quiet()
+}
+'''
+        tr = compute_m(parse(source))
+        assert set(tr.cordefs) == {"sender", "relay", "main"}
+        assert "Inline(sender)" in notation.render(tr.cordefs["relay"])
+
+    def test_receive_and_member_call_inside_operators(self):
+        source = '''package main
+
+import "fmt"
+
+func negated(ch chan int) int {
+	return -(<-ch)
+}
+
+func plusOne(ch chan int) int {
+	return 1 + <-ch
+}
+
+func twice(ch chan int) {
+	y := -negated(ch)
+	fmt.Println(y)
+}
+
+func main() {
+	ch := make(chan int)
+	go func() {
+		ch <- 1
+		ch <- 2
+	}()
+	twice(ch)
+	fmt.Println(plusOne(ch))
+}
+'''
+        tr = compute_m(parse(source))
+        assert {"negated", "plusOne", "twice", "main"} <= set(tr.cordefs)
+        assert notation.render(tr.cordefs["negated"]) == "corDef[?Int]"
+        assert "Inline(negated)" in notation.render(tr.cordefs["twice"])
+        assert analyze_source(source).worst() == "NoDeadlock"
+
+
+class TestRegressions:
+    def test_empty_then_branch_keeps_the_else_behavior(self):
+        source = '''package main
+
+import "fmt"
+
+var x int
+
+func main() {
+	ch := make(chan int)
+	if x > 0 {
+		fmt.Println(x)
+	} else {
+		<-ch
+	}
+}
+'''
+        analysis = analyze_source(source)
+        verdicts = {case.label: case.verdict.kind for case in analysis.cases}
+        assert verdicts == {"x ≤ 0": "Deadlock", "x ≥ 1": "NoDeadlock"}
+
+    def test_argument_named_like_its_parameter_keeps_its_constant(self):
+        source = '''package main
+
+func worker(ch chan int, n int) {
+	if n > 0 {
+		ch <- 1
+	}
+}
+
+func relay(ch chan int, n int) {
+	worker(ch, n)
+}
+
+func main() {
+	ch := make(chan int)
+	go relay(ch, 1)
+	<-ch
+}
+'''
+        tr = compute_m(parse(source))
+        assert "Inline(worker, n ↦ n)" in notation.render(tr.cordefs["relay"])
+        analysis = analyze_source(source)
+        assert [case.verdict.kind for case in analysis.cases] == ["NoDeadlock"]
+
+
 class TestCorDefPayloadDiscipline:
     def test_translated_flows_never_hold_go_ast(self):
         # every coroutine definition in the corpus holds only type terms:
