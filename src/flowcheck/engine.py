@@ -113,25 +113,29 @@ def _decide(guard, assumption, universe):
 def _resolve(t, decide, part):
     """Pick the branches of every union in ``t``; returns [(value, guard)].
 
-    ``decide`` settles a guard (True / False / None), and a definite branch
-    wins outright; undecided guards give one variant per satisfiable branch,
-    carrying the guard along.  ``part`` resolves what is not a union.
+    ``decide`` settles a guard (True / False / None).  Undecided guards give
+    one variant per satisfiable branch, carrying the guard along.  A
+    definite branch ends the choice: it wins outright, or, after undecided
+    branches, wherever none of their guards holds.  That keeps the guard of
+    an empty ``else`` branch, which flattening turns into an unguarded ``0``
+    placed last.  ``part`` resolves what is not a union.
     """
     t = flatten(t)
     if not isinstance(t, Union):
         return part(t, decide)
     alternatives = []
-    any_satisfiable = False
+    undecided = []
     for payload, guard in _branches(t):
         verdict = decide(guard)
         if verdict is False:
             continue
-        any_satisfiable = True
         inner = _resolve(payload, decide, part)
         if verdict is True:
-            return inner
+            otherwise = conj(*(neg(g) for g in undecided))
+            return alternatives + [(value, conj(otherwise, g)) for value, g in inner]
+        undecided.append(guard)
         alternatives.extend((value, conj(guard, g)) for value, g in inner)
-    if not any_satisfiable:
+    if not alternatives:
         raise NoSatisfiableBranch(render(t))
     return alternatives
 

@@ -144,7 +144,7 @@ class Translation:
 def body_nodes(nodes):
     """Every statement and expression of a function body, outside in.
 
-    The branches of an ``if`` are entered but not its condition, and the
+    The condition and the branches of an ``if`` are entered, and the
     arguments of a call but not its callee, so a function literal is never
     entered (it is a function of its own)."""
     for n in nodes:
@@ -152,7 +152,9 @@ def body_nodes(nodes):
             continue
         yield n
         if isinstance(n, If):
-            children = n.then + ((n.els,) if isinstance(n.els, If) else n.els or ())
+            children = (n.cond,) + n.then + (
+                (n.els,) if isinstance(n.els, If) else n.els or ()
+            )
         elif isinstance(n, Send):
             children = (n.chan, n.value)
         elif isinstance(n, (GoStmt, DeferStmt)):

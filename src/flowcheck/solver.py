@@ -5,8 +5,11 @@ comparisons, equality over a finite symbol universe, and closed-world
 relations -- is decided by a built-in enumerative solver.  Integer variables
 range over a grid derived from the comparison constants (wide enough to be
 exact for order constraints); symbol variables range over the collected
-universe.  ``emit_smtlib`` renders the same problems as SMT-LIB v2 text for
-external solvers.
+universe.  The solver splits a query into conjuncts, searches each group of
+conjuncts that share variables on its own, and checks every conjunct as
+soon as its variables are assigned, so independent guards cost a sum of
+searches rather than a product.  ``emit_smtlib`` renders the same problems
+as SMT-LIB v2 text for external solvers.
 """
 
 from __future__ import annotations
@@ -411,12 +414,58 @@ def _check_relations(expr, universe: Universe):
             raise UnsupportedPredicate(atom.name)
 
 
+def _conjuncts(p):
+    """The conjuncts of a predicate: the items of an ``And`` and the negated
+    disjuncts of a negated ``Or``, recursively."""
+    if isinstance(p, And):
+        for item in p.items:
+            yield from _conjuncts(item)
+    elif isinstance(p, Not) and isinstance(p.item, Or):
+        for item in p.item.items:
+            yield from _conjuncts(neg(item))
+    else:
+        yield p
+
+
+def _groups(expr):
+    """The conjuncts of ``expr`` joined by shared free variables, as
+    ``[(sorted names, [(conjunct, its names)])]``; ground conjuncts come
+    first, in a group with no names."""
+    parent: dict[str, str] = {}
+
+    def find(name):
+        while parent[name] != name:
+            name = parent[name]
+        return name
+
+    parts = [(c, pred_free_vars(c)) for c in _conjuncts(expr)]
+    for _, names in parts:
+        for name in names:
+            parent.setdefault(name, name)
+        for other in names[1:]:
+            parent[find(other)] = find(names[0])
+    groups: dict = {}
+    for c, names in parts:
+        groups.setdefault(find(names[0]) if names else "", []).append((c, names))
+    return [
+        (sorted({n for _, names in members for n in names}), members)
+        for _, members in sorted(groups.items())
+    ]
+
+
 def solve(expr, universe: Universe):
     """Find a satisfying assignment (name -> int | Concrete), or None.
 
-    Deterministic: variables are tried in sorted name order and candidate
-    values in ascending/lexicographic order, so a satisfiable expression
-    always yields the same witness.
+    The conjuncts of the query are split into groups that share no
+    variable, and each group is searched on its own: its variables are
+    assigned in sorted name order, candidate values in ascending /
+    lexicographic order, and each conjunct is checked as soon as its last
+    variable is assigned, so a partial assignment that already fails is
+    never extended.  Ground conjuncts are checked once.  The satisfying set
+    is the product of the groups' sets, so the merged witness (in sorted
+    name order) is the first one a search over all variables at once would
+    find: deterministic, the same expression always yields the same
+    witness.
     """
     expr = pred_simplify(expr, universe.relations)
     if expr == TRUE:
@@ -425,33 +474,49 @@ def solve(expr, universe: Universe):
         return None
     _check_relations(expr, universe)
     domains = _infer_domains(expr, universe)
-    names = sorted(domains)
     # Order constraints never force a variable further than the number of
     # variables away from a mentioned constant, so this grid is exact.
-    pad = len([n for n in names if domains[n] == INT]) + 1
+    pad = len([d for d in domains.values() if d == INT]) + 1
     consts = _int_constants(expr) or {0}
     grid = sorted({c + d for c in consts for d in range(-pad, pad + 1)})
     sym_values = [Concrete(s) for s in universe.symbols]
+    witness: dict = {}
+    for names, members in _groups(expr):
+        # checks[k] holds the conjuncts decided once k names are assigned
+        depth = {name: k + 1 for k, name in enumerate(names)}
+        checks: list = [[] for _ in range(len(names) + 1)]
+        for c, used in members:
+            checks[max((depth[n] for n in used), default=0)].append(c)
+        found = _search(
+            names,
+            [grid if domains[n] == INT else sym_values for n in names],
+            [conj(*cs) if cs else None for cs in checks],
+            universe.relations,
+        )
+        if found is None:
+            return None
+        witness.update(found)
+    return {name: witness[name] for name in sorted(witness)}
 
-    def candidates(name):
-        return grid if domains[name] == INT else sym_values
 
+def _search(names, candidates, checks, relations):
+    """The first assignment of ``names`` in candidate order under which
+    each ``checks[k]`` holds once the first k names are assigned, or None."""
     assignment: dict = {}
 
-    def search(k):
+    def extend(k):
+        if checks[k] is not None and not pred_evaluate(checks[k], assignment, relations):
+            return False
         if k == len(names):
-            return pred_evaluate(expr, assignment, universe.relations)
-        name = names[k]
-        for value in candidates(name):
-            assignment[name] = value
-            if search(k + 1):
+            return True
+        for value in candidates[k]:
+            assignment[names[k]] = value
+            if extend(k + 1):
                 return True
-        del assignment[name]
+        assignment.pop(names[k], None)
         return False
 
-    if search(0):
-        return dict(assignment)
-    return None
+    return dict(assignment) if extend(0) else None
 
 
 def unique_bindings(expr, interp: dict, universe: Universe) -> ConditionSet:

@@ -42,6 +42,19 @@ class TestExitCodes:
         code, _ = analyze_quiet(CORPUS / "does_not_exist.go")
         assert code == EXIT_ERROR
 
+    def test_receive_in_a_condition_exits_two(self, tmp_path):
+        # f's only channel use is the receive in its condition, which the
+        # translation rejects; skipping f would leave main's send unpaired
+        path = tmp_path / "condition_receive.go"
+        path.write_text(
+            "package main\n\n"
+            "func f(ch chan int) {\n\tif <-ch > 0 {\n\t}\n}\n\n"
+            "func main() {\n\tch := make(chan int)\n\tgo f(ch)\n\tch <- 1\n}\n"
+        )
+        code, text = analyze_quiet(path)
+        assert code == EXIT_UNSUPPORTED
+        assert "condition beyond integer/boolean comparisons" in text
+
     def test_exit_code_is_a_function_of_the_verdict_set(self):
         # the conditional file mixes Deadlock and NoDeadlock cases: deadlock wins
         source = '''package main

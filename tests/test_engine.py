@@ -135,6 +135,22 @@ class TestUnionResolution:
         with pytest.raises(NoSatisfiableBranch):
             start(d, {})
 
+    def test_empty_branch_keeps_its_guard(self):
+        # constrained(ZERO, p) flattens to an unguarded 0; it holds only
+        # where the undecided branch before it does not, and must not
+        # discard that branch
+        x = Var("x")
+        d = cor_def(
+            union(
+                constrained(received(Int), Cmp(x, "<=", 0)),
+                constrained(ZERO, Cmp(x, ">", 0)),
+            )
+        )
+        assert start(d, {}) == [
+            (cor_ins(received(Int)), Cmp(x, "<=", 0)),
+            (cor_ins(), Cmp(x, ">", 0)),
+        ]
+
     def nested_payload(self):
         p, q = self.v_small, self.w_small
         inner = union(constrained(Bool, q), constrained(Str, neg(q)))

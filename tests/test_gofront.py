@@ -283,7 +283,26 @@ func main() {
         assert "Start(s, v ↦ arg@" in main
 
 
+def independent_guards(k):
+    """``main`` with k integer variables, each guarding its own balanced
+    ``go send; receive`` pair under ``vI <= 3``."""
+    lines = ["package main", "", "func main() {"]
+    lines += ["\tvar v%d int" % i for i in range(k)]
+    lines.append("\tch := make(chan int)")
+    for i in range(k):
+        lines += ["\tif v%d <= 3 {" % i, "\t\tgo func() {", "\t\t\tch <- 1",
+                  "\t\t}()", "\t\t<-ch", "\t}"]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
 class TestAnalyze:
+    def test_six_independent_guards(self):
+        # one case per guard valuation; the solver searches each variable
+        # on its own, so this takes well under a second
+        analysis = analyze_source(independent_guards(6))
+        assert len(analysis.cases) == 64
+        assert {c.verdict.kind for c in analysis.cases} == {"NoDeadlock"}
+
     def test_conditional_partitions_into_four_cases(self):
         analysis = analyze_source(CONDITIONAL)
         assert len(analysis.cases) == 4

@@ -9,27 +9,36 @@ itself, and compares structurally.
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from flowcheck.preds import (
     Binding,
     Cmp,
     FALSE,
+    Or,
     Relation,
     TRUE,
     conj,
+    disj,
     neg,
     pred_evaluate,
     pred_free_vars,
+    pred_simplify,
+    pred_substitute,
 )
+from flowcheck import solver
 from flowcheck.solver import (
     BOTTOM,
+    INT,
     ConstraintError,
     DomainConflict,
     RedefinedRelation,
     Universe,
     UnsupportedPredicate,
+    _check_relations,
+    _infer_domains,
+    _int_constants,
     collect_concrete,
     emit_smtlib,
     equate,
@@ -58,7 +67,7 @@ from flowcheck.terms import (
     yielded,
 )
 
-from strategies import ground_types, simple_preds
+from strategies import VAR_NAMES, ground_types, simple_preds
 
 Int, Str, Bool = Concrete("Int"), Concrete("String"), Concrete("Bool")
 X, Y = Concrete("X"), Concrete("Y")
@@ -127,6 +136,37 @@ def brute_force_unifiable(a, b, universe):
         except (KeyError, ValueError):
             continue
     return False
+
+
+def brute_force_solve(expr, universe):
+    """The full-grid enumerator: the same grid and candidate order as
+    ``solve``, but the whole predicate is evaluated on complete assignments
+    only, with no split and no pruning."""
+    expr = pred_simplify(expr, universe.relations)
+    if expr == TRUE:
+        return {}
+    if expr == FALSE:
+        return None
+    _check_relations(expr, universe)
+    domains = _infer_domains(expr, universe)
+    names = sorted(domains)
+    pad = len([n for n in names if domains[n] == INT]) + 1
+    consts = _int_constants(expr) or {0}
+    grid = sorted({c + d for c in consts for d in range(-pad, pad + 1)})
+    sym_values = [Concrete(s) for s in universe.symbols]
+    candidates = [grid if domains[n] == INT else sym_values for n in names]
+    for combo in itertools.product(*candidates):
+        assignment = dict(zip(names, combo))
+        if pred_evaluate(expr, assignment, universe.relations):
+            return assignment
+    return None
+
+
+def _outcome(fn, expr, universe):
+    try:
+        return fn(expr, universe)
+    except Exception as e:  # compared by type
+        return type(e)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +321,54 @@ class TestSolve:
         assert solve(expr, u) == solve(expr, u)
 
 
+UNIVERSES = st.sampled_from([(), ("Int", "Bool")])
+# most generated predicates fold to true or false; a part must not
+OPEN_PREDS = simple_preds().filter(lambda p: pred_free_vars(pred_simplify(p)))
+
+
+class TestSolveAgainstOracle:
+    @given(simple_preds(), UNIVERSES)
+    @settings(max_examples=300)
+    def test_same_outcome_as_full_grid(self, expr, symbols):
+        u = Universe(symbols)
+        assert _outcome(solve, expr, u) == _outcome(brute_force_solve, expr, u)
+
+    @given(st.lists(OPEN_PREDS, min_size=2, max_size=3), UNIVERSES)
+    @settings(
+        max_examples=100, deadline=None,
+        suppress_health_check=[HealthCheck.filter_too_much],
+    )
+    def test_same_outcome_on_independent_conjuncts(self, parts, symbols):
+        # each part's variables become one variable of its own, so no two
+        # parts share one; the oracle costs grid^variables, so the number
+        # of parts stays at three
+        expr = conj(*(
+            pred_substitute(p, {n: Var("v%d" % k) for n in VAR_NAMES})
+            for k, p in enumerate(parts)
+        ))
+        u = Universe(symbols)
+        assert _outcome(solve, expr, u) == _outcome(brute_force_solve, expr, u)
+
+    def test_evaluations_grow_with_groups_not_their_product(self, monkeypatch):
+        calls = []
+        counted = solver.pred_evaluate
+
+        def counting(*args):
+            calls.append(1)
+            return counted(*args)
+
+        monkeypatch.setattr(solver, "pred_evaluate", counting)
+        k = 8
+        expr = conj(*(
+            conj(Cmp(Var("v%d" % i), "<=", 3), Cmp(Var("v%d" % i), ">=", 0))
+            for i in range(k)
+        ))
+        assert solve(expr, Universe([])) == {"v%d" % i: 0 for i in range(k)}
+        pad = k + 1
+        grid = range(0 - pad, 3 + pad + 1)
+        assert len(calls) <= k * len(grid)  # a full grid search needs grid^k
+
+
 class TestUniqueBindings:
     def test_interval_variable_stays_symbolic(self):
         u = Universe([])
@@ -305,6 +393,12 @@ class TestUniqueBindings:
         assert result.bindings == {"x": Concrete("Faculty")}
 
     @given(simple_preds())
+    @example(
+        neg(disj(
+            Cmp(Var("x"), "<", Var("n")),
+            Or((Cmp(Var("x"), "<", Var("y")), Cmp(Var("j"), "<", 0))),
+        ))
+    )
     @settings(max_examples=150)
     def test_no_binding_with_satisfiable_negation(self, expr):
         u = Universe(["Int", "Bool"])
