@@ -29,12 +29,14 @@ self-starting recursion.  At main exit the verdict reports undeliverable
 external yields first; failing that, coroutines left waiting on a receive;
 a clean state is deadlock-free.  The base calculus rule that re-injects
 external yields is deliberately absent; once a value is external, it stays
-external.
+external.  Each step records the state it leaves as terms; the trace
+renders them only when read.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -52,13 +54,13 @@ from .terms import (
     Seq,
     StartApp,
     Union,
-    YIELD,
     ZERO,
     ZeroType,
     cor_ins,
     distribute,
     flatten,
     substitute,
+    tail,
     yielded,
 )
 
@@ -205,19 +207,15 @@ def start(definition, bindings=None, universe=None, assumption=TRUE):
     return out
 
 
-def _resolve_def(target, defs):
-    if isinstance(target, DefRef):
-        resolved = (defs or {}).get(target.name)
-        if resolved is None:
-            raise EngineError("reference to unknown definition %s" % target.name)
-        return resolved
-    if isinstance(target, CorDef):
-        return target
-    raise EngineError("expected a coroutine definition, got %s" % render(target))
-
-
 def _start_single(definition, bindings, universe, assumption, defs=None):
-    definition = _resolve_def(definition, defs)
+    """Start a definition, or a reference into ``defs``, as one instance."""
+    if isinstance(definition, DefRef):
+        resolved = (defs or {}).get(definition.name)
+        if resolved is None:
+            raise EngineError("reference to unknown definition %s" % definition.name)
+        definition = resolved
+    elif not isinstance(definition, CorDef):
+        raise EngineError("expected a coroutine definition, got %s" % render(definition))
     result = start(definition, bindings, universe, assumption)
     if isinstance(result, CorIns):
         return result
@@ -264,11 +262,39 @@ class _Live:
         return self.inst.flow[0] if self.inst.flow else None
 
 
+def _head_kind(head):
+    """Which rule a head item can start: "inline", "void", "receive",
+    "yield", "spawn", or None."""
+    if isinstance(head, InlineApp):
+        return "inline"
+    if isinstance(head, Directed):
+        if isinstance(head.payload, ZeroType):
+            return "void"
+        if head.direction == RECEIVE:
+            return "receive"
+        if isinstance(head.payload, (CorIns, StartApp)):
+            return "spawn"
+        return None if isinstance(head.payload, CorDef) else "yield"
+    if isinstance(head, (StartApp, CorIns)):
+        return "spawn"
+    return None
+
+
 @dataclass
 class TraceEntry:
+    """A fired rule and the state after it, kept as the immutable terms
+    ``(pending, externals, instances)`` and rendered when read."""
+
     step: int
     rule: str
-    state_after: str
+    state: tuple
+
+    @property
+    def state_after(self) -> str:
+        pending, externals, instances = self.state
+        ext = render(flatten(Seq(externals))) if externals else "0"
+        body = ", ".join(render(i) for i in instances)
+        return "(%s, %s) ⊢ ⊚⟨%s⟩" % (render(pending), ext, body)
 
     def line(self) -> str:
         return "step %d [%s] %s" % (self.step, self.rule, self.state_after)
@@ -332,17 +358,6 @@ class ReductionState:
     terminal: Optional[Terminal] = None
     _names: itertools.count = field(default_factory=itertools.count)
 
-    def main(self) -> Optional[_Live]:
-        for entry in self.live:
-            if entry.name == self.main_name:
-                return entry
-        return None
-
-    def render_state(self) -> str:
-        ext = render(flatten(Seq(tuple(self.externals)))) if self.externals else "0"
-        body = ", ".join(render(e.inst) for e in self.live)
-        return "(%s, %s) ⊢ ⊚⟨%s⟩" % (render(self.pending), ext, body)
-
     def fresh_name(self, base) -> str:
         name = base or "c%d" % next(self._names)
         taken = {e.name for e in self.live}
@@ -350,36 +365,45 @@ class ReductionState:
             name = "%s'%d" % (base or "c", next(self._names))
         return name
 
+    def instantiate(self, app) -> CorIns:
+        """The instance a start or inline application evaluates to."""
+        return _start_single(
+            app.target, dict(app.bindings), self.universe, self.assumption, self.defs
+        )
+
 
 def _record(state, rule):
     state.steps += 1
-    state.trace.append(TraceEntry(state.steps, rule, state.render_state()))
+    snapshot = (state.pending, tuple(state.externals), tuple(e.inst for e in state.live))
+    state.trace.append(TraceEntry(state.steps, rule, snapshot))
 
 
-def _try_spawn(state) -> bool:
-    """Evaluate the first yielded coroutine or start application, appending
-    the new instance at the end of the live list."""
-    for entry in state.live:
-        head = entry.head()
-        spawn = None
-        if isinstance(head, Directed) and head.direction == YIELD:
-            spawn = head.payload
-        elif isinstance(head, (StartApp, CorIns)):
-            spawn = head
-        if isinstance(spawn, StartApp):
-            inst = _start_single(
-                spawn.target, dict(spawn.bindings), state.universe,
-                state.assumption, state.defs,
-            )
-        elif isinstance(spawn, CorIns):
-            inst = spawn
-        else:
-            continue
-        entry.inst = CorIns(entry.inst.flow[1:], entry.inst.constraint, entry.inst.label)
-        state.live.append(_Live(inst, state.fresh_name(inst.label)))
-        _record(state, "YieldCo")
-        return True
-    return False
+def _resume(entry, conditions):
+    """Move a receiver past its head under the outcome of a successful match."""
+    rest = tuple(substitute(i, conditions.bindings) for i in tail(entry.inst).flow)
+    constraint = None if conditions.residual == TRUE else conditions.residual
+    entry.inst = flatten(CorIns(rest, constraint, entry.inst.label))
+
+
+def _spawn(state, entry):
+    """Evaluate the yielded coroutine or start application at the head of
+    ``entry``, appending the new instance at the end of the live list."""
+    head = entry.head()
+    spawn = head.payload if isinstance(head, Directed) else head
+    inst = state.instantiate(spawn) if isinstance(spawn, StartApp) else spawn
+    entry.inst = tail(entry.inst)
+    state.live.append(_Live(inst, state.fresh_name(inst.label)))
+    _record(state, "YieldCo")
+    return state
+
+
+def _terminate(state, rule, kind, items):
+    """Record the last rule and stop with the residual instance of ``items``."""
+    _record(state, rule)
+    state.terminal = Terminal(
+        kind, cor_ins(*items), tuple(state.externals), state.steps, state.max_steps
+    )
+    return state
 
 
 def reduce_step(state: ReductionState):
@@ -389,143 +413,95 @@ def reduce_step(state: ReductionState):
         return state
     if state.steps >= state.max_steps:
         raise StepCapExceeded(state.max_steps)
-    universe = state.universe
+
+    # the one walk over the live coroutines: every rule below picks from it
+    heads = defaultdict(list)
+    main = None
+    for entry in state.live:
+        heads[_head_kind(entry.head())].append(entry)
+        if main is None and entry.name == state.main_name:
+            main = entry
 
     # 1. inline evaluation at a head
-    for entry in state.live:
-        head = entry.head()
-        if isinstance(head, InlineApp):
-            spliced = _start_single(
-                head.target, dict(head.bindings), universe, state.assumption, state.defs
-            )
-            items = list(spliced.flow) + list(entry.inst.flow[1:])
-            entry.inst = flatten(CorIns(tuple(items), entry.inst.constraint, entry.inst.label))
-            _record(state, "InlineEval")
-            return state
+    if heads["inline"]:
+        entry = heads["inline"][0]
+        flow = state.instantiate(entry.head()).flow + tail(entry.inst).flow
+        entry.inst = flatten(CorIns(flow, entry.inst.constraint, entry.inst.label))
+        _record(state, "InlineEval")
+        return state
 
     # 2. drop a head item with no behavior
-    for entry in state.live:
-        head = entry.head()
-        if isinstance(head, Directed) and isinstance(head.payload, ZeroType):
-            entry.inst = CorIns(entry.inst.flow[1:], entry.inst.constraint, entry.inst.label)
-            _record(state, "RemoveVoid")
-            return state
+    if heads["void"]:
+        entry = heads["void"][0]
+        entry.inst = tail(entry.inst)
+        _record(state, "RemoveVoid")
+        return state
 
     # 3. a value is in flight: resume a receiver or externalize it
     if not isinstance(state.pending, ZeroType):
-        scan = [e for e in state.live if e.name != state.last_yielder]
-        scan += [e for e in state.live if e.name == state.last_yielder]
-        for entry in scan:
-            head = entry.head()
-            if not (isinstance(head, Directed) and head.direction == RECEIVE):
-                continue
-            pattern = head.payload
+        # the coroutine that just yielded comes last
+        for entry in sorted(heads["receive"], key=lambda e: e.name == state.last_yielder):
+            pattern = entry.head().payload
             if entry.inst.constraint is not None:
                 pattern = Constrained(pattern, entry.inst.constraint)
-            conditions = match(state.pending, pattern, universe)
-            if conditions is BOTTOM:
-                continue
-            rest = [substitute(i, conditions.bindings) for i in entry.inst.flow[1:]]
-            constraint = None
-            if conditions.residual != TRUE:
-                constraint = conditions.residual
-            entry.inst = flatten(CorIns(tuple(rest), constraint, entry.inst.label))
-            state.pending = ZERO
-            state.last_yielder = None
-            _record(state, "Resume")
-            return state
-        if _try_spawn(state):
-            return state
-        state.externals.append(state.pending)
+            conditions = match(state.pending, pattern, state.universe)
+            if conditions is not BOTTOM:
+                _resume(entry, conditions)
+                rule = "Resume"
+                break
+        else:
+            if heads["spawn"]:
+                return _spawn(state, heads["spawn"][0])
+            state.externals.append(state.pending)
+            rule = "External"
         state.pending = ZERO
         state.last_yielder = None
-        _record(state, "External")
+        _record(state, rule)
         return state
 
-    # 4. a receiver expecting a whole coroutine
-    receiver = None
-    for entry in state.live:
-        head = entry.head()
-        if (
-            isinstance(head, Directed)
-            and head.direction == RECEIVE
-            and isinstance(head.payload, (CorIns, CorDef))
-        ):
-            receiver = entry
-            break
-    if receiver is not None:
+    # 4. a receiver expecting a whole coroutine (only the first is tried)
+    for receiver in heads["receive"]:
         pattern = receiver.head().payload
+        if not isinstance(pattern, (CorIns, CorDef)):
+            continue
         for other in state.live:
             if other is receiver or not other.inst.flow:
                 continue
-            target = other.inst
-            conditions = match(target, pattern, universe)
-            if conditions is BOTTOM:
-                continue
-            rest = [substitute(i, conditions.bindings) for i in receiver.inst.flow[1:]]
-            constraint = None
-            if conditions.residual != TRUE:
-                constraint = conditions.residual
-            receiver.inst = flatten(CorIns(tuple(rest), constraint, receiver.inst.label))
-            state.live.remove(other)
-            _record(state, "ResumeCo")
-            return state
+            conditions = match(other.inst, pattern, state.universe)
+            if conditions is not BOTTOM:
+                _resume(receiver, conditions)
+                state.live.remove(other)
+                _record(state, "ResumeCo")
+                return state
+        break
 
     # 5. the main coroutine finished; all values have settled
-    main = state.main()
-    if main is not None and not main.inst.flow and not any(
-        isinstance(e.head(), Directed)
-        and e.head().direction == YIELD
-        and not isinstance(e.head().payload, (CorIns, CorDef, StartApp))
-        for e in state.live
-    ):
-        _record(state, "MainExit")
+    if main is not None and not main.inst.flow and not heads["yield"]:
         if state.externals:
-            residual = cor_ins(*[yielded(e) for e in state.externals])
+            items = [yielded(e) for e in state.externals]
         else:
-            stranded = [
-                e.inst
-                for e in state.live
-                if isinstance(e.head(), Directed) and e.head().direction == RECEIVE
-            ]
-            residual = cor_ins(*[yielded(i) for i in stranded])
-        state.terminal = Terminal(
-            "main-exit", residual, tuple(state.externals), state.steps, state.max_steps
-        )
-        return state
+            items = [yielded(e.inst) for e in heads["receive"]]
+        return _terminate(state, "MainExit", "main-exit", items)
 
     # 6. transfer the first yielded value into the pending slot
-    for entry in state.live:
-        head = entry.head()
-        if (
-            isinstance(head, Directed)
-            and head.direction == YIELD
-            and not isinstance(head.payload, (CorIns, CorDef, StartApp))
-        ):
-            payload = head.payload
-            if entry.inst.constraint is not None:
-                payload = flatten(Constrained(payload, entry.inst.constraint))
-            state.pending = payload
-            state.last_yielder = entry.name
-            entry.inst = CorIns(entry.inst.flow[1:], entry.inst.constraint, entry.inst.label)
-            _record(state, "Yield")
-            return state
-
-    # 7. spawn a yielded coroutine or started definition, breadth-first
-    if _try_spawn(state):
+    if heads["yield"]:
+        entry = heads["yield"][0]
+        state.pending = entry.head().payload
+        if entry.inst.constraint is not None:
+            state.pending = flatten(Constrained(state.pending, entry.inst.constraint))
+        state.last_yielder = entry.name
+        entry.inst = tail(entry.inst)
+        _record(state, "Yield")
         return state
 
+    # 7. spawn a yielded coroutine or started definition, breadth-first
+    if heads["spawn"]:
+        return _spawn(state, heads["spawn"][0])
+
     # 8. nothing can move
-    _record(state, "CoToExt")
     items = [yielded(e) for e in state.externals]
-    for entry in state.live:
-        if entry.inst.flow:
-            items.append(yielded(entry.inst))
-    residual = cor_ins(*items)
-    state.terminal = Terminal(
-        "residual", residual, tuple(state.externals), state.steps, state.max_steps
-    )
-    return state
+    items += [yielded(e.inst) for e in state.live if e.inst.flow]
+    return _terminate(state, "CoToExt", "residual", items)
 
 
 def reduce(initial, max_steps=DEFAULT_MAX_STEPS, universe=None, assumption=TRUE,
@@ -545,17 +521,15 @@ def reduce(initial, max_steps=DEFAULT_MAX_STEPS, universe=None, assumption=TRUE,
         for k, item in enumerate(initial):
             if state.steps >= state.max_steps:
                 raise StepCapExceeded(state.max_steps)
-            if isinstance(item, StartApp):
-                inst = _start_single(item.target, dict(item.bindings), universe, assumption, state.defs)
-                entry = _Live(inst, state.fresh_name(inst.label or ("main" if k == 0 else None)))
-                state.live.append(entry)
-                _record(state, "StartEval")
-            elif isinstance(item, CorIns):
-                state.live.append(_Live(item, state.fresh_name(item.label or ("main" if k == 0 else None))))
-            else:
+            if not isinstance(item, (StartApp, CorIns)):
                 raise EngineError(
                     "reduce expects instances or start applications, got %s" % render(item)
                 )
+            inst = state.instantiate(item) if isinstance(item, StartApp) else item
+            name = inst.label or ("main" if k == 0 else None)
+            state.live.append(_Live(inst, state.fresh_name(name)))
+            if isinstance(item, StartApp):
+                _record(state, "StartEval")
             if k == 0:
                 state.main_name = state.live[0].name
         while state.terminal is None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..engine import _branches
 from ..preds import Cmp, FALSE, TRUE, conj, disj, neg, pred_free_vars, pred_simplify
 from ..terms import (
     Concrete,
@@ -283,7 +284,7 @@ class Translator:
         raise Unsupported("unrecognized statement", getattr(s, "line", 0))
 
     def _if(self, s: If, env: Env, deferred) -> tuple:
-        value = self._eval_cond(s.cond, env)
+        value = self._eval_cond(s.cond, env, s.line)
         else_body = s.els if s.els is not None else ()
         if isinstance(else_body, If):
             else_body = (else_body,)
@@ -404,10 +405,12 @@ class Translator:
             return env.const_of(e.name)
         return None
 
-    def _eval_cond(self, e, env: Env):
+    def _eval_cond(self, e, env: Env, line):
         """A condition folds to True/False when constants decide it, and
-        otherwise compiles to a predicate over the free variables."""
-        pred = self._cond_pred(e, env)
+        otherwise compiles to a predicate over the free variables.  Expression
+        nodes carry no line, so an unsupported condition reports ``line``,
+        the line of its ``if``."""
+        pred = self._cond_pred(e, env, line)
         pred = pred_simplify(pred)
         if pred == TRUE:
             return True
@@ -415,7 +418,7 @@ class Translator:
             return False
         return pred
 
-    def _cond_pred(self, e, env: Env):
+    def _cond_pred(self, e, env: Env, line):
         if isinstance(e, BoolLit):
             return TRUE if e.value else FALSE
         if isinstance(e, Ident):
@@ -424,21 +427,20 @@ class Translator:
                 return TRUE if value else FALSE
             return Cmp(Var(e.name), "=", 1)  # a bare flag reads as "is set"
         if isinstance(e, Unary) and e.op == "!":
-            return neg(self._cond_pred(e.operand, env))
+            return neg(self._cond_pred(e.operand, env, line))
         if isinstance(e, Binary) and e.op == "&&":
-            return conj(self._cond_pred(e.left, env), self._cond_pred(e.right, env))
+            return conj(self._cond_pred(e.left, env, line), self._cond_pred(e.right, env, line))
         if isinstance(e, Binary) and e.op == "||":
-            return disj(self._cond_pred(e.left, env), self._cond_pred(e.right, env))
+            return disj(self._cond_pred(e.left, env, line), self._cond_pred(e.right, env, line))
         if isinstance(e, Binary) and e.op in ("==", "!=", "<", "<=", ">", ">="):
-            lhs = self._cond_term(e.left, env)
-            rhs = self._cond_term(e.right, env)
+            lhs = self._cond_term(e.left, env, line)
+            rhs = self._cond_term(e.right, env, line)
             op = "=" if e.op in ("==", "!=") else e.op
             out = Cmp(lhs, op, rhs)
             return neg(out) if e.op == "!=" else out
-        raise Unsupported("condition beyond integer/boolean comparisons",
-                          getattr(e, "line", 0))
+        raise Unsupported("condition beyond integer/boolean comparisons", line)
 
-    def _cond_term(self, e, env: Env):
+    def _cond_term(self, e, env: Env, line):
         if isinstance(e, IntLit):
             return e.value
         if isinstance(e, BoolLit):
@@ -446,8 +448,7 @@ class Translator:
         if isinstance(e, Ident):
             value = env.const_of(e.name)
             return value if value is not None else Var(e.name)
-        raise Unsupported("condition beyond integer/boolean comparisons",
-                          getattr(e, "line", 0))
+        raise Unsupported("condition beyond integer/boolean comparisons", line)
 
     def _chan_elem(self, e, env: Env, line) -> str:
         if isinstance(e, Ident):
@@ -506,16 +507,13 @@ def unresolved_condition_preds(cordefs: dict, entry: str = "main") -> list:
     Walks definitions reachable through start/inline applications with the
     call-site bindings applied, so a guard inside a callee surfaces under
     the caller's variable names."""
-    from ..notation import render
-    from ..engine import _branches
-
     preds: list = []
     seen: set = set()
 
     def visit_def(name, bindings):
         if name not in cordefs:
             return
-        key = (name, tuple(sorted((k, render(v)) for k, v in bindings.items())))
+        key = (name, frozenset(bindings.items()))
         if key in seen:
             return
         seen.add(key)

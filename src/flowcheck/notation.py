@@ -228,23 +228,14 @@ class _Parser:
         kind, value = self.peek()
         if self.accept("0"):
             return ZERO
-        if kind == "int":
-            self.next()
-            return int(value)
-        if self.accept("-"):
-            kind, value = self.next()
-            if kind != "int":
-                raise NotationError("expected an integer after '-'")
-            return -int(value)
         if self.accept_name("corDef"):
             return self.flow_body(CorDef)
         if self.accept_name("Start"):
             return self.app_body(StartApp)
         if self.accept_name("Inline"):
             return self.app_body(InlineApp)
-        if kind == "name":
-            self.next()
-            return Concrete(value) if value[0].isupper() else Var(value)
+        if kind in ("int", "name") or value == "-":
+            return self.scalar("type")
         if self.accept("["):
             return self.flow_items(CorIns)
         if self.accept("<"):
@@ -304,11 +295,14 @@ class _Parser:
             if kind != "name":
                 raise NotationError("expected a variable name in binding")
             self.expect("↦")
-            bindings.append((name, self.binding_value()))
+            bindings.append((name, self.scalar("binding value")))
         self.expect(")")
         return cls(terms.flatten(target), tuple(bindings))
 
-    def binding_value(self):
+    def scalar(self, what):
+        """An integer, a negated integer, or a name: a capitalised name is a
+        concrete type, any other a variable.  ``what`` names the expected
+        operand in the error."""
         kind, value = self.peek()
         if kind == "int":
             self.next()
@@ -321,7 +315,7 @@ class _Parser:
         if kind == "name":
             self.next()
             return Concrete(value) if value[0].isupper() else Var(value)
-        raise NotationError("bad binding value %r" % value)
+        raise NotationError("bad %s %r" % (what, value))
 
     # -- predicates --------------------------------------------------------
 
@@ -372,21 +366,7 @@ class _Parser:
         return Cmp(lhs, op, self.pred_term())
 
     def pred_term(self):
-        kind, value = self.peek()
-        if kind == "int":
-            self.next()
-            return int(value)
-        if self.accept("-"):
-            kind, value = self.next()
-            if kind != "int":
-                raise NotationError("expected an integer after '-'")
-            return -int(value)
-        if self.accept("0"):
-            return 0
-        if kind == "name":
-            self.next()
-            return Concrete(value) if value[0].isupper() else Var(value)
-        raise NotationError("bad predicate operand %r" % value)
+        return self.scalar("predicate operand")
 
 
 def parse(text: str):

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import terms
+from .notation import render, render_pred
 from .preds import (
     And,
     Binding,
@@ -92,8 +93,6 @@ class ConditionSet:
     residual: object = TRUE
 
     def __repr__(self):
-        from .notation import render, render_pred
-
         pairs = ", ".join("%s ↦ %s" % (k, render(v)) for k, v in self.bindings.items())
         return "{%s} / %s" % (pairs, render_pred(self.residual))
 
@@ -539,8 +538,6 @@ def unique_bindings(expr, interp: dict, universe: Universe) -> ConditionSet:
 
 def pred_canonical(p):
     """Sort n-ary connectives by rendered text, for stable, symmetric output."""
-    from .notation import render_pred
-
     if isinstance(p, And):
         items = tuple(sorted((pred_canonical(i) for i in p.items), key=render_pred))
         return conj(*items)
@@ -695,8 +692,6 @@ def partition_cases(predicates, universe: Universe) -> list[Case]:
         grouped[valuation].append(cell)
 
     cases = []
-    from .notation import render_pred
-
     for valuation in order:
         members = grouped[valuation]
         parts = [

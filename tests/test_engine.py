@@ -314,6 +314,51 @@ class TestReduce:
         assert verdict.kind == "NoDeadlock"
 
 
+def fanout_source(n):
+    """``main`` starts n senders on one channel, then receives n times."""
+    lines = ["package main", "", "func send(ch chan int) {", "\tch <- 1", "}", "",
+             "func main() {", "\tch := make(chan int)"]
+    lines += ["\tgo send(ch)"] * n + ["\t<-ch"] * n
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+class TestTraceState:
+    def test_early_entry_keeps_the_state_of_its_step(self):
+        # an entry must hold a copy of the state, not the live list that
+        # later steps go on changing
+        state = ReductionState(universe=Universe.collect(Int, Str))
+        from flowcheck.engine import _Live
+
+        state.live.append(_Live(cor_ins(yielded(Int), received(Str)), "main"))
+        state.live.append(_Live(cor_ins(received(Int), yielded(Str)), "c1"))
+        state.main_name = "main"
+        reduce_step(state)
+        first = state.trace[0].state_after
+        assert first == "(Int, 0) ⊢ ⊚⟨[?String], [?Int; !String]⟩"
+        while state.terminal is None:
+            reduce_step(state)
+        assert [t.rule for t in state.trace] == [
+            "Yield", "Resume", "Yield", "Resume", "MainExit"
+        ]
+        assert state.trace[0].state_after == first
+        assert state.trace[-1].state_after == "(0, 0) ⊢ ⊚⟨[], []⟩"
+
+    def test_untraced_analysis_renders_nothing(self, monkeypatch):
+        import flowcheck.engine as engine
+        from flowcheck.gofront import analyze_source
+
+        calls = []
+        real = engine.render
+        monkeypatch.setattr(engine, "render", lambda t: calls.append(t) or real(t))
+        analysis = analyze_source(fanout_source(8))
+        assert analysis.worst() == "NoDeadlock"
+        assert len(analysis.cases[0].trace) > 8
+        assert calls == []
+        # reading an entry renders its state through the same function
+        assert analysis.cases[0].trace[-1].line().endswith("⊢ ⊚⟨%s⟩" % ", ".join(["[]"] * 9))
+        assert calls
+
+
 class TestClassify:
     def test_zero_residual(self):
         assert classify(Terminal("residual", ZERO)).kind == "NoDeadlock"

@@ -523,6 +523,19 @@ func main() {
         analysis = analyze_source(source)
         assert [case.verdict.kind for case in analysis.cases] == ["NoDeadlock"]
 
+    def test_unsupported_condition_reports_the_line_of_its_if(self):
+        # expression nodes carry no line of their own
+        source = (
+            "package main\n\n"
+            "func f(ch chan int) {\n\tif <-ch > 0 {\n\t}\n}\n\n"
+            "func main() {\n\tch := make(chan int)\n\tgo f(ch)\n\tch <- 1\n}\n"
+        )
+        analysis = analyze_source(source)
+        assert analysis.worst() == "Unsupported"
+        assert analysis.cases[0].verdict.reason == (
+            "condition beyond integer/boolean comparisons (line 4)"
+        )
+
 
 class TestCorDefPayloadDiscipline:
     def test_translated_flows_never_hold_go_ast(self):

@@ -1,0 +1,30 @@
+"""Golden output: the text report with ``--trace`` for every corpus file.
+
+The golden file pins verdicts, residuals, warnings and every trace line
+byte for byte.  After a deliberate change to any of them, regenerate it
+from the repository root with ``PYTHONPATH=src python tests/test_golden.py``
+and review the diff.
+"""
+
+import io
+from pathlib import Path
+
+from flowcheck.cli import run_analyze
+
+CORPUS = Path("corpus")
+GOLDEN = Path("tests") / "golden" / "corpus_trace.txt"
+
+
+def corpus_trace_text():
+    out = io.StringIO()
+    for path in sorted(CORPUS.glob("*/*.go")):
+        run_analyze(path, "text", show_trace=True, out=out)
+    return out.getvalue()
+
+
+def test_corpus_trace_matches_golden():
+    assert corpus_trace_text() == GOLDEN.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(corpus_trace_text(), encoding="utf-8")
