@@ -3,8 +3,10 @@
 ``flowcheck analyze file.go`` prints a report (text or JSON) and exits 0
 when every case is deadlock-free, 1 on any deadlock, 2 when the file uses
 unsupported features, and 3 on internal errors or an inconclusive
-reduction.  ``flowcheck corpus dir`` runs the bundled expectation corpus
-laid out as ``dir/<expected>/<name>.go``.
+reduction; with ``--format json`` an internal error still writes a report,
+with one Inconclusive verdict naming the exception.  ``flowcheck corpus
+dir`` runs the bundled expectation corpus laid out as
+``dir/<expected>/<name>.go``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import time
 from pathlib import Path
 
 from . import engine
-from .gofront import analyze_file
+from .gofront import Analysis, CaseResult, analyze_file, analyze_source
 from .notation import render
 
 EXIT_OK = 0
@@ -64,6 +66,16 @@ def report_dict(path, analysis, elapsed_ms) -> dict:
     }
 
 
+def crash_report(path, reason) -> dict:
+    """The report of an analysis that raised: one Inconclusive verdict."""
+    verdict = engine.Verdict("Inconclusive", reason=reason)
+    return report_dict(path, Analysis([CaseResult("", verdict)]), 0.0)
+
+
+def write_json(report, out):
+    out.write(json.dumps(report, sort_keys=True, ensure_ascii=False) + "\n")
+
+
 def print_text_report(report, analysis, show_trace, out):
     print("%s: %s" % (report["file"], analysis.worst()), file=out)
     for case, result in zip(report["verdicts"], analysis.cases):
@@ -84,21 +96,21 @@ def print_text_report(report, analysis, show_trace, out):
 def run_analyze(path, fmt="text", show_trace=False,
                 max_steps=engine.DEFAULT_MAX_STEPS, out=None) -> int:
     out = out if out is not None else sys.stdout
-    started = time.monotonic()
     try:
-        analysis = analyze_file(path, max_steps=max_steps)
+        source = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_ERROR
-    elapsed_ms = int((time.monotonic() - started) * 1000)
+    started = time.perf_counter()
+    analysis = analyze_source(source, max_steps=max_steps)
+    elapsed_ms = round((time.perf_counter() - started) * 1000, 3)
     report = report_dict(path, analysis, elapsed_ms)
     if fmt == "json":
         if show_trace:
             report["trace"] = [
                 entry.line() for case in analysis.cases for entry in case.trace
             ]
-        json.dump(report, out, sort_keys=True, ensure_ascii=False)
-        out.write("\n")
+        write_json(report, out)
     else:
         print_text_report(report, analysis, show_trace, out)
     return exit_code_for(analysis.worst())
@@ -162,8 +174,10 @@ def main(argv=None) -> int:
             return run_analyze(args.file, args.format, args.trace, args.max_steps)
         return run_corpus(args.directory, args.max_steps)
     except Exception as e:  # a crash must never exit with a verdict's code
-        message = " ".join(str(e).split())
-        print("error: %s: %s" % (type(e).__name__, message), file=sys.stderr)
+        reason = "%s: %s" % (type(e).__name__, " ".join(str(e).split()))
+        print("error: %s" % reason, file=sys.stderr)
+        if args.command == "analyze" and args.format == "json":
+            write_json(crash_report(args.file, reason), sys.stdout)
         return EXIT_ERROR
 
 

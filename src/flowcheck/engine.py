@@ -36,6 +36,7 @@ renders them only when read.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
@@ -253,15 +254,6 @@ def inline(target, definition, bindings=None, universe=None, assumption=TRUE,
 # reduction state
 
 
-@dataclass
-class _Live:
-    inst: CorIns
-    name: str
-
-    def head(self):
-        return self.inst.flow[0] if self.inst.flow else None
-
-
 def _head_kind(head):
     """Which rule a head item can start: "inline", "void", "receive",
     "yield", "spawn", or None."""
@@ -278,6 +270,29 @@ def _head_kind(head):
     if isinstance(head, (StartApp, CorIns)):
         return "spawn"
     return None
+
+
+class _Live:
+    """A live coroutine.  ``kind`` is the ``_head_kind`` of its head,
+    recomputed whenever ``inst`` is assigned, so it never goes stale."""
+
+    __slots__ = ("_inst", "kind", "name")
+
+    def __init__(self, inst: CorIns, name: str):
+        self.inst = inst
+        self.name = name
+
+    @property
+    def inst(self) -> CorIns:
+        return self._inst
+
+    @inst.setter
+    def inst(self, inst: CorIns):
+        self._inst = inst
+        self.kind = _head_kind(self.head())
+
+    def head(self):
+        return self._inst.flow[0] if self._inst.flow else None
 
 
 @dataclass
@@ -372,16 +387,26 @@ class ReductionState:
         )
 
 
+_instances = operator.attrgetter("_inst")
+
+
 def _record(state, rule):
     state.steps += 1
-    snapshot = (state.pending, tuple(state.externals), tuple(e.inst for e in state.live))
+    snapshot = (state.pending, tuple(state.externals), tuple(map(_instances, state.live)))
     state.trace.append(TraceEntry(state.steps, rule, snapshot))
 
 
 def _resume(entry, conditions):
-    """Move a receiver past its head under the outcome of a successful match."""
-    rest = tuple(substitute(i, conditions.bindings) for i in tail(entry.inst).flow)
+    """Move a receiver past its head under the outcome of a successful match.
+
+    Every live instance is canonical and so is its tail, so a match that
+    binds nothing leaves the rest of the flow as it is."""
+    rest = tail(entry.inst).flow
     constraint = None if conditions.residual == TRUE else conditions.residual
+    if not conditions.bindings:
+        entry.inst = CorIns(rest, constraint, entry.inst.label)
+        return
+    rest = tuple(substitute(i, conditions.bindings) for i in rest)
     entry.inst = flatten(CorIns(rest, constraint, entry.inst.label))
 
 
@@ -418,7 +443,8 @@ def reduce_step(state: ReductionState):
     heads = defaultdict(list)
     main = None
     for entry in state.live:
-        heads[_head_kind(entry.head())].append(entry)
+        if entry.kind is not None:
+            heads[entry.kind].append(entry)
         if main is None and entry.name == state.main_name:
             main = entry
 

@@ -3,7 +3,8 @@
 Anything outside the subset raises Unsupported naming the construct and the
 line, so the analyzer can refuse the file instead of guessing: buffered or
 directional channels, select, close, for loops, switch, pointers, maps,
-sync primitives, and if-statements with init clauses.
+sync primitives, if-statements with init clauses, and nesting deeper than
+``MAX_NESTING``.
 """
 
 from __future__ import annotations
@@ -41,6 +42,13 @@ from .goast import (
 from .lexer import GoSyntaxError, Token, tokenize
 
 
+# Nesting levels: a block, an ``if`` (``else if`` included), an operand
+# (parenthesized, prefixed or a call argument) and each operator of a binary
+# chain.  The parser and the later tree walks recurse on each level, so a
+# deeper file is refused instead of exhausting the recursion limit.
+MAX_NESTING = 100
+
+
 class Unsupported(Exception):
     def __init__(self, feature, line):
         super().__init__("%s (line %d)" % (feature, line))
@@ -70,6 +78,7 @@ class Parser:
     def __init__(self, source: str):
         self.tokens = tokenize(source)
         self.pos = 0
+        self.depth = 0
         self.anon_funcs: list[Func] = []
 
     # -- token plumbing ----------------------------------------------------
@@ -99,6 +108,12 @@ class Parser:
     def skip_semis(self):
         while self.accept(";"):
             pass
+
+    def descend(self, line):
+        """Enter one more nesting level; the caller restores ``depth``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise Unsupported("nesting too deep", line)
 
     # -- declarations --------------------------------------------------------
 
@@ -248,12 +263,13 @@ class Parser:
     # -- statements -------------------------------------------------------------
 
     def parse_block(self) -> tuple:
-        self.expect("{")
+        self.descend(self.expect("{").line)
         self.skip_semis()
         stmts = []
         while not self.accept("}"):
             stmts.append(self.parse_stmt())
             self.skip_semis()
+        self.depth -= 1
         return tuple(stmts)
 
     def parse_stmt(self):
@@ -297,6 +313,7 @@ class Parser:
 
     def parse_if(self) -> If:
         line = self.expect("if").line
+        self.descend(line)
         cond = self.parse_expr()
         if self.peek().kind == ";":
             raise Unsupported("if with init statement", line)
@@ -307,6 +324,7 @@ class Parser:
                 els = self.parse_if()
             else:
                 els = self.parse_block()
+        self.depth -= 1
         return If(cond, then, els, line)
 
     # -- expressions ---------------------------------------------------------------
@@ -314,18 +332,23 @@ class Parser:
     def parse_expr(self):
         return self.parse_or()
 
+    # each operator of a chain nests the tree one level deeper
     def parse_or(self):
+        outer = self.depth
         left = self.parse_and()
         while self.peek().kind == "||":
-            self.next()
+            self.descend(self.next().line)
             left = Binary("||", left, self.parse_and())
+        self.depth = outer
         return left
 
     def parse_and(self):
+        outer = self.depth
         left = self.parse_cmp()
         while self.peek().kind == "&&":
-            self.next()
+            self.descend(self.next().line)
             left = Binary("&&", left, self.parse_cmp())
+        self.depth = outer
         return left
 
     def parse_cmp(self):
@@ -336,27 +359,31 @@ class Parser:
         return left
 
     def parse_add(self):
+        outer = self.depth
         left = self.parse_unary()
         while self.peek().kind in ("+", "-", "*", "/", "%"):
-            op = self.next().kind
-            left = Binary(op, left, self.parse_unary())
+            tok = self.next()
+            self.descend(tok.line)
+            left = Binary(tok.kind, left, self.parse_unary())
+        self.depth = outer
         return left
 
     def parse_unary(self):
         tok = self.peek()
-        if tok.kind == "!":
+        self.descend(tok.line)
+        if tok.kind in ("!", "-", "<-"):
             self.next()
-            return Unary("!", self.parse_unary())
-        if tok.kind == "-":
-            self.next()
-            operand = self.parse_unary()
-            if isinstance(operand, IntLit):
-                return IntLit(-operand.value)
-            return Unary("-", operand)
-        if tok.kind == "<-":
-            self.next()
-            return Recv(self.parse_unary())
-        return self.parse_postfix()
+            expr = self.parse_unary()
+            if tok.kind == "<-":
+                expr = Recv(expr)
+            elif tok.kind == "-" and isinstance(expr, IntLit):
+                expr = IntLit(-expr.value)
+            else:
+                expr = Unary(tok.kind, expr)
+        else:
+            expr = self.parse_postfix()
+        self.depth -= 1
+        return expr
 
     def parse_postfix(self):
         expr = self.parse_primary()

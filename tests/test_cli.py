@@ -107,6 +107,13 @@ class TestJsonReport:
         )
         assert strip(out.getvalue()) == strip(again.getvalue())
 
+    def test_elapsed_ms_is_a_float(self):
+        out = io.StringIO()
+        run_analyze(CORPUS / "nodeadlock" / "p01_basic.go", fmt="json", out=out)
+        elapsed = json.loads(out.getvalue())["elapsed_ms"]
+        assert isinstance(elapsed, float)
+        assert elapsed == round(elapsed, 3) and elapsed > 0
+
     def test_trace_included_on_request(self):
         out = io.StringIO()
         run_analyze(
@@ -169,17 +176,60 @@ class TestMain:
         )
         assert code == EXIT_ERROR  # inconclusive under a tiny cap
 
-    def test_internal_error_exits_three_with_one_line(self, tmp_path, capsys):
-        depth = 3000  # deep enough to exhaust the interpreter's recursion limit
-        source = "package main\n\nfunc main() {\n\tx := %s1%s\n}\n" % (
-            "(" * depth,
-            ")" * depth,
-        )
+    def test_internal_error_exits_three_with_one_line(self, tmp_path, capsys, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded\nwhile parsing")
+
+        monkeypatch.setattr("flowcheck.cli.analyze_source", crash)
+        monkeypatch.setattr("flowcheck.cli.analyze_file", crash)
         (tmp_path / "deadlock").mkdir()
-        deep = tmp_path / "deadlock" / "deep.go"
-        deep.write_text(source)
-        for argv in (["analyze", str(deep)], ["corpus", str(tmp_path)]):
+        path = tmp_path / "deadlock" / "crash.go"
+        path.write_text("package main\n\nfunc main() {\n}\n")
+        for argv in (["analyze", str(path)], ["corpus", str(tmp_path)]):
             assert main(argv) == EXIT_ERROR
             err = capsys.readouterr().err
             assert err.startswith("error: ")
             assert err.count("\n") == 1
+
+    def test_json_internal_error_still_writes_a_report(self, tmp_path, capsys, monkeypatch):
+        def crash(*args, **kwargs):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr("flowcheck.cli.analyze_source", crash)
+        path = tmp_path / "crash.go"
+        path.write_text("package main\n\nfunc main() {\n}\n")
+        assert main(["analyze", str(path), "--format", "json"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == "error: ZeroDivisionError: division by zero\n"
+        assert captured.out.count("\n") == 1
+        report = json.loads(captured.out)
+        assert captured.out == json.dumps(report, sort_keys=True, ensure_ascii=False) + "\n"
+        assert list(report) == ["elapsed_ms", "file", "steps", "verdicts", "warnings"]
+        (verdict,) = report["verdicts"]
+        assert set(verdict) == {"case", "verdict", "residual", "externals", "reason"}
+        assert verdict["verdict"] == "Inconclusive"
+        assert "ZeroDivisionError" in verdict["reason"]
+        assert report["file"] == str(path)
+
+    def test_deep_nesting_is_unsupported(self, tmp_path, capsys):
+        depth = 3000
+        parens = "package main\n\nfunc main() {\n\tx := %s1%s\n}\n" % (
+            "(" * depth,
+            ")" * depth,
+        )
+        depth = 400
+        ifs = (
+            "package main\n\nvar x int\n\nfunc main() {\n\tch := make(chan int)\n"
+            + "".join("\tif x > %d {\n" % k for k in range(depth))
+            + "\tch <- 1\n"
+            + "\t}\n" * depth
+            + "}\n"
+        )
+        for name, source in (("parens.go", parens), ("ifs.go", ifs)):
+            path = tmp_path / name
+            path.write_text(source)
+            assert main(["analyze", str(path)]) == EXIT_UNSUPPORTED
+            captured = capsys.readouterr()
+            assert "Unsupported" in captured.out
+            assert "nesting too deep" in captured.out
+            assert captured.err == ""

@@ -478,6 +478,47 @@ func main() {
         assert analyze_source(source).worst() == "NoDeadlock"
 
 
+class TestNestingLimit:
+    """Past ``MAX_NESTING`` levels the parser refuses the file; below it the
+    parser and the later tree walks run without exhausting the stack."""
+
+    @staticmethod
+    def program(expr):
+        return (
+            "package main\n\nvar v int\n\nfunc main() {\n\tch := make(chan int)\n"
+            "\tgo func() {\n\t\tch <- 1\n\t}()\n\tif %s {\n\t\t<-ch\n\t} else {\n"
+            "\t\t<-ch\n\t}\n}\n" % expr
+        )
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            lambda n: "%sv > 0%s" % ("(" * n, ")" * n),
+            lambda n: "%s(v > 0)" % ("!" * n),
+            lambda n: " || ".join("v > %d" % k for k in range(n)),
+        ],
+        ids=["parentheses", "prefix operators", "operator chain"],
+    )
+    def test_deep_expressions(self, shape):
+        from flowcheck.gofront.parser import MAX_NESTING
+
+        shallow = analyze_source(self.program(shape(MAX_NESTING - 10)))
+        assert shallow.worst() == "NoDeadlock"
+        deep = analyze_source(self.program(shape(1000)))
+        assert deep.worst() == "Unsupported"
+        assert deep.cases[0].verdict.reason == "nesting too deep (line 10)"
+
+    def test_deep_function_literals(self):
+        depth = 300
+        source = (
+            "package main\n\nfunc main() {\n\tch := make(chan int)\n"
+            + "\tgo func() {\n" * depth + "\tch <- 1\n" + "\t}()\n" * depth
+            + "\t<-ch\n}\n"
+        )
+        with pytest.raises(Unsupported, match="nesting too deep"):
+            parse(source)
+
+
 class TestRegressions:
     def test_empty_then_branch_keeps_the_else_behavior(self):
         source = '''package main
