@@ -89,8 +89,7 @@ class StepCapExceeded(EngineError):
 
 
 def _branches(t):
-    """Flatten a union tree into (payload, guard) alternatives."""
-    t = flatten(t)
+    """The (payload, guard) alternatives of a canonical union tree."""
     if isinstance(t, Union):
         return _branches(t.left) + _branches(t.right)
     if isinstance(t, Constrained):
@@ -99,11 +98,15 @@ def _branches(t):
     return [(t, TRUE)]
 
 
-def _decide(guard, assumption, universe):
-    """True / False when the assumption settles the guard, else None."""
+def _decide(guard, assumption, universe, valuation=None):
+    """True / False when the assumption settles the guard, else None.  A
+    guard the case split partitioned on is read from the case's
+    ``valuation``; only other guards reach the solver."""
     guard = pred_simplify(guard, universe.relations)
     if guard == TRUE:
         return True
+    if valuation and guard in valuation:
+        return valuation[guard]
     if not pred_free_vars(guard):
         return pred_evaluate(guard, {}, universe.relations)
     if solve(conj(guard, assumption), universe) is None:
@@ -121,9 +124,9 @@ def _resolve(t, decide, part):
     definite branch ends the choice: it wins outright, or, after undecided
     branches, wherever none of their guards holds.  That keeps the guard of
     an empty ``else`` branch, which flattening turns into an unguarded ``0``
-    placed last.  ``part`` resolves what is not a union.
+    placed last.  ``part`` resolves what is not a union.  ``t`` and so
+    every subterm are canonical, so nothing here flattens again.
     """
-    t = flatten(t)
     if not isinstance(t, Union):
         return part(t, decide)
     alternatives = []
@@ -183,7 +186,7 @@ def _payload_part(t, decide):
     return [(t, TRUE)]
 
 
-def start(definition, bindings=None, universe=None, assumption=TRUE):
+def start(definition, bindings=None, universe=None, assumption=TRUE, valuation=None):
     """Instantiate a definition: substitute arguments and resolve branches.
 
     Returns a single instance when every branch guard is decided, otherwise
@@ -194,9 +197,9 @@ def start(definition, bindings=None, universe=None, assumption=TRUE):
         raise EngineError("start expects a coroutine definition, got %r" % (definition,))
     if universe is None:
         universe = Universe.collect(definition)
-    bound = substitute(definition, dict(bindings or {}))
+    bound = substitute(definition, dict(bindings or {}))  # canonical
     variants = _flow_variants(
-        bound.flow, lambda guard: _decide(guard, assumption, universe)
+        bound.flow, lambda guard: _decide(guard, assumption, universe, valuation)
     )
     out = []
     for items, guard in variants:
@@ -208,7 +211,7 @@ def start(definition, bindings=None, universe=None, assumption=TRUE):
     return out
 
 
-def _start_single(definition, bindings, universe, assumption, defs=None):
+def _start_single(definition, bindings, universe, assumption, defs=None, valuation=None):
     """Start a definition, or a reference into ``defs``, as one instance."""
     if isinstance(definition, DefRef):
         resolved = (defs or {}).get(definition.name)
@@ -217,7 +220,7 @@ def _start_single(definition, bindings, universe, assumption, defs=None):
         definition = resolved
     elif not isinstance(definition, CorDef):
         raise EngineError("expected a coroutine definition, got %s" % render(definition))
-    result = start(definition, bindings, universe, assumption)
+    result = start(definition, bindings, universe, assumption, valuation)
     if isinstance(result, CorIns):
         return result
     raise AmbiguousCondition(
@@ -367,6 +370,7 @@ class ReductionState:
     trace: list = field(default_factory=list)
     universe: Universe = None
     assumption: object = TRUE
+    valuation: dict = field(default_factory=dict)
     defs: dict = field(default_factory=dict)
     main_name: Optional[str] = None
     last_yielder: Optional[str] = None
@@ -383,7 +387,8 @@ class ReductionState:
     def instantiate(self, app) -> CorIns:
         """The instance a start or inline application evaluates to."""
         return _start_single(
-            app.target, dict(app.bindings), self.universe, self.assumption, self.defs
+            app.target, dict(app.bindings), self.universe, self.assumption, self.defs,
+            self.valuation,
         )
 
 
@@ -531,17 +536,19 @@ def reduce_step(state: ReductionState):
 
 
 def reduce(initial, max_steps=DEFAULT_MAX_STEPS, universe=None, assumption=TRUE,
-           defs=None):
+           defs=None, valuation=None):
     """Run the machine on a list of instances / start applications.
 
     The first element is the main coroutine; ``defs`` resolves named
-    definition references.  Returns (verdict, trace).
+    definition references, ``valuation`` partitioned guards (see
+    ``_decide``).  Returns (verdict, trace).
     """
     initial = [flatten(t) for t in initial]
     if universe is None:
         universe = Universe.collect(*initial, *(defs or {}).values())
     state = ReductionState(
-        max_steps=max_steps, universe=universe, assumption=assumption, defs=dict(defs or {})
+        max_steps=max_steps, universe=universe, assumption=assumption,
+        valuation=dict(valuation or {}), defs=dict(defs or {}),
     )
     try:
         for k, item in enumerate(initial):

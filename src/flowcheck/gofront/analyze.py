@@ -98,6 +98,7 @@ def analyze_source(source: str, max_steps: int = engine.DEFAULT_MAX_STEPS) -> An
                     universe=universe,
                     assumption=case.assumption,
                     defs=cordefs,
+                    valuation=case.valuation,
                 )
                 verdict.case_label = case.label
                 results.append(CaseResult(case.label, verdict, trace))

@@ -359,14 +359,20 @@ class Parser:
         return left
 
     def parse_add(self):
+        """``+ -`` over ``* / %``, left-associative, in one frame per level."""
         outer = self.depth
-        left = self.parse_unary()
+        total, op, product = None, None, self.parse_unary()
         while self.peek().kind in ("+", "-", "*", "/", "%"):
             tok = self.next()
             self.descend(tok.line)
-            left = Binary(tok.kind, left, self.parse_unary())
+            operand = self.parse_unary()
+            if tok.kind in ("*", "/", "%"):
+                product = Binary(tok.kind, product, operand)
+            else:
+                total = product if total is None else Binary(op, total, product)
+                op, product = tok.kind, operand
         self.depth = outer
-        return left
+        return product if total is None else Binary(op, total, product)
 
     def parse_unary(self):
         tok = self.peek()

@@ -68,6 +68,7 @@ from .goast import (
 from .parser import Unsupported
 
 IGNORABLE_PACKAGES = {"fmt", "time", "os", "log", "math", "strconv"}
+_ARITHMETIC = {"+": int.__add__, "-": int.__sub__, "*": int.__mul__}
 
 
 class UnknownChannel(Exception):
@@ -397,12 +398,19 @@ class Translator:
         return bindings
 
     def _eval_value(self, e, env: Env):
+        """The constant ``e`` folds to, or None; ``+ - *`` wrap as Go's ``int``."""
         if isinstance(e, IntLit):
             return e.value
         if isinstance(e, BoolLit):
             return 1 if e.value else 0
         if isinstance(e, Ident):
             return env.const_of(e.name)
+        if isinstance(e, Unary) and e.op == "-":
+            e = Binary("-", IntLit(0), e.operand)
+        if isinstance(e, Binary) and e.op in _ARITHMETIC:
+            left, right = self._eval_value(e.left, env), self._eval_value(e.right, env)
+            if left is not None and right is not None:
+                return (_ARITHMETIC[e.op](left, right) + 2**63) % 2**64 - 2**63
         return None
 
     def _eval_cond(self, e, env: Env, line):
@@ -441,13 +449,11 @@ class Translator:
         raise Unsupported("condition beyond integer/boolean comparisons", line)
 
     def _cond_term(self, e, env: Env, line):
-        if isinstance(e, IntLit):
-            return e.value
-        if isinstance(e, BoolLit):
-            return 1 if e.value else 0
+        value = self._eval_value(e, env)
+        if value is not None:
+            return value
         if isinstance(e, Ident):
-            value = env.const_of(e.name)
-            return value if value is not None else Var(e.name)
+            return Var(e.name)
         raise Unsupported("condition beyond integer/boolean comparisons", line)
 
     def _chan_elem(self, e, env: Env, line) -> str:
@@ -517,9 +523,7 @@ def unresolved_condition_preds(cordefs: dict, entry: str = "main") -> list:
         if key in seen:
             return
         seen.add(key)
-        definition = cordefs[name]
-        if bindings:
-            definition = substitute(definition, bindings)
+        definition = substitute(cordefs[name], bindings)  # canonical, for _branches
         for item in definition.flow:
             visit(item)
 

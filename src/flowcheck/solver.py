@@ -14,7 +14,7 @@ as SMT-LIB v2 text for external solvers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import terms
 from .notation import render, render_pred
@@ -587,10 +587,11 @@ def _strip(t):
 @dataclass
 class Case:
     """One analysis case: an assumption under which every branch predicate
-    in the program has a fixed truth value."""
+    in the program has a fixed truth value, kept in ``valuation``."""
 
     assumption: object
     label: str
+    valuation: dict = field(default_factory=dict)
 
 
 def partition_cases(predicates, universe: Universe) -> list[Case]:
@@ -598,6 +599,7 @@ def partition_cases(predicates, universe: Universe) -> list[Case]:
 
     Cells with identical predicate valuations merge into a single case, so
     e.g. two guard intervals over one variable yield at most four cases.
+    Each case keeps its valuation, where the engine reads these guards.
     """
     predicates = [pred_simplify(p, universe.relations) for p in predicates]
     names = []
@@ -699,7 +701,8 @@ def partition_cases(predicates, universe: Universe) -> list[Case]:
             for cell in members
         ]
         assumption = disj(*parts)
-        cases.append(Case(assumption, render_pred(assumption)))
+        label = render_pred(assumption)
+        cases.append(Case(assumption, label, dict(zip(predicates, valuation))))
     return cases
 
 

@@ -38,13 +38,7 @@ def ground_types(max_depth=3):
     )
 
 
-def simple_preds():
-    terms = st.one_of(variables, st.integers(-8, 8))
-    atoms = st.one_of(
-        st.just(TRUE),
-        st.just(FALSE),
-        st.builds(Cmp, terms, st.sampled_from(OPS), terms),
-    )
+def _pred_trees(atoms):
     return st.recursive(
         atoms,
         lambda inner: st.one_of(
@@ -54,6 +48,23 @@ def simple_preds():
         ),
         max_leaves=5,
     )
+
+
+def simple_preds():
+    terms = st.one_of(variables, st.integers(-8, 8))
+    return _pred_trees(st.one_of(
+        st.just(TRUE),
+        st.just(FALSE),
+        st.builds(Cmp, terms, st.sampled_from(OPS), terms),
+    ))
+
+
+def guard_preds(names=("x",)):
+    """Branch guards the case split accepts: every comparison sets one of
+    the integer variables ``names`` against a constant."""
+    return _pred_trees(st.builds(
+        Cmp, st.sampled_from(names).map(Var), st.sampled_from(OPS), st.integers(-8, 8)
+    ))
 
 
 def general_types(max_depth=3):

@@ -7,7 +7,6 @@ report.
 
 import random
 import time
-from pathlib import Path
 
 from flowcheck import notation
 from flowcheck.engine import reduce
@@ -29,9 +28,9 @@ from flowcheck.terms import (
     tup,
 )
 
+from paths import CORPUS, corpus_files
 from test_oracle import run_comparison
 
-CORPUS = Path("corpus")
 
 PATTERNS = {
     "nodeadlock/p01_basic.go": "NoDeadlock",
@@ -240,8 +239,7 @@ def test_criterion_7_oracle_equivalence():
 
 
 def test_criterion_8_determinism_and_cap():
-    files = sorted(CORPUS.glob("*/*.go"))
-    assert files
+    files = corpus_files()
     for path in files:
         first = analyze_file(path)
         second = analyze_file(path)

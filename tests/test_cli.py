@@ -3,7 +3,6 @@
 import io
 import json
 import shutil
-from pathlib import Path
 
 from flowcheck.cli import (
     EXIT_DEADLOCK,
@@ -14,8 +13,8 @@ from flowcheck.cli import (
     run_analyze,
     run_corpus,
 )
+from paths import CORPUS
 
-CORPUS = Path("corpus")
 
 
 def analyze_quiet(path, **kwargs):
@@ -55,7 +54,7 @@ class TestExitCodes:
         assert code == EXIT_UNSUPPORTED
         assert "condition beyond integer/boolean comparisons" in text
 
-    def test_exit_code_is_a_function_of_the_verdict_set(self):
+    def test_exit_code_is_a_function_of_the_verdict_set(self, tmp_path):
         # the conditional file mixes Deadlock and NoDeadlock cases: deadlock wins
         source = '''package main
 
@@ -78,13 +77,10 @@ func main() {
 	}
 }
 '''
-        path = Path("tests") / "_tmp_conditional.go"
+        path = tmp_path / "conditional.go"
         path.write_text(source)
-        try:
-            code, _ = analyze_quiet(path)
-            assert code == EXIT_DEADLOCK
-        finally:
-            path.unlink()
+        code, _ = analyze_quiet(path)
+        assert code == EXIT_DEADLOCK
 
 
 class TestJsonReport:

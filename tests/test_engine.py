@@ -410,9 +410,10 @@ class TestLiveInvariants:
 
     def sources(self):
         import random
-        from pathlib import Path
 
-        for path in sorted(Path("corpus").glob("*/*.go")):
+        from paths import corpus_files
+
+        for path in corpus_files():
             yield path.name, path.read_text()
         for variant in ("spawn_order", "reordered", "missing"):
             yield variant, mixed_fanout_source(random.Random(24), 24, variant)

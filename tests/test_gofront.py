@@ -20,6 +20,8 @@ from flowcheck.gofront.goast import (
     ShortVarDecl,
 )
 
+from paths import corpus_files, corpus_source
+
 ALL_FEATURES = '''package main
 
 import "fmt"
@@ -36,8 +38,8 @@ func main() {
 }
 '''
 
-MOBY_FIXED = open("corpus/nodeadlock/moby4395_fixed.go").read()
-OUT_OF_ORDER = open("corpus/deadlock/p16_out_of_order.go").read()
+MOBY_FIXED = corpus_source("nodeadlock/moby4395_fixed.go")
+OUT_OF_ORDER = corpus_source("deadlock/p16_out_of_order.go")
 
 CONDITIONAL = '''package main
 
@@ -295,10 +297,76 @@ def independent_guards(k):
     return "\n".join(lines + ["}"]) + "\n"
 
 
+def nested_guards(depth):
+    """``main`` with ``depth`` nested ``if x > i`` blocks on one unknown
+    ``x``, each holding a balanced ``go send; receive`` pair."""
+    lines = ["package main", "", "func main() {", "\tvar x int", "\tch := make(chan int)"]
+    for i in range(depth):
+        indent = "\t" * (i + 2)
+        lines += [indent[1:] + "if x > %d {" % i, indent + "go func() { ch <- 1 }()",
+                  indent + "<-ch"]
+    lines += ["\t" * (i + 1) + "}" for i in reversed(range(depth))]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+class TestPartitionedGuardsSkipTheSolver:
+    """Each case carries the truth value of every guard the case split
+    partitioned on, so whole-file analysis never proves one again."""
+
+    @pytest.fixture
+    def solve_calls(self, monkeypatch):
+        import flowcheck.engine as engine
+
+        calls = []
+        real = engine.solve
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(engine, "solve", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "source, cases",
+        [(independent_guards(6), 64), (nested_guards(16), 17)],
+        ids=["independent k=6", "nested depth 16"],
+    )
+    def test_whole_file_analysis_makes_no_solve_call(self, solve_calls, source, cases):
+        analysis = analyze_source(source)
+        assert len(analysis.cases) == cases
+        assert {c.verdict.kind for c in analysis.cases} == {"NoDeadlock"}
+        assert solve_calls == []
+
+    def test_a_guard_in_no_valuation_still_reaches_the_solver(self, solve_calls):
+        from flowcheck.engine import start
+        from flowcheck.preds import Cmp
+        from flowcheck.solver import Universe
+        from flowcheck.terms import (
+            Concrete, Var, constrained, cor_def, received, union, yielded,
+        )
+
+        x = Var("x")
+        guard = Cmp(x, "<=", 3)
+        definition = cor_def(union(
+            constrained(received(Concrete("Int")), guard),
+            constrained(yielded(Concrete("Int")), Cmp(x, ">", 3)),
+        ))
+        universe = Universe.collect(definition)
+        assumption = Cmp(x, "<=", 0)
+        other = {Cmp(Var("y"), "<=", 3): True}
+        chosen = start(definition, {}, universe, assumption, other)
+        assert chosen.flow == (received(Concrete("Int")),)
+        assert solve_calls
+        solve_calls.clear()
+        assert start(definition, {}, universe, assumption, {guard: True}) == chosen
+        assert solve_calls == []
+
+
 class TestAnalyze:
     def test_six_independent_guards(self):
-        # one case per guard valuation; the solver searches each variable
-        # on its own, so this takes well under a second
+        # one case per guard valuation; each case reads its guards from
+        # its valuation, so this takes well under a second
         analysis = analyze_source(independent_guards(6))
         assert len(analysis.cases) == 64
         assert {c.verdict.kind for c in analysis.cases} == {"NoDeadlock"}
@@ -333,7 +401,7 @@ class TestAnalyze:
         assert [c.verdict.kind for c in analysis.cases] == ["NoDeadlock"]
 
     def test_no_sender_pattern_deadlocks(self):
-        source = open("corpus/deadlock/p13_no_sender.go").read()
+        source = corpus_source("deadlock/p13_no_sender.go")
         analysis = analyze_source(source)
         assert analysis.worst() == "Deadlock"
 
@@ -391,7 +459,7 @@ func main() {
         assert prog.subtype_pairs() == [("Faculty", "User")]
 
     def test_time_after_completes_by_itself(self):
-        analysis = analyze_source(open("corpus/nodeadlock/p10_wait30.go").read())
+        analysis = analyze_source(corpus_source("nodeadlock/p10_wait30.go"))
         assert analysis.worst() == "NoDeadlock"
 
 
@@ -564,6 +632,29 @@ func main() {
         analysis = analyze_source(source)
         assert [case.verdict.kind for case in analysis.cases] == ["NoDeadlock"]
 
+    def test_constant_arithmetic_decides_the_guard(self):
+        source = (
+            "package main\n\nfunc main() {\n\tch := make(chan int)\n"
+            "\tgo func() { ch <- 1 }()\n\tx := 1 + 1\n\tif x > 0 {\n\t\t<-ch\n\t}\n}\n"
+        )
+        analysis = analyze_source(source)
+        assert [(c.label, c.verdict.kind) for c in analysis.cases] == [("", "NoDeadlock")]
+
+    @pytest.mark.parametrize(
+        "expr, value",
+        [("1 + 2 * 3", 7), ("2 - 3 - 4", -5), ("-(1 + 2) * 3", -9), ("k * 2 - -k", 12),
+         ("9223372036854775807 + k", -9223372036854775805)],
+    )
+    def test_constant_folding_follows_go_precedence_and_wraps(self, expr, value):
+        # k is the constant 4; an int wraps at 64 bits
+        source = (
+            "package main\n\nvar ch chan int = make(chan int)\n\n"
+            "func s(v int) {\n\tif v < 10 {\n\t\tch <- v\n\t}\n}\n\n"
+            "func main() {\n\tk := 4\n\tgo s(%s)\n\t<-ch\n}\n" % expr
+        )
+        tr = compute_m(parse(source))
+        assert "Start(s, v ↦ %d)" % value in notation.render(tr.cordefs["main"])
+
     def test_unsupported_condition_reports_the_line_of_its_if(self):
         # expression nodes carry no line of their own
         source = (
@@ -583,8 +674,6 @@ class TestCorDefPayloadDiscipline:
         # every coroutine definition in the corpus holds only type terms:
         # directed items over concretes/variables, start/inline applications,
         # and predicate-guarded unions of those
-        from pathlib import Path
-
         from flowcheck.terms import (
             Concrete,
             Constrained,
@@ -617,7 +706,7 @@ class TestCorDefPayloadDiscipline:
             else:
                 assert isinstance(item, ZeroType), item
 
-        for path in Path("corpus").glob("*/*.go"):
+        for path in corpus_files():
             if path.parent.name == "unsupported":
                 continue
             tr = compute_m(parse(path.read_text()))
@@ -645,5 +734,5 @@ func main() {
         assert analysis.worst() == "Inconclusive"
 
     def test_recursive_start_is_cut_off_by_main_exit(self):
-        analysis = analyze_source(open("corpus/nodeadlock/p07_rec_main.go").read())
+        analysis = analyze_source(corpus_source("nodeadlock/p07_rec_main.go"))
         assert analysis.worst() == "NoDeadlock"

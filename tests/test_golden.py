@@ -2,24 +2,22 @@
 
 The golden file pins verdicts, residuals, warnings and every trace line
 byte for byte.  After a deliberate change to any of them, regenerate it
-from the repository root with ``PYTHONPATH=src python tests/test_golden.py``
-and review the diff.
+with ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+File names are printed relative to the repository root, wherever the
+suite runs from.
 """
 
 import io
-from pathlib import Path
 
 from flowcheck.cli import run_analyze
-
-CORPUS = Path("corpus")
-GOLDEN = Path("tests") / "golden" / "corpus_trace.txt"
+from paths import GOLDEN, ROOT, corpus_files
 
 
 def corpus_trace_text():
     out = io.StringIO()
-    for path in sorted(CORPUS.glob("*/*.go")):
+    for path in corpus_files():
         run_analyze(path, "text", show_trace=True, out=out)
-    return out.getvalue()
+    return out.getvalue().replace(ROOT.as_posix() + "/", "")
 
 
 def test_corpus_trace_matches_golden():

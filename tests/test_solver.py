@@ -67,7 +67,7 @@ from flowcheck.terms import (
     yielded,
 )
 
-from strategies import VAR_NAMES, ground_types, simple_preds
+from strategies import VAR_NAMES, ground_types, guard_preds, simple_preds
 
 Int, Str, Bool = Concrete("Int"), Concrete("String"), Concrete("Bool")
 X, Y = Concrete("X"), Concrete("Y")
@@ -453,6 +453,46 @@ class TestPartition:
         u = Universe([])
         cases = partition_cases([], u)
         assert len(cases) == 1 and cases[0].assumption == TRUE
+
+
+class TestCaseValuation:
+    """A case's stored guard value is what the solver would prove."""
+
+    @staticmethod
+    def oracle_decide(guard, assumption, universe):
+        if brute_force_solve(conj(guard, assumption), universe) is None:
+            return False
+        if brute_force_solve(conj(neg(guard), assumption), universe) is None:
+            return True
+        return None
+
+    @given(
+        st.sampled_from([("x",), ("x", "y")]).flatmap(
+            lambda names: st.lists(guard_preds(names), min_size=1, max_size=3)
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_valuation_matches_solver_and_oracle(self, guards):
+        from flowcheck.engine import _decide
+
+        u = Universe([])
+        cases = partition_cases(guards, u)
+        simplified = {pred_simplify(g, u.relations) for g in guards}
+        for case in cases:
+            assert set(case.valuation) == {g for g in simplified if pred_free_vars(g)}
+            for guard, value in case.valuation.items():
+                assert _decide(guard, case.assumption, u) is value
+                assert self.oracle_decide(guard, case.assumption, u) is value
+
+    def test_every_point_of_a_case_agrees_with_its_valuation(self):
+        x, y = Var("x"), Var("y")
+        guards = [Cmp(x, "<=", 3), disj(Cmp(x, "=", 0), Cmp(y, ">", 2)), Cmp(y, "<", -1)]
+        cases = partition_cases(guards, Universe([]))
+        for point in itertools.product(range(-6, 7), repeat=2):
+            env = dict(zip("xy", point))
+            (case,) = [c for c in cases if pred_evaluate(c.assumption, env)]
+            for guard, value in case.valuation.items():
+                assert pred_evaluate(guard, env) is value
 
 
 class TestSmtLib:
