@@ -309,32 +309,30 @@ def nested_guards(depth):
     return "\n".join(lines + ["}"]) + "\n"
 
 
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """The arguments of every ``solve`` call the engine makes."""
+    import flowcheck.engine as engine
+
+    calls = []
+    real = engine.solve
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "solve", counting)
+    return calls
+
+
 class TestPartitionedGuardsSkipTheSolver:
     """Each case carries the truth value of every guard the case split
-    partitioned on, so whole-file analysis never proves one again."""
+    partitioned on, so whole-file analysis never proves one again (see
+    also ``TestAnalyze.test_six_independent_guards``)."""
 
-    @pytest.fixture
-    def solve_calls(self, monkeypatch):
-        import flowcheck.engine as engine
-
-        calls = []
-        real = engine.solve
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(engine, "solve", counting)
-        return calls
-
-    @pytest.mark.parametrize(
-        "source, cases",
-        [(independent_guards(6), 64), (nested_guards(16), 17)],
-        ids=["independent k=6", "nested depth 16"],
-    )
-    def test_whole_file_analysis_makes_no_solve_call(self, solve_calls, source, cases):
-        analysis = analyze_source(source)
-        assert len(analysis.cases) == cases
+    def test_nested_guards_make_no_solve_call(self, solve_calls):
+        analysis = analyze_source(nested_guards(16))
+        assert len(analysis.cases) == 17
         assert {c.verdict.kind for c in analysis.cases} == {"NoDeadlock"}
         assert solve_calls == []
 
@@ -364,12 +362,13 @@ class TestPartitionedGuardsSkipTheSolver:
 
 
 class TestAnalyze:
-    def test_six_independent_guards(self):
+    def test_six_independent_guards(self, solve_calls):
         # one case per guard valuation; each case reads its guards from
-        # its valuation, so this takes well under a second
+        # its valuation, so this makes no solve call
         analysis = analyze_source(independent_guards(6))
         assert len(analysis.cases) == 64
         assert {c.verdict.kind for c in analysis.cases} == {"NoDeadlock"}
+        assert solve_calls == []
 
     def test_conditional_partitions_into_four_cases(self):
         analysis = analyze_source(CONDITIONAL)
