@@ -197,7 +197,8 @@ def start(definition, bindings=None, universe=None, assumption=TRUE, valuation=N
         raise EngineError("start expects a coroutine definition, got %r" % (definition,))
     if universe is None:
         universe = Universe.collect(definition)
-    bound = substitute(definition, dict(bindings or {}))  # canonical
+    # definitions are canonical, and substitute re-canonicalizes
+    bound = substitute(definition, dict(bindings)) if bindings else definition
     variants = _flow_variants(
         bound.flow, lambda guard: _decide(guard, assumption, universe, valuation)
     )
@@ -333,7 +334,6 @@ class Verdict:
     residual: object = None
     externals: tuple = ()
     reason: str = ""
-    case_label: Optional[str] = None
 
     def __repr__(self):
         if self.kind == "Deadlock":

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from .. import engine
 from ..engine import AmbiguousCondition, EngineError, NoSatisfiableBranch, Verdict
 from ..preds import TRUE
-from ..solver import ConstraintError, Universe, partition_cases
+from ..solver import Case, ConstraintError, Universe, partition_cases
 from ..terms import DefRef, start_app
 from .lexer import GoSyntaxError
 from .parser import Unsupported, parse
@@ -76,7 +76,7 @@ def analyze_source(source: str, max_steps: int = engine.DEFAULT_MAX_STEPS) -> An
 
     try:
         preds = unresolved_condition_preds(cordefs)
-        cases = partition_cases(preds, universe) if preds else []
+        cases = partition_cases(preds, universe) if preds else [Case(TRUE, "")]
     except ConstraintError as e:
         return _unsupported("unresolved condition: %s" % e)
 
@@ -84,25 +84,17 @@ def analyze_source(source: str, max_steps: int = engine.DEFAULT_MAX_STEPS) -> An
     total_steps = 0
     initial = [start_app(DefRef("main"))]
     try:
-        if not cases or (len(cases) == 1 and cases[0].assumption == TRUE):
+        for case in cases:
             verdict, trace = engine.reduce(
-                initial, max_steps=max_steps, universe=universe, defs=cordefs
+                initial,
+                max_steps=max_steps,
+                universe=universe,
+                assumption=case.assumption,
+                defs=cordefs,
+                valuation=case.valuation,
             )
-            results.append(CaseResult("", verdict, trace))
+            results.append(CaseResult(case.label, verdict, trace))
             total_steps += len(trace)
-        else:
-            for case in cases:
-                verdict, trace = engine.reduce(
-                    initial,
-                    max_steps=max_steps,
-                    universe=universe,
-                    assumption=case.assumption,
-                    defs=cordefs,
-                    valuation=case.valuation,
-                )
-                verdict.case_label = case.label
-                results.append(CaseResult(case.label, verdict, trace))
-                total_steps += len(trace)
     except (AmbiguousCondition, NoSatisfiableBranch, ConstraintError) as e:
         return _unsupported("unresolved condition: %s" % e)
     except EngineError as e:

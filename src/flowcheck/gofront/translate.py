@@ -24,9 +24,7 @@ from ..terms import (
     Concrete,
     CorDef,
     DefRef,
-    Directed,
     InlineApp,
-    Seq,
     StartApp,
     Union,
     Var,
@@ -35,6 +33,7 @@ from ..terms import (
     received,
     seq,
     substitute,
+    term_map,
     union,
     yielded,
 )
@@ -523,9 +522,8 @@ def unresolved_condition_preds(cordefs: dict, entry: str = "main") -> list:
         if key in seen:
             return
         seen.add(key)
-        definition = substitute(cordefs[name], bindings)  # canonical, for _branches
-        for item in definition.flow:
-            visit(item)
+        # _branches needs the canonical form: cor_def built it, substitute keeps it
+        visit(substitute(cordefs[name], bindings) if bindings else cordefs[name])
 
     def visit(t):
         if isinstance(t, Union):
@@ -533,19 +531,11 @@ def unresolved_condition_preds(cordefs: dict, entry: str = "main") -> list:
                 if pred_free_vars(guard):
                     preds.append(guard)
                 visit(payload)
-        elif isinstance(t, Seq):
-            for i in t.items:
-                visit(i)
-        elif isinstance(t, Directed):
-            visit(t.payload)
-        elif isinstance(t, (StartApp, InlineApp)):
-            if isinstance(t.target, DefRef):
-                visit_def(t.target.name, dict(t.bindings))
-            else:
-                visit(t.target)
-        elif isinstance(t, CorDef):
-            for i in t.flow:
-                visit(i)
+        elif isinstance(t, (StartApp, InlineApp)) and isinstance(t.target, DefRef):
+            visit_def(t.target.name, dict(t.bindings))
+        else:
+            term_map(t, visit)
+        return t
 
     visit_def(entry, {})
     unique = []

@@ -55,6 +55,7 @@ from .terms import (
     ZeroType,
     flatten,
     substitute,
+    term_map,
 )
 
 
@@ -138,34 +139,14 @@ def collect_concrete(t) -> set:
     def walk(x):
         if isinstance(x, Concrete):
             out.add(x.name)
-        elif isinstance(x, (Seq, Tup)):
-            for i in x.items:
-                walk(i)
-        elif isinstance(x, Union):
-            walk(x.left)
-            walk(x.right)
-        elif isinstance(x, Power):
-            walk(x.base)
-        elif isinstance(x, Constrained):
-            walk(x.base)
-            walk_pred(x.pred)
-        elif isinstance(x, Directed):
-            walk(x.payload)
-        elif isinstance(x, (CorDef, CorIns)):
-            for i in x.flow:
-                walk(i)
-            if x.constraint is not None:
-                walk_pred(x.constraint)
-        elif isinstance(x, (StartApp, InlineApp)):
-            walk(x.target)
-            for _, v in x.bindings:
-                walk(v)
-        # bare variables and Zero contribute nothing
+        term_map(x, walk, walk_pred)
+        return x
 
     def walk_pred(p):
         for atom in pred_atoms(p):
             for t in atom_terms(atom):
                 walk(t)
+        return p
 
     walk(flatten(t))
     return out
@@ -192,32 +173,19 @@ def reduce_constrained(t, universe: Universe | None = None):
 
 def _rc_walk(t, relations):
     if isinstance(t, Constrained):
-        base = _rc_walk(t.base, relations)
-        base, pred = _apply_guard(base, t.pred, relations)
-        if pred is None:
-            return base
-        return flatten(Constrained(base, pred))
+        base, pred = _apply_guard(_rc_walk(t.base, relations), t.pred, relations)
+        return base if pred is None else flatten(Constrained(base, pred))
+
+    def walk(s):
+        return _rc_walk(s, relations)
+
     if isinstance(t, (CorIns, CorDef)) and t.constraint is not None:
-        inner = type(t)(tuple(_rc_walk(i, relations) for i in t.flow), None, t.label)
+        inner = term_map(type(t)(t.flow, None, t.label), walk)
         body, pred = _apply_guard(inner, t.constraint, relations)
         if isinstance(body, (CorIns, CorDef)):
             return flatten(type(body)(body.flow, pred, body.label))
         return body if pred is None else flatten(Constrained(body, pred))
-    if isinstance(t, (CorIns, CorDef)):
-        return flatten(type(t)(tuple(_rc_walk(i, relations) for i in t.flow), None, t.label))
-    if isinstance(t, Seq):
-        return flatten(Seq(tuple(_rc_walk(i, relations) for i in t.items)))
-    if isinstance(t, Tup):
-        return flatten(Tup(tuple(_rc_walk(i, relations) for i in t.items)))
-    if isinstance(t, Union):
-        return flatten(Union(_rc_walk(t.left, relations), _rc_walk(t.right, relations)))
-    if isinstance(t, Directed):
-        return Directed(t.direction, _rc_walk(t.payload, relations))
-    if isinstance(t, StartApp):
-        return StartApp(_rc_walk(t.target, relations), t.bindings)
-    if isinstance(t, InlineApp):
-        return InlineApp(_rc_walk(t.target, relations), t.bindings)
-    return t
+    return flatten(term_map(t, walk))
 
 
 def _apply_guard(base, pred, relations):

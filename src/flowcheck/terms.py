@@ -10,7 +10,7 @@ plain ``==``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Callable, TypeVar
+from typing import Optional
 
 YIELD = "!"
 RECEIVE = "?"
@@ -375,26 +375,31 @@ def tail(i):
     return CorIns(i.flow[1:], i.constraint, i.label)
 
 
-T = TypeVar("T")
-
-
-def first(items: Iterable[T], pred: Callable[[T], bool]):
-    """Split at the earliest element satisfying pred.
-
-    Returns (found, before, after); when nothing matches, found is None,
-    before is the whole list and after is empty.
-    """
-    items = list(items)
-    for k, item in enumerate(items):
-        if pred(item):
-            return item, items[:k], items[k + 1 :]
-    return None, items, []
-
-
-def none(items, pred) -> bool:
-    """True iff no element satisfies pred."""
-    found, _, _ = first(items, pred)
-    return found is None
+def term_map(t, fn, pred_fn=None):
+    """Rebuild one level of a term: ``fn`` on each direct subterm (items,
+    union branches, a power's base and count, a payload, a flow, an
+    application's target and binding values), ``pred_fn`` on its guard.  A
+    leaf comes back unchanged; nothing is re-canonicalized."""
+    if isinstance(t, (ZeroType, Concrete, Var, DefRef, int)):
+        return t
+    if isinstance(t, (CorDef, CorIns)):
+        constraint = t.constraint
+        if constraint is not None and pred_fn is not None:
+            constraint = pred_fn(constraint)
+        return type(t)(tuple(fn(i) for i in t.flow), constraint, t.label)
+    if isinstance(t, Directed):
+        return Directed(t.direction, fn(t.payload))
+    if isinstance(t, (Seq, Tup)):
+        return type(t)(tuple(fn(i) for i in t.items))
+    if isinstance(t, Union):
+        return Union(fn(t.left), fn(t.right))
+    if isinstance(t, Constrained):
+        return Constrained(fn(t.base), t.pred if pred_fn is None else pred_fn(t.pred))
+    if isinstance(t, Power):
+        return Power(fn(t.base), fn(t.count))
+    if isinstance(t, (StartApp, InlineApp)):
+        return type(t)(fn(t.target), tuple((k, fn(v)) for k, v in t.bindings))
+    raise TypeError("not a type term: %r" % (t,))
 
 
 LEGAL_BINDING_VALUES = (int, Concrete, Var)
@@ -415,43 +420,14 @@ def substitute(t, binding: dict):
 
 
 def _subst(t, binding):
-    if isinstance(t, Var):
-        return binding.get(t.name, t)
-    if isinstance(t, (ZeroType, Concrete, DefRef, int)):
-        return t
-    if isinstance(t, Seq):
-        return Seq(tuple(_subst(i, binding) for i in t.items))
-    if isinstance(t, Tup):
-        return Tup(tuple(_subst(i, binding) for i in t.items))
-    if isinstance(t, Union):
-        return Union(_subst(t.left, binding), _subst(t.right, binding))
-    if isinstance(t, Power):
-        count = binding.get(t.count.name, t.count)
-        return Power(_subst(t.base, binding), count)
-    if isinstance(t, Constrained):
-        from .preds import pred_substitute
+    from .preds import pred_substitute  # preds builds on the leaf nodes here
 
-        return Constrained(_subst(t.base, binding), pred_substitute(t.pred, binding))
-    if isinstance(t, Directed):
-        return Directed(t.direction, _subst(t.payload, binding))
-    if isinstance(t, (CorDef, CorIns)):
-        constraint = t.constraint
-        if constraint is not None:
-            from .preds import pred_substitute
+    def walk(s):
+        if isinstance(s, Var):
+            return binding.get(s.name, s)
+        return term_map(s, walk, guard)
 
-            constraint = pred_substitute(constraint, binding)
-        return type(t)(tuple(_subst(i, binding) for i in t.flow), constraint, t.label)
-    if isinstance(t, StartApp):
-        return StartApp(_subst(t.target, binding), _subst_bindings(t.bindings, binding))
-    if isinstance(t, InlineApp):
-        return InlineApp(_subst(t.target, binding), _subst_bindings(t.bindings, binding))
-    raise TypeError("not a type term: %r" % (t,))
+    def guard(p):
+        return pred_substitute(p, binding)
 
-
-def _subst_bindings(bindings, binding):
-    return tuple((k, _subst(v, binding)) for k, v in bindings)
-
-
-def is_exhausted(i) -> bool:
-    """An instance with no remaining flow items behaves like Zero."""
-    return isinstance(i, CorIns) and not i.flow
+    return walk(t)

@@ -310,19 +310,29 @@ def nested_guards(depth):
 
 
 @pytest.fixture
-def solve_calls(monkeypatch):
-    """The arguments of every ``solve`` call the engine makes."""
+def engine_calls(monkeypatch):
+    """``engine_calls(name)`` wraps the engine's ``name`` and returns the
+    list that collects the arguments of every call."""
     import flowcheck.engine as engine
 
-    calls = []
-    real = engine.solve
+    def wrap(name):
+        calls = []
+        real = getattr(engine, name)
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
 
-    monkeypatch.setattr(engine, "solve", counting)
-    return calls
+        monkeypatch.setattr(engine, name, counting)
+        return calls
+
+    return wrap
+
+
+@pytest.fixture
+def solve_calls(engine_calls):
+    """The arguments of every ``solve`` call the engine makes."""
+    return engine_calls("solve")
 
 
 class TestPartitionedGuardsSkipTheSolver:
@@ -362,13 +372,16 @@ class TestPartitionedGuardsSkipTheSolver:
 
 
 class TestAnalyze:
-    def test_six_independent_guards(self, solve_calls):
+    def test_six_independent_guards(self, solve_calls, engine_calls):
         # one case per guard valuation; each case reads its guards from
-        # its valuation, so this makes no solve call
+        # its valuation, so this makes no solve call, and a start without
+        # bindings uses the canonical definition as it is
+        substitute_calls = engine_calls("substitute")
         analysis = analyze_source(independent_guards(6))
         assert len(analysis.cases) == 64
         assert {c.verdict.kind for c in analysis.cases} == {"NoDeadlock"}
         assert solve_calls == []
+        assert substitute_calls == []
 
     def test_conditional_partitions_into_four_cases(self):
         analysis = analyze_source(CONDITIONAL)

@@ -197,6 +197,9 @@ class TestReduceConstrained:
             Int, conj(Cmp(Var("v"), "<", 9), Cmp(Var("v"), ">", 2))
         )
 
+    def test_false_guard_inside_a_power_erases_it(self):
+        assert reduce_constrained(power(constrained(Int, FALSE), Var("n"))) == ZERO
+
     @given(st.data())
     @settings(max_examples=150)
     def test_fixpoint_on_random_stacks(self, data):

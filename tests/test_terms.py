@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flowcheck.preds import Cmp, TRUE
 from flowcheck.terms import (
     Concrete,
+    Constrained,
     CorIns,
+    DefRef,
     EmptyInstance,
     HeadOfDefinition,
     IllegalBinding,
@@ -17,15 +20,15 @@ from flowcheck.terms import (
     cor_def,
     cor_ins,
     distribute,
-    first,
     flatten,
     head,
-    none,
     power,
     received,
     seq,
+    start_app,
     substitute,
     tail,
+    term_map,
     yielded,
 )
 
@@ -113,42 +116,6 @@ class TestHeadTail:
         assert (head(i),) + tail(i).flow == i.flow
 
 
-class TestFirst:
-    def test_finds_earliest(self):
-        found, before, after = first([1, 2, 3], lambda x: x == 2)
-        assert (found, before, after) == (2, [1], [3])
-
-    def test_empty(self):
-        assert first([], lambda x: True) == (None, [], [])
-
-    def test_not_found_keeps_everything_before(self):
-        assert first([1], lambda x: False) == (None, [1], [])
-
-    @given(st.lists(st.integers(0, 5)), st.integers(0, 5))
-    def test_partition(self, items, needle):
-        found, before, after = first(items, lambda x: x == needle)
-        if found is None:
-            assert before == items and after == []
-            assert needle not in items
-        else:
-            assert before + [found] + after == items
-            assert needle not in before
-
-
-class TestNone:
-    def test_empty_is_vacuously_true(self):
-        assert none([], lambda x: True)
-
-    def test_match_found(self):
-        assert not none([1], lambda x: x == 1)
-
-    @given(st.lists(st.integers(0, 3), max_size=6), st.integers(0, 3))
-    def test_agrees_with_exhaustive_search(self, items, needle):
-        pred = lambda x: x == needle
-        expected = not any(pred(x) for x in items)
-        assert none(items, pred) == expected
-
-
 class TestSubstitute:
     def test_power_count(self):
         assert substitute(power(Int, Var("n")), {"n": 5}) == seq(*(Int,) * 5)
@@ -174,9 +141,34 @@ class TestSubstitute:
     def test_untouched_variables_remain(self):
         assert substitute(Var("y"), {"x": A}) == Var("y")
 
+    def test_start_binding_values(self):
+        app = start_app(DefRef("f"), {"n": Var("x"), "m": Var("y")})
+        assert substitute(app, {"x": 3}) == start_app(DefRef("f"), {"n": 3, "m": Var("y")})
 
-def test_exhausted_instance_is_inert():
-    from flowcheck.terms import is_exhausted
 
-    assert is_exhausted(CorIns(()))
-    assert not is_exhausted(cor_ins(yielded(A)))
+class TestTermMap:
+    @given(general_types())
+    def test_identity_rebuilds_the_term(self, t):
+        assert term_map(t, lambda s: s, lambda p: p) == t
+
+    def test_leaves_come_back_unchanged(self):
+        for leaf in (A, Var("x"), ZERO, DefRef("f"), 3):
+            assert term_map(leaf, lambda s: B) is leaf
+
+    def test_one_level_only(self):
+        seen = []
+        term_map(seq(A, yielded(B)), lambda s: seen.append(s) or s)
+        assert seen == [A, yielded(B)]
+
+    def test_guards_go_through_pred_fn(self):
+        guard = Cmp(Var("x"), "<", 3)
+        guarded, flow = Constrained(A, guard), CorIns((yielded(A),), guard)
+        assert term_map(guarded, lambda s: s) == guarded
+        assert term_map(flow, lambda s: s) == flow
+        assert term_map(guarded, lambda s: s, lambda p: TRUE).pred == TRUE
+        assert term_map(flow, lambda s: s, lambda p: TRUE).constraint == TRUE
+
+    def test_rejects_a_non_term(self):
+        with pytest.raises(TypeError):
+            term_map("A", lambda s: s)
+
