@@ -1,5 +1,10 @@
 """The deterministic reduction machine over coroutine instances.
 
+Starting a definition picks one branch per union: the first whose guard
+the case's assumption and valuation make true.  A guard they leave open
+raises ``AmbiguousCondition``; splitting such guards into cases is the job
+of ``solver.partition_cases``, before reduction.
+
 One value may be in flight at a time (the pending type); yielded values no
 live coroutine can receive accumulate as external yields.  Rules fire in a
 fixed priority order, so a given input always produces the same trace:
@@ -58,10 +63,10 @@ from .terms import (
     ZERO,
     ZeroType,
     cor_ins,
-    distribute,
     flatten,
     substitute,
     tail,
+    term_map,
     yielded,
 )
 
@@ -116,104 +121,30 @@ def _decide(guard, assumption, universe, valuation=None):
     return None
 
 
-def _resolve(t, decide, part):
-    """Pick the branches of every union in ``t``; returns [(value, guard)].
-
-    ``decide`` settles a guard (True / False / None).  Undecided guards give
-    one variant per satisfiable branch, carrying the guard along.  A
-    definite branch ends the choice: it wins outright, or, after undecided
-    branches, wherever none of their guards holds.  That keeps the guard of
-    an empty ``else`` branch, which flattening turns into an unguarded ``0``
-    placed last.  ``part`` resolves what is not a union.  ``t`` and so
-    every subterm are canonical, so nothing here flattens again.
-    """
-    if not isinstance(t, Union):
-        return part(t, decide)
-    alternatives = []
-    undecided = []
-    for payload, guard in _branches(t):
-        verdict = decide(guard)
-        if verdict is False:
-            continue
-        inner = _resolve(payload, decide, part)
-        if verdict is True:
-            otherwise = conj(*(neg(g) for g in undecided))
-            return alternatives + [(value, conj(otherwise, g)) for value, g in inner]
-        undecided.append(guard)
-        alternatives.extend((value, conj(guard, g)) for value, g in inner)
-    if not alternatives:
+def _resolve(t, decide):
+    """``t`` with every union replaced by its first branch whose guard
+    ``decide`` holds.  Unions sit in flow items and in sequence or directed
+    payloads; a yielded definition or a start application keeps its unions
+    until it is started itself.  ``t`` is canonical, so only the chosen
+    branches need flattening, which ``start`` does once at the end."""
+    if isinstance(t, Union):
+        for payload, guard in _branches(t):
+            if decide(guard):
+                return _resolve(payload, decide)
         raise NoSatisfiableBranch(render(t))
-    return alternatives
+    if isinstance(t, (Seq, Directed)):
+        return term_map(t, lambda s: _resolve(s, decide))
+    return t
 
 
-def _product(choices):
-    """One (value, guard) from each choice list, every way: [(values, guard)]."""
-    variants = [((), TRUE)]
-    for options in choices:
-        variants = [
-            (done + (value,), conj(guard, g))
-            for done, guard in variants
-            for value, g in options
-        ]
-    return variants
+def start(definition, bindings=None, universe=None, assumption=TRUE, valuation=None,
+          *, defs=None):
+    """Instantiate a definition, or a reference into ``defs``: substitute
+    the arguments and resolve each union to one branch.
 
-
-def _flow_variants(items, decide):
-    """[(flow items, guard)] for a flow whose unions are resolved."""
-    return [
-        (list(itertools.chain.from_iterable(parts)), guard)
-        for parts, guard in _product(_resolve(i, decide, _item_part) for i in items)
-    ]
-
-
-def _item_part(item, decide):
-    if isinstance(item, Directed):
-        return [
-            (distribute(item.direction, payload), guard)
-            for payload, guard in _resolve(item.payload, decide, _payload_part)
-        ]
-    if isinstance(item, Seq):
-        return _flow_variants(item.items, decide)
-    if isinstance(item, ZeroType):
-        return [([], TRUE)]
-    return [([item], TRUE)]
-
-
-def _payload_part(t, decide):
-    if isinstance(t, Seq):
-        choices = (_resolve(i, decide, _payload_part) for i in t.items)
-        return [(flatten(Seq(done)), guard) for done, guard in _product(choices)]
-    return [(t, TRUE)]
-
-
-def start(definition, bindings=None, universe=None, assumption=TRUE, valuation=None):
-    """Instantiate a definition: substitute arguments and resolve branches.
-
-    Returns a single instance when every branch guard is decided, otherwise
-    a list of (instance, guard) pairs, one per satisfiable branch -- the
-    input to case partitioning.
+    A guard the assumption (or the case's ``valuation``) leaves open raises
+    ``AmbiguousCondition``; the case split is what decides such guards.
     """
-    if not isinstance(definition, CorDef):
-        raise EngineError("start expects a coroutine definition, got %r" % (definition,))
-    if universe is None:
-        universe = Universe.collect(definition)
-    # definitions are canonical, and substitute re-canonicalizes
-    bound = substitute(definition, dict(bindings)) if bindings else definition
-    variants = _flow_variants(
-        bound.flow, lambda guard: _decide(guard, assumption, universe, valuation)
-    )
-    out = []
-    for items, guard in variants:
-        inst = flatten(CorIns(tuple(items), bound.constraint, definition.label))
-        assert not any(isinstance(i, Union) for i in inst.flow)
-        out.append((inst, pred_simplify(guard, universe.relations)))
-    if len(out) == 1 and out[0][1] == TRUE:
-        return out[0][0]
-    return out
-
-
-def _start_single(definition, bindings, universe, assumption, defs=None, valuation=None):
-    """Start a definition, or a reference into ``defs``, as one instance."""
     if isinstance(definition, DefRef):
         resolved = (defs or {}).get(definition.name)
         if resolved is None:
@@ -221,12 +152,21 @@ def _start_single(definition, bindings, universe, assumption, defs=None, valuati
         definition = resolved
     elif not isinstance(definition, CorDef):
         raise EngineError("expected a coroutine definition, got %s" % render(definition))
-    result = start(definition, bindings, universe, assumption, valuation)
-    if isinstance(result, CorIns):
-        return result
-    raise AmbiguousCondition(
-        "unresolved branch conditions in %s" % (definition.label or render(definition))
-    )
+    if universe is None:
+        universe = Universe.collect(definition)
+
+    def decide(guard):
+        verdict = _decide(guard, assumption, universe, valuation)
+        if verdict is None:
+            raise AmbiguousCondition(
+                "unresolved branch conditions in %s" % (definition.label or render(definition))
+            )
+        return verdict
+
+    # definitions are canonical, and substitute re-canonicalizes
+    bound = substitute(definition, dict(bindings)) if bindings else definition
+    flow = tuple(_resolve(item, decide) for item in bound.flow)
+    return flatten(CorIns(flow, bound.constraint, definition.label))
 
 
 def inline(target, definition, bindings=None, universe=None, assumption=TRUE,
@@ -240,7 +180,7 @@ def inline(target, definition, bindings=None, universe=None, assumption=TRUE,
         raise ValueError("position must be 'here' or 'atEnd'")
     if universe is None:
         universe = Universe.collect(target, definition)
-    spliced = _start_single(definition, bindings, universe, assumption)
+    spliced = start(definition, bindings, universe, assumption)
     items = list(target.flow)
     if position == "atEnd":
         items = items + list(spliced.flow)
@@ -324,7 +264,6 @@ class Terminal:
     kind: str  # "residual" | "main-exit" | "step-cap"
     residual: object = ZERO
     externals: tuple = ()
-    steps: int = 0
     max_steps: int = DEFAULT_MAX_STEPS
 
 
@@ -386,9 +325,9 @@ class ReductionState:
 
     def instantiate(self, app) -> CorIns:
         """The instance a start or inline application evaluates to."""
-        return _start_single(
-            app.target, dict(app.bindings), self.universe, self.assumption, self.defs,
-            self.valuation,
+        return start(
+            app.target, dict(app.bindings), self.universe, self.assumption,
+            self.valuation, defs=self.defs,
         )
 
 
@@ -430,9 +369,7 @@ def _spawn(state, entry):
 def _terminate(state, rule, kind, items):
     """Record the last rule and stop with the residual instance of ``items``."""
     _record(state, rule)
-    state.terminal = Terminal(
-        kind, cor_ins(*items), tuple(state.externals), state.steps, state.max_steps
-    )
+    state.terminal = Terminal(kind, cor_ins(*items), tuple(state.externals), state.max_steps)
     return state
 
 
@@ -568,6 +505,6 @@ def reduce(initial, max_steps=DEFAULT_MAX_STEPS, universe=None, assumption=TRUE,
         while state.terminal is None:
             reduce_step(state)
     except StepCapExceeded:
-        state.terminal = Terminal("step-cap", steps=state.steps, max_steps=state.max_steps)
+        state.terminal = Terminal("step-cap", max_steps=state.max_steps)
     verdict = classify(state.terminal)
     return verdict, state.trace

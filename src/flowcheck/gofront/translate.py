@@ -66,7 +66,6 @@ from .goast import (
 )
 from .parser import Unsupported
 
-IGNORABLE_PACKAGES = {"fmt", "time", "os", "log", "math", "strconv"}
 _ARITHMETIC = {"+": int.__add__, "-": int.__sub__, "*": int.__mul__}
 
 
@@ -136,7 +135,6 @@ class Env:
 
 @dataclass
 class Translation:
-    program: Program
     cordefs: dict  # name -> CorDef, the coroutine map
     warnings: list
     subtype_pairs: list
@@ -455,18 +453,24 @@ class Translator:
             return Var(e.name)
         raise Unsupported("condition beyond integer/boolean comparisons", line)
 
+    def _returned_chan(self, e) -> Optional[str]:
+        """The element type of the channel ``e`` returns when it calls a
+        function of the program declared to return one, else None."""
+        if isinstance(e, Call) and isinstance(e.fn, Ident):
+            func = self.program.functions.get(e.fn.name)
+            if func is not None and isinstance(func.result, ChanType):
+                return concrete_name(func.result.elem)
+        return None
+
     def _chan_elem(self, e, env: Env, line) -> str:
         if isinstance(e, Ident):
             elem = env.chan_of(e.name)
             if elem is None:
                 raise UnknownChannel(e.name, line)
             return elem
-        if isinstance(e, Call):
-            fn = e.fn
-            if isinstance(fn, Ident) and fn.name in self.program.functions:
-                result = self.program.functions[fn.name].result
-                if isinstance(result, ChanType):
-                    return concrete_name(result.elem)
+        elem = self._returned_chan(e)
+        if elem is not None:
+            return elem
         raise UnknownChannel(getattr(getattr(e, "fn", e), "name", "?"), line)
 
     def _bind_value(self, env: Env, name, gotype, expr, line):
@@ -477,13 +481,10 @@ class Translator:
         if isinstance(gotype, ChanType):
             env.set_chan(name, concrete_name(gotype.elem))
             return
-        if isinstance(expr, Call):
-            fn = expr.fn
-            if isinstance(fn, Ident) and fn.name in self.program.functions:
-                result = self.program.functions[fn.name].result
-                if isinstance(result, ChanType):
-                    env.set_chan(name, concrete_name(result.elem))
-                    return
+        elem = self._returned_chan(expr)
+        if elem is not None:
+            env.set_chan(name, elem)
+            return
         value = self._eval_value(expr, env) if expr is not None else None
         if value is not None:
             env.set_const(name, value)
@@ -503,7 +504,7 @@ def compute_m(program: Program) -> Translation:
                 "%d channels share element type %s; channel identity is not "
                 "tracked, so operations on them may be conflated" % (count, elem)
             )
-    return Translation(program, cordefs, warnings, program.subtype_pairs())
+    return Translation(cordefs, warnings, program.subtype_pairs())
 
 
 def unresolved_condition_preds(cordefs: dict, entry: str = "main") -> list:

@@ -591,18 +591,14 @@ def partition_cases(predicates, universe: Universe) -> list[Case]:
         for q in (a for p in predicates for a in pred_atoms(p)):
             if not isinstance(q, Cmp):
                 continue
-            sides = (q.lhs, q.rhs)
-            if not any(isinstance(s, Var) and s.name == var for s in sides):
+            if Var(var) not in (q.lhs, q.rhs):
                 continue
-            const = next((s for s in sides if isinstance(s, int)), None)
-            if const is None:
+            oriented = cmp(q.lhs, q.op, q.rhs)  # var-op-const
+            const, op = oriented.rhs, oriented.op
+            if not isinstance(const, int):
                 raise ConstraintError(
                     "cannot partition %s: comparison against a non-constant" % var
                 )
-            # orient as var-op-const
-            op = q.op
-            if isinstance(q.rhs, Var) and q.rhs.name == var:
-                op = {"<": ">", "<=": ">=", "=": "=", ">=": "<=", ">": "<"}[op]
             if op in ("<", ">="):
                 points.add(const)
             elif op in ("<=", ">"):

@@ -277,7 +277,8 @@ def flatten(t):
             if isinstance(item, ZeroType):
                 continue
             if isinstance(item, Seq):
-                items.extend(item.items)
+                # a spliced sequence may hold directed sequences to distribute
+                items.extend(flatten(CorIns(item.items)).flow)
             elif isinstance(item, Directed) and isinstance(item.payload, Seq):
                 items.extend(distribute(item.direction, item.payload))
             else:

@@ -3,6 +3,7 @@
 import pytest
 
 from flowcheck.engine import (
+    AmbiguousCondition,
     NoSatisfiableBranch,
     ReductionState,
     StepCapExceeded,
@@ -72,14 +73,12 @@ class TestStart:
         d = cor_def(received(A), yielded(Concrete("B")))
         assert start(d, {}) == cor_ins(received(A), yielded(Concrete("B")))
 
-    def test_symbolic_argument_returns_guarded_variants(self):
-        result = start(self.branchy(), {})
-        assert isinstance(result, list) and len(result) == 2
-        instances = [inst for inst, _ in result]
-        assert cor_ins(yielded(Int)) in instances
-        assert cor_ins(yielded(Bool)) in instances
-        for _, guard in result:
-            assert guard != None  # noqa: E711 - each variant carries its guard
+    def test_symbolic_argument_needs_a_deciding_assumption(self):
+        with pytest.raises(AmbiguousCondition, match="unresolved branch conditions in s$"):
+            start(self.branchy(), {})
+        small, large = Cmp(Var("v"), "<", 5), Cmp(Var("v"), ">=", 10)
+        assert start(self.branchy(), {}, assumption=small) == cor_ins(yielded(Int))
+        assert start(self.branchy(), {}, assumption=large) == cor_ins(yielded(Bool))
 
     def test_every_branch_unsatisfiable(self):
         v = Var("v")
@@ -112,12 +111,11 @@ class TestUnionResolution:
             label="s",
         )
 
-    def test_undecided_item_union_gives_one_variant_per_branch(self):
-        p = self.v_small
-        assert start(self.item_union(), {}) == [
-            (cor_ins(yielded(Int), received(Bool)), p),
-            (cor_ins(received(Str)), neg(p)),
-        ]
+    def test_undecided_item_union_is_ambiguous(self):
+        with pytest.raises(AmbiguousCondition, match="unresolved branch conditions in s$"):
+            start(self.item_union(), {})
+        result = start(self.item_union(), {}, assumption=neg(self.v_small))
+        assert result == cor_ins(received(Str))
 
     def test_decided_item_union_splices_its_sequence(self):
         assumption = Cmp(Var("v"), "<", 5)
@@ -136,9 +134,8 @@ class TestUnionResolution:
             start(d, {})
 
     def test_empty_branch_keeps_its_guard(self):
-        # constrained(ZERO, p) flattens to an unguarded 0; it holds only
-        # where the undecided branch before it does not, and must not
-        # discard that branch
+        # constrained(ZERO, p) flattens to an unguarded 0, so it is chosen
+        # only once the guard of the branch before it is decided false
         x = Var("x")
         d = cor_def(
             union(
@@ -146,10 +143,35 @@ class TestUnionResolution:
                 constrained(ZERO, Cmp(x, ">", 0)),
             )
         )
-        assert start(d, {}) == [
-            (cor_ins(received(Int)), Cmp(x, "<=", 0)),
-            (cor_ins(), Cmp(x, ">", 0)),
-        ]
+        with pytest.raises(AmbiguousCondition):
+            start(d, {})
+        assert start(d, {}, assumption=Cmp(x, ">", 0)) == cor_ins()
+        assert start(d, {}, assumption=Cmp(x, "<=", 0)) == cor_ins(received(Int))
+
+    def test_chosen_sequence_branch_distributes_its_directed_sequences(self):
+        p = self.v_small
+        d = cor_def(
+            union(
+                constrained(seq(yielded(Int), yielded(seq(Bool, Str))), p),
+                constrained(received(Str), neg(p)),
+            )
+        )
+        result = start(d, {}, assumption=Cmp(Var("v"), "<", 5))
+        assert result == cor_ins(yielded(Int), yielded(Bool), yielded(Str))
+
+    def test_unions_in_a_yielded_or_started_definition_wait_for_its_start(self):
+        v = Var("v")
+        inner = cor_def(
+            yielded(
+                union(
+                    constrained(Int, Cmp(v, "<", 10)),
+                    constrained(Bool, Cmp(v, ">=", 10)),
+                )
+            ),
+            label="inner",
+        )
+        d = cor_def(yielded(inner), start_app(inner))
+        assert start(d, {}) == cor_ins(yielded(inner), start_app(inner))
 
     def nested_payload(self):
         p, q = self.v_small, self.w_small
@@ -159,12 +181,13 @@ class TestUnionResolution:
         )
 
     def test_union_inside_a_sequence_payload(self):
-        p, q = self.v_small, self.w_small
-        assert start(self.nested_payload(), {}) == [
-            (cor_ins(yielded(Int), yielded(Bool)), conj(p, q)),
-            (cor_ins(yielded(Int), yielded(Str)), conj(p, neg(q))),
-            (cor_ins(yielded(Err)), neg(p)),
-        ]
+        # the outer guard is decided, the inner one is not
+        v_below_5 = Cmp(Var("v"), "<", 5)
+        with pytest.raises(AmbiguousCondition, match="unresolved branch conditions"):
+            start(self.nested_payload(), {}, assumption=v_below_5)
+        # the inner union sits in the branch not chosen, so nothing asks for w
+        result = start(self.nested_payload(), {}, assumption=neg(self.v_small))
+        assert result == cor_ins(yielded(Err))
 
     def test_decided_union_inside_a_sequence_payload(self):
         assumption = conj(Cmp(Var("v"), "<", 5), Cmp(Var("w"), ">=", 3))

@@ -1,6 +1,9 @@
-"""Every module-level import under ``src/flowcheck`` is used.
+"""Every module-level import under ``src/flowcheck`` is used, and every
+module-level name defined there is read somewhere under ``src/`` or
+``tests/``.
 
-``__init__.py`` files are skipped: their imports are re-exports."""
+``__init__.py`` files are skipped by the import check: their imports are
+re-exports."""
 
 import ast
 
@@ -8,9 +11,9 @@ import pytest
 
 from paths import ROOT
 
-MODULES = sorted(
-    p for p in (ROOT / "src" / "flowcheck").rglob("*.py") if p.name != "__init__.py"
-)
+SOURCES = sorted((ROOT / "src" / "flowcheck").rglob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+READERS = SOURCES + sorted((ROOT / "tests").rglob("*.py"))
 
 
 def unused_imports(source):
@@ -34,3 +37,46 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def defined_names(source):
+    """Names a module defines at its top level, dunders aside."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def read_names(source):
+    """Every name a module reads: as a name, an attribute or an import."""
+    read = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            read.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            read.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            read.update(a.name for a in n.names)
+    return read
+
+
+def test_the_check_sees_an_unread_name():
+    module = (
+        "LIMIT = 3\nUSED, _spare = 1, 2\n__all__ = []\n"
+        "def helper(): pass\nclass Kept: pass\nclass Gone: pass\n"
+    )
+    reader = "from module import Kept\nimport module\nmodule.helper(USED)\nmodule.LIMIT = 4\n"
+    unread = set(defined_names(module)) - read_names(module) - read_names(reader)
+    assert unread == {"LIMIT", "_spare", "Gone"}
+
+
+READ = set().union(*(read_names(p.read_text(encoding="utf-8")) for p in READERS))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_every_defined_name_is_read(path):
+    assert [n for n in defined_names(path.read_text(encoding="utf-8")) if n not in READ] == []

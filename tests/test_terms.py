@@ -51,6 +51,12 @@ class TestFlatten:
     def test_zero_items_vanish(self):
         assert seq(A, ZERO, B) == seq(A, B)
 
+    def test_sequence_item_with_a_directed_sequence_flattens_once(self):
+        # the spliced sequence's own directed sequence distributes too
+        once = cor_ins(seq(yielded(A), yielded(seq(B, C))))
+        assert once.flow == (yielded(A), yielded(B), yielded(C))
+        assert flatten(once) == once
+
     @given(general_types())
     def test_idempotent(self, t):
         assert flatten(flatten(t)) == flatten(t)
