@@ -15,11 +15,7 @@ from ..solver import Case, ConstraintError, Universe, partition_cases
 from ..terms import DefRef, start_app
 from .lexer import GoSyntaxError
 from .parser import Unsupported, parse
-from .translate import (
-    UnknownChannel,
-    compute_m,
-    unresolved_condition_preds,
-)
+from .translate import UnknownChannel, compute_m, unresolved_condition_preds
 
 
 @dataclass
@@ -50,18 +46,13 @@ def _unsupported(reason) -> Analysis:
 def analyze_source(source: str, max_steps: int = engine.DEFAULT_MAX_STEPS) -> Analysis:
     try:
         program = parse(source)
-    except Unsupported as u:
-        return _unsupported(u.feature + " (line %d)" % u.line)
+        if "main" not in program.functions:
+            return _unsupported("no main function")
+        translation = compute_m(program)
+    except (Unsupported, UnknownChannel) as e:
+        return _unsupported(str(e))
     except GoSyntaxError as e:
         return _unsupported("syntax error: %s" % e)
-    if "main" not in program.functions:
-        return _unsupported("no main function")
-    try:
-        translation = compute_m(program)
-    except Unsupported as u:
-        return _unsupported(u.feature + " (line %d)" % u.line)
-    except UnknownChannel as u:
-        return _unsupported(str(u))
 
     cordefs = translation.cordefs
     if "main" not in cordefs:

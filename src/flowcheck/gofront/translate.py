@@ -15,7 +15,9 @@ order can slip through; the analyzer emits a warning when it sees one.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import count
 from typing import Optional
 
 from ..engine import _branches
@@ -92,13 +94,13 @@ def concrete_name(gotype) -> str:
 
 class Env:
     """Lexically chained typing environment: channel element types plus
-    propagated constant values."""
+    propagated constant values.  A name assigned something that is not a
+    known constant maps to None, which hides any outer constant."""
 
     def __init__(self, parent=None):
         self.parent = parent
         self.chans: dict[str, str] = {}
-        self.consts: dict[str, int] = {}
-        self.written: set[str] = set()
+        self.consts: dict[str, Optional[int]] = {}
 
     def child(self) -> "Env":
         return Env(self)
@@ -116,21 +118,8 @@ class Env:
         while env is not None:
             if name in env.consts:
                 return env.consts[name]
-            if name in env.written:
-                return None  # assigned something unknowable
             env = env.parent
         return None
-
-    def set_chan(self, name, elem):
-        self.chans[name] = elem
-
-    def set_const(self, name, value):
-        self.consts[name] = value
-        self.written.add(name)
-
-    def clear_const(self, name):
-        self.consts.pop(name, None)
-        self.written.add(name)
 
 
 @dataclass
@@ -176,7 +165,8 @@ class Translator:
         self.program = program
         self.members = self._member_fixed_point()
         self.cordefs: dict[str, CorDef] = {}
-        self.chan_makes: dict[str, int] = {}
+        self.chan_makes: defaultdict[str, int] = defaultdict(int)
+        self.unknown_args = count(1)
 
     # -- membership ----------------------------------------------------------
 
@@ -206,10 +196,9 @@ class Translator:
     def translate_all(self) -> dict:
         root = Env()
         for g in self.program.globals:
-            self._bind_value(root, g.name, g.gotype, g.expr, g.line)
+            self._bind_value(root, g.name, g.gotype, g.expr)
             if isinstance(g.expr, MakeExpr) and isinstance(g.expr.gotype, ChanType):
-                elem = concrete_name(g.expr.gotype.elem)
-                self.chan_makes[elem] = self.chan_makes.get(elem, 0) + 1
+                self.chan_makes[concrete_name(g.expr.gotype.elem)] += 1
         self.root_env = root
         for name, f in self.program.functions.items():
             if name in self.members and not f.anonymous:
@@ -223,12 +212,10 @@ class Translator:
         env = outer_env.child()
         for pname, ptype in f.params:
             if isinstance(ptype, ChanType):
-                env.set_chan(pname, concrete_name(ptype.elem))
+                env.chans[pname] = concrete_name(ptype.elem)
         deferred: list = []
         items, _ = self._block(f.body, env, deferred, allow_defer=True)
-        for item in reversed(deferred):
-            items.append(item)
-        self.cordefs[f.name] = cor_def(*items, label=f.name)
+        self.cordefs[f.name] = cor_def(*items, *reversed(deferred), label=f.name)
 
     def _block(self, stmts, env: Env, deferred, allow_defer) -> tuple:
         items: list = []
@@ -243,36 +230,28 @@ class Translator:
     def _stmt(self, s, env: Env, deferred, allow_defer) -> tuple:
         if isinstance(s, (ShortVarDecl, VarDecl)):
             items = [] if s.expr is None else self._expr_items(s.expr, env)
-            self._bind_value(env, s.name, getattr(s, "gotype", None), s.expr, s.line)
+            self._bind_value(env, s.name, getattr(s, "gotype", None), s.expr)
             return items, False
         if isinstance(s, Assign):
             items = self._expr_items(s.expr, env)
-            self._bind_value(env, s.name, None, s.expr, s.line)
+            self._bind_value(env, s.name, None, s.expr)
             return items, False
         if isinstance(s, Send):
             items = self._expr_items(s.value, env)
-            elem = self._chan_elem(s.chan, env, s.line)
-            items.append(yielded(Concrete(elem)))
+            items.append(yielded(Concrete(self._chan_elem(s.chan, env, s.line))))
             return items, False
         if isinstance(s, ExprStmt):
             return self._expr_items(s.expr, env), False
-        if isinstance(s, GoStmt):
-            items = []
-            for a in s.call.args:
-                items.extend(self._expr_items(a, env))
-            app = self._spawn_app(s.call, env, StartApp, s.line)
-            if app is not None:
-                items.append(app)
-            return items, False
-        if isinstance(s, DeferStmt):
-            if not allow_defer:
+        if isinstance(s, (GoStmt, DeferStmt)):
+            go = isinstance(s, GoStmt)
+            if not go and not allow_defer:
                 raise Unsupported("defer inside a conditional", s.line)
             items = []
-            for a in s.call.args:  # defer evaluates its arguments immediately
+            for a in s.call.args:  # both evaluate their arguments now
                 items.extend(self._expr_items(a, env))
-            app = self._spawn_app(s.call, env, InlineApp, s.line)
+            app = self._spawn_app(s.call, env, StartApp if go else InlineApp)
             if app is not None:
-                deferred.append(app)
+                (items if go else deferred).append(app)
             return items, False
         if isinstance(s, If):
             return self._if(s, env, deferred)
@@ -282,19 +261,14 @@ class Translator:
         raise Unsupported("unrecognized statement", getattr(s, "line", 0))
 
     def _if(self, s: If, env: Env, deferred) -> tuple:
-        value = self._eval_cond(s.cond, env, s.line)
-        else_body = s.els if s.els is not None else ()
-        if isinstance(else_body, If):
-            else_body = (else_body,)
-        if value is True or value is False:
-            body = s.then if value else else_body
+        pred = pred_simplify(self._cond_pred(s.cond, env, s.line))
+        else_body = (s.els,) if isinstance(s.els, If) else s.els or ()
+        if pred == TRUE or pred == FALSE:
             branch_env = env.child()
+            body = s.then if pred == TRUE else else_body
             items, returned = self._block(body, branch_env, deferred, allow_defer=True)
             self._merge_branch(env, branch_env)
-            if returned:
-                return items, True
-            return items, False
-        pred = value
+            return items, returned
         then_env, else_env = env.child(), env.child()
         then_items, t_ret = self._block(s.then, then_env, deferred, allow_defer=False)
         else_items, e_ret = self._block(else_body, else_env, deferred, allow_defer=False)
@@ -312,8 +286,7 @@ class Translator:
 
     def _merge_branch(self, env: Env, branch: Env):
         # a value assigned under a condition is no longer a known constant
-        for name in branch.written:
-            env.clear_const(name)
+        env.consts.update(dict.fromkeys(branch.consts))
         env.chans.update(branch.chans)
 
     # -- expressions ------------------------------------------------------------
@@ -321,19 +294,16 @@ class Translator:
     def _expr_items(self, e, env: Env) -> list:
         """Flow items an expression evaluation produces, in evaluation order:
         receives inside it, then an inline application if it calls a member."""
-        items: list = []
         if isinstance(e, Recv):
             special = self._time_after(e.chan)
             if special is not None:
-                items.extend(special)
-                return items
-            elem = self._chan_elem(e.chan, env, getattr(e, "line", 0))
-            items.append(received(Concrete(elem)))
-            return items
+                return special
+            return [received(Concrete(self._chan_elem(e.chan, env, getattr(e, "line", 0))))]
         if isinstance(e, Call):
+            items = []
             for a in e.args:
                 items.extend(self._expr_items(a, env))
-            app = self._spawn_app(e, env, InlineApp, 0, only_members=True)
+            app = self._spawn_app(e, env, InlineApp)
             if app is not None:
                 items.append(app)
             return items
@@ -342,10 +312,8 @@ class Translator:
         if isinstance(e, Binary):
             return self._expr_items(e.left, env) + self._expr_items(e.right, env)
         if isinstance(e, MakeExpr) and isinstance(e.gotype, ChanType):
-            elem = concrete_name(e.gotype.elem)
-            self.chan_makes[elem] = self.chan_makes.get(elem, 0) + 1
-            return items
-        return items
+            self.chan_makes[concrete_name(e.gotype.elem)] += 1
+        return []
 
     def _time_after(self, chan_expr):
         """``<-time.After(d)`` completes by itself: the runtime yields a Time
@@ -359,16 +327,14 @@ class Translator:
             return [yielded(Concrete("Time")), received(Concrete("Time"))]
         return None
 
-    def _spawn_app(self, call: Call, env: Env, app_cls, line, only_members=False):
+    def _spawn_app(self, call: Call, env: Env, app_cls):
         """A Start/Inline application for a call, or None when the callee
-        never touches channels."""
+        never touches channels (library calls included)."""
         fn = call.fn
         if isinstance(fn, FuncLit):
             name = fn.func.name
-        elif isinstance(fn, Ident) and fn.name in self.program.functions:
+        elif isinstance(fn, Ident):
             name = fn.name
-        elif isinstance(fn, Selector):
-            return None  # library calls carry no channel behavior of their own
         else:
             return None
         if name not in self.members:
@@ -379,8 +345,10 @@ class Translator:
         return app_cls(DefRef(name), tuple(bindings.items()))
 
     def _call_bindings(self, func: Func, args, env: Env) -> dict:
-        """Constant propagation into call arguments; unresolved values stay
-        as free variables for the constraint solver."""
+        """Constant propagation into call arguments.  An argument with no
+        constant value stays a free variable for the constraint solver: an
+        identifier keeps its name, and any other argument becomes a variable
+        of its own, ``arg@N`` numbered in translation order."""
         bindings = {}
         for (pname, ptype), arg in zip(func.params, args):
             if isinstance(ptype, (ChanType, FuncType, SliceType)):
@@ -391,7 +359,7 @@ class Translator:
             elif isinstance(arg, Ident):
                 bindings[pname] = Var(arg.name)
             else:
-                bindings[pname] = Var("arg@%d" % getattr(arg, "line", 0))
+                bindings[pname] = Var("arg@%d" % next(self.unknown_args))
         return bindings
 
     def _eval_value(self, e, env: Env):
@@ -410,20 +378,10 @@ class Translator:
                 return (_ARITHMETIC[e.op](left, right) + 2**63) % 2**64 - 2**63
         return None
 
-    def _eval_cond(self, e, env: Env, line):
-        """A condition folds to True/False when constants decide it, and
-        otherwise compiles to a predicate over the free variables.  Expression
-        nodes carry no line, so an unsupported condition reports ``line``,
-        the line of its ``if``."""
-        pred = self._cond_pred(e, env, line)
-        pred = pred_simplify(pred)
-        if pred == TRUE:
-            return True
-        if pred == FALSE:
-            return False
-        return pred
-
     def _cond_pred(self, e, env: Env, line):
+        """The predicate a condition compiles to over its free variables;
+        constants fold in.  Expression nodes carry no line, so an unsupported
+        condition reports ``line``, the line of its ``if``."""
         if isinstance(e, BoolLit):
             return TRUE if e.value else FALSE
         if isinstance(e, Ident):
@@ -473,23 +431,17 @@ class Translator:
             return elem
         raise UnknownChannel(getattr(getattr(e, "fn", e), "name", "?"), line)
 
-    def _bind_value(self, env: Env, name, gotype, expr, line):
+    def _bind_value(self, env: Env, name, gotype, expr):
         if isinstance(expr, MakeExpr) and isinstance(expr.gotype, ChanType):
-            # creation is counted by _expr_items; globals are counted below
-            env.set_chan(name, concrete_name(expr.gotype.elem))
-            return
-        if isinstance(gotype, ChanType):
-            env.set_chan(name, concrete_name(gotype.elem))
-            return
-        elem = self._returned_chan(expr)
-        if elem is not None:
-            env.set_chan(name, elem)
-            return
-        value = self._eval_value(expr, env) if expr is not None else None
-        if value is not None:
-            env.set_const(name, value)
+            # creation is counted by _expr_items, and for globals by translate_all
+            env.chans[name] = concrete_name(expr.gotype.elem)
+        elif isinstance(gotype, ChanType):
+            env.chans[name] = concrete_name(gotype.elem)
+        elif (elem := self._returned_chan(expr)) is not None:
+            env.chans[name] = elem
         else:
-            env.clear_const(name)
+            env.consts[name] = self._eval_value(expr, env)
+
 
 def compute_m(program: Program) -> Translation:
     """The coroutine map: every channel-using (direct or transitive)

@@ -15,6 +15,7 @@ as SMT-LIB v2 text for external solvers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from . import terms
 from .notation import render, render_pred
@@ -251,11 +252,7 @@ def equate(a, b):
         return TRUE if a == b else FALSE
     if isinstance(a, Concrete) and isinstance(b, Concrete):
         return TRUE if a.name == b.name else FALSE
-    if isinstance(a, Seq) and isinstance(b, Seq):
-        if len(a.items) != len(b.items):
-            return FALSE
-        return conj(*(equate(x, y) for x, y in zip(a.items, b.items)))
-    if isinstance(a, Tup) and isinstance(b, Tup):
+    if isinstance(a, (Seq, Tup)) and type(a) is type(b):
         if len(a.items) != len(b.items):
             return FALSE
         return conj(*(equate(x, y) for x, y in zip(a.items, b.items)))
@@ -570,12 +567,7 @@ def partition_cases(predicates, universe: Universe) -> list[Case]:
     Each case keeps its valuation, where the engine reads these guards.
     """
     predicates = [pred_simplify(p, universe.relations) for p in predicates]
-    names = []
-    for p in predicates:
-        for n in pred_free_vars(p):
-            if n not in names:
-                names.append(n)
-    names.sort()
+    names = sorted({n for p in predicates for n in pred_free_vars(p)})
     if not names:
         return [Case(TRUE, "")]
     for p in predicates:
@@ -618,15 +610,6 @@ def partition_cases(predicates, universe: Universe) -> list[Case]:
         out.append((pts[-1], None))
         return out
 
-    per_var = {n: intervals(n) for n in names}
-
-    def representative(lo, hi):
-        if lo is not None:
-            return lo
-        if hi is not None:
-            return hi
-        return 0
-
     def interval_pred(var, lo, hi):
         v = Var(var)
         if lo is None and hi is None:
@@ -639,27 +622,20 @@ def partition_cases(predicates, universe: Universe) -> list[Case]:
             return Cmp(v, "=", lo)
         return conj(Cmp(v, ">=", lo), Cmp(v, "<=", hi))
 
-    cells = [()]
-    for n in names:
-        cells = [cell + (iv,) for cell in cells for iv in per_var[n]]
-
-    grouped: dict[tuple, list] = {}
-    order = []
-    for cell in cells:
+    grouped: dict[tuple, list] = {}  # valuation -> cells, first seen first
+    for cell in product(*(intervals(n) for n in names)):
+        # each interval is represented by its lower end, else its upper end
         assignment = {
-            n: representative(lo, hi) for n, (lo, hi) in zip(names, cell)
+            n: lo if lo is not None else hi if hi is not None else 0
+            for n, (lo, hi) in zip(names, cell)
         }
         valuation = tuple(
             pred_evaluate(p, assignment, universe.relations) for p in predicates
         )
-        if valuation not in grouped:
-            grouped[valuation] = []
-            order.append(valuation)
-        grouped[valuation].append(cell)
+        grouped.setdefault(valuation, []).append(cell)
 
     cases = []
-    for valuation in order:
-        members = grouped[valuation]
+    for valuation, members in grouped.items():
         parts = [
             conj(*(interval_pred(n, lo, hi) for n, (lo, hi) in zip(names, cell)))
             for cell in members

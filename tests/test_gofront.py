@@ -285,6 +285,53 @@ func main() {
         assert "Start(s, v ↦ arg@" in main
 
 
+def with_sender(main_body):
+    """A program whose ``s(v)`` sends on the global ``ch`` when ``v < 10``,
+    with a ``readInt`` that no constant propagation sees through."""
+    return (
+        "package main\n\nvar ch chan int = make(chan int)\n\n"
+        "func s(v int) {\n\tif v < 10 {\n\t\tch <- v\n\t}\n}\n\n"
+        "func readInt() int {\n\treturn 7\n}\n\n"
+        "func main() {\n%s}\n" % main_body
+    )
+
+
+class TestGoAndDefer:
+    def test_go_receives_its_argument_before_the_start(self):
+        main = notation.render(compute_m(parse(with_sender("\tgo s(<-ch)\n"))).cordefs["main"])
+        assert main.startswith("corDef[?Int; Start(s, v ↦ ")
+
+    def test_defer_receives_its_argument_now_and_inlines_last(self):
+        source = with_sender("\tdefer s(<-ch)\n\tch <- 1\n")
+        main = notation.render(compute_m(parse(source)).cordefs["main"])
+        assert main.startswith("corDef[?Int; !Int; Inline(s, v ↦ ")
+        assert main.endswith(")]")
+
+    @pytest.mark.parametrize(
+        "branch, feature, line",
+        # main's "if y > 0 {" is line 17: a defer reports its own line, a
+        # return the line of its if
+        [("\t\tdefer s(1)\n", "defer inside a conditional", 18),
+         ("\t\t<-ch\n\t\treturn\n", "return inside an undecided conditional", 17)],
+        ids=["defer", "return"],
+    )
+    def test_undecided_conditional_rejects(self, branch, feature, line):
+        source = with_sender("\tvar y int\n\tif y > 0 {\n%s\t}\n" % branch)
+        assert source.splitlines()[16] == "\tif y > 0 {"
+        with pytest.raises(Unsupported) as raised:
+            compute_m(parse(source))
+        assert (raised.value.feature, raised.value.line) == (feature, line)
+
+    @pytest.mark.parametrize(
+        "assignment",
+        ["\tvar y int\n\tif y > 0 {\n\t\tx = 6\n\t}\n", "\tx = readInt()\n"],
+        ids=["undecided branch", "call result"],
+    )
+    def test_constant_overwritten_with_an_unknown_reaches_the_callee_by_name(self, assignment):
+        source = with_sender("\tx := 5\n%s\tgo s(x)\n\t<-ch\n" % assignment)
+        assert "Start(s, v ↦ x)" in notation.render(compute_m(parse(source)).cordefs["main"])
+
+
 def independent_guards(k):
     """``main`` with k integer variables, each guarding its own balanced
     ``go send; receive`` pair under ``vI <= 3``."""
@@ -680,6 +727,20 @@ func main() {
             "condition beyond integer/boolean comparisons (line 4)"
         )
 
+
+    def test_unknown_arguments_are_distinct_variables(self):
+        # s sends iff its argument is below 10 and t receives iff its own is,
+        # so the two mixed cases deadlock, whether the unknown values are
+        # passed directly or through locals
+        helpers = (
+            "func t(w int) {\n\tif w < 10 {\n\t\t<-ch\n\t}\n}\n\n"
+            "func readOther() int {\n\treturn 12\n}\n\n"
+        )
+        for body in ("\tgo s(readInt())\n\tt(readOther())\n",
+                     "\ta := readInt()\n\tb := readOther()\n\tgo s(a)\n\tt(b)\n"):
+            source = with_sender(body).replace("func main()", helpers + "func main()")
+            verdicts = [case.verdict.kind for case in analyze_source(source).cases]
+            assert verdicts == ["NoDeadlock", "Deadlock", "Deadlock", "NoDeadlock"], body
 
 class TestCorDefPayloadDiscipline:
     def test_translated_flows_never_hold_go_ast(self):

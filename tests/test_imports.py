@@ -1,6 +1,6 @@
-"""Every module-level import under ``src/flowcheck`` is used, and every
+"""Every module-level import under ``src/flowcheck`` is used, every
 module-level name defined there is read somewhere under ``src/`` or
-``tests/``.
+``tests/``, and every function there reads each of its parameters.
 
 ``__init__.py`` files are skipped by the import check: their imports are
 re-exports."""
@@ -80,3 +80,39 @@ READ = set().union(*(read_names(p.read_text(encoding="utf-8")) for p in READERS)
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_every_defined_name_is_read(path):
     assert [n for n in defined_names(path.read_text(encoding="utf-8")) if n not in READ] == []
+
+
+def unread_parameters(source):
+    """``function.parameter`` for each parameter, ``self`` and ``cls`` aside,
+    that its function (or lambda) never reads in its body."""
+    unread = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {
+            n.id for stmt in body for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(fn, "name", "<lambda>")
+        unread += ["%s.%s" % (name, p.arg) for p in params if p.arg not in ("self", "cls", *read)]
+    return unread
+
+
+def test_the_check_sees_an_unread_parameter():
+    source = (
+        "class C:\n    def m(self, used, spare, *rest, flag=0, **options):\n"
+        "        def inner(x):\n            return used\n        return inner\n"
+        "    @classmethod\n    def make(cls, size):\n        return size\n"
+        "key = lambda item, unused: item\n"
+    )
+    assert sorted(unread_parameters(source)) == [
+        "<lambda>.unused", "inner.x", "m.flag", "m.options", "m.rest", "m.spare",
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []
