@@ -70,6 +70,7 @@ class NilLit:
 @dataclass(frozen=True)
 class Recv:
     chan: object
+    line: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)

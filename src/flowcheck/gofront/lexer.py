@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 
 class GoSyntaxError(Exception):
@@ -23,12 +24,25 @@ KEYWORDS = {
 _SEMI_AFTER = {"ident", "int", "string", ")", "}", "]", "return", "break",
                "continue", "fallthrough"}
 
-_TWO_CHAR = ("<-", ":=", "==", "!=", "<=", ">=", "&&", "||", "//", "/*")
-_ONE_CHAR = "(){}[],;.:<>=!+-*/%&|"
+# Strings, raw strings and runes stay on one line; a float is lexed only to
+# be refused by the parser.  ``/`` must not take the start of an unterminated
+# ``/*``, which would otherwise lex as ``/`` ``*``.
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<newline>\n)
+  | (?P<skip>[ \t\r]+|//[^\n]*)
+  | (?P<comment>/\*.*?\*/)
+  | (?P<word>[^\W\d]\w*)
+  | (?P<float>[0-9]+\.[0-9]*)
+  | (?P<int>[0-9]+)
+  | (?P<string>"(?:[^"\\\n]|\\[^\n])*"|`[^`\n]*`|'[^'\n]*')
+  | (?P<op><-|:=|==|!=|<=|>=|&&|\|\||/(?!\*)|[(){}\[\],;.:<>=!+\-*%&|])
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "int" | "string" | keyword or punctuation literal
     value: str
     line: int
@@ -37,85 +51,31 @@ class Token:
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
     line = 1
-    k = 0
-    n = len(source)
-
-    def emit(kind, value):
-        tokens.append(Token(kind, value, line))
-
-    def maybe_semicolon():
-        if tokens and tokens[-1].kind in _SEMI_AFTER and tokens[-1].value != ";":
-            emit(";", ";")
-
-    while k < n:
-        ch = source[k]
-        if ch == "\n":
-            maybe_semicolon()
-            line += 1
-            k += 1
-            continue
-        if ch in " \t\r":
-            k += 1
-            continue
-        two = source[k : k + 2]
-        if two == "//":
-            while k < n and source[k] != "\n":
-                k += 1
-            continue
-        if two == "/*":
-            end = source.find("*/", k + 2)
-            if end < 0:
+    pos = 0
+    while pos < len(source):
+        m = _TOKEN_RE.match(source, pos)
+        ch = source[pos]
+        # the word pattern also starts at a numeral such as '²', Go does not
+        if m is None or m.lastgroup == "word" and not (ch.isalpha() or ch == "_"):
+            if source.startswith("/*", pos):
                 raise GoSyntaxError(line, "unterminated comment")
-            body = source[k : end + 2]
-            if "\n" in body:
-                maybe_semicolon()
-                line += body.count("\n")
-            k = end + 2
-            continue
-        if ch.isalpha() or ch == "_":
-            j = k
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[k:j]
-            emit(word if word in KEYWORDS else "ident", word)
-            k = j
-            continue
-        if ch.isdigit():
-            j = k
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == ".":  # float literals are out of scope
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-                emit("float", source[k:j])
-            else:
-                emit("int", source[k:j])
-            k = j
-            continue
-        if ch in "\"'`":
-            quote = ch
-            j = k + 1
-            while j < n and source[j] != quote:
-                if source[j] == "\\" and quote == '"':
-                    j += 1
-                if source[j] == "\n":
-                    raise GoSyntaxError(line, "unterminated string literal")
-                j += 1
-            if j >= n:
+            if ch in "\"'`":
                 raise GoSyntaxError(line, "unterminated string literal")
-            emit("string", source[k : j + 1])
-            k = j + 1
-            continue
-        if two in _TWO_CHAR:
-            emit(two, two)
-            k += 2
-            continue
-        if ch in _ONE_CHAR:
-            emit(ch, ch)
-            k += 1
-            continue
-        raise GoSyntaxError(line, "stray character %r" % ch)
-    maybe_semicolon()
+            raise GoSyntaxError(line, "stray character %r" % ch)
+        pos = m.end()
+        kind, value = m.lastgroup, m.group()
+        if kind == "newline" or kind == "comment":
+            breaks = value.count("\n")
+            if breaks and tokens and tokens[-1].kind in _SEMI_AFTER:
+                tokens.append(Token(";", ";", line))
+            line += breaks
+        elif kind != "skip":
+            if kind == "word":
+                kind = value if value in KEYWORDS else "ident"
+            elif kind == "op":
+                kind = value
+            tokens.append(Token(kind, value, line))
+    if tokens and tokens[-1].kind in _SEMI_AFTER:
+        tokens.append(Token(";", ";", line))
     tokens.append(Token("eof", "", line))
     return tokens

@@ -137,7 +137,7 @@ class Parser:
         while self.peek().kind != "eof":
             tok = self.peek()
             if tok.kind == "func":
-                f = self.parse_func_decl()
+                f = self.parse_func()
                 if f.name in functions:
                     raise GoSyntaxError(f.line, "duplicate function %s" % f.name)
                 functions[f.name] = f
@@ -152,37 +152,46 @@ class Parser:
             functions[f.name] = f
         return Program(package, tuple(imports), tuple(globals_), functions, tuple(types))
 
-    def parse_func_decl(self) -> Func:
+    def parse_func(self, anonymous=False) -> Func:
+        """A declaration, or a literal named ``anon@<line>[.k]`` once its
+        body is parsed, so nested literals on one line keep their names."""
         line = self.expect("func").line
-        name = self.expect("ident").value
+        name = None if anonymous else self.expect("ident").value
         params = self.parse_params()
         result = None
         if self.peek().kind not in ("{", ";"):
             result = self.parse_type()
         body = self.parse_block()
-        return Func(name, params, result, body, line)
+        if not anonymous:
+            return Func(name, params, result, body, line)
+        same_line = sum(f.line == line for f in self.anon_funcs)
+        name = "anon@%d" % line + (".%d" % (same_line + 1) if same_line else "")
+        func = Func(name, params, result, body, line, anonymous=True)
+        self.anon_funcs.append(func)
+        return func
 
-    def parse_params(self) -> tuple:
+    def parenthesized(self, item) -> tuple:
+        """``( a, b, … )``: ``item()`` for each entry, a trailing comma allowed."""
         self.expect("(")
-        groups: list[list] = []  # [names, type|None]
+        items = []
         while not self.accept(")"):
-            name = self.expect("ident").value
-            if self.peek().kind in (",", ")"):
-                groups.append([[name], None])
-            else:
-                groups.append([[name], self.parse_type()])
+            items.append(item())
             if not self.accept(","):
                 self.expect(")")
                 break
+        return tuple(items)
+
+    def parse_params(self) -> tuple:
+        groups = self.parenthesized(lambda: (
+            self.expect("ident").value,
+            None if self.peek().kind in (",", ")") else self.parse_type(),
+        ))
         # back-fill grouped parameters: `a, b int` gives both the int type
-        params = []
-        pending: list[str] = []
-        for names, gotype in groups:
-            if gotype is None:
-                pending.extend(names)
-            else:
-                for n in pending + names:
-                    params.append((n, gotype))
+        params, pending = [], []
+        for name, gotype in groups:
+            pending.append(name)
+            if gotype is not None:
+                params.extend((n, gotype) for n in pending)
                 pending = []
         if pending:
             raise GoSyntaxError(self.peek().line, "parameters missing a type")
@@ -237,17 +246,11 @@ class Parser:
             return SliceType(self.parse_type())
         if tok.kind == "func":
             self.next()
-            self.expect("(")
-            params = []
-            while not self.accept(")"):
-                params.append(self.parse_type())
-                if not self.accept(","):
-                    self.expect(")")
-                    break
+            params = self.parenthesized(self.parse_type)
             result = None
             if self.peek().kind not in ("{", ")", ",", ";", "eof"):
                 result = self.parse_type()
-            return FuncType(tuple(params), result)
+            return FuncType(params, result)
         if tok.kind == "*":
             raise Unsupported("pointer type", tok.line)
         if tok.kind in _UNSUPPORTED_TYPES:
@@ -329,11 +332,8 @@ class Parser:
 
     # -- expressions ---------------------------------------------------------------
 
-    def parse_expr(self):
-        return self.parse_or()
-
     # each operator of a chain nests the tree one level deeper
-    def parse_or(self):
+    def parse_expr(self):
         outer = self.depth
         left = self.parse_and()
         while self.peek().kind == "||":
@@ -381,7 +381,7 @@ class Parser:
             self.next()
             expr = self.parse_unary()
             if tok.kind == "<-":
-                expr = Recv(expr)
+                expr = Recv(expr, tok.line)
             elif tok.kind == "-" and isinstance(expr, IntLit):
                 expr = IntLit(-expr.value)
             else:
@@ -395,23 +395,12 @@ class Parser:
         expr = self.parse_primary()
         while True:
             if self.peek().kind == "(":
-                args = self.parse_args()
-                expr = self.make_call(expr, args)
+                expr = self.make_call(expr, self.parenthesized(self.parse_expr))
             elif self.peek().kind == "." and isinstance(expr, Ident):
                 self.next()
                 expr = Selector(expr.name, self.expect("ident").value)
             else:
                 return expr
-
-    def parse_args(self) -> tuple:
-        self.expect("(")
-        args = []
-        while not self.accept(")"):
-            args.append(self.parse_expr())
-            if not self.accept(","):
-                self.expect(")")
-                break
-        return tuple(args)
 
     def make_call(self, fn, args) -> Call:
         line = self.peek().line
@@ -432,7 +421,7 @@ class Parser:
             self.next()
             return StringLit(tok.value)
         if tok.kind == "func":
-            return self.parse_func_lit()
+            return FuncLit(self.parse_func(anonymous=True))
         if tok.kind == "(":
             self.next()
             inner = self.parse_expr()
@@ -466,23 +455,6 @@ class Parser:
             if size is not None and not (isinstance(size, IntLit) and size.value == 0):
                 raise Unsupported("buffered channel", line)
         return MakeExpr(gotype, size)
-
-    def parse_func_lit(self) -> FuncLit:
-        line = self.expect("func").line
-        params = self.parse_params()
-        result = None
-        if self.peek().kind != "{":
-            result = self.parse_type()
-        body = self.parse_block()
-        name = "anon@%d" % line
-        taken = {f.name for f in self.anon_funcs}
-        k = 2
-        while name in taken:
-            name = "anon@%d.%d" % (line, k)
-            k += 1
-        func = Func(name, params, result, body, line, anonymous=True)
-        self.anon_funcs.append(func)
-        return FuncLit(func)
 
 
 def parse(source: str) -> Program:

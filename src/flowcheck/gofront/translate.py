@@ -254,19 +254,19 @@ class Translator:
                 (items if go else deferred).append(app)
             return items, False
         if isinstance(s, If):
-            return self._if(s, env, deferred)
+            return self._if(s, env, deferred, allow_defer)
         if isinstance(s, Return):
             items = [] if s.expr is None else self._expr_items(s.expr, env)
             return items, True
         raise Unsupported("unrecognized statement", getattr(s, "line", 0))
 
-    def _if(self, s: If, env: Env, deferred) -> tuple:
+    def _if(self, s: If, env: Env, deferred, allow_defer) -> tuple:
         pred = pred_simplify(self._cond_pred(s.cond, env, s.line))
         else_body = (s.els,) if isinstance(s.els, If) else s.els or ()
         if pred == TRUE or pred == FALSE:
             branch_env = env.child()
             body = s.then if pred == TRUE else else_body
-            items, returned = self._block(body, branch_env, deferred, allow_defer=True)
+            items, returned = self._block(body, branch_env, deferred, allow_defer)
             self._merge_branch(env, branch_env)
             return items, returned
         then_env, else_env = env.child(), env.child()
@@ -298,7 +298,7 @@ class Translator:
             special = self._time_after(e.chan)
             if special is not None:
                 return special
-            return [received(Concrete(self._chan_elem(e.chan, env, getattr(e, "line", 0))))]
+            return [received(Concrete(self._chan_elem(e.chan, env, e.line)))]
         if isinstance(e, Call):
             items = []
             for a in e.args:

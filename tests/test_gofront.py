@@ -742,6 +742,31 @@ func main() {
             verdicts = [case.verdict.kind for case in analyze_source(source).cases]
             assert verdicts == ["NoDeadlock", "Deadlock", "Deadlock", "NoDeadlock"], body
 
+    def test_unknown_channel_in_a_receive_reports_its_line(self):
+        source = (
+            'package main\n\nimport "fmt"\n\nfunc main() {\n\tch := make(chan int)\n'
+            "\tgo func() { ch <- 1 }()\n\t<-ch\n\tfmt.Println(<-other)\n}\n"
+        )
+        assert source.splitlines()[8] == "\tfmt.Println(<-other)"
+        analysis = analyze_source(source)
+        assert analysis.cases[0].verdict.reason == "cannot resolve channel 'other' (line 9)"
+
+    @pytest.mark.parametrize("decided_if", [False, True], ids=["directly", "under if true"])
+    def test_defer_inside_an_undecided_conditional_is_rejected(self, decided_if):
+        defer = "defer func() { <-ch }()"
+        if decided_if:
+            defer = "if true {\n\t\t\t%s\n\t\t}" % defer
+        source = (
+            "package main\n\nvar ch chan int = make(chan int)\n\nfunc main() {\n"
+            "\tvar y int\n\tif y > 0 {\n\t\tgo func() { ch <- 1 }()\n\t\t%s\n\t}\n}\n" % defer
+        )
+        line = next(n for n, text in enumerate(source.splitlines(), 1) if "defer" in text)
+        analysis = analyze_source(source)
+        assert [case.verdict.reason for case in analysis.cases] == [
+            "defer inside a conditional (line %d)" % line
+        ]
+
+
 class TestCorDefPayloadDiscipline:
     def test_translated_flows_never_hold_go_ast(self):
         # every coroutine definition in the corpus holds only type terms:

@@ -1,0 +1,115 @@
+"""The lexer contract: tokens, semicolon insertion, lines and syntax errors.
+
+Semicolons follow the Go spec's "Lexical elements": a newline ends a
+statement after an identifier, a literal, a closing bracket or one of the
+keywords that end a statement, and so does the end of the input.
+"""
+
+import pytest
+
+from flowcheck.gofront import GoSyntaxError, analyze_source
+from flowcheck.gofront.lexer import Token, tokenize
+
+
+def kinds(source):
+    return [tok.kind for tok in tokenize(source)]
+
+
+class TestSemicolons:
+    @pytest.mark.parametrize(
+        "source, kind",
+        [("x", "ident"), ("1", "int"), ('"s"', "string"), ("`s`", "string"),
+         ("'s'", "string"), (")", ")"), ("}", "}"), ("]", "]"),
+         ("return", "return"), ("break", "break"), ("continue", "continue"),
+         ("fallthrough", "fallthrough")],
+    )
+    def test_inserted_at_a_newline_after(self, source, kind):
+        assert tokenize(source + "\ny") == [
+            Token(kind, source, 1), Token(";", ";", 1), Token("ident", "y", 2),
+            Token(";", ";", 2), Token("eof", "", 2),
+        ]
+
+    @pytest.mark.parametrize("source", ["{", ",", "+", "<-", ":=", "&&", "(", "go", "."])
+    def test_not_inserted_after(self, source):
+        assert kinds(source + "\n") == [source, "eof"]
+
+    def test_inserted_at_the_end_of_input(self):
+        assert kinds("x") == ["ident", ";", "eof"]
+        assert kinds("") == ["eof"]
+
+    def test_one_for_a_block_comment_that_spans_lines(self):
+        tokens = tokenize("x /* a\nb\n\nc */ y")
+        assert tokens == [Token("ident", "x", 1), Token(";", ";", 1),
+                          Token("ident", "y", 4), Token(";", ";", 4), Token("eof", "", 4)]
+
+    def test_none_for_a_block_comment_on_one_line(self):
+        assert kinds("x /* a */ y") == ["ident", "ident", ";", "eof"]
+
+    def test_a_block_comment_after_a_brace_still_counts_its_lines(self):
+        assert tokenize("{ /*\n*/ x")[1] == Token("ident", "x", 2)
+
+    def test_a_line_comment_ends_at_the_newline(self):
+        assert tokenize("x // y z\nw") == [
+            Token("ident", "x", 1), Token(";", ";", 1), Token("ident", "w", 2),
+            Token(";", ";", 2), Token("eof", "", 2),
+        ]
+
+
+class TestTokens:
+    def test_keywords_and_identifiers(self):
+        assert [(t.kind, t.value) for t in tokenize("go gox _a x1 func")[:-1]] == [
+            ("go", "go"), ("ident", "gox"), ("ident", "_a"), ("ident", "x1"), ("func", "func"),
+        ]
+
+    def test_two_character_operators(self):
+        operators = ["<-", ":=", "==", "!=", "<=", ">=", "&&", "||"]
+        assert kinds(" ".join(operators)) == operators + ["eof"]
+
+    def test_one_character_operators(self):
+        assert kinds("( ) { } [ ] , ; . : < > = ! + - * / % & |")[:-1] == (
+            "( ) { } [ ] , ; . : < > = ! + - * / % & |".split())
+
+    @pytest.mark.parametrize(
+        "literal",
+        ['"a\\"b"', '"a\\\\"', '"tab\\t"', "`raw \\ \"`", "'x'", "'\"'", '""'],
+    )
+    def test_one_string_token(self, literal):
+        assert tokenize(literal + " x")[0] == Token("string", literal, 1)
+
+    @pytest.mark.parametrize("literal", ["1.5", "1.", "10.25"])
+    def test_float(self, literal):
+        assert tokenize(literal)[0] == Token("float", literal, 1)
+
+    def test_int(self):
+        assert tokenize("042")[0] == Token("int", "042", 1)
+
+
+class TestErrors:
+    @pytest.mark.parametrize(
+        "source, line, message",
+        [
+            ("x\n/* open", 2, "unterminated comment"),
+            ("/*/", 1, "unterminated comment"),
+            ('x := "abc', 1, "unterminated string literal"),
+            ('"ab\ncd"', 1, "unterminated string literal"),
+            ('"ab\\\ncd"', 1, "unterminated string literal"),
+            ("`raw\nx`", 1, "unterminated string literal"),
+            ("'r\n'", 1, "unterminated string literal"),
+            ('s := "a\\', 1, "unterminated string literal"),
+            ('s := "a\\"', 1, "unterminated string literal"),
+            ("x\n\ty @ z", 2, "stray character '@'"),
+            ("x := 2²", 1, "stray character '²'"),
+            ("x := ٣", 1, "stray character '٣'"),
+            ("²x", 1, "stray character '²'"),
+        ],
+    )
+    def test_message_and_line(self, source, line, message):
+        with pytest.raises(GoSyntaxError) as raised:
+            tokenize(source)
+        assert (raised.value.line, raised.value.message) == (line, message)
+
+    @pytest.mark.parametrize("statement", ['s := "a\\', "x := 2²", "x := ٣"])
+    def test_the_analysis_refuses_rather_than_crashes(self, statement):
+        analysis = analyze_source("package main\n\nfunc main() {\n\t%s" % statement)
+        assert analysis.worst() == "Unsupported"
+        assert analysis.cases[0].verdict.reason.startswith("syntax error: line 4: ")
