@@ -107,13 +107,13 @@ def _decide(guard, assumption, universe, valuation=None):
     """True / False when the assumption settles the guard, else None.  A
     guard the case split partitioned on is read from the case's
     ``valuation``; only other guards reach the solver."""
-    guard = pred_simplify(guard, universe.relations)
+    guard = pred_simplify(guard)
     if guard == TRUE:
         return True
     if valuation and guard in valuation:
         return valuation[guard]
     if not pred_free_vars(guard):
-        return pred_evaluate(guard, {}, universe.relations)
+        return pred_evaluate(guard, {})
     if solve(conj(guard, assumption), universe) is None:
         return False
     if solve(conj(neg(guard), assumption), universe) is None:

@@ -62,8 +62,6 @@ def analyze_source(source: str, max_steps: int = engine.DEFAULT_MAX_STEPS) -> An
         )
 
     universe = Universe.collect(*cordefs.values())
-    if translation.subtype_pairs:
-        universe.register_relation("inherit", translation.subtype_pairs)
 
     try:
         preds = unresolved_condition_preds(cordefs)

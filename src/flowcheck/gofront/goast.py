@@ -196,14 +196,6 @@ class Program:
     functions: dict  # name -> Func (includes lifted anonymous functions)
     types: tuple  # of TypeDecl
 
-    def subtype_pairs(self):
-        """(sub, super) pairs read off anonymous struct embedding."""
-        pairs = []
-        for decl in self.types:
-            for super_name in decl.embedded:
-                pairs.append((decl.name, super_name))
-        return pairs
-
 
 # -- rendering ----------------------------------------------------------------
 

@@ -233,24 +233,13 @@ class Parser:
 
     def parse_type(self):
         tok = self.peek()
-        if tok.kind == "chan":
-            self.next()
-            if self.peek().kind == "<-":
-                raise Unsupported("directional channel type", tok.line)
-            return ChanType(self.parse_type())
+        if tok.kind in ("chan", "[", "func"):
+            self.descend(tok.line)
+            gotype = self.parse_type_literal()
+            self.depth -= 1
+            return gotype
         if tok.kind == "<-":
             raise Unsupported("directional channel type", tok.line)
-        if tok.kind == "[":
-            self.next()
-            self.expect("]")
-            return SliceType(self.parse_type())
-        if tok.kind == "func":
-            self.next()
-            params = self.parenthesized(self.parse_type)
-            result = None
-            if self.peek().kind not in ("{", ")", ",", ";", "eof"):
-                result = self.parse_type()
-            return FuncType(params, result)
         if tok.kind == "*":
             raise Unsupported("pointer type", tok.line)
         if tok.kind in _UNSUPPORTED_TYPES:
@@ -262,6 +251,22 @@ class Parser:
                 raise Unsupported("sync primitives", tok.line)
             return NamedType(qualified)
         return NamedType(name)
+
+    def parse_type_literal(self):
+        """A ``chan``, ``[]`` or ``func(...)`` type, one nesting level down."""
+        tok = self.next()
+        if tok.kind == "chan":
+            if self.peek().kind == "<-":
+                raise Unsupported("directional channel type", tok.line)
+            return ChanType(self.parse_type())
+        if tok.kind == "[":
+            self.expect("]")
+            return SliceType(self.parse_type())
+        params = self.parenthesized(self.parse_type)
+        result = None
+        if self.peek().kind not in ("{", ")", ",", ";", "eof"):
+            result = self.parse_type()
+        return FuncType(params, result)
 
     # -- statements -------------------------------------------------------------
 

@@ -126,7 +126,6 @@ class Env:
 class Translation:
     cordefs: dict  # name -> CorDef, the coroutine map
     warnings: list
-    subtype_pairs: list
 
 
 def body_nodes(nodes):
@@ -456,7 +455,7 @@ def compute_m(program: Program) -> Translation:
                 "%d channels share element type %s; channel identity is not "
                 "tracked, so operations on them may be conflated" % (count, elem)
             )
-    return Translation(cordefs, warnings, program.subtype_pairs())
+    return Translation(cordefs, warnings)
 
 
 def unresolved_condition_preds(cordefs: dict, entry: str = "main") -> list:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 
 from . import preds, terms
-from .preds import And, Binding, Cmp, FALSE, Not, Or, Relation, TRUE
+from .preds import And, Binding, Cmp, FALSE, Not, Or, TRUE
 from .terms import (
     Concrete,
     Constrained,
@@ -128,8 +128,6 @@ def render_pred(p) -> str:
         return "%s %s %s" % (render(p.lhs), shown, render(p.rhs))
     if isinstance(p, Binding):
         return "%s ↦ %s" % (render(p.var), render(p.value))
-    if isinstance(p, Relation):
-        return "%s(%s)" % (p.name, ", ".join(render(a) for a in p.args))
     raise NotationError("cannot render predicate %r" % (p,))
 
 
@@ -345,14 +343,6 @@ class _Parser:
             p = self.pred_or()
             self.expect(")")
             return p
-        if self.peek()[0] == "name" and self.tokens[self.pos + 1][1] == "(":
-            _, name = self.next()
-            self.next()
-            args = [self.pred_term()]
-            while self.accept(","):
-                args.append(self.pred_term())
-            self.expect(")")
-            return Relation(name, tuple(args))
         lhs = self.pred_term()
         kind, op = self.next()
         if op == "↦":

@@ -1,9 +1,9 @@
 """The predicate language attached to constrained types.
 
 Predicates guard union branches and travel with matched values: boolean
-connectives over integer comparisons, symbol equality, explicit variable
-bindings, and named closed-world relations.  Atom operands are variables,
-plain Python ints, or Concrete symbols from the term module.
+connectives over integer comparisons, symbol equality and explicit variable
+bindings.  Atom operands are variables, plain Python ints, or Concrete
+symbols from the term module.
 """
 
 from __future__ import annotations
@@ -88,19 +88,6 @@ class Binding:
         return render_pred(self)
 
 
-@dataclass(frozen=True)
-class Relation:
-    """An application of a registered closed-world relation."""
-
-    name: str
-    args: tuple
-
-    def __repr__(self):
-        from .notation import render_pred
-
-        return render_pred(self)
-
-
 # ---------------------------------------------------------------------------
 # smart constructors; these keep connectives in flattened n-ary form
 
@@ -169,14 +156,13 @@ def cmp(lhs, op, rhs):
 
 
 def pred_atoms(p):
-    """The comparison, binding and relation atoms of a predicate, left to
-    right."""
+    """The comparison and binding atoms of a predicate, left to right."""
     if isinstance(p, (And, Or)):
         for item in p.items:
             yield from pred_atoms(item)
     elif isinstance(p, Not):
         yield from pred_atoms(p.item)
-    elif isinstance(p, (Cmp, Binding, Relation)):
+    elif isinstance(p, (Cmp, Binding)):
         yield p
 
 
@@ -184,9 +170,7 @@ def atom_terms(a) -> tuple:
     """The operands of one atom, in order."""
     if isinstance(a, Cmp):
         return (a.lhs, a.rhs)
-    if isinstance(a, Binding):
-        return (a.var, a.value)
-    return a.args
+    return (a.var, a.value)
 
 
 def pred_map(p, atom_fn):
@@ -200,7 +184,7 @@ def pred_map(p, atom_fn):
         return disj(*(pred_map(i, atom_fn) for i in p.items))
     if isinstance(p, Not):
         return neg(pred_map(p.item, atom_fn))
-    if isinstance(p, (Cmp, Binding, Relation)):
+    if isinstance(p, (Cmp, Binding)):
         return atom_fn(p)
     raise TypeError("not a predicate: %r" % (p,))
 
@@ -226,13 +210,11 @@ def pred_substitute(p, binding: dict):
     def atom(q):
         if isinstance(q, Cmp):
             return _fold_cmp(Cmp(sub_term(q.lhs), q.op, sub_term(q.rhs)))
-        if isinstance(q, Binding):
-            lhs = sub_term(q.var)
-            rhs = sub_term(q.value)
-            if isinstance(lhs, Var):
-                return Binding(lhs, rhs)
-            return _fold_cmp(Cmp(lhs, "=", rhs))
-        return Relation(q.name, tuple(sub_term(a) for a in q.args))
+        lhs = sub_term(q.var)
+        rhs = sub_term(q.value)
+        if isinstance(lhs, Var):
+            return Binding(lhs, rhs)
+        return _fold_cmp(Cmp(lhs, "=", rhs))
 
     return pred_map(p, atom)
 
@@ -259,7 +241,7 @@ def _cmp_ints(a, op, b):
     }[op]
 
 
-def pred_evaluate(p, assignment: dict, relations: dict | None = None) -> bool:
+def pred_evaluate(p, assignment: dict) -> bool:
     """Evaluate a predicate under a full assignment (name -> int | Concrete)."""
 
     def term(t):
@@ -292,32 +274,19 @@ def pred_evaluate(p, assignment: dict, relations: dict | None = None) -> bool:
                     raise ValueError("symbols admit equality only: %r" % (q,))
                 return lhs == rhs
             return False
-        if isinstance(q, Relation):
-            if relations is None or q.name not in relations:
-                raise KeyError("relation %s has no interpretation" % q.name)
-            row = tuple(
-                a.name if isinstance(a, Concrete) else term(a).name for a in q.args
-            )
-            return row in relations[q.name]
         raise TypeError("not a predicate: %r" % (q,))
 
     return walk(p)
 
 
-def pred_simplify(p, relations: dict | None = None):
+def pred_simplify(p):
     """Fold every ground subformula down to true/false."""
 
     def atom(q):
         if isinstance(q, Cmp):
             return _fold_cmp(q)
-        if isinstance(q, Binding):
-            if isinstance(q.value, Var) and q.value.name == q.var.name:
-                return TRUE
-            return q
-        if relations is not None and all(isinstance(a, Concrete) for a in q.args):
-            if q.name in relations:
-                row = tuple(a.name for a in q.args)
-                return TRUE if row in relations[q.name] else FALSE
+        if isinstance(q.value, Var) and q.value.name == q.var.name:
+            return TRUE
         return q
 
     return pred_map(p, atom)

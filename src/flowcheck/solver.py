@@ -1,15 +1,14 @@
 """Constraint handling: rewriting, collection, matching, satisfiability.
 
 The predicate fragment in scope -- boolean connectives over linear integer
-comparisons, equality over a finite symbol universe, and closed-world
-relations -- is decided by a built-in enumerative solver.  Integer variables
-range over a grid derived from the comparison constants (wide enough to be
-exact for order constraints); symbol variables range over the collected
-universe.  The solver splits a query into conjuncts, searches each group of
-conjuncts that share variables on its own, and checks every conjunct as
-soon as its variables are assigned, so independent guards cost a sum of
-searches rather than a product.  ``emit_smtlib`` renders the same problems
-as SMT-LIB v2 text for external solvers.
+comparisons and equality over a finite symbol universe -- is decided by a
+built-in enumerative solver.  Integer variables range over a grid derived
+from the comparison constants (wide enough to be exact for order
+constraints); symbol variables range over the collected universe.  The
+solver splits a query into conjuncts, searches each group of conjuncts that
+share variables on its own, and checks every conjunct as soon as its
+variables are assigned, so independent guards cost a sum of searches rather
+than a product.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .preds import (
     FALSE,
     Not,
     Or,
-    Relation,
     TRUE,
     atom_terms,
     cmp,
@@ -64,16 +62,8 @@ class ConstraintError(Exception):
     pass
 
 
-class UnsupportedPredicate(ConstraintError):
-    """A relation name with no registered interpretation."""
-
-
 class DomainConflict(ConstraintError):
     """A variable used both as an integer and as a concrete symbol."""
-
-
-class RedefinedRelation(ConstraintError):
-    pass
 
 
 class _Bottom:
@@ -100,14 +90,13 @@ class ConditionSet:
 
 
 class Universe:
-    """All concrete symbols of one analysis plus the registered relations.
+    """All concrete symbols of one analysis.
 
     Populated once, before reduction starts; treated as read-only afterwards.
     """
 
-    def __init__(self, symbols=(), relations=None):
+    def __init__(self, symbols=()):
         self.symbols = tuple(sorted(set(symbols)))
-        self.relations = dict(relations or {})
 
     @classmethod
     def collect(cls, *types):
@@ -115,22 +104,6 @@ class Universe:
         for t in types:
             symbols |= collect_concrete(t)
         return cls(symbols)
-
-    def register_relation(self, name: str, pairs):
-        if name in self.relations:
-            raise RedefinedRelation(name)
-        rows = frozenset(tuple(p) for p in pairs)
-        arities = {len(r) for r in rows}
-        if len(arities) > 1:
-            raise ConstraintError("inconsistent arity for relation %s" % name)
-        self.relations[name] = rows
-        for row in rows:
-            self.symbols = tuple(sorted(set(self.symbols) | set(row)))
-
-    def holds(self, name: str, *args) -> bool:
-        if name not in self.relations:
-            raise UnsupportedPredicate(name)
-        return tuple(args) in self.relations[name]
 
 
 def collect_concrete(t) -> set:
@@ -157,42 +130,37 @@ def collect_concrete(t) -> set:
 # constrained-type rewriting
 
 
-def reduce_constrained(t, universe: Universe | None = None):
+def reduce_constrained(t):
     """Rewrite constrained types to a fixpoint.
 
     Rules: a false guard erases the type, a true guard vanishes, stacked
     guards merge, and an ``x ↦ v`` conjunct is applied as a substitution.
     """
-    relations = universe.relations if universe is not None else None
     prev = None
     t = flatten(t)
     while t != prev:
         prev = t
-        t = _rc_walk(t, relations)
+        t = _rc_walk(t)
     return t
 
 
-def _rc_walk(t, relations):
+def _rc_walk(t):
     if isinstance(t, Constrained):
-        base, pred = _apply_guard(_rc_walk(t.base, relations), t.pred, relations)
+        base, pred = _apply_guard(_rc_walk(t.base), t.pred)
         return base if pred is None else flatten(Constrained(base, pred))
-
-    def walk(s):
-        return _rc_walk(s, relations)
-
     if isinstance(t, (CorIns, CorDef)) and t.constraint is not None:
-        inner = term_map(type(t)(t.flow, None, t.label), walk)
-        body, pred = _apply_guard(inner, t.constraint, relations)
+        inner = term_map(type(t)(t.flow, None, t.label), _rc_walk)
+        body, pred = _apply_guard(inner, t.constraint)
         if isinstance(body, (CorIns, CorDef)):
             return flatten(type(body)(body.flow, pred, body.label))
         return body if pred is None else flatten(Constrained(body, pred))
-    return flatten(term_map(t, walk))
+    return flatten(term_map(t, _rc_walk))
 
 
-def _apply_guard(base, pred, relations):
+def _apply_guard(base, pred):
     """Run the guard rules on one constrained node; returns (base, pred|None)."""
     while True:
-        pred = pred_simplify(pred, relations)
+        pred = pred_simplify(pred)
         if pred == FALSE:
             return terms.ZERO, None
         if pred == TRUE:
@@ -353,12 +321,8 @@ def _infer_domains(expr, universe: Universe):
                             "symbol %s under ordering comparison" % side.name
                         )
             atom(p.lhs, p.op, p.rhs, "comparison")
-        elif isinstance(p, Binding):
-            atom(p.var, "=", p.value, "binding")
         else:
-            for a in p.args:
-                if isinstance(a, Var):
-                    assign(a.name, SYM, "relation argument")
+            atom(p.var, "=", p.value, "binding")
     out = {}
     for name in pred_free_vars(expr):
         dom = domain.get(find(name))
@@ -370,12 +334,6 @@ def _infer_domains(expr, universe: Universe):
 
 def _int_constants(expr):
     return {t for a in pred_atoms(expr) for t in atom_terms(a) if isinstance(t, int)}
-
-
-def _check_relations(expr, universe: Universe):
-    for atom in pred_atoms(expr):
-        if isinstance(atom, Relation) and atom.name not in universe.relations:
-            raise UnsupportedPredicate(atom.name)
 
 
 def _conjuncts(p):
@@ -431,12 +389,11 @@ def solve(expr, universe: Universe):
     find: deterministic, the same expression always yields the same
     witness.
     """
-    expr = pred_simplify(expr, universe.relations)
+    expr = pred_simplify(expr)
     if expr == TRUE:
         return {}
     if expr == FALSE:
         return None
-    _check_relations(expr, universe)
     domains = _infer_domains(expr, universe)
     # Order constraints never force a variable further than the number of
     # variables away from a mentioned constant, so this grid is exact.
@@ -455,7 +412,6 @@ def solve(expr, universe: Universe):
             names,
             [grid if domains[n] == INT else sym_values for n in names],
             [conj(*cs) if cs else None for cs in checks],
-            universe.relations,
         )
         if found is None:
             return None
@@ -463,13 +419,13 @@ def solve(expr, universe: Universe):
     return {name: witness[name] for name in sorted(witness)}
 
 
-def _search(names, candidates, checks, relations):
+def _search(names, candidates, checks):
     """The first assignment of ``names`` in candidate order under which
     each ``checks[k]`` holds once the first k names are assigned, or None."""
     assignment: dict = {}
 
     def extend(k):
-        if checks[k] is not None and not pred_evaluate(checks[k], assignment, relations):
+        if checks[k] is not None and not pred_evaluate(checks[k], assignment):
             return False
         if k == len(names):
             return True
@@ -495,9 +451,7 @@ def unique_bindings(expr, interp: dict, universe: Universe) -> ConditionSet:
         excluded = conj(expr, neg(Cmp(Var(name), "=", value)))
         if solve(excluded, universe) is None:
             bindings[name] = value
-    residual = pred_simplify(
-        pred_substitute(expr, bindings), universe.relations
-    )
+    residual = pred_simplify(pred_substitute(expr, bindings))
     return ConditionSet(bindings, pred_canonical(residual))
 
 
@@ -520,18 +474,17 @@ def match(pending, pattern, universe: Universe):
     Returns a ConditionSet on success and BOTTOM when no assignment over the
     universe makes the types equal.
     """
-    a = reduce_constrained(flatten(pending), universe)
-    b = reduce_constrained(flatten(pattern), universe)
+    a = reduce_constrained(flatten(pending))
+    b = reduce_constrained(flatten(pattern))
     a, rho1 = _strip(a)
     b, rho2 = _strip(b)
-    expr = pred_simplify(conj(equate(a, b), rho1, rho2), universe.relations)
+    expr = pred_simplify(conj(equate(a, b), rho1, rho2))
     if expr == FALSE:
         return BOTTOM
     if expr == TRUE:
         return ConditionSet({}, TRUE)
-    _check_relations(expr, universe)
     if not pred_free_vars(expr):
-        ok = pred_evaluate(expr, {}, universe.relations)
+        ok = pred_evaluate(expr, {})
         return ConditionSet({}, TRUE) if ok else BOTTOM
     interp = solve(expr, universe)
     if interp is None:
@@ -566,7 +519,7 @@ def partition_cases(predicates, universe: Universe) -> list[Case]:
     e.g. two guard intervals over one variable yield at most four cases.
     Each case keeps its valuation, where the engine reads these guards.
     """
-    predicates = [pred_simplify(p, universe.relations) for p in predicates]
+    predicates = [pred_simplify(p) for p in predicates]
     names = sorted({n for p in predicates for n in pred_free_vars(p)})
     if not names:
         return [Case(TRUE, "")]
@@ -629,9 +582,7 @@ def partition_cases(predicates, universe: Universe) -> list[Case]:
             n: lo if lo is not None else hi if hi is not None else 0
             for n, (lo, hi) in zip(names, cell)
         }
-        valuation = tuple(
-            pred_evaluate(p, assignment, universe.relations) for p in predicates
-        )
+        valuation = tuple(pred_evaluate(p, assignment) for p in predicates)
         grouped.setdefault(valuation, []).append(cell)
 
     cases = []
@@ -645,75 +596,3 @@ def partition_cases(predicates, universe: Universe) -> list[Case]:
         cases.append(Case(assumption, label, dict(zip(predicates, valuation))))
     return cases
 
-
-# ---------------------------------------------------------------------------
-# SMT-LIB emission
-
-
-def emit_smtlib(expr, universe: Universe) -> str:
-    """A self-contained SMT-LIB v2 script asserting the expression.
-
-    Declares the symbol enumeration, the variables with inferred sorts, and
-    each registered relation with its positive rows plus a universally
-    quantified closed-world implication.  Byte output is deterministic.
-    """
-    expr = pred_simplify(expr, universe.relations)
-    lines = ["(set-logic ALL)"]
-    if universe.symbols:
-        ctors = " ".join("(%s)" % s for s in universe.symbols)
-        lines.append("(declare-datatypes ((Concrete 0)) ((%s)))" % ctors)
-    else:
-        lines.append("(declare-sort Concrete 0)")
-    domains = _infer_domains(expr, universe)
-    for name in sorted(domains):
-        sort = "Int" if domains[name] == INT else "Concrete"
-        lines.append("(declare-const %s %s)" % (name, sort))
-    for rel in sorted(universe.relations):
-        rows = sorted(universe.relations[rel])
-        arity = len(next(iter(rows))) if rows else 2
-        params = " ".join(["Concrete"] * arity)
-        lines.append("(declare-fun %s (%s) Bool)" % (rel, params))
-        for row in rows:
-            lines.append("(assert (%s %s))" % (rel, " ".join(row)))
-        formals = [("x%d" % k) for k in range(arity)]
-        decls = " ".join("(%s Concrete)" % f for f in formals)
-        known = " ".join(
-            "(and %s)" % " ".join("(= %s %s)" % (f, v) for f, v in zip(formals, row))
-            for row in rows
-        )
-        known = "(or %s)" % known if rows else "false"
-        lines.append(
-            "(assert (forall (%s) (let ((r (not %s))) (=> r (= (%s %s) false)))))"
-            % (decls, known, rel, " ".join(formals))
-        )
-    lines.append("(assert %s)" % _smt(expr))
-    lines.append("(check-sat)")
-    return "\n".join(lines) + "\n"
-
-
-def _smt(p) -> str:
-    if isinstance(p, type(TRUE)):
-        return "true"
-    if isinstance(p, type(FALSE)):
-        return "false"
-    if isinstance(p, And):
-        return "(and %s)" % " ".join(_smt(i) for i in p.items)
-    if isinstance(p, Or):
-        return "(or %s)" % " ".join(_smt(i) for i in p.items)
-    if isinstance(p, Not):
-        return "(not %s)" % _smt(p.item)
-    if isinstance(p, Cmp):
-        return "(%s %s %s)" % (p.op, _smt_term(p.lhs), _smt_term(p.rhs))
-    if isinstance(p, Binding):
-        return "(= %s %s)" % (_smt_term(p.var), _smt_term(p.value))
-    if isinstance(p, Relation):
-        return "(%s %s)" % (p.name, " ".join(_smt_term(a) for a in p.args))
-    raise ConstraintError("cannot emit %r" % (p,))
-
-
-def _smt_term(t) -> str:
-    if isinstance(t, int):
-        return str(t) if t >= 0 else "(- %d)" % -t
-    if isinstance(t, (Var, Concrete)):
-        return t.name
-    raise ConstraintError("cannot emit term %r" % (t,))

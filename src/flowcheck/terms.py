@@ -380,27 +380,47 @@ def term_map(t, fn, pred_fn=None):
     """Rebuild one level of a term: ``fn`` on each direct subterm (items,
     union branches, a power's base and count, a payload, a flow, an
     application's target and binding values), ``pred_fn`` on its guard.  A
-    leaf comes back unchanged; nothing is re-canonicalized."""
+    leaf, and a term whose parts all come back as the same objects, is
+    returned itself; nothing is re-canonicalized."""
     if isinstance(t, (ZeroType, Concrete, Var, DefRef, int)):
         return t
     if isinstance(t, (CorDef, CorIns)):
-        constraint = t.constraint
-        if constraint is not None and pred_fn is not None:
-            constraint = pred_fn(constraint)
-        return type(t)(tuple(fn(i) for i in t.flow), constraint, t.label)
+        flow = tuple(fn(i) for i in t.flow)
+        guard = t.constraint
+        if guard is not None and pred_fn is not None:
+            guard = pred_fn(guard)
+        if guard is t.constraint and _same(flow, t.flow):
+            return t
+        return type(t)(flow, guard, t.label)
     if isinstance(t, Directed):
-        return Directed(t.direction, fn(t.payload))
+        payload = fn(t.payload)
+        return t if payload is t.payload else Directed(t.direction, payload)
     if isinstance(t, (Seq, Tup)):
-        return type(t)(tuple(fn(i) for i in t.items))
+        items = tuple(fn(i) for i in t.items)
+        return t if _same(items, t.items) else type(t)(items)
     if isinstance(t, Union):
-        return Union(fn(t.left), fn(t.right))
+        left, right = fn(t.left), fn(t.right)
+        return t if left is t.left and right is t.right else Union(left, right)
     if isinstance(t, Constrained):
-        return Constrained(fn(t.base), t.pred if pred_fn is None else pred_fn(t.pred))
+        base = fn(t.base)
+        guard = t.pred if pred_fn is None else pred_fn(t.pred)
+        return t if base is t.base and guard is t.pred else Constrained(base, guard)
     if isinstance(t, Power):
-        return Power(fn(t.base), fn(t.count))
+        base, count = fn(t.base), fn(t.count)
+        return t if base is t.base and count is t.count else Power(base, count)
     if isinstance(t, (StartApp, InlineApp)):
-        return type(t)(fn(t.target), tuple((k, fn(v)) for k, v in t.bindings))
+        target = fn(t.target)
+        values = tuple(fn(v) for _, v in t.bindings)
+        if target is t.target and _same(values, tuple(v for _, v in t.bindings)):
+            return t
+        names = (k for k, _ in t.bindings)
+        return type(t)(target, tuple(zip(names, values)))
     raise TypeError("not a type term: %r" % (t,))
+
+
+def _same(new, old) -> bool:
+    """Whether two equally long tuples hold the very same objects."""
+    return all(a is b for a, b in zip(new, old))
 
 
 LEGAL_BINDING_VALUES = (int, Concrete, Var)

@@ -514,8 +514,10 @@ func main() {
 	ch <- 1
 }
 '''
+        # embedding is parsed and kept for rendering; no analysis reads it
         prog = parse(source)
-        assert prog.subtype_pairs() == [("Faculty", "User")]
+        faculty = next(d for d in prog.types if d.name == "Faculty")
+        assert faculty.embedded == ("User",)
 
     def test_time_after_completes_by_itself(self):
         analysis = analyze_source(corpus_source("nodeadlock/p10_wait30.go"))
@@ -634,6 +636,27 @@ class TestNestingLimit:
         deep = analyze_source(self.program(shape(1000)))
         assert deep.worst() == "Unsupported"
         assert deep.cases[0].verdict.reason == "nesting too deep (line 10)"
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            lambda n: "chan " * n + "int",
+            lambda n: "[]" * n + "int",
+            lambda n: "func(" * n + "int" + ")" * n,
+        ],
+        ids=["chan", "slice", "func"],
+    )
+    def test_deep_types(self, shape):
+        from flowcheck.gofront.parser import MAX_NESTING
+
+        def program(gotype):
+            return "package main\n\nvar x %s\n\nfunc main() {\n}\n" % gotype
+
+        shallow = analyze_source(program(shape(MAX_NESTING - 10)))
+        assert shallow.worst() == "NoDeadlock"
+        deep = analyze_source(program(shape(3000)))
+        assert deep.worst() == "Unsupported"
+        assert deep.cases[0].verdict.reason == "nesting too deep (line 3)"
 
     def test_deep_function_literals(self):
         depth = 300

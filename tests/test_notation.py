@@ -107,6 +107,8 @@ class TestParse:
             notation.parse("Int extra")
         with pytest.raises(notation.NotationError):
             notation.parse("[!A;;]")
+        with pytest.raises(notation.NotationError):
+            notation.parse_pred("inherit(x, User)")
 
 
 class TestRoundTrip:

@@ -17,7 +17,6 @@ from flowcheck.preds import (
     Cmp,
     FALSE,
     Or,
-    Relation,
     TRUE,
     conj,
     disj,
@@ -33,14 +32,10 @@ from flowcheck.solver import (
     INT,
     ConstraintError,
     DomainConflict,
-    RedefinedRelation,
     Universe,
-    UnsupportedPredicate,
-    _check_relations,
     _infer_domains,
     _int_constants,
     collect_concrete,
-    emit_smtlib,
     equate,
     match,
     partition_cases,
@@ -131,7 +126,7 @@ def brute_force_unifiable(a, b, universe):
         if ga is None or gb is None or ga != gb:
             continue
         try:
-            if all(pred_evaluate(p, assignment, universe.relations) for p in preds):
+            if all(pred_evaluate(p, assignment) for p in preds):
                 return True
         except (KeyError, ValueError):
             continue
@@ -142,12 +137,11 @@ def brute_force_solve(expr, universe):
     """The full-grid enumerator: the same grid and candidate order as
     ``solve``, but the whole predicate is evaluated on complete assignments
     only, with no split and no pruning."""
-    expr = pred_simplify(expr, universe.relations)
+    expr = pred_simplify(expr)
     if expr == TRUE:
         return {}
     if expr == FALSE:
         return None
-    _check_relations(expr, universe)
     domains = _infer_domains(expr, universe)
     names = sorted(domains)
     pad = len([n for n in names if domains[n] == INT]) + 1
@@ -157,7 +151,7 @@ def brute_force_solve(expr, universe):
     candidates = [grid if domains[n] == INT else sym_values for n in names]
     for combo in itertools.product(*candidates):
         assignment = dict(zip(names, combo))
-        if pred_evaluate(expr, assignment, universe.relations):
+        if pred_evaluate(expr, assignment):
             return assignment
     return None
 
@@ -298,13 +292,6 @@ class TestSolve:
         expr = conj(Cmp(Var("n"), ">", 0), Cmp(Var("n"), "<", 1))
         assert solve(expr, u) is None
 
-    def test_relation_witness_is_any_member(self):
-        u = Universe(["Faculty", "User", "Student"])
-        u.register_relation("inherit", [("Faculty", "User"), ("Student", "User")])
-        witness = solve(Relation("inherit", (Var("x"), Concrete("User"))), u)
-        assert witness is not None
-        assert witness["x"] in (Concrete("Faculty"), Concrete("Student"))
-
     def test_domain_conflict(self):
         u = Universe(["Faculty"])
         expr = conj(
@@ -312,11 +299,6 @@ class TestSolve:
         )
         with pytest.raises(DomainConflict):
             solve(expr, u)
-
-    def test_unknown_relation(self):
-        u = Universe(["Faculty"])
-        with pytest.raises(UnsupportedPredicate):
-            solve(Relation("mystery", (Var("x"),)), u)
 
     def test_deterministic_witness(self):
         u = Universe(["Bool", "Int"])
@@ -407,7 +389,7 @@ class TestUniqueBindings:
         u = Universe(["Int", "Bool"])
         try:
             interp = solve(expr, u)
-        except (DomainConflict, UnsupportedPredicate):
+        except DomainConflict:
             return
         if not interp:
             return
@@ -415,21 +397,6 @@ class TestUniqueBindings:
         for name, value in result.bindings.items():
             again = conj(expr, neg(Cmp(Var(name), "=", value)))
             assert solve(again, u) is None
-
-
-class TestRelations:
-    def test_closed_world(self):
-        u = Universe([])
-        u.register_relation("inherit", [("Faculty", "User"), ("Student", "User")])
-        assert u.holds("inherit", "Faculty", "User")
-        assert not u.holds("inherit", "User", "Faculty")
-        assert not u.holds("inherit", "Book", "Book")
-
-    def test_redefinition_rejected(self):
-        u = Universe([])
-        u.register_relation("inherit", [("A", "B")])
-        with pytest.raises(RedefinedRelation):
-            u.register_relation("inherit", [("C", "D")])
 
 
 class TestPartition:
@@ -485,46 +452,12 @@ class TestCaseValuation:
 
         u = Universe([])
         cases = partition_cases(guards, u)
-        simplified = {pred_simplify(g, u.relations) for g in guards}
+        simplified = {pred_simplify(g) for g in guards}
         for case in cases:
             assert set(case.valuation) == {g for g in simplified if pred_free_vars(g)}
             for guard, value in case.valuation.items():
                 assert _decide(guard, case.assumption, u) is value
                 assert self.oracle_decide(guard, case.assumption, u) is value
-
-
-class TestSmtLib:
-    def test_deterministic_bytes(self):
-        u = Universe(["Faculty", "User"])
-        u.register_relation("inherit", [("Faculty", "User")])
-        expr = Relation("inherit", (Var("x"), Concrete("User")))
-        assert emit_smtlib(expr, u) == emit_smtlib(expr, u)
-
-    def test_closed_world_forall_clause(self):
-        u = Universe(["Faculty", "User", "Student"])
-        u.register_relation("inherit", [("Faculty", "User"), ("Student", "User")])
-        text = emit_smtlib(TRUE, u)
-        assert "(declare-fun inherit (Concrete Concrete) Bool)" in text
-        assert "(assert (inherit Faculty User))" in text
-        assert "(forall ((x0 Concrete) (x1 Concrete))" in text
-        assert "(= (inherit x0 x1) false)" in text
-
-    def test_trivial_script_shape(self):
-        u = Universe(["Int"])
-        text = emit_smtlib(TRUE, u)
-        assert text.startswith("(set-logic ALL)")
-        assert text.rstrip().endswith("(check-sat)")
-        assert "(assert true)" in text
-
-    def test_unsat_example_script(self):
-        # (n > 0 and n < 1) has no integer solution; the emitted script
-        # carries exactly that assertion for any external solver to refute
-        u = Universe([])
-        expr = conj(Cmp(Var("n"), ">", 0), Cmp(Var("n"), "<", 1))
-        text = emit_smtlib(expr, u)
-        assert "(declare-const n Int)" in text
-        assert "(assert (and (> n 0) (< n 1)))" in text
-        assert solve(expr, u) is None
 
 
 class TestEquate:

@@ -156,6 +156,7 @@ class TestTermMap:
     @given(general_types())
     def test_identity_rebuilds_the_term(self, t):
         assert term_map(t, lambda s: s, lambda p: p) == t
+        assert term_map(t, lambda s: s, lambda p: p) is t
 
     def test_leaves_come_back_unchanged(self):
         for leaf in (A, Var("x"), ZERO, DefRef("f"), 3):
