@@ -7,7 +7,7 @@ deadlock-free.
 """
 
 from . import engine, notation, preds, solver, terms
-from .engine import Verdict, classify, inline, reduce, start
+from .engine import Verdict, classify, reduce, start
 from .gofront import analyze_file, analyze_source, compute_m, parse
 from .notation import parse as parse_term, parse_pred, render, render_pred
 from .solver import BOTTOM, ConditionSet, Universe, match
@@ -22,7 +22,6 @@ __all__ = [
     "classify",
     "compute_m",
     "engine",
-    "inline",
     "match",
     "notation",
     "parse",

@@ -169,31 +169,6 @@ def start(definition, bindings=None, universe=None, assumption=TRUE, valuation=N
     return flatten(CorIns(flow, bound.constraint, definition.label))
 
 
-def inline(target, definition, bindings=None, universe=None, assumption=TRUE,
-           position="here"):
-    """Splice an instantiated definition into an existing instance.
-
-    ``here`` replaces the first pending inline application in the target;
-    ``atEnd`` appends after everything else (the defer placement).
-    """
-    if position not in ("here", "atEnd"):
-        raise ValueError("position must be 'here' or 'atEnd'")
-    if universe is None:
-        universe = Universe.collect(target, definition)
-    spliced = start(definition, bindings, universe, assumption)
-    items = list(target.flow)
-    if position == "atEnd":
-        items = items + list(spliced.flow)
-    else:
-        for k, item in enumerate(items):
-            if isinstance(item, InlineApp):
-                items[k : k + 1] = list(spliced.flow)
-                break
-        else:
-            raise EngineError("target has no inline application to replace")
-    return flatten(CorIns(tuple(items), target.constraint, target.label))
-
-
 # ---------------------------------------------------------------------------
 # reduction state
 

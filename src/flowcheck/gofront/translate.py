@@ -1,12 +1,15 @@
 """From Go functions to coroutine definitions.
 
 A function joins the coroutine map when it sends or receives on a channel,
-or when it calls or starts a function already in the map (a fixed point
-over the call graph).  Member bodies translate statement by statement:
-sends yield the channel's element type, receives expect it, ``go`` becomes
-a start application, plain calls of members inline, ``defer`` inlines at
-the end of the flow (last deferred first), and undecided conditionals
-become unions guarded by the condition predicate.
+or when it calls or starts a member: membership is reverse reachability
+over the call edges from the functions that use channels.  Each named
+member translates once, in declaration order, and a call site names its
+callee with a reference; a function literal translates at its one call
+site, in the caller's scope.  Member bodies translate statement by
+statement: sends yield the channel's element type, receives expect it,
+``go`` becomes a start application, plain calls of members inline,
+``defer`` inlines at the end of the flow (last deferred first), and
+undecided conditionals become unions guarded by the condition predicate.
 
 Channel identity is deliberately not tracked: two channels with the same
 element type are indistinguishable, so a program that uses them out of
@@ -162,32 +165,30 @@ def body_nodes(nodes):
 class Translator:
     def __init__(self, program: Program):
         self.program = program
-        self.members = self._member_fixed_point()
+        self.members = self._members()
         self.cordefs: dict[str, CorDef] = {}
         self.chan_makes: defaultdict[str, int] = defaultdict(int)
         self.unknown_args = count(1)
 
     # -- membership ----------------------------------------------------------
 
-    def _member_fixed_point(self) -> set:
-        members = set()
-        edges = {}
+    def _members(self) -> set:
+        """The channel users, then every caller of a member, one worklist."""
+        callers = defaultdict(set)
+        work = []
         for name, f in self.program.functions.items():
             nodes = list(body_nodes(f.body))
             if any(isinstance(n, (Send, Recv)) for n in nodes):
-                members.add(name)
-            edges[name] = {
-                n.fn.name if isinstance(n.fn, Ident) else n.fn.func.name
-                for n in nodes
-                if isinstance(n, Call) and isinstance(n.fn, (Ident, FuncLit))
-            }
-        changed = True
-        while changed:
-            changed = False
-            for name, called in edges.items():
-                if name not in members and called & members:
-                    members.add(name)
-                    changed = True
+                work.append(name)
+            for n in nodes:
+                if isinstance(n, Call) and isinstance(n.fn, (Ident, FuncLit)):
+                    callee = n.fn.name if isinstance(n.fn, Ident) else n.fn.func.name
+                    callers[callee].add(name)
+        members = set(work)
+        while work:
+            for caller in callers[work.pop()] - members:
+                members.add(caller)
+                work.append(caller)
         return members
 
     # -- translation ----------------------------------------------------------
@@ -198,16 +199,12 @@ class Translator:
             self._bind_value(root, g.name, g.gotype, g.expr)
             if isinstance(g.expr, MakeExpr) and isinstance(g.expr.gotype, ChanType):
                 self.chan_makes[concrete_name(g.expr.gotype.elem)] += 1
-        self.root_env = root
         for name, f in self.program.functions.items():
             if name in self.members and not f.anonymous:
-                self._ensure_translated(f, root)
+                self._translate(f, root)
         return self.cordefs
 
-    def _ensure_translated(self, f: Func, outer_env: Env):
-        if f.name in self.cordefs:
-            return
-        self.cordefs[f.name] = CorDef((), label=f.name)  # cycle stopper
+    def _translate(self, f: Func, outer_env: Env):
         env = outer_env.child()
         for pname, ptype in f.params:
             if isinstance(ptype, ChanType):
@@ -328,7 +325,9 @@ class Translator:
 
     def _spawn_app(self, call: Call, env: Env, app_cls):
         """A Start/Inline application for a call, or None when the callee
-        never touches channels (library calls included)."""
+        never touches channels (library calls included).  A function
+        literal translates here, in the caller's scope; a named callee is
+        translated by ``translate_all``."""
         fn = call.fn
         if isinstance(fn, FuncLit):
             name = fn.func.name
@@ -339,7 +338,8 @@ class Translator:
         if name not in self.members:
             return None
         func = self.program.functions[name]
-        self._ensure_translated(func, env if func.anonymous else self.root_env)
+        if func.anonymous:
+            self._translate(func, env)
         bindings = self._call_bindings(func, call.args, env)
         return app_cls(DefRef(name), tuple(bindings.items()))
 
@@ -347,7 +347,8 @@ class Translator:
         """Constant propagation into call arguments.  An argument with no
         constant value stays a free variable for the constraint solver: an
         identifier keeps its name, and any other argument becomes a variable
-        of its own, ``arg@N`` numbered in translation order."""
+        of its own, ``arg@N``, numbered in declaration order of the calling
+        functions, then in source order within a body."""
         bindings = {}
         for (pname, ptype), arg in zip(func.params, args):
             if isinstance(ptype, (ChanType, FuncType, SliceType)):
@@ -459,39 +460,48 @@ def compute_m(program: Program) -> Translation:
 
 
 def unresolved_condition_preds(cordefs: dict, entry: str = "main") -> list:
-    """Branch guards still symbolic from the entry point's perspective.
+    """Branch guards still symbolic from the entry point's perspective, each
+    once, in the order a depth-first walk of the calls first meets them.
 
-    Walks definitions reachable through start/inline applications with the
+    The walk keeps an explicit stack of guards and ``(name, bindings)``
+    calls, and enters each definition once per distinct bindings, with the
     call-site bindings applied, so a guard inside a callee surfaces under
     the caller's variable names."""
     preds: list = []
     seen: set = set()
-
-    def visit_def(name, bindings):
-        if name not in cordefs:
-            return
+    stack: list = [(entry, {})]
+    while stack:
+        top = stack.pop()
+        if not isinstance(top, tuple):
+            preds.append(top)
+            continue
+        name, bindings = top
         key = (name, frozenset(bindings.items()))
-        if key in seen:
-            return
+        if name not in cordefs or key in seen:
+            continue
         seen.add(key)
         # _branches needs the canonical form: cor_def built it, substitute keeps it
-        visit(substitute(cordefs[name], bindings) if bindings else cordefs[name])
+        body = substitute(cordefs[name], bindings) if bindings else cordefs[name]
+        stack.extend(reversed(_guards_and_calls(body)))
+    return list(dict.fromkeys(preds))
+
+
+def _guards_and_calls(body) -> list:
+    """The symbolic guards and the ``(name, bindings)`` calls of one body,
+    in order; a callee's body is not entered."""
+    out: list = []
 
     def visit(t):
         if isinstance(t, Union):
             for payload, guard in _branches(t):
                 if pred_free_vars(guard):
-                    preds.append(guard)
+                    out.append(guard)
                 visit(payload)
         elif isinstance(t, (StartApp, InlineApp)) and isinstance(t.target, DefRef):
-            visit_def(t.target.name, dict(t.bindings))
+            out.append((t.target.name, dict(t.bindings)))
         else:
             term_map(t, visit)
         return t
 
-    visit_def(entry, {})
-    unique = []
-    for p in preds:
-        if p not in unique:
-            unique.append(p)
-    return unique
+    visit(body)
+    return out

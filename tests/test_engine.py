@@ -9,7 +9,6 @@ from flowcheck.engine import (
     StepCapExceeded,
     Terminal,
     classify,
-    inline,
     reduce,
     reduce_step,
     start,
@@ -193,26 +192,6 @@ class TestUnionResolution:
         assumption = conj(Cmp(Var("v"), "<", 5), Cmp(Var("w"), ">=", 3))
         result = start(self.nested_payload(), {}, assumption=assumption)
         assert result == cor_ins(yielded(Int), yielded(Str))
-
-
-class TestInline:
-    def test_splice_replaces_the_application(self):
-        run = cor_def(start_app(cor_def(yielded(Err))), label="run")
-        target = cor_ins(inline_app(run), received(Err))
-        out = inline(target, run)
-        assert out == cor_ins(start_app(cor_def(yielded(Err))), received(Err))
-
-    def test_defer_placement_appends(self):
-        d = cor_def(yielded(Bool))
-        target = cor_ins(received(Int))
-        assert inline(target, d, position="atEnd") == cor_ins(
-            received(Int), yielded(Bool)
-        )
-
-    def test_empty_definition_changes_nothing(self):
-        d = cor_def()
-        target = cor_ins(received(Int))
-        assert inline(target, d, position="atEnd") == target
 
 
 class TestReduceStep:

@@ -3,6 +3,7 @@
 import pytest
 
 from flowcheck import notation
+from flowcheck.cli import main
 from flowcheck.gofront import (
     GoSyntaxError,
     Unsupported,
@@ -609,7 +610,8 @@ func main() {
 
 class TestNestingLimit:
     """Past ``MAX_NESTING`` levels the parser refuses the file; below it the
-    parser and the later tree walks run without exhausting the stack."""
+    parser and the later tree walks run without exhausting the stack.  Call
+    depth has no limit: the call graph is walked with worklists."""
 
     @staticmethod
     def program(expr):
@@ -667,6 +669,77 @@ class TestNestingLimit:
         )
         with pytest.raises(Unsupported, match="nesting too deep"):
             parse(source)
+
+    @staticmethod
+    def call_graph(shape, depth):
+        """``main`` starts ``f0``; each ``fI`` calls, starts, or sends and
+        then calls ``fI+1``, and the last one sends."""
+        step = {"call": "\tf%d(ch)\n", "go": "\tgo f%d(ch)\n", "send": "\tch <- 1\n\tf%d(ch)\n"}
+        receives = depth if shape == "send" else 1
+        source = "package main\n\nfunc main() {\n\tch := make(chan int)\n\tgo f0(ch)\n"
+        source += "\t<-ch\n" * receives + "}\n"
+        for i in range(depth):
+            body = step[shape] % (i + 1) if i < depth - 1 else "\tch <- 1\n"
+            source += "\nfunc f%d(ch chan int) {\n%s}\n" % (i, body)
+        return source
+
+    @pytest.mark.parametrize("shape", ["call", "go", "send"])
+    def test_deep_call_graphs(self, shape, tmp_path, capsys):
+        source = self.call_graph(shape, 1000)
+        assert analyze_source(source, max_steps=20000).worst() == "NoDeadlock"
+        path = tmp_path / "chain.go"
+        path.write_text(source, encoding="utf-8")
+        assert main(["analyze", str(path), "--max-steps", "20000"]) == 0
+        assert capsys.readouterr().out.endswith(": NoDeadlock\n")
+
+
+class TestDeclarationOrder:
+    """Each named function translates once, in declaration order, whatever
+    calls it first."""
+
+    def test_arg_variables_are_numbered_in_declaration_order(self):
+        source = '''package main
+
+func main() {
+	ch := make(chan int)
+	var x int
+	go f(ch, x+1)
+	<-ch
+}
+
+func f(ch chan int, y int) {
+	g(ch, y*2)
+}
+
+func g(ch chan int, z int) {
+	if z > 0 {
+		ch <- 1
+	} else {
+		ch <- 2
+	}
+}
+'''
+        analysis = analyze_source(source)
+        assert [c.label for c in analysis.cases] == ["arg@2 ≤ 0", "arg@2 ≥ 1"]
+        first = analysis.cases[0].trace[0].state_after
+        assert "Start(f, y ↦ arg@1)" in first
+
+    def test_the_first_error_in_declaration_order_is_reported(self):
+        source = '''package main
+
+func main() {
+	ch := make(chan int)
+	go f(ch)
+	<-other
+}
+
+func f(ch chan int) {
+	<-nowhere
+}
+'''
+        analysis = analyze_source(source)
+        assert analysis.worst() == "Unsupported"
+        assert analysis.cases[0].verdict.reason == "cannot resolve channel 'other' (line 6)"
 
 
 class TestRegressions:

@@ -116,3 +116,37 @@ def test_the_check_sees_an_unread_parameter():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_every_parameter_is_read(path):
     assert unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def recursion_limit_uses(source):
+    """Lines that name ``setrecursionlimit``: a call, an attribute or an
+    import, under any alias."""
+    lines = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Attribute):
+            named = n.attr == "setrecursionlimit"
+        elif isinstance(n, ast.Name):
+            named = n.id == "setrecursionlimit"
+        elif isinstance(n, ast.ImportFrom):
+            named = any(a.name == "setrecursionlimit" for a in n.names)
+        else:
+            continue
+        if named:
+            lines.append(n.lineno)
+    return sorted(lines)
+
+
+def test_the_check_sees_a_recursion_limit():
+    source = (
+        "import sys\nsys.setrecursionlimit(10000)\n"
+        "from sys import setrecursionlimit as deeper\ndeeper(20000)\n"
+        "print(sys.getrecursionlimit())\n"
+    )
+    assert recursion_limit_uses(source) == [2, 3]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_no_recursion_limit_is_raised(path):
+    """Deep input must meet a reported depth limit, not a larger Python
+    stack that trades ``RecursionError`` for a C-stack overflow."""
+    assert recursion_limit_uses(path.read_text(encoding="utf-8")) == []
