@@ -7,7 +7,7 @@ deadlock-free.
 """
 
 from . import engine, notation, preds, solver, terms
-from .engine import Verdict, classify, reduce, start
+from .engine import Verdict, reduce, start
 from .gofront import analyze_file, analyze_source, compute_m, parse
 from .notation import parse as parse_term, parse_pred, render, render_pred
 from .solver import BOTTOM, ConditionSet, Universe, match
@@ -19,7 +19,6 @@ __all__ = [
     "Verdict",
     "analyze_file",
     "analyze_source",
-    "classify",
     "compute_m",
     "engine",
     "match",

@@ -30,17 +30,21 @@ cannot starve the coroutines that are ready to communicate.  Main exit
 waits for in-flight and yieldable values to settle (a send blocks its
 goroutine until paired, so an undeliverable value is a real block), but it
 does fire while unstarted spawns remain, which is what terminates
-self-starting recursion.  At main exit the verdict reports undeliverable
-external yields first; failing that, coroutines left waiting on a receive;
-a clean state is deadlock-free.  The base calculus rule that re-injects
-external yields is deliberately absent; once a value is external, it stays
-external.  Each step records the state it leaves as terms; the trace
+self-starting recursion.  At main exit the residual holds undeliverable
+external yields first; failing that, coroutines left waiting on a receive.
+The base calculus rule that re-injects external yields is deliberately
+absent; once a value is external, it stays external.
+
+Coroutines are known by identity: ``main`` is the first live entry,
+``last_yielder`` the one whose value is in flight.  The step that ends a
+reduction sets its verdict: ``Deadlock`` when the residual has items,
+``NoDeadlock`` when it is empty, ``Inconclusive`` once ``max_steps`` rules
+have fired.  Each step records the state it leaves as terms; the trace
 renders them only when read.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -83,10 +87,6 @@ class NoSatisfiableBranch(EngineError):
 
 class AmbiguousCondition(EngineError):
     """A branch guard that the current assumption does not decide."""
-
-
-class StepCapExceeded(EngineError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +192,14 @@ def _head_kind(head):
 
 
 class _Live:
-    """A live coroutine.  ``kind`` is the ``_head_kind`` of its head,
-    recomputed whenever ``inst`` is assigned, so it never goes stale."""
+    """A live coroutine, known by its identity.  ``kind`` is the
+    ``_head_kind`` of its head, recomputed whenever ``inst`` is assigned,
+    so it never goes stale."""
 
-    __slots__ = ("_inst", "kind", "name")
+    __slots__ = ("_inst", "kind")
 
-    def __init__(self, inst: CorIns, name: str):
+    def __init__(self, inst: CorIns):
         self.inst = inst
-        self.name = name
 
     @property
     def inst(self) -> CorIns:
@@ -235,14 +235,6 @@ class TraceEntry:
 
 
 @dataclass
-class Terminal:
-    kind: str  # "residual" | "main-exit" | "step-cap"
-    residual: object = ZERO
-    externals: tuple = ()
-    max_steps: int = DEFAULT_MAX_STEPS
-
-
-@dataclass
 class Verdict:
     kind: str  # "NoDeadlock" | "Deadlock" | "Inconclusive" | "Unsupported"
     residual: object = None
@@ -257,23 +249,6 @@ class Verdict:
         return self.kind
 
 
-def classify(terminal: Terminal) -> Verdict:
-    """Map a terminal machine state to a verdict.
-
-    An empty residual means every channel operation paired up.  Anything
-    left over -- an unconsumed external yield or a blocked coroutine --
-    is a deadlock, and hitting the step cap is inconclusive.
-    """
-    if terminal.kind == "step-cap":
-        return Verdict("Inconclusive", reason="step cap %d reached" % terminal.max_steps)
-    residual = flatten(terminal.residual)
-    if isinstance(residual, ZeroType) or (
-        isinstance(residual, CorIns) and not residual.flow
-    ):
-        return Verdict("NoDeadlock", residual=ZERO)
-    return Verdict("Deadlock", residual=residual, externals=tuple(terminal.externals))
-
-
 @dataclass
 class ReductionState:
     live: list = field(default_factory=list)
@@ -286,17 +261,9 @@ class ReductionState:
     assumption: object = TRUE
     valuation: dict = field(default_factory=dict)
     defs: dict = field(default_factory=dict)
-    main_name: Optional[str] = None
-    last_yielder: Optional[str] = None
-    terminal: Optional[Terminal] = None
-    _names: itertools.count = field(default_factory=itertools.count)
-
-    def fresh_name(self, base) -> str:
-        name = base or "c%d" % next(self._names)
-        taken = {e.name for e in self.live}
-        while name in taken:
-            name = "%s'%d" % (base or "c", next(self._names))
-        return name
+    main: Optional[_Live] = None
+    last_yielder: Optional[_Live] = None
+    verdict: Optional[Verdict] = None
 
     def instantiate(self, app) -> CorIns:
         """The instance a start or inline application evaluates to."""
@@ -336,34 +303,36 @@ def _spawn(state, entry):
     spawn = head.payload if isinstance(head, Directed) else head
     inst = state.instantiate(spawn) if isinstance(spawn, StartApp) else spawn
     entry.inst = tail(entry.inst)
-    state.live.append(_Live(inst, state.fresh_name(inst.label)))
+    state.live.append(_Live(inst))
     _record(state, "YieldCo")
     return state
 
 
-def _terminate(state, rule, kind, items):
-    """Record the last rule and stop with the residual instance of ``items``."""
+def _terminate(state, rule, items):
+    """Record the last rule and stop: a residual with items is a deadlock."""
     _record(state, rule)
-    state.terminal = Terminal(kind, cor_ins(*items), tuple(state.externals), state.max_steps)
+    if items:
+        state.verdict = Verdict("Deadlock", cor_ins(*items), tuple(state.externals))
+    else:
+        state.verdict = Verdict("NoDeadlock", ZERO)
     return state
 
 
 def reduce_step(state: ReductionState):
-    """Fire exactly the first applicable rule; returns the state, with
-    ``state.terminal`` set once reduction is over."""
-    if state.terminal is not None:
+    """Fire exactly the first applicable rule and return the state.  The
+    step that ends the reduction sets ``state.verdict``: ``Inconclusive``
+    once ``max_steps`` rules have fired, otherwise from the residual."""
+    if state.verdict is not None:
         return state
     if state.steps >= state.max_steps:
-        raise StepCapExceeded(state.max_steps)
+        state.verdict = Verdict("Inconclusive", reason="step cap %d reached" % state.max_steps)
+        return state
 
     # the one walk over the live coroutines: every rule below picks from it
     heads = defaultdict(list)
-    main = None
     for entry in state.live:
         if entry.kind is not None:
             heads[entry.kind].append(entry)
-        if main is None and entry.name == state.main_name:
-            main = entry
 
     # 1. inline evaluation at a head
     if heads["inline"]:
@@ -383,7 +352,7 @@ def reduce_step(state: ReductionState):
     # 3. a value is in flight: resume a receiver or externalize it
     if not isinstance(state.pending, ZeroType):
         # the coroutine that just yielded comes last
-        for entry in sorted(heads["receive"], key=lambda e: e.name == state.last_yielder):
+        for entry in sorted(heads["receive"], key=lambda e: e is state.last_yielder):
             pattern = entry.head().payload
             if entry.inst.constraint is not None:
                 pattern = Constrained(pattern, entry.inst.constraint)
@@ -419,12 +388,12 @@ def reduce_step(state: ReductionState):
         break
 
     # 5. the main coroutine finished; all values have settled
-    if main is not None and not main.inst.flow and not heads["yield"]:
+    if state.main is not None and not state.main.inst.flow and not heads["yield"]:
         if state.externals:
             items = [yielded(e) for e in state.externals]
         else:
             items = [yielded(e.inst) for e in heads["receive"]]
-        return _terminate(state, "MainExit", "main-exit", items)
+        return _terminate(state, "MainExit", items)
 
     # 6. transfer the first yielded value into the pending slot
     if heads["yield"]:
@@ -432,7 +401,7 @@ def reduce_step(state: ReductionState):
         state.pending = entry.head().payload
         if entry.inst.constraint is not None:
             state.pending = flatten(Constrained(state.pending, entry.inst.constraint))
-        state.last_yielder = entry.name
+        state.last_yielder = entry
         entry.inst = tail(entry.inst)
         _record(state, "Yield")
         return state
@@ -444,7 +413,7 @@ def reduce_step(state: ReductionState):
     # 8. nothing can move
     items = [yielded(e) for e in state.externals]
     items += [yielded(e.inst) for e in state.live if e.inst.flow]
-    return _terminate(state, "CoToExt", "residual", items)
+    return _terminate(state, "CoToExt", items)
 
 
 def reduce(initial, max_steps=DEFAULT_MAX_STEPS, universe=None, assumption=TRUE,
@@ -453,7 +422,8 @@ def reduce(initial, max_steps=DEFAULT_MAX_STEPS, universe=None, assumption=TRUE,
 
     The first element is the main coroutine; ``defs`` resolves named
     definition references, ``valuation`` partitioned guards (see
-    ``_decide``).  Returns (verdict, trace).
+    ``_decide``).  Each start counts as a step.  Returns the verdict that
+    ``reduce_step`` sets, and the trace.
     """
     initial = [flatten(t) for t in initial]
     if universe is None:
@@ -462,24 +432,18 @@ def reduce(initial, max_steps=DEFAULT_MAX_STEPS, universe=None, assumption=TRUE,
         max_steps=max_steps, universe=universe, assumption=assumption,
         valuation=dict(valuation or {}), defs=dict(defs or {}),
     )
-    try:
-        for k, item in enumerate(initial):
-            if state.steps >= state.max_steps:
-                raise StepCapExceeded(state.max_steps)
-            if not isinstance(item, (StartApp, CorIns)):
-                raise EngineError(
-                    "reduce expects instances or start applications, got %s" % render(item)
-                )
-            inst = state.instantiate(item) if isinstance(item, StartApp) else item
-            name = inst.label or ("main" if k == 0 else None)
-            state.live.append(_Live(inst, state.fresh_name(name)))
-            if isinstance(item, StartApp):
-                _record(state, "StartEval")
-            if k == 0:
-                state.main_name = state.live[0].name
-        while state.terminal is None:
-            reduce_step(state)
-    except StepCapExceeded:
-        state.terminal = Terminal("step-cap", max_steps=state.max_steps)
-    verdict = classify(state.terminal)
-    return verdict, state.trace
+    for item in initial:
+        if state.steps >= state.max_steps:
+            break
+        if not isinstance(item, (StartApp, CorIns)):
+            raise EngineError(
+                "reduce expects instances or start applications, got %s" % render(item)
+            )
+        inst = state.instantiate(item) if isinstance(item, StartApp) else item
+        state.live.append(_Live(inst))
+        if isinstance(item, StartApp):
+            _record(state, "StartEval")
+    state.main = state.live[0] if state.live else None
+    while state.verdict is None:
+        reduce_step(state)
+    return state.verdict, state.trace

@@ -241,32 +241,41 @@ def _cmp_ints(a, op, b):
     }[op]
 
 
-def pred_evaluate(p, assignment: dict) -> bool:
-    """Evaluate a predicate under a full assignment (name -> int | Concrete)."""
+def pred_evaluate(p, assignment: dict):
+    """Evaluate a predicate under an assignment (name -> int | Concrete) in
+    three values: True, False, or None while an unassigned variable can
+    still tip it either way.  Under a full assignment it is True or False."""
 
     def term(t):
-        if isinstance(t, Var):
-            if t.name not in assignment:
-                raise KeyError("unassigned variable %s" % t.name)
-            return assignment[t.name]
-        return t
+        return assignment.get(t.name) if isinstance(t, Var) else t
 
     def walk(q):
         if isinstance(q, TruePred):
             return True
         if isinstance(q, FalsePred):
             return False
-        if isinstance(q, And):
-            return all(walk(i) for i in q.items)
-        if isinstance(q, Or):
-            return any(walk(i) for i in q.items)
+        if isinstance(q, (And, Or)):
+            # the first item with the deciding value settles it; an open
+            # item otherwise leaves it open
+            decides = isinstance(q, Or)
+            result = not decides
+            for item in q.items:
+                value = walk(item)
+                if value is decides:
+                    return decides
+                if value is None:
+                    result = None
+            return result
         if isinstance(q, Not):
-            return not walk(q.item)
+            value = walk(q.item)
+            return None if value is None else not value
         if isinstance(q, (Cmp, Binding)):
             if isinstance(q, Binding):
                 lhs, op, rhs = term(q.var), "=", term(q.value)
             else:
                 lhs, op, rhs = term(q.lhs), q.op, term(q.rhs)
+            if lhs is None or rhs is None:
+                return None
             if isinstance(lhs, int) and isinstance(rhs, int):
                 return _cmp_ints(lhs, op, rhs)
             if isinstance(lhs, Concrete) and isinstance(rhs, Concrete):

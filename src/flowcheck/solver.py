@@ -6,9 +6,9 @@ built-in enumerative solver.  Integer variables range over a grid derived
 from the comparison constants (wide enough to be exact for order
 constraints); symbol variables range over the collected universe.  The
 solver splits a query into conjuncts, searches each group of conjuncts that
-share variables on its own, and checks every conjunct as soon as its
-variables are assigned, so independent guards cost a sum of searches rather
-than a product.
+share variables on its own, and never extends a partial assignment that
+already makes the group's conjunction false, so independent guards cost a
+sum of searches rather than a product.
 """
 
 from __future__ import annotations
@@ -351,8 +351,8 @@ def _conjuncts(p):
 
 def _groups(expr):
     """The conjuncts of ``expr`` joined by shared free variables, as
-    ``[(sorted names, [(conjunct, its names)])]``; ground conjuncts come
-    first, in a group with no names."""
+    ``[(sorted names, their conjunction)]``; ground conjuncts come first,
+    in a group with no names."""
     parent: dict[str, str] = {}
 
     def find(name):
@@ -370,7 +370,8 @@ def _groups(expr):
     for c, names in parts:
         groups.setdefault(find(names[0]) if names else "", []).append((c, names))
     return [
-        (sorted({n for _, names in members for n in names}), members)
+        (sorted({n for _, names in members for n in names}),
+         conj(*(c for c, _ in members)))
         for _, members in sorted(groups.items())
     ]
 
@@ -381,8 +382,9 @@ def solve(expr, universe: Universe):
     The conjuncts of the query are split into groups that share no
     variable, and each group is searched on its own: its variables are
     assigned in sorted name order, candidate values in ascending /
-    lexicographic order, and each conjunct is checked as soon as its last
-    variable is assigned, so a partial assignment that already fails is
+    lexicographic order.  After each assignment the group's conjunction is
+    evaluated in three values (true, false, or open while a variable is
+    unassigned), and a partial assignment that already makes it false is
     never extended.  Ground conjuncts are checked once.  The satisfying set
     is the product of the groups' sets, so the merged witness (in sorted
     name order) is the first one a search over all variables at once would
@@ -402,16 +404,9 @@ def solve(expr, universe: Universe):
     grid = sorted({c + d for c in consts for d in range(-pad, pad + 1)})
     sym_values = [Concrete(s) for s in universe.symbols]
     witness: dict = {}
-    for names, members in _groups(expr):
-        # checks[k] holds the conjuncts decided once k names are assigned
-        depth = {name: k + 1 for k, name in enumerate(names)}
-        checks: list = [[] for _ in range(len(names) + 1)]
-        for c, used in members:
-            checks[max((depth[n] for n in used), default=0)].append(c)
+    for names, check in _groups(expr):
         found = _search(
-            names,
-            [grid if domains[n] == INT else sym_values for n in names],
-            [conj(*cs) if cs else None for cs in checks],
+            names, [grid if domains[n] == INT else sym_values for n in names], check
         )
         if found is None:
             return None
@@ -419,13 +414,15 @@ def solve(expr, universe: Universe):
     return {name: witness[name] for name in sorted(witness)}
 
 
-def _search(names, candidates, checks):
+def _search(names, candidates, check):
     """The first assignment of ``names`` in candidate order under which
-    each ``checks[k]`` holds once the first k names are assigned, or None."""
+    ``check`` holds, or None.  ``check`` is evaluated in three values after
+    each name is assigned, and an assignment that already makes it false
+    is never extended."""
     assignment: dict = {}
 
     def extend(k):
-        if checks[k] is not None and not pred_evaluate(checks[k], assignment):
+        if pred_evaluate(check, assignment) is False:
             return False
         if k == len(names):
             return True

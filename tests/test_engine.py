@@ -6,9 +6,6 @@ from flowcheck.engine import (
     AmbiguousCondition,
     NoSatisfiableBranch,
     ReductionState,
-    StepCapExceeded,
-    Terminal,
-    classify,
     reduce,
     reduce_step,
     start,
@@ -200,9 +197,8 @@ class TestReduceStep:
         state = ReductionState(universe=universe, pending=pending)
         from flowcheck.engine import _Live
 
-        for k, inst in enumerate(live):
-            state.live.append(_Live(inst, "main" if k == 0 else "c%d" % k))
-        state.main_name = "main" if live else None
+        state.live.extend(_Live(inst) for inst in live)
+        state.main = state.live[0] if live else None
         return state
 
     def test_resume_consumes_pending(self):
@@ -222,14 +218,20 @@ class TestReduceStep:
     def test_empty_input_terminates_clean(self):
         state = self._state([])
         reduce_step(state)
-        assert state.terminal is not None
-        assert classify(state.terminal).kind == "NoDeadlock"
+        assert state.trace[-1].rule == "CoToExt"
+        assert state.verdict.kind == "NoDeadlock"
 
-    def test_step_cap_raises(self):
+    def test_step_cap_sets_inconclusive(self):
         state = self._state([cor_ins(yielded(Int))])
         state.max_steps = 0
-        with pytest.raises(StepCapExceeded):
-            reduce_step(state)
+        reduce_step(state)
+        assert state.verdict.kind == "Inconclusive"
+        assert state.verdict.reason == "step cap 0 reached"
+        assert state.trace == []
+        # a finished reduction stays finished
+        verdict = state.verdict
+        reduce_step(state)
+        assert state.verdict is verdict and state.trace == []
 
 
 class TestReduce:
@@ -298,6 +300,15 @@ class TestReduce:
         rules = [t.rule for t in trace]
         assert "Yield" in rules and "Resume" in rules
 
+    def test_same_label_peer_gets_the_value_before_self_delivery(self):
+        # two instances of f share a label; the one that just yielded must
+        # still come last among the receivers
+        f = cor_def(received(Int), yielded(Int), received(Int), label="f")
+        main = cor_def(start_app(f), start_app(f), yielded(Int), label="main")
+        verdict, trace = reduce([start_app(main)])
+        assert trace[6].line() == "step 7 [Resume] (0, 0) ⊢ ⊚⟨[], [?Int], [!Int; ?Int]⟩"
+        assert repr(verdict) == "Deadlock([![?Int]])"
+
     def test_recursive_start_exits_with_main(self):
         defs = {"main": cor_def(start_app(DefRef("main")), label="main")}
         verdict, _ = reduce([start_app(DefRef("main"))], defs=defs)
@@ -331,13 +342,13 @@ class TestTraceState:
         state = ReductionState(universe=Universe.collect(Int, Str))
         from flowcheck.engine import _Live
 
-        state.live.append(_Live(cor_ins(yielded(Int), received(Str)), "main"))
-        state.live.append(_Live(cor_ins(received(Int), yielded(Str)), "c1"))
-        state.main_name = "main"
+        state.live.append(_Live(cor_ins(yielded(Int), received(Str))))
+        state.live.append(_Live(cor_ins(received(Int), yielded(Str))))
+        state.main = state.live[0]
         reduce_step(state)
         first = state.trace[0].state_after
         assert first == "(Int, 0) ⊢ ⊚⟨[?String], [?Int; !String]⟩"
-        while state.terminal is None:
+        while state.verdict is None:
             reduce_step(state)
         assert [t.rule for t in state.trace] == [
             "Yield", "Resume", "Yield", "Resume", "MainExit"
@@ -450,8 +461,8 @@ class TestLiveInvariants:
         from flowcheck.engine import _Live
         from flowcheck.terms import tail
 
-        entry = _Live(cor_ins(received(Int), yielded(Str), start_app(DefRef("f"))), "main")
-        assert (entry.name, entry.kind) == ("main", "receive")
+        entry = _Live(cor_ins(received(Int), yielded(Str), start_app(DefRef("f"))))
+        assert entry.kind == "receive"
         kinds = []
         while entry.inst.flow:
             entry.inst = tail(entry.inst)
@@ -466,8 +477,8 @@ class TestResume:
         from flowcheck.engine import _Live
 
         state = ReductionState(universe=Universe.collect(inst, pending), pending=pending)
-        state.live.append(_Live(inst, "main"))
-        state.main_name = "main"
+        state.live.append(_Live(inst))
+        state.main = state.live[0]
         reduce_step(state)
         assert state.trace[-1].rule == "Resume"
         return state.live[0].inst
@@ -485,21 +496,42 @@ class TestResume:
 
 
 class TestClassify:
+    """The step that ends a reduction classifies its residual into
+    ``state.verdict``."""
+
+    def _run(self, live):
+        state = ReductionState(universe=Universe.collect(Int, Str))
+        from flowcheck.engine import _Live
+
+        state.live.extend(_Live(inst) for inst in live)
+        while state.verdict is None:
+            reduce_step(state)
+        return state
+
     def test_zero_residual(self):
-        assert classify(Terminal("residual", ZERO)).kind == "NoDeadlock"
+        # no main: the machine runs until nothing can move
+        state = self._run([cor_ins(yielded(Int)), cor_ins(received(Int))])
+        assert state.trace[-1].rule == "CoToExt"
+        assert state.verdict.kind == "NoDeadlock" and state.verdict.residual == ZERO
 
     def test_nonzero_residual(self):
-        residual = cor_ins(yielded(Str))
-        verdict = classify(Terminal("residual", residual, (Str,)))
-        assert verdict.kind == "Deadlock"
-        assert render(verdict.residual) == "[!String]"
+        state = self._run([cor_ins(yielded(Str))])
+        assert [t.rule for t in state.trace] == ["Yield", "External", "CoToExt"]
+        assert state.verdict.kind == "Deadlock"
+        assert render(state.verdict.residual) == "[!String]"
+        assert state.verdict.externals == (Str,)
 
     def test_step_cap(self):
-        assert classify(Terminal("step-cap")).kind == "Inconclusive"
+        verdict, trace = reduce([cor_ins(yielded(Int), received(Int))], max_steps=1)
+        assert [t.rule for t in trace] == ["Yield"]
+        assert verdict.kind == "Inconclusive"
+        assert verdict.reason == "step cap 1 reached"
 
     def test_deadlock_always_carries_nonzero_residual(self):
-        verdict = classify(Terminal("main-exit", cor_ins(yielded(Int)), (Int,)))
+        verdict, trace = reduce([cor_ins(yielded(Int))])
+        assert trace[-1].rule == "MainExit"
         assert verdict.kind == "Deadlock" and verdict.residual != ZERO
+        assert verdict.externals == (Int,)
 
 
 class TestConservation:
@@ -517,16 +549,15 @@ class TestConservation:
         symbols = ("A", "B", "C")
         for _ in range(300):
             live = []
-            for k in range(rng.randint(1, 4)):
+            for _ in range(rng.randint(1, 4)):
                 items = tuple(
                     Directed(rng.choice((YIELD, RECEIVE)), Concrete(rng.choice(symbols)))
                     for _ in range(rng.randint(0, 3))
                 )
                 live.append(CorIns(items))
             state = ReductionState(universe=Universe(symbols))
-            for k, inst in enumerate(live):
-                state.live.append(_Live(inst, "main" if k == 0 else "c%d" % k))
-            state.main_name = "main"
+            state.live.extend(_Live(inst) for inst in live)
+            state.main = state.live[0]
 
             def census():
                 counts = Counter()
@@ -539,7 +570,7 @@ class TestConservation:
                     counts[("external", e)] += 1
                 return counts
 
-            while state.terminal is None:
+            while state.verdict is None:
                 before = sum(census().values())
                 rule_count = len(state.trace)
                 reduce_step(state)
@@ -567,14 +598,14 @@ class TestRulePriorityTotality:
         rng = random.Random(11)
         for _ in range(200):
             state = ReductionState(universe=Universe(("A", "B")), max_steps=100)
-            for k in range(rng.randint(1, 3)):
+            for _ in range(rng.randint(1, 3)):
                 items = tuple(
                     Directed(rng.choice((YIELD, RECEIVE)), Concrete(rng.choice(("A", "B"))))
                     for _ in range(rng.randint(0, 3))
                 )
-                state.live.append(_Live(CorIns(items), "main" if k == 0 else "c%d" % k))
-            state.main_name = "main"
-            while state.terminal is None:
+                state.live.append(_Live(CorIns(items)))
+            state.main = state.live[0]
+            while state.verdict is None:
                 steps_before = state.steps
                 reduce_step(state)
                 assert state.steps == steps_before + 1

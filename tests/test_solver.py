@@ -128,7 +128,7 @@ def brute_force_unifiable(a, b, universe):
         try:
             if all(pred_evaluate(p, assignment) for p in preds):
                 return True
-        except (KeyError, ValueError):
+        except ValueError:
             continue
     return False
 
@@ -311,6 +311,20 @@ UNIVERSES = st.sampled_from([(), ("Int", "Bool")])
 OPEN_PREDS = simple_preds().filter(lambda p: pred_free_vars(pred_simplify(p)))
 
 
+class TestPartialEvaluation:
+    @given(simple_preds(), st.dictionaries(st.sampled_from(VAR_NAMES), st.integers(-2, 2)))
+    @settings(max_examples=200)
+    def test_a_settled_value_holds_for_every_completion(self, expr, partial):
+        # the search never extends a partial assignment read as False, so
+        # a settled value must be the value of every full assignment
+        value = pred_evaluate(expr, partial)
+        rest = [n for n in VAR_NAMES if n not in partial]
+        for combo in itertools.product(range(-1, 2), repeat=len(rest)):
+            full = pred_evaluate(expr, {**partial, **dict(zip(rest, combo))})
+            assert full in (True, False)
+            assert value is None or full == value
+
+
 class TestSolveAgainstOracle:
     @given(simple_preds(), UNIVERSES)
     @settings(max_examples=300)
@@ -383,6 +397,9 @@ class TestUniqueBindings:
             Cmp(Var("x"), "<", Var("n")),
             Or((Cmp(Var("x"), "<", Var("y")), Cmp(Var("j"), "<", 0))),
         ))
+    )
+    @example(
+        disj(Cmp(Var("j"), "=", 4), conj(Cmp(Var("x"), "<", Var("y")), Cmp(Var("n"), "=", 0)))
     )
     @settings(max_examples=150)
     def test_no_binding_with_satisfiable_negation(self, expr):
