@@ -1,7 +1,7 @@
 """Frontend for the supported Go subset."""
 
 from .analyze import Analysis, CaseResult, analyze_file, analyze_source
-from .goast import Program, render_program
+from .goast import Program
 from .lexer import GoSyntaxError
 from .parser import Unsupported, parse
 from .translate import compute_m, unresolved_condition_preds
@@ -16,6 +16,5 @@ __all__ = [
     "analyze_source",
     "compute_m",
     "parse",
-    "render_program",
     "unresolved_condition_preds",
 ]

@@ -65,7 +65,7 @@ def analyze_source(source: str, max_steps: int = engine.DEFAULT_MAX_STEPS) -> An
 
     try:
         preds = unresolved_condition_preds(cordefs)
-        cases = partition_cases(preds, universe) if preds else [Case(TRUE, "")]
+        cases = partition_cases(preds) if preds else [Case(TRUE, "")]
     except ConstraintError as e:
         return _unsupported("unresolved condition: %s" % e)
 

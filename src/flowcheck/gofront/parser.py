@@ -35,7 +35,6 @@ from .goast import (
     ShortVarDecl,
     SliceType,
     StringLit,
-    TypeDecl,
     Unary,
     VarDecl,
 )
@@ -84,8 +83,9 @@ class Parser:
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, ahead=0) -> Token:
-        k = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[k]
+        # No clamp: ``next`` stops at ``eof``, the last token, and the one
+        # lookahead follows an identifier, so it reads at most ``eof``.
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
@@ -118,22 +118,22 @@ class Parser:
     # -- declarations --------------------------------------------------------
 
     def parse_program(self) -> Program:
+        """The package clause, imports and struct declarations are checked
+        and dropped: the analysis reads only globals and functions."""
         self.skip_semis()
         self.expect("package")
-        package = self.expect("ident").value
+        self.expect("ident")
         self.skip_semis()
-        imports = []
-        while self.peek().kind == "import":
-            self.next()
+        while self.accept("import"):
             if self.accept("("):
                 self.skip_semis()
                 while not self.accept(")"):
-                    imports.append(self.expect("string").value.strip('"'))
+                    self.expect("string")
                     self.skip_semis()
             else:
-                imports.append(self.expect("string").value.strip('"'))
+                self.expect("string")
             self.skip_semis()
-        globals_, functions, types = [], {}, []
+        globals_, functions = [], {}
         while self.peek().kind != "eof":
             tok = self.peek()
             if tok.kind == "func":
@@ -144,13 +144,13 @@ class Parser:
             elif tok.kind == "var":
                 globals_.append(self.parse_var_decl())
             elif tok.kind == "type":
-                types.append(self.parse_type_decl())
+                self.parse_type_decl()
             else:
                 raise GoSyntaxError(tok.line, "unexpected %r at top level" % tok.value)
             self.skip_semis()
         for f in self.anon_funcs:
             functions[f.name] = f
-        return Program(package, tuple(imports), tuple(globals_), functions, tuple(types))
+        return Program(tuple(globals_), functions)
 
     def parse_func(self, anonymous=False) -> Func:
         """A declaration, or a literal named ``anon@<line>[.k]`` once its
@@ -208,9 +208,10 @@ class Parser:
             expr = self.parse_expr()
         return VarDecl(name, gotype, expr, line)
 
-    def parse_type_decl(self) -> TypeDecl:
-        line = self.expect("type").line
-        name = self.expect("ident").value
+    def parse_type_decl(self):
+        """A ``struct`` declaration: each field type is checked, none kept."""
+        self.expect("type")
+        self.expect("ident")
         if self.peek().kind != "struct":
             raise Unsupported(
                 _UNSUPPORTED_TYPES.get(self.peek().kind, "non-struct type declaration"),
@@ -219,15 +220,11 @@ class Parser:
         self.next()
         self.expect("{")
         self.skip_semis()
-        embedded, named = [], []
         while not self.accept("}"):
-            field = self.expect("ident").value
-            if self.peek().kind in (";", "}"):
-                embedded.append(field)
-            else:
-                named.append((field, self.parse_type()))
+            self.expect("ident")
+            if self.peek().kind not in (";", "}"):
+                self.parse_type()
             self.skip_semis()
-        return TypeDecl(name, tuple(embedded), tuple(named), line)
 
     # -- types ----------------------------------------------------------------
 

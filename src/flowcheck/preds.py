@@ -17,75 +17,58 @@ _FLIP = {"<": ">", "<=": ">=", "=": "=", ">=": "<=", ">": "<"}
 _NEGATE = {"<": ">=", "<=": ">", ">=": "<", ">": "<="}
 
 
-@dataclass(frozen=True)
-class TruePred:
+class Pred:
+    """Every predicate node shows itself in the notation of
+    ``notation.render_pred``."""
+
     def __repr__(self):
-        return "true"
+        from .notation import render_pred  # notation builds on this module
+
+        return render_pred(self)
 
 
-@dataclass(frozen=True)
-class FalsePred:
-    def __repr__(self):
-        return "false"
+@dataclass(frozen=True, repr=False)
+class TruePred(Pred):
+    """The predicate that always holds."""
+
+
+@dataclass(frozen=True, repr=False)
+class FalsePred(Pred):
+    """The predicate that never holds."""
 
 
 TRUE = TruePred()
 FALSE = FalsePred()
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, repr=False)
+class And(Pred):
     items: tuple
 
-    def __repr__(self):
-        from .notation import render_pred
 
-        return render_pred(self)
-
-
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, repr=False)
+class Or(Pred):
     items: tuple
 
-    def __repr__(self):
-        from .notation import render_pred
 
-        return render_pred(self)
-
-
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, repr=False)
+class Not(Pred):
     item: object
 
-    def __repr__(self):
-        from .notation import render_pred
 
-        return render_pred(self)
-
-
-@dataclass(frozen=True)
-class Cmp:
+@dataclass(frozen=True, repr=False)
+class Cmp(Pred):
     lhs: object
     op: str
     rhs: object
 
-    def __repr__(self):
-        from .notation import render_pred
 
-        return render_pred(self)
-
-
-@dataclass(frozen=True)
-class Binding:
+@dataclass(frozen=True, repr=False)
+class Binding(Pred):
     """The predicate form of ``x ↦ v``; consumed by constraint rewriting."""
 
     var: Var
     value: object
-
-    def __repr__(self):
-        from .notation import render_pred
-
-        return render_pred(self)
 
 
 # ---------------------------------------------------------------------------

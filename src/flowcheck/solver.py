@@ -122,7 +122,7 @@ def collect_concrete(t) -> set:
                 walk(t)
         return p
 
-    walk(flatten(t))
+    walk(t)
     return out
 
 
@@ -509,24 +509,19 @@ class Case:
     valuation: dict = field(default_factory=dict)
 
 
-def partition_cases(predicates, universe: Universe) -> list[Case]:
+def partition_cases(predicates) -> list[Case]:
     """Split the integer line so every given predicate is constant per case.
 
     Cells with identical predicate valuations merge into a single case, so
     e.g. two guard intervals over one variable yield at most four cases.
     Each case keeps its valuation, where the engine reads these guards.
+    Every variable is an integer: a comparison against anything but an
+    integer constant raises ``ConstraintError``.
     """
     predicates = [pred_simplify(p) for p in predicates]
     names = sorted({n for p in predicates for n in pred_free_vars(p)})
     if not names:
         return [Case(TRUE, "")]
-    for p in predicates:
-        doms = _infer_domains(p, universe)
-        for n, d in doms.items():
-            if d != INT:
-                raise ConstraintError(
-                    "cannot partition on non-integer variable %s" % n
-                )
 
     def boundaries(var):
         points = set()

@@ -33,89 +33,69 @@ class IllegalBinding(CalculusError):
     another variable -- never to a structured type or the empty behavior."""
 
 
-@dataclass(frozen=True)
-class ZeroType:
-    """The empty behavior."""
+class Term:
+    """Every term node shows itself in the notation of ``notation.render``."""
 
     def __repr__(self):
-        return "0"
+        from .notation import render  # notation builds on this module
+
+        return render(self)
+
+
+@dataclass(frozen=True, repr=False)
+class ZeroType(Term):
+    """The empty behavior."""
 
 
 ZERO = ZeroType()
 
 
-@dataclass(frozen=True)
-class Concrete:
+@dataclass(frozen=True, repr=False)
+class Concrete(Term):
     """An opaque simple type such as Int or StringBuilder."""
 
     name: str
 
-    def __repr__(self):
-        return self.name
 
-
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, repr=False)
+class Var(Term):
     """A placeholder for a concrete type, an integer, or another variable."""
 
     name: str
 
-    def __repr__(self):
-        return self.name
 
-
-@dataclass(frozen=True)
-class Seq:
+@dataclass(frozen=True, repr=False)
+class Seq(Term):
     """A flat, associative sequence of types."""
 
     items: tuple
 
-    def __repr__(self):
-        from .notation import render
 
-        return render(self)
-
-
-@dataclass(frozen=True)
-class Tup:
+@dataclass(frozen=True, repr=False)
+class Tup(Term):
     """A product type; groups elements without the splicing of sequences."""
 
     items: tuple
 
-    def __repr__(self):
-        from .notation import render
 
-        return render(self)
-
-
-@dataclass(frozen=True)
-class Union:
+@dataclass(frozen=True, repr=False)
+class Union(Term):
     """Two alternative behaviors; allowed in definitions only."""
 
     left: object
     right: object
 
-    def __repr__(self):
-        from .notation import render
 
-        return render(self)
-
-
-@dataclass(frozen=True)
-class Constrained:
+@dataclass(frozen=True, repr=False)
+class Constrained(Term):
     """A type guarded by a boolean predicate."""
 
     base: object
     pred: object
 
-    def __repr__(self):
-        from .notation import render
 
-        return render(self)
-
-
-@dataclass(frozen=True)
-class Power:
+@dataclass(frozen=True, repr=False)
+class Power(Term):
     """A sequence of ``count`` copies of ``base`` with symbolic length.
 
     Concrete counts are expanded eagerly into a Seq by the factories; a
@@ -125,89 +105,56 @@ class Power:
     base: object
     count: Var
 
-    def __repr__(self):
-        from .notation import render
 
-        return render(self)
-
-
-@dataclass(frozen=True)
-class Directed:
+@dataclass(frozen=True, repr=False)
+class Directed(Term):
     """One flow item: a direction applied to a payload type."""
 
     direction: str
     payload: object
 
-    def __repr__(self):
-        from .notation import render
 
-        return render(self)
-
-
-@dataclass(frozen=True)
-class CorDef:
+@dataclass(frozen=True, repr=False)
+class CorDef(Term):
     """A coroutine definition; union branches may still be unresolved."""
 
     flow: tuple
     constraint: object = None
     label: Optional[str] = field(default=None, compare=False)
 
-    def __repr__(self):
-        from .notation import render
 
-        return render(self)
-
-
-@dataclass(frozen=True)
-class CorIns:
+@dataclass(frozen=True, repr=False)
+class CorIns(Term):
     """A running coroutine: an ordered, branch-free list of flow items."""
 
     flow: tuple
     constraint: object = None
     label: Optional[str] = field(default=None, compare=False)
 
-    def __repr__(self):
-        from .notation import render
 
-        return render(self)
-
-
-@dataclass(frozen=True)
-class DefRef:
+@dataclass(frozen=True, repr=False)
+class DefRef(Term):
     """A definition referenced by name, resolved through the definition
     environment when started or inlined.  This is how a recursive function
     can start itself without the term becoming cyclic."""
 
     name: str
 
-    def __repr__(self):
-        return self.name
 
-
-@dataclass(frozen=True)
-class StartApp:
+@dataclass(frozen=True, repr=False)
+class StartApp(Term):
     """Pending application of Start to a definition: spawns a new instance."""
 
     target: object
     bindings: tuple = ()
 
-    def __repr__(self):
-        from .notation import render
 
-        return render(self)
-
-
-@dataclass(frozen=True)
-class InlineApp:
+@dataclass(frozen=True, repr=False)
+class InlineApp(Term):
     """Pending application of Inline: splices a definition into the caller."""
 
     target: object
     bindings: tuple = ()
-
-    def __repr__(self):
-        from .notation import render
-
-        return render(self)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from flowcheck.gofront import (
     analyze_source,
     compute_m,
     parse,
-    render_program,
 )
 from flowcheck.gofront.goast import (
     ChanType,
@@ -128,12 +127,6 @@ class TestParse:
             ("y", NamedType("int")),
             ("ch", ChanType(NamedType("int"))),
         )
-
-    def test_render_parse_fixed_point(self):
-        for source in (ALL_FEATURES, MOBY_FIXED, OUT_OF_ORDER, CONDITIONAL):
-            once = render_program(parse(source))
-            twice = render_program(parse(once))
-            assert once == twice
 
 
 class TestCoroutineMap:
@@ -499,7 +492,7 @@ func main() {
         assert analysis.worst() == "NoDeadlock"
         assert any("identity" in w for w in analysis.warnings)
 
-    def test_subtype_table_from_embedding(self):
+    def test_struct_declarations_are_checked_and_dropped(self):
         source = '''package main
 
 type User struct {
@@ -515,10 +508,11 @@ func main() {
 	ch <- 1
 }
 '''
-        # embedding is parsed and kept for rendering; no analysis reads it
-        prog = parse(source)
-        faculty = next(d for d in prog.types if d.name == "Faculty")
-        assert faculty.embedded == ("User",)
+        assert analyze_source(source).worst() == "Deadlock"
+        with pytest.raises(Unsupported) as e:
+            parse(source.replace("name string", "ages map[string]int"))
+        assert e.value.feature == "map type"
+        assert e.value.line == 4
 
     def test_time_after_completes_by_itself(self):
         analysis = analyze_source(corpus_source("nodeadlock/p10_wait30.go"))
@@ -860,6 +854,18 @@ func main() {
         analysis = analyze_source(source)
         assert [case.verdict.reason for case in analysis.cases] == [
             "defer inside a conditional (line %d)" % line
+        ]
+
+    def test_guard_comparing_two_int_variables_names_the_comparison(self):
+        # both sides are ints; what the case split cannot do is cut the
+        # integer line at a point that is not a constant
+        source = (
+            "package main\n\nvar x int\nvar y int\n\nfunc main() {\n"
+            "\tch := make(chan int)\n\tif x == y {\n\t\t<-ch\n\t}\n}\n"
+        )
+        analysis = analyze_source(source)
+        assert [case.verdict.reason for case in analysis.cases] == [
+            "unresolved condition: cannot partition x: comparison against a non-constant"
         ]
 
 

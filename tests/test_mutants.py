@@ -75,3 +75,18 @@ def test_mutants_never_crash_and_exit_by_verdict(tmp_path, capsys):
         assert code == README_EXIT_CODES[analysis.worst()], "mutant %d:\n%s" % (n, source)
     # the mutants reach more than the parser's refusal
     assert {"NoDeadlock", "Deadlock", "Unsupported"} <= kinds
+
+
+def test_every_line_prefix_gets_a_verdict():
+    """A file cut short anywhere, with or without its final newline, still
+    reads a verdict: the parser never looks past the end of its tokens."""
+    for path in corpus_files():
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for k in range(len(lines) + 1):
+            prefix = "\n".join(lines[:k])
+            for source in (prefix, prefix + "\n"):
+                try:
+                    analysis = analyze_source(source)
+                except Exception as e:
+                    raise AssertionError("%s cut after line %d raised %r" % (path.name, k, e)) from e
+                assert analysis.worst() in README_EXIT_CODES
