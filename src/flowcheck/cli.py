@@ -2,10 +2,10 @@
 
 ``flowcheck analyze file.go`` prints a report (text or JSON) and exits 0
 when every case is deadlock-free, 1 on any deadlock, 2 when the file uses
-unsupported features, and 3 on internal errors or an inconclusive
-reduction; with ``--format json`` an internal error still writes a report,
-with one Inconclusive verdict naming the exception.  ``flowcheck corpus
-dir`` runs the bundled expectation corpus laid out as
+unsupported features, and 3 on usage errors, internal errors or an
+inconclusive reduction; with ``--format json`` an internal error still
+writes a report, with one Inconclusive verdict naming the exception.
+``flowcheck corpus dir`` runs the bundled expectation corpus laid out as
 ``dir/<expected>/<name>.go``.
 """
 
@@ -97,7 +97,7 @@ def run_analyze(path, fmt="text", show_trace=False,
                 max_steps=engine.DEFAULT_MAX_STEPS, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
-        source = Path(path).read_text(encoding="utf-8")
+        source = Path(path).read_bytes()
     except OSError as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_ERROR
@@ -147,8 +147,31 @@ def run_corpus(directory, max_steps=engine.DEFAULT_MAX_STEPS, out=None) -> int:
     return EXIT_OK if matched == len(entries) else EXIT_DEADLOCK
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error to ``main`` instead of exiting with argparse's
+    code 2, which stands for unsupported features here."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
+def _step_cap(text) -> int:
+    """A ``--max-steps`` value: a whole number of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("expected a whole number of at least 1, got %r" % text)
+    return value
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flowcheck",
         description="Static deadlock analyzer for a Go subset, based on "
         "coroutine flow types.",
@@ -160,15 +183,19 @@ def main(argv=None) -> int:
     p_analyze.add_argument("--format", choices=("text", "json"), default="text")
     p_analyze.add_argument("--trace", action="store_true",
                            help="print the reduction trace")
-    p_analyze.add_argument("--max-steps", type=int,
+    p_analyze.add_argument("--max-steps", type=_step_cap,
                            default=engine.DEFAULT_MAX_STEPS)
 
     p_corpus = sub.add_parser("corpus", help="run an expectation corpus")
     p_corpus.add_argument("directory")
-    p_corpus.add_argument("--max-steps", type=int,
+    p_corpus.add_argument("--max-steps", type=_step_cap,
                           default=engine.DEFAULT_MAX_STEPS)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as e:
+        print("error: %s" % e, file=sys.stderr)
+        return EXIT_ERROR
     try:
         if args.command == "analyze":
             return run_analyze(args.file, args.format, args.trace, args.max_steps)

@@ -39,14 +39,26 @@ Coroutines are known by identity: ``main`` is the first live entry,
 ``last_yielder`` the one whose value is in flight.  The step that ends a
 reduction sets its verdict: ``Deadlock`` when the residual has items,
 ``NoDeadlock`` when it is empty, ``Inconclusive`` once ``max_steps`` rules
-have fired.  Each step records the state it leaves as terms; the trace
-renders them only when read.
+have fired.
+
+A step costs what it changes, not how many coroutines are live.  Entries
+join the live list only through ``ReductionState.add``, which numbers them
+in creation order; the list keeps that order, since only ``ResumeCo``
+removes an entry.  A head index files each entry under its head kind
+whenever the kind changes: one heap per kind, keyed by creation number,
+whose stale tops are dropped when read, and the set of receivers, sorted
+by creation number when read.  Rules 1-7 pick their entry from the index;
+only rule 4's search for a whole coroutine and rule 8's residual walk the
+list.  The trace is a chain of deltas: each entry keeps the pending value
+and how far the append-only external yields and the log of instance
+changes had grown.  Reading an entry's state replays the log forward from
+the nearest entry already rebuilt and keeps the result, so reading a whole
+trace costs what rendering it does; nothing is rendered until read.
 """
 
 from __future__ import annotations
 
-import operator
-from collections import defaultdict
+import heapq
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -194,11 +206,16 @@ def _head_kind(head):
 class _Live:
     """A live coroutine, known by its identity.  ``kind`` is the
     ``_head_kind`` of its head, recomputed whenever ``inst`` is assigned,
-    so it never goes stale."""
+    so it never goes stale; an entry added to a ``ReductionState`` also
+    logs each new instance there and refiles itself when its kind changes.
+    ``order`` is its creation number, which orders the heaps."""
 
-    __slots__ = ("_inst", "kind")
+    __slots__ = ("_inst", "kind", "order", "state")
 
-    def __init__(self, inst: CorIns):
+    def __init__(self, inst: CorIns, state=None, order=0):
+        self.kind = None
+        self.order = order
+        self.state = state
         self.inst = inst
 
     @property
@@ -208,20 +225,64 @@ class _Live:
     @inst.setter
     def inst(self, inst: CorIns):
         self._inst = inst
-        self.kind = _head_kind(self.head())
+        kind = _head_kind(inst.flow[0]) if inst.flow else None
+        state = self.state
+        if state is not None:
+            state.log.append((self, inst))
+            if kind != self.kind:
+                state.refile(self, kind)
+        self.kind = kind
 
     def head(self):
         return self._inst.flow[0] if self._inst.flow else None
 
+    def __lt__(self, other):
+        return self.order < other.order
 
-@dataclass
+
 class TraceEntry:
-    """A fired rule and the state after it, kept as the immutable terms
-    ``(pending, externals, instances)`` and rendered when read."""
+    """A fired rule and the state after it, kept as a delta on the entry
+    before it: the pending value, and how far the append-only external
+    yields and change log of the reduction reached.  The log holds a
+    ``(live entry, instance)`` pair per change, an instance of ``None``
+    being a removal.  ``state`` rebuilds the terms ``(pending, externals,
+    instances)``; ``state_after`` renders them."""
 
-    step: int
-    rule: str
-    state: tuple
+    __slots__ = ("step", "rule", "pending", "_externals", "_external_count",
+                 "_log", "_log_end", "_previous", "_live")
+
+    def __init__(self, step, rule, pending, externals, log, previous):
+        self.step = step
+        self.rule = rule
+        self.pending = pending
+        self._externals = externals
+        self._external_count = len(externals)
+        self._log = log
+        self._log_end = len(log)
+        self._previous = previous
+        self._live = None  # live entry -> instance, in live order, once rebuilt
+
+    @property
+    def state(self) -> tuple:
+        if self._live is None:
+            unbuilt = []
+            entry = self
+            while entry is not None and entry._live is None:
+                unbuilt.append(entry)
+                entry = entry._previous
+            live, start = ({}, 0) if entry is None else (entry._live, entry._log_end)
+            log = self._log
+            for entry in reversed(unbuilt):
+                live = dict(live)
+                for item, inst in log[start:entry._log_end]:
+                    if inst is None:
+                        del live[item]
+                    else:
+                        live[item] = inst
+                start = entry._log_end
+                entry._live = live
+        externals = tuple(self._externals[:self._external_count])
+        return self.pending, externals, tuple(self._live.values())
 
     @property
     def state_after(self) -> str:
@@ -264,6 +325,46 @@ class ReductionState:
     main: Optional[_Live] = None
     last_yielder: Optional[_Live] = None
     verdict: Optional[Verdict] = None
+    # the head index, and the log of instance changes the trace replays
+    heaps: dict = field(default_factory=dict)  # head kind -> heap of entries
+    receivers: set = field(default_factory=set)
+    log: list = field(default_factory=list)  # (live entry, new instance) pairs
+    created: int = 0
+
+    def add(self, inst: CorIns) -> _Live:
+        """Append a new coroutine to the live list and index its head."""
+        entry = _Live(inst, self, self.created)
+        self.created += 1
+        self.live.append(entry)
+        return entry
+
+    def remove(self, entry: _Live):
+        self.live.remove(entry)
+        self.receivers.discard(entry)
+        entry.state = None  # drops it from the heaps when it reaches a top
+        self.log.append((entry, None))
+
+    def refile(self, entry: _Live, kind):
+        """File ``entry`` under ``kind``, its head kind from now on."""
+        if entry.kind == "receive":
+            self.receivers.remove(entry)
+        if kind == "receive":
+            self.receivers.add(entry)
+        elif kind is not None:
+            heapq.heappush(self.heaps.setdefault(kind, []), entry)
+
+    def heads(self) -> dict:
+        """The earliest-created live entry of each head kind the heaps hold,
+        dropping the stale tops on the way."""
+        heads = {}
+        for kind, heap in self.heaps.items():
+            while heap:
+                top = heap[0]
+                if top.kind == kind and top.state is self:
+                    heads[kind] = top
+                    break
+                heapq.heappop(heap)
+        return heads
 
     def instantiate(self, app) -> CorIns:
         """The instance a start or inline application evaluates to."""
@@ -273,13 +374,12 @@ class ReductionState:
         )
 
 
-_instances = operator.attrgetter("_inst")
-
-
 def _record(state, rule):
     state.steps += 1
-    snapshot = (state.pending, tuple(state.externals), tuple(map(_instances, state.live)))
-    state.trace.append(TraceEntry(state.steps, rule, snapshot))
+    previous = state.trace[-1] if state.trace else None
+    state.trace.append(TraceEntry(
+        state.steps, rule, state.pending, state.externals, state.log, previous,
+    ))
 
 
 def _resume(entry, conditions):
@@ -303,7 +403,7 @@ def _spawn(state, entry):
     spawn = head.payload if isinstance(head, Directed) else head
     inst = state.instantiate(spawn) if isinstance(spawn, StartApp) else spawn
     entry.inst = tail(entry.inst)
-    state.live.append(_Live(inst))
+    state.add(inst)
     _record(state, "YieldCo")
     return state
 
@@ -328,31 +428,29 @@ def reduce_step(state: ReductionState):
         state.verdict = Verdict("Inconclusive", reason="step cap %d reached" % state.max_steps)
         return state
 
-    # the one walk over the live coroutines: every rule below picks from it
-    heads = defaultdict(list)
-    for entry in state.live:
-        if entry.kind is not None:
-            heads[entry.kind].append(entry)
+    heads = state.heads()
 
     # 1. inline evaluation at a head
-    if heads["inline"]:
-        entry = heads["inline"][0]
+    entry = heads.get("inline")
+    if entry is not None:
         flow = state.instantiate(entry.head()).flow + tail(entry.inst).flow
         entry.inst = flatten(CorIns(flow, entry.inst.constraint, entry.inst.label))
         _record(state, "InlineEval")
         return state
 
     # 2. drop a head item with no behavior
-    if heads["void"]:
-        entry = heads["void"][0]
+    entry = heads.get("void")
+    if entry is not None:
         entry.inst = tail(entry.inst)
         _record(state, "RemoveVoid")
         return state
 
+    receivers = sorted(state.receivers)  # in creation order
+
     # 3. a value is in flight: resume a receiver or externalize it
     if not isinstance(state.pending, ZeroType):
         # the coroutine that just yielded comes last
-        for entry in sorted(heads["receive"], key=lambda e: e is state.last_yielder):
+        for entry in sorted(receivers, key=lambda e: e is state.last_yielder):
             pattern = entry.head().payload
             if entry.inst.constraint is not None:
                 pattern = Constrained(pattern, entry.inst.constraint)
@@ -362,8 +460,9 @@ def reduce_step(state: ReductionState):
                 rule = "Resume"
                 break
         else:
-            if heads["spawn"]:
-                return _spawn(state, heads["spawn"][0])
+            spawner = heads.get("spawn")
+            if spawner is not None:
+                return _spawn(state, spawner)
             state.externals.append(state.pending)
             rule = "External"
         state.pending = ZERO
@@ -372,7 +471,7 @@ def reduce_step(state: ReductionState):
         return state
 
     # 4. a receiver expecting a whole coroutine (only the first is tried)
-    for receiver in heads["receive"]:
+    for receiver in receivers:
         pattern = receiver.head().payload
         if not isinstance(pattern, (CorIns, CorDef)):
             continue
@@ -382,33 +481,34 @@ def reduce_step(state: ReductionState):
             conditions = match(other.inst, pattern, state.universe)
             if conditions is not BOTTOM:
                 _resume(receiver, conditions)
-                state.live.remove(other)
+                state.remove(other)
                 _record(state, "ResumeCo")
                 return state
         break
 
     # 5. the main coroutine finished; all values have settled
-    if state.main is not None and not state.main.inst.flow and not heads["yield"]:
+    yielder = heads.get("yield")
+    if state.main is not None and not state.main.inst.flow and yielder is None:
         if state.externals:
             items = [yielded(e) for e in state.externals]
         else:
-            items = [yielded(e.inst) for e in heads["receive"]]
+            items = [yielded(e.inst) for e in receivers]
         return _terminate(state, "MainExit", items)
 
     # 6. transfer the first yielded value into the pending slot
-    if heads["yield"]:
-        entry = heads["yield"][0]
-        state.pending = entry.head().payload
-        if entry.inst.constraint is not None:
-            state.pending = flatten(Constrained(state.pending, entry.inst.constraint))
-        state.last_yielder = entry
-        entry.inst = tail(entry.inst)
+    if yielder is not None:
+        state.pending = yielder.head().payload
+        if yielder.inst.constraint is not None:
+            state.pending = flatten(Constrained(state.pending, yielder.inst.constraint))
+        state.last_yielder = yielder
+        yielder.inst = tail(yielder.inst)
         _record(state, "Yield")
         return state
 
     # 7. spawn a yielded coroutine or started definition, breadth-first
-    if heads["spawn"]:
-        return _spawn(state, heads["spawn"][0])
+    spawner = heads.get("spawn")
+    if spawner is not None:
+        return _spawn(state, spawner)
 
     # 8. nothing can move
     items = [yielded(e) for e in state.externals]
@@ -440,10 +540,12 @@ def reduce(initial, max_steps=DEFAULT_MAX_STEPS, universe=None, assumption=TRUE,
                 "reduce expects instances or start applications, got %s" % render(item)
             )
         inst = state.instantiate(item) if isinstance(item, StartApp) else item
-        state.live.append(_Live(inst))
+        state.add(inst)
         if isinstance(item, StartApp):
             _record(state, "StartEval")
     state.main = state.live[0] if state.live else None
     while state.verdict is None:
         reduce_step(state)
+    for entry in state.live:
+        entry.state = None  # no cycle keeps the finished state alive
     return state.verdict, state.trace

@@ -43,7 +43,14 @@ def _unsupported(reason) -> Analysis:
     return Analysis([CaseResult("", Verdict("Unsupported", reason=str(reason)))])
 
 
-def analyze_source(source: str, max_steps: int = engine.DEFAULT_MAX_STEPS) -> Analysis:
+def analyze_source(source: str | bytes, max_steps: int = engine.DEFAULT_MAX_STEPS) -> Analysis:
+    """Analyse Go source given as text, or as the bytes of a file, which
+    Go requires to be UTF-8."""
+    if isinstance(source, bytes):
+        try:
+            source = source.decode("utf-8")
+        except UnicodeDecodeError:
+            return _unsupported("syntax error: invalid UTF-8 encoding")
     try:
         program = parse(source)
         if "main" not in program.functions:
@@ -92,5 +99,5 @@ def analyze_source(source: str, max_steps: int = engine.DEFAULT_MAX_STEPS) -> An
 
 
 def analyze_file(path, max_steps: int = engine.DEFAULT_MAX_STEPS) -> Analysis:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         return analyze_source(handle.read(), max_steps)

@@ -229,3 +229,52 @@ class TestMain:
             assert "Unsupported" in captured.out
             assert "nesting too deep" in captured.out
             assert captured.err == ""
+
+
+class TestUsageErrors:
+    """A usage error exits 3 with one ``error:`` line, never argparse's 2,
+    which README keeps for unsupported features."""
+
+    def test_usage_errors_exit_three_with_one_line(self, capsys):
+        path = str(CORPUS / "nodeadlock" / "p01_basic.go")
+        for argv in (
+            ["analyze"],
+            ["analyze", path, "--max-steps", "abc"],
+            ["analyze", path, "--format", "xml"],
+            ["corpus"],
+            ["check", path],
+        ):
+            assert main(argv) == EXIT_ERROR, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_step_cap_below_one_is_a_usage_error(self, capsys):
+        path = str(CORPUS / "nodeadlock" / "p01_basic.go")
+        for command in (["analyze", path], ["corpus", str(CORPUS)]):
+            for cap in ("-3", "0"):
+                assert main(command + ["--max-steps", cap]) == EXIT_ERROR
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == (
+                    "error: argument --max-steps: expected a whole number of at "
+                    "least 1, got '%s'\n" % cap
+                )
+        assert main(["analyze", path, "--max-steps", "1"]) == EXIT_ERROR  # inconclusive
+        assert "step cap 1 reached" in capsys.readouterr().out
+
+
+class TestEncoding:
+    def test_invalid_utf8_is_a_syntax_error(self, tmp_path, capsys):
+        (tmp_path / "unsupported").mkdir()
+        path = tmp_path / "unsupported" / "utf16.go"
+        path.write_bytes(b"\xff\xfe" + "package main\n\nfunc main() {\n}\n".encode("utf-16-le"))
+        assert main(["analyze", str(path)]) == EXIT_UNSUPPORTED
+        captured = capsys.readouterr()
+        assert "Unsupported  (syntax error: invalid UTF-8 encoding)" in captured.out
+        assert captured.err == ""
+        assert main(["analyze", str(path), "--format", "json"]) == EXIT_UNSUPPORTED
+        (verdict,) = json.loads(capsys.readouterr().out)["verdicts"]
+        assert verdict["reason"] == "syntax error: invalid UTF-8 encoding"
+        assert main(["corpus", str(tmp_path)]) == EXIT_OK
+        assert "1/1 corpus entries match" in capsys.readouterr().out

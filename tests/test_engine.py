@@ -195,9 +195,8 @@ class TestReduceStep:
     def _state(self, live, pending=ZERO):
         universe = Universe.collect(*[e for e in live])
         state = ReductionState(universe=universe, pending=pending)
-        from flowcheck.engine import _Live
-
-        state.live.extend(_Live(inst) for inst in live)
+        for inst in live:
+            state.add(inst)
         state.main = state.live[0] if live else None
         return state
 
@@ -340,10 +339,8 @@ class TestTraceState:
         # an entry must hold a copy of the state, not the live list that
         # later steps go on changing
         state = ReductionState(universe=Universe.collect(Int, Str))
-        from flowcheck.engine import _Live
-
-        state.live.append(_Live(cor_ins(yielded(Int), received(Str))))
-        state.live.append(_Live(cor_ins(received(Int), yielded(Str))))
+        state.add(cor_ins(yielded(Int), received(Str)))
+        state.add(cor_ins(received(Int), yielded(Str)))
         state.main = state.live[0]
         reduce_step(state)
         first = state.trace[0].state_after
@@ -370,6 +367,34 @@ class TestTraceState:
         # reading an entry renders its state through the same function
         assert analysis.cases[0].trace[-1].line().endswith("⊢ ⊚⟨%s⟩" % ", ".join(["[]"] * 9))
         assert calls
+
+
+    def test_finished_reduction_is_freed_without_the_cycle_collector(self, monkeypatch):
+        # the trace keeps live entries, and a live entry keeps its state only
+        # while the reduction runs: a cycle would hold every state and its
+        # heaps until the collector ran
+        import gc
+        import weakref
+
+        import flowcheck.engine as engine
+
+        states = []
+
+        def tracked(**kwargs):
+            state = ReductionState(**kwargs)
+            states.append(weakref.ref(state))
+            return state
+
+        monkeypatch.setattr(engine, "ReductionState", tracked)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            verdict, trace = reduce([start_app(moby_defs())])
+            assert verdict.kind == "NoDeadlock" and len(trace) == 6
+            assert [ref() for ref in states] == [None]
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def mixed_fanout_source(rng, n, variant):
@@ -474,10 +499,8 @@ class TestLiveInvariants:
 
 class TestResume:
     def _step(self, inst, pending):
-        from flowcheck.engine import _Live
-
         state = ReductionState(universe=Universe.collect(inst, pending), pending=pending)
-        state.live.append(_Live(inst))
+        state.add(inst)
         state.main = state.live[0]
         reduce_step(state)
         assert state.trace[-1].rule == "Resume"
@@ -501,9 +524,8 @@ class TestClassify:
 
     def _run(self, live):
         state = ReductionState(universe=Universe.collect(Int, Str))
-        from flowcheck.engine import _Live
-
-        state.live.extend(_Live(inst) for inst in live)
+        for inst in live:
+            state.add(inst)
         while state.verdict is None:
             reduce_step(state)
         return state
@@ -534,6 +556,19 @@ class TestClassify:
         assert verdict.externals == (Int,)
 
 
+def random_flows(rng, symbols, count, length):
+    """One to ``count`` instances of up to ``length`` directed items each."""
+    from flowcheck.terms import Directed, RECEIVE, YIELD
+
+    return [
+        CorIns(tuple(
+            Directed(rng.choice((YIELD, RECEIVE)), Concrete(rng.choice(symbols)))
+            for _ in range(rng.randint(0, length))
+        ))
+        for _ in range(rng.randint(1, count))
+    ]
+
+
 class TestConservation:
     def test_items_only_leave_through_sanctioned_rules(self):
         # multiset of directed items across live + pending + externals:
@@ -542,21 +577,16 @@ class TestConservation:
         import random
         from collections import Counter
 
-        from flowcheck.engine import ReductionState, _Live, reduce_step
-        from flowcheck.terms import Directed, RECEIVE, YIELD, ZeroType
+        from flowcheck.engine import ReductionState, reduce_step
+        from flowcheck.terms import ZeroType
 
         rng = random.Random(7)
         symbols = ("A", "B", "C")
         for _ in range(300):
-            live = []
-            for _ in range(rng.randint(1, 4)):
-                items = tuple(
-                    Directed(rng.choice((YIELD, RECEIVE)), Concrete(rng.choice(symbols)))
-                    for _ in range(rng.randint(0, 3))
-                )
-                live.append(CorIns(items))
+            live = random_flows(rng, symbols, 4, 3)
             state = ReductionState(universe=Universe(symbols))
-            state.live.extend(_Live(inst) for inst in live)
+            for inst in live:
+                state.add(inst)
             state.main = state.live[0]
 
             def census():
@@ -592,23 +622,124 @@ class TestRulePriorityTotality:
         # a terminal, within the cap
         import random
 
-        from flowcheck.engine import ReductionState, _Live, reduce_step
-        from flowcheck.terms import Directed, RECEIVE, YIELD
+        from flowcheck.engine import ReductionState, reduce_step
 
         rng = random.Random(11)
         for _ in range(200):
             state = ReductionState(universe=Universe(("A", "B")), max_steps=100)
-            for _ in range(rng.randint(1, 3)):
-                items = tuple(
-                    Directed(rng.choice((YIELD, RECEIVE)), Concrete(rng.choice(("A", "B"))))
-                    for _ in range(rng.randint(0, 3))
-                )
-                state.live.append(_Live(CorIns(items)))
+            for inst in random_flows(rng, ("A", "B"), 3, 3):
+                state.add(inst)
             state.main = state.live[0]
             while state.verdict is None:
                 steps_before = state.steps
                 reduce_step(state)
                 assert state.steps == steps_before + 1
+
+
+def random_calculus_states(seed, count):
+    """Hand-built states: the instances ``TestConservation`` draws, with
+    extra items spliced in: self-starting and plain starts, an inline
+    application, a void head, a yielded instance and a receive of a whole
+    coroutine, which fires ``ResumeCo``."""
+    import random
+
+    from flowcheck.engine import ReductionState
+    from flowcheck.terms import Directed, YIELD
+
+    C = Concrete("C")
+    defs = {
+        "loop": cor_def(yielded(A), start_app(DefRef("loop")), label="loop"),
+        "echo": cor_def(received(Concrete("B")), yielded(C), label="echo"),
+        "call": cor_def(yielded(C), Directed(YIELD, ZERO), label="call"),
+    }
+    extras = (
+        start_app(DefRef("loop")), start_app(DefRef("echo")), inline_app(DefRef("call")),
+        Directed(YIELD, ZERO), yielded(cor_ins(received(C))), received(cor_ins(yielded(A))),
+    )
+    symbols = ("A", "B", "C")
+    rng = random.Random(seed)
+    for _ in range(count):
+        state = ReductionState(universe=Universe(symbols), defs=defs, max_steps=60)
+        for inst in random_flows(rng, symbols, 4, 3):
+            items = list(inst.flow)
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                items.insert(rng.randint(0, len(items)), rng.choice(extras))
+            state.add(CorIns(tuple(items)))
+        state.main = state.live[0]
+        yield state
+
+
+class TestHeadIndex:
+    """The head index picks the entry a linear walk of the live list would,
+    and the delta trace rebuilds the state a full copy would have kept."""
+
+    @staticmethod
+    def predictions(state):
+        """For each rule, the entry it would act on now, found by walking
+        ``state.live``: the first of the rule's head kind, or for a resume
+        the first receiver, the one that just yielded last, that matches."""
+        from flowcheck.engine import _head_kind
+        from flowcheck.solver import BOTTOM, match
+        from flowcheck.terms import Constrained, CorDef, ZeroType
+
+        def first(kind):
+            return next((e for e in state.live if _head_kind(e.head()) == kind), None)
+
+        receivers = [e for e in state.live if _head_kind(e.head()) == "receive"]
+        predicted = {
+            "InlineEval": first("inline"), "RemoveVoid": first("void"),
+            "Yield": first("yield"), "YieldCo": first("spawn"),
+            "ResumeCo": next((e for e in receivers
+                              if isinstance(e.head().payload, (CorIns, CorDef))), None),
+            "Resume": None,
+        }
+        if not isinstance(state.pending, ZeroType):
+            for entry in sorted(receivers, key=lambda e: e is state.last_yielder):
+                pattern = entry.head().payload
+                if entry.inst.constraint is not None:
+                    pattern = Constrained(pattern, entry.inst.constraint)
+                if match(state.pending, pattern, state.universe) is not BOTTOM:
+                    predicted["Resume"] = entry
+                    break
+        return predicted
+
+    def test_fired_rule_acts_on_the_entry_a_walk_predicts(self):
+        from collections import Counter
+
+        fired = Counter()
+        for state in random_calculus_states(3, 300):
+            while state.verdict is None:
+                predicted = self.predictions(state)
+                before = [(entry, entry.inst) for entry in state.live]
+                count = len(state.trace)
+                reduce_step(state)
+                if len(state.trace) == count:
+                    break  # the step cap
+                rule = state.trace[-1].rule
+                fired[rule] += 1
+                acted = [entry for entry, inst in before if entry.inst is not inst]
+                expected = predicted.get(rule)
+                assert acted == ([] if expected is None else [expected]), rule
+        assert set(fired) == {
+            "InlineEval", "RemoveVoid", "Resume", "YieldCo", "External",
+            "ResumeCo", "MainExit", "Yield", "CoToExt",
+        }
+
+    def test_delta_trace_equals_full_snapshots(self):
+        for state in random_calculus_states(5, 300):
+            snapshots = []
+            while state.verdict is None:
+                count = len(state.trace)
+                reduce_step(state)
+                if len(state.trace) > count:
+                    instances = tuple(entry.inst for entry in state.live)
+                    snapshots.append((state.pending, tuple(state.externals), instances))
+            assert len(snapshots) == len(state.trace)
+            pairs = list(zip(state.trace, snapshots))
+            for entry, snapshot in reversed(pairs):
+                assert entry.state == snapshot
+            for entry, snapshot in pairs:
+                assert entry.state == snapshot
 
 
 class TestRecursiveInline:

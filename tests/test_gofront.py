@@ -686,6 +686,14 @@ class TestNestingLimit:
         assert main(["analyze", str(path), "--max-steps", "20000"]) == 0
         assert capsys.readouterr().out.endswith(": NoDeadlock\n")
 
+    def test_deep_go_chain(self):
+        # 5000 finished goroutines stay on the live list, and a step still
+        # costs only what it changes, not how many of them there are
+        source = self.call_graph("go", 5000)
+        analysis = analyze_source(source, max_steps=50000)
+        assert analysis.worst() == "NoDeadlock"
+        assert analysis.steps == 5004
+
 
 class TestDeclarationOrder:
     """Each named function translates once, in declaration order, whatever
