@@ -59,8 +59,6 @@ trace costs what rendering it does; nothing is rendered until read.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Optional
 
 from .notation import render
 from .preds import TRUE, conj, neg, pred_evaluate, pred_free_vars, pred_simplify
@@ -295,12 +293,14 @@ class TraceEntry:
         return "step %d [%s] %s" % (self.step, self.rule, self.state_after)
 
 
-@dataclass
 class Verdict:
-    kind: str  # "NoDeadlock" | "Deadlock" | "Inconclusive" | "Unsupported"
-    residual: object = None
-    externals: tuple = ()
-    reason: str = ""
+    __slots__ = ("kind", "residual", "externals", "reason")
+
+    def __init__(self, kind, residual=None, externals=(), reason=""):
+        self.kind = kind  # "NoDeadlock" | "Deadlock" | "Inconclusive" | "Unsupported"
+        self.residual = residual
+        self.externals = externals
+        self.reason = reason
 
     def __repr__(self):
         if self.kind == "Deadlock":
@@ -310,26 +310,33 @@ class Verdict:
         return self.kind
 
 
-@dataclass
 class ReductionState:
-    live: list = field(default_factory=list)
-    pending: object = ZERO
-    externals: list = field(default_factory=list)
-    steps: int = 0
-    max_steps: int = DEFAULT_MAX_STEPS
-    trace: list = field(default_factory=list)
-    universe: Universe = None
-    assumption: object = TRUE
-    valuation: dict = field(default_factory=dict)
-    defs: dict = field(default_factory=dict)
-    main: Optional[_Live] = None
-    last_yielder: Optional[_Live] = None
-    verdict: Optional[Verdict] = None
-    # the head index, and the log of instance changes the trace replays
-    heaps: dict = field(default_factory=dict)  # head kind -> heap of entries
-    receivers: set = field(default_factory=set)
-    log: list = field(default_factory=list)  # (live entry, new instance) pairs
-    created: int = 0
+    __slots__ = (
+        "live", "pending", "externals", "steps", "max_steps", "trace", "universe",
+        "assumption", "valuation", "defs", "main", "last_yielder", "verdict",
+        "heaps", "receivers", "log", "created", "__weakref__",
+    )
+
+    def __init__(self, *, pending=ZERO, max_steps=DEFAULT_MAX_STEPS, universe=None,
+                 assumption=TRUE, valuation=None, defs=None):
+        self.live = []  # _Live entries in creation order
+        self.pending = pending
+        self.externals = []
+        self.steps = 0
+        self.max_steps = max_steps
+        self.trace = []
+        self.universe = universe
+        self.assumption = assumption
+        self.valuation = {} if valuation is None else valuation
+        self.defs = {} if defs is None else defs
+        self.main = None  # the _Live entry of the main coroutine
+        self.last_yielder = None
+        self.verdict = None
+        # the head index, and the log of instance changes the trace replays
+        self.heaps = {}  # head kind -> heap of entries
+        self.receivers = set()
+        self.log = []  # (live entry, new instance) pairs
+        self.created = 0
 
     def add(self, inst: CorIns) -> _Live:
         """Append a new coroutine to the live list and index its head."""

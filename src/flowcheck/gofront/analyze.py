@@ -6,8 +6,6 @@ unresolved integer conditions -> one reduction per case -> verdicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .. import engine
 from ..engine import AmbiguousCondition, EngineError, NoSatisfiableBranch, Verdict
 from ..preds import TRUE
@@ -18,18 +16,22 @@ from .parser import Unsupported, parse
 from .translate import UnknownChannel, compute_m, unresolved_condition_preds
 
 
-@dataclass
 class CaseResult:
-    label: str  # "" when the analysis needed no case split
-    verdict: Verdict
-    trace: list = field(default_factory=list)
+    __slots__ = ("label", "verdict", "trace")
+
+    def __init__(self, label, verdict, trace=None):
+        self.label = label  # "" when the analysis needed no case split
+        self.verdict = verdict
+        self.trace = [] if trace is None else trace
 
 
-@dataclass
 class Analysis:
-    cases: list
-    warnings: list = field(default_factory=list)
-    steps: int = 0
+    __slots__ = ("cases", "warnings", "steps")
+
+    def __init__(self, cases, warnings=None, steps=0):
+        self.cases = cases  # CaseResults
+        self.warnings = [] if warnings is None else warnings
+        self.steps = steps
 
     def worst(self) -> str:
         kinds = {c.verdict.kind for c in self.cases}

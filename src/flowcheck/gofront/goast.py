@@ -7,182 +7,146 @@ and its functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from ..record import Record
+
+
+class Node(Record):
+    """A syntax node.  A statement or receive keeps its source ``line``
+    for reports; equality and hashing skip it."""
+
+    __slots__ = ()
+    _defaults = {"line": 0}
+    _uncompared = ("line",)
 
 
 # -- types ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NamedType:
-    name: str  # "int", "string", "error", "Foo", "time.Duration"
+class NamedType(Node):
+    __slots__ = ("name",)  # "int", "string", "error", "Foo", "time.Duration"
 
 
-@dataclass(frozen=True)
-class ChanType:
-    elem: object
+class ChanType(Node):
+    __slots__ = ("elem",)
 
 
-@dataclass(frozen=True)
-class SliceType:
-    elem: object
+class SliceType(Node):
+    __slots__ = ("elem",)
 
 
-@dataclass(frozen=True)
-class FuncType:
-    params: tuple
-    result: object = None
+class FuncType(Node):
+    __slots__ = ("params", "result")
+    _defaults = {"result": None}
 
 
 # -- expressions ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Ident:
-    name: str
+class Ident(Node):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Selector:
-    pkg: str
-    name: str
+class Selector(Node):
+    __slots__ = ("pkg", "name")
 
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class IntLit(Node):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class StringLit:
-    text: str  # raw, with quotes
+class StringLit(Node):
+    __slots__ = ("text",)  # raw, with quotes
 
 
-@dataclass(frozen=True)
-class BoolLit:
-    value: bool
+class BoolLit(Node):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class NilLit:
-    pass
+class NilLit(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Recv:
-    chan: object
-    line: int = field(default=0, compare=False)
+class Recv(Node):
+    __slots__ = ("chan", "line")
 
 
-@dataclass(frozen=True)
-class MakeExpr:
-    gotype: object
-    size: object = None
+class MakeExpr(Node):
+    __slots__ = ("gotype", "size")
+    _defaults = {"size": None}
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: object  # Ident | Selector | FuncLit
-    args: tuple
+class Call(Node):
+    __slots__ = ("fn", "args")  # fn: Ident | Selector | FuncLit
 
 
-@dataclass(frozen=True)
-class FuncLit:
-    func: "Func"
+class FuncLit(Node):
+    __slots__ = ("func",)
 
 
-@dataclass(frozen=True)
-class Unary:
-    op: str
-    operand: object
+class Unary(Node):
+    __slots__ = ("op", "operand")
 
 
-@dataclass(frozen=True)
-class Binary:
-    op: str
-    left: object
-    right: object
+class Binary(Node):
+    __slots__ = ("op", "left", "right")
 
 
 # -- statements --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShortVarDecl:
-    name: str
-    expr: object
-    line: int = field(default=0, compare=False)
+class ShortVarDecl(Node):
+    __slots__ = ("name", "expr", "line")
 
 
-@dataclass(frozen=True)
-class VarDecl:
-    name: str
-    gotype: object = None
-    expr: object = None
-    line: int = field(default=0, compare=False)
+class VarDecl(Node):
+    __slots__ = ("name", "gotype", "expr", "line")
+    _defaults = {"gotype": None, "expr": None, "line": 0}
 
 
-@dataclass(frozen=True)
-class Assign:
-    name: str
-    expr: object
-    line: int = field(default=0, compare=False)
+class Assign(Node):
+    __slots__ = ("name", "expr", "line")
 
 
-@dataclass(frozen=True)
-class Send:
-    chan: object
-    value: object
-    line: int = field(default=0, compare=False)
+class Send(Node):
+    __slots__ = ("chan", "value", "line")
 
 
-@dataclass(frozen=True)
-class ExprStmt:
-    expr: object
-    line: int = field(default=0, compare=False)
+class ExprStmt(Node):
+    __slots__ = ("expr", "line")
 
 
-@dataclass(frozen=True)
-class GoStmt:
-    call: Call
-    line: int = field(default=0, compare=False)
+class GoStmt(Node):
+    __slots__ = ("call", "line")
 
 
-@dataclass(frozen=True)
-class DeferStmt:
-    call: Call
-    line: int = field(default=0, compare=False)
+class DeferStmt(Node):
+    __slots__ = ("call", "line")
 
 
-@dataclass(frozen=True)
-class If:
-    cond: object
-    then: tuple
-    els: object = None  # tuple of statements, nested If, or None
-    line: int = field(default=0, compare=False)
+class If(Node):
+    # els: a tuple of statements, a nested If, or None
+    __slots__ = ("cond", "then", "els", "line")
+    _defaults = {"els": None, "line": 0}
 
 
-@dataclass(frozen=True)
-class Return:
-    expr: object = None
-    line: int = field(default=0, compare=False)
+class Return(Node):
+    __slots__ = ("expr", "line")
+    _defaults = {"expr": None, "line": 0}
 
 
 # -- declarations -------------------------------------------------------------
 
 
-@dataclass
-class Func:
-    name: str
-    params: tuple  # of (name, gotype)
-    result: object
-    body: tuple
-    line: int = 0
-    anonymous: bool = False
+class Func(Node):
+    """A declared function or a function literal.  ``params`` holds
+    (name, gotype) pairs; unlike a statement's, its ``line`` takes part in
+    equality."""
+
+    __slots__ = ("name", "params", "result", "body", "line", "anonymous")
+    _defaults = {"line": 0, "anonymous": False}
+    _uncompared = ()
 
 
-@dataclass
-class Program:
-    globals: tuple  # of VarDecl
-    functions: dict  # name -> Func (includes lifted anonymous functions)
-
+class Program(Node):
+    # globals: VarDecls; functions: name -> Func, lifted literals included
+    __slots__ = ("globals", "functions")

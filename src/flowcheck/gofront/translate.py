@@ -19,7 +19,6 @@ order can slip through; the analyzer emits a warning when it sees one.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import count
 from typing import Optional
 
@@ -125,10 +124,12 @@ class Env:
         return None
 
 
-@dataclass
 class Translation:
-    cordefs: dict  # name -> CorDef, the coroutine map
-    warnings: list
+    __slots__ = ("cordefs", "warnings")
+
+    def __init__(self, cordefs, warnings):
+        self.cordefs = cordefs  # name -> CorDef, the coroutine map
+        self.warnings = warnings
 
 
 def body_nodes(nodes):

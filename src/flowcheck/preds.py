@@ -8,8 +8,7 @@ symbols from the term module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .record import Record
 from .terms import Concrete, Var
 
 OPS = ("<", "<=", "=", ">=", ">")
@@ -17,9 +16,11 @@ _FLIP = {"<": ">", "<=": ">=", "=": "=", ">=": "<=", ">": "<"}
 _NEGATE = {"<": ">=", "<=": ">", ">=": "<", ">": "<="}
 
 
-class Pred:
+class Pred(Record):
     """Every predicate node shows itself in the notation of
     ``notation.render_pred``."""
+
+    __slots__ = ()
 
     def __repr__(self):
         from .notation import render_pred  # notation builds on this module
@@ -27,48 +28,42 @@ class Pred:
         return render_pred(self)
 
 
-@dataclass(frozen=True, repr=False)
 class TruePred(Pred):
     """The predicate that always holds."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, repr=False)
+
 class FalsePred(Pred):
     """The predicate that never holds."""
+
+    __slots__ = ()
 
 
 TRUE = TruePred()
 FALSE = FalsePred()
 
 
-@dataclass(frozen=True, repr=False)
 class And(Pred):
-    items: tuple
+    __slots__ = ("items",)
 
 
-@dataclass(frozen=True, repr=False)
 class Or(Pred):
-    items: tuple
+    __slots__ = ("items",)
 
 
-@dataclass(frozen=True, repr=False)
 class Not(Pred):
-    item: object
+    __slots__ = ("item",)
 
 
-@dataclass(frozen=True, repr=False)
 class Cmp(Pred):
-    lhs: object
-    op: str
-    rhs: object
+    __slots__ = ("lhs", "op", "rhs")
 
 
-@dataclass(frozen=True, repr=False)
 class Binding(Pred):
     """The predicate form of ``x ↦ v``; consumed by constraint rewriting."""
 
-    var: Var
-    value: object
+    __slots__ = ("var", "value")
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ sum of searches rather than a product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 
 from . import terms
@@ -76,13 +75,20 @@ class _Bottom:
 BOTTOM = _Bottom()
 
 
-@dataclass
 class ConditionSet:
     """The outcome of a successful match: uniquely determined variable
     bindings plus whatever predicate remains over the undetermined ones."""
 
-    bindings: dict
-    residual: object = TRUE
+    __slots__ = ("bindings", "residual")
+
+    def __init__(self, bindings, residual=TRUE):
+        self.bindings = bindings
+        self.residual = residual
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.bindings, self.residual) == (other.bindings, other.residual)
+        return NotImplemented
 
     def __repr__(self):
         pairs = ", ".join("%s ↦ %s" % (k, render(v)) for k, v in self.bindings.items())
@@ -499,14 +505,16 @@ def _strip(t):
 # partitioning of unresolved integer conditions
 
 
-@dataclass
 class Case:
     """One analysis case: an assumption under which every branch predicate
     in the program has a fixed truth value, kept in ``valuation``."""
 
-    assumption: object
-    label: str
-    valuation: dict = field(default_factory=dict)
+    __slots__ = ("assumption", "label", "valuation")
+
+    def __init__(self, assumption, label, valuation=None):
+        self.assumption = assumption
+        self.label = label
+        self.valuation = {} if valuation is None else valuation
 
 
 def partition_cases(predicates) -> list[Case]:

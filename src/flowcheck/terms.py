@@ -9,8 +9,7 @@ plain ``==``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from .record import Record
 
 YIELD = "!"
 RECEIVE = "?"
@@ -33,8 +32,13 @@ class IllegalBinding(CalculusError):
     another variable -- never to a structured type or the empty behavior."""
 
 
-class Term:
-    """Every term node shows itself in the notation of ``notation.render``."""
+class Term(Record):
+    """Every term node shows itself in the notation of ``notation.render``.
+    The ``label`` of a coroutine is a name for the reader: equality and
+    hashing skip it."""
+
+    __slots__ = ()
+    _uncompared = ("label",)
 
     def __repr__(self):
         from .notation import render  # notation builds on this module
@@ -42,59 +46,51 @@ class Term:
         return render(self)
 
 
-@dataclass(frozen=True, repr=False)
 class ZeroType(Term):
     """The empty behavior."""
+
+    __slots__ = ()
 
 
 ZERO = ZeroType()
 
 
-@dataclass(frozen=True, repr=False)
 class Concrete(Term):
     """An opaque simple type such as Int or StringBuilder."""
 
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True, repr=False)
 class Var(Term):
     """A placeholder for a concrete type, an integer, or another variable."""
 
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True, repr=False)
 class Seq(Term):
     """A flat, associative sequence of types."""
 
-    items: tuple
+    __slots__ = ("items",)
 
 
-@dataclass(frozen=True, repr=False)
 class Tup(Term):
     """A product type; groups elements without the splicing of sequences."""
 
-    items: tuple
+    __slots__ = ("items",)
 
 
-@dataclass(frozen=True, repr=False)
 class Union(Term):
     """Two alternative behaviors; allowed in definitions only."""
 
-    left: object
-    right: object
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, repr=False)
 class Constrained(Term):
     """A type guarded by a boolean predicate."""
 
-    base: object
-    pred: object
+    __slots__ = ("base", "pred")
 
 
-@dataclass(frozen=True, repr=False)
 class Power(Term):
     """A sequence of ``count`` copies of ``base`` with symbolic length.
 
@@ -102,59 +98,49 @@ class Power(Term):
     Power node survives only while its count is a variable.
     """
 
-    base: object
-    count: Var
+    __slots__ = ("base", "count")
 
 
-@dataclass(frozen=True, repr=False)
 class Directed(Term):
     """One flow item: a direction applied to a payload type."""
 
-    direction: str
-    payload: object
+    __slots__ = ("direction", "payload")
 
 
-@dataclass(frozen=True, repr=False)
 class CorDef(Term):
     """A coroutine definition; union branches may still be unresolved."""
 
-    flow: tuple
-    constraint: object = None
-    label: Optional[str] = field(default=None, compare=False)
+    __slots__ = ("flow", "constraint", "label")
+    _defaults = {"constraint": None, "label": None}
 
 
-@dataclass(frozen=True, repr=False)
 class CorIns(Term):
     """A running coroutine: an ordered, branch-free list of flow items."""
 
-    flow: tuple
-    constraint: object = None
-    label: Optional[str] = field(default=None, compare=False)
+    __slots__ = ("flow", "constraint", "label")
+    _defaults = {"constraint": None, "label": None}
 
 
-@dataclass(frozen=True, repr=False)
 class DefRef(Term):
     """A definition referenced by name, resolved through the definition
     environment when started or inlined.  This is how a recursive function
     can start itself without the term becoming cyclic."""
 
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True, repr=False)
 class StartApp(Term):
     """Pending application of Start to a definition: spawns a new instance."""
 
-    target: object
-    bindings: tuple = ()
+    __slots__ = ("target", "bindings")
+    _defaults = {"bindings": ()}
 
 
-@dataclass(frozen=True, repr=False)
 class InlineApp(Term):
     """Pending application of Inline: splices a definition into the caller."""
 
-    target: object
-    bindings: tuple = ()
+    __slots__ = ("target", "bindings")
+    _defaults = {"bindings": ()}
 
 
 # ---------------------------------------------------------------------------
