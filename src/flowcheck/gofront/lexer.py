@@ -21,20 +21,23 @@ KEYWORDS = {
 }
 
 # tokens that allow a statement to end before a newline
-_SEMI_AFTER = {"ident", "int", "string", ")", "}", "]", "return", "break",
-               "continue", "fallthrough"}
+_SEMI_AFTER = {"ident", "int", "float", "imaginary", "string", ")", "}", "]",
+               "return", "break", "continue", "fallthrough"}
 
-# Strings, raw strings and runes stay on one line; a float is lexed only to
-# be refused by the parser.  ``/`` must not take the start of an unterminated
-# ``/*``, which would otherwise lex as ``/`` ``*``.
+# Strings, raw strings and runes stay on one line.  A number takes every
+# character Go's scanner would give it, so that ``0x10`` or ``7e2`` is one
+# token; ``_number_kind`` names its kind.  ``/`` must not take the start
+# of an unterminated ``/*``, which would otherwise lex as ``/`` ``*``.
 _TOKEN_RE = re.compile(
     r"""
     (?P<newline>\n)
   | (?P<skip>[ \t\r]+|//[^\n]*)
   | (?P<comment>/\*.*?\*/)
   | (?P<word>[^\W\d]\w*)
-  | (?P<float>[0-9]+\.[0-9]*)
-  | (?P<int>[0-9]+)
+  | (?P<number>(?:0[xX][0-9a-fA-F_]*(?:\.[0-9a-fA-F_]*)?(?:[pP][+-]?[0-9_]*)?
+                |0[bBoO][0-9_]*
+                |(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)(?:[eE][+-]?[0-9_]*)?
+               )i?)
   | (?P<string>"(?:[^"\\\n]|\\[^\n])*"|`[^`\n]*`|'[^'\n]*')
   | (?P<op><-|:=|==|!=|<=|>=|&&|\|\||/(?!\*)|[(){}\[\],;.:<>=!+\-*%&|])
     """,
@@ -42,8 +45,36 @@ _TOKEN_RE = re.compile(
 )
 
 
+# The literal forms of the Go spec, with single ``_`` separators between
+# digits.  Most files hold only plain decimal numbers, so ``re`` compiles this
+# pattern the first time another form is met.
+_NUMBER = (
+    r"(?P<int>0[bB](?:_?[01])+|0[oO]?(?:_?[0-7])+|0[xX](?:_?[0-9a-fA-F])+|0|[1-9](?:_?[0-9])*)"
+    r"|(?P<float>{d}\.(?:{d})?(?:[eE][+-]?{d})?|{d}[eE][+-]?{d}|\.{d}(?:[eE][+-]?{d})?"
+    r"|0[xX](?:_?{h}(?:\.(?:{h})?)?|\.{h})[pP][+-]?{d})"
+    r"|(?P<digits>{d})"
+).format(d=r"[0-9](?:_?[0-9])*", h=r"[0-9a-fA-F](?:_?[0-9a-fA-F])*")
+
+
+def plain_decimal(text) -> bool:
+    """Whether a number is ``0`` or ``[1-9][0-9]*``, the one form the
+    parser gives a value."""
+    return text.isdigit() and (text[0] != "0" or text == "0")
+
+
+def _number_kind(text, line) -> str:
+    """``int``, ``float`` or ``imaginary``; a malformed number is an error."""
+    if plain_decimal(text):
+        return "int"
+    imaginary = text.endswith("i")
+    m = re.fullmatch(_NUMBER, text[:-1] if imaginary else text)
+    if m is None or m.lastgroup == "digits" and not imaginary:
+        raise GoSyntaxError(line, "invalid number literal %r" % text)
+    return "imaginary" if imaginary else m.lastgroup
+
+
 class Token(NamedTuple):
-    kind: str  # "ident" | "int" | "string" | keyword or punctuation literal
+    kind: str  # "ident" | "int" | "float" | "imaginary" | "string" | keyword or punctuation
     value: str
     line: int
 
@@ -51,7 +82,8 @@ class Token(NamedTuple):
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
     line = 1
-    pos = 0
+    # a byte order mark may open the file, as Go compilers allow
+    pos = 1 if source.startswith("\ufeff") else 0
     while pos < len(source):
         m = _TOKEN_RE.match(source, pos)
         ch = source[pos]
@@ -74,6 +106,8 @@ def tokenize(source: str) -> list[Token]:
                 kind = value if value in KEYWORDS else "ident"
             elif kind == "op":
                 kind = value
+            elif kind == "number":
+                kind = _number_kind(value, line)
             tokens.append(Token(kind, value, line))
     if tokens and tokens[-1].kind in _SEMI_AFTER:
         tokens.append(Token(";", ";", line))

@@ -38,7 +38,7 @@ from .goast import (
     Unary,
     VarDecl,
 )
-from .lexer import GoSyntaxError, Token, tokenize
+from .lexer import GoSyntaxError, Token, plain_decimal, tokenize
 
 
 # Nesting levels: a block, an ``if`` (``else if`` included), an operand
@@ -109,6 +109,14 @@ class Parser:
         while self.accept(";"):
             pass
 
+    def end(self, closing):
+        """End a statement or declaration: a ``;`` must follow it unless
+        ``closing``, the token that closes its list, does."""
+        tok = self.peek()
+        if not self.accept(";") and tok.kind != closing:
+            raise GoSyntaxError(tok.line, "missing ';' before %r" % tok.value)
+        self.skip_semis()
+
     def descend(self, line):
         """Enter one more nesting level; the caller restores ``depth``."""
         self.depth += 1
@@ -123,16 +131,16 @@ class Parser:
         self.skip_semis()
         self.expect("package")
         self.expect("ident")
-        self.skip_semis()
+        self.end("eof")
         while self.accept("import"):
             if self.accept("("):
                 self.skip_semis()
                 while not self.accept(")"):
                     self.expect("string")
-                    self.skip_semis()
+                    self.end(")")
             else:
                 self.expect("string")
-            self.skip_semis()
+            self.end("eof")
         globals_, functions = [], {}
         while self.peek().kind != "eof":
             tok = self.peek()
@@ -147,7 +155,7 @@ class Parser:
                 self.parse_type_decl()
             else:
                 raise GoSyntaxError(tok.line, "unexpected %r at top level" % tok.value)
-            self.skip_semis()
+            self.end("eof")
         for f in self.anon_funcs:
             functions[f.name] = f
         return Program(tuple(globals_), functions)
@@ -224,7 +232,7 @@ class Parser:
             self.expect("ident")
             if self.peek().kind not in (";", "}"):
                 self.parse_type()
-            self.skip_semis()
+            self.end("}")
 
     # -- types ----------------------------------------------------------------
 
@@ -273,7 +281,7 @@ class Parser:
         stmts = []
         while not self.accept("}"):
             stmts.append(self.parse_stmt())
-            self.skip_semis()
+            self.end("}")
         self.depth -= 1
         return tuple(stmts)
 
@@ -415,10 +423,14 @@ class Parser:
     def parse_primary(self):
         tok = self.peek()
         if tok.kind == "int":
+            if not plain_decimal(tok.value):
+                raise Unsupported("non-decimal integer literal", tok.line)
             self.next()
             return IntLit(int(tok.value))
         if tok.kind == "float":
             raise Unsupported("floating point literal", tok.line)
+        if tok.kind == "imaginary":
+            raise Unsupported("imaginary literal", tok.line)
         if tok.kind == "string":
             self.next()
             return StringLit(tok.value)

@@ -9,9 +9,9 @@ that tuple.  A field cannot be assigned or deleted after construction.
 Each class gets its own ``__init__``, ``__eq__`` and ``__hash__``, made when
 the class is defined from code compiled once per number of fields and of
 compared fields, with the placeholder names replaced by the class's field
-names.  A loop over the fields instead would make each comparison about
-three times slower, and terms are compared and hashed on every reduction
-step; compiling per class would cost more than the rest of the class.
+names: compiling is most of the cost of defining a class, so it is shared.
+A loop over the fields instead would make each comparison about three times
+slower, and terms are compared and hashed on every reduction step.
 """
 
 from __future__ import annotations
@@ -73,9 +73,9 @@ class Record:
             code = code.replace(
                 co_varnames=tuple(names.get(n, n) for n in code.co_varnames),
                 co_names=tuple(names.get(n, n) for n in code.co_names),
-                co_qualname="%s.%s" % (cls.__qualname__, name),
             )
             function = FunctionType(code, setters, name)
+            function.__qualname__ = "%s.%s" % (cls.__qualname__, name)
             if name == "__init__":
                 function.__defaults__ = defaults or None
             setattr(cls, name, function)

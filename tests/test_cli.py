@@ -13,7 +13,8 @@ from flowcheck.cli import (
     run_analyze,
     run_corpus,
 )
-from paths import CORPUS
+from flowcheck.gofront import analyze_source
+from paths import CORPUS, corpus_files
 
 
 
@@ -278,3 +279,19 @@ class TestEncoding:
         assert verdict["reason"] == "syntax error: invalid UTF-8 encoding"
         assert main(["corpus", str(tmp_path)]) == EXIT_OK
         assert "1/1 corpus entries match" in capsys.readouterr().out
+
+    def test_a_leading_byte_order_mark_changes_nothing(self, tmp_path, capsys):
+        # Go compilers ignore a byte order mark that opens a file
+        def report(path):
+            code = main(["analyze", str(path), "--trace", "--format", "json"])
+            report = json.loads(capsys.readouterr().out)
+            del report["elapsed_ms"], report["file"]
+            return code, report
+
+        for path in corpus_files():
+            marked = tmp_path / path.name
+            marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+            assert report(marked) == report(path), path.name
+            text = path.read_text(encoding="utf-8")
+            plain, with_mark = analyze_source(text), analyze_source("\ufeff" + text)
+            assert [str(c.verdict) for c in with_mark.cases] == [str(c.verdict) for c in plain.cases]

@@ -129,6 +129,63 @@ class TestParse:
         )
 
 
+GUARDED_SENDER = '''package main
+
+func main() {
+	ch := make(chan int)
+	%s
+	if %s > 3 {
+		go func() { ch <- 1 }()
+	}
+	<-ch
+}
+'''
+
+
+class TestNumberLiterals:
+    """Go reads each of these guards as true, so the program is clean; the
+    analysis must never read one as two statements and answer Deadlock."""
+
+    @pytest.mark.parametrize(
+        "decl, feature",
+        [("x := 0x10", "non-decimal integer literal"),
+         ("x := 0b101", "non-decimal integer literal"),
+         ("n := 1_000", "non-decimal integer literal"),
+         ("x := 010", "non-decimal integer literal"),  # octal: Go reads 8
+         ("x := 7e2", "floating point literal"),
+         ("x := 4i", "imaginary literal")],
+    )
+    def test_other_forms_are_refused(self, decl, feature):
+        analysis = analyze_source(GUARDED_SENDER % (decl, decl.split()[0]))
+        assert [str(c.verdict) for c in analysis.cases] == ["Unsupported(%s (line 5))" % feature]
+
+    @pytest.mark.parametrize("value, verdict", [("16", "NoDeadlock"), ("0", "Deadlock")])
+    def test_plain_decimals_are_read(self, value, verdict):
+        assert analyze_source(GUARDED_SENDER % ("x := " + value, "x")).worst() == verdict
+
+
+class TestStatementSeparators:
+    @pytest.mark.parametrize(
+        "source, line, found",
+        [("package main\n\nfunc main() {\n\tx := 0 x10\n}\n", 4, "x10"),
+         ("package main\n\nfunc f() {}\n\nfunc main() {\n"
+          "\tch := make(chan int) go f() <-ch\n}\n", 6, "go"),
+         ("package main\n\nfunc f() {} func main() {}\n", 3, "func"),
+         ("package main func main() {}\n", 1, "func"),
+         ('package main\n\nimport ("fmt" "time")\n', 3, '"time"'),
+         ("package main\n\ntype T struct { a int b int }\n", 3, "b")],
+    )
+    def test_a_missing_separator_is_a_syntax_error(self, source, line, found):
+        with pytest.raises(GoSyntaxError) as raised:
+            parse(source)
+        assert (raised.value.line, raised.value.message) == (line, "missing ';' before %r" % found)
+
+    def test_a_closing_token_ends_the_last_item(self):
+        program = parse('package main; import ("fmt"); type T struct { a int }; '
+                        'func main() { x := 1; fmt.Println(x) }')
+        assert len(program.functions["main"].body) == 2
+
+
 class TestCoroutineMap:
     def test_moby(self):
         tr = compute_m(parse(MOBY_FIXED))

@@ -3,9 +3,12 @@ module-level name defined there is read somewhere under ``src/`` or
 ``tests/``, and every function there reads each of its parameters.
 
 ``__init__.py`` files are skipped by the import check: their imports are
-re-exports."""
+re-exports.  A one-file run must not load ``dataclasses``."""
 
 import ast
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -150,3 +153,17 @@ def test_no_recursion_limit_is_raised(path):
     """Deep input must meet a reported depth limit, not a larger Python
     stack that trades ``RecursionError`` for a C-stack overflow."""
     assert recursion_limit_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Building classes with ``dataclasses``, which imports ``inspect``, took
+    most of the start-up of a one-file run; a fresh interpreter shows it.
+    Modules the interpreter loaded before the import do not count."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys; started = set(sys.modules); import flowcheck.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - started)))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")

@@ -84,6 +84,43 @@ class TestTokens:
         assert tokenize("042")[0] == Token("int", "042", 1)
 
 
+class TestNumbers:
+    """A number is one token in the shape of a Go literal, whatever its
+    base; the parser refuses all but plain decimal integers."""
+
+    @pytest.mark.parametrize(
+        "literal, kind",
+        [("0", "int"), ("42", "int"), ("0x10", "int"), ("0X_1F", "int"), ("0b101", "int"),
+         ("0o17", "int"), ("010", "int"), ("1_000", "int"), ("7e2", "float"),
+         ("1e+3", "float"), ("09.5", "float"), (".5", "float"), ("0x1p-2", "float"),
+         ("0x.8p1", "float"), ("1i", "imaginary"), ("2.5i", "imaginary"),
+         ("089i", "imaginary")],
+    )
+    def test_one_token(self, literal, kind):
+        assert tokenize(literal + "\nx")[:2] == [Token(kind, literal, 1), Token(";", ";", 1)]
+
+    def test_a_hex_literal_ends_before_a_sign(self):
+        # in hexadecimal, e is a digit and not an exponent
+        assert kinds("0xe+1") == ["int", "+", "int", ";", "eof"]
+
+    @pytest.mark.parametrize("literal", ["0x", "1_", "1__0", "09", "0b102", "0o8", "0x1.8", "1e"])
+    def test_a_malformed_literal_is_a_syntax_error(self, literal):
+        with pytest.raises(GoSyntaxError) as raised:
+            tokenize("x := " + literal)
+        assert raised.value.message == "invalid number literal %r" % literal
+
+
+class TestByteOrderMark:
+    def test_one_leading_mark_is_dropped(self):
+        assert tokenize("\ufeffx") == tokenize("x")
+
+    @pytest.mark.parametrize("source", ["\ufeff\ufeffx", "x\ufeff", "x\n\ufeff"])
+    def test_any_other_mark_is_a_stray_character(self, source):
+        with pytest.raises(GoSyntaxError) as raised:
+            tokenize(source)
+        assert raised.value.message == "stray character %r" % "\ufeff"
+
+
 class TestErrors:
     @pytest.mark.parametrize(
         "source, line, message",
