@@ -76,6 +76,8 @@ from .terms import (
     Union,
     ZERO,
     ZeroType,
+    branches,
+    canon,
     cor_ins,
     flatten,
     substitute,
@@ -103,16 +105,6 @@ class AmbiguousCondition(EngineError):
 # starting and inlining definitions
 
 
-def _branches(t):
-    """The (payload, guard) alternatives of a canonical union tree."""
-    if isinstance(t, Union):
-        return _branches(t.left) + _branches(t.right)
-    if isinstance(t, Constrained):
-        inner = _branches(t.base)
-        return [(payload, conj(guard, t.pred)) for payload, guard in inner]
-    return [(t, TRUE)]
-
-
 def _decide(guard, assumption, universe, valuation=None):
     """True / False when the assumption settles the guard, else None.  A
     guard the case split partitioned on is read from the case's
@@ -132,25 +124,28 @@ def _decide(guard, assumption, universe, valuation=None):
 
 
 def _resolve(t, decide):
-    """``t`` with every union replaced by its first branch whose guard
-    ``decide`` holds.  Unions sit in flow items and in sequence or directed
-    payloads; a yielded definition or a start application keeps its unions
-    until it is started itself.  ``t`` is canonical, so only the chosen
-    branches need flattening, which ``start`` does once at the end."""
+    """The canonical ``t`` with every union replaced by its first branch
+    whose guard ``decide`` holds.  Unions sit in flow items and in sequence
+    or directed payloads; a yielded definition or a start application keeps
+    its unions until it is started itself.  A node rebuilt around a chosen
+    branch goes through ``canon``, so the result is canonical too."""
     if isinstance(t, Union):
-        for payload, guard in _branches(t):
+        for payload, guard in branches(t):
             if decide(guard):
                 return _resolve(payload, decide)
         raise NoSatisfiableBranch(render(t))
     if isinstance(t, (Seq, Directed)):
-        return term_map(t, lambda s: _resolve(s, decide))
+        rebuilt = term_map(t, lambda s: _resolve(s, decide))
+        return t if rebuilt is t else canon(rebuilt)
     return t
 
 
 def start(definition, bindings=None, universe=None, assumption=TRUE, valuation=None,
           *, defs=None):
-    """Instantiate a definition, or a reference into ``defs``: substitute
-    the arguments and resolve each union to one branch.
+    """Instantiate a canonical definition, or a reference into ``defs``:
+    substitute the arguments and resolve each union to one branch.  Both
+    keep the flow canonical, and the new flow is canonicalized one level,
+    where a chosen branch may have put a sequence or Zero.
 
     A guard the assumption (or the case's ``valuation``) leaves open raises
     ``AmbiguousCondition``; the case split is what decides such guards.
@@ -173,10 +168,9 @@ def start(definition, bindings=None, universe=None, assumption=TRUE, valuation=N
             )
         return verdict
 
-    # definitions are canonical, and substitute re-canonicalizes
     bound = substitute(definition, dict(bindings)) if bindings else definition
     flow = tuple(_resolve(item, decide) for item in bound.flow)
-    return flatten(CorIns(flow, bound.constraint, definition.label))
+    return canon(CorIns(flow, bound.constraint, definition.label))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +279,7 @@ class TraceEntry:
     @property
     def state_after(self) -> str:
         pending, externals, instances = self.state
-        ext = render(flatten(Seq(externals))) if externals else "0"
+        ext = render(canon(Seq(externals))) if externals else "0"
         body = ", ".join(render(i) for i in instances)
         return "(%s, %s) ⊢ ⊚⟨%s⟩" % (render(pending), ext, body)
 
@@ -400,7 +394,7 @@ def _resume(entry, conditions):
         entry.inst = CorIns(rest, constraint, entry.inst.label)
         return
     rest = tuple(substitute(i, conditions.bindings) for i in rest)
-    entry.inst = flatten(CorIns(rest, constraint, entry.inst.label))
+    entry.inst = canon(CorIns(rest, constraint, entry.inst.label))
 
 
 def _spawn(state, entry):
@@ -441,7 +435,7 @@ def reduce_step(state: ReductionState):
     entry = heads.get("inline")
     if entry is not None:
         flow = state.instantiate(entry.head()).flow + tail(entry.inst).flow
-        entry.inst = flatten(CorIns(flow, entry.inst.constraint, entry.inst.label))
+        entry.inst = canon(CorIns(flow, entry.inst.constraint, entry.inst.label))
         _record(state, "InlineEval")
         return state
 
@@ -506,7 +500,7 @@ def reduce_step(state: ReductionState):
     if yielder is not None:
         state.pending = yielder.head().payload
         if yielder.inst.constraint is not None:
-            state.pending = flatten(Constrained(state.pending, yielder.inst.constraint))
+            state.pending = canon(Constrained(state.pending, yielder.inst.constraint))
         state.last_yielder = yielder
         yielder.inst = tail(yielder.inst)
         _record(state, "Yield")
@@ -528,8 +522,9 @@ def reduce(initial, max_steps=DEFAULT_MAX_STEPS, universe=None, assumption=TRUE,
     """Run the machine on a list of instances / start applications.
 
     The first element is the main coroutine; ``defs`` resolves named
-    definition references, ``valuation`` partitioned guards (see
-    ``_decide``).  Each start counts as a step.  Returns the verdict that
+    definition references to canonical definitions (as the factories,
+    ``flatten`` and ``notation.parse`` build them), ``valuation``
+    partitioned guards (see ``_decide``).  Each start counts as a step.  Returns the verdict that
     ``reduce_step`` sets, and the trace.
     """
     initial = [flatten(t) for t in initial]

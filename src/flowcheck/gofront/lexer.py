@@ -24,9 +24,10 @@ KEYWORDS = {
 _SEMI_AFTER = {"ident", "int", "float", "imaginary", "string", ")", "}", "]",
                "return", "break", "continue", "fallthrough"}
 
-# Strings, raw strings and runes stay on one line.  A number takes every
-# character Go's scanner would give it, so that ``0x10`` or ``7e2`` is one
-# token; ``_number_kind`` names its kind.  ``/`` must not take the start
+# Strings, raw strings and runes stay on one line; ``_check_quoted`` reads
+# the escapes of a string and the one character of a rune.  A number takes
+# every character Go's scanner would give it, so that ``0x10`` or ``7e2`` is
+# one token; ``_number_kind`` names its kind.  ``/`` must not take the start
 # of an unterminated ``/*``, which would otherwise lex as ``/`` ``*``.
 _TOKEN_RE = re.compile(
     r"""
@@ -38,7 +39,7 @@ _TOKEN_RE = re.compile(
                 |0[bBoO][0-9_]*
                 |(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)(?:[eE][+-]?[0-9_]*)?
                )i?)
-  | (?P<string>"(?:[^"\\\n]|\\[^\n])*"|`[^`\n]*`|'[^'\n]*')
+  | (?P<string>"(?:[^"\\\n]|\\[^\n])*"|`[^`\n]*`|'(?:[^'\\\n]|\\[^\n])*')
   | (?P<op><-|:=|==|!=|<=|>=|&&|\|\||/(?!\*)|[(){}\[\],;.:<>=!+\-*%&|])
     """,
     re.VERBOSE | re.DOTALL,
@@ -54,6 +55,42 @@ _NUMBER = (
     r"|0[xX](?:_?{h}(?:\.(?:{h})?)?|\.{h})[pP][+-]?{d})"
     r"|(?P<digits>{d})"
 ).format(d=r"[0-9](?:_?[0-9])*", h=r"[0-9a-fA-F](?:_?[0-9a-fA-F])*")
+
+
+# One character of a literal in a quote: a plain character or one of Go's
+# escapes, of which the escaped quote is the literal's own.  Like
+# ``_NUMBER``, each is compiled the first time it is needed.
+_CHARACTER = {
+    quote: r"[^\\]|\\(?:[abfnrtv\\%s]|[0-7]{3}|x[0-9a-fA-F]{2}|u[0-9a-fA-F]{4}|U[0-9a-fA-F]{8})"
+    % quote
+    for quote in "\"'"
+}
+
+
+def _check_quoted(text, line):
+    """Refuse an interpreted string or rune with an escape Go does not
+    know, or with a value past its range, and a rune that is not exactly
+    one character."""
+    quote, body = text[0], text[1:-1]
+    if quote == '"' and "\\" not in body:
+        return
+    character = re.compile(_CHARACTER[quote])
+    count, pos = 0, 0
+    while pos < len(body):
+        m = character.match(body, pos)
+        if m is None:
+            raise GoSyntaxError(line, "unknown escape sequence in %s" % text)
+        escape = m.group()
+        if escape[1:2].isdigit() and int(escape[1:], 8) > 255:
+            raise GoSyntaxError(line, "octal escape value > 255 in %s" % text)
+        if escape[1:2] in ("u", "U"):
+            code = int(escape[2:], 16)
+            if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+                raise GoSyntaxError(line, "escape is an invalid Unicode code point in %s" % text)
+        count, pos = count + 1, m.end()
+    if quote == "'" and count != 1:
+        raise GoSyntaxError(line, "%s rune literal %s" % (
+            "more than one character in" if count else "empty", text))
 
 
 def plain_decimal(text) -> bool:
@@ -108,6 +145,8 @@ def tokenize(source: str) -> list[Token]:
                 kind = value
             elif kind == "number":
                 kind = _number_kind(value, line)
+            elif value[0] != "`":
+                _check_quoted(value, line)
             tokens.append(Token(kind, value, line))
     if tokens and tokens[-1].kind in _SEMI_AFTER:
         tokens.append(Token(";", ";", line))

@@ -384,12 +384,14 @@ class Parser:
         self.depth = outer
         return product if total is None else Binary(op, total, product)
 
-    def parse_unary(self):
+    def parse_unary(self, negated=False):
+        """A unary expression.  An integer literal must fit Go's 64-bit
+        ``int``; 9223372036854775808 fits only as the operand of a minus."""
         tok = self.peek()
         self.descend(tok.line)
         if tok.kind in ("!", "-", "<-"):
             self.next()
-            expr = self.parse_unary()
+            expr = self.parse_unary(negated=tok.kind == "-")
             if tok.kind == "<-":
                 expr = Recv(expr, tok.line)
             elif tok.kind == "-" and isinstance(expr, IntLit):
@@ -398,6 +400,8 @@ class Parser:
                 expr = Unary(tok.kind, expr)
         else:
             expr = self.parse_postfix()
+        if isinstance(expr, IntLit) and expr.value > (2**63 if negated else 2**63 - 1):
+            raise Unsupported("integer literal overflows int", tok.line)
         self.depth -= 1
         return expr
 

@@ -22,7 +22,6 @@ from collections import defaultdict
 from itertools import count
 from typing import Optional
 
-from ..engine import _branches
 from ..preds import Cmp, FALSE, TRUE, conj, disj, neg, pred_free_vars, pred_simplify
 from ..terms import (
     Concrete,
@@ -32,6 +31,7 @@ from ..terms import (
     StartApp,
     Union,
     Var,
+    branches,
     cor_def,
     constrained,
     received,
@@ -163,6 +163,25 @@ def body_nodes(nodes):
         yield from body_nodes(children)
 
 
+def _refuse_member_value(n, params, nodes, members):
+    """Refuse ``n``, a function literal or a function's name among the
+    ``nodes`` of a body, if it is a member.  A name the body declares as a
+    parameter or variable is not the function; an identifier reports the
+    line of the statement it is in, the last one before it."""
+    if isinstance(n, FuncLit):
+        if n.func.name in members:
+            raise Unsupported("channel-using function literal used as a value", n.func.line)
+        return
+    if n.name not in members:
+        return
+    local = {name for name, _ in params}
+    local.update(m.name for m in nodes if isinstance(m, (ShortVarDecl, VarDecl)))
+    if n.name not in local:
+        before = nodes[:next(k for k, m in enumerate(nodes) if m is n)]
+        line = next((m.line for m in reversed(before) if getattr(m, "line", 0)), 0)
+        raise Unsupported("channel-using function %s used as a value" % n.name, line)
+
+
 class Translator:
     def __init__(self, program: Program):
         self.program = program
@@ -174,22 +193,34 @@ class Translator:
     # -- membership ----------------------------------------------------------
 
     def _members(self) -> set:
-        """The channel users, then every caller of a member, one worklist."""
+        """The channel users, then every caller of a member, one worklist.
+        A member used other than as the callee of a call is refused: a
+        function value that is stored, passed or called through a variable
+        would take its channel operations with it."""
+        functions = self.program.functions
         callers = defaultdict(set)
         work = []
-        for name, f in self.program.functions.items():
+        values = []  # (params, nodes, node): a function named or written as a value
+        scopes = [((), list(body_nodes(self.program.globals)))]
+        for name, f in functions.items():
             nodes = list(body_nodes(f.body))
+            scopes.append((f.params, nodes))
             if any(isinstance(n, (Send, Recv)) for n in nodes):
                 work.append(name)
             for n in nodes:
                 if isinstance(n, Call) and isinstance(n.fn, (Ident, FuncLit)):
                     callee = n.fn.name if isinstance(n.fn, Ident) else n.fn.func.name
                     callers[callee].add(name)
+        for params, nodes in scopes:
+            values += [(params, nodes, n) for n in nodes if isinstance(n, FuncLit)
+                       or (isinstance(n, Ident) and n.name in functions)]
         members = set(work)
         while work:
             for caller in callers[work.pop()] - members:
                 members.add(caller)
                 work.append(caller)
+        for params, nodes, n in values:
+            _refuse_member_value(n, params, nodes, members)
         return members
 
     # -- translation ----------------------------------------------------------
@@ -481,7 +512,7 @@ def unresolved_condition_preds(cordefs: dict, entry: str = "main") -> list:
         if name not in cordefs or key in seen:
             continue
         seen.add(key)
-        # _branches needs the canonical form: cor_def built it, substitute keeps it
+        # branches needs the canonical form: cor_def built it, substitute keeps it
         body = substitute(cordefs[name], bindings) if bindings else cordefs[name]
         stack.extend(reversed(_guards_and_calls(body)))
     return list(dict.fromkeys(preds))
@@ -494,7 +525,7 @@ def _guards_and_calls(body) -> list:
 
     def visit(t):
         if isinstance(t, Union):
-            for payload, guard in _branches(t):
+            for payload, guard in branches(t):
                 if pred_free_vars(guard):
                     out.append(guard)
                 visit(payload)

@@ -272,8 +272,7 @@ class _Parser:
         constraint = None
         if self.accept("/"):
             constraint = self.pred_or()
-        out = cls(tuple(items), constraint)
-        return terms.flatten(out)
+        return terms.canon(cls(tuple(items), constraint))
 
     def flow_item(self):
         if self.accept("!"):
@@ -295,7 +294,7 @@ class _Parser:
             self.expect("↦")
             bindings.append((name, self.scalar("binding value")))
         self.expect(")")
-        return cls(terms.flatten(target), tuple(bindings))
+        return cls(target, tuple(bindings))
 
     def scalar(self, what):
         """An integer, a negated integer, or a name: a capitalised name is a
@@ -365,7 +364,7 @@ def parse(text: str):
     t = parser.type_()
     if parser.peek()[0] != "eof":
         raise NotationError("trailing input at %r" % (parser.peek()[1],))
-    return terms.flatten(t)
+    return t
 
 
 def parse_pred(text: str):

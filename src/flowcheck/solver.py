@@ -51,6 +51,7 @@ from .terms import (
     Union,
     Var,
     ZeroType,
+    canon,
     flatten,
     substitute,
     term_map,
@@ -141,6 +142,7 @@ def reduce_constrained(t):
 
     Rules: a false guard erases the type, a true guard vanishes, stacked
     guards merge, and an ``x ↦ v`` conjunct is applied as a substitution.
+    The term is flattened once; each pass keeps it canonical.
     """
     prev = None
     t = flatten(t)
@@ -151,16 +153,16 @@ def reduce_constrained(t):
 
 
 def _rc_walk(t):
+    """One rewriting pass over a canonical term; the result is canonical."""
     if isinstance(t, Constrained):
         base, pred = _apply_guard(_rc_walk(t.base), t.pred)
-        return base if pred is None else flatten(Constrained(base, pred))
+        return base if pred is None else canon(Constrained(base, pred))
     if isinstance(t, (CorIns, CorDef)) and t.constraint is not None:
-        inner = term_map(type(t)(t.flow, None, t.label), _rc_walk)
+        inner = canon(term_map(type(t)(t.flow, None, t.label), _rc_walk))
         body, pred = _apply_guard(inner, t.constraint)
-        if isinstance(body, (CorIns, CorDef)):
-            return flatten(type(body)(body.flow, pred, body.label))
-        return body if pred is None else flatten(Constrained(body, pred))
-    return flatten(term_map(t, _rc_walk))
+        return body if pred is None else canon(Constrained(body, pred))
+    rebuilt = term_map(t, _rc_walk)
+    return t if rebuilt is t else canon(rebuilt)
 
 
 def _apply_guard(base, pred):
@@ -202,15 +204,19 @@ def equate(a, b):
     single item.  A variable may only equal a symbol, an integer, or another
     variable -- anything structured yields false.
     """
-    a, b = flatten(a), flatten(b)
+    return _equate(flatten(a), flatten(b))
+
+
+def _equate(a, b):
+    """``equate`` on canonical terms."""
     if isinstance(a, Constrained):
-        return conj(equate(a.base, b), a.pred)
+        return conj(_equate(a.base, b), a.pred)
     if isinstance(b, Constrained):
-        return conj(equate(a, b.base), b.pred)
+        return conj(_equate(a, b.base), b.pred)
     if isinstance(a, Union):
-        return disj(equate(a.left, b), equate(a.right, b))
+        return disj(_equate(a.left, b), _equate(a.right, b))
     if isinstance(b, Union):
-        return disj(equate(a, b.left), equate(a, b.right))
+        return disj(_equate(a, b.left), _equate(a, b.right))
     if isinstance(a, Var) or isinstance(b, Var):
         v, other = (a, b) if isinstance(a, Var) else (b, a)
         if isinstance(other, Var):
@@ -229,15 +235,15 @@ def equate(a, b):
     if isinstance(a, (Seq, Tup)) and type(a) is type(b):
         if len(a.items) != len(b.items):
             return FALSE
-        return conj(*(equate(x, y) for x, y in zip(a.items, b.items)))
+        return conj(*map(_equate, a.items, b.items))
     if isinstance(a, Directed) and isinstance(b, Directed):
         if a.direction != b.direction:
             return FALSE
-        return equate(a.payload, b.payload)
+        return _equate(a.payload, b.payload)
     if type(a) is type(b) and isinstance(a, (CorIns, CorDef)):
         if len(a.flow) != len(b.flow):
             return FALSE
-        parts = [equate(x, y) for x, y in zip(a.flow, b.flow)]
+        parts = list(map(_equate, a.flow, b.flow))
         for side in (a, b):
             if side.constraint is not None:
                 parts.append(side.constraint)
@@ -251,15 +257,15 @@ def equate(a, b):
 
 def _equate_power(a, b):
     if isinstance(a, Power) and isinstance(b, Power):
-        return conj(equate(a.base, b.base), cmp(a.count, "=", b.count))
+        return conj(_equate(a.base, b.base), cmp(a.count, "=", b.count))
     p, other = (a, b) if isinstance(a, Power) else (b, a)
     if isinstance(other, ZeroType):
         return cmp(p.count, "=", 0)
     if isinstance(other, Seq):
-        parts = [equate(p.base, item) for item in other.items]
+        parts = [_equate(p.base, item) for item in other.items]
         parts.append(cmp(p.count, "=", len(other.items)))
         return conj(*parts)
-    return conj(equate(p.base, other), cmp(p.count, "=", 1))
+    return conj(_equate(p.base, other), cmp(p.count, "=", 1))
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +483,9 @@ def match(pending, pattern, universe: Universe):
     Returns a ConditionSet on success and BOTTOM when no assignment over the
     universe makes the types equal.
     """
-    a = reduce_constrained(flatten(pending))
-    b = reduce_constrained(flatten(pattern))
-    a, rho1 = _strip(a)
-    b, rho2 = _strip(b)
-    expr = pred_simplify(conj(equate(a, b), rho1, rho2))
+    a, rho1 = _strip(reduce_constrained(pending))
+    b, rho2 = _strip(reduce_constrained(pattern))
+    expr = pred_simplify(conj(_equate(a, b), rho1, rho2))
     if expr == FALSE:
         return BOTTOM
     if expr == TRUE:
@@ -523,8 +527,9 @@ def partition_cases(predicates) -> list[Case]:
     Cells with identical predicate valuations merge into a single case, so
     e.g. two guard intervals over one variable yield at most four cases.
     Each case keeps its valuation, where the engine reads these guards.
-    Every variable is an integer: a comparison against anything but an
-    integer constant raises ``ConstraintError``.
+    Every variable is a Go ``int``: a comparison against anything but an
+    integer constant raises ``ConstraintError``, and no case starts or ends
+    outside [-2^63, 2^63 - 1], where no value lies.
     """
     predicates = [pred_simplify(p) for p in predicates]
     names = sorted({n for p in predicates for n in pred_free_vars(p)})
@@ -551,7 +556,7 @@ def partition_cases(predicates) -> list[Case]:
             else:  # equality flips entering and leaving the value
                 points.add(const)
                 points.add(const + 1)
-        return sorted(points)
+        return sorted(p for p in points if -(2**63) < p < 2**63)  # cells of Go ints
 
     def intervals(var):
         pts = boundaries(var)
@@ -592,7 +597,7 @@ def partition_cases(predicates) -> list[Case]:
             for cell in members
         ]
         assumption = disj(*parts)
-        label = render_pred(assumption)
+        label = "" if assumption == TRUE else render_pred(assumption)  # nothing split
         cases.append(Case(assumption, label, dict(zip(predicates, valuation))))
     return cases
 

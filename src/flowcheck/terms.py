@@ -5,9 +5,17 @@ of type t, `?t` receives one).  Definitions may branch on predicates via
 union types; instances are branch-free.  All terms are immutable, and every
 factory returns the canonical (flattened) form, so structural equality is
 plain ``==``.
+
+``term_map`` is the one traversal: it rebuilds one level of a term.
+``canon`` is the one definition of the canonical form, applied to a node
+whose subterms are canonical already; ``flatten`` is ``canon`` over
+``term_map``, bottom-up, and hands a canonical term back unchanged.  A walk
+that rebuilds canonical terms applies ``canon`` to the nodes it rebuilds.
 """
 
 from __future__ import annotations
+
+from operator import is_
 
 from .record import Record
 
@@ -147,140 +155,111 @@ class InlineApp(Term):
 # canonicalization
 
 
-def flatten(t):
-    """Return the canonical form of a term; idempotent.
-
-    Nested sequences merge left-to-right, singleton sequences unwrap, empty
-    sequences become Zero, stacked constraints collapse into one predicate,
-    concrete powers expand, and a constraint wrapped around a coroutine is
-    folded into the coroutine's own constraint field.
-    """
-    if isinstance(t, (ZeroType, Concrete, Var, DefRef, int)):
-        return t
+def canon(t):
+    """The canonical form of a node whose direct subterms are canonical,
+    and ``t`` itself when it is canonical already: the one definition of
+    the canonical form.  Nested sequences merge, singleton sequences unwrap,
+    empty ones become Zero, a power of Zero is Zero and a concrete power
+    expands, stacked constraints merge into one, and a constraint around a
+    coroutine folds into the coroutine's own.  In a flow, Zero vanishes, a
+    sequence splices, and a directed sequence splits into one item each."""
+    if not isinstance(t, (Seq, CorDef, CorIns, Power, Constrained)):
+        return t  # every other node is canonical once its subterms are
     if isinstance(t, Seq):
         items = []
         for item in t.items:
-            item = flatten(item)
             if isinstance(item, Seq):
                 items.extend(item.items)
-            elif isinstance(item, ZeroType):
-                continue
-            else:
+            elif not isinstance(item, ZeroType):
                 items.append(item)
-        if not items:
-            return ZERO
-        if len(items) == 1:
-            return items[0]
-        return Seq(tuple(items))
-    if isinstance(t, Tup):
-        return Tup(tuple(flatten(i) for i in t.items))
-    if isinstance(t, Union):
-        return Union(flatten(t.left), flatten(t.right))
-    if isinstance(t, Power):
-        base = flatten(t.base)
-        if isinstance(base, ZeroType):
-            return ZERO
-        if isinstance(t.count, int):
-            return flatten(Seq((base,) * t.count))
-        return Power(base, t.count)
-    if isinstance(t, Constrained):
-        from .preds import conj, TRUE  # leaf nodes live here; preds builds on them
-
-        base = flatten(t.base)
-        pred = t.pred
-        while isinstance(base, Constrained):
-            pred = conj(base.pred, pred)
-            base = flatten(base.base)
-        if isinstance(base, ZeroType):
-            return ZERO
-        if isinstance(base, (CorIns, CorDef)):
-            merged = pred if base.constraint is None else conj(base.constraint, pred)
-            if merged == TRUE:
-                merged = None
-            return type(base)(base.flow, merged, base.label)
-        if pred == TRUE:
-            return base
-        return Constrained(base, pred)
-    if isinstance(t, Directed):
-        return Directed(t.direction, flatten(t.payload))
+        if len(items) < 2:
+            return items[0] if items else ZERO
+        return t if _same(items, t.items) else Seq(tuple(items))
     if isinstance(t, (CorDef, CorIns)):
-        items = []
+        flow = []
         for item in t.flow:
-            item = flatten(item)
-            if isinstance(item, ZeroType):
-                continue
-            if isinstance(item, Seq):
-                # a spliced sequence may hold directed sequences to distribute
-                items.extend(flatten(CorIns(item.items)).flow)
-            elif isinstance(item, Directed) and isinstance(item.payload, Seq):
-                items.extend(distribute(item.direction, item.payload))
-            else:
-                items.append(item)
-        return type(t)(tuple(items), t.constraint, t.label)
-    if isinstance(t, StartApp):
-        return StartApp(flatten(t.target), t.bindings)
-    if isinstance(t, InlineApp):
-        return InlineApp(flatten(t.target), t.bindings)
-    raise TypeError("not a type term: %r" % (t,))
+            for part in item.items if isinstance(item, Seq) else (item,):
+                if isinstance(part, Directed) and isinstance(part.payload, Seq):
+                    flow.extend(Directed(part.direction, p) for p in part.payload.items)
+                elif not isinstance(part, ZeroType):
+                    flow.append(part)
+        return t if _same(flow, t.flow) else type(t)(tuple(flow), t.constraint, t.label)
+    if isinstance(t, Power):
+        if isinstance(t.base, ZeroType):
+            return ZERO
+        return canon(Seq((t.base,) * t.count)) if isinstance(t.count, int) else t
+    from .preds import conj, TRUE  # leaf nodes live here; preds builds on them
+
+    base, pred = t.base, t.pred  # a constrained node
+    if isinstance(base, Constrained):
+        base, pred = base.base, conj(base.pred, pred)
+    if isinstance(base, ZeroType):
+        return ZERO
+    if isinstance(base, (CorIns, CorDef)):
+        merged = pred if base.constraint is None else conj(base.constraint, pred)
+        return type(base)(base.flow, None if merged == TRUE else merged, base.label)
+    if pred == TRUE:
+        return base
+    return t if base is t.base else Constrained(base, pred)
 
 
-def distribute(direction, t):
-    """Apply a direction to a type, splitting a sequence into one item each."""
-    t = flatten(t)
-    if isinstance(t, Seq):
-        return [Directed(direction, item) for item in t.items]
-    return [Directed(direction, t)]
+def flatten(t):
+    """The canonical form of any term: ``canon`` applied bottom-up.  A
+    canonical term comes back itself."""
+    return canon(term_map(t, flatten))
 
 
-# Factories; these keep every constructed term canonical.
+# Factories: each builds one node from canonical parts and canonicalizes
+# that node, so every term they build is canonical.  A term assembled from
+# the classes directly is canonicalized by ``flatten``.
 
 
 def seq(*items):
-    return flatten(Seq(tuple(items)))
+    return canon(Seq(items))
 
 
 def tup(*items):
-    return flatten(Tup(tuple(items)))
+    return canon(Tup(items))
 
 
 def union(left, right):
-    return flatten(Union(left, right))
+    return canon(Union(left, right))
 
 
 def constrained(base, pred):
-    return flatten(Constrained(base, pred))
+    return canon(Constrained(base, pred))
 
 
 def power(base, count):
-    return flatten(Power(base, count))
+    return canon(Power(base, count))
 
 
 def cor_def(*items, constraint=None, label=None):
-    return flatten(CorDef(tuple(items), constraint, label))
+    return canon(CorDef(items, constraint, label))
 
 
 def cor_ins(*items, constraint=None, label=None):
-    return flatten(CorIns(tuple(items), constraint, label))
+    return canon(CorIns(items, constraint, label))
 
 
 def yielded(payload):
-    return Directed(YIELD, flatten(payload))
+    return canon(Directed(YIELD, payload))
 
 
 def received(payload):
-    return Directed(RECEIVE, flatten(payload))
+    return canon(Directed(RECEIVE, payload))
 
 
 def start_app(target, bindings=()):
     if isinstance(bindings, dict):
         bindings = tuple(bindings.items())
-    return StartApp(flatten(target), bindings)
+    return canon(StartApp(target, bindings))
 
 
 def inline_app(target, bindings=()):
     if isinstance(bindings, dict):
         bindings = tuple(bindings.items())
-    return InlineApp(flatten(target), bindings)
+    return canon(InlineApp(target, bindings))
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +288,24 @@ def tail(i):
     return CorIns(i.flow[1:], i.constraint, i.label)
 
 
+def branches(t):
+    """The (payload, guard) alternatives of a canonical union tree, left to
+    right, each guard the conjunction of the constraints around its payload,
+    innermost first; any other term is its own one alternative, under TRUE."""
+    from .preds import conj, TRUE  # leaf nodes live here; preds builds on them
+
+    out, stack = [], [(t, TRUE)]
+    while stack:
+        t, guard = stack.pop()
+        if isinstance(t, Union):
+            stack += [(t.right, guard), (t.left, guard)]
+        elif isinstance(t, Constrained):
+            stack.append((t.base, conj(t.pred, guard)))
+        else:
+            out.append((t, guard))
+    return out
+
+
 def term_map(t, fn, pred_fn=None):
     """Rebuild one level of a term: ``fn`` on each direct subterm (items,
     union branches, a power's base and count, a payload, a flow, an
@@ -318,7 +315,7 @@ def term_map(t, fn, pred_fn=None):
     if isinstance(t, (ZeroType, Concrete, Var, DefRef, int)):
         return t
     if isinstance(t, (CorDef, CorIns)):
-        flow = tuple(fn(i) for i in t.flow)
+        flow = tuple(map(fn, t.flow))
         guard = t.constraint
         if guard is not None and pred_fn is not None:
             guard = pred_fn(guard)
@@ -329,7 +326,7 @@ def term_map(t, fn, pred_fn=None):
         payload = fn(t.payload)
         return t if payload is t.payload else Directed(t.direction, payload)
     if isinstance(t, (Seq, Tup)):
-        items = tuple(fn(i) for i in t.items)
+        items = tuple(map(fn, t.items))
         return t if _same(items, t.items) else type(t)(items)
     if isinstance(t, Union):
         left, right = fn(t.left), fn(t.right)
@@ -352,34 +349,33 @@ def term_map(t, fn, pred_fn=None):
 
 
 def _same(new, old) -> bool:
-    """Whether two equally long tuples hold the very same objects."""
-    return all(a is b for a, b in zip(new, old))
+    """Whether two sequences hold the very same objects."""
+    return len(new) == len(old) and all(map(is_, new, old))
 
 
 LEGAL_BINDING_VALUES = (int, Concrete, Var)
 
 
 def substitute(t, binding: dict):
-    """Replace bound variables throughout a term and re-canonicalize.
+    """Replace bound variables throughout a canonical term; the result is
+    canonical, since each node the walk rebuilds goes through ``canon``.
 
     Binding values are restricted to concrete symbols, integers (lengths),
     and variables; anything structured raises IllegalBinding.
     """
+    from .preds import pred_substitute  # preds builds on the leaf nodes here
+
     for name, value in binding.items():
         if not isinstance(value, LEGAL_BINDING_VALUES) or isinstance(value, bool):
             raise IllegalBinding("cannot bind %s to %r" % (name, value))
     if not binding:
-        return flatten(t)
-    return flatten(_subst(t, binding))
-
-
-def _subst(t, binding):
-    from .preds import pred_substitute  # preds builds on the leaf nodes here
+        return t
 
     def walk(s):
         if isinstance(s, Var):
             return binding.get(s.name, s)
-        return term_map(s, walk, guard)
+        rebuilt = term_map(s, walk, guard)
+        return s if rebuilt is s else canon(rebuilt)
 
     def guard(p):
         return pred_substitute(p, binding)

@@ -164,6 +164,160 @@ class TestNumberLiterals:
         assert analyze_source(GUARDED_SENDER % ("x := " + value, "x")).worst() == verdict
 
 
+INT_GUARD = '''package main
+
+func f(n int, ch chan int) {
+	if %s {
+		ch <- 1
+	}
+}
+
+func main() {
+	var v int
+	ch := make(chan int)
+	go f(v, ch)
+	<-ch
+}
+'''
+
+
+class TestIntRange:
+    """Go's ``int`` has 64 bits: no case may hold only values past its
+    ends, and a literal past them is refused."""
+
+    @pytest.mark.parametrize(
+        "guard", ["n <= 9223372036854775807", "n >= -9223372036854775808",
+                  "n <= 9223372036854775807 && n >= -9223372036854775808"],
+    )
+    def test_a_guard_every_int_meets_splits_nothing(self, guard):
+        analysis = analyze_source(INT_GUARD % guard)
+        assert [(c.label, c.verdict.kind) for c in analysis.cases] == [("", "NoDeadlock")]
+
+    def test_a_guard_the_largest_int_breaks_still_splits(self):
+        analysis = analyze_source(INT_GUARD % "n < 9223372036854775807")
+        assert [(c.label, c.verdict.kind) for c in analysis.cases] == [
+            ("v ≤ 9223372036854775806", "NoDeadlock"),
+            ("v ≥ 9223372036854775807", "Deadlock"),
+        ]
+
+    @pytest.mark.parametrize(
+        "value", ["99999999999999999999", "9223372036854775808", "- -9223372036854775808",
+                  "-99999999999999999999"],
+    )
+    def test_a_literal_past_int_is_refused(self, value):
+        analysis = analyze_source(GUARDED_SENDER % ("x := " + value, "x"))
+        assert [str(c.verdict) for c in analysis.cases] == [
+            "Unsupported(integer literal overflows int (line 5))"
+        ]
+
+    @pytest.mark.parametrize(
+        "value, verdict",
+        [("9223372036854775807", "NoDeadlock"), ("-9223372036854775808", "Deadlock")],
+    )
+    def test_the_ends_of_int_are_read(self, value, verdict):
+        assert analyze_source(GUARDED_SENDER % ("x := " + value, "x")).worst() == verdict
+
+
+FUNCTION_VALUES = {
+    "a literal stored and called": ('''package main
+
+import "fmt"
+
+func main() {
+	ch := make(chan int)
+	f := func() { <-ch }
+	f()
+	fmt.Println(1)
+}
+''', "channel-using function literal used as a value (line 7)"),
+    "a literal stored and started": ('''package main
+
+func main() {
+	ch := make(chan int)
+	f := func() { ch <- 1 }
+	go f()
+	<-ch
+}
+''', "channel-using function literal used as a value (line 5)"),
+    "a literal passed to a function": ('''package main
+
+func run(g func()) {
+	g()
+}
+
+func main() {
+	ch := make(chan int)
+	run(func() { <-ch })
+}
+''', "channel-using function literal used as a value (line 9)"),
+    "a named function stored and started": ('''package main
+
+func worker(ch chan int) {
+	ch <- 1
+}
+
+func main() {
+	ch := make(chan int)
+	w := worker
+	go w(ch)
+	<-ch
+}
+''', "channel-using function worker used as a value (line 9)"),
+}
+
+
+class TestFunctionValues:
+    """A channel-using function used other than as a callee would lose
+    its channel operations, so the verdict would not be Go's: refused."""
+
+    @pytest.mark.parametrize("name", sorted(FUNCTION_VALUES))
+    def test_is_refused_with_its_line(self, name):
+        source, reason = FUNCTION_VALUES[name]
+        analysis = analyze_source(source)
+        assert [str(c.verdict) for c in analysis.cases] == ["Unsupported(%s)" % reason]
+
+    def test_the_command_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "value.go"
+        path.write_text(FUNCTION_VALUES["a literal passed to a function"][0], encoding="utf-8")
+        assert main(["analyze", str(path)]) == 2
+        assert "channel-using function literal used as a value (line 9)" in capsys.readouterr().out
+
+    def test_a_function_value_without_channels_is_kept(self):
+        source = '''package main
+
+func apply(g func()) {
+	g()
+}
+
+func main() {
+	ch := make(chan int)
+	apply(func() {})
+	go func() { ch <- 1 }()
+	<-ch
+}
+'''
+        assert analyze_source(source).worst() == "NoDeadlock"
+
+    def test_a_parameter_named_like_a_member_is_not_a_function(self):
+        source = '''package main
+
+func done(ch chan int) {
+	ch <- 1
+}
+
+func wait(done chan int) {
+	<-done
+}
+
+func main() {
+	ch := make(chan int)
+	go done(ch)
+	wait(ch)
+}
+'''
+        assert analyze_source(source).worst() == "NoDeadlock"
+
+
 class TestStatementSeparators:
     @pytest.mark.parametrize(
         "source, line, found",

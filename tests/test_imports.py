@@ -1,6 +1,7 @@
-"""Every module-level import under ``src/flowcheck`` is used, every
-module-level name defined there is read somewhere under ``src/`` or
-``tests/``, and every function there reads each of its parameters.
+"""Every module-level import under ``src/flowcheck`` is used, no module
+there imports another's underscore-prefixed name, every module-level name
+defined there is read somewhere under ``src/`` or ``tests/``, and every
+function there reads each of its parameters.
 
 ``__init__.py`` files are skipped by the import check: their imports are
 re-exports.  A one-file run must not load ``dataclasses``."""
@@ -40,6 +41,53 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+MODULE_NAMES = {p.stem for p in MODULES}
+
+
+def private_imports(source):
+    """The underscore-prefixed names a module takes from another module of
+    the package: by ``from module import _name``, anywhere in the module,
+    or as ``module._name`` on a package module it imported."""
+    tree = ast.parse(source)
+    modules = set()
+    found = []
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.Import, ast.ImportFrom)):
+            for a in n.names:
+                bound = a.asname or a.name.split(".")[-1]
+                if bound in MODULE_NAMES:
+                    modules.add(bound)
+                if isinstance(n, ast.ImportFrom) and is_private(a.name):
+                    found.append("%s%s.%s" % ("." * n.level, n.module or "", a.name))
+    for n in ast.walk(tree):
+        if (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                and n.value.id in modules and is_private(n.attr)):
+            found.append("%s.%s" % (n.value.id, n.attr))
+    return found
+
+
+def is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_the_check_sees_a_private_import():
+    source = (
+        "from __future__ import annotations\n"
+        "from ..engine import _branches, reduce\n"
+        "from . import terms\n"
+        "def f():\n    from .preds import _NEGATE\n"
+        "    return terms._same, terms.__name__, terms.flatten\n"
+    )
+    assert private_imports(source) == ["..engine._branches", ".preds._NEGATE", "terms._same"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_no_private_name_is_imported(path):
+    """A name another module needs is public: it has one home, and an
+    underscore means no other module reads it."""
+    assert private_imports(path.read_text(encoding="utf-8")) == []
 
 
 def defined_names(source):

@@ -150,3 +150,56 @@ class TestErrors:
         analysis = analyze_source("package main\n\nfunc main() {\n\t%s" % statement)
         assert analysis.worst() == "Unsupported"
         assert analysis.cases[0].verdict.reason.startswith("syntax error: line 4: ")
+
+
+class TestRunesAndEscapes:
+    """A rune is exactly one character or one Go escape, and an interpreted
+    string escapes by the same rule, with ``\\"`` in place of ``\\'``."""
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["'\\''", "'\\\\'", "'\\a'", "'\\b'", "'\\f'", "'\\n'", "'\\r'", "'\\t'", "'\\v'",
+         "'\\101'", "'\\377'", "'\\x41'", "'\\u00e9'", "'\\U0001F600'", "'é'", "'\"'",
+         '"\\a\\b\\f\\n\\r\\t\\v\\\\\\""', '"\\000\\x7f\\u2318\\U0010FFFF"', '"\'"'],
+    )
+    def test_a_valid_literal_is_one_string_token(self, literal):
+        assert tokenize(literal + " x")[0] == Token("string", literal, 1)
+
+    @pytest.mark.parametrize(
+        "literal, message",
+        [("'ab'", "more than one character in rune literal 'ab'"),
+         ("'\\n\\n'", "more than one character in rune literal '\\n\\n'"),
+         ("''", "empty rune literal ''"),
+         ("'\\q'", "unknown escape sequence in '\\q'"),
+         ('"\\q"', 'unknown escape sequence in "\\q"'),
+         ("'\\\"'", "unknown escape sequence in '\\\"'"),
+         ('"\\\'"', 'unknown escape sequence in "\\\'"'),
+         ("'\\x4'", "unknown escape sequence in '\\x4'"),
+         ('"\\u12"', 'unknown escape sequence in "\\u12"'),
+         ('"\\12"', 'unknown escape sequence in "\\12"'),
+         ("'\\400'", "octal escape value > 255 in '\\400'"),
+         ('"\\ud800"', 'escape is an invalid Unicode code point in "\\ud800"'),
+         ('"\\U00110000"', 'escape is an invalid Unicode code point in "\\U00110000"')],
+    )
+    def test_an_invalid_literal_is_a_syntax_error(self, literal, message):
+        with pytest.raises(GoSyntaxError) as raised:
+            tokenize("x\nr := " + literal)
+        assert (raised.value.line, raised.value.message) == (2, message)
+
+    def test_a_raw_string_has_no_escapes(self):
+        assert tokenize("`\\q`")[0] == Token("string", "`\\q`", 1)
+
+    @pytest.mark.parametrize("literal", ["'ab'", "''", '"\\q"', "'\\q'"])
+    def test_the_analysis_refuses_the_program(self, literal):
+        analysis = analyze_source(
+            'package main\n\nimport "fmt"\n\nfunc main() {\n\tr := %s\n\tfmt.Println(r)\n}\n'
+            % literal
+        )
+        assert analysis.worst() == "Unsupported"
+        assert analysis.cases[0].verdict.reason.startswith("syntax error: line 6: ")
+
+    def test_an_escaped_quote_rune_is_analysed(self):
+        analysis = analyze_source(
+            "package main\n\nimport \"fmt\"\n\nfunc main() {\n\tfmt.Println('\\'')\n}\n"
+        )
+        assert analysis.worst() == "NoDeadlock"

@@ -438,6 +438,23 @@ class TestPartition:
         cases = partition_cases([])
         assert len(cases) == 1 and cases[0].assumption == TRUE
 
+    @pytest.mark.parametrize(
+        "op, const", [("<=", 2**63 - 1), (">", 2**63 - 1), (">=", -(2**63)), ("<", -(2**63))]
+    )
+    def test_no_case_lies_outside_go_int(self, op, const):
+        guard = Cmp(Var("v"), op, const)
+        cases = partition_cases([guard])
+        assert [(c.label, c.assumption) for c in cases] == [("", TRUE)]
+        assert cases[0].valuation == {guard: op in ("<=", ">=")}
+
+    def test_the_ends_of_go_int_are_cases_of_their_own(self):
+        cases = partition_cases([Cmp(Var("v"), "=", 2**63 - 1), Cmp(Var("v"), "=", -(2**63))])
+        assert [c.label for c in cases] == [
+            "v ≤ -9223372036854775808",
+            "v ≥ -9223372036854775807 ∧ v ≤ 9223372036854775806",
+            "v ≥ 9223372036854775807",
+        ]
+
 
 class TestCaseValuation:
     """A case's stored guard value is what the solver would prove."""
