@@ -13,7 +13,7 @@ from ..solver import Case, ConstraintError, Universe, partition_cases
 from ..terms import DefRef, start_app
 from .lexer import GoSyntaxError
 from .parser import Unsupported, parse
-from .translate import UnknownChannel, compute_m, unresolved_condition_preds
+from .translate import compute_m, unresolved_condition_preds
 
 
 class CaseResult:
@@ -58,7 +58,7 @@ def analyze_source(source: str | bytes, max_steps: int = engine.DEFAULT_MAX_STEP
         if "main" not in program.functions:
             return _unsupported("no main function")
         translation = compute_m(program)
-    except (Unsupported, UnknownChannel) as e:
+    except Unsupported as e:
         return _unsupported(str(e))
     except GoSyntaxError as e:
         return _unsupported("syntax error: %s" % e)

@@ -11,7 +11,7 @@ from ..record import Record
 
 
 class Node(Record):
-    """A syntax node.  A statement or receive keeps its source ``line``
+    """A syntax node.  A statement or expression keeps its source ``line``
     for reports; equality and hashing skip it."""
 
     __slots__ = ()
@@ -43,27 +43,27 @@ class FuncType(Node):
 
 
 class Ident(Node):
-    __slots__ = ("name",)
+    __slots__ = ("name", "line")
 
 
 class Selector(Node):
-    __slots__ = ("pkg", "name")
+    __slots__ = ("pkg", "name", "line")
 
 
 class IntLit(Node):
-    __slots__ = ("value",)
+    __slots__ = ("value", "line")
 
 
 class StringLit(Node):
-    __slots__ = ("text",)  # raw, with quotes
+    __slots__ = ("text", "line")  # raw, with quotes
 
 
 class BoolLit(Node):
-    __slots__ = ("value",)
+    __slots__ = ("value", "line")
 
 
 class NilLit(Node):
-    __slots__ = ()
+    __slots__ = ("line",)
 
 
 class Recv(Node):
@@ -71,24 +71,24 @@ class Recv(Node):
 
 
 class MakeExpr(Node):
-    __slots__ = ("gotype", "size")
-    _defaults = {"size": None}
+    __slots__ = ("gotype", "size", "line")
+    _defaults = {"size": None, "line": 0}
 
 
 class Call(Node):
-    __slots__ = ("fn", "args")  # fn: Ident | Selector | FuncLit
+    __slots__ = ("fn", "args", "line")  # fn: Ident | Selector | FuncLit
 
 
 class FuncLit(Node):
-    __slots__ = ("func",)
+    __slots__ = ("func", "line")
 
 
 class Unary(Node):
-    __slots__ = ("op", "operand")
+    __slots__ = ("op", "operand", "line")
 
 
 class Binary(Node):
-    __slots__ = ("op", "left", "right")
+    __slots__ = ("op", "left", "right", "line")
 
 
 # -- statements --------------------------------------------------------------

@@ -347,8 +347,8 @@ class Parser:
         outer = self.depth
         left = self.parse_and()
         while self.peek().kind == "||":
-            self.descend(self.next().line)
-            left = Binary("||", left, self.parse_and())
+            self.descend(line := self.next().line)
+            left = Binary("||", left, self.parse_and(), line)
         self.depth = outer
         return left
 
@@ -356,16 +356,16 @@ class Parser:
         outer = self.depth
         left = self.parse_cmp()
         while self.peek().kind == "&&":
-            self.descend(self.next().line)
-            left = Binary("&&", left, self.parse_cmp())
+            self.descend(line := self.next().line)
+            left = Binary("&&", left, self.parse_cmp(), line)
         self.depth = outer
         return left
 
     def parse_cmp(self):
         left = self.parse_add()
         if self.peek().kind in ("==", "!=", "<", "<=", ">", ">="):
-            op = self.next().kind
-            return Binary(op, left, self.parse_add())
+            op = self.next()
+            return Binary(op.kind, left, self.parse_add(), op.line)
         return left
 
     def parse_add(self):
@@ -377,12 +377,12 @@ class Parser:
             self.descend(tok.line)
             operand = self.parse_unary()
             if tok.kind in ("*", "/", "%"):
-                product = Binary(tok.kind, product, operand)
+                product = Binary(tok.kind, product, operand, tok.line)
             else:
-                total = product if total is None else Binary(op, total, product)
-                op, product = tok.kind, operand
+                total = product if total is None else Binary(op.kind, total, product, op.line)
+                op, product = tok, operand
         self.depth = outer
-        return product if total is None else Binary(op, total, product)
+        return product if total is None else Binary(op.kind, total, product, op.line)
 
     def parse_unary(self, negated=False):
         """A unary expression.  An integer literal must fit Go's 64-bit
@@ -395,9 +395,9 @@ class Parser:
             if tok.kind == "<-":
                 expr = Recv(expr, tok.line)
             elif tok.kind == "-" and isinstance(expr, IntLit):
-                expr = IntLit(-expr.value)
+                expr = IntLit(-expr.value, tok.line)
             else:
-                expr = Unary(tok.kind, expr)
+                expr = Unary(tok.kind, expr, tok.line)
         else:
             expr = self.parse_postfix()
         if isinstance(expr, IntLit) and expr.value > (2**63 if negated else 2**63 - 1):
@@ -412,17 +412,16 @@ class Parser:
                 expr = self.make_call(expr, self.parenthesized(self.parse_expr))
             elif self.peek().kind == "." and isinstance(expr, Ident):
                 self.next()
-                expr = Selector(expr.name, self.expect("ident").value)
+                expr = Selector(expr.name, self.expect("ident").value, expr.line)
             else:
                 return expr
 
     def make_call(self, fn, args) -> Call:
-        line = self.peek().line
         if isinstance(fn, Ident) and fn.name == "close":
-            raise Unsupported("close", line)
+            raise Unsupported("close", fn.line)
         if isinstance(fn, Selector) and fn.pkg == "sync":
-            raise Unsupported("sync primitives", line)
-        return Call(fn, args)
+            raise Unsupported("sync primitives", fn.line)
+        return Call(fn, args, fn.line)
 
     def parse_primary(self):
         tok = self.peek()
@@ -430,16 +429,16 @@ class Parser:
             if not plain_decimal(tok.value):
                 raise Unsupported("non-decimal integer literal", tok.line)
             self.next()
-            return IntLit(int(tok.value))
+            return IntLit(int(tok.value), tok.line)
         if tok.kind == "float":
             raise Unsupported("floating point literal", tok.line)
         if tok.kind == "imaginary":
             raise Unsupported("imaginary literal", tok.line)
         if tok.kind == "string":
             self.next()
-            return StringLit(tok.value)
+            return StringLit(tok.value, tok.line)
         if tok.kind == "func":
-            return FuncLit(self.parse_func(anonymous=True))
+            return FuncLit(self.parse_func(anonymous=True), tok.line)
         if tok.kind == "(":
             self.next()
             inner = self.parse_expr()
@@ -451,15 +450,13 @@ class Parser:
             raise Unsupported("channel type in expression", tok.line)
         if tok.kind == "ident":
             self.next()
-            if tok.value == "true":
-                return BoolLit(True)
-            if tok.value == "false":
-                return BoolLit(False)
+            if tok.value in ("true", "false"):
+                return BoolLit(tok.value == "true", tok.line)
             if tok.value == "nil":
-                return NilLit()
+                return NilLit(tok.line)
             if tok.value == "make" and self.peek().kind == "(":
                 return self.parse_make(tok.line)
-            return Ident(tok.value)
+            return Ident(tok.value, tok.line)
         raise GoSyntaxError(tok.line, "unexpected %r in expression" % tok.value)
 
     def parse_make(self, line) -> MakeExpr:
@@ -472,7 +469,7 @@ class Parser:
         if isinstance(gotype, ChanType):
             if size is not None and not (isinstance(size, IntLit) and size.value == 0):
                 raise Unsupported("buffered channel", line)
-        return MakeExpr(gotype, size)
+        return MakeExpr(gotype, size, line)
 
 
 def parse(source: str) -> Program:

@@ -73,13 +73,6 @@ from .parser import Unsupported
 _ARITHMETIC = {"+": int.__add__, "-": int.__sub__, "*": int.__mul__}
 
 
-class UnknownChannel(Exception):
-    def __init__(self, name, line):
-        super().__init__("cannot resolve channel %r (line %d)" % (name, line))
-        self.name = name
-        self.line = line
-
-
 def concrete_name(gotype) -> str:
     """The concrete symbol a Go type contributes, e.g. int -> Int."""
     if isinstance(gotype, NamedType):
@@ -97,12 +90,14 @@ def concrete_name(gotype) -> str:
 class Env:
     """Lexically chained typing environment: channel element types plus
     propagated constant values.  A name assigned something that is not a
-    known constant maps to None, which hides any outer constant."""
+    known constant maps to None, which hides any outer constant.
+    ``declared`` holds the names a declaration in this block introduced."""
 
     def __init__(self, parent=None):
         self.parent = parent
         self.chans: dict[str, str] = {}
         self.consts: dict[str, Optional[int]] = {}
+        self.declared: set = set()
 
     def child(self) -> "Env":
         return Env(self)
@@ -166,20 +161,17 @@ def body_nodes(nodes):
 def _refuse_member_value(n, params, nodes, members):
     """Refuse ``n``, a function literal or a function's name among the
     ``nodes`` of a body, if it is a member.  A name the body declares as a
-    parameter or variable is not the function; an identifier reports the
-    line of the statement it is in, the last one before it."""
+    parameter or variable is not the function."""
     if isinstance(n, FuncLit):
         if n.func.name in members:
-            raise Unsupported("channel-using function literal used as a value", n.func.line)
+            raise Unsupported("channel-using function literal used as a value", n.line)
         return
     if n.name not in members:
         return
     local = {name for name, _ in params}
     local.update(m.name for m in nodes if isinstance(m, (ShortVarDecl, VarDecl)))
     if n.name not in local:
-        before = nodes[:next(k for k, m in enumerate(nodes) if m is n)]
-        line = next((m.line for m in reversed(before) if getattr(m, "line", 0)), 0)
-        raise Unsupported("channel-using function %s used as a value" % n.name, line)
+        raise Unsupported("channel-using function %s used as a value" % n.name, n.line)
 
 
 class Translator:
@@ -250,7 +242,7 @@ class Translator:
         returned = False
         for s in stmts:
             if returned:
-                raise Unsupported("statement after return", getattr(s, "line", 0))
+                raise Unsupported("statement after return", s.line)
             new_items, returned = self._stmt(s, env, deferred, allow_defer)
             items.extend(new_items)
         return items, returned
@@ -258,6 +250,7 @@ class Translator:
     def _stmt(self, s, env: Env, deferred, allow_defer) -> tuple:
         if isinstance(s, (ShortVarDecl, VarDecl)):
             items = [] if s.expr is None else self._expr_items(s.expr, env)
+            env.declared.add(s.name)
             self._bind_value(env, s.name, getattr(s, "gotype", None), s.expr)
             return items, False
         if isinstance(s, Assign):
@@ -266,7 +259,7 @@ class Translator:
             return items, False
         if isinstance(s, Send):
             items = self._expr_items(s.value, env)
-            items.append(yielded(Concrete(self._chan_elem(s.chan, env, s.line))))
+            items.append(yielded(Concrete(self._chan_elem(s.chan, env))))
             return items, False
         if isinstance(s, ExprStmt):
             return self._expr_items(s.expr, env), False
@@ -286,22 +279,22 @@ class Translator:
         if isinstance(s, Return):
             items = [] if s.expr is None else self._expr_items(s.expr, env)
             return items, True
-        raise Unsupported("unrecognized statement", getattr(s, "line", 0))
+        raise Unsupported("unrecognized statement", s.line)
 
     def _if(self, s: If, env: Env, deferred, allow_defer) -> tuple:
-        pred = pred_simplify(self._cond_pred(s.cond, env, s.line))
+        pred = pred_simplify(self._cond_pred(s.cond, env))
         else_body = (s.els,) if isinstance(s.els, If) else s.els or ()
         if pred == TRUE or pred == FALSE:
             branch_env = env.child()
             body = s.then if pred == TRUE else else_body
             items, returned = self._block(body, branch_env, deferred, allow_defer)
-            self._merge_branch(env, branch_env)
+            self._merge_branch(env, branch_env, decided=True)
             return items, returned
         then_env, else_env = env.child(), env.child()
         then_items, t_ret = self._block(s.then, then_env, deferred, allow_defer=False)
         else_items, e_ret = self._block(else_body, else_env, deferred, allow_defer=False)
-        self._merge_branch(env, then_env)
-        self._merge_branch(env, else_env)
+        self._merge_branch(env, then_env, decided=False)
+        self._merge_branch(env, else_env, decided=False)
         if t_ret or e_ret:
             raise Unsupported("return inside an undecided conditional", s.line)
         then_branch = constrained(seq(*then_items), pred)
@@ -312,10 +305,14 @@ class Translator:
             return [union(then_branch, else_branch)], False
         return [union(else_branch, then_branch)], False
 
-    def _merge_branch(self, env: Env, branch: Env):
-        # a value assigned under a condition is no longer a known constant
-        env.consts.update(dict.fromkeys(branch.consts))
-        env.chans.update(branch.chans)
+    def _merge_branch(self, env: Env, branch: Env, decided):
+        """Carry a branch's assignments to enclosing names out of it, as
+        unknown values unless the branch was ``decided``.  A declaration
+        ends with its block, and no channel binding leaves it: a Go
+        variable's element type is fixed where it is declared."""
+        for name, value in branch.consts.items():
+            if name not in branch.declared:
+                env.consts[name] = value if decided else None
 
     # -- expressions ------------------------------------------------------------
 
@@ -326,7 +323,7 @@ class Translator:
             special = self._time_after(e.chan)
             if special is not None:
                 return special
-            return [received(Concrete(self._chan_elem(e.chan, env, e.line)))]
+            return [received(Concrete(self._chan_elem(e.chan, env)))]
         if isinstance(e, Call):
             items = []
             for a in e.args:
@@ -395,9 +392,15 @@ class Translator:
         return bindings
 
     def _eval_value(self, e, env: Env):
-        """The constant ``e`` folds to, or None; ``+ - *`` wrap as Go's ``int``."""
-        if isinstance(e, IntLit):
-            return e.value
+        """The constant ``e`` folds to, or None.  An expression of literals
+        is exact, as a Go constant expression is, and refused when it
+        overflows ``int``; ``+ - *`` with a variable operand wrap as Go's
+        ``int`` does at run time."""
+        value = _constant(e)
+        if value is not None:
+            if not -(2**63) <= value < 2**63:
+                raise Unsupported("constant %d overflows int" % value, e.line)
+            return value
         if isinstance(e, BoolLit):
             return 1 if e.value else 0
         if isinstance(e, Ident):
@@ -410,10 +413,9 @@ class Translator:
                 return (_ARITHMETIC[e.op](left, right) + 2**63) % 2**64 - 2**63
         return None
 
-    def _cond_pred(self, e, env: Env, line):
+    def _cond_pred(self, e, env: Env):
         """The predicate a condition compiles to over its free variables;
-        constants fold in.  Expression nodes carry no line, so an unsupported
-        condition reports ``line``, the line of its ``if``."""
+        constants fold in."""
         if isinstance(e, BoolLit):
             return TRUE if e.value else FALSE
         if isinstance(e, Ident):
@@ -422,26 +424,26 @@ class Translator:
                 return TRUE if value else FALSE
             return Cmp(Var(e.name), "=", 1)  # a bare flag reads as "is set"
         if isinstance(e, Unary) and e.op == "!":
-            return neg(self._cond_pred(e.operand, env, line))
+            return neg(self._cond_pred(e.operand, env))
         if isinstance(e, Binary) and e.op == "&&":
-            return conj(self._cond_pred(e.left, env, line), self._cond_pred(e.right, env, line))
+            return conj(self._cond_pred(e.left, env), self._cond_pred(e.right, env))
         if isinstance(e, Binary) and e.op == "||":
-            return disj(self._cond_pred(e.left, env, line), self._cond_pred(e.right, env, line))
+            return disj(self._cond_pred(e.left, env), self._cond_pred(e.right, env))
         if isinstance(e, Binary) and e.op in ("==", "!=", "<", "<=", ">", ">="):
-            lhs = self._cond_term(e.left, env, line)
-            rhs = self._cond_term(e.right, env, line)
+            lhs = self._cond_term(e.left, env)
+            rhs = self._cond_term(e.right, env)
             op = "=" if e.op in ("==", "!=") else e.op
             out = Cmp(lhs, op, rhs)
             return neg(out) if e.op == "!=" else out
-        raise Unsupported("condition beyond integer/boolean comparisons", line)
+        raise Unsupported("condition beyond integer/boolean comparisons", e.line)
 
-    def _cond_term(self, e, env: Env, line):
+    def _cond_term(self, e, env: Env):
         value = self._eval_value(e, env)
         if value is not None:
             return value
         if isinstance(e, Ident):
             return Var(e.name)
-        raise Unsupported("condition beyond integer/boolean comparisons", line)
+        raise Unsupported("condition beyond integer/boolean comparisons", e.line)
 
     def _returned_chan(self, e) -> Optional[str]:
         """The element type of the channel ``e`` returns when it calls a
@@ -452,16 +454,12 @@ class Translator:
                 return concrete_name(func.result.elem)
         return None
 
-    def _chan_elem(self, e, env: Env, line) -> str:
-        if isinstance(e, Ident):
-            elem = env.chan_of(e.name)
-            if elem is None:
-                raise UnknownChannel(e.name, line)
-            return elem
-        elem = self._returned_chan(e)
-        if elem is not None:
-            return elem
-        raise UnknownChannel(getattr(getattr(e, "fn", e), "name", "?"), line)
+    def _chan_elem(self, e, env: Env) -> str:
+        elem = env.chan_of(e.name) if isinstance(e, Ident) else self._returned_chan(e)
+        if elem is None:
+            name = getattr(getattr(e, "fn", e), "name", "?")
+            raise Unsupported("cannot resolve channel %r" % name, e.line)
+        return elem
 
     def _bind_value(self, env: Env, name, gotype, expr):
         if isinstance(expr, MakeExpr) and isinstance(expr.gotype, ChanType):
@@ -473,6 +471,20 @@ class Translator:
             env.chans[name] = elem
         else:
             env.consts[name] = self._eval_value(expr, env)
+
+
+def _constant(e):
+    """The exact value of an expression of integer literals and ``+ - *``,
+    as Go evaluates a constant expression, or None."""
+    if isinstance(e, IntLit):
+        return e.value
+    if isinstance(e, Unary) and e.op == "-":
+        e = Binary("-", IntLit(0), e.operand)
+    if isinstance(e, Binary) and e.op in _ARITHMETIC:
+        left, right = _constant(e.left), _constant(e.right)
+        if left is not None and right is not None:
+            return _ARITHMETIC[e.op](left, right)
+    return None
 
 
 def compute_m(program: Program) -> Translation:

@@ -8,10 +8,15 @@ symbols from the term module.
 
 from __future__ import annotations
 
-from .record import Record
-from .terms import Concrete, Var
+import operator
 
-OPS = ("<", "<=", "=", ">=", ">")
+from . import terms
+from .record import Record
+
+# the comparison each operator names, on two ints
+_COMPARE = {"<": operator.lt, "<=": operator.le, "=": operator.eq, ">=": operator.ge,
+            ">": operator.gt}
+OPS = tuple(_COMPARE)
 _FLIP = {"<": ">", "<=": ">=", "=": "=", ">=": "<=", ">": "<"}
 _NEGATE = {"<": ">=", "<=": ">", ">=": "<", ">": "<="}
 
@@ -122,9 +127,9 @@ def cmp(lhs, op, rhs):
     if op not in OPS:
         raise ValueError("unknown comparison operator %r" % op)
     # canonical orientation: a variable goes on the left when possible
-    if not isinstance(lhs, Var) and isinstance(rhs, Var):
+    if not isinstance(lhs, terms.Var) and isinstance(rhs, terms.Var):
         lhs, op, rhs = rhs, _FLIP[op], lhs
-    elif isinstance(lhs, Var) and isinstance(rhs, Var) and rhs.name < lhs.name:
+    elif isinstance(lhs, terms.Var) and isinstance(rhs, terms.Var) and rhs.name < lhs.name:
         lhs, op, rhs = rhs, _FLIP[op], lhs
     return Cmp(lhs, op, rhs)
 
@@ -172,7 +177,7 @@ def pred_free_vars(p):
     out = []
     for atom in pred_atoms(p):
         for t in atom_terms(atom):
-            if isinstance(t, Var) and t.name not in out:
+            if isinstance(t, terms.Var) and t.name not in out:
                 out.append(t.name)
     return out
 
@@ -181,7 +186,7 @@ def pred_substitute(p, binding: dict):
     """Replace bound variables in a predicate, then fold ground atoms."""
 
     def sub_term(t):
-        if isinstance(t, Var):
+        if isinstance(t, terms.Var):
             return binding.get(t.name, t)
         return t
 
@@ -190,7 +195,7 @@ def pred_substitute(p, binding: dict):
             return _fold_cmp(Cmp(sub_term(q.lhs), q.op, sub_term(q.rhs)))
         lhs = sub_term(q.var)
         rhs = sub_term(q.value)
-        if isinstance(lhs, Var):
+        if isinstance(lhs, terms.Var):
             return Binding(lhs, rhs)
         return _fold_cmp(Cmp(lhs, "=", rhs))
 
@@ -200,23 +205,13 @@ def pred_substitute(p, binding: dict):
 def _fold_cmp(c):
     lhs, rhs = c.lhs, c.rhs
     if isinstance(lhs, int) and isinstance(rhs, int):
-        return TRUE if _cmp_ints(lhs, c.op, rhs) else FALSE
-    if isinstance(lhs, Concrete) and isinstance(rhs, Concrete):
+        return TRUE if _COMPARE[c.op](lhs, rhs) else FALSE
+    if isinstance(lhs, terms.Concrete) and isinstance(rhs, terms.Concrete):
         if c.op == "=":
             return TRUE if lhs == rhs else FALSE
-    if isinstance(lhs, Var) and lhs == rhs:
+    if isinstance(lhs, terms.Var) and lhs == rhs:
         return FALSE if c.op in ("<", ">") else TRUE
     return c
-
-
-def _cmp_ints(a, op, b):
-    return {
-        "<": a < b,
-        "<=": a <= b,
-        "=": a == b,
-        ">=": a >= b,
-        ">": a > b,
-    }[op]
 
 
 def pred_evaluate(p, assignment: dict):
@@ -225,7 +220,7 @@ def pred_evaluate(p, assignment: dict):
     still tip it either way.  Under a full assignment it is True or False."""
 
     def term(t):
-        return assignment.get(t.name) if isinstance(t, Var) else t
+        return assignment.get(t.name) if isinstance(t, terms.Var) else t
 
     def walk(q):
         if isinstance(q, TruePred):
@@ -255,8 +250,8 @@ def pred_evaluate(p, assignment: dict):
             if lhs is None or rhs is None:
                 return None
             if isinstance(lhs, int) and isinstance(rhs, int):
-                return _cmp_ints(lhs, op, rhs)
-            if isinstance(lhs, Concrete) and isinstance(rhs, Concrete):
+                return _COMPARE[op](lhs, rhs)
+            if isinstance(lhs, terms.Concrete) and isinstance(rhs, terms.Concrete):
                 if op != "=":
                     raise ValueError("symbols admit equality only: %r" % (q,))
                 return lhs == rhs
@@ -272,7 +267,7 @@ def pred_simplify(p):
     def atom(q):
         if isinstance(q, Cmp):
             return _fold_cmp(q)
-        if isinstance(q.value, Var) and q.value.name == q.var.name:
+        if isinstance(q.value, terms.Var) and q.value.name == q.var.name:
             return TRUE
         return q
 

@@ -17,6 +17,7 @@ from itertools import product
 
 from . import terms
 from .notation import render, render_pred
+from .record import Record
 from .preds import (
     And,
     Binding,
@@ -76,20 +77,12 @@ class _Bottom:
 BOTTOM = _Bottom()
 
 
-class ConditionSet:
+class ConditionSet(Record):
     """The outcome of a successful match: uniquely determined variable
     bindings plus whatever predicate remains over the undetermined ones."""
 
     __slots__ = ("bindings", "residual")
-
-    def __init__(self, bindings, residual=TRUE):
-        self.bindings = bindings
-        self.residual = residual
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.bindings, self.residual) == (other.bindings, other.residual)
-        return NotImplemented
+    _defaults = {"residual": TRUE}
 
     def __repr__(self):
         pairs = ", ".join("%s ↦ %s" % (k, render(v)) for k, v in self.bindings.items())
@@ -182,13 +175,10 @@ def _apply_guard(base, pred):
 
 
 def _extract_binding(pred):
-    if isinstance(pred, Binding) and isinstance(pred.value, (int, Concrete, Var)):
-        return (pred.var.name, pred.value), TRUE
-    if isinstance(pred, And):
-        for k, item in enumerate(pred.items):
-            if isinstance(item, Binding) and isinstance(item.value, (int, Concrete, Var)):
-                rest = conj(*(pred.items[:k] + pred.items[k + 1 :]))
-                return (item.var.name, item.value), rest
+    items = pred.items if isinstance(pred, And) else (pred,)
+    for k, item in enumerate(items):
+        if isinstance(item, Binding) and isinstance(item.value, (int, Concrete, Var)):
+            return (item.var.name, item.value), conj(*items[:k], *items[k + 1 :])
     return None, pred
 
 
@@ -205,6 +195,10 @@ def equate(a, b):
     variable -- anything structured yields false.
     """
     return _equate(flatten(a), flatten(b))
+
+
+# Leaves equal only when identical; an application is opaque until started.
+_OPAQUE = (ZeroType, int, Concrete, DefRef, StartApp, InlineApp)
 
 
 def _equate(a, b):
@@ -226,12 +220,8 @@ def _equate(a, b):
         return FALSE  # a variable never equals a structured type or Zero
     if isinstance(a, Power) or isinstance(b, Power):
         return _equate_power(a, b)
-    if isinstance(a, ZeroType) or isinstance(b, ZeroType):
-        return TRUE if type(a) is type(b) else FALSE
-    if isinstance(a, int) or isinstance(b, int):
+    if isinstance(a, _OPAQUE) or isinstance(b, _OPAQUE):
         return TRUE if a == b else FALSE
-    if isinstance(a, Concrete) and isinstance(b, Concrete):
-        return TRUE if a.name == b.name else FALSE
     if isinstance(a, (Seq, Tup)) and type(a) is type(b):
         if len(a.items) != len(b.items):
             return FALSE
@@ -248,10 +238,6 @@ def _equate(a, b):
             if side.constraint is not None:
                 parts.append(side.constraint)
         return conj(*parts)
-    if isinstance(a, DefRef) and isinstance(b, DefRef):
-        return TRUE if a.name == b.name else FALSE
-    if type(a) is type(b) and isinstance(a, (StartApp, InlineApp)):
-        return TRUE if a == b else FALSE
     return FALSE
 
 
@@ -275,73 +261,46 @@ INT = "int"
 SYM = "sym"
 
 
+def _find(parent: dict, name):
+    """The representative of ``name`` in the union-find ``parent``."""
+    while parent.setdefault(name, name) != name:
+        name = parent[name]
+    return name
+
+
+def _union(parent: dict, a, b):
+    parent[_find(parent, b)] = _find(parent, a)
+
+
 def _infer_domains(expr, universe: Universe):
-    """Assign each variable an integer or symbol domain, scanning atoms in
-    order; a conflicting later use raises DomainConflict."""
-    domain: dict[str, str] = {}
-    groups: dict[str, str] = {}  # union-find parent by name
-
-    def find(name):
-        while groups.get(name, name) != name:
-            name = groups[name]
-        return name
-
-    def assign(name, dom, why):
-        root = find(name)
-        have = domain.get(root)
-        if have is None:
-            domain[root] = dom
-        elif have != dom:
-            raise DomainConflict("%s used as %s and %s (%s)" % (name, have, dom, why))
-
-    def merge(x, y):
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return
-        dx, dy = domain.get(rx), domain.get(ry)
-        if dx and dy and dx != dy:
-            raise DomainConflict("%s and %s have different domains" % (x, y))
-        groups[ry] = rx
-        if dy and not dx:
-            domain[rx] = dy
-        domain.pop(ry, None)
-
-    def atom(lhs, op, rhs, why):
-        if isinstance(lhs, Var) and isinstance(rhs, Var):
-            merge(lhs.name, rhs.name)
-            return
-        for var, other in ((lhs, rhs), (rhs, lhs)):
-            if not isinstance(var, Var):
+    """Assign each variable an integer or symbol domain.  A variable
+    compared with an integer or under an ordering is an integer, one
+    equated with a symbol is a symbol, and variables compared with each
+    other share one domain; an unconstrained variable takes the symbol
+    domain when the universe has symbols.  A class that needs both
+    domains, or a symbol under an ordering, raises DomainConflict."""
+    parent: dict = {}
+    needs = []  # (name, a domain one of its atoms requires)
+    for atom in pred_atoms(expr):
+        lhs, rhs = atom_terms(atom)
+        op = atom.op if isinstance(atom, Cmp) else "="
+        for side, other in ((lhs, rhs), (rhs, lhs)):
+            if isinstance(side, Concrete) and op != "=":
+                raise DomainConflict("symbol %s under ordering comparison" % side.name)
+            if not isinstance(side, Var):
                 continue
-            if isinstance(other, int):
-                assign(var.name, INT, why)
+            if isinstance(other, Var):
+                _union(parent, side.name, other.name)
+            if op != "=" or isinstance(other, int):
+                needs.append((side.name, INT))
             elif isinstance(other, Concrete):
-                if op != "=":
-                    raise DomainConflict(
-                        "symbol %s under ordering comparison" % other.name
-                    )
-                assign(var.name, SYM, why)
-
-    for p in pred_atoms(expr):
-        if isinstance(p, Cmp):
-            if p.op != "=":
-                for side in (p.lhs, p.rhs):
-                    if isinstance(side, Var):
-                        assign(side.name, INT, "ordering comparison")
-                    elif isinstance(side, Concrete):
-                        raise DomainConflict(
-                            "symbol %s under ordering comparison" % side.name
-                        )
-            atom(p.lhs, p.op, p.rhs, "comparison")
-        else:
-            atom(p.var, "=", p.value, "binding")
-    out = {}
-    for name in pred_free_vars(expr):
-        dom = domain.get(find(name))
-        if dom is None:
-            dom = SYM if universe.symbols else INT
-        out[name] = dom
-    return out
+                needs.append((side.name, SYM))
+    domain: dict = {}  # representative -> its class's domain
+    for name, need in needs:
+        if domain.setdefault(_find(parent, name), need) != need:
+            raise DomainConflict("%s used as %s and %s" % (name, INT, SYM))
+    default = SYM if universe.symbols else INT
+    return {name: domain.get(_find(parent, name), default) for name in pred_free_vars(expr)}
 
 
 def _int_constants(expr):
@@ -365,22 +324,14 @@ def _groups(expr):
     """The conjuncts of ``expr`` joined by shared free variables, as
     ``[(sorted names, their conjunction)]``; ground conjuncts come first,
     in a group with no names."""
-    parent: dict[str, str] = {}
-
-    def find(name):
-        while parent[name] != name:
-            name = parent[name]
-        return name
-
+    parent: dict = {}
     parts = [(c, pred_free_vars(c)) for c in _conjuncts(expr)]
     for _, names in parts:
         for name in names:
-            parent.setdefault(name, name)
-        for other in names[1:]:
-            parent[find(other)] = find(names[0])
+            _union(parent, names[0], name)
     groups: dict = {}
     for c, names in parts:
-        groups.setdefault(find(names[0]) if names else "", []).append((c, names))
+        groups.setdefault(_find(parent, names[0]) if names else "", []).append((c, names))
     return [
         (sorted({n for _, names in members for n in names}),
          conj(*(c for c, _ in members)))
@@ -466,12 +417,9 @@ def unique_bindings(expr, interp: dict, universe: Universe) -> ConditionSet:
 
 def pred_canonical(p):
     """Sort n-ary connectives by rendered text, for stable, symmetric output."""
-    if isinstance(p, And):
-        items = tuple(sorted((pred_canonical(i) for i in p.items), key=render_pred))
-        return conj(*items)
-    if isinstance(p, Or):
-        items = tuple(sorted((pred_canonical(i) for i in p.items), key=render_pred))
-        return disj(*items)
+    if isinstance(p, (And, Or)):
+        items = sorted((pred_canonical(i) for i in p.items), key=render_pred)
+        return conj(*items) if isinstance(p, And) else disj(*items)
     if isinstance(p, Not):
         return neg(pred_canonical(p.item))
     return p

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from operator import is_
 
+from . import preds
 from .record import Record
 
 YIELD = "!"
@@ -188,17 +189,15 @@ def canon(t):
         if isinstance(t.base, ZeroType):
             return ZERO
         return canon(Seq((t.base,) * t.count)) if isinstance(t.count, int) else t
-    from .preds import conj, TRUE  # leaf nodes live here; preds builds on them
-
     base, pred = t.base, t.pred  # a constrained node
     if isinstance(base, Constrained):
-        base, pred = base.base, conj(base.pred, pred)
+        base, pred = base.base, preds.conj(base.pred, pred)
     if isinstance(base, ZeroType):
         return ZERO
     if isinstance(base, (CorIns, CorDef)):
-        merged = pred if base.constraint is None else conj(base.constraint, pred)
-        return type(base)(base.flow, None if merged == TRUE else merged, base.label)
-    if pred == TRUE:
+        merged = pred if base.constraint is None else preds.conj(base.constraint, pred)
+        return type(base)(base.flow, None if merged == preds.TRUE else merged, base.label)
+    if pred == preds.TRUE:
         return base
     return t if base is t.base else Constrained(base, pred)
 
@@ -292,15 +291,13 @@ def branches(t):
     """The (payload, guard) alternatives of a canonical union tree, left to
     right, each guard the conjunction of the constraints around its payload,
     innermost first; any other term is its own one alternative, under TRUE."""
-    from .preds import conj, TRUE  # leaf nodes live here; preds builds on them
-
-    out, stack = [], [(t, TRUE)]
+    out, stack = [], [(t, preds.TRUE)]
     while stack:
         t, guard = stack.pop()
         if isinstance(t, Union):
             stack += [(t.right, guard), (t.left, guard)]
         elif isinstance(t, Constrained):
-            stack.append((t.base, conj(t.pred, guard)))
+            stack.append((t.base, preds.conj(t.pred, guard)))
         else:
             out.append((t, guard))
     return out
@@ -363,8 +360,6 @@ def substitute(t, binding: dict):
     Binding values are restricted to concrete symbols, integers (lengths),
     and variables; anything structured raises IllegalBinding.
     """
-    from .preds import pred_substitute  # preds builds on the leaf nodes here
-
     for name, value in binding.items():
         if not isinstance(value, LEGAL_BINDING_VALUES) or isinstance(value, bool):
             raise IllegalBinding("cannot bind %s to %r" % (name, value))
@@ -378,6 +373,6 @@ def substitute(t, binding: dict):
         return s if rebuilt is s else canon(rebuilt)
 
     def guard(p):
-        return pred_substitute(p, binding)
+        return preds.pred_substitute(p, binding)
 
     return walk(t)

@@ -1024,7 +1024,7 @@ func main() {
         assert "Start(s, v ↦ %d)" % value in notation.render(tr.cordefs["main"])
 
     def test_unsupported_condition_reports_the_line_of_its_if(self):
-        # expression nodes carry no line of their own
+        # the condition is on the line of its if
         source = (
             "package main\n\n"
             "func f(ch chan int) {\n\tif <-ch > 0 {\n\t}\n}\n\n"
@@ -1085,6 +1085,94 @@ func main() {
         analysis = analyze_source(source)
         assert [case.verdict.reason for case in analysis.cases] == [
             "unresolved condition: cannot partition x: comparison against a non-constant"
+        ]
+
+
+SHADOWED_CHANNEL = '''package main
+
+import "fmt"
+
+func send(c chan int) {
+	c <- 1
+}
+
+func main() {
+	ch := make(chan int)
+	%s {
+		ch := make(chan string)
+		go func() { ch <- "a" }()
+		fmt.Println(<-ch)
+	}
+	go send(ch)
+	fmt.Println(<-ch)
+}
+'''
+
+
+def guarded_sender(before):
+    """``main`` runs ``before``, starts a sender only when ``x > 1``, then
+    receives: it deadlocks exactly when ``x`` is at most 1 there."""
+    return (
+        "package main\n\nfunc main() {\n\tch := make(chan int)\n%s"
+        "\tif x > 1 {\n\t\tgo func() { ch <- 1 }()\n\t}\n\t<-ch\n}\n" % before
+    )
+
+
+class TestBlockScope:
+    """A declaration ends with its block; an assignment to an enclosing
+    variable outlives it."""
+
+    @pytest.mark.parametrize("header", ["if true", "var v int\n\tif v > 3"],
+                             ids=["decided", "undecided"])
+    def test_a_shadowing_channel_keeps_its_type_in_its_block(self, header):
+        analysis = analyze_source(SHADOWED_CHANNEL % header)
+        assert {case.verdict.kind for case in analysis.cases} == {"NoDeadlock"}
+
+    @pytest.mark.parametrize("before", [
+        "\tx := 2\n\tif true {\n\t\tx := 1\n\t\t_ = x\n\t}\n",
+        "\tx := 1\n\tif true {\n\t\tx = 2\n\t}\n",
+    ], ids=["a shadowing declaration ends", "an assignment in a decided branch stays"])
+    def test_the_outer_constant_decides_the_guard(self, before):
+        analysis = analyze_source(guarded_sender(before))
+        assert [(c.label, c.verdict.kind) for c in analysis.cases] == [("", "NoDeadlock")]
+
+    def test_an_assignment_in_an_undecided_branch_becomes_unknown(self):
+        before = "\tx := 2\n\tvar v int\n\tif v > 3 {\n\t\tx = 0\n\t}\n"
+        analysis = analyze_source(guarded_sender(before))
+        assert [(c.label, c.verdict.kind) for c in analysis.cases] == [
+            ("x ≤ 1", "Deadlock"), ("x ≥ 2", "NoDeadlock"),
+        ]
+
+
+class TestConstantOverflow:
+    """Go evaluates a constant expression exactly and refuses one that
+    overflows ``int``; arithmetic on a variable wraps at run time."""
+
+    @pytest.mark.parametrize("expr, value", [
+        ("9223372036854775807 + 1", "9223372036854775808"),
+        ("-9223372036854775807 - 2", "-9223372036854775809"),
+        ("k + 3037000500 * 3037000500", "9223372037000250000"),
+    ])
+    def test_an_overflowing_constant_is_refused_with_its_line(self, expr, value):
+        source = guarded_sender("\tk := 0\n\tx := %s\n" % expr)
+        assert source.splitlines()[5] == "\tx := %s" % expr
+        analysis = analyze_source(source)
+        assert [str(c.verdict) for c in analysis.cases] == [
+            "Unsupported(constant %s overflows int (line 6))" % value
+        ]
+
+    @pytest.mark.parametrize("expr, verdict", [
+        ("(9223372036854775807 + 1) - 9223372036854775807", "NoDeadlock"),
+        ("k + 1", "Deadlock"),
+    ], ids=["exact in between", "a variable operand wraps"])
+    def test_a_value_that_fits_is_kept(self, expr, verdict):
+        source = guarded_sender("\tk := 9223372036854775807\n\tx := %s + 1\n" % expr)
+        assert [c.verdict.kind for c in analyze_source(source).cases] == [verdict]
+
+    def test_a_call_reports_the_line_of_its_callee(self):
+        source = guarded_sender("\tclose(\n\t\tch,\n\t)\n\tx := 2\n")
+        assert [str(c.verdict) for c in analyze_source(source).cases] == [
+            "Unsupported(close (line 5))"
         ]
 
 

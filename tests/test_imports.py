@@ -1,5 +1,6 @@
 """Every module-level import under ``src/flowcheck`` is used, no module
-there imports another's underscore-prefixed name, every module-level name
+there imports another's underscore-prefixed name, no function there but a
+``__repr__`` imports a package module, every module-level name
 defined there is read somewhere under ``src/`` or ``tests/``, and every
 function there reads each of its parameters.
 
@@ -88,6 +89,51 @@ def test_no_private_name_is_imported(path):
     """A name another module needs is public: it has one home, and an
     underscore means no other module reads it."""
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def function_imports(source):
+    """``function:line`` for each import of a package module, relative or
+    under ``flowcheck``, in a function body other than ``__repr__``'s."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ImportFrom):
+                package = child.level or (child.module or "").split(".")[0] == "flowcheck"
+            elif isinstance(child, ast.Import):
+                package = any(a.name.split(".")[0] == "flowcheck" for a in child.names)
+            else:
+                package = False
+            if package and function not in (None, "__repr__"):
+                found.append("%s:%d" % (function, child.lineno))
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_check_sees_a_function_import():
+    source = (
+        "from . import terms\nimport os\n"
+        "def f():\n    import sys\n    from .preds import conj\n"
+        "    def __repr__():\n        from .notation import render\n"
+        "    import flowcheck.solver\n"
+        "class C:\n    def __repr__(self):\n        from . import notation\n"
+        "    def m(self):\n        from .. import engine\n"
+    )
+    assert function_imports(source) == ["f:5", "f:8", "m:13"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_no_function_imports_a_package_module(path):
+    """Modules that need each other import each other as modules and read
+    the names at call time: an import in a function body is paid on every
+    call.  A ``__repr__`` may import the notation, which builds on the
+    term and predicate modules."""
+    assert function_imports(path.read_text(encoding="utf-8")) == []
 
 
 def defined_names(source):

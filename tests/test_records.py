@@ -149,5 +149,5 @@ def test_go_statements_that_differ_only_in_line_are_equal():
 
 def test_a_go_node_shows_its_fields():
     assert repr(Send(Ident("ch"), IntLit(1), 4)) == (
-        "Send(chan=Ident(name='ch'), value=IntLit(value=1), line=4)"
+        "Send(chan=Ident(name='ch', line=0), value=IntLit(value=1, line=0), line=4)"
     )

@@ -13,9 +13,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from flowcheck.preds import (
+    OPS,
+    And,
     Binding,
     Cmp,
     FALSE,
+    Not,
     Or,
     TRUE,
     conj,
@@ -30,6 +33,7 @@ from flowcheck import solver
 from flowcheck.solver import (
     BOTTOM,
     INT,
+    SYM,
     ConstraintError,
     DomainConflict,
     Universe,
@@ -366,6 +370,86 @@ class TestSolveAgainstOracle:
         pad = k + 1
         grid = range(0 - pad, 3 + pad + 1)
         assert len(calls) <= k * len(grid)  # a full grid search needs grid^k
+
+
+def _oracle_atoms(p):
+    """Each atom of a predicate as ``(lhs, op, rhs)``, a binding as ``=``."""
+    if isinstance(p, (And, Or)):
+        return [a for item in p.items for a in _oracle_atoms(item)]
+    if isinstance(p, Not):
+        return _oracle_atoms(p.item)
+    if isinstance(p, Binding):
+        return [(p.var, "=", p.value)]
+    if isinstance(p, Cmp):
+        return [(p.lhs, p.op, p.rhs)]
+    return []
+
+
+def _domains_allowed(atoms, domains):
+    """Whether ``domains`` (name -> INT | SYM) meets every atom: a symbol
+    only under equality, a variable under an ordering or compared with an
+    int is an integer, one equated with a symbol is a symbol, and two
+    compared variables share a domain."""
+    for lhs, op, rhs in atoms:
+        for side, other in ((lhs, rhs), (rhs, lhs)):
+            if isinstance(side, Concrete) and op != "=":
+                return False
+            if not isinstance(side, Var):
+                continue
+            mine = domains[side.name]
+            if isinstance(other, Var) and domains[other.name] != mine:
+                return False
+            if (op != "=" or isinstance(other, int)) and mine != INT:
+                return False
+            if op == "=" and isinstance(other, Concrete) and mine != SYM:
+                return False
+    return True
+
+
+DOMAIN_OPERANDS = st.one_of(
+    st.sampled_from(VAR_NAMES[:4]).map(Var),
+    st.integers(-2, 2),
+    st.sampled_from([Int, Str]),
+)
+DOMAIN_ATOMS = st.one_of(
+    st.builds(Cmp, DOMAIN_OPERANDS, st.sampled_from(OPS), DOMAIN_OPERANDS),
+    st.builds(Binding, st.sampled_from(VAR_NAMES[:4]).map(Var), DOMAIN_OPERANDS),
+)
+DOMAIN_PREDS = st.recursive(
+    DOMAIN_ATOMS,
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=2, max_size=3).map(lambda ps: conj(*ps)),
+        st.lists(inner, min_size=2, max_size=3).map(lambda ps: disj(*ps)),
+        inner.map(neg),
+    ),
+    max_leaves=6,
+)
+
+
+class TestInferDomains:
+    @given(DOMAIN_PREDS, UNIVERSES)
+    @settings(max_examples=400)
+    def test_the_domains_the_rules_force(self, expr, symbols):
+        # brute force over every INT/SYM assignment: none allowed is a
+        # conflict; a variable every allowed assignment agrees on takes that
+        # domain, any other the default one
+        atoms = _oracle_atoms(expr)
+        names = list(dict.fromkeys(
+            t.name for atom in atoms for t in (atom[0], atom[2]) if isinstance(t, Var)
+        ))
+        every = [dict(zip(names, c)) for c in itertools.product((INT, SYM), repeat=len(names))]
+        allowed = [domains for domains in every if _domains_allowed(atoms, domains)]
+        u = Universe(symbols)
+        if not allowed:
+            with pytest.raises(DomainConflict):
+                _infer_domains(expr, u)
+            return
+        default = SYM if symbols else INT
+        expected = {
+            n: allowed[0][n] if all(d[n] == allowed[0][n] for d in allowed) else default
+            for n in names
+        }
+        assert _infer_domains(expr, u) == expected
 
 
 class TestUniqueBindings:
