@@ -94,11 +94,8 @@ class Binary(Node):
 # -- statements --------------------------------------------------------------
 
 
-class ShortVarDecl(Node):
-    __slots__ = ("name", "expr", "line")
-
-
 class VarDecl(Node):
+    # ``var name [gotype] [= expr]``, or ``name := expr`` with no gotype
     __slots__ = ("name", "gotype", "expr", "line")
     _defaults = {"gotype": None, "expr": None, "line": 0}
 
@@ -124,9 +121,9 @@ class DeferStmt(Node):
 
 
 class If(Node):
-    # els: a tuple of statements, a nested If, or None
+    # els: a tuple of statements, an ``else if`` its one statement
     __slots__ = ("cond", "then", "els", "line")
-    _defaults = {"els": None, "line": 0}
+    _defaults = {"els": (), "line": 0}
 
 
 class Return(Node):

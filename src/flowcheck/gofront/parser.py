@@ -1,5 +1,9 @@
 """Recursive-descent parser for the supported Go subset.
 
+Binary expressions are read by precedence climbing over one table,
+``_PRECEDENCE``, of Go's five binary levels; every operator is
+left-associative, as in the Go spec.
+
 Anything outside the subset raises Unsupported naming the construct and the
 line, so the analyzer can refuse the file instead of guessing: buffered or
 directional channels, select, close, for loops, switch, pointers, maps,
@@ -32,7 +36,6 @@ from .goast import (
     Return,
     Selector,
     Send,
-    ShortVarDecl,
     SliceType,
     StringLit,
     Unary,
@@ -42,9 +45,9 @@ from .lexer import GoSyntaxError, Token, plain_decimal, tokenize
 
 
 # Nesting levels: a block, an ``if`` (``else if`` included), an operand
-# (parenthesized, prefixed or a call argument) and each operator of a binary
-# chain.  The parser and the later tree walks recurse on each level, so a
-# deeper file is refused instead of exhausting the recursion limit.
+# (parenthesized, prefixed or a call argument) and each binary operator.
+# The parser and the later tree walks recurse on each level, so a deeper
+# file is refused instead of exhausting the recursion limit.
 MAX_NESTING = 100
 
 
@@ -64,6 +67,15 @@ _UNSUPPORTED_STMTS = {
     "goto": "goto statement",
     "break": "break statement",
     "continue": "continue statement",
+}
+
+# Go's binary operators by precedence, loosest first
+_PRECEDENCE = {
+    "||": 1,
+    "&&": 2,
+    "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
+    "+": 4, "-": 4,
+    "*": 5, "/": 5, "%": 5,
 }
 
 _UNSUPPORTED_TYPES = {
@@ -289,18 +301,12 @@ class Parser:
         tok = self.peek()
         if tok.kind in _UNSUPPORTED_STMTS:
             raise Unsupported(_UNSUPPORTED_STMTS[tok.kind], tok.line)
-        if tok.kind == "go":
+        if tok.kind in ("go", "defer"):
             self.next()
             call = self.parse_expr()
             if not isinstance(call, Call):
-                raise GoSyntaxError(tok.line, "go requires a function call")
-            return GoStmt(call, tok.line)
-        if tok.kind == "defer":
-            self.next()
-            call = self.parse_expr()
-            if not isinstance(call, Call):
-                raise GoSyntaxError(tok.line, "defer requires a function call")
-            return DeferStmt(call, tok.line)
+                raise GoSyntaxError(tok.line, "%s requires a function call" % tok.kind)
+            return (GoStmt if tok.kind == "go" else DeferStmt)(call, tok.line)
         if tok.kind == "if":
             return self.parse_if()
         if tok.kind == "return":
@@ -313,7 +319,7 @@ class Parser:
         if tok.kind == "ident" and self.peek(1).kind == ":=":
             self.next()
             self.next()
-            return ShortVarDecl(tok.value, self.parse_expr(), tok.line)
+            return VarDecl(tok.value, None, self.parse_expr(), tok.line)
         if tok.kind == "ident" and self.peek(1).kind == "=":
             self.next()
             self.next()
@@ -331,58 +337,25 @@ class Parser:
         if self.peek().kind == ";":
             raise Unsupported("if with init statement", line)
         then = self.parse_block()
-        els = None
+        els = ()
         if self.accept("else"):
-            if self.peek().kind == "if":
-                els = self.parse_if()
-            else:
-                els = self.parse_block()
+            els = (self.parse_if(),) if self.peek().kind == "if" else self.parse_block()
         self.depth -= 1
         return If(cond, then, els, line)
 
     # -- expressions ---------------------------------------------------------------
 
-    # each operator of a chain nests the tree one level deeper
-    def parse_expr(self):
+    def parse_expr(self, lowest=1):
+        """A binary expression of operators that bind at level ``lowest`` or
+        tighter; each operator nests the tree one level deeper."""
         outer = self.depth
-        left = self.parse_and()
-        while self.peek().kind == "||":
-            self.descend(line := self.next().line)
-            left = Binary("||", left, self.parse_and(), line)
-        self.depth = outer
-        return left
-
-    def parse_and(self):
-        outer = self.depth
-        left = self.parse_cmp()
-        while self.peek().kind == "&&":
-            self.descend(line := self.next().line)
-            left = Binary("&&", left, self.parse_cmp(), line)
-        self.depth = outer
-        return left
-
-    def parse_cmp(self):
-        left = self.parse_add()
-        if self.peek().kind in ("==", "!=", "<", "<=", ">", ">="):
-            op = self.next()
-            return Binary(op.kind, left, self.parse_add(), op.line)
-        return left
-
-    def parse_add(self):
-        """``+ -`` over ``* / %``, left-associative, in one frame per level."""
-        outer = self.depth
-        total, op, product = None, None, self.parse_unary()
-        while self.peek().kind in ("+", "-", "*", "/", "%"):
+        left = self.parse_unary()
+        while (level := _PRECEDENCE.get(self.peek().kind, 0)) >= lowest:
             tok = self.next()
             self.descend(tok.line)
-            operand = self.parse_unary()
-            if tok.kind in ("*", "/", "%"):
-                product = Binary(tok.kind, product, operand, tok.line)
-            else:
-                total = product if total is None else Binary(op.kind, total, product, op.line)
-                op, product = tok, operand
+            left = Binary(tok.kind, left, self.parse_expr(level + 1), tok.line)
         self.depth = outer
-        return product if total is None else Binary(op.kind, total, product, op.line)
+        return left
 
     def parse_unary(self, negated=False):
         """A unary expression.  An integer literal must fit Go's 64-bit

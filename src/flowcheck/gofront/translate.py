@@ -10,6 +10,9 @@ statement: sends yield the channel's element type, receives expect it,
 ``go`` becomes a start application, plain calls of members inline,
 ``defer`` inlines at the end of the flow (last deferred first), and
 undecided conditionals become unions guarded by the condition predicate.
+One evaluator, ``_fold``, folds an integer expression in one walk: exactly
+over literals, as Go evaluates a constant expression, and with 64-bit
+wrap-around at each operation a variable takes part in.
 
 Channel identity is deliberately not tracked: two channels with the same
 element type are indistinguishable, so a program that uses them out of
@@ -18,7 +21,7 @@ order can slip through; the analyzer emits a warning when it sees one.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import ChainMap, defaultdict
 from itertools import count
 from typing import Optional
 
@@ -63,14 +66,26 @@ from .goast import (
     Return,
     Selector,
     Send,
-    ShortVarDecl,
     SliceType,
     Unary,
     VarDecl,
 )
 from .parser import Unsupported
 
-_ARITHMETIC = {"+": int.__add__, "-": int.__sub__, "*": int.__mul__}
+
+def _quotient(a, b):
+    """``a / b`` as Go divides integers: truncated toward zero."""
+    q = abs(a) // abs(b)
+    return q if (a < 0) == (b < 0) else -q
+
+
+_ARITHMETIC = {
+    "+": int.__add__,
+    "-": int.__sub__,
+    "*": int.__mul__,
+    "/": _quotient,
+    "%": lambda a, b: a - b * _quotient(a, b),
+}
 
 
 def concrete_name(gotype) -> str:
@@ -89,34 +104,18 @@ def concrete_name(gotype) -> str:
 
 class Env:
     """Lexically chained typing environment: channel element types plus
-    propagated constant values.  A name assigned something that is not a
-    known constant maps to None, which hides any outer constant.
-    ``declared`` holds the names a declaration in this block introduced."""
+    propagated constant values, each a ``ChainMap`` whose first map is this
+    block's.  A name assigned something that is not a known constant maps
+    to None, which hides any outer constant.  ``declared`` holds the names
+    a declaration in this block introduced."""
 
-    def __init__(self, parent=None):
-        self.parent = parent
-        self.chans: dict[str, str] = {}
-        self.consts: dict[str, Optional[int]] = {}
+    def __init__(self, chans: ChainMap, consts: ChainMap):
+        self.chans = chans
+        self.consts = consts
         self.declared: set = set()
 
     def child(self) -> "Env":
-        return Env(self)
-
-    def chan_of(self, name) -> Optional[str]:
-        env = self
-        while env is not None:
-            if name in env.chans:
-                return env.chans[name]
-            env = env.parent
-        return None
-
-    def const_of(self, name) -> Optional[int]:
-        env = self
-        while env is not None:
-            if name in env.consts:
-                return env.consts[name]
-            env = env.parent
-        return None
+        return Env(self.chans.new_child(), self.consts.new_child())
 
 
 class Translation:
@@ -128,20 +127,15 @@ class Translation:
 
 
 def body_nodes(nodes):
-    """Every statement and expression of a function body, outside in.
-
-    The condition and the branches of an ``if`` are entered, and the
-    arguments of a call but not its callee, so a function literal is never
-    entered (it is a function of its own)."""
+    """Every node of ``nodes``, expressions and statements that hold no
+    block, outside in.  The arguments of a call are entered but not its
+    callee, so a function literal is never entered (it is a function of
+    its own); ``_scan`` walks the blocks."""
     for n in nodes:
         if n is None:
             continue
         yield n
-        if isinstance(n, If):
-            children = (n.cond,) + n.then + (
-                (n.els,) if isinstance(n.els, If) else n.els or ()
-            )
-        elif isinstance(n, Send):
+        if isinstance(n, Send):
             children = (n.chan, n.value)
         elif isinstance(n, (GoStmt, DeferStmt)):
             children = (n.call,)
@@ -158,20 +152,31 @@ def body_nodes(nodes):
         yield from body_nodes(children)
 
 
-def _refuse_member_value(n, params, nodes, members):
-    """Refuse ``n``, a function literal or a function's name among the
-    ``nodes`` of a body, if it is a member.  A name the body declares as a
-    parameter or variable is not the function."""
-    if isinstance(n, FuncLit):
-        if n.func.name in members:
-            raise Unsupported("channel-using function literal used as a value", n.line)
-        return
-    if n.name not in members:
-        return
-    local = {name for name, _ in params}
-    local.update(m.name for m in nodes if isinstance(m, (ShortVarDecl, VarDecl)))
-    if n.name not in local:
-        raise Unsupported("channel-using function %s used as a value" % n.name, n.line)
+def _scan(block, bound, owner, uses, values):
+    """Walk ``block`` of function ``owner`` (None for the globals) in source
+    order, block by block: add each send, receive and call to ``uses`` as
+    ``(owner, node)``, and to ``values`` each function literal used as a
+    value and each name that the set ``bound`` does not hold.  A name is
+    bound by a parameter or by a declaration earlier in an enclosing block,
+    after its own expression.  A function literal's body is walked where it
+    is written, as a function of its own."""
+    for s in block:
+        for n in body_nodes((s.cond,) if isinstance(s, If) else (s,)):
+            if isinstance(n, (Send, Recv, Call)):
+                uses.append((owner, n))
+            if isinstance(n, FuncLit):
+                values.append((n.func.name, n))
+            elif isinstance(n, Ident) and n.name not in bound:
+                values.append((n.name, n))
+            lit = n.fn if isinstance(n, Call) else n
+            if isinstance(lit, FuncLit):
+                params = bound.union(p for p, _ in lit.func.params)
+                _scan(lit.func.body, params, lit.func.name, uses, values)
+        if isinstance(s, If):
+            _scan(s.then, bound, owner, uses, values)
+            _scan(s.els, bound, owner, uses, values)
+        elif isinstance(s, VarDecl):
+            bound = bound | {s.name}
 
 
 class Translator:
@@ -189,36 +194,36 @@ class Translator:
         A member used other than as the callee of a call is refused: a
         function value that is stored, passed or called through a variable
         would take its channel operations with it."""
-        functions = self.program.functions
+        uses: list = []  # (function name, a send, receive or call in its body)
+        values: list = []  # (name, node): a function named or written as a value
+        _scan(self.program.globals, set(), None, uses, values)
+        for name, f in self.program.functions.items():
+            if not f.anonymous:
+                _scan(f.body, {p for p, _ in f.params}, name, uses, values)
+        members = set()
         callers = defaultdict(set)
-        work = []
-        values = []  # (params, nodes, node): a function named or written as a value
-        scopes = [((), list(body_nodes(self.program.globals)))]
-        for name, f in functions.items():
-            nodes = list(body_nodes(f.body))
-            scopes.append((f.params, nodes))
-            if any(isinstance(n, (Send, Recv)) for n in nodes):
-                work.append(name)
-            for n in nodes:
-                if isinstance(n, Call) and isinstance(n.fn, (Ident, FuncLit)):
-                    callee = n.fn.name if isinstance(n.fn, Ident) else n.fn.func.name
-                    callers[callee].add(name)
-        for params, nodes in scopes:
-            values += [(params, nodes, n) for n in nodes if isinstance(n, FuncLit)
-                       or (isinstance(n, Ident) and n.name in functions)]
-        members = set(work)
+        for owner, n in uses:
+            if owner is None:
+                continue  # the globals belong to no function
+            if isinstance(n, Call):
+                callers[_callee(n)].add(owner)
+            else:
+                members.add(owner)
+        work = list(members)
         while work:
             for caller in callers[work.pop()] - members:
                 members.add(caller)
                 work.append(caller)
-        for params, nodes, n in values:
-            _refuse_member_value(n, params, nodes, members)
+        for name, n in values:
+            if name in members:
+                shown = "literal" if isinstance(n, FuncLit) else name
+                raise Unsupported("channel-using function %s used as a value" % shown, n.line)
         return members
 
     # -- translation ----------------------------------------------------------
 
     def translate_all(self) -> dict:
-        root = Env()
+        root = Env(ChainMap(), ChainMap())
         for g in self.program.globals:
             self._bind_value(root, g.name, g.gotype, g.expr)
             if isinstance(g.expr, MakeExpr) and isinstance(g.expr.gotype, ChanType):
@@ -248,10 +253,10 @@ class Translator:
         return items, returned
 
     def _stmt(self, s, env: Env, deferred, allow_defer) -> tuple:
-        if isinstance(s, (ShortVarDecl, VarDecl)):
-            items = [] if s.expr is None else self._expr_items(s.expr, env)
+        if isinstance(s, VarDecl):
+            items = self._expr_items(s.expr, env)
             env.declared.add(s.name)
-            self._bind_value(env, s.name, getattr(s, "gotype", None), s.expr)
+            self._bind_value(env, s.name, s.gotype, s.expr)
             return items, False
         if isinstance(s, Assign):
             items = self._expr_items(s.expr, env)
@@ -277,22 +282,20 @@ class Translator:
         if isinstance(s, If):
             return self._if(s, env, deferred, allow_defer)
         if isinstance(s, Return):
-            items = [] if s.expr is None else self._expr_items(s.expr, env)
-            return items, True
+            return self._expr_items(s.expr, env), True
         raise Unsupported("unrecognized statement", s.line)
 
     def _if(self, s: If, env: Env, deferred, allow_defer) -> tuple:
         pred = pred_simplify(self._cond_pred(s.cond, env))
-        else_body = (s.els,) if isinstance(s.els, If) else s.els or ()
         if pred == TRUE or pred == FALSE:
             branch_env = env.child()
-            body = s.then if pred == TRUE else else_body
+            body = s.then if pred == TRUE else s.els
             items, returned = self._block(body, branch_env, deferred, allow_defer)
             self._merge_branch(env, branch_env, decided=True)
             return items, returned
         then_env, else_env = env.child(), env.child()
         then_items, t_ret = self._block(s.then, then_env, deferred, allow_defer=False)
-        else_items, e_ret = self._block(else_body, else_env, deferred, allow_defer=False)
+        else_items, e_ret = self._block(s.els, else_env, deferred, allow_defer=False)
         self._merge_branch(env, then_env, decided=False)
         self._merge_branch(env, else_env, decided=False)
         if t_ret or e_ret:
@@ -310,7 +313,7 @@ class Translator:
         unknown values unless the branch was ``decided``.  A declaration
         ends with its block, and no channel binding leaves it: a Go
         variable's element type is fixed where it is declared."""
-        for name, value in branch.consts.items():
+        for name, value in branch.consts.maps[0].items():
             if name not in branch.declared:
                 env.consts[name] = value if decided else None
 
@@ -318,7 +321,8 @@ class Translator:
 
     def _expr_items(self, e, env: Env) -> list:
         """Flow items an expression evaluation produces, in evaluation order:
-        receives inside it, then an inline application if it calls a member."""
+        receives inside it, then an inline application if it calls a member.
+        An absent expression (None) produces none."""
         if isinstance(e, Recv):
             special = self._time_after(e.chan)
             if special is not None:
@@ -357,13 +361,7 @@ class Translator:
         never touches channels (library calls included).  A function
         literal translates here, in the caller's scope; a named callee is
         translated by ``translate_all``."""
-        fn = call.fn
-        if isinstance(fn, FuncLit):
-            name = fn.func.name
-        elif isinstance(fn, Ident):
-            name = fn.name
-        else:
-            return None
+        name = _callee(call)
         if name not in self.members:
             return None
         func = self.program.functions[name]
@@ -392,26 +390,45 @@ class Translator:
         return bindings
 
     def _eval_value(self, e, env: Env):
-        """The constant ``e`` folds to, or None.  An expression of literals
-        is exact, as a Go constant expression is, and refused when it
-        overflows ``int``; ``+ - *`` with a variable operand wrap as Go's
-        ``int`` does at run time."""
-        value = _constant(e)
-        if value is not None:
-            if not -(2**63) <= value < 2**63:
-                raise Unsupported("constant %d overflows int" % value, e.line)
-            return value
+        """The constant ``e`` folds to, or None; see ``_fold``."""
+        value, exact = self._fold(e, env)
+        if exact:
+            _check_fits(value, e.line)
+        return value
+
+    def _fold(self, e, env: Env) -> tuple:
+        """``(value, exact)``: the integer ``e`` folds to, or None, and
+        whether it is built of integer literals only.  Such a value is
+        exact, as Go evaluates a constant expression; it must fit ``int``
+        where it meets a variable operand, and the caller checks it at the
+        top.  An operation with a variable operand wraps as Go's ``int``
+        does at run time.  A divisor that folds to zero is refused."""
+        if isinstance(e, IntLit):
+            return e.value, True
         if isinstance(e, BoolLit):
-            return 1 if e.value else 0
+            return int(e.value), False
         if isinstance(e, Ident):
-            return env.const_of(e.name)
+            return env.consts.get(e.name), False
         if isinstance(e, Unary) and e.op == "-":
-            e = Binary("-", IntLit(0), e.operand)
+            value, exact = self._fold(e.operand, env)
+            if value is not None:
+                value = -value if exact else _wrap(-value)
+            return value, exact
         if isinstance(e, Binary) and e.op in _ARITHMETIC:
-            left, right = self._eval_value(e.left, env), self._eval_value(e.right, env)
-            if left is not None and right is not None:
-                return (_ARITHMETIC[e.op](left, right) + 2**63) % 2**64 - 2**63
-        return None
+            left, left_exact = self._fold(e.left, env)
+            right, right_exact = self._fold(e.right, env)
+            exact = left_exact and right_exact
+            if left_exact and not right_exact:
+                _check_fits(left, e.left.line)
+            if right_exact and not left_exact:
+                _check_fits(right, e.right.line)
+            if right == 0 and e.op in ("/", "%"):
+                raise Unsupported("division by zero", e.line)
+            if left is None or right is None:
+                return None, False
+            value = _ARITHMETIC[e.op](left, right)
+            return (value, True) if exact else (_wrap(value), False)
+        return None, False
 
     def _cond_pred(self, e, env: Env):
         """The predicate a condition compiles to over its free variables;
@@ -419,7 +436,7 @@ class Translator:
         if isinstance(e, BoolLit):
             return TRUE if e.value else FALSE
         if isinstance(e, Ident):
-            value = env.const_of(e.name)
+            value = env.consts.get(e.name)
             if value is not None:
                 return TRUE if value else FALSE
             return Cmp(Var(e.name), "=", 1)  # a bare flag reads as "is set"
@@ -430,19 +447,15 @@ class Translator:
         if isinstance(e, Binary) and e.op == "||":
             return disj(self._cond_pred(e.left, env), self._cond_pred(e.right, env))
         if isinstance(e, Binary) and e.op in ("==", "!=", "<", "<=", ">", ">="):
-            lhs = self._cond_term(e.left, env)
-            rhs = self._cond_term(e.right, env)
+            sides = []
+            for side in (e.left, e.right):
+                value = self._eval_value(side, env)
+                if value is None and not isinstance(side, Ident):
+                    raise Unsupported("condition beyond integer/boolean comparisons", side.line)
+                sides.append(Var(side.name) if value is None else value)
             op = "=" if e.op in ("==", "!=") else e.op
-            out = Cmp(lhs, op, rhs)
+            out = Cmp(sides[0], op, sides[1])
             return neg(out) if e.op == "!=" else out
-        raise Unsupported("condition beyond integer/boolean comparisons", e.line)
-
-    def _cond_term(self, e, env: Env):
-        value = self._eval_value(e, env)
-        if value is not None:
-            return value
-        if isinstance(e, Ident):
-            return Var(e.name)
         raise Unsupported("condition beyond integer/boolean comparisons", e.line)
 
     def _returned_chan(self, e) -> Optional[str]:
@@ -455,7 +468,7 @@ class Translator:
         return None
 
     def _chan_elem(self, e, env: Env) -> str:
-        elem = env.chan_of(e.name) if isinstance(e, Ident) else self._returned_chan(e)
+        elem = env.chans.get(e.name) if isinstance(e, Ident) else self._returned_chan(e)
         if elem is None:
             name = getattr(getattr(e, "fn", e), "name", "?")
             raise Unsupported("cannot resolve channel %r" % name, e.line)
@@ -473,18 +486,24 @@ class Translator:
             env.consts[name] = self._eval_value(expr, env)
 
 
-def _constant(e):
-    """The exact value of an expression of integer literals and ``+ - *``,
-    as Go evaluates a constant expression, or None."""
-    if isinstance(e, IntLit):
-        return e.value
-    if isinstance(e, Unary) and e.op == "-":
-        e = Binary("-", IntLit(0), e.operand)
-    if isinstance(e, Binary) and e.op in _ARITHMETIC:
-        left, right = _constant(e.left), _constant(e.right)
-        if left is not None and right is not None:
-            return _ARITHMETIC[e.op](left, right)
+def _callee(call: Call) -> Optional[str]:
+    """The name of the program function ``call`` targets, as written: a
+    function literal's or an identifier's; None for a selector."""
+    if isinstance(call.fn, FuncLit):
+        return call.fn.func.name
+    if isinstance(call.fn, Ident):
+        return call.fn.name
     return None
+
+
+def _wrap(value: int) -> int:
+    """``value`` wrapped to Go's 64-bit ``int``."""
+    return (value + 2**63) % 2**64 - 2**63
+
+
+def _check_fits(value: int, line):
+    if not -(2**63) <= value < 2**63:
+        raise Unsupported("constant %d overflows int" % value, line)
 
 
 def compute_m(program: Program) -> Translation:

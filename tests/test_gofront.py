@@ -1,6 +1,10 @@
 """Frontend: parsing, the coroutine map, constant propagation, analysis."""
 
+import ast
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowcheck import notation
 from flowcheck.cli import main
@@ -17,7 +21,7 @@ from flowcheck.gofront.goast import (
     GoStmt,
     MakeExpr,
     NamedType,
-    ShortVarDecl,
+    VarDecl,
 )
 
 from paths import corpus_files, corpus_source
@@ -69,7 +73,7 @@ class TestParse:
         prog = parse(ALL_FEATURES)
         main = prog.functions["main"]
         decl, deferred, started = main.body
-        assert isinstance(decl, ShortVarDecl)
+        assert isinstance(decl, VarDecl) and decl.gotype is None
         assert decl.expr == MakeExpr(ChanType(NamedType("int")), None)
         assert isinstance(deferred, DeferStmt)
         assert isinstance(started, GoStmt)
@@ -263,6 +267,68 @@ func main() {
 	<-ch
 }
 ''', "channel-using function worker used as a value (line 9)"),
+    "a name shadowed only in a later block": ('''package main
+
+import "fmt"
+
+func g(ch chan int) {
+	ch <- 1
+}
+
+func main() {
+	ch := make(chan int)
+	h := g
+	if true {
+		g := 1
+		fmt.Println(g)
+	}
+	go h(ch)
+	<-ch
+}
+''', "channel-using function g used as a value (line 11)"),
+}
+
+LOCALS_NAMED_LIKE_A_MEMBER = {
+    "a parameter": '''package main
+
+import "fmt"
+
+func g(ch chan int) {
+	ch <- 1
+}
+
+func show(g int) {
+	fmt.Println(g)
+}
+
+func main() {
+	ch := make(chan int)
+	show(2)
+	go g(ch)
+	<-ch
+}
+''',
+    "an earlier declaration, read in a block and a literal": '''package main
+
+import "fmt"
+
+func g(ch chan int) {
+	ch <- 1
+}
+
+func main() {
+	ch := make(chan int)
+	g := 1
+	if true {
+		fmt.Println(g)
+	}
+	go func() {
+		fmt.Println(g)
+		ch <- 1
+	}()
+	<-ch
+}
+''',
 }
 
 
@@ -281,6 +347,12 @@ class TestFunctionValues:
         path.write_text(FUNCTION_VALUES["a literal passed to a function"][0], encoding="utf-8")
         assert main(["analyze", str(path)]) == 2
         assert "channel-using function literal used as a value (line 9)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", sorted(LOCALS_NAMED_LIKE_A_MEMBER))
+    def test_a_local_named_like_a_member_is_not_the_function(self, name):
+        # a name is local where a parameter or an earlier declaration in an
+        # enclosing block binds it; a literal's body sees its enclosing blocks
+        assert analyze_source(LOCALS_NAMED_LIKE_A_MEMBER[name]).worst() == "NoDeadlock"
 
     def test_a_function_value_without_channels_is_kept(self):
         source = '''package main
@@ -1023,6 +1095,14 @@ func main() {
         tr = compute_m(parse(source))
         assert "Start(s, v ↦ %d)" % value in notation.render(tr.cordefs["main"])
 
+    def test_comparisons_associate_left(self):
+        # x < 1 == true is (x < 1) == true: a comparison of a comparison
+        source = guarded_sender("\tx := 2\n").replace("x > 1", "x < 1 == true")
+        assert source.splitlines()[5] == "\tif x < 1 == true {"
+        assert [str(c.verdict) for c in analyze_source(source).cases] == [
+            "Unsupported(condition beyond integer/boolean comparisons (line 6))"
+        ]
+
     def test_unsupported_condition_reports_the_line_of_its_if(self):
         # the condition is on the line of its if
         source = (
@@ -1174,6 +1254,127 @@ class TestConstantOverflow:
         assert [str(c.verdict) for c in analyze_source(source).cases] == [
             "Unsupported(close (line 5))"
         ]
+
+
+class TestDivision:
+    """``/`` and ``%`` fold as Go computes them: truncated toward zero,
+    wrapping once a variable takes part; a zero divisor is refused."""
+
+    @pytest.mark.parametrize("k, expr, verdict", [
+        ("0", "7 / 2", "NoDeadlock"),
+        ("0", "7 % 2", "Deadlock"),
+        ("0", "-7 / 2 + 5", "NoDeadlock"),
+        ("0", "-7 % 2 + 2", "Deadlock"),
+        ("7", "k % 3 * 2", "NoDeadlock"),
+        ("-9223372036854775808", "k / -1", "Deadlock"),
+    ])
+    def test_a_quotient_decides_the_guard(self, k, expr, verdict):
+        # x > 1 starts the sender: x is 3, 1, 2, 1, 2, and -2^63 as
+        # k / -1 wraps to k at run time
+        analysis = analyze_source(guarded_sender("\tk := %s\n\tx := %s\n" % (k, expr)))
+        assert [(c.label, c.verdict.kind) for c in analysis.cases] == [("", verdict)]
+
+    @pytest.mark.parametrize("expr", ["7 / 0", "7 % (3 - 3)", "k / k", "(k + 1) % k"])
+    def test_a_zero_divisor_is_refused_with_its_line(self, expr):
+        source = guarded_sender("\tk := 0\n\tx := %s\n" % expr)
+        assert source.splitlines()[5] == "\tx := %s" % expr
+        assert [str(c.verdict) for c in analyze_source(source).cases] == [
+            "Unsupported(division by zero (line 6))"
+        ]
+
+
+INT_MIN, INT_MAX = -(2**63), 2**63 - 1
+
+
+class Refused(Exception):
+    pass
+
+
+def go_value(node, k):
+    """``(value, exact)`` of a Python-parsed expression as Go computes it:
+    exact over literals only, checked against ``int`` where it meets ``k``;
+    wrapped to 64 bits at each operation ``k`` takes part in; integer
+    division truncated toward zero."""
+    if isinstance(node, ast.Constant):
+        return node.value, True
+    if isinstance(node, ast.Name):
+        return k, False
+    if isinstance(node, ast.UnaryOp):
+        value, exact = go_value(node.operand, k)
+        return (-value, True) if exact else (wrap(-value), False)
+    left, left_exact = go_value(node.left, k)
+    right, right_exact = go_value(node.right, k)
+    exact = left_exact and right_exact
+    for value, operand_exact in ((left, left_exact), (right, right_exact)):
+        if operand_exact and not exact and not INT_MIN <= value <= INT_MAX:
+            raise Refused("constant %d overflows int" % value)
+    if isinstance(node.op, (ast.Div, ast.Mod)) and right == 0:
+        raise Refused("division by zero")
+    if isinstance(node.op, ast.Add):
+        value = left + right
+    elif isinstance(node.op, ast.Sub):
+        value = left - right
+    elif isinstance(node.op, ast.Mult):
+        value = left * right
+    else:
+        quotient = abs(left) // abs(right) * (1 if (left < 0) == (right < 0) else -1)
+        value = quotient if isinstance(node.op, ast.Div) else left - right * quotient
+    return (value, True) if exact else (wrap(value), False)
+
+
+def wrap(value):
+    """The two's complement reading of the low 64 bits of ``value``."""
+    return int.from_bytes((value % 2**64).to_bytes(8, "little"), "little", signed=True)
+
+
+def reference_fold(expr, k):
+    """The value ``expr`` folds to in Go, or the reason it is refused.
+    Python's grammar gives these operators Go's precedence and left
+    associativity, so ``ast`` parses the text as Go does."""
+    try:
+        value, exact = go_value(ast.parse(expr, mode="eval").body, k)
+        if exact and not INT_MIN <= value <= INT_MAX:
+            raise Refused("constant %d overflows int" % value)
+    except Refused as e:
+        return str(e)
+    return value
+
+
+def go_expressions():
+    """Operator chains without parentheses, so precedence shapes the tree,
+    over small and large literals, ``k``, unary minus and parentheses;
+    ``k`` is drawn most often, so that wrapping and the checks where a
+    literal meets it show."""
+    atoms = st.sampled_from(["0", "1", "2", "7", "3037000500", "9223372036854775807",
+                             "k", "k", "k"])
+    return st.recursive(
+        atoms,
+        lambda inner: st.one_of(
+            st.builds("({})".format, inner),
+            st.builds("-{}".format, st.one_of(atoms, st.builds("({})".format, inner))),
+            st.builds("{} {} {}".format, inner, st.sampled_from("+-*/%"), inner),
+        ),
+        max_leaves=6,
+    )
+
+
+class TestFoldingProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(go_expressions(), st.sampled_from([0, 4, -3, INT_MAX, INT_MIN]))
+    def test_the_folded_binding_is_go_s_value(self, expr, k):
+        source = (
+            "package main\n\nvar ch chan int = make(chan int)\n\n"
+            "func s(v int) {\n\tif v < 10 {\n\t\tch <- v\n\t}\n}\n\n"
+            "func main() {\n\tk := %d\n\tgo s(%s)\n\t<-ch\n}\n" % (k, expr)
+        )
+        expected = reference_fold(expr, k)
+        if isinstance(expected, str):
+            with pytest.raises(Unsupported) as e:
+                compute_m(parse(source))
+            assert e.value.feature == expected
+        else:
+            tr = compute_m(parse(source))
+            assert "Start(s, v ↦ %d)" % expected in notation.render(tr.cordefs["main"])
 
 
 class TestCorDefPayloadDiscipline:

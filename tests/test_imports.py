@@ -1,13 +1,15 @@
 """Every module-level import under ``src/flowcheck`` is used, no module
 there imports another's underscore-prefixed name, no function there but a
 ``__repr__`` imports a package module, every module-level name
-defined there is read somewhere under ``src/`` or ``tests/``, and every
-function there reads each of its parameters.
+defined there is read somewhere under ``src/`` or ``tests/``, every
+function there reads each of its parameters, and every module attribute
+the benchmark's span tracer replaces exists.
 
 ``__init__.py`` files are skipped by the import check: their imports are
 re-exports.  A one-file run must not load ``dataclasses``."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -261,3 +263,18 @@ def test_the_cli_loads_neither_dataclasses_nor_inspect():
     )
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+
+def test_every_hook_of_the_span_tracer_resolves():
+    """``bench/spans.py`` traces layers by replacing the module attributes
+    in its ``TARGETS``; a rename under ``src/flowcheck`` must fail here, not
+    only in a traced benchmark run.  The table is read without running the
+    module."""
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text(encoding="utf-8"))
+    targets = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+    )
+    assert targets
+    for module_name, attr, _span, _hook in targets:
+        assert hasattr(importlib.import_module(module_name), attr), (module_name, attr)
