@@ -21,11 +21,11 @@ fixed priority order, so a given input always produces the same trace:
      no coroutine still has a value to yield -- terminate
   6. yield: transfer the first yielding head into the pending slot
   7. spawn: evaluate a started definition at the head of an instance and
-     append the new instance at the end of the live list
+     number the new instance after every live one
   8. otherwise nothing can move: terminate with the leftover residual
 
-Yields outrank spawns when nothing is in flight, and spawned instances are
-appended at the end of the list, so a definition that keeps starting itself
+Yields outrank spawns when nothing is in flight, and spawned instances come
+after every live one, so a definition that keeps starting itself
 cannot starve the coroutines that are ready to communicate.  Main exit
 waits for in-flight and yieldable values to settle (a send blocks its
 goroutine until paired, so an undeliverable value is a real block), but it
@@ -35,25 +35,28 @@ external yields first; failing that, coroutines left waiting on a receive.
 The base calculus rule that re-injects external yields is deliberately
 absent; once a value is external, it stays external.
 
-Coroutines are known by identity: ``main`` is the first live entry,
-``last_yielder`` the one whose value is in flight.  The step that ends a
-reduction sets its verdict: ``Deadlock`` when the residual has items,
-``NoDeadlock`` when it is empty, ``Inconclusive`` once ``max_steps`` rules
-have fired.
+Each live coroutine is known by its creation number, which it keeps until
+rule 4 removes it; numbers are never reused.  ``main`` is the number of the
+first coroutine (``None`` in a state built without one), ``last_yielder``
+the number of the one whose value is in flight.  A main that rule 4
+removed never exits.  The step that ends a reduction sets its verdict:
+``Deadlock`` when the residual has items, ``NoDeadlock`` when it is empty,
+``Inconclusive`` once ``max_steps`` rules have fired.
 
-A step costs what it changes, not how many coroutines are live.  Entries
-join the live list only through ``ReductionState.add``, which numbers them
-in creation order; the list keeps that order, since only ``ResumeCo``
-removes an entry.  A head index files each entry under its head kind
-whenever the kind changes: one heap per kind, keyed by creation number,
-whose stale tops are dropped when read, and the set of receivers, sorted
-by creation number when read.  Rules 1-7 pick their entry from the index;
-only rule 4's search for a whole coroutine and rule 8's residual walk the
-list.  The trace is a chain of deltas: each entry keeps the pending value
-and how far the append-only external yields and the log of instance
-changes had grown.  Reading an entry's state replays the log forward from
-the nearest entry already rebuilt and keeps the result, so reading a whole
-trace costs what rendering it does; nothing is rendered until read.
+A step costs what it changes, not how many coroutines are live.  The state
+is plain data: ``insts`` maps each number to its instance, in creation
+order, and ``kinds`` to the kind of its head.  ``ReductionState.set`` is
+the one way an instance changes: it logs the change and refiles the number
+when its head kind changes.  The head index is one heap of numbers per
+kind, whose stale tops are dropped when a rule asks ``first`` for that
+kind, and the set of receivers, sorted when read.  Rules 1-7 pick their
+coroutine from the index; only rule 4's search for a whole coroutine and
+rule 8's residual walk every instance.  The trace is a chain of deltas:
+each entry keeps the pending value and how far the append-only external
+yields and the log of instance changes had grown.  Reading an entry's
+state replays the log forward from the nearest entry already rebuilt and
+keeps the result, so reading a whole trace costs what rendering it does;
+nothing is rendered until read.
 """
 
 from __future__ import annotations
@@ -177,9 +180,12 @@ def start(definition, bindings=None, universe=None, assumption=TRUE, valuation=N
 # reduction state
 
 
-def _head_kind(head):
-    """Which rule a head item can start: "inline", "void", "receive",
-    "yield", "spawn", or None."""
+def _head_kind(inst):
+    """Which rule the head item of ``inst`` can start: "inline", "void",
+    "receive", "yield", "spawn", or None."""
+    if not inst.flow:
+        return None
+    head = inst.flow[0]
     if isinstance(head, InlineApp):
         return "inline"
     if isinstance(head, Directed):
@@ -195,53 +201,16 @@ def _head_kind(head):
     return None
 
 
-class _Live:
-    """A live coroutine, known by its identity.  ``kind`` is the
-    ``_head_kind`` of its head, recomputed whenever ``inst`` is assigned,
-    so it never goes stale; an entry added to a ``ReductionState`` also
-    logs each new instance there and refiles itself when its kind changes.
-    ``order`` is its creation number, which orders the heaps."""
-
-    __slots__ = ("_inst", "kind", "order", "state")
-
-    def __init__(self, inst: CorIns, state=None, order=0):
-        self.kind = None
-        self.order = order
-        self.state = state
-        self.inst = inst
-
-    @property
-    def inst(self) -> CorIns:
-        return self._inst
-
-    @inst.setter
-    def inst(self, inst: CorIns):
-        self._inst = inst
-        kind = _head_kind(inst.flow[0]) if inst.flow else None
-        state = self.state
-        if state is not None:
-            state.log.append((self, inst))
-            if kind != self.kind:
-                state.refile(self, kind)
-        self.kind = kind
-
-    def head(self):
-        return self._inst.flow[0] if self._inst.flow else None
-
-    def __lt__(self, other):
-        return self.order < other.order
-
-
 class TraceEntry:
     """A fired rule and the state after it, kept as a delta on the entry
     before it: the pending value, and how far the append-only external
     yields and change log of the reduction reached.  The log holds a
-    ``(live entry, instance)`` pair per change, an instance of ``None``
-    being a removal.  ``state`` rebuilds the terms ``(pending, externals,
+    ``(number, instance)`` pair per change, an instance of ``None`` being
+    a removal.  ``state`` rebuilds the terms ``(pending, externals,
     instances)``; ``state_after`` renders them."""
 
     __slots__ = ("step", "rule", "pending", "_externals", "_external_count",
-                 "_log", "_log_end", "_previous", "_live")
+                 "_log", "_log_end", "_previous", "_insts")
 
     def __init__(self, step, rule, pending, externals, log, previous):
         self.step = step
@@ -252,29 +221,29 @@ class TraceEntry:
         self._log = log
         self._log_end = len(log)
         self._previous = previous
-        self._live = None  # live entry -> instance, in live order, once rebuilt
+        self._insts = None  # number -> instance, in creation order, once rebuilt
 
     @property
     def state(self) -> tuple:
-        if self._live is None:
+        if self._insts is None:
             unbuilt = []
             entry = self
-            while entry is not None and entry._live is None:
+            while entry is not None and entry._insts is None:
                 unbuilt.append(entry)
                 entry = entry._previous
-            live, start = ({}, 0) if entry is None else (entry._live, entry._log_end)
+            insts, start = ({}, 0) if entry is None else (entry._insts, entry._log_end)
             log = self._log
             for entry in reversed(unbuilt):
-                live = dict(live)
-                for item, inst in log[start:entry._log_end]:
+                insts = dict(insts)
+                for n, inst in log[start:entry._log_end]:
                     if inst is None:
-                        del live[item]
+                        del insts[n]
                     else:
-                        live[item] = inst
+                        insts[n] = inst
                 start = entry._log_end
-                entry._live = live
+                entry._insts = insts
         externals = tuple(self._externals[:self._external_count])
-        return self.pending, externals, tuple(self._live.values())
+        return self.pending, externals, tuple(self._insts.values())
 
     @property
     def state_after(self) -> str:
@@ -306,14 +275,15 @@ class Verdict:
 
 class ReductionState:
     __slots__ = (
-        "live", "pending", "externals", "steps", "max_steps", "trace", "universe",
-        "assumption", "valuation", "defs", "main", "last_yielder", "verdict",
-        "heaps", "receivers", "log", "created", "__weakref__",
+        "insts", "kinds", "pending", "externals", "steps", "max_steps", "trace",
+        "universe", "assumption", "valuation", "defs", "main", "last_yielder",
+        "verdict", "heaps", "receivers", "log", "created", "__weakref__",
     )
 
     def __init__(self, *, pending=ZERO, max_steps=DEFAULT_MAX_STEPS, universe=None,
                  assumption=TRUE, valuation=None, defs=None):
-        self.live = []  # _Live entries in creation order
+        self.insts = {}  # number -> instance of each live coroutine, in creation order
+        self.kinds = {}  # number -> head kind of its instance
         self.pending = pending
         self.externals = []
         self.steps = 0
@@ -323,49 +293,54 @@ class ReductionState:
         self.assumption = assumption
         self.valuation = {} if valuation is None else valuation
         self.defs = {} if defs is None else defs
-        self.main = None  # the _Live entry of the main coroutine
-        self.last_yielder = None
+        self.main = None  # the number of the main coroutine
+        self.last_yielder = None  # the number of the coroutine whose value is in flight
         self.verdict = None
         # the head index, and the log of instance changes the trace replays
-        self.heaps = {}  # head kind -> heap of entries
-        self.receivers = set()
-        self.log = []  # (live entry, new instance) pairs
+        self.heaps = {}  # head kind -> heap of numbers
+        self.receivers = set()  # numbers whose head is a receive
+        self.log = []  # (number, new instance) pairs
         self.created = 0
 
-    def add(self, inst: CorIns) -> _Live:
-        """Append a new coroutine to the live list and index its head."""
-        entry = _Live(inst, self, self.created)
-        self.created += 1
-        self.live.append(entry)
-        return entry
-
-    def remove(self, entry: _Live):
-        self.live.remove(entry)
-        self.receivers.discard(entry)
-        entry.state = None  # drops it from the heaps when it reaches a top
-        self.log.append((entry, None))
-
-    def refile(self, entry: _Live, kind):
-        """File ``entry`` under ``kind``, its head kind from now on."""
-        if entry.kind == "receive":
-            self.receivers.remove(entry)
+    def set(self, n, inst: CorIns):
+        """Make ``inst`` the instance of coroutine ``n``, log the change and
+        refile ``n`` when its head kind changes.  Every change of an
+        instance goes through here."""
+        self.insts[n] = inst
+        self.log.append((n, inst))
+        old = self.kinds.get(n)
+        self.kinds[n] = kind = _head_kind(inst)
+        if kind == old:
+            return
+        if old == "receive":
+            self.receivers.remove(n)
         if kind == "receive":
-            self.receivers.add(entry)
+            self.receivers.add(n)
         elif kind is not None:
-            heapq.heappush(self.heaps.setdefault(kind, []), entry)
+            heapq.heappush(self.heaps.setdefault(kind, []), n)
 
-    def heads(self) -> dict:
-        """The earliest-created live entry of each head kind the heaps hold,
-        dropping the stale tops on the way."""
-        heads = {}
-        for kind, heap in self.heaps.items():
-            while heap:
-                top = heap[0]
-                if top.kind == kind and top.state is self:
-                    heads[kind] = top
-                    break
-                heapq.heappop(heap)
-        return heads
+    def add(self, inst: CorIns) -> int:
+        """Number a new coroutine after every earlier one and index its head."""
+        n = self.created
+        self.created += 1
+        self.set(n, inst)
+        return n
+
+    def remove(self, n):
+        del self.insts[n]
+        del self.kinds[n]  # drops n from the heaps when it reaches a top
+        self.receivers.discard(n)
+        self.log.append((n, None))
+
+    def first(self, kind):
+        """The earliest-created coroutine whose head is of ``kind`` (not a
+        receive), or None, dropping the stale tops of its heap on the way."""
+        heap = self.heaps.get(kind)
+        while heap:
+            if self.kinds.get(heap[0]) == kind:
+                return heap[0]
+            heapq.heappop(heap)
+        return None
 
     def instantiate(self, app) -> CorIns:
         """The instance a start or inline application evaluates to."""
@@ -383,28 +358,31 @@ def _record(state, rule):
     ))
 
 
-def _resume(entry, conditions):
-    """Move a receiver past its head under the outcome of a successful match.
+def _resume(state, n, conditions):
+    """Move receiver ``n`` past its head under the outcome of a successful
+    match.
 
     Every live instance is canonical and so is its tail, so a match that
     binds nothing leaves the rest of the flow as it is."""
-    rest = tail(entry.inst).flow
+    inst = state.insts[n]
+    rest = tail(inst).flow
     constraint = None if conditions.residual == TRUE else conditions.residual
     if not conditions.bindings:
-        entry.inst = CorIns(rest, constraint, entry.inst.label)
+        state.set(n, CorIns(rest, constraint, inst.label))
         return
     rest = tuple(substitute(i, conditions.bindings) for i in rest)
-    entry.inst = canon(CorIns(rest, constraint, entry.inst.label))
+    state.set(n, canon(CorIns(rest, constraint, inst.label)))
 
 
-def _spawn(state, entry):
+def _spawn(state, n):
     """Evaluate the yielded coroutine or start application at the head of
-    ``entry``, appending the new instance at the end of the live list."""
-    head = entry.head()
+    coroutine ``n``, adding the new instance after every live one."""
+    inst = state.insts[n]
+    head = inst.flow[0]
     spawn = head.payload if isinstance(head, Directed) else head
-    inst = state.instantiate(spawn) if isinstance(spawn, StartApp) else spawn
-    entry.inst = tail(entry.inst)
-    state.add(inst)
+    spawned = state.instantiate(spawn) if isinstance(spawn, StartApp) else spawn
+    state.set(n, tail(inst))
+    state.add(spawned)
     _record(state, "YieldCo")
     return state
 
@@ -428,21 +406,21 @@ def reduce_step(state: ReductionState):
     if state.steps >= state.max_steps:
         state.verdict = Verdict("Inconclusive", reason="step cap %d reached" % state.max_steps)
         return state
-
-    heads = state.heads()
+    insts = state.insts
 
     # 1. inline evaluation at a head
-    entry = heads.get("inline")
-    if entry is not None:
-        flow = state.instantiate(entry.head()).flow + tail(entry.inst).flow
-        entry.inst = canon(CorIns(flow, entry.inst.constraint, entry.inst.label))
+    n = state.first("inline")
+    if n is not None:
+        inst = insts[n]
+        flow = state.instantiate(inst.flow[0]).flow + tail(inst).flow
+        state.set(n, canon(CorIns(flow, inst.constraint, inst.label)))
         _record(state, "InlineEval")
         return state
 
     # 2. drop a head item with no behavior
-    entry = heads.get("void")
-    if entry is not None:
-        entry.inst = tail(entry.inst)
+    n = state.first("void")
+    if n is not None:
+        state.set(n, tail(insts[n]))
         _record(state, "RemoveVoid")
         return state
 
@@ -451,17 +429,18 @@ def reduce_step(state: ReductionState):
     # 3. a value is in flight: resume a receiver or externalize it
     if not isinstance(state.pending, ZeroType):
         # the coroutine that just yielded comes last
-        for entry in sorted(receivers, key=lambda e: e is state.last_yielder):
-            pattern = entry.head().payload
-            if entry.inst.constraint is not None:
-                pattern = Constrained(pattern, entry.inst.constraint)
+        for n in sorted(receivers, key=lambda n: n == state.last_yielder):
+            inst = insts[n]
+            pattern = inst.flow[0].payload
+            if inst.constraint is not None:
+                pattern = Constrained(pattern, inst.constraint)
             conditions = match(state.pending, pattern, state.universe)
             if conditions is not BOTTOM:
-                _resume(entry, conditions)
+                _resume(state, n, conditions)
                 rule = "Resume"
                 break
         else:
-            spawner = heads.get("spawn")
+            spawner = state.first("spawn")
             if spawner is not None:
                 return _spawn(state, spawner)
             state.externals.append(state.pending)
@@ -473,47 +452,49 @@ def reduce_step(state: ReductionState):
 
     # 4. a receiver expecting a whole coroutine (only the first is tried)
     for receiver in receivers:
-        pattern = receiver.head().payload
+        pattern = insts[receiver].flow[0].payload
         if not isinstance(pattern, (CorIns, CorDef)):
             continue
-        for other in state.live:
-            if other is receiver or not other.inst.flow:
+        for n, inst in insts.items():
+            if n == receiver or not inst.flow:
                 continue
-            conditions = match(other.inst, pattern, state.universe)
+            conditions = match(inst, pattern, state.universe)
             if conditions is not BOTTOM:
-                _resume(receiver, conditions)
-                state.remove(other)
+                _resume(state, receiver, conditions)
+                state.remove(n)
                 _record(state, "ResumeCo")
                 return state
         break
 
     # 5. the main coroutine finished; all values have settled
-    yielder = heads.get("yield")
-    if state.main is not None and not state.main.inst.flow and yielder is None:
+    yielder = state.first("yield")
+    main = insts.get(state.main)
+    if main is not None and not main.flow and yielder is None:
         if state.externals:
             items = [yielded(e) for e in state.externals]
         else:
-            items = [yielded(e.inst) for e in receivers]
+            items = [yielded(insts[n]) for n in receivers]
         return _terminate(state, "MainExit", items)
 
     # 6. transfer the first yielded value into the pending slot
     if yielder is not None:
-        state.pending = yielder.head().payload
-        if yielder.inst.constraint is not None:
-            state.pending = canon(Constrained(state.pending, yielder.inst.constraint))
+        inst = insts[yielder]
+        state.pending = inst.flow[0].payload
+        if inst.constraint is not None:
+            state.pending = canon(Constrained(state.pending, inst.constraint))
         state.last_yielder = yielder
-        yielder.inst = tail(yielder.inst)
+        state.set(yielder, tail(inst))
         _record(state, "Yield")
         return state
 
     # 7. spawn a yielded coroutine or started definition, breadth-first
-    spawner = heads.get("spawn")
+    spawner = state.first("spawn")
     if spawner is not None:
         return _spawn(state, spawner)
 
     # 8. nothing can move
     items = [yielded(e) for e in state.externals]
-    items += [yielded(e.inst) for e in state.live if e.inst.flow]
+    items += [yielded(inst) for inst in insts.values() if inst.flow]
     return _terminate(state, "CoToExt", items)
 
 
@@ -532,7 +513,7 @@ def reduce(initial, max_steps=DEFAULT_MAX_STEPS, universe=None, assumption=TRUE,
         universe = Universe.collect(*initial, *(defs or {}).values())
     state = ReductionState(
         max_steps=max_steps, universe=universe, assumption=assumption,
-        valuation=dict(valuation or {}), defs=dict(defs or {}),
+        valuation=valuation, defs=defs,
     )
     for item in initial:
         if state.steps >= state.max_steps:
@@ -545,9 +526,7 @@ def reduce(initial, max_steps=DEFAULT_MAX_STEPS, universe=None, assumption=TRUE,
         state.add(inst)
         if isinstance(item, StartApp):
             _record(state, "StartEval")
-    state.main = state.live[0] if state.live else None
+    state.main = 0 if state.insts else None  # the first coroutine added
     while state.verdict is None:
         reduce_step(state)
-    for entry in state.live:
-        entry.state = None  # no cycle keeps the finished state alive
     return state.verdict, state.trace

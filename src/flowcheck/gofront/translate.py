@@ -61,6 +61,7 @@ from .goast import (
     IntLit,
     MakeExpr,
     NamedType,
+    NilLit,
     Program,
     Recv,
     Return,
@@ -103,19 +104,24 @@ def concrete_name(gotype) -> str:
 
 
 class Env:
-    """Lexically chained typing environment: channel element types plus
-    propagated constant values, each a ``ChainMap`` whose first map is this
-    block's.  A name assigned something that is not a known constant maps
-    to None, which hides any outer constant.  ``declared`` holds the names
-    a declaration in this block introduced."""
+    """Lexically chained typing environment: channel element types,
+    propagated constant values and which channel variables may hold nil,
+    each a ``ChainMap`` whose first map is this block's.  A name assigned
+    something that is not a known constant maps to None, which hides any
+    outer constant.  ``nil`` maps a local channel variable or parameter to
+    True while it may hold nil: declared without ``make``, or assigned
+    ``nil`` or such a variable.  A global is not in it, since any function
+    may make it first.  ``declared`` holds the names a declaration in this
+    block introduced."""
 
-    def __init__(self, chans: ChainMap, consts: ChainMap):
+    def __init__(self, chans: ChainMap, consts: ChainMap, nil: ChainMap):
         self.chans = chans
         self.consts = consts
+        self.nil = nil
         self.declared: set = set()
 
     def child(self) -> "Env":
-        return Env(self.chans.new_child(), self.consts.new_child())
+        return Env(self.chans.new_child(), self.consts.new_child(), self.nil.new_child())
 
 
 class Translation:
@@ -152,10 +158,11 @@ def body_nodes(nodes):
         yield from body_nodes(children)
 
 
-def _scan(block, bound, owner, uses, values):
+def _scan(block, bound, owner, uses, values, callees):
     """Walk ``block`` of function ``owner`` (None for the globals) in source
     order, block by block: add each send, receive and call to ``uses`` as
-    ``(owner, node)``, and to ``values`` each function literal used as a
+    ``(owner, node)``, to ``callees`` the ``_callee`` of each call, keyed by
+    the call's ``id``, and to ``values`` each function literal used as a
     value and each name that the set ``bound`` does not hold.  A name is
     bound by a parameter or by a declaration earlier in an enclosing block,
     after its own expression.  A function literal's body is walked where it
@@ -164,6 +171,8 @@ def _scan(block, bound, owner, uses, values):
         for n in body_nodes((s.cond,) if isinstance(s, If) else (s,)):
             if isinstance(n, (Send, Recv, Call)):
                 uses.append((owner, n))
+            if isinstance(n, Call):
+                callees[id(n)] = _callee(n, bound)
             if isinstance(n, FuncLit):
                 values.append((n.func.name, n))
             elif isinstance(n, Ident) and n.name not in bound:
@@ -171,10 +180,10 @@ def _scan(block, bound, owner, uses, values):
             lit = n.fn if isinstance(n, Call) else n
             if isinstance(lit, FuncLit):
                 params = bound.union(p for p, _ in lit.func.params)
-                _scan(lit.func.body, params, lit.func.name, uses, values)
+                _scan(lit.func.body, params, lit.func.name, uses, values, callees)
         if isinstance(s, If):
-            _scan(s.then, bound, owner, uses, values)
-            _scan(s.els, bound, owner, uses, values)
+            _scan(s.then, bound, owner, uses, values, callees)
+            _scan(s.els, bound, owner, uses, values, callees)
         elif isinstance(s, VarDecl):
             bound = bound | {s.name}
 
@@ -182,6 +191,7 @@ def _scan(block, bound, owner, uses, values):
 class Translator:
     def __init__(self, program: Program):
         self.program = program
+        self.callees: dict = {}  # id of a call -> the function it targets, or None
         self.members = self._members()
         self.cordefs: dict[str, CorDef] = {}
         self.chan_makes: defaultdict[str, int] = defaultdict(int)
@@ -196,17 +206,17 @@ class Translator:
         would take its channel operations with it."""
         uses: list = []  # (function name, a send, receive or call in its body)
         values: list = []  # (name, node): a function named or written as a value
-        _scan(self.program.globals, set(), None, uses, values)
+        _scan(self.program.globals, set(), None, uses, values, self.callees)
         for name, f in self.program.functions.items():
             if not f.anonymous:
-                _scan(f.body, {p for p, _ in f.params}, name, uses, values)
+                _scan(f.body, {p for p, _ in f.params}, name, uses, values, self.callees)
         members = set()
         callers = defaultdict(set)
         for owner, n in uses:
             if owner is None:
                 continue  # the globals belong to no function
             if isinstance(n, Call):
-                callers[_callee(n)].add(owner)
+                callers[self.callees[id(n)]].add(owner)
             else:
                 members.add(owner)
         work = list(members)
@@ -223,7 +233,7 @@ class Translator:
     # -- translation ----------------------------------------------------------
 
     def translate_all(self) -> dict:
-        root = Env(ChainMap(), ChainMap())
+        root = Env(ChainMap(), ChainMap(), ChainMap())
         for g in self.program.globals:
             self._bind_value(root, g.name, g.gotype, g.expr)
             if isinstance(g.expr, MakeExpr) and isinstance(g.expr.gotype, ChanType):
@@ -238,6 +248,7 @@ class Translator:
         for pname, ptype in f.params:
             if isinstance(ptype, ChanType):
                 env.chans[pname] = concrete_name(ptype.elem)
+                env.nil[pname] = False  # a call site passes no nil channel
         deferred: list = []
         items, _ = self._block(f.body, env, deferred, allow_defer=True)
         self.cordefs[f.name] = cor_def(*items, *reversed(deferred), label=f.name)
@@ -256,15 +267,15 @@ class Translator:
         if isinstance(s, VarDecl):
             items = self._expr_items(s.expr, env)
             env.declared.add(s.name)
-            self._bind_value(env, s.name, s.gotype, s.expr)
+            self._bind_local(env, s.name, s.gotype, s.expr)
             return items, False
         if isinstance(s, Assign):
             items = self._expr_items(s.expr, env)
-            self._bind_value(env, s.name, None, s.expr)
+            self._bind_local(env, s.name, None, s.expr)
             return items, False
         if isinstance(s, Send):
             items = self._expr_items(s.value, env)
-            items.append(yielded(Concrete(self._chan_elem(s.chan, env))))
+            items.append(yielded(Concrete(self._chan_elem(s, env))))
             return items, False
         if isinstance(s, ExprStmt):
             return self._expr_items(s.expr, env), False
@@ -291,13 +302,12 @@ class Translator:
             branch_env = env.child()
             body = s.then if pred == TRUE else s.els
             items, returned = self._block(body, branch_env, deferred, allow_defer)
-            self._merge_branch(env, branch_env, decided=True)
+            self._merge_branches(env, (branch_env,), decided=True)
             return items, returned
         then_env, else_env = env.child(), env.child()
         then_items, t_ret = self._block(s.then, then_env, deferred, allow_defer=False)
         else_items, e_ret = self._block(s.els, else_env, deferred, allow_defer=False)
-        self._merge_branch(env, then_env, decided=False)
-        self._merge_branch(env, else_env, decided=False)
+        self._merge_branches(env, (then_env, else_env), decided=False)
         if t_ret or e_ret:
             raise Unsupported("return inside an undecided conditional", s.line)
         then_branch = constrained(seq(*then_items), pred)
@@ -308,14 +318,21 @@ class Translator:
             return [union(then_branch, else_branch)], False
         return [union(else_branch, then_branch)], False
 
-    def _merge_branch(self, env: Env, branch: Env, decided):
-        """Carry a branch's assignments to enclosing names out of it, as
-        unknown values unless the branch was ``decided``.  A declaration
-        ends with its block, and no channel binding leaves it: a Go
-        variable's element type is fixed where it is declared."""
-        for name, value in branch.consts.maps[0].items():
-            if name not in branch.declared:
-                env.consts[name] = value if decided else None
+    def _merge_branches(self, env: Env, branches, decided):
+        """Carry the assignments of the ``branches`` of one conditional to
+        enclosing names out of them, as unknown values unless the branch
+        was ``decided``.  A channel may hold nil after the conditional when
+        it may at the end of any branch.  A declaration ends with its block,
+        and no channel binding leaves it: a Go variable's element type is
+        fixed where it is declared."""
+        nil = {}
+        for branch in branches:
+            for name, value in branch.consts.maps[0].items():
+                if name not in branch.declared:
+                    env.consts[name] = value if decided else None
+            for name in branch.nil.maps[0].keys() - branch.declared:
+                nil[name] = any(b.nil.get(name, False) for b in branches)
+        env.nil.update(nil)
 
     # -- expressions ------------------------------------------------------------
 
@@ -327,7 +344,7 @@ class Translator:
             special = self._time_after(e.chan)
             if special is not None:
                 return special
-            return [received(Concrete(self._chan_elem(e.chan, env)))]
+            return [received(Concrete(self._chan_elem(e, env)))]
         if isinstance(e, Call):
             items = []
             for a in e.args:
@@ -361,10 +378,13 @@ class Translator:
         never touches channels (library calls included).  A function
         literal translates here, in the caller's scope; a named callee is
         translated by ``translate_all``."""
-        name = _callee(call)
+        name = self.callees[id(call)]
         if name not in self.members:
             return None
         func = self.program.functions[name]
+        for (_, ptype), arg in zip(func.params, call.args):
+            if isinstance(ptype, ChanType) and isinstance(arg, Ident) and env.nil.get(arg.name):
+                raise Unsupported("channel %r may be nil" % arg.name, call.line)
         if func.anonymous:
             self._translate(func, env)
         bindings = self._call_bindings(func, call.args, env)
@@ -467,12 +487,26 @@ class Translator:
                 return concrete_name(func.result.elem)
         return None
 
-    def _chan_elem(self, e, env: Env) -> str:
+    def _chan_elem(self, op, env: Env) -> str:
+        """The element type of the channel a send or receive ``op`` uses;
+        one that may hold nil would block forever, and is refused."""
+        e = op.chan
         elem = env.chans.get(e.name) if isinstance(e, Ident) else self._returned_chan(e)
         if elem is None:
             name = getattr(getattr(e, "fn", e), "name", "?")
             raise Unsupported("cannot resolve channel %r" % name, e.line)
+        if isinstance(e, Ident) and env.nil.get(e.name):
+            raise Unsupported("channel %r may be nil" % e.name, op.line)
         return elem
+
+    def _bind_local(self, env: Env, name, gotype, expr):
+        """Bind a local variable as ``_bind_value`` does, and record
+        whether it may now hold nil when it is a channel."""
+        nil = expr is None or isinstance(expr, NilLit) or (
+            isinstance(expr, Ident) and env.nil.get(expr.name, False))
+        self._bind_value(env, name, gotype, expr)
+        if name in env.chans:
+            env.nil[name] = nil
 
     def _bind_value(self, env: Env, name, gotype, expr):
         if isinstance(expr, MakeExpr) and isinstance(expr.gotype, ChanType):
@@ -486,12 +520,13 @@ class Translator:
             env.consts[name] = self._eval_value(expr, env)
 
 
-def _callee(call: Call) -> Optional[str]:
-    """The name of the program function ``call`` targets, as written: a
-    function literal's or an identifier's; None for a selector."""
+def _callee(call: Call, bound) -> Optional[str]:
+    """The name of the program function ``call`` targets: a function
+    literal's, or an identifier's that the set ``bound`` does not hold;
+    None for a selector or a bound name, which holds no program function."""
     if isinstance(call.fn, FuncLit):
         return call.fn.func.name
-    if isinstance(call.fn, Ident):
+    if isinstance(call.fn, Ident) and call.fn.name not in bound:
         return call.fn.name
     return None
 

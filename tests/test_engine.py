@@ -197,14 +197,14 @@ class TestReduceStep:
         state = ReductionState(universe=universe, pending=pending)
         for inst in live:
             state.add(inst)
-        state.main = state.live[0] if live else None
+        state.main = 0 if live else None
         return state
 
     def test_resume_consumes_pending(self):
         state = self._state([cor_ins(received(Err))], pending=Err)
         reduce_step(state)
         assert state.trace[-1].rule == "Resume"
-        assert state.live[0].inst == CorIns(())
+        assert state.insts[0] == CorIns(())
         assert state.pending == ZERO
 
     def test_external_when_no_receiver_matches(self):
@@ -325,6 +325,20 @@ class TestReduce:
         assert "ResumeCo" in rules
         assert verdict.kind == "NoDeadlock"
 
+    def test_main_handed_to_a_receiver_never_exits(self):
+        # rule 4 takes main itself out of the list; rule 5 must not fire
+        # afterwards, so the machine runs on until nothing can move
+        main = cor_ins(yielded(A))
+        receiver = cor_ins(received(cor_ins(yielded(A))), yielded(Int))
+        verdict, trace = reduce([main, receiver, cor_ins(received(Int))])
+        assert verdict.kind == "NoDeadlock"
+        assert [t.line() for t in trace] == [
+            "step 1 [ResumeCo] (0, 0) ⊢ ⊚⟨[!Int], [?Int]⟩",
+            "step 2 [Yield] (Int, 0) ⊢ ⊚⟨[], [?Int]⟩",
+            "step 3 [Resume] (0, 0) ⊢ ⊚⟨[], []⟩",
+            "step 4 [CoToExt] (0, 0) ⊢ ⊚⟨[], []⟩",
+        ]
+
 
 def fanout_source(n):
     """``main`` starts n senders on one channel, then receives n times."""
@@ -336,12 +350,12 @@ def fanout_source(n):
 
 class TestTraceState:
     def test_early_entry_keeps_the_state_of_its_step(self):
-        # an entry must hold a copy of the state, not the live list that
+        # an entry must hold a copy of the state, not the instances that
         # later steps go on changing
         state = ReductionState(universe=Universe.collect(Int, Str))
         state.add(cor_ins(yielded(Int), received(Str)))
         state.add(cor_ins(received(Int), yielded(Str)))
-        state.main = state.live[0]
+        state.main = 0
         reduce_step(state)
         first = state.trace[0].state_after
         assert first == "(Int, 0) ⊢ ⊚⟨[?String], [?Int; !String]⟩"
@@ -370,9 +384,8 @@ class TestTraceState:
 
 
     def test_finished_reduction_is_freed_without_the_cycle_collector(self, monkeypatch):
-        # the trace keeps live entries, and a live entry keeps its state only
-        # while the reduction runs: a cycle would hold every state and its
-        # heaps until the collector ran
+        # nothing the trace keeps may point back at the state: a cycle would
+        # hold every state and its heaps until the collector ran
         import gc
         import weakref
 
@@ -435,16 +448,16 @@ func main() {
 
 
 class TestLiveInvariants:
-    """Every live instance stays canonical, and the head kind kept on each
-    entry is always the kind of its current head."""
+    """Every live instance stays canonical, and the head kind kept for each
+    coroutine is always the kind of its current head."""
 
     def check(self, state):
         from flowcheck.engine import _head_kind
         from flowcheck.terms import flatten
 
-        for entry in state.live:
-            assert entry.inst == flatten(entry.inst)
-            assert entry.kind == _head_kind(entry.head())
+        for n, inst in state.insts.items():
+            assert inst == flatten(inst)
+            assert state.kinds[n] == _head_kind(inst)
 
     def sources(self):
         import random
@@ -483,28 +496,27 @@ class TestLiveInvariants:
         assert len(steps) > 3 * 24 * 3
 
     def test_reassigned_instance_updates_the_kind(self):
-        from flowcheck.engine import _Live
         from flowcheck.terms import tail
 
-        entry = _Live(cor_ins(received(Int), yielded(Str), start_app(DefRef("f"))))
-        assert entry.kind == "receive"
+        state = ReductionState()
+        n = state.add(cor_ins(received(Int), yielded(Str), start_app(DefRef("f"))))
+        assert state.kinds[n] == "receive"
         kinds = []
-        while entry.inst.flow:
-            entry.inst = tail(entry.inst)
-            kinds.append(entry.kind)
+        while state.insts[n].flow:
+            state.set(n, tail(state.insts[n]))
+            kinds.append(state.kinds[n])
         assert kinds == ["yield", "spawn", None]
-        entry.inst = cor_ins(inline_app(DefRef("f")))
-        assert entry.kind == "inline"
+        state.set(n, cor_ins(inline_app(DefRef("f"))))
+        assert state.kinds[n] == "inline"
 
 
 class TestResume:
     def _step(self, inst, pending):
         state = ReductionState(universe=Universe.collect(inst, pending), pending=pending)
-        state.add(inst)
-        state.main = state.live[0]
+        state.main = state.add(inst)
         reduce_step(state)
         assert state.trace[-1].rule == "Resume"
-        return state.live[0].inst
+        return state.insts[state.main]
 
     def test_binding_free_resume_keeps_the_rest_of_the_flow(self):
         inst = cor_ins(received(Int), yielded(Str), received(cor_ins(yielded(A))))
@@ -587,12 +599,12 @@ class TestConservation:
             state = ReductionState(universe=Universe(symbols))
             for inst in live:
                 state.add(inst)
-            state.main = state.live[0]
+            state.main = 0
 
             def census():
                 counts = Counter()
-                for entry in state.live:
-                    for item in entry.inst.flow:
+                for inst in state.insts.values():
+                    for item in inst.flow:
                         counts[item] += 1
                 if not isinstance(state.pending, ZeroType):
                     counts[("pending", state.pending)] += 1
@@ -629,7 +641,7 @@ class TestRulePriorityTotality:
             state = ReductionState(universe=Universe(("A", "B")), max_steps=100)
             for inst in random_flows(rng, ("A", "B"), 3, 3):
                 state.add(inst)
-            state.main = state.live[0]
+            state.main = 0
             while state.verdict is None:
                 steps_before = state.steps
                 reduce_step(state)
@@ -665,41 +677,45 @@ def random_calculus_states(seed, count):
             for _ in range(rng.choice((0, 0, 1, 2))):
                 items.insert(rng.randint(0, len(items)), rng.choice(extras))
             state.add(CorIns(tuple(items)))
-        state.main = state.live[0]
+        state.main = 0
         yield state
 
 
 class TestHeadIndex:
-    """The head index picks the entry a linear walk of the live list would,
-    and the delta trace rebuilds the state a full copy would have kept."""
+    """The head index picks the coroutine a linear walk of the instances
+    would, and the delta trace rebuilds the state a full copy would have
+    kept."""
 
     @staticmethod
     def predictions(state):
-        """For each rule, the entry it would act on now, found by walking
-        ``state.live``: the first of the rule's head kind, or for a resume
+        """For each rule, the coroutine it would act on now, found by walking
+        ``state.insts``: the first of the rule's head kind, or for a resume
         the first receiver, the one that just yielded last, that matches."""
         from flowcheck.engine import _head_kind
         from flowcheck.solver import BOTTOM, match
         from flowcheck.terms import Constrained, CorDef, ZeroType
 
-        def first(kind):
-            return next((e for e in state.live if _head_kind(e.head()) == kind), None)
+        insts = state.insts
 
-        receivers = [e for e in state.live if _head_kind(e.head()) == "receive"]
+        def first(kind):
+            return next((n for n, inst in insts.items() if _head_kind(inst) == kind), None)
+
+        receivers = [n for n, inst in insts.items() if _head_kind(inst) == "receive"]
         predicted = {
             "InlineEval": first("inline"), "RemoveVoid": first("void"),
             "Yield": first("yield"), "YieldCo": first("spawn"),
-            "ResumeCo": next((e for e in receivers
-                              if isinstance(e.head().payload, (CorIns, CorDef))), None),
+            "ResumeCo": next((n for n in receivers
+                              if isinstance(insts[n].flow[0].payload, (CorIns, CorDef))),
+                             None),
             "Resume": None,
         }
         if not isinstance(state.pending, ZeroType):
-            for entry in sorted(receivers, key=lambda e: e is state.last_yielder):
-                pattern = entry.head().payload
-                if entry.inst.constraint is not None:
-                    pattern = Constrained(pattern, entry.inst.constraint)
+            for n in sorted(receivers, key=lambda n: n == state.last_yielder):
+                pattern = insts[n].flow[0].payload
+                if insts[n].constraint is not None:
+                    pattern = Constrained(pattern, insts[n].constraint)
                 if match(state.pending, pattern, state.universe) is not BOTTOM:
-                    predicted["Resume"] = entry
+                    predicted["Resume"] = n
                     break
         return predicted
 
@@ -710,14 +726,16 @@ class TestHeadIndex:
         for state in random_calculus_states(3, 300):
             while state.verdict is None:
                 predicted = self.predictions(state)
-                before = [(entry, entry.inst) for entry in state.live]
+                before = dict(state.insts)
                 count = len(state.trace)
                 reduce_step(state)
                 if len(state.trace) == count:
                     break  # the step cap
                 rule = state.trace[-1].rule
                 fired[rule] += 1
-                acted = [entry for entry, inst in before if entry.inst is not inst]
+                # a coroutine that ResumeCo removed was not acted on
+                acted = [n for n, inst in before.items()
+                         if state.insts.get(n, inst) is not inst]
                 expected = predicted.get(rule)
                 assert acted == ([] if expected is None else [expected]), rule
         assert set(fired) == {
@@ -732,7 +750,7 @@ class TestHeadIndex:
                 count = len(state.trace)
                 reduce_step(state)
                 if len(state.trace) > count:
-                    instances = tuple(entry.inst for entry in state.live)
+                    instances = tuple(state.insts.values())
                     snapshots.append((state.pending, tuple(state.externals), instances))
             assert len(snapshots) == len(state.trace)
             pairs = list(zip(state.trace, snapshots))

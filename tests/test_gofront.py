@@ -329,6 +329,33 @@ func main() {
 	<-ch
 }
 ''',
+    "a declared literal called through the name": '''package main
+
+func g(ch chan int) {
+	ch <- 1
+}
+
+func main() {
+	ch := make(chan int)
+	g := func(c chan int) {}
+	g(ch)
+}
+''',
+    "a parameter called through the name": '''package main
+
+func g(ch chan int) {
+	ch <- 1
+}
+
+func run(g func(chan int), ch chan int) {
+	g(ch)
+}
+
+func main() {
+	ch := make(chan int)
+	run(func(c chan int) {}, ch)
+}
+''',
 }
 
 
@@ -1222,6 +1249,56 @@ class TestBlockScope:
         assert [(c.label, c.verdict.kind) for c in analysis.cases] == [
             ("x ≤ 1", "Deadlock"), ("x ≥ 2", "NoDeadlock"),
         ]
+
+
+def nil_channel_program(setup):
+    """``main`` runs ``setup`` on ``ch``, then a goroutine sends on it and
+    main receives: Go blocks both for good when ``ch`` is still nil."""
+    return (
+        "package main\n\nfunc main() {\n%s"
+        "\tgo func() { ch <- 1 }()\n\t<-ch\n}\n" % setup
+    )
+
+
+class TestNilChannels:
+    """A send or receive on a nil channel blocks forever, so a local channel
+    that may still be nil where it is used is refused."""
+
+    @pytest.mark.parametrize("source, reason", [
+        (nil_channel_program("\tvar ch chan int\n"), "channel 'ch' may be nil (line 5)"),
+        (nil_channel_program("\tch := make(chan int)\n\tch = nil\n"),
+         "channel 'ch' may be nil (line 6)"),
+        ("package main\n\nfunc send(ch chan int) {\n\tch <- 1\n}\n\nfunc main() {\n"
+         "\tvar ch chan int\n\tgo send(ch)\n\t<-ch\n}\n", "channel 'ch' may be nil (line 9)"),
+        (nil_channel_program("\tvar ch chan int\n\tvar v int\n\tif v > 3 {\n"
+                             "\t\tch = make(chan int)\n\t}\n"),
+         "channel 'ch' may be nil (line 9)"),
+        (nil_channel_program("\tch := make(chan int)\n\tvar v int\n\tif v > 3 {\n"
+                             "\t\tvar none chan int\n\t\tch = none\n\t}\n"),
+         "channel 'ch' may be nil (line 10)"),
+    ], ids=["declared without make", "assigned nil", "passed to a member",
+            "made only in an undecided branch", "assigned a nil variable"])
+    def test_is_refused_with_its_line(self, source, reason):
+        analysis = analyze_source(source)
+        assert [str(c.verdict) for c in analysis.cases] == ["Unsupported(%s)" % reason]
+
+    @pytest.mark.parametrize("setup", [
+        "\tvar ch chan int\n\tch = make(chan int)\n",
+        "\tvar ch chan int\n\tif true {\n\t\tch = make(chan int)\n\t}\n",
+        "\tvar ch chan int\n\tvar v int\n\tif v > 3 {\n\t\tch = make(chan int)\n"
+        "\t} else {\n\t\tch = make(chan int)\n\t}\n",
+        "\tvar ch chan int = make(chan int)\n\tif true {\n\t\tvar ch chan int\n"
+        "\t\t_ = ch\n\t}\n",
+    ], ids=["made after", "made in a decided branch", "made in both branches",
+            "a nil declaration ends with its block"])
+    def test_a_made_channel_is_kept(self, setup):
+        assert analyze_source(nil_channel_program(setup)).worst() == "NoDeadlock"
+
+    def test_the_command_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "nil.go"
+        path.write_text(nil_channel_program("\tvar ch chan int\n"), encoding="utf-8")
+        assert main(["analyze", str(path)]) == 2
+        assert "channel 'ch' may be nil (line 5)" in capsys.readouterr().out
 
 
 class TestConstantOverflow:
