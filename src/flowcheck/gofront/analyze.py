@@ -1,7 +1,7 @@
 """End-to-end analysis of one Go source file.
 
-parse -> coroutine map -> collect the symbol universe -> partition any
-unresolved integer conditions -> one reduction per case -> verdicts.
+parse -> coroutine map -> partition any unresolved integer conditions ->
+one reduction per case -> verdicts.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 from .. import engine
 from ..engine import AmbiguousCondition, EngineError, NoSatisfiableBranch, Verdict
 from ..preds import TRUE
-from ..solver import Case, ConstraintError, Universe, partition_cases
+from ..solver import Case, ConstraintError, partition_cases
 from ..terms import DefRef, start_app
 from .lexer import GoSyntaxError
 from .parser import Unsupported, parse
@@ -70,8 +70,6 @@ def analyze_source(source: str | bytes, max_steps: int = engine.DEFAULT_MAX_STEP
             [CaseResult("", Verdict("NoDeadlock"))], translation.warnings
         )
 
-    universe = Universe.collect(*cordefs.values())
-
     try:
         preds = unresolved_condition_preds(cordefs)
         cases = partition_cases(preds) if preds else [Case(TRUE, "")]
@@ -86,7 +84,6 @@ def analyze_source(source: str | bytes, max_steps: int = engine.DEFAULT_MAX_STEP
             verdict, trace = engine.reduce(
                 initial,
                 max_steps=max_steps,
-                universe=universe,
                 assumption=case.assumption,
                 defs=cordefs,
                 valuation=case.valuation,

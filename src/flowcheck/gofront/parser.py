@@ -380,13 +380,17 @@ class Parser:
 
     def parse_postfix(self):
         expr = self.parse_primary()
+        depth = self.depth
         while True:
             if self.peek().kind == "(":
+                if isinstance(expr, Call):  # the call of a call's result nests in it
+                    self.descend(expr.line)
                 expr = self.make_call(expr, self.parenthesized(self.parse_expr))
             elif self.peek().kind == "." and isinstance(expr, Ident):
                 self.next()
                 expr = Selector(expr.name, self.expect("ident").value, expr.line)
             else:
+                self.depth = depth
                 return expr
 
     def make_call(self, fn, args) -> Call:

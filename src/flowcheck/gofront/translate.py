@@ -2,14 +2,20 @@
 
 A function joins the coroutine map when it sends or receives on a channel,
 or when it calls or starts a member: membership is reverse reachability
-over the call edges from the functions that use channels.  Each named
-member translates once, in declaration order, and a call site names its
-callee with a reference; a function literal translates at its one call
-site, in the caller's scope.  Member bodies translate statement by
-statement: sends yield the channel's element type, receives expect it,
-``go`` becomes a start application, plain calls of members inline,
-``defer`` inlines at the end of the flow (last deferred first), and
-undecided conditionals become unions guarded by the condition predicate.
+over the call edges from the functions that use channels.  ``_scan`` alone
+knows Go's scopes: it resolves each name to its declaration and fixes the
+declaration's Go type, so a call, a channel's element type and the channel
+a call returns all come from the declaration, and the flow facts (constant
+values, channels that may be nil) are keyed by it.  A global declared
+without ``make`` is taken as made.  Each named member translates once, in
+declaration order, and a call site names its callee with a reference; a
+function literal translates where it runs, with the facts there: at its
+call or ``go`` statement, or at the function's end when deferred.  Member
+bodies translate statement by statement: sends yield the channel's element
+type, receives expect it, ``go`` becomes a start application, plain calls
+of members inline, ``defer`` evaluates its arguments and inlines at the end
+of the flow (last deferred first), and undecided conditionals become
+unions guarded by the condition predicate.
 One evaluator, ``_fold``, folds an integer expression in one walk: exactly
 over literals, as Go evaluates a constant expression, and with 64-bit
 wrap-around at each operation a variable takes part in.
@@ -21,9 +27,8 @@ order can slip through; the analyzer emits a warning when it sees one.
 
 from __future__ import annotations
 
-from collections import ChainMap, defaultdict
+from collections import defaultdict
 from itertools import count
-from typing import Optional
 
 from ..preds import Cmp, FALSE, TRUE, conj, disj, neg, pred_free_vars, pred_simplify
 from ..terms import (
@@ -103,25 +108,34 @@ def concrete_name(gotype) -> str:
     raise TypeError("no concrete name for %r" % (gotype,))
 
 
-class Env:
-    """Lexically chained typing environment: channel element types,
-    propagated constant values and which channel variables may hold nil,
-    each a ``ChainMap`` whose first map is this block's.  A name assigned
-    something that is not a known constant maps to None, which hides any
-    outer constant.  ``nil`` maps a local channel variable or parameter to
-    True while it may hold nil: declared without ``make``, or assigned
-    ``nil`` or such a variable.  A global is not in it, since any function
-    may make it first.  ``declared`` holds the names a declaration in this
-    block introduced."""
+class Decl:
+    """A declared name: a variable, a parameter or a program function,
+    compared by identity, so the flow facts key on it.  ``gotype`` is the
+    Go type its declaration fixes, or None: a ``ChanType`` for a channel,
+    the ``Func`` of a program function or literal, or a ``FuncType``."""
 
-    def __init__(self, chans: ChainMap, consts: ChainMap, nil: ChainMap):
-        self.chans = chans
+    __slots__ = ("gotype",)
+
+    def __init__(self, gotype):
+        self.gotype = gotype
+
+
+class Env:
+    """The flow facts at a point of a function body, keyed by ``Decl``.
+    ``consts`` maps a variable to its constant value, or to None once it is
+    assigned a value that is not known.  ``nil`` holds the channels that may
+    be nil: declared without ``make``, or assigned ``nil`` or such a
+    channel.  A parameter or a global starts outside it, since a call site
+    passes no nil channel and any function may make a global first."""
+
+    __slots__ = ("consts", "nil")
+
+    def __init__(self, consts, nil):
         self.consts = consts
         self.nil = nil
-        self.declared: set = set()
 
-    def child(self) -> "Env":
-        return Env(self.chans.new_child(), self.consts.new_child(), self.nil.new_child())
+    def copy(self) -> "Env":
+        return Env(dict(self.consts), set(self.nil))
 
 
 class Translation:
@@ -134,9 +148,9 @@ class Translation:
 
 def body_nodes(nodes):
     """Every node of ``nodes``, expressions and statements that hold no
-    block, outside in.  The arguments of a call are entered but not its
-    callee, so a function literal is never entered (it is a function of
-    its own); ``_scan`` walks the blocks."""
+    block, outside in.  The arguments of a call are entered, and its callee
+    only when it is a call, so a function literal is never entered (it is
+    a function of its own); ``_scan`` walks the blocks."""
     for n in nodes:
         if n is None:
             continue
@@ -148,7 +162,7 @@ def body_nodes(nodes):
         elif isinstance(n, Recv):
             children = (n.chan,)
         elif isinstance(n, Call):
-            children = n.args
+            children = (n.fn, *n.args) if isinstance(n.fn, Call) else n.args
         elif isinstance(n, Unary):
             children = (n.operand,)
         elif isinstance(n, Binary):
@@ -158,46 +172,61 @@ def body_nodes(nodes):
         yield from body_nodes(children)
 
 
-def _scan(block, bound, owner, uses, values, callees):
-    """Walk ``block`` of function ``owner`` (None for the globals) in source
-    order, block by block: add each send, receive and call to ``uses`` as
-    ``(owner, node)``, to ``callees`` the ``_callee`` of each call, keyed by
-    the call's ``id``, and to ``values`` each function literal used as a
-    value and each name that the set ``bound`` does not hold.  A name is
-    bound by a parameter or by a declaration earlier in an enclosing block,
-    after its own expression.  A function literal's body is walked where it
-    is written, as a function of its own."""
-    for s in block:
-        for n in body_nodes((s.cond,) if isinstance(s, If) else (s,)):
-            if isinstance(n, (Send, Recv, Call)):
-                uses.append((owner, n))
-            if isinstance(n, Call):
-                callees[id(n)] = _callee(n, bound)
-            if isinstance(n, FuncLit):
-                values.append((n.func.name, n))
-            elif isinstance(n, Ident) and n.name not in bound:
-                values.append((n.name, n))
-            lit = n.fn if isinstance(n, Call) else n
-            if isinstance(lit, FuncLit):
-                params = bound.union(p for p, _ in lit.func.params)
-                _scan(lit.func.body, params, lit.func.name, uses, values, callees)
-        if isinstance(s, If):
-            _scan(s.then, bound, owner, uses, values, callees)
-            _scan(s.els, bound, owner, uses, values, callees)
-        elif isinstance(s, VarDecl):
-            bound = bound | {s.name}
-
-
 class Translator:
     def __init__(self, program: Program):
         self.program = program
-        self.callees: dict = {}  # id of a call -> the function it targets, or None
+        self.decls: dict = {}  # id of an identifier, declaration or assignment -> its Decl
+        self.package = {n: Decl(f) for n, f in program.functions.items() if not f.anonymous}
         self.members = self._members()
         self.cordefs: dict[str, CorDef] = {}
         self.chan_makes: defaultdict[str, int] = defaultdict(int)
         self.unknown_args = count(1)
 
-    # -- membership ----------------------------------------------------------
+    # -- names and membership -------------------------------------------------
+
+    def _scan(self, block, scope, owner, uses, values) -> dict:
+        """Walk ``block`` of function ``owner`` (None for the globals) in
+        source order, and return its ``scope`` at the end: the local names
+        in scope, each to its ``Decl``; any other name is the package's.  A
+        declared name is in scope after its own expression, to the end of
+        its block.  Record in ``decls`` the Decl each identifier resolves to
+        and the one each declaration or assignment names (``_`` gets its
+        own); add each send, receive and call to ``uses`` as ``(owner,
+        node)``, and to ``values`` each function used other than as a
+        callee.  A function literal's body is walked where it is written,
+        as a function of its own."""
+        for s in block:
+            for n in body_nodes((s.cond,) if isinstance(s, If) else (s,)):
+                if isinstance(n, (Send, Recv, Call)):
+                    uses.append((owner, n))
+                for e in (n, getattr(n, "fn", None)):  # body_nodes skips a callee
+                    if isinstance(e, Ident):
+                        self.decls[id(e)] = scope.get(e.name) or self.package.get(e.name)
+                    elif isinstance(e, FuncLit):
+                        params = {p: Decl(t) for p, t in e.func.params}
+                        self._scan(e.func.body, scope | params, e.func.name, uses, values)
+                if isinstance(self._type(n), Func):
+                    values.append(n)
+            if isinstance(s, If):
+                self._scan(s.then, scope, owner, uses, values)
+                self._scan(s.els, scope, owner, uses, values)
+            elif isinstance(s, VarDecl):
+                made = s.expr.gotype if isinstance(s.expr, MakeExpr) else self._type(s.expr)
+                scope = {**scope, s.name: Decl(made if s.gotype is None else s.gotype)}
+            if isinstance(s, (VarDecl, Assign)):
+                self.decls[id(s)] = scope.get(s.name) or self.package.get(s.name) or Decl(None)
+        return scope
+
+    def _type(self, e):
+        """The Go type a declaration fixes for the expression ``e``, or None:
+        a name's, a function literal's ``Func``, or the result type of a
+        call of either."""
+        if isinstance(e, Call):
+            return getattr(self._type(e.fn), "result", None)
+        if isinstance(e, FuncLit):
+            return e.func
+        decl = self.decls.get(id(e)) if isinstance(e, Ident) else None
+        return decl and decl.gotype
 
     def _members(self) -> set:
         """The channel users, then every caller of a member, one worklist.
@@ -205,37 +234,38 @@ class Translator:
         function value that is stored, passed or called through a variable
         would take its channel operations with it."""
         uses: list = []  # (function name, a send, receive or call in its body)
-        values: list = []  # (name, node): a function named or written as a value
-        _scan(self.program.globals, set(), None, uses, values, self.callees)
+        values: list = []  # a function named or written other than as a callee
+        self.package.update(self._scan(self.program.globals, {}, None, uses, values))
         for name, f in self.program.functions.items():
             if not f.anonymous:
-                _scan(f.body, {p for p, _ in f.params}, name, uses, values, self.callees)
+                self._scan(f.body, {p: Decl(t) for p, t in f.params}, name, uses, values)
         members = set()
         callers = defaultdict(set)
         for owner, n in uses:
             if owner is None:
                 continue  # the globals belong to no function
-            if isinstance(n, Call):
-                callers[self.callees[id(n)]].add(owner)
-            else:
+            if not isinstance(n, Call):
                 members.add(owner)
+            elif isinstance(callee := self._type(n.fn), Func):
+                callers[callee.name].add(owner)
         work = list(members)
         while work:
             for caller in callers[work.pop()] - members:
                 members.add(caller)
                 work.append(caller)
-        for name, n in values:
-            if name in members:
-                shown = "literal" if isinstance(n, FuncLit) else name
+        for n in values:
+            func = self._type(n)
+            if func.name in members:
+                shown = "literal" if func.anonymous else func.name
                 raise Unsupported("channel-using function %s used as a value" % shown, n.line)
         return members
 
     # -- translation ----------------------------------------------------------
 
     def translate_all(self) -> dict:
-        root = Env(ChainMap(), ChainMap(), ChainMap())
+        root = Env({}, set())
         for g in self.program.globals:
-            self._bind_value(root, g.name, g.gotype, g.expr)
+            root.consts[self.decls[id(g)]] = self._eval_value(g.expr, root)
             if isinstance(g.expr, MakeExpr) and isinstance(g.expr.gotype, ChanType):
                 self.chan_makes[concrete_name(g.expr.gotype.elem)] += 1
         for name, f in self.program.functions.items():
@@ -244,14 +274,13 @@ class Translator:
         return self.cordefs
 
     def _translate(self, f: Func, outer_env: Env):
-        env = outer_env.child()
-        for pname, ptype in f.params:
-            if isinstance(ptype, ChanType):
-                env.chans[pname] = concrete_name(ptype.elem)
-                env.nil[pname] = False  # a call site passes no nil channel
+        env = outer_env.copy()
         deferred: list = []
         items, _ = self._block(f.body, env, deferred, allow_defer=True)
-        self.cordefs[f.name] = cor_def(*items, *reversed(deferred), label=f.name)
+        deferred.reverse()  # run last deferred first, at the end, with the facts there
+        for app in deferred:
+            self._literal(app, env)
+        self.cordefs[f.name] = cor_def(*items, *deferred, label=f.name)
 
     def _block(self, stmts, env: Env, deferred, allow_defer) -> tuple:
         items: list = []
@@ -264,14 +293,9 @@ class Translator:
         return items, returned
 
     def _stmt(self, s, env: Env, deferred, allow_defer) -> tuple:
-        if isinstance(s, VarDecl):
+        if isinstance(s, (VarDecl, Assign)):
             items = self._expr_items(s.expr, env)
-            env.declared.add(s.name)
-            self._bind_local(env, s.name, s.gotype, s.expr)
-            return items, False
-        if isinstance(s, Assign):
-            items = self._expr_items(s.expr, env)
-            self._bind_local(env, s.name, None, s.expr)
+            self._bind(env, self.decls[id(s)], s.expr)
             return items, False
         if isinstance(s, Send):
             items = self._expr_items(s.value, env)
@@ -284,11 +308,13 @@ class Translator:
             if not go and not allow_defer:
                 raise Unsupported("defer inside a conditional", s.line)
             items = []
-            for a in s.call.args:  # both evaluate their arguments now
+            for a in (s.call.fn, *s.call.args):  # both evaluate these now
                 items.extend(self._expr_items(a, env))
             app = self._spawn_app(s.call, env, StartApp if go else InlineApp)
             if app is not None:
                 (items if go else deferred).append(app)
+                if go:
+                    self._literal(app, env)
             return items, False
         if isinstance(s, If):
             return self._if(s, env, deferred, allow_defer)
@@ -299,15 +325,15 @@ class Translator:
     def _if(self, s: If, env: Env, deferred, allow_defer) -> tuple:
         pred = pred_simplify(self._cond_pred(s.cond, env))
         if pred == TRUE or pred == FALSE:
-            branch_env = env.child()
             body = s.then if pred == TRUE else s.els
-            items, returned = self._block(body, branch_env, deferred, allow_defer)
-            self._merge_branches(env, (branch_env,), decided=True)
-            return items, returned
-        then_env, else_env = env.child(), env.child()
+            return self._block(body, env, deferred, allow_defer)
+        then_env, else_env = env.copy(), env.copy()
         then_items, t_ret = self._block(s.then, then_env, deferred, allow_defer=False)
         else_items, e_ret = self._block(s.els, else_env, deferred, allow_defer=False)
-        self._merge_branches(env, (then_env, else_env), decided=False)
+        # a variable keeps a value both branches leave it, and a channel may
+        # be nil after the conditional when it may at the end of either
+        env.consts = dict(then_env.consts.items() & else_env.consts.items())
+        env.nil = then_env.nil | else_env.nil
         if t_ret or e_ret:
             raise Unsupported("return inside an undecided conditional", s.line)
         then_branch = constrained(seq(*then_items), pred)
@@ -318,28 +344,13 @@ class Translator:
             return [union(then_branch, else_branch)], False
         return [union(else_branch, then_branch)], False
 
-    def _merge_branches(self, env: Env, branches, decided):
-        """Carry the assignments of the ``branches`` of one conditional to
-        enclosing names out of them, as unknown values unless the branch
-        was ``decided``.  A channel may hold nil after the conditional when
-        it may at the end of any branch.  A declaration ends with its block,
-        and no channel binding leaves it: a Go variable's element type is
-        fixed where it is declared."""
-        nil = {}
-        for branch in branches:
-            for name, value in branch.consts.maps[0].items():
-                if name not in branch.declared:
-                    env.consts[name] = value if decided else None
-            for name in branch.nil.maps[0].keys() - branch.declared:
-                nil[name] = any(b.nil.get(name, False) for b in branches)
-        env.nil.update(nil)
-
     # -- expressions ------------------------------------------------------------
 
     def _expr_items(self, e, env: Env) -> list:
         """Flow items an expression evaluation produces, in evaluation order:
-        receives inside it, then an inline application if it calls a member.
-        An absent expression (None) produces none."""
+        those of its operands (a call's callee, then its arguments), then an
+        inline application if it calls a member.  An absent expression
+        (None) produces none."""
         if isinstance(e, Recv):
             special = self._time_after(e.chan)
             if special is not None:
@@ -347,10 +358,11 @@ class Translator:
             return [received(Concrete(self._chan_elem(e, env)))]
         if isinstance(e, Call):
             items = []
-            for a in e.args:
+            for a in (e.fn, *e.args):
                 items.extend(self._expr_items(a, env))
             app = self._spawn_app(e, env, InlineApp)
             if app is not None:
+                self._literal(app, env)
                 items.append(app)
             return items
         if isinstance(e, Unary):
@@ -374,28 +386,33 @@ class Translator:
         return None
 
     def _spawn_app(self, call: Call, env: Env, app_cls):
-        """A Start/Inline application for a call, or None when the callee
-        never touches channels (library calls included).  A function
-        literal translates here, in the caller's scope; a named callee is
-        translated by ``translate_all``."""
-        name = self.callees[id(call)]
-        if name not in self.members:
+        """A Start/Inline application for a call, its arguments evaluated
+        here, or None when the callee never touches channels (library calls
+        included).  A named callee is translated by ``translate_all``, a
+        function literal by ``_literal``, where it runs."""
+        func = self._type(call.fn)
+        if not isinstance(func, Func) or func.name not in self.members:
             return None
-        func = self.program.functions[name]
         for (_, ptype), arg in zip(func.params, call.args):
-            if isinstance(ptype, ChanType) and isinstance(arg, Ident) and env.nil.get(arg.name):
+            if isinstance(ptype, ChanType) and self.decls.get(id(arg)) in env.nil:
                 raise Unsupported("channel %r may be nil" % arg.name, call.line)
+        bindings = self._call_bindings(func, call.args, env)
+        return app_cls(DefRef(func.name), tuple(bindings.items()))
+
+    def _literal(self, app, env: Env):
+        """Translate the function ``app`` runs, when it is a literal, with
+        the facts of ``env``."""
+        func = self.program.functions[app.target.name]
         if func.anonymous:
             self._translate(func, env)
-        bindings = self._call_bindings(func, call.args, env)
-        return app_cls(DefRef(name), tuple(bindings.items()))
 
     def _call_bindings(self, func: Func, args, env: Env) -> dict:
         """Constant propagation into call arguments.  An argument with no
         constant value stays a free variable for the constraint solver: an
         identifier keeps its name, and any other argument becomes a variable
         of its own, ``arg@N``, numbered in declaration order of the calling
-        functions, then in source order within a body."""
+        functions, then in source order within a body, where a literal's
+        body counts after its call's arguments, or at the end if deferred."""
         bindings = {}
         for (pname, ptype), arg in zip(func.params, args):
             if isinstance(ptype, (ChanType, FuncType, SliceType)):
@@ -428,7 +445,7 @@ class Translator:
         if isinstance(e, BoolLit):
             return int(e.value), False
         if isinstance(e, Ident):
-            return env.consts.get(e.name), False
+            return env.consts.get(self.decls.get(id(e))), False
         if isinstance(e, Unary) and e.op == "-":
             value, exact = self._fold(e.operand, env)
             if value is not None:
@@ -456,7 +473,7 @@ class Translator:
         if isinstance(e, BoolLit):
             return TRUE if e.value else FALSE
         if isinstance(e, Ident):
-            value = env.consts.get(e.name)
+            value = env.consts.get(self.decls.get(id(e)))
             if value is not None:
                 return TRUE if value else FALSE
             return Cmp(Var(e.name), "=", 1)  # a bare flag reads as "is set"
@@ -478,57 +495,28 @@ class Translator:
             return neg(out) if e.op == "!=" else out
         raise Unsupported("condition beyond integer/boolean comparisons", e.line)
 
-    def _returned_chan(self, e) -> Optional[str]:
-        """The element type of the channel ``e`` returns when it calls a
-        function of the program declared to return one, else None."""
-        if isinstance(e, Call) and isinstance(e.fn, Ident):
-            func = self.program.functions.get(e.fn.name)
-            if func is not None and isinstance(func.result, ChanType):
-                return concrete_name(func.result.elem)
-        return None
-
     def _chan_elem(self, op, env: Env) -> str:
-        """The element type of the channel a send or receive ``op`` uses;
-        one that may hold nil would block forever, and is refused."""
+        """The element type of the channel a send or receive ``op`` uses, as
+        its declaration fixes it; one that may hold nil would block forever,
+        and is refused."""
         e = op.chan
-        elem = env.chans.get(e.name) if isinstance(e, Ident) else self._returned_chan(e)
-        if elem is None:
+        gotype = self._type(e)
+        if not isinstance(gotype, ChanType):
             name = getattr(getattr(e, "fn", e), "name", "?")
             raise Unsupported("cannot resolve channel %r" % name, e.line)
-        if isinstance(e, Ident) and env.nil.get(e.name):
+        if self.decls.get(id(e)) in env.nil:
             raise Unsupported("channel %r may be nil" % e.name, op.line)
-        return elem
+        return concrete_name(gotype.elem)
 
-    def _bind_local(self, env: Env, name, gotype, expr):
-        """Bind a local variable as ``_bind_value`` does, and record
-        whether it may now hold nil when it is a channel."""
-        nil = expr is None or isinstance(expr, NilLit) or (
-            isinstance(expr, Ident) and env.nil.get(expr.name, False))
-        self._bind_value(env, name, gotype, expr)
-        if name in env.chans:
-            env.nil[name] = nil
-
-    def _bind_value(self, env: Env, name, gotype, expr):
-        if isinstance(expr, MakeExpr) and isinstance(expr.gotype, ChanType):
-            # creation is counted by _expr_items, and for globals by translate_all
-            env.chans[name] = concrete_name(expr.gotype.elem)
-        elif isinstance(gotype, ChanType):
-            env.chans[name] = concrete_name(gotype.elem)
-        elif (elem := self._returned_chan(expr)) is not None:
-            env.chans[name] = elem
+    def _bind(self, env: Env, decl: Decl, expr):
+        """Record what the flow knows of ``decl`` once it holds ``expr``:
+        whether a channel may be nil, or the constant value of any other."""
+        if not isinstance(decl.gotype, ChanType):
+            env.consts[decl] = self._eval_value(expr, env)
+        elif expr is None or isinstance(expr, NilLit) or self.decls.get(id(expr)) in env.nil:
+            env.nil.add(decl)
         else:
-            env.consts[name] = self._eval_value(expr, env)
-
-
-def _callee(call: Call, bound) -> Optional[str]:
-    """The name of the program function ``call`` targets: a function
-    literal's, or an identifier's that the set ``bound`` does not hold;
-    None for a selector or a bound name, which holds no program function."""
-    if isinstance(call.fn, FuncLit):
-        return call.fn.func.name
-    if isinstance(call.fn, Ident) and call.fn.name not in bound:
-        return call.fn.name
-    return None
+            env.nil.discard(decl)
 
 
 def _wrap(value: int) -> int:

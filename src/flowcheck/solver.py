@@ -90,20 +90,26 @@ class ConditionSet(Record):
 
 
 class Universe:
-    """All concrete symbols of one analysis.
+    """All concrete symbols of one analysis, read-only once built.
 
-    Populated once, before reduction starts; treated as read-only afterwards.
+    ``collect`` keeps its terms and walks them when ``symbols`` is first
+    read, so an analysis that never solves never walks them.
     """
 
     def __init__(self, symbols=()):
-        self.symbols = tuple(sorted(set(symbols)))
+        self._symbols = tuple(sorted(set(symbols)))
 
     @classmethod
     def collect(cls, *types):
-        symbols = set()
-        for t in types:
-            symbols |= collect_concrete(t)
-        return cls(symbols)
+        universe = cls()
+        universe._terms, universe._symbols = types, None
+        return universe
+
+    @property
+    def symbols(self) -> tuple:
+        if self._symbols is None:
+            self._symbols = tuple(sorted(set().union(*map(collect_concrete, self._terms))))
+        return self._symbols
 
 
 def collect_concrete(t) -> set:

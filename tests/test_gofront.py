@@ -525,6 +525,18 @@ func main() {
 
 
 class TestFlowAnalysis:
+    @pytest.mark.parametrize("stmt", ["", "go "], ids=["called", "started"])
+    def test_a_called_call_result_runs_its_callee_first(self, stmt):
+        # Go runs the literal, which blocks main on its send, before the
+        # function it returns is called or started
+        source = (
+            "package main\n\nfunc main() {\n\tch := make(chan int)\n"
+            "\t%sfunc() func() {\n\t\tch <- 1\n\t\treturn func() {}\n\t}()()\n}\n" % stmt
+        )
+        main = notation.render(compute_m(parse(source)).cordefs["main"])
+        assert main.startswith("corDef[Inline(anon@5")
+        assert analyze_source(source).worst() == "Deadlock"
+
     def test_literal_argument(self):
         source = '''package main
 
@@ -733,6 +745,17 @@ class TestAnalyze:
         assert {c.verdict.kind for c in analysis.cases} == {"NoDeadlock"}
         assert solve_calls == []
         assert substitute_calls == []
+
+    def test_the_corpus_collects_no_solver_universe(self, monkeypatch):
+        # no Go program here calls the solver, which alone reads the symbols
+        import flowcheck.solver as solver
+
+        calls = []
+        real = solver.collect_concrete
+        monkeypatch.setattr(solver, "collect_concrete", lambda t: calls.append(t) or real(t))
+        for path in corpus_files():
+            analyze_source(path.read_bytes())
+        assert calls == []
 
     def test_conditional_partitions_into_four_cases(self):
         analysis = analyze_source(CONDITIONAL)
@@ -963,6 +986,19 @@ class TestNestingLimit:
         deep = analyze_source(program(shape(3000)))
         assert deep.worst() == "Unsupported"
         assert deep.cases[0].verdict.reason == "nesting too deep (line 3)"
+
+    def test_deep_call_chains(self):
+        from flowcheck.gofront.parser import MAX_NESTING
+
+        def program(calls):
+            return (
+                "package main\n\nfunc main() {\n\tch := make(chan int)\n\tgo func() {\n"
+                "\t\tch <- 1\n\t}()\n\tx := f%s\n\t_ = x\n\t<-ch\n}\n" % ("()" * calls)
+            )
+
+        assert analyze_source(program(MAX_NESTING - 10)).worst() == "NoDeadlock"
+        deep = analyze_source(program(3000))
+        assert [str(c.verdict) for c in deep.cases] == ["Unsupported(nesting too deep (line 8))"]
 
     def test_deep_function_literals(self):
         depth = 300
@@ -1238,7 +1274,9 @@ class TestBlockScope:
     @pytest.mark.parametrize("before", [
         "\tx := 2\n\tif true {\n\t\tx := 1\n\t\t_ = x\n\t}\n",
         "\tx := 1\n\tif true {\n\t\tx = 2\n\t}\n",
-    ], ids=["a shadowing declaration ends", "an assignment in a decided branch stays"])
+        "\tx := 2\n\tvar v int\n\tif v > 3 {\n\t\tx = 2\n\t}\n",
+    ], ids=["a shadowing declaration ends", "an assignment in a decided branch stays",
+            "both branches leave the same constant"])
     def test_the_outer_constant_decides_the_guard(self, before):
         analysis = analyze_source(guarded_sender(before))
         assert [(c.label, c.verdict.kind) for c in analysis.cases] == [("", "NoDeadlock")]
@@ -1289,8 +1327,9 @@ class TestNilChannels:
         "\t} else {\n\t\tch = make(chan int)\n\t}\n",
         "\tvar ch chan int = make(chan int)\n\tif true {\n\t\tvar ch chan int\n"
         "\t\t_ = ch\n\t}\n",
+        "\tmade := make(chan int)\n\tch := made\n",
     ], ids=["made after", "made in a decided branch", "made in both branches",
-            "a nil declaration ends with its block"])
+            "a nil declaration ends with its block", "a copy of a made channel"])
     def test_a_made_channel_is_kept(self, setup):
         assert analyze_source(nil_channel_program(setup)).worst() == "NoDeadlock"
 
@@ -1299,6 +1338,124 @@ class TestNilChannels:
         path.write_text(nil_channel_program("\tvar ch chan int\n"), encoding="utf-8")
         assert main(["analyze", str(path)]) == 2
         assert "channel 'ch' may be nil (line 5)" in capsys.readouterr().out
+
+
+SENDS_ON_A_DEFERRED_CHANNEL = '''package main
+
+func send(ch chan int) {
+	ch <- 1
+}
+
+func main() {
+	var ch chan int
+	x := 0
+	defer func() {
+		if x > 0 {
+			<-ch
+		}
+	}()
+	ch = make(chan int)
+	x = 1
+	go send(ch)
+}
+'''
+
+
+class TestDeferredLiteral:
+    """A deferred literal runs at the end of its function, so it reads the
+    channels and constants of its enclosing function as they are there."""
+
+    def test_reads_a_channel_made_and_a_constant_set_after_the_defer(self):
+        analysis = analyze_source(SENDS_ON_A_DEFERRED_CHANNEL)
+        assert [str(c.verdict) for c in analysis.cases] == ["NoDeadlock"]
+
+    def test_its_arguments_are_evaluated_at_the_defer(self):
+        # the literal receives on the nil channel it was passed, for good
+        source = SENDS_ON_A_DEFERRED_CHANNEL.replace("func() {", "func(c chan int) {").replace(
+            "<-ch", "<-c").replace("\t}()\n", "\t}(ch)\n")
+        assert "<-c\n" in source and "}(ch)" in source
+        analysis = analyze_source(source)
+        assert [str(c.verdict) for c in analysis.cases] == [
+            "Unsupported(channel 'ch' may be nil (line 10))"
+        ]
+
+    def test_the_command_exits_zero(self, tmp_path):
+        path = tmp_path / "deferred.go"
+        path.write_text(SENDS_ON_A_DEFERRED_CHANNEL, encoding="utf-8")
+        assert main(["analyze", str(path)]) == 0
+
+
+SHADOWING_PROGRAMS = {
+    # Go blocks main on ci for good: the goroutine sends on a chan string
+    "a local literal shadows mk": ("""
+	mk := func() chan string {
+		return make(chan string)
+	}
+	ch := mk()
+	ci := make(chan int)
+	go func() {
+		ch <- "a"
+	}()
+	<-ci
+""", "Deadlock"),
+    # use blocks on its chan string, and main on ci
+    "a func-typed parameter named mk": ("""
+	ci := make(chan int)
+	go use(mks)
+	<-ci
+}
+
+func mks() chan string {
+	return make(chan string)
+}
+
+func use(mk func() chan string) {
+	ch := mk()
+	ch <- "a"
+""", "Deadlock"),
+    # f's parameter n hides the global constant n
+    "a parameter named like a global constant": ("""
+	ch := make(chan int)
+	go f(ch, 0)
+	<-ch
+}
+
+var n = 3
+
+func f(ch chan int, n int) {
+	if n > 2 {
+		ch <- 1
+	}
+""", "Deadlock"),
+    # the literal's scope ends with its block: mk() is the program's again
+    "a literal mk ends with its block": ("""
+	if true {
+		mk := func() chan string {
+			return make(chan string)
+		}
+		_ = mk
+	}
+	ch := mk()
+	go func() {
+		ch <- 1
+	}()
+	<-ch
+""", "NoDeadlock"),
+}
+
+
+class TestNameResolution:
+    """Each name resolves to the declaration it has where it is used, as in
+    Go: a call and the channel it returns through the callee's."""
+
+    @pytest.mark.parametrize("name", sorted(SHADOWING_PROGRAMS))
+    def test_matches_go(self, name):
+        body, verdict = SHADOWING_PROGRAMS[name]
+        source = (
+            "package main\n\nfunc mk() chan int {\n\treturn make(chan int)\n}\n\n"
+            "func main() {%s}\n" % body
+        )
+        assert [c.verdict.kind for c in analyze_source(source).cases] == [verdict]
 
 
 class TestConstantOverflow:
