@@ -1,4 +1,14 @@
-"""Tokenizer for the supported Go subset, with automatic semicolon insertion."""
+"""Tokenizer for the supported Go subset, with automatic semicolon insertion.
+
+One ``findall`` of ``_PIECE`` cuts the source into pieces, blanks dropped,
+and one loop names each piece's kind, by a table or by its first character.
+Every character is in a piece, so a stray one is refused, not skipped.  An
+unterminated quoted literal or ``/*`` is one piece to the end of its line or
+of the input, so no text is searched twice.  The pattern must compile on
+Python 3.10, which has no possessive or atomic forms, so its greedy blank
+prefix would give back a trailing blank as a piece: the search ends before
+the trailing blanks instead.
+"""
 
 from __future__ import annotations
 
@@ -13,37 +23,35 @@ class GoSyntaxError(Exception):
         self.message = message
 
 
-KEYWORDS = {
-    "package", "import", "func", "go", "defer", "if", "else", "return",
-    "var", "type", "struct", "chan", "for", "select", "switch", "case",
-    "map", "interface", "range", "const", "break", "continue", "goto",
-    "fallthrough", "default",
-}
+KEYWORDS = set("package import func go defer if else return var type struct chan for select switch "
+               "case map interface range const break continue goto fallthrough default".split())
 
 # tokens that allow a statement to end before a newline
 _SEMI_AFTER = {"ident", "int", "float", "imaginary", "string", ")", "}", "]",
                "return", "break", "continue", "fallthrough"}
 
-# Strings, raw strings and runes stay on one line; ``_check_quoted`` reads
-# the escapes of a string and the one character of a rune.  A number takes
-# every character Go's scanner would give it, so that ``0x10`` or ``7e2`` is
-# one token; ``_number_kind`` names its kind.  ``/`` must not take the start
-# of an unterminated ``/*``, which would otherwise lex as ``/`` ``*``.
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<newline>\n)
-  | (?P<skip>[ \t\r]+|//[^\n]*)
-  | (?P<comment>/\*.*?\*/)
-  | (?P<word>[^\W\d]\w*)
-  | (?P<number>(?:0[xX][0-9a-fA-F_]*(?:\.[0-9a-fA-F_]*)?(?:[pP][+-]?[0-9_]*)?
-                |0[bBoO][0-9_]*
-                |(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)(?:[eE][+-]?[0-9_]*)?
-               )i?)
-  | (?P<string>"(?:[^"\\\n]|\\[^\n])*"|`[^`\n]*`|'(?:[^'\\\n]|\\[^\n])*')
-  | (?P<op><-|:=|==|!=|<=|>=|&&|\|\||/(?!\*)|[(){}\[\],;.:<>=!+\-*%&|])
-    """,
+# A word, a newline, a number (all Go's scanner would take, so ``0x10`` is
+# one piece), an operator or comment, a quoted literal, or one character.
+_PIECE = re.compile(
+    r"""[ \t\r]*(
+        [^\W\d]\w*
+      | \n
+      | (?:0[xX][0-9a-fA-F_]*(?:\.[0-9a-fA-F_]*)?(?:[pP][+-]?[0-9_]*)?
+          |0[bBoO][0-9_]*
+          |(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)(?:[eE][+-]?[0-9_]*)?
+        )i?
+      | <-|:=|==|!=|<=|>=|&&|\|\||//[^\n]*|/\*.*?(?:\*/|\Z)
+      | [(){}\[\],;.:<>=!+\-*/%&|]
+      | "(?:[^"\\\n]|\\[^\n])*"? | `[^`\n]*`? | '(?:[^'\\\n]|\\[^\n])*'?
+      | .
+    )""",
     re.VERBOSE | re.DOTALL,
 )
+
+# the pieces that name their own kind, and the newline
+_OPERATORS = "<- := == != <= >= && || ( ) { } [ ] , ; . : < > = ! + - * / % & |".split()
+_KINDS = {k: k for k in [*KEYWORDS, *_OPERATORS]}
+_KINDS["\n"] = "newline"
 
 
 # The literal forms of the Go spec, with single ``_`` separators between
@@ -68,11 +76,15 @@ _CHARACTER = {
 
 
 def _check_quoted(text, line):
-    """Refuse an interpreted string or rune with an escape Go does not
-    know, or with a value past its range, and a rune that is not exactly
-    one character."""
+    """Refuse a quoted piece that its closing quote does not end (the last
+    quote of an interpreted string or rune may be an escaped one), an
+    interpreted string or rune with an escape Go does not know, or with a
+    value past its range, and a rune that is not exactly one character."""
     quote, body = text[0], text[1:-1]
-    if quote == '"' and "\\" not in body:
+    escaped = quote != "`" and (len(body) - len(body.rstrip("\\"))) % 2
+    if len(text) < 2 or text[-1] != quote or escaped:
+        raise GoSyntaxError(line, "unterminated string literal")
+    if quote == "`" or quote == '"' and "\\" not in body:
         return
     character = re.compile(_CHARACTER[quote])
     count, pos = 0, 0
@@ -118,37 +130,38 @@ class Token(NamedTuple):
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line = 1
+    append, new = tokens.append, tuple.__new__
+    line, last = 1, None  # last: the kind of the last token
     # a byte order mark may open the file, as Go compilers allow
-    pos = 1 if source.startswith("\ufeff") else 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        ch = source[pos]
-        # the word pattern also starts at a numeral such as '²', Go does not
-        if m is None or m.lastgroup == "word" and not (ch.isalpha() or ch == "_"):
-            if source.startswith("/*", pos):
+    start = 1 if source.startswith("\ufeff") else 0
+    for piece in _PIECE.findall(source, start, len(source.rstrip(" \t\r"))):
+        kind = _KINDS.get(piece)
+        if kind is None:
+            first = piece[0]
+            # a word may also start at a numeral such as '²', Go's may not
+            if first.isalpha() or first == "_":
+                kind = "ident"
+            elif first in "0123456789.":
+                kind = _number_kind(piece, line)
+            elif first in "\"'`":
+                _check_quoted(piece, line)
+                kind = "string"
+            elif first != "/":
+                raise GoSyntaxError(line, "stray character %r" % first)
+            elif piece[1] == "/" or len(piece) > 3 and piece.endswith("*/"):
+                kind = "comment"
+            else:
                 raise GoSyntaxError(line, "unterminated comment")
-            if ch in "\"'`":
-                raise GoSyntaxError(line, "unterminated string literal")
-            raise GoSyntaxError(line, "stray character %r" % ch)
-        pos = m.end()
-        kind, value = m.lastgroup, m.group()
         if kind == "newline" or kind == "comment":
-            breaks = value.count("\n")
-            if breaks and tokens and tokens[-1].kind in _SEMI_AFTER:
-                tokens.append(Token(";", ";", line))
+            breaks = piece.count("\n")
+            if breaks and last in _SEMI_AFTER:
+                append(new(Token, (";", ";", line)))
+                last = ";"
             line += breaks
-        elif kind != "skip":
-            if kind == "word":
-                kind = value if value in KEYWORDS else "ident"
-            elif kind == "op":
-                kind = value
-            elif kind == "number":
-                kind = _number_kind(value, line)
-            elif value[0] != "`":
-                _check_quoted(value, line)
-            tokens.append(Token(kind, value, line))
-    if tokens and tokens[-1].kind in _SEMI_AFTER:
+        else:
+            append(new(Token, (kind, piece, line)))
+            last = kind
+    if last in _SEMI_AFTER:
         tokens.append(Token(";", ";", line))
     tokens.append(Token("eof", "", line))
     return tokens

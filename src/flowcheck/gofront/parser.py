@@ -316,14 +316,11 @@ class Parser:
             return Return(self.parse_expr(), tok.line)
         if tok.kind == "var":
             return self.parse_var_decl()
-        if tok.kind == "ident" and self.peek(1).kind == ":=":
+        if tok.kind == "ident" and self.peek(1).kind in (":=", "="):
             self.next()
-            self.next()
+            if self.next().kind == "=":
+                return Assign(tok.value, self.parse_expr(), tok.line)
             return VarDecl(tok.value, None, self.parse_expr(), tok.line)
-        if tok.kind == "ident" and self.peek(1).kind == "=":
-            self.next()
-            self.next()
-            return Assign(tok.value, self.parse_expr(), tok.line)
         expr = self.parse_expr()
         if self.peek().kind == "<-":
             self.next()

@@ -3,11 +3,13 @@
 A function joins the coroutine map when it sends or receives on a channel,
 or when it calls or starts a member: membership is reverse reachability
 over the call edges from the functions that use channels.  ``_scan`` alone
-knows Go's scopes: it resolves each name to its declaration and fixes the
+knows Go's scopes: one pass over the blocks, with ``_walk`` entering each
+expression once, resolves each name to its declaration and fixes the
 declaration's Go type, so a call, a channel's element type and the channel
 a call returns all come from the declaration, and the flow facts (constant
-values, channels that may be nil) are keyed by it.  A global declared
-without ``make`` is taken as made.  Each named member translates once, in
+values, channels that may be nil) are keyed by it.  A global channel
+declared without ``make`` is nil at every use when no statement assigns it,
+and is taken as made otherwise.  Each named member translates once, in
 declaration order, and a call site names its callee with a reference; a
 function literal translates where it runs, with the facts there: at its
 call or ``go`` statement, or at the function's end when deferred.  Member
@@ -125,8 +127,9 @@ class Env:
     ``consts`` maps a variable to its constant value, or to None once it is
     assigned a value that is not known.  ``nil`` holds the channels that may
     be nil: declared without ``make``, or assigned ``nil`` or such a
-    channel.  A parameter or a global starts outside it, since a call site
-    passes no nil channel and any function may make a global first."""
+    channel.  A parameter starts outside it, since a call site passes no
+    nil channel, and so does a global that some statement assigns, since
+    any function may make it first."""
 
     __slots__ = ("consts", "nil")
 
@@ -146,36 +149,11 @@ class Translation:
         self.warnings = warnings
 
 
-def body_nodes(nodes):
-    """Every node of ``nodes``, expressions and statements that hold no
-    block, outside in.  The arguments of a call are entered, and its callee
-    only when it is a call, so a function literal is never entered (it is
-    a function of its own); ``_scan`` walks the blocks."""
-    for n in nodes:
-        if n is None:
-            continue
-        yield n
-        if isinstance(n, Send):
-            children = (n.chan, n.value)
-        elif isinstance(n, (GoStmt, DeferStmt)):
-            children = (n.call,)
-        elif isinstance(n, Recv):
-            children = (n.chan,)
-        elif isinstance(n, Call):
-            children = (n.fn, *n.args) if isinstance(n.fn, Call) else n.args
-        elif isinstance(n, Unary):
-            children = (n.operand,)
-        elif isinstance(n, Binary):
-            children = (n.left, n.right)
-        else:  # declarations, assignments, expression statements, returns
-            children = (getattr(n, "expr", None),)
-        yield from body_nodes(children)
-
-
 class Translator:
     def __init__(self, program: Program):
         self.program = program
         self.decls: dict = {}  # id of an identifier, declaration or assignment -> its Decl
+        self.assigned: set = set()  # the Decl of each assignment statement
         self.package = {n: Decl(f) for n, f in program.functions.items() if not f.anonymous}
         self.members = self._members()
         self.cordefs: dict[str, CorDef] = {}
@@ -189,33 +167,60 @@ class Translator:
         source order, and return its ``scope`` at the end: the local names
         in scope, each to its ``Decl``; any other name is the package's.  A
         declared name is in scope after its own expression, to the end of
-        its block.  Record in ``decls`` the Decl each identifier resolves to
-        and the one each declaration or assignment names (``_`` gets its
-        own); add each send, receive and call to ``uses`` as ``(owner,
-        node)``, and to ``values`` each function used other than as a
-        callee.  A function literal's body is walked where it is written,
-        as a function of its own."""
+        its block.  Record in ``decls`` the Decl each declaration or
+        assignment names (``_`` gets its own), and in ``assigned`` the Decl
+        of each assignment; ``_walk`` records the rest."""
         for s in block:
-            for n in body_nodes((s.cond,) if isinstance(s, If) else (s,)):
-                if isinstance(n, (Send, Recv, Call)):
-                    uses.append((owner, n))
-                for e in (n, getattr(n, "fn", None)):  # body_nodes skips a callee
-                    if isinstance(e, Ident):
-                        self.decls[id(e)] = scope.get(e.name) or self.package.get(e.name)
-                    elif isinstance(e, FuncLit):
-                        params = {p: Decl(t) for p, t in e.func.params}
-                        self._scan(e.func.body, scope | params, e.func.name, uses, values)
-                if isinstance(self._type(n), Func):
-                    values.append(n)
-            if isinstance(s, If):
-                self._scan(s.then, scope, owner, uses, values)
-                self._scan(s.els, scope, owner, uses, values)
-            elif isinstance(s, VarDecl):
+            self._walk(s, scope, owner, uses, values)
+            if s.__class__ is VarDecl:
                 made = s.expr.gotype if isinstance(s.expr, MakeExpr) else self._type(s.expr)
                 scope = {**scope, s.name: Decl(made if s.gotype is None else s.gotype)}
-            if isinstance(s, (VarDecl, Assign)):
-                self.decls[id(s)] = scope.get(s.name) or self.package.get(s.name) or Decl(None)
+                self.decls[id(s)] = scope[s.name]
+            elif s.__class__ is Assign:
+                decl = scope.get(s.name) or self.package.get(s.name) or Decl(None)
+                self.decls[id(s)] = decl
+                self.assigned.add(decl)
         return scope
+
+    def _walk(self, n, scope, owner, uses, values):
+        """Record, outside in, the Decl each identifier of ``n`` resolves to
+        in ``decls``, each send, receive and call in ``uses`` as ``(owner,
+        node)``, and each function used other than as a callee in ``values``.
+        A block is scanned, and a function literal's body as a function."""
+        cls = n.__class__
+        if cls is Ident:
+            decl = self.decls[id(n)] = scope.get(n.name) or self.package.get(n.name)
+            if decl is not None and decl.gotype.__class__ is Func:
+                values.append(n)
+        elif cls is Call:
+            uses.append((owner, n))
+            self._walk(n.fn, scope, owner, uses, values)
+            if values and values[-1] is n.fn:
+                values.pop()  # a callee is no value
+            for a in n.args:
+                self._walk(a, scope, owner, uses, values)
+        elif cls is Binary:
+            self._walk(n.left, scope, owner, uses, values)
+            self._walk(n.right, scope, owner, uses, values)
+        elif cls is Send or cls is Recv:
+            uses.append((owner, n))
+            self._walk(n.chan, scope, owner, uses, values)
+            if cls is Send:
+                self._walk(n.value, scope, owner, uses, values)
+        elif cls is FuncLit:
+            params = {p: Decl(t) for p, t in n.func.params}
+            self._scan(n.func.body, scope | params, n.func.name, uses, values)
+            values.append(n)
+        elif cls is If:
+            self._walk(n.cond, scope, owner, uses, values)
+            self._scan(n.then, scope, owner, uses, values)
+            self._scan(n.els, scope, owner, uses, values)
+        elif cls is GoStmt or cls is DeferStmt:
+            self._walk(n.call, scope, owner, uses, values)
+        elif cls is Unary:
+            self._walk(n.operand, scope, owner, uses, values)
+        elif (e := getattr(n, "expr", None)) is not None:  # a statement of one expression
+            self._walk(e, scope, owner, uses, values)
 
     def _type(self, e):
         """The Go type a declaration fixes for the expression ``e``, or None:
@@ -265,9 +270,10 @@ class Translator:
     def translate_all(self) -> dict:
         root = Env({}, set())
         for g in self.program.globals:
-            root.consts[self.decls[id(g)]] = self._eval_value(g.expr, root)
+            self._bind(root, self.decls[id(g)], g.expr)
             if isinstance(g.expr, MakeExpr) and isinstance(g.expr.gotype, ChanType):
                 self.chan_makes[concrete_name(g.expr.gotype.elem)] += 1
+        root.nil -= self.assigned  # some function may make it first
         for name, f in self.program.functions.items():
             if name in self.members and not f.anonymous:
                 self._translate(f, root)
@@ -307,9 +313,8 @@ class Translator:
             go = isinstance(s, GoStmt)
             if not go and not allow_defer:
                 raise Unsupported("defer inside a conditional", s.line)
-            items = []
-            for a in (s.call.fn, *s.call.args):  # both evaluate these now
-                items.extend(self._expr_items(a, env))
+            # both evaluate the callee and the arguments now
+            items = [i for a in (s.call.fn, *s.call.args) for i in self._expr_items(a, env)]
             app = self._spawn_app(s.call, env, StartApp if go else InlineApp)
             if app is not None:
                 (items if go else deferred).append(app)
@@ -352,14 +357,13 @@ class Translator:
         inline application if it calls a member.  An absent expression
         (None) produces none."""
         if isinstance(e, Recv):
-            special = self._time_after(e.chan)
-            if special is not None:
-                return special
+            fn = getattr(e.chan, "fn", None)
+            if isinstance(fn, Selector) and (fn.pkg, fn.name) == ("time", "After"):
+                # <-time.After(d) completes: the runtime yields a Time on a fresh channel
+                return [yielded(Concrete("Time")), received(Concrete("Time"))]
             return [received(Concrete(self._chan_elem(e, env)))]
         if isinstance(e, Call):
-            items = []
-            for a in (e.fn, *e.args):
-                items.extend(self._expr_items(a, env))
+            items = [i for a in (e.fn, *e.args) for i in self._expr_items(a, env)]
             app = self._spawn_app(e, env, InlineApp)
             if app is not None:
                 self._literal(app, env)
@@ -372,18 +376,6 @@ class Translator:
         if isinstance(e, MakeExpr) and isinstance(e.gotype, ChanType):
             self.chan_makes[concrete_name(e.gotype.elem)] += 1
         return []
-
-    def _time_after(self, chan_expr):
-        """``<-time.After(d)`` completes by itself: the runtime yields a Time
-        value on a fresh channel and the program receives it."""
-        if (
-            isinstance(chan_expr, Call)
-            and isinstance(chan_expr.fn, Selector)
-            and chan_expr.fn.pkg == "time"
-            and chan_expr.fn.name == "After"
-        ):
-            return [yielded(Concrete("Time")), received(Concrete("Time"))]
-        return None
 
     def _spawn_app(self, call: Call, env: Env, app_cls):
         """A Start/Inline application for a call, its arguments evaluated
@@ -534,14 +526,11 @@ def compute_m(program: Program) -> Translation:
     function, translated to its coroutine definition."""
     tr = Translator(program)
     cordefs = tr.translate_all()
-    warnings = []
-    for elem in sorted(tr.chan_makes):
-        count = tr.chan_makes[elem]
-        if count > 1:
-            warnings.append(
-                "%d channels share element type %s; channel identity is not "
-                "tracked, so operations on them may be conflated" % (count, elem)
-            )
+    warnings = [
+        "%d channels share element type %s; channel identity is not tracked, so "
+        "operations on them may be conflated" % (count, elem)
+        for elem, count in sorted(tr.chan_makes.items()) if count > 1
+    ]
     return Translation(cordefs, warnings)
 
 

@@ -1340,6 +1340,45 @@ class TestNilChannels:
         assert "channel 'ch' may be nil (line 5)" in capsys.readouterr().out
 
 
+def global_channel_program(declarations, setup=""):
+    """``nil_channel_program`` on a global ``ch``: ``declarations`` at
+    package level, then ``main`` runs ``setup`` and uses ``ch``."""
+    return (
+        "package main\n\n%s\nfunc main() {\n%s"
+        "\tgo func() { ch <- 1 }()\n\t<-ch\n}\n" % (declarations, setup)
+    )
+
+
+class TestNilGlobals:
+    """A global channel declared nil that no statement of the program
+    assigns is nil at every use; one that some statement assigns may be
+    made before it is used, and is taken as made."""
+
+    @pytest.mark.parametrize("declarations", [
+        "var ch chan int\n", "var ch chan int = nil\n", "var none chan int\nvar ch = none\n",
+    ], ids=["declared without make", "declared nil", "a copy of a nil global"])
+    def test_an_unassigned_one_is_refused(self, declarations):
+        source = global_channel_program(declarations)
+        line = source.split("\n").index("\tgo func() { ch <- 1 }()") + 1
+        analysis = analyze_source(source)
+        assert [str(c.verdict) for c in analysis.cases] == [
+            "Unsupported(channel 'ch' may be nil (line %d))" % line]
+
+    @pytest.mark.parametrize("declarations, setup", [
+        ("var ch chan int\n", "\tch = make(chan int)\n"),
+        ("var ch chan int\n\nfunc mk() {\n\tch = make(chan int)\n}\n", "\tmk()\n"),
+        ("var ch = make(chan int)\n", ""),
+    ], ids=["made by main", "made by a function main calls", "made at its declaration"])
+    def test_an_assigned_one_is_kept(self, declarations, setup):
+        assert analyze_source(global_channel_program(declarations, setup)).worst() == "NoDeadlock"
+
+    def test_the_command_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "nil.go"
+        path.write_text(global_channel_program("var ch chan int\n"), encoding="utf-8")
+        assert main(["analyze", str(path)]) == 2
+        assert "channel 'ch' may be nil (line 6)" in capsys.readouterr().out
+
+
 SENDS_ON_A_DEFERRED_CHANNEL = '''package main
 
 func send(ch chan int) {

@@ -5,10 +5,16 @@ statement after an identifier, a literal, a closing bracket or one of the
 keywords that end a statement, and so does the end of the input.
 """
 
+import random
+import re
+
 import pytest
 
 from flowcheck.gofront import GoSyntaxError, analyze_source
-from flowcheck.gofront.lexer import Token, tokenize
+from flowcheck.gofront.lexer import (
+    _PIECE, _SEMI_AFTER, KEYWORDS, Token, _check_quoted, _number_kind, tokenize,
+)
+from paths import corpus_files
 
 
 def kinds(source):
@@ -203,3 +209,149 @@ class TestRunesAndEscapes:
             "package main\n\nimport \"fmt\"\n\nfunc main() {\n\tfmt.Println('\\'')\n}\n"
         )
         assert analysis.worst() == "NoDeadlock"
+
+
+# The tokenizer that matched one token, or one run of blanks, at a time,
+# kept as the reference the one-pass ``tokenize`` must agree with.
+_REFERENCE_RE = re.compile(
+    r"""
+    (?P<newline>\n)
+  | (?P<skip>[ \t\r]+|//[^\n]*)
+  | (?P<comment>/\*.*?\*/)
+  | (?P<word>[^\W\d]\w*)
+  | (?P<number>(?:0[xX][0-9a-fA-F_]*(?:\.[0-9a-fA-F_]*)?(?:[pP][+-]?[0-9_]*)?
+                |0[bBoO][0-9_]*
+                |(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)(?:[eE][+-]?[0-9_]*)?
+               )i?)
+  | (?P<string>"(?:[^"\\\n]|\\[^\n])*"|`[^`\n]*`|'(?:[^'\\\n]|\\[^\n])*')
+  | (?P<op><-|:=|==|!=|<=|>=|&&|\|\||/(?!\*)|[(){}\[\],;.:<>=!+\-*%&|])
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+def reference_tokenize(source):
+    tokens = []
+    line = 1
+    pos = 1 if source.startswith("\ufeff") else 0
+    while pos < len(source):
+        m = _REFERENCE_RE.match(source, pos)
+        ch = source[pos]
+        if m is None or m.lastgroup == "word" and not (ch.isalpha() or ch == "_"):
+            if source.startswith("/*", pos):
+                raise GoSyntaxError(line, "unterminated comment")
+            if ch in "\"'`":
+                raise GoSyntaxError(line, "unterminated string literal")
+            raise GoSyntaxError(line, "stray character %r" % ch)
+        pos = m.end()
+        kind, value = m.lastgroup, m.group()
+        if kind == "newline" or kind == "comment":
+            breaks = value.count("\n")
+            if breaks and tokens and tokens[-1].kind in _SEMI_AFTER:
+                tokens.append(Token(";", ";", line))
+            line += breaks
+        elif kind != "skip":
+            if kind == "word":
+                kind = value if value in KEYWORDS else "ident"
+            elif kind == "op":
+                kind = value
+            elif kind == "number":
+                kind = _number_kind(value, line)
+            elif value[0] != "`":
+                _check_quoted(value, line)
+            tokens.append(Token(kind, value, line))
+    if tokens and tokens[-1].kind in _SEMI_AFTER:
+        tokens.append(Token(";", ";", line))
+    tokens.append(Token("eof", "", line))
+    return tokens
+
+
+def outcome(lex, source):
+    """The tokens of ``source``, or the line and message it is refused with."""
+    try:
+        return lex(source)
+    except GoSyntaxError as e:
+        return (e.line, e.message)
+
+
+# characters that start, end or break a piece, or that no piece takes
+_MUTANT_CHARACTERS = list("\n\r\t /*\"'`\\_x9.e+-<:=@") + ["²", "٣", "\ufeff", "é"]
+
+
+def mutants(sources, count, seed):
+    """``count`` copies of the sources, each with one to four characters
+    inserted, deleted or replaced."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        text = list(rng.choice(sources))
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randrange(len(text) + 1)
+            if rng.random() < 0.4 or i == len(text):
+                text.insert(i, rng.choice(_MUTANT_CHARACTERS))
+            elif rng.random() < 0.5:
+                del text[i]
+            else:
+                text[i] = rng.choice(_MUTANT_CHARACTERS)
+        yield "".join(text)
+
+
+class TestAgreesWithTheReference:
+    """The one-pass lexer gives the tokens, or the error, that matching one
+    token at a time gives."""
+
+    def test_on_the_corpus(self):
+        for path in corpus_files():
+            source = path.read_text(encoding="utf-8")
+            assert outcome(tokenize, source) == outcome(reference_tokenize, source), path.name
+
+    def test_on_every_line_prefix(self):
+        for path in corpus_files():
+            lines = path.read_text(encoding="utf-8").split("\n")
+            for end in range(len(lines)):
+                for tail in ("", "\n", " \r\t"):
+                    source = "\n".join(lines[:end]) + tail
+                    assert outcome(tokenize, source) == outcome(reference_tokenize, source)
+
+    def test_on_seeded_mutants(self):
+        sources = [path.read_text(encoding="utf-8") for path in corpus_files()]
+        for source in mutants(sources, 2000, seed=22):
+            assert outcome(tokenize, source) == outcome(reference_tokenize, source), source
+
+
+class TestPieceEdges:
+    """Inputs on which a naive one-pass lexer goes wrong."""
+
+    @pytest.mark.parametrize("source", ["x\r", "x \r", "x  ", "x\t", "x \r\t ", "x // c\r"])
+    def test_trailing_blanks_are_no_piece(self, source):
+        assert tokenize(source) == tokenize("x")
+        assert tokenize(source + "\n \r") == tokenize("x\n")
+
+    @pytest.mark.parametrize("source", ["x // c", "x //", "x // c \r"])
+    def test_a_line_comment_may_end_the_input(self, source):
+        assert kinds(source) == ["ident", ";", "eof"]
+
+    @pytest.mark.parametrize("source", ["/* open text", "x /* a */ y /* b", "/*/ x"])
+    def test_an_unterminated_block_comment_followed_by_text(self, source):
+        with pytest.raises(GoSyntaxError) as raised:
+            tokenize(source)
+        assert raised.value.message == "unterminated comment"
+
+    @pytest.mark.parametrize("source", ["²", "²x", "x ²1", "²_"])
+    def test_a_word_from_a_numeral_is_a_stray_character(self, source):
+        with pytest.raises(GoSyntaxError) as raised:
+            tokenize(source)
+        assert raised.value.message == "stray character '²'"
+
+    @pytest.mark.parametrize("source", ["\ufeffx  ", "\ufeff", "\ufeff  \r", "\ufeff// c"])
+    def test_a_byte_order_mark_then_blanks(self, source):
+        assert tokenize(source) == tokenize(source[1:])
+
+    @pytest.mark.parametrize("source, pieces", [
+        ("/* a /* b", ["/* a /* b"]),
+        ('"a\\" "b\nc', ['"a\\" "', "b", "\n", "c"]),
+        ('x := "a\\"\ny', ["x", ":=", '"a\\"', "\n", "y"]),
+        ("'ab\n", ["'ab", "\n"]),
+    ])
+    def test_an_unterminated_literal_is_one_piece(self, source, pieces):
+        # so no text after it is searched again, however long the input
+        assert _PIECE.findall(source) == pieces
