@@ -65,6 +65,7 @@ import heapq
 
 from .notation import render
 from .preds import TRUE, conj, neg, pred_evaluate, pred_free_vars, pred_simplify
+from .record import Record
 from .solver import BOTTOM, Universe, match, solve
 from .terms import (
     Constrained,
@@ -256,14 +257,10 @@ class TraceEntry:
         return "step %d [%s] %s" % (self.step, self.rule, self.state_after)
 
 
-class Verdict:
+class Verdict(Record):
+    # kind: "NoDeadlock" | "Deadlock" | "Inconclusive" | "Unsupported"
     __slots__ = ("kind", "residual", "externals", "reason")
-
-    def __init__(self, kind, residual=None, externals=(), reason=""):
-        self.kind = kind  # "NoDeadlock" | "Deadlock" | "Inconclusive" | "Unsupported"
-        self.residual = residual
-        self.externals = externals
-        self.reason = reason
+    _defaults = {"residual": None, "externals": (), "reason": ""}
 
     def __repr__(self):
         if self.kind == "Deadlock":

@@ -9,6 +9,7 @@ from __future__ import annotations
 from .. import engine
 from ..engine import AmbiguousCondition, EngineError, NoSatisfiableBranch, Verdict
 from ..preds import TRUE
+from ..record import Record
 from ..solver import Case, ConstraintError, partition_cases
 from ..terms import DefRef, start_app
 from .lexer import GoSyntaxError
@@ -16,22 +17,14 @@ from .parser import Unsupported, parse
 from .translate import compute_m, unresolved_condition_preds
 
 
-class CaseResult:
-    __slots__ = ("label", "verdict", "trace")
-
-    def __init__(self, label, verdict, trace=None):
-        self.label = label  # "" when the analysis needed no case split
-        self.verdict = verdict
-        self.trace = [] if trace is None else trace
+class CaseResult(Record):
+    __slots__ = ("label", "verdict", "trace")  # label: "" when the analysis needed no case split
+    _defaults = {"trace": ()}
 
 
-class Analysis:
-    __slots__ = ("cases", "warnings", "steps")
-
-    def __init__(self, cases, warnings=None, steps=0):
-        self.cases = cases  # CaseResults
-        self.warnings = [] if warnings is None else warnings
-        self.steps = steps
+class Analysis(Record):
+    __slots__ = ("cases", "warnings", "steps")  # cases: CaseResults
+    _defaults = {"warnings": (), "steps": 0}
 
     def worst(self) -> str:
         kinds = {c.verdict.kind for c in self.cases}

@@ -139,11 +139,11 @@ class Func(Node):
     (name, gotype) pairs; unlike a statement's, its ``line`` takes part in
     equality."""
 
-    __slots__ = ("name", "params", "result", "body", "line", "anonymous")
-    _defaults = {"line": 0, "anonymous": False}
+    __slots__ = ("name", "params", "result", "body", "line")
     _uncompared = ()
 
 
 class Program(Node):
-    # globals: VarDecls; functions: name -> Func, lifted literals included
+    # globals: VarDecls; functions: name -> Func, declared functions only (a
+    # literal lives in its FuncLit)
     __slots__ = ("globals", "functions")

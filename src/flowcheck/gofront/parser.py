@@ -90,7 +90,7 @@ class Parser:
         self.tokens = tokenize(source)
         self.pos = 0
         self.depth = 0
-        self.anon_funcs: list[Func] = []
+        self.literals: dict[int, int] = {}  # line -> function literals named on it
 
     # -- token plumbing ----------------------------------------------------
 
@@ -168,13 +168,12 @@ class Parser:
             else:
                 raise GoSyntaxError(tok.line, "unexpected %r at top level" % tok.value)
             self.end("eof")
-        for f in self.anon_funcs:
-            functions[f.name] = f
         return Program(tuple(globals_), functions)
 
     def parse_func(self, anonymous=False) -> Func:
         """A declaration, or a literal named ``anon@<line>[.k]`` once its
-        body is parsed, so nested literals on one line keep their names."""
+        body is parsed, so nested literals on one line keep their names; a
+        literal lives only in its ``FuncLit``."""
         line = self.expect("func").line
         name = None if anonymous else self.expect("ident").value
         params = self.parse_params()
@@ -182,13 +181,10 @@ class Parser:
         if self.peek().kind not in ("{", ";"):
             result = self.parse_type()
         body = self.parse_block()
-        if not anonymous:
-            return Func(name, params, result, body, line)
-        same_line = sum(f.line == line for f in self.anon_funcs)
-        name = "anon@%d" % line + (".%d" % (same_line + 1) if same_line else "")
-        func = Func(name, params, result, body, line, anonymous=True)
-        self.anon_funcs.append(func)
-        return func
+        if anonymous:
+            k = self.literals[line] = self.literals.get(line, 0) + 1
+            name = "anon@%d" % line + (".%d" % k if k > 1 else "")
+        return Func(name, params, result, body, line)
 
     def parenthesized(self, item) -> tuple:
         """``( a, b, … )``: ``item()`` for each entry, a trailing comma allowed."""

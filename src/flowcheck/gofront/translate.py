@@ -9,15 +9,18 @@ declaration's Go type, so a call, a channel's element type and the channel
 a call returns all come from the declaration, and the flow facts (constant
 values, channels that may be nil) are keyed by it.  A global channel
 declared without ``make`` is nil at every use when no statement assigns it,
-and is taken as made otherwise.  Each named member translates once, in
-declaration order, and a call site names its callee with a reference; a
-function literal translates where it runs, with the facts there: at its
-call or ``go`` statement, or at the function's end when deferred.  Member
-bodies translate statement by statement: sends yield the channel's element
-type, receives expect it, ``go`` becomes a start application, plain calls
-of members inline, ``defer`` evaluates its arguments and inlines at the end
-of the flow (last deferred first), and undecided conditionals become
-unions guarded by the condition predicate.
+and is taken as made otherwise; a global's initializer may not use a
+channel, directly or through a member.  Member bodies translate statement
+by statement: sends yield the channel's element type, receives expect it,
+and undecided conditionals become unions guarded by the condition
+predicate.  One method, ``_call``, translates every call, ``go`` and
+``defer``: it evaluates the callee and the arguments now, and a call of a
+member becomes an inline application, a ``go`` a start application, and a
+``defer`` an inline application at the end of the flow (last deferred
+first).  Each named member translates once, in declaration order, and a
+call site names its callee with a reference; a function literal is
+translated from its ``FuncLit`` where it runs, with the facts there: at its
+call or ``go``, or at the function's end when deferred.
 One evaluator, ``_fold``, folds an integer expression in one walk: exactly
 over literals, as Go evaluates a constant expression, and with 64-bit
 wrap-around at each operation a variable takes part in.
@@ -33,6 +36,7 @@ from collections import defaultdict
 from itertools import count
 
 from ..preds import Cmp, FALSE, TRUE, conj, disj, neg, pred_free_vars, pred_simplify
+from ..record import Record
 from ..terms import (
     Concrete,
     CorDef,
@@ -141,12 +145,8 @@ class Env:
         return Env(dict(self.consts), set(self.nil))
 
 
-class Translation:
-    __slots__ = ("cordefs", "warnings")
-
-    def __init__(self, cordefs, warnings):
-        self.cordefs = cordefs  # name -> CorDef, the coroutine map
-        self.warnings = warnings
+class Translation(Record):
+    __slots__ = ("cordefs", "warnings")  # cordefs: name -> CorDef, the coroutine map
 
 
 class Translator:
@@ -154,7 +154,7 @@ class Translator:
         self.program = program
         self.decls: dict = {}  # id of an identifier, declaration or assignment -> its Decl
         self.assigned: set = set()  # the Decl of each assignment statement
-        self.package = {n: Decl(f) for n, f in program.functions.items() if not f.anonymous}
+        self.package = {n: Decl(f) for n, f in program.functions.items()}
         self.members = self._members()
         self.cordefs: dict[str, CorDef] = {}
         self.chan_makes: defaultdict[str, int] = defaultdict(int)
@@ -233,35 +233,37 @@ class Translator:
         decl = self.decls.get(id(e)) if isinstance(e, Ident) else None
         return decl and decl.gotype
 
-    def _members(self) -> set:
-        """The channel users, then every caller of a member, one worklist.
-        A member used other than as the callee of a call is refused: a
-        function value that is stored, passed or called through a variable
-        would take its channel operations with it."""
+    def _members(self) -> dict:
+        """The channel users, then every caller of a member, one worklist,
+        where the globals' initializers are the owner None.  A member used
+        other than as the callee of a call is refused: a function value that
+        is stored, passed or called through a variable would take its
+        channel operations with it.  So is a channel operation in a global's
+        initializer, which would run before ``main``."""
         uses: list = []  # (function name, a send, receive or call in its body)
         values: list = []  # a function named or written other than as a callee
         self.package.update(self._scan(self.program.globals, {}, None, uses, values))
         for name, f in self.program.functions.items():
-            if not f.anonymous:
-                self._scan(f.body, {p: Decl(t) for p, t in f.params}, name, uses, values)
-        members = set()
-        callers = defaultdict(set)
+            self._scan(f.body, {p: Decl(t) for p, t in f.params}, name, uses, values)
+        members = {}  # name -> the line of its first channel use or member call
+        callers = defaultdict(dict)  # callee name -> {caller: the line of its first call}
         for owner, n in uses:
-            if owner is None:
-                continue  # the globals belong to no function
             if not isinstance(n, Call):
-                members.add(owner)
+                members.setdefault(owner, n.line)
             elif isinstance(callee := self._type(n.fn), Func):
-                callers[callee.name].add(owner)
+                callers[callee.name].setdefault(owner, n.line)
         work = list(members)
         while work:
-            for caller in callers[work.pop()] - members:
-                members.add(caller)
-                work.append(caller)
+            for caller, line in callers[work.pop()].items():
+                if caller not in members:
+                    members[caller] = line
+                    work.append(caller)
+        if None in members:
+            raise Unsupported("channel operation in a package-level initializer", members[None])
         for n in values:
             func = self._type(n)
             if func.name in members:
-                shown = "literal" if func.anonymous else func.name
+                shown = "literal" if n.__class__ is FuncLit else func.name
                 raise Unsupported("channel-using function %s used as a value" % shown, n.line)
         return members
 
@@ -270,35 +272,37 @@ class Translator:
     def translate_all(self) -> dict:
         root = Env({}, set())
         for g in self.program.globals:
-            self._bind(root, self.decls[id(g)], g.expr)
-            if isinstance(g.expr, MakeExpr) and isinstance(g.expr.gotype, ChanType):
-                self.chan_makes[concrete_name(g.expr.gotype.elem)] += 1
+            self._stmt(g, root, None)  # yields no flow: _members refused any
         root.nil -= self.assigned  # some function may make it first
         for name, f in self.program.functions.items():
-            if name in self.members and not f.anonymous:
+            if name in self.members:
                 self._translate(f, root)
         return self.cordefs
 
     def _translate(self, f: Func, outer_env: Env):
         env = outer_env.copy()
-        deferred: list = []
-        items, _ = self._block(f.body, env, deferred, allow_defer=True)
+        deferred: list = []  # (application, literal or None)
+        items, _ = self._block(f.body, env, deferred)
         deferred.reverse()  # run last deferred first, at the end, with the facts there
-        for app in deferred:
-            self._literal(app, env)
-        self.cordefs[f.name] = cor_def(*items, *deferred, label=f.name)
+        for app, literal in deferred:
+            if literal is not None:
+                self._translate(literal, env)
+            items.append(app)
+        self.cordefs[f.name] = cor_def(*items, label=f.name)
 
-    def _block(self, stmts, env: Env, deferred, allow_defer) -> tuple:
+    def _block(self, stmts, env: Env, deferred) -> tuple:
+        """Flow items and whether ``stmts`` return; ``deferred`` is None
+        inside an undecided conditional, where ``defer`` is refused."""
         items: list = []
         returned = False
         for s in stmts:
             if returned:
                 raise Unsupported("statement after return", s.line)
-            new_items, returned = self._stmt(s, env, deferred, allow_defer)
+            new_items, returned = self._stmt(s, env, deferred)
             items.extend(new_items)
         return items, returned
 
-    def _stmt(self, s, env: Env, deferred, allow_defer) -> tuple:
+    def _stmt(self, s, env: Env, deferred) -> tuple:
         if isinstance(s, (VarDecl, Assign)):
             items = self._expr_items(s.expr, env)
             self._bind(env, self.decls[id(s)], s.expr)
@@ -309,32 +313,25 @@ class Translator:
             return items, False
         if isinstance(s, ExprStmt):
             return self._expr_items(s.expr, env), False
-        if isinstance(s, (GoStmt, DeferStmt)):
-            go = isinstance(s, GoStmt)
-            if not go and not allow_defer:
+        if isinstance(s, GoStmt):
+            return self._call(s.call, env, StartApp), False
+        if isinstance(s, DeferStmt):
+            if deferred is None:
                 raise Unsupported("defer inside a conditional", s.line)
-            # both evaluate the callee and the arguments now
-            items = [i for a in (s.call.fn, *s.call.args) for i in self._expr_items(a, env)]
-            app = self._spawn_app(s.call, env, StartApp if go else InlineApp)
-            if app is not None:
-                (items if go else deferred).append(app)
-                if go:
-                    self._literal(app, env)
-            return items, False
+            return self._call(s.call, env, InlineApp, deferred), False
         if isinstance(s, If):
-            return self._if(s, env, deferred, allow_defer)
+            return self._if(s, env, deferred)
         if isinstance(s, Return):
             return self._expr_items(s.expr, env), True
         raise Unsupported("unrecognized statement", s.line)
 
-    def _if(self, s: If, env: Env, deferred, allow_defer) -> tuple:
+    def _if(self, s: If, env: Env, deferred) -> tuple:
         pred = pred_simplify(self._cond_pred(s.cond, env))
         if pred == TRUE or pred == FALSE:
-            body = s.then if pred == TRUE else s.els
-            return self._block(body, env, deferred, allow_defer)
+            return self._block(s.then if pred == TRUE else s.els, env, deferred)
         then_env, else_env = env.copy(), env.copy()
-        then_items, t_ret = self._block(s.then, then_env, deferred, allow_defer=False)
-        else_items, e_ret = self._block(s.els, else_env, deferred, allow_defer=False)
+        then_items, t_ret = self._block(s.then, then_env, None)
+        else_items, e_ret = self._block(s.els, else_env, None)
         # a variable keeps a value both branches leave it, and a channel may
         # be nil after the conditional when it may at the end of either
         env.consts = dict(then_env.consts.items() & else_env.consts.items())
@@ -352,10 +349,9 @@ class Translator:
     # -- expressions ------------------------------------------------------------
 
     def _expr_items(self, e, env: Env) -> list:
-        """Flow items an expression evaluation produces, in evaluation order:
-        those of its operands (a call's callee, then its arguments), then an
-        inline application if it calls a member.  An absent expression
-        (None) produces none."""
+        """Flow items an expression evaluation produces, in evaluation order;
+        a call's come from ``_call``.  An absent expression (None) produces
+        none."""
         if isinstance(e, Recv):
             fn = getattr(e.chan, "fn", None)
             if isinstance(fn, Selector) and (fn.pkg, fn.name) == ("time", "After"):
@@ -363,12 +359,7 @@ class Translator:
                 return [yielded(Concrete("Time")), received(Concrete("Time"))]
             return [received(Concrete(self._chan_elem(e, env)))]
         if isinstance(e, Call):
-            items = [i for a in (e.fn, *e.args) for i in self._expr_items(a, env)]
-            app = self._spawn_app(e, env, InlineApp)
-            if app is not None:
-                self._literal(app, env)
-                items.append(app)
-            return items
+            return self._call(e, env, InlineApp)
         if isinstance(e, Unary):
             return self._expr_items(e.operand, env)
         if isinstance(e, Binary):
@@ -377,26 +368,27 @@ class Translator:
             self.chan_makes[concrete_name(e.gotype.elem)] += 1
         return []
 
-    def _spawn_app(self, call: Call, env: Env, app_cls):
-        """A Start/Inline application for a call, its arguments evaluated
-        here, or None when the callee never touches channels (library calls
-        included).  A named callee is translated by ``translate_all``, a
-        function literal by ``_literal``, where it runs."""
+    def _call(self, call: Call, env: Env, app_cls, deferred=None) -> list:
+        """The flow items of a call, ``go`` or ``defer``: the callee's and
+        the arguments', then, for a member, an ``app_cls`` application, or
+        none when it joins ``deferred``.  A literal callee translates where
+        it runs: here, or at the function's end when deferred."""
+        items = [i for a in (call.fn, *call.args) for i in self._expr_items(a, env)]
         func = self._type(call.fn)
         if not isinstance(func, Func) or func.name not in self.members:
-            return None
+            return items
         for (_, ptype), arg in zip(func.params, call.args):
             if isinstance(ptype, ChanType) and self.decls.get(id(arg)) in env.nil:
                 raise Unsupported("channel %r may be nil" % arg.name, call.line)
-        bindings = self._call_bindings(func, call.args, env)
-        return app_cls(DefRef(func.name), tuple(bindings.items()))
-
-    def _literal(self, app, env: Env):
-        """Translate the function ``app`` runs, when it is a literal, with
-        the facts of ``env``."""
-        func = self.program.functions[app.target.name]
-        if func.anonymous:
-            self._translate(func, env)
+        app = app_cls(DefRef(func.name), tuple(self._call_bindings(func, call.args, env).items()))
+        literal = func if call.fn.__class__ is FuncLit else None
+        if deferred is not None:
+            deferred.append((app, literal))
+            return items
+        if literal is not None:
+            self._translate(literal, env)
+        items.append(app)
+        return items
 
     def _call_bindings(self, func: Func, args, env: Env) -> dict:
         """Constant propagation into call arguments.  An argument with no

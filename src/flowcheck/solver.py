@@ -463,16 +463,12 @@ def _strip(t):
 # partitioning of unresolved integer conditions
 
 
-class Case:
+class Case(Record):
     """One analysis case: an assumption under which every branch predicate
     in the program has a fixed truth value, kept in ``valuation``."""
 
     __slots__ = ("assumption", "label", "valuation")
-
-    def __init__(self, assumption, label, valuation=None):
-        self.assumption = assumption
-        self.label = label
-        self.valuation = {} if valuation is None else valuation
+    _defaults = {"valuation": {}}  # read only, so one empty dict serves every case
 
 
 def partition_cases(predicates) -> list[Case]:

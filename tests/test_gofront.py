@@ -77,7 +77,8 @@ class TestParse:
         assert decl.expr == MakeExpr(ChanType(NamedType("int")), None)
         assert isinstance(deferred, DeferStmt)
         assert isinstance(started, GoStmt)
-        assert any(name.startswith("anon@") for name in prog.functions)
+        assert started.call.fn.func.name.startswith("anon@")
+        assert list(prog.functions) == ["main"]  # a literal lives only in its FuncLit
 
     def test_empty_main(self):
         prog = parse("package main\n\nfunc main() {\n}\n")
@@ -454,6 +455,20 @@ class TestCoroutineMap:
         assert rendered["work"] == "corDef[?Int; ?String]"
         assert rendered["main"] == "corDef[Start(work); !String; !Int]"
 
+    def test_literals_on_one_line_are_numbered_in_the_order_they_end(self):
+        source = (
+            "package main\n\nfunc main() {\n\tch := make(chan int)\n"
+            "\tgo func() { go func() { ch <- 1 }() }(); go func() { ch <- 2 }()\n"
+            "\t<-ch\n\t<-ch\n}\n"
+        )
+        rendered = {n: notation.render(d) for n, d in compute_m(parse(source)).cordefs.items()}
+        assert rendered == {
+            "anon@5": "corDef[!Int]",
+            "anon@5.2": "corDef[Start(anon@5)]",
+            "anon@5.3": "corDef[!Int]",
+            "main": "corDef[Start(anon@5.2); Start(anon@5.3); ?Int; ?Int]",
+        }
+
     def test_print_only_function_is_absent(self):
         source = '''package main
 
@@ -824,6 +839,16 @@ func main() {
         analysis = analyze_source(source)
         assert analysis.worst() == "NoDeadlock"
         assert any("identity" in w for w in analysis.warnings)
+
+    def test_same_typed_global_channels_warn(self):
+        source = (
+            "package main\n\nvar a = make(chan int)\nvar b = make(chan int)\n\n"
+            "func main() {\n\tgo func() { a <- 1 }()\n\t<-a\n}\n"
+        )
+        analysis = analyze_source(source)
+        assert analysis.worst() == "NoDeadlock"
+        (warning,) = analysis.warnings
+        assert warning.startswith("2 channels share element type Int;")
 
     def test_struct_declarations_are_checked_and_dropped(self):
         source = '''package main
@@ -1377,6 +1402,47 @@ class TestNilGlobals:
         path.write_text(global_channel_program("var ch chan int\n"), encoding="utf-8")
         assert main(["analyze", str(path)]) == 2
         assert "channel 'ch' may be nil (line 6)" in capsys.readouterr().out
+
+
+def initialized_global_program(initializer):
+    """A global ``x`` set by ``initializer`` beside a made global ``ch``;
+    ``main`` sends on ``ch`` from a literal, then prints ``x`` and a
+    receive."""
+    return (
+        'package main\n\nimport (\n\t"fmt"\n\t"time"\n)\n\n'
+        "func get(c chan int) int {\n\treturn <-c\n}\n\n"
+        "var ch = make(chan int)\nvar x = %s\n\n"
+        "func main() {\n\tgo func() { ch <- 1 }()\n\tfmt.Println(x, <-ch)\n}\n" % initializer
+    )
+
+
+class TestPackageInitializers:
+    """A global's initializer runs before ``main``, where a channel
+    operation blocks for good or depends on the order of package
+    initialization: refused, whether direct, through a member or through a
+    called literal."""
+
+    @pytest.mark.parametrize("initializer", [
+        "<-ch", "get(ch)", "func() int { return <-ch }()", "1 + get(ch)",
+    ], ids=["a receive", "a member call", "a called literal", "a member call in an operand"])
+    def test_a_channel_operation_is_refused_with_its_line(self, initializer):
+        source = initialized_global_program(initializer)
+        line = source.split("\n").index("var x = %s" % initializer) + 1
+        analysis = analyze_source(source)
+        assert [str(c.verdict) for c in analysis.cases] == [
+            "Unsupported(channel operation in a package-level initializer (line %d))" % line]
+
+    @pytest.mark.parametrize("initializer", [
+        "time.After(time.Second)", "make(chan int)", "len(ch)",
+    ])
+    def test_an_initializer_without_one_is_kept(self, initializer):
+        assert analyze_source(initialized_global_program(initializer)).worst() == "NoDeadlock"
+
+    def test_the_command_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "init.go"
+        path.write_text(initialized_global_program("get(ch)"), encoding="utf-8")
+        assert main(["analyze", str(path)]) == 2
+        assert "package-level initializer (line 13)" in capsys.readouterr().out
 
 
 SENDS_ON_A_DEFERRED_CHANNEL = '''package main
