@@ -8,9 +8,8 @@ from __future__ import annotations
 
 from .. import engine
 from ..engine import AmbiguousCondition, EngineError, NoSatisfiableBranch, Verdict
-from ..preds import TRUE
 from ..record import Record
-from ..solver import Case, ConstraintError, partition_cases
+from ..solver import ConstraintError, partition_cases
 from ..terms import DefRef, start_app
 from .lexer import GoSyntaxError
 from .parser import Unsupported, parse
@@ -64,8 +63,7 @@ def analyze_source(source: str | bytes, max_steps: int = engine.DEFAULT_MAX_STEP
         )
 
     try:
-        preds = unresolved_condition_preds(cordefs)
-        cases = partition_cases(preds) if preds else [Case(TRUE, "")]
+        cases = partition_cases(unresolved_condition_preds(cordefs))
     except ConstraintError as e:
         return _unsupported("unresolved condition: %s" % e)
 

@@ -526,49 +526,34 @@ def compute_m(program: Program) -> Translation:
     return Translation(cordefs, warnings)
 
 
-def unresolved_condition_preds(cordefs: dict, entry: str = "main") -> list:
-    """Branch guards still symbolic from the entry point's perspective, each
-    once, in the order a depth-first walk of the calls first meets them.
+def unresolved_condition_preds(cordefs: dict) -> list:
+    """Branch guards still symbolic from ``main``'s perspective, each once.
 
-    The walk keeps an explicit stack of guards and ``(name, bindings)``
-    calls, and enters each definition once per distinct bindings, with the
-    call-site bindings applied, so a guard inside a callee surfaces under
-    the caller's variable names."""
-    preds: list = []
-    seen: set = set()
-    stack: list = [(entry, {})]
-    while stack:
-        top = stack.pop()
-        if not isinstance(top, tuple):
-            preds.append(top)
-            continue
-        name, bindings = top
-        key = (name, frozenset(bindings.items()))
-        if name not in cordefs or key in seen:
-            continue
-        seen.add(key)
-        # branches needs the canonical form: cor_def built it, substitute keeps it
-        body = substitute(cordefs[name], bindings) if bindings else cordefs[name]
-        stack.extend(reversed(_guards_and_calls(body)))
-    return list(dict.fromkeys(preds))
-
-
-def _guards_and_calls(body) -> list:
-    """The symbolic guards and the ``(name, bindings)`` calls of one body,
-    in order; a callee's body is not entered."""
-    out: list = []
+    One worklist holds the ``(name, bindings)`` calls still to enter, and
+    each is entered once: its body, with the call-site bindings applied, is
+    walked once, so a guard inside a callee surfaces under the caller's
+    variable names.  The guards come in no promised order, and need none:
+    ``partition_cases`` gives the same cases for any order of them."""
+    guards: dict = {}  # an ordered set
+    calls: list = [("main", ())]
+    entered: set = set()
 
     def visit(t):
         if isinstance(t, Union):
             for payload, guard in branches(t):
                 if pred_free_vars(guard):
-                    out.append(guard)
+                    guards[guard] = None
                 visit(payload)
         elif isinstance(t, (StartApp, InlineApp)) and isinstance(t.target, DefRef):
-            out.append((t.target.name, dict(t.bindings)))
+            calls.append((t.target.name, t.bindings))
         else:
             term_map(t, visit)
         return t
 
-    visit(body)
-    return out
+    while calls:
+        name, bindings = call = calls.pop()
+        if name in cordefs and call not in entered:
+            entered.add(call)
+            # branches needs the canonical form: cor_def built it, substitute keeps it
+            visit(substitute(cordefs[name], dict(bindings)))
+    return list(guards)

@@ -479,73 +479,55 @@ def partition_cases(predicates) -> list[Case]:
     Each case keeps its valuation, where the engine reads these guards.
     Every variable is a Go ``int``: a comparison against anything but an
     integer constant raises ``ConstraintError``, and no case starts or ends
-    outside [-2^63, 2^63 - 1], where no value lies.
+    outside [-2^63, 2^63 - 1], where no value lies.  The order of the
+    predicates changes no case: cells go by the variables in sorted order,
+    and a refusal names the first of them to meet a non-constant.
     """
     predicates = [pred_simplify(p) for p in predicates]
     names = sorted({n for p in predicates for n in pred_free_vars(p)})
     if not names:
         return [Case(TRUE, "")]
 
-    def boundaries(var):
-        points = set()
-        for q in (a for p in predicates for a in pred_atoms(p)):
-            if not isinstance(q, Cmp):
-                continue
-            if Var(var) not in (q.lhs, q.rhs):
-                continue
-            oriented = cmp(q.lhs, q.op, q.rhs)  # var-op-const
-            const, op = oriented.rhs, oriented.op
-            if not isinstance(const, int):
-                raise ConstraintError(
-                    "cannot partition %s: comparison against a non-constant" % var
-                )
-            if op in ("<", ">="):
-                points.add(const)
-            elif op in ("<=", ">"):
-                points.add(const + 1)
-            else:  # equality flips entering and leaving the value
-                points.add(const)
-                points.add(const + 1)
-        return sorted(p for p in points if -(2**63) < p < 2**63)  # cells of Go ints
+    # one sweep over the comparisons, each with a variable on the left: one
+    # against a constant changes value only at its boundary points
+    points = {n: set() for n in names}
+    unsplittable = set()
+    atoms = (a for p in predicates for a in pred_atoms(p))
+    for q in (cmp(a.lhs, a.op, a.rhs) for a in atoms if isinstance(a, Cmp)):
+        if not isinstance(q.rhs, int):
+            unsplittable.update(t.name for t in (q.lhs, q.rhs) if isinstance(t, Var))
+        elif isinstance(q.lhs, Var):
+            if q.op in ("<", ">=", "="):
+                points[q.lhs.name].add(q.rhs)
+            if q.op in ("<=", ">", "="):  # equality flips entering and leaving
+                points[q.lhs.name].add(q.rhs + 1)
+    if unsplittable:
+        raise ConstraintError(
+            "cannot partition %s: comparison against a non-constant" % min(unsplittable)
+        )
 
     def intervals(var):
-        pts = boundaries(var)
+        """``(interval predicate, sample point)`` for each interval, the
+        sample its lower end, else its upper end."""
+        v = Var(var)
+        pts = sorted(p for p in points[var] if -(2**63) < p < 2**63)  # cells of Go ints
         if not pts:
-            return [(None, None)]
-        out = [(None, pts[0] - 1)]
-        for lo, nxt in zip(pts, pts[1:]):
-            out.append((lo, nxt - 1))
-        out.append((pts[-1], None))
+            return [(TRUE, 0)]
+        out = [(Cmp(v, "<=", pts[0] - 1), pts[0] - 1)]
+        for lo, hi in zip(pts, [p - 1 for p in pts[1:]]):
+            part = Cmp(v, "=", lo) if lo == hi else conj(Cmp(v, ">=", lo), Cmp(v, "<=", hi))
+            out.append((part, lo))
+        out.append((Cmp(v, ">=", pts[-1]), pts[-1]))
         return out
 
-    def interval_pred(var, lo, hi):
-        v = Var(var)
-        if lo is None and hi is None:
-            return TRUE
-        if lo is None:
-            return Cmp(v, "<=", hi)
-        if hi is None:
-            return Cmp(v, ">=", lo)
-        if lo == hi:
-            return Cmp(v, "=", lo)
-        return conj(Cmp(v, ">=", lo), Cmp(v, "<=", hi))
-
-    grouped: dict[tuple, list] = {}  # valuation -> cells, first seen first
+    grouped: dict[tuple, list] = {}  # valuation -> its cells' predicates, first seen first
     for cell in product(*(intervals(n) for n in names)):
-        # each interval is represented by its lower end, else its upper end
-        assignment = {
-            n: lo if lo is not None else hi if hi is not None else 0
-            for n, (lo, hi) in zip(names, cell)
-        }
+        assignment = {n: sample for n, (_, sample) in zip(names, cell)}
         valuation = tuple(pred_evaluate(p, assignment) for p in predicates)
-        grouped.setdefault(valuation, []).append(cell)
+        grouped.setdefault(valuation, []).append(conj(*(part for part, _ in cell)))
 
     cases = []
-    for valuation, members in grouped.items():
-        parts = [
-            conj(*(interval_pred(n, lo, hi) for n, (lo, hi) in zip(names, cell)))
-            for cell in members
-        ]
+    for valuation, parts in grouped.items():
         assumption = disj(*parts)
         label = "" if assumption == TRUE else render_pred(assumption)  # nothing split
         cases.append(Case(assumption, label, dict(zip(predicates, valuation))))

@@ -14,6 +14,7 @@ from flowcheck.gofront import (
     analyze_source,
     compute_m,
     parse,
+    unresolved_condition_preds,
 )
 from flowcheck.gofront.goast import (
     ChanType,
@@ -22,6 +23,17 @@ from flowcheck.gofront.goast import (
     MakeExpr,
     NamedType,
     VarDecl,
+)
+
+from flowcheck.preds import pred_free_vars
+from flowcheck.terms import (
+    DefRef,
+    InlineApp,
+    StartApp,
+    Union,
+    branches,
+    substitute,
+    term_map,
 )
 
 from paths import corpus_files, corpus_source
@@ -749,6 +761,138 @@ class TestPartitionedGuardsSkipTheSolver:
         assert solve_calls == []
 
 
+def reference_condition_preds(cordefs, entry="main"):
+    """The guards in the order a depth-first walk of the calls first meets
+    them: an explicit stack of guards and ``(name, bindings)`` calls, each
+    body's items pushed in reverse.  ``unresolved_condition_preds`` must
+    find the same set."""
+    preds = []
+    seen = set()
+    stack = [(entry, {})]
+    while stack:
+        top = stack.pop()
+        if not isinstance(top, tuple):
+            preds.append(top)
+            continue
+        name, bindings = top
+        key = (name, frozenset(bindings.items()))
+        if name not in cordefs or key in seen:
+            continue
+        seen.add(key)
+        out = []
+
+        def visit(t):
+            if isinstance(t, Union):
+                for payload, guard in branches(t):
+                    if pred_free_vars(guard):
+                        out.append(guard)
+                    visit(payload)
+            elif isinstance(t, (StartApp, InlineApp)) and isinstance(t.target, DefRef):
+                out.append((t.target.name, dict(t.bindings)))
+            else:
+                term_map(t, visit)
+            return t
+
+        visit(substitute(cordefs[name], bindings))
+        stack.extend(reversed(out))
+    return list(dict.fromkeys(preds))
+
+
+CALLEE_GUARDS = '''package main
+
+var x int
+var y int
+
+func s(ch chan int, v int) {
+	if v < 10 {
+		ch <- 1
+	}
+}
+
+func t(ch chan int, w int) {
+	if w > 2 {
+		<-ch
+	}
+	if x == 4 {
+		s(ch, w)
+	}
+}
+
+func main() {
+	ch := make(chan int)
+	go s(ch, x)
+	t(ch, y)
+	t(ch, 5)
+	if y >= 7 {
+		go t(ch, x)
+	}
+}
+'''
+
+
+class TestGuardPrePass:
+    """``unresolved_condition_preds`` finds each guard the depth-first
+    reference finds, once; the case split does not depend on their order."""
+
+    @staticmethod
+    def assert_agrees(source):
+        try:
+            cordefs = compute_m(parse(source)).cordefs
+        except (GoSyntaxError, Unsupported):
+            return False
+        guards = unresolved_condition_preds(cordefs)
+        assert len(set(guards)) == len(guards), source
+        assert set(guards) == set(reference_condition_preds(cordefs)), source
+        return bool(guards)
+
+    def test_on_the_corpus(self):
+        for path in corpus_files():
+            self.assert_agrees(path.read_text(encoding="utf-8"))
+
+    def test_on_seeded_mutants(self):
+        from test_mutants import mutants
+
+        for _, source in mutants():
+            self.assert_agrees(source)
+
+    def test_on_guarded_programs_and_their_line_mutants(self):
+        # the corpus has no undecided guard, so these carry the comparison:
+        # guards in callees under call-site bindings, nested and independent
+        import random
+
+        from test_mutants import mutate
+
+        sources = [CALLEE_GUARDS, CONDITIONAL, independent_guards(3), nested_guards(4)]
+        assert all(self.assert_agrees(source) for source in sources)
+        rng = random.Random(24)
+        guarded = sum(
+            self.assert_agrees("\n".join(mutate(source.splitlines(), rng)) + "\n")
+            for source in sources for _ in range(50)
+        )
+        assert guarded >= 40  # the comparison is not empty
+
+    def test_callee_guards_surface_under_the_callers_names(self):
+        cordefs = compute_m(parse(CALLEE_GUARDS)).cordefs
+        rendered = {notation.render_pred(g) for g in unresolved_condition_preds(cordefs)}
+        assert rendered == {"y ≥ 7", "x > 2", "x = 4", "x < 10", "y > 2", "y < 10"}
+
+    def test_a_refusal_names_the_first_variable_in_sorted_order(self, tmp_path, capsys):
+        # the guard on c and d comes first; a sweep that stopped at the
+        # first bad comparison would name c
+        source = (
+            "package main\n\nfunc main() {\n\tch := make(chan int)\n"
+            "\tvar a int\n\tvar b int\n\tvar c int\n\tvar d int\n"
+            "\tif c < d {\n\t\tgo func() { ch <- 1 }()\n\t}\n"
+            "\tif a < b {\n\t\t<-ch\n\t}\n}\n"
+        )
+        reason = "unresolved condition: cannot partition a: comparison against a non-constant"
+        assert [c.verdict.reason for c in analyze_source(source).cases] == [reason]
+        path = tmp_path / "order.go"
+        path.write_text(source)
+        assert main(["analyze", str(path)]) == 2
+        assert reason in capsys.readouterr().out
+
+
 class TestAnalyze:
     def test_six_independent_guards(self, solve_calls, engine_calls):
         # one case per guard valuation; each case reads its guards from
@@ -1254,6 +1398,53 @@ func main() {
         assert [case.verdict.reason for case in analysis.cases] == [
             "unresolved condition: cannot partition x: comparison against a non-constant"
         ]
+
+
+def flag_program(declaration):
+    """``main`` declares ``done`` with ``declaration``, starts a sender if
+    it is set and receives if it is not, then receives."""
+    return (
+        "package main\n\nfunc main() {\n\tch := make(chan int)\n\t%s\n"
+        "\tif done {\n\t\tgo func() { ch <- 1 }()\n\t}\n"
+        "\tif !done {\n\t\t<-ch\n\t}\n\t<-ch\n}\n" % declaration
+    )
+
+
+class TestFlagConditions:
+    """A bare boolean variable as a condition: a known value folds the
+    branch away, an unknown one reads as ``done = 1``."""
+
+    @pytest.mark.parametrize("value, flow, verdict", [
+        ("true", "Start(anon@7); ?Int", "NoDeadlock"),
+        ("false", "?Int; ?Int", "Deadlock"),
+    ])
+    def test_a_known_flag_folds_to_one_branch(self, value, flow, verdict):
+        source = flag_program("done := %s" % value)
+        assert notation.render(compute_m(parse(source)).cordefs["main"]) == "corDef[%s]" % flow
+        analysis = analyze_source(source)
+        assert [(c.label, c.verdict.kind) for c in analysis.cases] == [("", verdict)]
+
+    def test_an_unknown_flag_splits_on_being_one(self):
+        analysis = analyze_source(flag_program("var done bool"))
+        assert [(c.label, c.verdict.kind) for c in analysis.cases] == [
+            ("done ≤ 0 ∨ done ≥ 2", "Deadlock"),
+            ("done = 1", "NoDeadlock"),
+        ]
+
+
+class TestStatementAfterReturn:
+    def test_is_refused_with_its_line(self, tmp_path, capsys):
+        source = (
+            "package main\n\nfunc main() {\n\tch := make(chan int)\n"
+            "\tgo func() { ch <- 1 }()\n\t<-ch\n\treturn\n\t<-ch\n}\n"
+        )
+        assert source.splitlines()[7] == "\t<-ch"
+        reason = "statement after return (line 8)"
+        assert [c.verdict.reason for c in analyze_source(source).cases] == [reason]
+        path = tmp_path / "after_return.go"
+        path.write_text(source)
+        assert main(["analyze", str(path)]) == 2
+        assert reason in capsys.readouterr().out
 
 
 SHADOWED_CHANNEL = '''package main

@@ -531,6 +531,26 @@ class TestPartition:
         assert [(c.label, c.assumption) for c in cases] == [("", TRUE)]
         assert cases[0].valuation == {guard: op in ("<=", ">=")}
 
+    @given(
+        st.lists(guard_preds(("x", "y", "n")), min_size=1, max_size=4).flatmap(
+            lambda guards: st.tuples(st.just(guards), st.permutations(guards))
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_the_order_of_the_guards_changes_no_case(self, guards_and_permutation):
+        def shown(guards):
+            return [(c.assumption, c.label, c.valuation) for c in partition_cases(guards)]
+
+        guards, permuted = guards_and_permutation
+        assert shown(permuted) == shown(guards)
+
+    def test_a_refusal_names_the_first_variable_in_either_order(self):
+        # sorted order decides, not the order the guards come in
+        a_b, c_d = Cmp(Var("a"), "<", Var("b")), Cmp(Var("c"), "<", Var("d"))
+        for guards in ([c_d, a_b], [a_b, c_d]):
+            with pytest.raises(ConstraintError, match="^cannot partition a: "):
+                partition_cases(guards)
+
     def test_the_ends_of_go_int_are_cases_of_their_own(self):
         cases = partition_cases([Cmp(Var("v"), "=", 2**63 - 1), Cmp(Var("v"), "=", -(2**63))])
         assert [c.label for c in cases] == [
