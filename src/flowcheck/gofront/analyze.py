@@ -50,28 +50,14 @@ def analyze_source(source: str | bytes, max_steps: int = engine.DEFAULT_MAX_STEP
         if "main" not in program.functions:
             return _unsupported("no main function")
         translation = compute_m(program)
-    except Unsupported as e:
-        return _unsupported(str(e))
-    except GoSyntaxError as e:
-        return _unsupported("syntax error: %s" % e)
-
-    cordefs = translation.cordefs
-    if "main" not in cordefs:
-        # main never touches channels, directly or transitively
-        return Analysis(
-            [CaseResult("", Verdict("NoDeadlock"))], translation.warnings
-        )
-
-    try:
-        cases = partition_cases(unresolved_condition_preds(cordefs))
-    except ConstraintError as e:
-        return _unsupported("unresolved condition: %s" % e)
-
-    results = []
-    total_steps = 0
-    initial = [start_app(DefRef("main"))]
-    try:
-        for case in cases:
+        cordefs = translation.cordefs
+        if "main" not in cordefs:
+            # main never touches channels, directly or transitively
+            return Analysis([CaseResult("", Verdict("NoDeadlock"))], translation.warnings)
+        results = []
+        total_steps = 0
+        initial = [start_app(DefRef("main"))]
+        for case in partition_cases(unresolved_condition_preds(cordefs)):
             verdict, trace = engine.reduce(
                 initial,
                 max_steps=max_steps,
@@ -81,6 +67,10 @@ def analyze_source(source: str | bytes, max_steps: int = engine.DEFAULT_MAX_STEP
             )
             results.append(CaseResult(case.label, verdict, trace))
             total_steps += len(trace)
+    except Unsupported as e:
+        return _unsupported(str(e))
+    except GoSyntaxError as e:
+        return _unsupported("syntax error: %s" % e)
     except (AmbiguousCondition, NoSatisfiableBranch, ConstraintError) as e:
         return _unsupported("unresolved condition: %s" % e)
     except EngineError as e:

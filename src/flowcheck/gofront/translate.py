@@ -7,7 +7,8 @@ knows Go's scopes: one pass over the blocks, with ``_walk`` entering each
 expression once, resolves each name to its declaration and fixes the
 declaration's Go type, so a call, a channel's element type and the channel
 a call returns all come from the declaration, and the flow facts (constant
-values, channels that may be nil) are keyed by it.  A global channel
+values, channels that may be nil) are keyed by it.  A variable that a
+body other than its own assigns has no constant value.  A global channel
 declared without ``make`` is nil at every use when no statement assigns it,
 and is taken as made otherwise; a global's initializer may not use a
 channel, directly or through a member.  Member bodies translate statement
@@ -118,12 +119,14 @@ class Decl:
     """A declared name: a variable, a parameter or a program function,
     compared by identity, so the flow facts key on it.  ``gotype`` is the
     Go type its declaration fixes, or None: a ``ChanType`` for a channel,
-    the ``Func`` of a program function or literal, or a ``FuncType``."""
+    the ``Func`` of a program function or literal, or a ``FuncType``.
+    ``owner`` names the body that declares it, None for the package."""
 
-    __slots__ = ("gotype",)
+    __slots__ = ("gotype", "owner")
 
-    def __init__(self, gotype):
+    def __init__(self, gotype, owner):
         self.gotype = gotype
+        self.owner = owner
 
 
 class Env:
@@ -154,7 +157,8 @@ class Translator:
         self.program = program
         self.decls: dict = {}  # id of an identifier, declaration or assignment -> its Decl
         self.assigned: set = set()  # the Decl of each assignment statement
-        self.package = {n: Decl(f) for n, f in program.functions.items()}
+        self.shared: set = set()  # each Decl that a body other than its owner assigns
+        self.package = {n: Decl(f, None) for n, f in program.functions.items()}
         self.members = self._members()
         self.cordefs: dict[str, CorDef] = {}
         self.chan_makes: defaultdict[str, int] = defaultdict(int)
@@ -168,18 +172,21 @@ class Translator:
         in scope, each to its ``Decl``; any other name is the package's.  A
         declared name is in scope after its own expression, to the end of
         its block.  Record in ``decls`` the Decl each declaration or
-        assignment names (``_`` gets its own), and in ``assigned`` the Decl
-        of each assignment; ``_walk`` records the rest."""
+        assignment names (``_`` gets its own), in ``assigned`` the Decl of
+        each assignment, and in ``shared`` each such Decl that another body
+        owns; ``_walk`` records the rest."""
         for s in block:
             self._walk(s, scope, owner, uses, values)
             if s.__class__ is VarDecl:
                 made = s.expr.gotype if isinstance(s.expr, MakeExpr) else self._type(s.expr)
-                scope = {**scope, s.name: Decl(made if s.gotype is None else s.gotype)}
+                scope = {**scope, s.name: Decl(made if s.gotype is None else s.gotype, owner)}
                 self.decls[id(s)] = scope[s.name]
             elif s.__class__ is Assign:
-                decl = scope.get(s.name) or self.package.get(s.name) or Decl(None)
+                decl = scope.get(s.name) or self.package.get(s.name) or Decl(None, owner)
                 self.decls[id(s)] = decl
                 self.assigned.add(decl)
+                if decl.owner != owner:
+                    self.shared.add(decl)
         return scope
 
     def _walk(self, n, scope, owner, uses, values):
@@ -208,7 +215,7 @@ class Translator:
             if cls is Send:
                 self._walk(n.value, scope, owner, uses, values)
         elif cls is FuncLit:
-            params = {p: Decl(t) for p, t in n.func.params}
+            params = {p: Decl(t, n.func.name) for p, t in n.func.params}
             self._scan(n.func.body, scope | params, n.func.name, uses, values)
             values.append(n)
         elif cls is If:
@@ -244,7 +251,7 @@ class Translator:
         values: list = []  # a function named or written other than as a callee
         self.package.update(self._scan(self.program.globals, {}, None, uses, values))
         for name, f in self.program.functions.items():
-            self._scan(f.body, {p: Decl(t) for p, t in f.params}, name, uses, values)
+            self._scan(f.body, {p: Decl(t, name) for p, t in f.params}, name, uses, values)
         members = {}  # name -> the line of its first channel use or member call
         callers = defaultdict(dict)  # callee name -> {caller: the line of its first call}
         for owner, n in uses:
@@ -494,9 +501,12 @@ class Translator:
 
     def _bind(self, env: Env, decl: Decl, expr):
         """Record what the flow knows of ``decl`` once it holds ``expr``:
-        whether a channel may be nil, or the constant value of any other."""
+        whether a channel may be nil, or the constant value of any other.
+        One that another body assigns has none, since that body may run
+        between any two uses."""
         if not isinstance(decl.gotype, ChanType):
-            env.consts[decl] = self._eval_value(expr, env)
+            value = self._eval_value(expr, env)
+            env.consts[decl] = None if decl in self.shared else value
         elif expr is None or isinstance(expr, NilLit) or self.decls.get(id(expr)) in env.nil:
             env.nil.add(decl)
         else:

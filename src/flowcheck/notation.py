@@ -110,10 +110,13 @@ def _render_app(name, t) -> str:
     return "%s(%s, %s)" % (name, render(t.target), args)
 
 
+# the shown spelling of each comparison that has one; the parser also reads
+# the ASCII one
+_SHOWN = {"<=": "≤", ">=": "≥"}
+
+
 def render_pred(p) -> str:
-    if p is None:
-        return "true"
-    if isinstance(p, preds.TruePred):
+    if p is None or isinstance(p, preds.TruePred):
         return "true"
     if isinstance(p, preds.FalsePred):
         return "false"
@@ -124,8 +127,7 @@ def render_pred(p) -> str:
     if isinstance(p, Not):
         return "¬%s" % _pred_wrap(p.item, (And, Or, Cmp, Binding))
     if isinstance(p, Cmp):
-        shown = {"<=": "≤", ">=": "≥"}.get(p.op, p.op)
-        return "%s %s %s" % (render(p.lhs), shown, render(p.rhs))
+        return "%s %s %s" % (render(p.lhs), _SHOWN.get(p.op, p.op), render(p.rhs))
     if isinstance(p, Binding):
         return "%s ↦ %s" % (render(p.var), render(p.value))
     raise NotationError("cannot render predicate %r" % (p,))
@@ -139,157 +141,137 @@ def _pred_wrap(p, kinds) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
+# A token is its text: a name, a decimal integer or an operator, each after
+# any blanks.  Any other character but a blank is stray.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_@]*)
-  | (?P<int>\d+)
-  | (?P<op>\|->|<=|>=|&&|\|\||[≤≥↦∧∨¬<>=\[\]();,/|!?^-])
-    """,
-    re.VERBOSE,
+    r"\s*(?:([A-Za-z_][A-Za-z0-9_@]*|\d+|\|->|<=|>=|&&|\|\|"
+    r"|[≤≥↦∧∨¬<>=\[\]();,/|!?^-])|(\S))"
 )
 
-_ALIASES = {"<=": "≤", ">=": "≥", "|->": "↦", "&&": "∧", "||": "∨"}
+# the spelling the parser reads of each operator spelt another way: the
+# ASCII aliases of the connectives and of ↦, and the shown comparisons
+_ALIASES = {"|->": "↦", "&&": "∧", "||": "∨", **{shown: op for op, shown in _SHOWN.items()}}
+
+# the predicate connectives, the loosest first
+_CONNECTIVES = (("∨", preds.disj), ("∧", preds.conj))
+
+_APPS = {"Start": StartApp, "Inline": InlineApp}
 
 
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise NotationError("stray character %r at offset %d" % (text[pos], pos))
-        pos = m.end()
-        if m.lastgroup == "ws":
-            continue
-        value = m.group()
-        if m.lastgroup == "op":
-            value = _ALIASES.get(value, value)
-        tokens.append((m.lastgroup, value))
-    tokens.append(("eof", ""))
-    return tokens
+def _is_name(token) -> bool:
+    return token[:1].isidentifier()  # a name starts with a letter or "_"
 
 
 class _Parser:
+    """Recursive descent over the token texts; ``""`` ends the input."""
+
     def __init__(self, text):
-        self.tokens = _tokenize(text)
+        self.tokens = []
+        for m in _TOKEN_RE.finditer(text):
+            token, stray = m.groups()
+            if stray is not None:
+                raise NotationError("stray character %r at offset %d" % (stray, m.start(2)))
+            self.tokens.append(_ALIASES.get(token, token))
+        self.tokens.append("")
         self.pos = 0
 
     def peek(self):
         return self.tokens[self.pos]
 
-    def next(self):
-        tok = self.tokens[self.pos]
+    def take(self):
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
-    def accept(self, value):
-        if self.peek()[1] == value and self.peek()[0] != "name":
+    def accept(self, token):
+        if self.tokens[self.pos] == token:
             self.pos += 1
             return True
         return False
 
-    def accept_name(self, value):
-        if self.peek() == ("name", value):
-            self.pos += 1
-            return True
-        return False
+    def expect(self, token):
+        if not self.accept(token):
+            raise NotationError("expected %r, found %r" % (token, self.peek()))
 
-    def expect(self, value):
-        kind, got = self.next()
-        if got != value:
-            raise NotationError("expected %r, found %r" % (value, got))
+    def some(self, item, sep):
+        """``item`` once, then once more after each ``sep``."""
+        items = [item()]
+        while self.accept(sep):
+            items.append(item())
+        return items
 
     # -- types ------------------------------------------------------------
 
     def type_(self):
         t = self.atom()
         while self.accept("/"):
-            t = terms.constrained(t, self.pred_or())
+            t = terms.constrained(t, self.pred())
         return t
 
     def atom(self):
-        base = self.atom_no_power()
+        """A type with no ``/`` constraint, raised to each ``^`` exponent."""
+        if self.accept("0"):
+            t = ZERO
+        elif self.accept("corDef"):
+            self.expect("[")
+            t = self.flow(CorDef)
+        elif self.accept("["):
+            t = self.flow(CorIns)
+        elif self.peek() in _APPS:
+            t = self.app(_APPS[self.take()])
+        elif self.accept("<"):
+            items = self.some(self.type_, ",")
+            self.expect(">")
+            t = terms.seq(*items)
+        elif self.accept("("):
+            t = self.group()
+        else:
+            t = self.scalar("type")
         while self.accept("^"):
-            base = terms.power(base, self.count())
-        return base
+            t = terms.power(t, self.count())
+        return t
 
     def count(self):
-        kind, value = self.next()
-        if kind == "int":
-            return int(value)
-        if kind == "name" and not value[0].isupper():
-            return Var(value)
-        raise NotationError("exponent must be an integer or a variable, found %r" % value)
+        token = self.take()
+        if token.isdigit():
+            return int(token)
+        if _is_name(token) and not token[0].isupper():
+            return Var(token)
+        raise NotationError("exponent must be an integer or a variable, found %r" % token)
 
-    def atom_no_power(self):
-        kind, value = self.peek()
-        if self.accept("0"):
-            return ZERO
-        if self.accept_name("corDef"):
-            return self.flow_body(CorDef)
-        if self.accept_name("Start"):
-            return self.app_body(StartApp)
-        if self.accept_name("Inline"):
-            return self.app_body(InlineApp)
-        if kind in ("int", "name") or value == "-":
-            return self.scalar("type")
-        if self.accept("["):
-            return self.flow_items(CorIns)
-        if self.accept("<"):
-            items = [self.type_()]
-            while self.accept(","):
-                items.append(self.type_())
-            self.expect(">")
-            return terms.seq(*items)
-        if self.accept("("):
-            t = self.type_()
-            if self.accept("|"):
-                right = self.type_()
-                self.expect(")")
-                return terms.union(t, right)
-            if self.peek()[1] == ",":
-                items = [t]
-                while self.accept(","):
-                    items.append(self.type_())
-                self.expect(")")
-                return terms.tup(*items)
+    def group(self):
+        """After ``(``: the union of two types, a tuple, or one type."""
+        items = self.some(self.type_, ",")
+        if len(items) == 1 and self.accept("|"):
+            items.append(self.type_())
             self.expect(")")
-            return t
-        raise NotationError("unexpected token %r in type" % value)
+            return terms.union(*items)
+        self.expect(")")
+        return terms.tup(*items) if len(items) > 1 else items[0]
 
-    def flow_body(self, cls):
-        self.expect("[")
-        return self.flow_items(cls)
-
-    def flow_items(self, cls):
+    def flow(self, cls):
+        """After ``[``: the items up to ``]``, then any ``/`` constraint."""
         items = []
         if not self.accept("]"):
-            items.append(self.flow_item())
-            while self.accept(";"):
-                items.append(self.flow_item())
+            items = self.some(self.flow_item, ";")
             self.expect("]")
-        constraint = None
-        if self.accept("/"):
-            constraint = self.pred_or()
+        constraint = self.pred() if self.accept("/") else None
         return terms.canon(cls(tuple(items), constraint))
 
     def flow_item(self):
-        if self.accept("!"):
-            return Directed(terms.YIELD, self.atom())
-        if self.accept("?"):
-            return Directed(terms.RECEIVE, self.atom())
+        if self.peek() in (terms.YIELD, terms.RECEIVE):
+            return Directed(self.take(), self.atom())
         return self.type_()
 
-    def app_body(self, cls):
+    def app(self, cls):
+        """After ``Start`` or ``Inline``: ``(target, name ↦ value, ...)``."""
         self.expect("(")
         target = self.type_()
         if isinstance(target, (Var, Concrete)):
             target = DefRef(target.name)
         bindings = []
         while self.accept(","):
-            kind, name = self.next()
-            if kind != "name":
+            name = self.take()
+            if not _is_name(name):
                 raise NotationError("expected a variable name in binding")
             self.expect("↦")
             bindings.append((name, self.scalar("binding value")))
@@ -300,76 +282,63 @@ class _Parser:
         """An integer, a negated integer, or a name: a capitalised name is a
         concrete type, any other a variable.  ``what`` names the expected
         operand in the error."""
-        kind, value = self.peek()
-        if kind == "int":
-            self.next()
-            return int(value)
-        if self.accept("-"):
-            kind, value = self.next()
-            if kind != "int":
+        token = self.take()
+        if token == "-":
+            token = self.take()
+            if not token.isdigit():
                 raise NotationError("expected an integer after '-'")
-            return -int(value)
-        if kind == "name":
-            self.next()
-            return Concrete(value) if value[0].isupper() else Var(value)
-        raise NotationError("bad %s %r" % (what, value))
+            return -int(token)
+        if token.isdigit():
+            return int(token)
+        if _is_name(token):
+            return Concrete(token) if token[0].isupper() else Var(token)
+        raise NotationError("unexpected token %r in %s" % (token, what))
 
     # -- predicates --------------------------------------------------------
 
-    def pred_or(self):
-        items = [self.pred_and()]
-        while self.accept("∨"):
-            items.append(self.pred_and())
-        return preds.disj(*items)
-
-    def pred_and(self):
-        items = [self.pred_not()]
-        while self.accept("∧"):
-            items.append(self.pred_not())
-        return preds.conj(*items)
-
-    def pred_not(self):
-        if self.accept("¬") or self.accept("!"):
-            return preds.neg(self.pred_not())
-        return self.pred_atom()
+    def pred(self, level=0):
+        """The connective ``_CONNECTIVES[level]`` over predicates that bind
+        tighter, down to single atoms."""
+        if level == len(_CONNECTIVES):
+            return self.pred_atom()
+        op, join = _CONNECTIVES[level]
+        return join(*self.some(lambda: self.pred(level + 1), op))
 
     def pred_atom(self):
-        if self.accept_name("true"):
+        if self.accept("¬") or self.accept("!"):
+            return preds.neg(self.pred_atom())
+        if self.accept("true"):
             return TRUE
-        if self.accept_name("false"):
+        if self.accept("false"):
             return FALSE
         if self.accept("("):
-            p = self.pred_or()
+            p = self.pred()
             self.expect(")")
             return p
-        lhs = self.pred_term()
-        kind, op = self.next()
+        lhs = self.scalar("predicate operand")
+        op = self.take()
         if op == "↦":
             if not isinstance(lhs, Var):
                 raise NotationError("binding target must be a variable")
-            return Binding(lhs, self.pred_term())
-        if op in ("≤", "≥"):
-            op = {"≤": "<=", "≥": ">="}[op]
+            return Binding(lhs, self.scalar("predicate operand"))
         if op not in preds.OPS:
             raise NotationError("expected a comparison, found %r" % op)
-        return Cmp(lhs, op, self.pred_term())
+        return Cmp(lhs, op, self.scalar("predicate operand"))
 
-    def pred_term(self):
-        return self.scalar("predicate operand")
+
+def _parse_all(text, rule):
+    """``rule`` of ``_Parser`` over the whole of ``text``."""
+    parser = _Parser(text)
+    out = rule(parser)
+    if parser.peek():
+        raise NotationError("trailing input at %r" % parser.peek())
+    return out
 
 
 def parse(text: str):
     """Parse a type term; inverse of render up to canonical form."""
-    parser = _Parser(text)
-    t = parser.type_()
-    if parser.peek()[0] != "eof":
-        raise NotationError("trailing input at %r" % (parser.peek()[1],))
-    return t
+    return _parse_all(text, _Parser.type_)
 
 
 def parse_pred(text: str):
-    parser = _Parser(text)
-    p = parser.pred_or()
-    if parser.peek()[0] != "eof":
-        raise NotationError("trailing input at %r" % (parser.peek()[1],))
-    return p
+    return _parse_all(text, _Parser.pred)

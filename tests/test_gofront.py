@@ -1595,6 +1595,63 @@ class TestNilGlobals:
         assert "channel 'ch' may be nil (line 6)" in capsys.readouterr().out
 
 
+def global_guard_program(main_setup):
+    """A global ``n``, declared 5, that guards the one send of ``f``;
+    ``main`` runs ``main_setup``, starts ``f`` and receives."""
+    return (
+        "package main\n\nvar n = 5\n\nfunc f(ch chan int) {\n\tif n > 4 {\n\t\tch <- 1\n\t}\n}\n\n"
+        "func main() {\n\tch := make(chan int)\n%s\tgo f(ch)\n\t<-ch\n}\n" % main_setup
+    )
+
+
+def captured_guard_program(value, assignment):
+    """``main`` declares ``x := value``, runs ``assignment``, then starts a
+    sender only if ``x > 1``, and receives."""
+    return (
+        "package main\n\nfunc main() {\n\tch := make(chan int)\n\tx := %s\n\t%s\n"
+        "\tif x > 1 {\n\t\tgo func() { ch <- 1 }()\n\t}\n\t<-ch\n}\n" % (value, assignment)
+    )
+
+
+class TestAssignedInAnotherBody:
+    """A variable that a body other than its own assigns has no constant
+    value: a global that ``main`` assigns, seen from a named function, and
+    a local that a function literal assigns, seen from its owner.  Its
+    guards split into cases instead, so a program where Go's value fails
+    the guard reads Deadlock, and so, from the other case, does one where
+    it holds."""
+
+    @pytest.mark.parametrize("source, cases", [
+        (global_guard_program("\tn = 3\n"), [("n ≤ 4", "Deadlock"), ("n ≥ 5", "NoDeadlock")]),
+        (global_guard_program("\tn = 6\n"), [("n ≤ 4", "Deadlock"), ("n ≥ 5", "NoDeadlock")]),
+        (captured_guard_program(2, "func() { x = 1 }()"),
+         [("x ≤ 1", "Deadlock"), ("x ≥ 2", "NoDeadlock")]),
+        (captured_guard_program(1, "func() { x = 2 }()"),
+         [("x ≤ 1", "Deadlock"), ("x ≥ 2", "NoDeadlock")]),
+    ], ids=["global set to fail the guard", "global set to hold it",
+            "local set to fail the guard", "local set to hold it"])
+    def test_its_guard_splits(self, source, cases):
+        assert [(c.label, c.verdict.kind) for c in analyze_source(source).cases] == cases
+
+    @pytest.mark.parametrize("source, verdict", [
+        (global_guard_program(""), "NoDeadlock"),
+        (captured_guard_program(2, "x = 1"), "Deadlock"),
+        (captured_guard_program(1, "func() { y := 2; y = 3 }()"), "Deadlock"),
+    ], ids=["a global no body assigns", "a local its own body assigns",
+            "a literal's own local"])
+    def test_one_its_own_body_assigns_keeps_its_constant(self, source, verdict):
+        assert [(c.label, c.verdict.kind) for c in analyze_source(source).cases] == [("", verdict)]
+
+    @pytest.mark.parametrize("source", [
+        global_guard_program("\tn = 3\n"), captured_guard_program(2, "func() { x = 1 }()"),
+    ], ids=["global", "captured local"])
+    def test_the_command_exits_one(self, tmp_path, capsys, source):
+        path = tmp_path / "assigned.go"
+        path.write_text(source, encoding="utf-8")
+        assert main(["analyze", str(path)]) == 1
+        assert "Deadlock" in capsys.readouterr().out
+
+
 def initialized_global_program(initializer):
     """A global ``x`` set by ``initializer`` beside a made global ``ch``;
     ``main`` sends on ``ch`` from a literal, then prints ``x`` and a

@@ -111,6 +111,51 @@ class TestParse:
             notation.parse_pred("inherit(x, User)")
 
 
+class TestRefusals:
+    """Each malformed input the parser refuses raises ``NotationError``."""
+
+    @pytest.mark.parametrize("parse, text", [
+        (notation.parse, "[!Int] # x"),
+        (notation.parse, "Int extra"),
+        (notation.parse_pred, "x < 1 y"),
+        (notation.parse, "Int^X"),
+        (notation.parse, "Int^-1"),
+        (notation.parse, "Int^"),
+        (notation.parse, "<Int, - x>"),
+        (notation.parse_pred, "x < -"),
+        (notation.parse, "Start(f, 1 ↦ 2)"),
+        (notation.parse_pred, "3 ↦ x"),
+        (notation.parse_pred, "x"),
+        (notation.parse_pred, "x ∧ y < 1"),
+        (notation.parse, "?Int"),
+        (notation.parse, "[!A;;]"),
+        (notation.parse, "(Int | Bool | String)"),
+        (notation.parse, "Start f"),
+        (notation.parse_pred, "x < ]"),
+        (notation.parse, ""),
+    ], ids=[
+        "stray character", "trailing input after a type", "trailing input after a predicate",
+        "capitalised exponent", "negative exponent", "missing exponent",
+        "minus before a name", "minus at the end", "binding of a number",
+        "binding target not a variable", "no comparison", "no comparison before a connective",
+        "receive outside a flow", "empty flow item", "three-way union",
+        "application without parentheses", "bad predicate operand", "empty input",
+    ])
+    def test_is_refused(self, parse, text):
+        with pytest.raises(notation.NotationError):
+            parse(text)
+
+    def test_a_stray_character_is_named_with_its_offset(self):
+        with pytest.raises(notation.NotationError, match="'#' at offset 7"):
+            notation.parse("[!Int] # x")
+
+    def test_ascii_aliases_inside_types(self):
+        assert notation.parse("Start(f, n |-> 2)") == notation.parse("Start(f, n ↦ 2)")
+        assert notation.parse("Start(f, n |-> 2)") == start_app(DefRef("f"), {"n": 2})
+        assert notation.parse("[!Int] / n >= 1 && n <= 3") == cor_ins(
+            yielded(Int), constraint=conj(Cmp(Var("n"), ">=", 1), Cmp(Var("n"), "<=", 3)))
+
+
 class TestRoundTrip:
     @given(general_types())
     def test_terms(self, t):
