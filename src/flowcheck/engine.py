@@ -3,7 +3,9 @@
 Starting a definition picks one branch per union: the first whose guard
 the case's assumption and valuation make true.  A guard they leave open
 raises ``AmbiguousCondition``; splitting such guards into cases is the job
-of ``solver.partition_cases``, before reduction.
+of ``solver.partition_cases``, before reduction.  Each application starts
+once per reduction: the assumption, valuation, universe and definitions
+are fixed for it, so equal applications share one instance.
 
 One value may be in flight at a time (the pending type); yielded values no
 live coroutine can receive accumulate as external yields.  Rules fire in a
@@ -274,7 +276,7 @@ class ReductionState:
     __slots__ = (
         "insts", "kinds", "pending", "externals", "steps", "max_steps", "trace",
         "universe", "assumption", "valuation", "defs", "main", "last_yielder",
-        "verdict", "heaps", "receivers", "log", "created", "__weakref__",
+        "verdict", "heaps", "receivers", "log", "created", "started", "__weakref__",
     )
 
     def __init__(self, *, pending=ZERO, max_steps=DEFAULT_MAX_STEPS, universe=None,
@@ -298,6 +300,7 @@ class ReductionState:
         self.receivers = set()  # numbers whose head is a receive
         self.log = []  # (number, new instance) pairs
         self.created = 0
+        self.started = {}  # application -> the instance it started
 
     def set(self, n, inst: CorIns):
         """Make ``inst`` the instance of coroutine ``n``, log the change and
@@ -340,11 +343,17 @@ class ReductionState:
         return None
 
     def instantiate(self, app) -> CorIns:
-        """The instance a start or inline application evaluates to."""
-        return start(
-            app.target, dict(app.bindings), self.universe, self.assumption,
-            self.valuation, defs=self.defs,
-        )
+        """The instance a start or inline application evaluates to, started
+        once per reduction: everything else ``start`` reads is fixed for the
+        reduction, so equal applications share the one immutable instance.
+        A start that raises is not kept."""
+        inst = self.started.get(app)
+        if inst is None:
+            inst = self.started[app] = start(
+                app.target, dict(app.bindings), self.universe, self.assumption,
+                self.valuation, defs=self.defs,
+            )
+        return inst
 
 
 def _record(state, rule):

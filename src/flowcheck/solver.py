@@ -435,8 +435,12 @@ def match(pending, pattern, universe: Universe):
     """Unify two (possibly constrained) types; commutative.
 
     Returns a ConditionSet on success and BOTTOM when no assignment over the
-    universe makes the types equal.
+    universe makes the types equal.  Two ground ``Concrete`` payloads, all a
+    Go channel carries, are decided by equality alone, with no rewriting:
+    the answer ``_equate`` gives for such leaves.
     """
+    if isinstance(pending, Concrete) and isinstance(pattern, Concrete):
+        return ConditionSet({}, TRUE) if pending == pattern else BOTTOM
     a, rho1 = _strip(reduce_constrained(pending))
     b, rho2 = _strip(reduce_constrained(pattern))
     expr = pred_simplify(conj(_equate(a, b), rho1, rho2))

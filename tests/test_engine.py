@@ -772,3 +772,85 @@ class TestRecursiveInline:
         verdict, trace = reduce([start_app(DefRef("main"))], defs=defs)
         assert verdict.kind == "Inconclusive"
         assert len(trace) == 500
+
+
+class TestStartMemo:
+    """Each application starts once per reduction; equal applications share
+    the instance, and the memo dies with its reduction."""
+
+    @staticmethod
+    def counted_starts(monkeypatch):
+        import flowcheck.engine as engine
+
+        calls = []
+        real = engine.start
+
+        def counted(definition, *args, **kwargs):
+            inst = real(definition, *args, **kwargs)
+            calls.append((definition, inst))
+            return inst
+
+        monkeypatch.setattr(engine, "start", counted)
+        return calls
+
+    def test_fanout_starts_main_and_the_sender_once(self, monkeypatch):
+        from flowcheck.gofront import analyze_source
+
+        calls = self.counted_starts(monkeypatch)
+        analysis = analyze_source(fanout_source(50))
+        assert analysis.worst() == "NoDeadlock"
+        assert [definition for definition, _ in calls] == [DefRef("main"), DefRef("send")]
+        assert [e.rule for e in analysis.cases[0].trace].count("YieldCo") == 50
+
+    def test_different_bindings_start_distinct_instances(self, monkeypatch):
+        calls = self.counted_starts(monkeypatch)
+        defs = {"f": cor_def(yielded(Var("x")), label="f")}
+        main = cor_def(
+            start_app(DefRef("f"), {"x": Int}), start_app(DefRef("f"), {"x": Str}),
+            received(Int), received(Str), label="main",
+        )
+        verdict, trace = reduce([start_app(main)], defs=defs)
+        assert verdict.kind == "NoDeadlock"
+        assert [render(inst) for _, inst in calls] == [
+            "[Start(f, x ↦ Int); Start(f, x ↦ String); ?Int; ?String]", "[!Int]", "[!String]",
+        ]
+        assert [e.rule for e in trace[:3]] == ["StartEval", "YieldCo", "Yield"]
+        assert [render(i) for i in trace[1].state[2]] == [
+            "[Start(f, x ↦ String); ?Int; ?String]", "[!Int]",
+        ]
+
+    def test_each_case_starts_main_with_its_own_branch(self, monkeypatch):
+        from flowcheck.gofront import analyze_source
+
+        calls = self.counted_starts(monkeypatch)
+        analysis = analyze_source(GUARDS_K2)
+        assert len(analysis.cases) == 4
+        mains = [inst for definition, inst in calls if definition == DefRef("main")]
+        assert len(mains) == 4
+        assert len(set(mains)) == 4
+        for case, inst in zip(analysis.cases, mains):
+            assert case.trace[0].state[2] == (inst,)
+
+    def test_shared_instances_trace_full_snapshots(self, monkeypatch):
+        import flowcheck.engine as engine
+        from flowcheck.gofront import analyze_source
+
+        real = engine.reduce_step
+        snapshots, shared = [], []
+
+        def snapshot(state):
+            count = len(state.trace)
+            real(state)
+            if len(state.trace) > count:
+                instances = tuple(state.insts.values())
+                snapshots.append((state.pending, tuple(state.externals), instances))
+                shared.append(len(set(map(id, instances))) < len(instances))
+            return state
+
+        monkeypatch.setattr(engine, "reduce_step", snapshot)
+        analysis = analyze_source(fanout_source(12))
+        trace = analysis.cases[0].trace
+        assert any(shared)
+        assert len(trace) == len(snapshots) + 1  # the start of main
+        for entry, expected in reversed(list(zip(trace[1:], snapshots))):
+            assert entry.state == expected

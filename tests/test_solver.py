@@ -66,7 +66,7 @@ from flowcheck.terms import (
     yielded,
 )
 
-from strategies import VAR_NAMES, ground_types, guard_preds, simple_preds
+from strategies import VAR_NAMES, concretes, ground_types, guard_preds, simple_preds
 
 Int, Str, Bool = Concrete("Int"), Concrete("String"), Concrete("Bool")
 X, Y = Concrete("X"), Concrete("Y")
@@ -610,3 +610,32 @@ class TestEquate:
 def test_ground_self_match_property(t):
     universe = Universe.collect(t)
     assert match(t, t, universe) is not BOTTOM
+
+
+class TestGroundMatch:
+    """Two ``Concrete`` payloads are decided by equality, with no rewriting;
+    every other argument still goes through it."""
+
+    @given(concretes, concretes)
+    def test_equal_symbols_give_the_empty_condition_set(self, a, b):
+        result = match(a, b, Universe.collect(a, b))
+        if equate(a, b) == TRUE:
+            assert result == solver.ConditionSet({}, TRUE)
+        else:
+            assert equate(a, b) == FALSE and result is BOTTOM
+
+    def test_only_non_ground_arguments_are_rewritten(self, universe, monkeypatch):
+        rewritten = []
+        real = solver.reduce_constrained
+        monkeypatch.setattr(
+            solver, "reduce_constrained", lambda t: rewritten.append(t) or real(t)
+        )
+        assert match(Int, Int, universe) == solver.ConditionSet({}, TRUE)
+        assert match(Int, Str, universe) is BOTTOM
+        assert rewritten == []
+        assert match(Var("x"), Int, universe).bindings == {"x": Int}
+        assert rewritten == [Var("x"), Int]
+        guarded = constrained(Int, Cmp(Var("n"), ">", 0))
+        result = match(guarded, Int, universe)
+        assert result.bindings == {} and result.residual == Cmp(Var("n"), ">", 0)
+        assert rewritten[2:] == [guarded, Int]
