@@ -57,7 +57,9 @@ def analyze_source(source: str | bytes, max_steps: int = engine.DEFAULT_MAX_STEP
         results = []
         total_steps = 0
         initial = [start_app(DefRef("main"))]
-        for case in partition_cases(unresolved_condition_preds(cordefs)):
+        # only a union carries a guard that may need a case split
+        guards = unresolved_condition_preds(cordefs) if translation.guarded else []
+        for case in partition_cases(guards):
             verdict, trace = engine.reduce(
                 initial,
                 max_steps=max_steps,

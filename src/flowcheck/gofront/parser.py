@@ -1,13 +1,18 @@
 """Recursive-descent parser for the supported Go subset.
 
-Binary expressions are read by precedence climbing over one table,
+The parser reads token kinds from one list, ``kinds``, indexed by its
+position, built once from the tokens ``tokenize`` returns; a token's value
+and line are read only where a node or a message needs them.  Binary
+expressions are read by precedence climbing over one table,
 ``_PRECEDENCE``, of Go's five binary levels; every operator is
-left-associative, as in the Go spec.
+left-associative, as in the Go spec.  An operand enters the postfix level
+only when a call or a selector follows it.
 
 Anything outside the subset raises Unsupported naming the construct and the
 line, so the analyzer can refuse the file instead of guessing: buffered or
 directional channels, select, close, for loops, switch, pointers, maps,
-sync primitives, if-statements with init clauses, and nesting deeper than
+sync primitives, if-statements with init clauses, methods, labels, several
+names in one declaration or assignment, and nesting deeper than
 ``MAX_NESTING``.
 """
 
@@ -78,6 +83,9 @@ _PRECEDENCE = {
     "*": 5, "/": 5, "%": 5,
 }
 
+# the kinds that may follow an operand as a call or a selector
+_POSTFIXES = {"(", "."}
+
 _UNSUPPORTED_TYPES = {
     "map": "map type",
     "interface": "interface type",
@@ -88,16 +96,14 @@ _UNSUPPORTED_TYPES = {
 class Parser:
     def __init__(self, source: str):
         self.tokens = tokenize(source)
+        self.kinds = [tok.kind for tok in self.tokens]
         self.pos = 0
         self.depth = 0
         self.literals: dict[int, int] = {}  # line -> function literals named on it
 
     # -- token plumbing ----------------------------------------------------
-
-    def peek(self, ahead=0) -> Token:
-        # No clamp: ``next`` stops at ``eof``, the last token, and the one
-        # lookahead follows an identifier, so it reads at most ``eof``.
-        return self.tokens[self.pos + ahead]
+    # ``pos`` never passes ``eof``, the last token: a kind other than
+    # ``eof`` is tested before each step past it.
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
@@ -106,28 +112,44 @@ class Parser:
         return tok
 
     def accept(self, kind) -> bool:
-        if self.peek().kind == kind:
-            self.next()
+        if self.kinds[self.pos] == kind:
+            self.pos += 1
             return True
         return False
 
     def expect(self, kind) -> Token:
-        tok = self.next()
-        if tok.kind != kind:
+        tok = self.tokens[self.pos]
+        if self.kinds[self.pos] != kind:
             raise GoSyntaxError(tok.line, "expected %r, found %r" % (kind, tok.value))
+        self.pos += 1
         return tok
 
     def skip_semis(self):
-        while self.accept(";"):
-            pass
+        while self.kinds[self.pos] == ";":
+            self.pos += 1
 
     def end(self, closing):
         """End a statement or declaration: a ``;`` must follow it unless
         ``closing``, the token that closes its list, does."""
-        tok = self.peek()
-        if not self.accept(";") and tok.kind != closing:
-            raise GoSyntaxError(tok.line, "missing ';' before %r" % tok.value)
-        self.skip_semis()
+        if self.kinds[self.pos] == ";":
+            self.skip_semis()
+        elif self.kinds[self.pos] != closing:
+            self.refuse_end()
+
+    def refuse_end(self):
+        """The error for a statement that runs on: Go's label and its lists
+        of names are refused by name, anything else is a syntax error."""
+        kinds, pos = self.kinds, self.pos
+        tok = self.tokens[pos]
+        if kinds[pos - 1] == "ident" and kinds[pos - 2] in (";", "{"):  # a statement of one name
+            if tok.kind == ":":
+                raise Unsupported("labeled statement", tok.line)
+            while kinds[pos] == "," and kinds[pos + 1] == "ident":
+                pos += 2
+            if tok.kind == "," and kinds[pos] in (":=", "="):
+                several = "declaration of" if kinds[pos] == ":=" else "assignment to"
+                raise Unsupported("%s several variables" % several, tok.line)
+        raise GoSyntaxError(tok.line, "missing ';' before %r" % tok.value)
 
     def descend(self, line):
         """Enter one more nesting level; the caller restores ``depth``."""
@@ -154,18 +176,18 @@ class Parser:
                 self.expect("string")
             self.end("eof")
         globals_, functions = [], {}
-        while self.peek().kind != "eof":
-            tok = self.peek()
-            if tok.kind == "func":
+        while (kind := self.kinds[self.pos]) != "eof":
+            if kind == "func":
                 f = self.parse_func()
                 if f.name in functions:
                     raise GoSyntaxError(f.line, "duplicate function %s" % f.name)
                 functions[f.name] = f
-            elif tok.kind == "var":
+            elif kind == "var":
                 globals_.append(self.parse_var_decl())
-            elif tok.kind == "type":
+            elif kind == "type":
                 self.parse_type_decl()
             else:
+                tok = self.tokens[self.pos]
                 raise GoSyntaxError(tok.line, "unexpected %r at top level" % tok.value)
             self.end("eof")
         return Program(tuple(globals_), functions)
@@ -175,10 +197,12 @@ class Parser:
         body is parsed, so nested literals on one line keep their names; a
         literal lives only in its ``FuncLit``."""
         line = self.expect("func").line
+        if not anonymous and self.kinds[self.pos] == "(":
+            raise Unsupported("method declaration", line)
         name = None if anonymous else self.expect("ident").value
         params = self.parse_params()
         result = None
-        if self.peek().kind not in ("{", ";"):
+        if self.kinds[self.pos] not in ("{", ";"):
             result = self.parse_type()
         body = self.parse_block()
         if anonymous:
@@ -189,18 +213,19 @@ class Parser:
     def parenthesized(self, item) -> tuple:
         """``( a, b, … )``: ``item()`` for each entry, a trailing comma allowed."""
         self.expect("(")
-        items = []
-        while not self.accept(")"):
+        kinds, items = self.kinds, []
+        while kinds[self.pos] != ")":
             items.append(item())
-            if not self.accept(","):
-                self.expect(")")
+            if kinds[self.pos] != ",":
                 break
+            self.pos += 1
+        self.expect(")")
         return tuple(items)
 
     def parse_params(self) -> tuple:
         groups = self.parenthesized(lambda: (
             self.expect("ident").value,
-            None if self.peek().kind in (",", ")") else self.parse_type(),
+            None if self.kinds[self.pos] in (",", ")") else self.parse_type(),
         ))
         # back-fill grouped parameters: `a, b int` gives both the int type
         params, pending = [], []
@@ -210,7 +235,7 @@ class Parser:
                 params.extend((n, gotype) for n in pending)
                 pending = []
         if pending:
-            raise GoSyntaxError(self.peek().line, "parameters missing a type")
+            raise GoSyntaxError(self.tokens[self.pos].line, "parameters missing a type")
         return tuple(params)
 
     def parse_var_decl(self) -> VarDecl:
@@ -218,7 +243,9 @@ class Parser:
         name = self.expect("ident").value
         gotype = None
         expr = None
-        if self.peek().kind not in ("=", ";"):
+        if self.kinds[self.pos] not in ("=", ";"):
+            if self.kinds[self.pos] == ",":
+                raise Unsupported("declaration of several variables", line)
             gotype = self.parse_type()
         if self.accept("="):
             expr = self.parse_expr()
@@ -228,24 +255,23 @@ class Parser:
         """A ``struct`` declaration: each field type is checked, none kept."""
         self.expect("type")
         self.expect("ident")
-        if self.peek().kind != "struct":
+        tok = self.next()
+        if tok.kind != "struct":
             raise Unsupported(
-                _UNSUPPORTED_TYPES.get(self.peek().kind, "non-struct type declaration"),
-                self.peek().line,
+                _UNSUPPORTED_TYPES.get(tok.kind, "non-struct type declaration"), tok.line
             )
-        self.next()
         self.expect("{")
         self.skip_semis()
         while not self.accept("}"):
             self.expect("ident")
-            if self.peek().kind not in (";", "}"):
+            if self.kinds[self.pos] not in (";", "}"):
                 self.parse_type()
             self.end("}")
 
     # -- types ----------------------------------------------------------------
 
     def parse_type(self):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind in ("chan", "[", "func"):
             self.descend(tok.line)
             gotype = self.parse_type_literal()
@@ -269,7 +295,7 @@ class Parser:
         """A ``chan``, ``[]`` or ``func(...)`` type, one nesting level down."""
         tok = self.next()
         if tok.kind == "chan":
-            if self.peek().kind == "<-":
+            if self.kinds[self.pos] == "<-":
                 raise Unsupported("directional channel type", tok.line)
             return ChanType(self.parse_type())
         if tok.kind == "[":
@@ -277,7 +303,7 @@ class Parser:
             return SliceType(self.parse_type())
         params = self.parenthesized(self.parse_type)
         result = None
-        if self.peek().kind not in ("{", ")", ",", ";", "eof"):
+        if self.kinds[self.pos] not in ("{", ")", ",", ";", "eof"):
             result = self.parse_type()
         return FuncType(params, result)
 
@@ -286,40 +312,42 @@ class Parser:
     def parse_block(self) -> tuple:
         self.descend(self.expect("{").line)
         self.skip_semis()
-        stmts = []
-        while not self.accept("}"):
+        kinds, stmts = self.kinds, []
+        while kinds[self.pos] != "}":
             stmts.append(self.parse_stmt())
             self.end("}")
+        self.pos += 1
         self.depth -= 1
         return tuple(stmts)
 
     def parse_stmt(self):
-        tok = self.peek()
-        if tok.kind in _UNSUPPORTED_STMTS:
-            raise Unsupported(_UNSUPPORTED_STMTS[tok.kind], tok.line)
-        if tok.kind in ("go", "defer"):
-            self.next()
-            call = self.parse_expr()
-            if not isinstance(call, Call):
-                raise GoSyntaxError(tok.line, "%s requires a function call" % tok.kind)
-            return (GoStmt if tok.kind == "go" else DeferStmt)(call, tok.line)
-        if tok.kind == "if":
-            return self.parse_if()
-        if tok.kind == "return":
-            self.next()
-            if self.peek().kind in (";", "}"):
-                return Return(None, tok.line)
-            return Return(self.parse_expr(), tok.line)
-        if tok.kind == "var":
-            return self.parse_var_decl()
-        if tok.kind == "ident" and self.peek(1).kind in (":=", "="):
-            self.next()
-            if self.next().kind == "=":
+        kinds, pos = self.kinds, self.pos
+        kind, tok = kinds[pos], self.tokens[pos]
+        if kind == "ident" and kinds[pos + 1] in (":=", "="):
+            self.pos = pos + 2
+            if kinds[pos + 1] == "=":
                 return Assign(tok.value, self.parse_expr(), tok.line)
             return VarDecl(tok.value, None, self.parse_expr(), tok.line)
+        if kind == "go" or kind == "defer":
+            self.pos = pos + 1
+            call = self.parse_expr()
+            if not isinstance(call, Call):
+                raise GoSyntaxError(tok.line, "%s requires a function call" % kind)
+            return (GoStmt if kind == "go" else DeferStmt)(call, tok.line)
+        if kind == "if":
+            return self.parse_if()
+        if kind == "return":
+            self.pos = pos + 1
+            if kinds[pos + 1] in (";", "}"):
+                return Return(None, tok.line)
+            return Return(self.parse_expr(), tok.line)
+        if kind == "var":
+            return self.parse_var_decl()
+        if kind in _UNSUPPORTED_STMTS:
+            raise Unsupported(_UNSUPPORTED_STMTS[kind], tok.line)
         expr = self.parse_expr()
-        if self.peek().kind == "<-":
-            self.next()
+        if kinds[self.pos] == "<-":
+            self.pos += 1
             return Send(expr, self.parse_expr(), tok.line)
         return ExprStmt(expr, tok.line)
 
@@ -327,12 +355,12 @@ class Parser:
         line = self.expect("if").line
         self.descend(line)
         cond = self.parse_expr()
-        if self.peek().kind == ";":
+        if self.kinds[self.pos] == ";":
             raise Unsupported("if with init statement", line)
         then = self.parse_block()
         els = ()
         if self.accept("else"):
-            els = (self.parse_if(),) if self.peek().kind == "if" else self.parse_block()
+            els = (self.parse_if(),) if self.kinds[self.pos] == "if" else self.parse_block()
         self.depth -= 1
         return If(cond, then, els, line)
 
@@ -343,44 +371,50 @@ class Parser:
         tighter; each operator nests the tree one level deeper."""
         outer = self.depth
         left = self.parse_unary()
-        while (level := _PRECEDENCE.get(self.peek().kind, 0)) >= lowest:
-            tok = self.next()
+        kinds = self.kinds
+        while (level := _PRECEDENCE.get(kinds[self.pos], 0)) >= lowest:
+            tok = self.tokens[self.pos]
+            self.pos += 1
             self.descend(tok.line)
             left = Binary(tok.kind, left, self.parse_expr(level + 1), tok.line)
         self.depth = outer
         return left
 
     def parse_unary(self, negated=False):
-        """A unary expression.  An integer literal must fit Go's 64-bit
-        ``int``; 9223372036854775808 fits only as the operand of a minus."""
-        tok = self.peek()
+        """A unary expression: prefix operators, then an operand and its
+        postfixes, read only when one follows.  An integer literal must fit
+        Go's 64-bit ``int``; 9223372036854775808 fits only as the operand
+        of a minus."""
+        kind, tok = self.kinds[self.pos], self.tokens[self.pos]
         self.descend(tok.line)
-        if tok.kind in ("!", "-", "<-"):
-            self.next()
-            expr = self.parse_unary(negated=tok.kind == "-")
-            if tok.kind == "<-":
+        if kind in ("!", "-", "<-"):
+            self.pos += 1
+            expr = self.parse_unary(negated=kind == "-")
+            if kind == "<-":
                 expr = Recv(expr, tok.line)
-            elif tok.kind == "-" and isinstance(expr, IntLit):
+            elif kind == "-" and isinstance(expr, IntLit):
                 expr = IntLit(-expr.value, tok.line)
             else:
-                expr = Unary(tok.kind, expr, tok.line)
+                expr = Unary(kind, expr, tok.line)
         else:
-            expr = self.parse_postfix()
-        if isinstance(expr, IntLit) and expr.value > (2**63 if negated else 2**63 - 1):
+            expr = self.parse_primary()
+            if self.kinds[self.pos] in _POSTFIXES:
+                expr = self.parse_postfix(expr)
+        if expr.__class__ is IntLit and expr.value > (2**63 if negated else 2**63 - 1):
             raise Unsupported("integer literal overflows int", tok.line)
         self.depth -= 1
         return expr
 
-    def parse_postfix(self):
-        expr = self.parse_primary()
-        depth = self.depth
+    def parse_postfix(self, expr):
+        """Calls of ``expr`` and its selectors, as long as they follow."""
+        kinds, depth = self.kinds, self.depth
         while True:
-            if self.peek().kind == "(":
+            if kinds[self.pos] == "(":
                 if isinstance(expr, Call):  # the call of a call's result nests in it
                     self.descend(expr.line)
                 expr = self.make_call(expr, self.parenthesized(self.parse_expr))
-            elif self.peek().kind == "." and isinstance(expr, Ident):
-                self.next()
+            elif kinds[self.pos] == "." and isinstance(expr, Ident):
+                self.pos += 1
                 expr = Selector(expr.name, self.expect("ident").value, expr.line)
             else:
                 self.depth = depth
@@ -394,39 +428,40 @@ class Parser:
         return Call(fn, args, fn.line)
 
     def parse_primary(self):
-        tok = self.peek()
-        if tok.kind == "int":
-            if not plain_decimal(tok.value):
-                raise Unsupported("non-decimal integer literal", tok.line)
-            self.next()
-            return IntLit(int(tok.value), tok.line)
-        if tok.kind == "float":
-            raise Unsupported("floating point literal", tok.line)
-        if tok.kind == "imaginary":
-            raise Unsupported("imaginary literal", tok.line)
-        if tok.kind == "string":
-            self.next()
-            return StringLit(tok.value, tok.line)
-        if tok.kind == "func":
-            return FuncLit(self.parse_func(anonymous=True), tok.line)
-        if tok.kind == "(":
-            self.next()
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
-        if tok.kind in _UNSUPPORTED_STMTS:
-            raise Unsupported(_UNSUPPORTED_STMTS[tok.kind], tok.line)
-        if tok.kind == "chan":
-            raise Unsupported("channel type in expression", tok.line)
-        if tok.kind == "ident":
-            self.next()
+        pos = self.pos
+        kind, tok = self.kinds[pos], self.tokens[pos]
+        if kind == "ident":
+            self.pos = pos + 1
             if tok.value in ("true", "false"):
                 return BoolLit(tok.value == "true", tok.line)
             if tok.value == "nil":
                 return NilLit(tok.line)
-            if tok.value == "make" and self.peek().kind == "(":
+            if tok.value == "make" and self.kinds[pos + 1] == "(":
                 return self.parse_make(tok.line)
             return Ident(tok.value, tok.line)
+        if kind == "int":
+            if not plain_decimal(tok.value):
+                raise Unsupported("non-decimal integer literal", tok.line)
+            self.pos = pos + 1
+            return IntLit(int(tok.value), tok.line)
+        if kind == "string":
+            self.pos = pos + 1
+            return StringLit(tok.value, tok.line)
+        if kind == "(":
+            self.pos = pos + 1
+            inner = self.parse_expr()
+            self.expect(")")
+            return inner
+        if kind == "func":
+            return FuncLit(self.parse_func(anonymous=True), tok.line)
+        if kind == "float":
+            raise Unsupported("floating point literal", tok.line)
+        if kind == "imaginary":
+            raise Unsupported("imaginary literal", tok.line)
+        if kind in _UNSUPPORTED_STMTS:
+            raise Unsupported(_UNSUPPORTED_STMTS[kind], tok.line)
+        if kind == "chan":
+            raise Unsupported("channel type in expression", tok.line)
         raise GoSyntaxError(tok.line, "unexpected %r in expression" % tok.value)
 
     def parse_make(self, line) -> MakeExpr:

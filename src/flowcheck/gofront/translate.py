@@ -14,10 +14,13 @@ and is taken as made otherwise; a global's initializer may not use a
 channel, directly or through a member.  Member bodies translate statement
 by statement: sends yield the channel's element type, receives expect it,
 and undecided conditionals become unions guarded by the condition
-predicate.  One method, ``_call``, translates every call, ``go`` and
-``defer``: it evaluates the callee and the arguments now, and a call of a
-member becomes an inline application, a ``go`` a start application, and a
-``defer`` an inline application at the end of the flow (last deferred
+predicate; ``Translation.guarded`` records whether any did, and only then
+does the analysis run ``unresolved_condition_preds``, the guard pre-pass.
+One method, ``_call``, translates every call, ``go`` and ``defer``: it
+evaluates the callee and the arguments now (an identifier, selector or
+literal operand yields no flow item and skips ``_expr_items``), and a call
+of a member becomes an inline application, a ``go`` a start application, and
+a ``defer`` an inline application at the end of the flow (last deferred
 first).  Each named member translates once, in declaration order, and a
 call site names its callee with a reference; a function literal is
 translated from its ``FuncLit`` where it runs, with the facts there: at its
@@ -80,10 +83,14 @@ from .goast import (
     Selector,
     Send,
     SliceType,
+    StringLit,
     Unary,
     VarDecl,
 )
 from .parser import Unsupported
+
+# operands whose evaluation yields no flow item
+_NO_ITEMS = {Ident, Selector, IntLit, StringLit, BoolLit, NilLit, FuncLit}
 
 
 def _quotient(a, b):
@@ -149,7 +156,9 @@ class Env:
 
 
 class Translation(Record):
-    __slots__ = ("cordefs", "warnings")  # cordefs: name -> CorDef, the coroutine map
+    # cordefs: name -> CorDef, the coroutine map; guarded: whether any
+    # undecided conditional became a union, so a guard may need a case split
+    __slots__ = ("cordefs", "warnings", "guarded")
 
 
 class Translator:
@@ -163,6 +172,7 @@ class Translator:
         self.cordefs: dict[str, CorDef] = {}
         self.chan_makes: defaultdict[str, int] = defaultdict(int)
         self.unknown_args = count(1)
+        self.guarded = False  # whether _if built a union
 
     # -- names and membership -------------------------------------------------
 
@@ -345,6 +355,7 @@ class Translator:
         env.nil = then_env.nil | else_env.nil
         if t_ret or e_ret:
             raise Unsupported("return inside an undecided conditional", s.line)
+        self.guarded = True
         then_branch = constrained(seq(*then_items), pred)
         else_branch = constrained(seq(*else_items), neg(pred))
         # an empty branch flattens to an unguarded 0, which resolution takes
@@ -380,7 +391,10 @@ class Translator:
         the arguments', then, for a member, an ``app_cls`` application, or
         none when it joins ``deferred``.  A literal callee translates where
         it runs: here, or at the function's end when deferred."""
-        items = [i for a in (call.fn, *call.args) for i in self._expr_items(a, env)]
+        items = []
+        for a in (call.fn, *call.args):
+            if a.__class__ not in _NO_ITEMS:
+                items += self._expr_items(a, env)
         func = self._type(call.fn)
         if not isinstance(func, Func) or func.name not in self.members:
             return items
@@ -533,7 +547,7 @@ def compute_m(program: Program) -> Translation:
         "operations on them may be conflated" % (count, elem)
         for elem, count in sorted(tr.chan_makes.items()) if count > 1
     ]
-    return Translation(cordefs, warnings)
+    return Translation(cordefs, warnings, tr.guarded)
 
 
 def unresolved_condition_preds(cordefs: dict) -> list:

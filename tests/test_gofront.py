@@ -146,6 +146,43 @@ class TestParse:
         )
 
 
+class TestNamedRefusals:
+    """Go forms outside the subset are refused with the construct named,
+    not as a syntax error, and ``flowcheck analyze`` exits 2 on them."""
+
+    @staticmethod
+    def program(top, body):
+        return "package main\n\n%sfunc main() {\n\tch := make(chan int)\n%s\t<-ch\n}\n" % (top, body)
+
+    @pytest.mark.parametrize(
+        "top, body, reason",
+        [
+            ("", "\tv, ok := <-ch\n", "declaration of several variables (line 5)"),
+            ("", "\tvar a, b int\n", "declaration of several variables (line 5)"),
+            ("var a, b = 1, 2\n\n", "", "declaration of several variables (line 3)"),
+            ("", "\tvar a int\n\tvar b int\n\ta, b = b, a\n",
+             "assignment to several variables (line 7)"),
+            ("type S struct{}\n\nfunc (s S) f() {}\n\n", "", "method declaration (line 5)"),
+            ("", "L:\n", "labeled statement (line 5)"),
+        ],
+        ids=["short declaration", "local var", "package var", "assignment", "method", "label"],
+    )
+    def test_reason_and_exit_code(self, top, body, reason, tmp_path, capsys):
+        source = self.program(top, body)
+        assert [str(c.verdict) for c in analyze_source(source).cases] == [
+            "Unsupported(%s)" % reason
+        ]
+        path = tmp_path / "refused.go"
+        path.write_text(source)
+        assert main(["analyze", str(path)]) == 2
+        assert reason in capsys.readouterr().out
+
+    @pytest.mark.parametrize("body", ["\ta, b\n", "\tf(a), b = 1, 2\n", "\tch <- 1, 2\n"])
+    def test_other_lists_stay_syntax_errors(self, body):
+        with pytest.raises(GoSyntaxError, match="missing ';' before ','"):
+            parse(self.program("", body))
+
+
 GUARDED_SENDER = '''package main
 
 func main() {
@@ -837,10 +874,12 @@ class TestGuardPrePass:
     @staticmethod
     def assert_agrees(source):
         try:
-            cordefs = compute_m(parse(source)).cordefs
+            translation = compute_m(parse(source))
         except (GoSyntaxError, Unsupported):
             return False
+        cordefs = translation.cordefs
         guards = unresolved_condition_preds(cordefs)
+        assert translation.guarded or not guards, source  # a skipped pre-pass finds nothing
         assert len(set(guards)) == len(guards), source
         assert set(guards) == set(reference_condition_preds(cordefs)), source
         return bool(guards)
@@ -875,6 +914,53 @@ class TestGuardPrePass:
         cordefs = compute_m(parse(CALLEE_GUARDS)).cordefs
         rendered = {notation.render_pred(g) for g in unresolved_condition_preds(cordefs)}
         assert rendered == {"y ≥ 7", "x > 2", "x = 4", "x < 10", "y > 2", "y < 10"}
+
+    @pytest.fixture
+    def prepass_calls(self, monkeypatch):
+        """The arguments of every pre-pass call the analysis makes."""
+        from flowcheck.gofront import analyze
+
+        calls = []
+        real = analyze.unresolved_condition_preds
+
+        def counting(cordefs):
+            calls.append(cordefs)
+            return real(cordefs)
+
+        monkeypatch.setattr(analyze, "unresolved_condition_preds", counting)
+        return calls
+
+    def test_no_union_no_pre_pass(self, prepass_calls):
+        folded = (
+            "package main\n\nfunc main() {\n\tx := 5\n\tch := make(chan int)\n"
+            "\tif x > 3 {\n\t\tgo func() { ch <- 1 }()\n\t}\n\t<-ch\n}\n"
+        )
+        for source in (MOBY_FIXED, folded):
+            analysis = analyze_source(source)
+            assert [(c.label, str(c.verdict)) for c in analysis.cases] == [("", "NoDeadlock")]
+        assert prepass_calls == []
+
+    @pytest.mark.parametrize(
+        "source, cases",
+        [
+            (
+                "package main\n\nfunc s(ch chan int, v int) {\n\tif v < 10 {\n\t\tch <- 1\n"
+                "\t}\n}\n\nfunc main() {\n\tvar x int\n\tch := make(chan int)\n"
+                "\tgo s(ch, x)\n\t<-ch\n}\n",
+                [("x ≤ 9", "NoDeadlock"), ("x ≥ 10", "Deadlock([![?Int]])")],
+            ),
+            (
+                "package main\n\nfunc main() {\n\tvar x int\n\tch := make(chan int)\n"
+                "\tgo func() {\n\t\tif x > 2 {\n\t\t\tch <- 1\n\t\t}\n\t}()\n\t<-ch\n}\n",
+                [("x ≤ 2", "Deadlock([![?Int]])"), ("x ≥ 3", "NoDeadlock")],
+            ),
+        ],
+        ids=["in a callee", "in a go literal"],
+    )
+    def test_an_undecided_if_runs_the_pre_pass_once(self, prepass_calls, source, cases):
+        analysis = analyze_source(source)
+        assert [(c.label, str(c.verdict)) for c in analysis.cases] == cases
+        assert len(prepass_calls) == 1
 
     def test_a_refusal_names_the_first_variable_in_sorted_order(self, tmp_path, capsys):
         # the guard on c and d comes first; a sweep that stopped at the
@@ -1118,22 +1204,24 @@ class TestNestingLimit:
         )
 
     @pytest.mark.parametrize(
-        "shape",
+        "shape, accepted, verdict",
         [
-            lambda n: "%sv > 0%s" % ("(" * n, ")" * n),
-            lambda n: "%s(v > 0)" % ("!" * n),
-            lambda n: " || ".join("v > %d" % k for k in range(n)),
+            (lambda n: "%sv > 0%s" % ("(" * n, ")" * n), 96, "NoDeadlock"),
+            (lambda n: "%s(v > 0)" % ("!" * n), 95, "NoDeadlock"),
+            (lambda n: " || ".join("v > %d" % k for k in range(n)), 96, "NoDeadlock"),
+            (lambda n: "%sv%s > 0" % ("f(" * n, ")" * n), 97,
+             "Unsupported(condition beyond integer/boolean comparisons (line 10))"),
         ],
-        ids=["parentheses", "prefix operators", "operator chain"],
+        ids=["parentheses", "prefix operators", "operator chain", "call arguments"],
     )
-    def test_deep_expressions(self, shape):
-        from flowcheck.gofront.parser import MAX_NESTING
-
-        shallow = analyze_source(self.program(shape(MAX_NESTING - 10)))
-        assert shallow.worst() == "NoDeadlock"
-        deep = analyze_source(self.program(shape(1000)))
-        assert deep.worst() == "Unsupported"
-        assert deep.cases[0].verdict.reason == "nesting too deep (line 10)"
+    def test_deep_expressions(self, shape, accepted, verdict):
+        # the exact boundary: each operand, operator and call argument
+        # counts one level, so a path that skipped one would accept more
+        at_limit = analyze_source(self.program(shape(accepted)))
+        assert [str(c.verdict) for c in at_limit.cases] == [verdict] * len(at_limit.cases)
+        for depth in (accepted + 1, 1000):
+            deep = analyze_source(self.program(shape(depth)))
+            assert [str(c.verdict) for c in deep.cases] == ["Unsupported(nesting too deep (line 10))"]
 
     @pytest.mark.parametrize(
         "shape",
