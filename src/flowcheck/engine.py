@@ -4,8 +4,8 @@ Starting a definition picks one branch per union: the first whose guard
 the case's assumption and valuation make true.  A guard they leave open
 raises ``AmbiguousCondition``; splitting such guards into cases is the job
 of ``solver.partition_cases``, before reduction.  Each application starts
-once per reduction: the assumption, valuation, universe and definitions
-are fixed for it, so equal applications share one instance.
+once per reduction: the assumption, valuation, definitions and scope are
+fixed for it, so equal applications share one instance.
 
 One value may be in flight at a time (the pending type); yielded values no
 live coroutine can receive accumulate as external yields.  Rules fire in a
@@ -68,7 +68,7 @@ import heapq
 from .notation import render
 from .preds import TRUE, conj, neg, pred_evaluate, pred_free_vars, pred_simplify
 from .record import Record
-from .solver import BOTTOM, Universe, match, solve
+from .solver import BOTTOM, match, solve, universe_of
 from .terms import (
     Constrained,
     CorDef,
@@ -111,17 +111,17 @@ class AmbiguousCondition(EngineError):
 # starting and inlining definitions
 
 
-def _decide(guard, assumption, universe, valuation=None):
+def _decide(guard, assumption, valuation=None, scope=()):
     """True / False when the assumption settles the guard, else None.  A
     guard the case split partitioned on is read from the case's
-    ``valuation``; only other guards reach the solver."""
+    ``valuation``; only other guards reach the solver, over the symbols of
+    the guard, the assumption and the terms in ``scope``."""
     guard = pred_simplify(guard)
-    if guard == TRUE:
-        return True
     if valuation and guard in valuation:
         return valuation[guard]
     if not pred_free_vars(guard):
         return pred_evaluate(guard, {})
+    universe = universe_of(guard, assumption, *scope)
     if solve(conj(guard, assumption), universe) is None:
         return False
     if solve(conj(neg(guard), assumption), universe) is None:
@@ -146,15 +146,16 @@ def _resolve(t, decide):
     return t
 
 
-def start(definition, bindings=None, universe=None, assumption=TRUE, valuation=None,
-          *, defs=None):
+def start(definition, bindings=None, assumption=TRUE, valuation=None, *, defs=None, scope=()):
     """Instantiate a canonical definition, or a reference into ``defs``:
     substitute the arguments and resolve each union to one branch.  Both
     keep the flow canonical, and the new flow is canonicalized one level,
     where a chosen branch may have put a sequence or Zero.
 
     A guard the assumption (or the case's ``valuation``) leaves open raises
-    ``AmbiguousCondition``; the case split is what decides such guards.
+    ``AmbiguousCondition``; the case split is what decides such guards.  A
+    guard that reaches the solver ranges over the symbols of the bound
+    definition and of the terms in ``scope`` (a reduction passes its own).
     """
     if isinstance(definition, DefRef):
         resolved = (defs or {}).get(definition.name)
@@ -163,18 +164,16 @@ def start(definition, bindings=None, universe=None, assumption=TRUE, valuation=N
         definition = resolved
     elif not isinstance(definition, CorDef):
         raise EngineError("expected a coroutine definition, got %s" % render(definition))
-    if universe is None:
-        universe = Universe.collect(definition)
+    bound = substitute(definition, dict(bindings)) if bindings else definition
 
     def decide(guard):
-        verdict = _decide(guard, assumption, universe, valuation)
+        verdict = _decide(guard, assumption, valuation, (bound, *scope))
         if verdict is None:
             raise AmbiguousCondition(
                 "unresolved branch conditions in %s" % (definition.label or render(definition))
             )
         return verdict
 
-    bound = substitute(definition, dict(bindings)) if bindings else definition
     flow = tuple(_resolve(item, decide) for item in bound.flow)
     return canon(CorIns(flow, bound.constraint, definition.label))
 
@@ -275,12 +274,12 @@ class Verdict(Record):
 class ReductionState:
     __slots__ = (
         "insts", "kinds", "pending", "externals", "steps", "max_steps", "trace",
-        "universe", "assumption", "valuation", "defs", "main", "last_yielder",
-        "verdict", "heaps", "receivers", "log", "created", "started", "__weakref__",
+        "assumption", "valuation", "defs", "scope", "main", "last_yielder", "verdict",
+        "heaps", "receivers", "log", "created", "started", "__weakref__",
     )
 
-    def __init__(self, *, pending=ZERO, max_steps=DEFAULT_MAX_STEPS, universe=None,
-                 assumption=TRUE, valuation=None, defs=None):
+    def __init__(self, *, pending=ZERO, max_steps=DEFAULT_MAX_STEPS, assumption=TRUE,
+                 valuation=None, defs=None, scope=()):
         self.insts = {}  # number -> instance of each live coroutine, in creation order
         self.kinds = {}  # number -> head kind of its instance
         self.pending = pending
@@ -288,10 +287,10 @@ class ReductionState:
         self.steps = 0
         self.max_steps = max_steps
         self.trace = []
-        self.universe = universe
         self.assumption = assumption
         self.valuation = {} if valuation is None else valuation
         self.defs = {} if defs is None else defs
+        self.scope = scope  # terms whose symbols the solver's symbol variables range over
         self.main = None  # the number of the main coroutine
         self.last_yielder = None  # the number of the coroutine whose value is in flight
         self.verdict = None
@@ -349,10 +348,8 @@ class ReductionState:
         A start that raises is not kept."""
         inst = self.started.get(app)
         if inst is None:
-            inst = self.started[app] = start(
-                app.target, dict(app.bindings), self.universe, self.assumption,
-                self.valuation, defs=self.defs,
-            )
+            inst = self.started[app] = start(app.target, app.bindings, self.assumption,
+                                             self.valuation, defs=self.defs, scope=self.scope)
         return inst
 
 
@@ -440,7 +437,7 @@ def reduce_step(state: ReductionState):
             pattern = inst.flow[0].payload
             if inst.constraint is not None:
                 pattern = Constrained(pattern, inst.constraint)
-            conditions = match(state.pending, pattern, state.universe)
+            conditions = match(state.pending, pattern, scope=state.scope)
             if conditions is not BOTTOM:
                 _resume(state, n, conditions)
                 rule = "Resume"
@@ -464,7 +461,7 @@ def reduce_step(state: ReductionState):
         for n, inst in insts.items():
             if n == receiver or not inst.flow:
                 continue
-            conditions = match(inst, pattern, state.universe)
+            conditions = match(inst, pattern, scope=state.scope)
             if conditions is not BOTTOM:
                 _resume(state, receiver, conditions)
                 state.remove(n)
@@ -504,22 +501,21 @@ def reduce_step(state: ReductionState):
     return _terminate(state, "CoToExt", items)
 
 
-def reduce(initial, max_steps=DEFAULT_MAX_STEPS, universe=None, assumption=TRUE,
-           defs=None, valuation=None):
+def reduce(initial, max_steps=DEFAULT_MAX_STEPS, assumption=TRUE, defs=None,
+           valuation=None):
     """Run the machine on a list of instances / start applications.
 
     The first element is the main coroutine; ``defs`` resolves named
     definition references to canonical definitions (as the factories,
     ``flatten`` and ``notation.parse`` build them), ``valuation``
-    partitioned guards (see ``_decide``).  Each start counts as a step.  Returns the verdict that
-    ``reduce_step`` sets, and the trace.
+    partitioned guards (see ``_decide``); the solver ranges over the symbols
+    of the initial terms and ``defs``.  Each start counts as a step.  Returns
+    the verdict that ``reduce_step`` sets, and the trace.
     """
     initial = [flatten(t) for t in initial]
-    if universe is None:
-        universe = Universe.collect(*initial, *(defs or {}).values())
     state = ReductionState(
-        max_steps=max_steps, universe=universe, assumption=assumption,
-        valuation=valuation, defs=defs,
+        max_steps=max_steps, assumption=assumption, valuation=valuation, defs=defs,
+        scope=(*initial, *(defs or {}).values()),
     )
     for item in initial:
         if state.steps >= state.max_steps:

@@ -27,7 +27,7 @@ KEYWORDS = set("package import func go defer if else return var type struct chan
                "case map interface range const break continue goto fallthrough default".split())
 
 # tokens that allow a statement to end before a newline
-_SEMI_AFTER = {"ident", "int", "float", "imaginary", "string", ")", "}", "]",
+_SEMI_AFTER = {"ident", "int", "float", "imaginary", "string", ")", "}", "]", "++", "--",
                "return", "break", "continue", "fallthrough"}
 
 # A word, a newline, a number (all Go's scanner would take, so ``0x10`` is
@@ -40,7 +40,7 @@ _PIECE = re.compile(
           |0[bBoO][0-9_]*
           |(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)(?:[eE][+-]?[0-9_]*)?
         )i?
-      | <-|:=|==|!=|<=|>=|&&|\|\||//[^\n]*|/\*.*?(?:\*/|\Z)
+      | <-|:=|==|!=|<=|>=|&&|\|\||\+\+|--|//[^\n]*|/\*.*?(?:\*/|\Z)
       | [(){}\[\],;.:<>=!+\-*/%&|]
       | "(?:[^"\\\n]|\\[^\n])*"? | `[^`\n]*`? | '(?:[^'\\\n]|\\[^\n])*'?
       | .
@@ -49,7 +49,7 @@ _PIECE = re.compile(
 )
 
 # the pieces that name their own kind, and the newline
-_OPERATORS = "<- := == != <= >= && || ( ) { } [ ] , ; . : < > = ! + - * / % & |".split()
+_OPERATORS = "<- := == != <= >= && || ++ -- ( ) { } [ ] , ; . : < > = ! + - * / % & |".split()
 _KINDS = {k: k for k in [*KEYWORDS, *_OPERATORS]}
 _KINDS["\n"] = "newline"
 

@@ -12,7 +12,8 @@ Anything outside the subset raises Unsupported naming the construct and the
 line, so the analyzer can refuse the file instead of guessing: buffered or
 directional channels, select, close, for loops, switch, pointers, maps,
 sync primitives, if-statements with init clauses, methods, labels, several
-names in one declaration or assignment, and nesting deeper than
+names in one declaration, assignment or return, grouped declarations,
+increments, decrements, compound assignments, and nesting deeper than
 ``MAX_NESTING``.
 """
 
@@ -73,6 +74,9 @@ _UNSUPPORTED_STMTS = {
     "break": "break statement",
     "continue": "continue statement",
 }
+
+_INCREMENTS = {"++": "increment statement", "--": "decrement statement"}
+_COMPOUND = {"+=", "-=", "*=", "/=", "%=", "&=", "|=", "<<=", ">>="}  # two tokens each
 
 # Go's binary operators by precedence, loosest first
 _PRECEDENCE = {
@@ -240,6 +244,8 @@ class Parser:
 
     def parse_var_decl(self) -> VarDecl:
         line = self.expect("var").line
+        if self.kinds[self.pos] == "(":
+            raise Unsupported("grouped declaration", line)
         name = self.expect("ident").value
         gotype = None
         expr = None
@@ -328,6 +334,8 @@ class Parser:
             if kinds[pos + 1] == "=":
                 return Assign(tok.value, self.parse_expr(), tok.line)
             return VarDecl(tok.value, None, self.parse_expr(), tok.line)
+        if kind == "ident" and kinds[pos + 1] + kinds[pos + 2] in _COMPOUND:
+            raise Unsupported("compound assignment", tok.line)
         if kind == "go" or kind == "defer":
             self.pos = pos + 1
             call = self.parse_expr()
@@ -338,9 +346,10 @@ class Parser:
             return self.parse_if()
         if kind == "return":
             self.pos = pos + 1
-            if kinds[pos + 1] in (";", "}"):
-                return Return(None, tok.line)
-            return Return(self.parse_expr(), tok.line)
+            value = None if kinds[pos + 1] in (";", "}") else self.parse_expr()
+            if kinds[self.pos] == ",":
+                raise Unsupported("return of several values", tok.line)
+            return Return(value, tok.line)
         if kind == "var":
             return self.parse_var_decl()
         if kind in _UNSUPPORTED_STMTS:
@@ -349,6 +358,8 @@ class Parser:
         if kinds[self.pos] == "<-":
             self.pos += 1
             return Send(expr, self.parse_expr(), tok.line)
+        if kinds[self.pos] in _INCREMENTS:
+            raise Unsupported(_INCREMENTS[kinds[self.pos]], self.tokens[self.pos].line)
         return ExprStmt(expr, tok.line)
 
     def parse_if(self) -> If:

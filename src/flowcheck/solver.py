@@ -25,6 +25,7 @@ from .preds import (
     FALSE,
     Not,
     Or,
+    Pred,
     TRUE,
     atom_terms,
     cmp,
@@ -90,30 +91,22 @@ class ConditionSet(Record):
 
 
 class Universe:
-    """All concrete symbols of one analysis, read-only once built.
-
-    ``collect`` keeps its terms and walks them when ``symbols`` is first
-    read, so an analysis that never solves never walks them.
-    """
+    """The sorted concrete symbols that symbol variables range over."""
 
     def __init__(self, symbols=()):
-        self._symbols = tuple(sorted(set(symbols)))
+        self.symbols = tuple(sorted(set(symbols)))
 
     @classmethod
-    def collect(cls, *types):
-        universe = cls()
-        universe._terms, universe._symbols = types, None
-        return universe
+    def collect(cls, *parts):
+        """The universe of the symbols in ``parts``, terms or predicates."""
+        return cls(set().union(*map(collect_concrete, parts)))
 
-    @property
-    def symbols(self) -> tuple:
-        if self._symbols is None:
-            self._symbols = tuple(sorted(set().union(*map(collect_concrete, self._terms))))
-        return self._symbols
+
+universe_of = Universe.collect  # what the engine collects a guard's universe with
 
 
 def collect_concrete(t) -> set:
-    """All concrete type names occurring anywhere in a term."""
+    """All concrete type names occurring anywhere in a term or predicate."""
     out = set()
 
     def walk(x):
@@ -128,7 +121,7 @@ def collect_concrete(t) -> set:
                 walk(t)
         return p
 
-    walk(t)
+    (walk_pred if isinstance(t, Pred) else walk)(t)
     return out
 
 
@@ -431,26 +424,25 @@ def pred_canonical(p):
     return p
 
 
-def match(pending, pattern, universe: Universe):
+def match(pending, pattern, universe: Universe | None = None, *, scope=()):
     """Unify two (possibly constrained) types; commutative.
 
     Returns a ConditionSet on success and BOTTOM when no assignment over the
-    universe makes the types equal.  Two ground ``Concrete`` payloads, all a
-    Go channel carries, are decided by equality alone, with no rewriting:
-    the answer ``_equate`` gives for such leaves.
+    universe makes the types equal, by default the symbols of the two types
+    and of the terms in ``scope`` (a reduction passes its own), collected
+    only when the query reaches ``solve``.  Two ground ``Concrete`` payloads,
+    all a Go channel carries, are decided by equality alone, with no
+    rewriting: the answer ``_equate`` gives for such leaves.
     """
     if isinstance(pending, Concrete) and isinstance(pattern, Concrete):
         return ConditionSet({}, TRUE) if pending == pattern else BOTTOM
     a, rho1 = _strip(reduce_constrained(pending))
     b, rho2 = _strip(reduce_constrained(pattern))
     expr = pred_simplify(conj(_equate(a, b), rho1, rho2))
-    if expr == FALSE:
-        return BOTTOM
-    if expr == TRUE:
-        return ConditionSet({}, TRUE)
     if not pred_free_vars(expr):
-        ok = pred_evaluate(expr, {})
-        return ConditionSet({}, TRUE) if ok else BOTTOM
+        return ConditionSet({}, TRUE) if pred_evaluate(expr, {}) else BOTTOM
+    if universe is None:
+        universe = universe_of(pending, pattern, *scope)
     interp = solve(expr, universe)
     if interp is None:
         return BOTTOM

@@ -11,8 +11,7 @@ from flowcheck.engine import (
     start,
 )
 from flowcheck.notation import render
-from flowcheck.preds import Cmp, conj, neg
-from flowcheck.solver import Universe
+from flowcheck.preds import Cmp, conj, disj, neg
 from flowcheck.terms import (
     Concrete,
     CorIns,
@@ -193,8 +192,7 @@ class TestUnionResolution:
 
 class TestReduceStep:
     def _state(self, live, pending=ZERO):
-        universe = Universe.collect(*[e for e in live])
-        state = ReductionState(universe=universe, pending=pending)
+        state = ReductionState(pending=pending)
         for inst in live:
             state.add(inst)
         state.main = 0 if live else None
@@ -352,7 +350,7 @@ class TestTraceState:
     def test_early_entry_keeps_the_state_of_its_step(self):
         # an entry must hold a copy of the state, not the instances that
         # later steps go on changing
-        state = ReductionState(universe=Universe.collect(Int, Str))
+        state = ReductionState()
         state.add(cor_ins(yielded(Int), received(Str)))
         state.add(cor_ins(received(Int), yielded(Str)))
         state.main = 0
@@ -512,7 +510,7 @@ class TestLiveInvariants:
 
 class TestResume:
     def _step(self, inst, pending):
-        state = ReductionState(universe=Universe.collect(inst, pending), pending=pending)
+        state = ReductionState(pending=pending)
         state.main = state.add(inst)
         reduce_step(state)
         assert state.trace[-1].rule == "Resume"
@@ -535,7 +533,7 @@ class TestClassify:
     ``state.verdict``."""
 
     def _run(self, live):
-        state = ReductionState(universe=Universe.collect(Int, Str))
+        state = ReductionState()
         for inst in live:
             state.add(inst)
         while state.verdict is None:
@@ -596,7 +594,7 @@ class TestConservation:
         symbols = ("A", "B", "C")
         for _ in range(300):
             live = random_flows(rng, symbols, 4, 3)
-            state = ReductionState(universe=Universe(symbols))
+            state = ReductionState()
             for inst in live:
                 state.add(inst)
             state.main = 0
@@ -638,7 +636,7 @@ class TestRulePriorityTotality:
 
         rng = random.Random(11)
         for _ in range(200):
-            state = ReductionState(universe=Universe(("A", "B")), max_steps=100)
+            state = ReductionState(max_steps=100)
             for inst in random_flows(rng, ("A", "B"), 3, 3):
                 state.add(inst)
             state.main = 0
@@ -671,7 +669,7 @@ def random_calculus_states(seed, count):
     symbols = ("A", "B", "C")
     rng = random.Random(seed)
     for _ in range(count):
-        state = ReductionState(universe=Universe(symbols), defs=defs, max_steps=60)
+        state = ReductionState(defs=defs, max_steps=60)
         for inst in random_flows(rng, symbols, 4, 3):
             items = list(inst.flow)
             for _ in range(rng.choice((0, 0, 1, 2))):
@@ -714,7 +712,7 @@ class TestHeadIndex:
                 pattern = insts[n].flow[0].payload
                 if insts[n].constraint is not None:
                     pattern = Constrained(pattern, insts[n].constraint)
-                if match(state.pending, pattern, state.universe) is not BOTTOM:
+                if match(state.pending, pattern) is not BOTTOM:
                     predicted["Resume"] = n
                     break
         return predicted
@@ -854,3 +852,50 @@ class TestStartMemo:
         assert len(trace) == len(snapshots) + 1  # the start of main
         for entry, expected in reversed(list(zip(trace[1:], snapshots))):
             assert entry.state == expected
+
+
+def test_the_engine_takes_no_symbol_universe():
+    # the solver collects one from the terms a query reaches it with
+    import inspect
+
+    import flowcheck.engine as engine
+
+    for entry in (engine.reduce, engine.start, engine.ReductionState):
+        assert "universe" not in inspect.signature(entry).parameters, entry.__name__
+    assert "universe" not in engine.ReductionState.__slots__
+    assert not hasattr(engine, "Universe")
+
+
+class TestReductionSymbols:
+    """A query that reaches the solver inside ``reduce`` ranges over every
+    symbol of the reduction, also one that its own terms do not name."""
+
+    def test_a_match_ranges_over_a_symbol_the_two_types_do_not_name(self):
+        # x = y ∧ ¬(y = A) pins both to B, which only later items carry
+        x, y, B = Var("x"), Var("y"), Concrete("B")
+        verdict, trace = reduce([
+            cor_ins(yielded(x), yielded(B)),
+            cor_ins(received(y), received(B), constraint=neg(Cmp(y, "=", A))),
+        ])
+        assert verdict.kind == "NoDeadlock"
+        assert [e.rule for e in trace[:2]] == ["Yield", "Resume"]
+        assert trace[1].line() == "step 2 [Resume] (0, 0) ⊢ ⊚⟨[!B], [?B]⟩"
+
+    def test_a_guard_ranges_over_a_symbol_its_definition_does_not_name(self):
+        # over the definition's symbols alone, {A}, the guard would hold
+        guard = Cmp(Var("y"), "=", A)
+        d = cor_def(
+            union(constrained(yielded(A), guard), constrained(received(A), neg(guard))),
+            label="s",
+        )
+        assert start(d, {}) == cor_ins(yielded(A))
+        with pytest.raises(AmbiguousCondition, match="unresolved branch conditions in s$"):
+            reduce([start_app(d), cor_ins(yielded(Concrete("B")))])
+
+    def test_a_guard_ranges_over_the_symbols_of_its_assumption(self):
+        from flowcheck.engine import _decide
+
+        x, B = Var("x"), Concrete("B")
+        guard = Cmp(x, "=", A)
+        assert _decide(guard, disj(Cmp(x, "=", B), guard)) is None
+        assert _decide(guard, Cmp(x, "=", B)) is False

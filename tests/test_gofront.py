@@ -164,8 +164,16 @@ class TestNamedRefusals:
              "assignment to several variables (line 7)"),
             ("type S struct{}\n\nfunc (s S) f() {}\n\n", "", "method declaration (line 5)"),
             ("", "L:\n", "labeled statement (line 5)"),
+            # the decrement used to join the receive below it: x - -(<-ch)
+            ("", "\tgo func() { ch <- 1 }()\n\tx := 5\n\tx--\n",
+             "decrement statement (line 7)"),
+            ("", "\tx := 0\n\tx++\n", "increment statement (line 6)"),
+            ("var (\n\ta int\n)\n\n", "", "grouped declaration (line 3)"),
+            ("", "\treturn 1, 2\n", "return of several values (line 5)"),
+            ("", "\tx := 0\n\tx += 1\n", "compound assignment (line 6)"),
         ],
-        ids=["short declaration", "local var", "package var", "assignment", "method", "label"],
+        ids=["short declaration", "local var", "package var", "assignment", "method", "label",
+             "decrement", "increment", "grouped var", "return", "compound"],
     )
     def test_reason_and_exit_code(self, top, body, reason, tmp_path, capsys):
         source = self.program(top, body)
@@ -776,7 +784,6 @@ class TestPartitionedGuardsSkipTheSolver:
     def test_a_guard_in_no_valuation_still_reaches_the_solver(self, solve_calls):
         from flowcheck.engine import start
         from flowcheck.preds import Cmp
-        from flowcheck.solver import Universe
         from flowcheck.terms import (
             Concrete, Var, constrained, cor_def, received, union, yielded,
         )
@@ -787,14 +794,13 @@ class TestPartitionedGuardsSkipTheSolver:
             constrained(received(Concrete("Int")), guard),
             constrained(yielded(Concrete("Int")), Cmp(x, ">", 3)),
         ))
-        universe = Universe.collect(definition)
         assumption = Cmp(x, "<=", 0)
         other = {Cmp(Var("y"), "<=", 3): True}
-        chosen = start(definition, {}, universe, assumption, other)
+        chosen = start(definition, {}, assumption, other)
         assert chosen.flow == (received(Concrete("Int")),)
         assert solve_calls
         solve_calls.clear()
-        assert start(definition, {}, universe, assumption, {guard: True}) == chosen
+        assert start(definition, {}, assumption, {guard: True}) == chosen
         assert solve_calls == []
 
 
@@ -995,12 +1001,15 @@ class TestAnalyze:
         # no Go program here calls the solver, which alone reads the symbols
         import flowcheck.solver as solver
 
-        calls = []
-        real = solver.collect_concrete
+        calls, universes = [], []
+        real, init = solver.collect_concrete, solver.Universe.__init__
         monkeypatch.setattr(solver, "collect_concrete", lambda t: calls.append(t) or real(t))
+        monkeypatch.setattr(solver.Universe, "__init__",
+                            lambda u, *args: universes.append(args) or init(u, *args))
         for path in corpus_files():
             analyze_source(path.read_bytes())
-        assert calls == []
+        analyze_source(independent_guards(4))
+        assert calls == [] and universes == []
 
     def test_conditional_partitions_into_four_cases(self):
         analysis = analyze_source(CONDITIONAL)

@@ -27,7 +27,7 @@ class TestSemicolons:
         [("x", "ident"), ("1", "int"), ('"s"', "string"), ("`s`", "string"),
          ("'s'", "string"), (")", ")"), ("}", "}"), ("]", "]"),
          ("return", "return"), ("break", "break"), ("continue", "continue"),
-         ("fallthrough", "fallthrough")],
+         ("fallthrough", "fallthrough"), ("++", "++"), ("--", "--")],
     )
     def test_inserted_at_a_newline_after(self, source, kind):
         assert tokenize(source + "\ny") == [
@@ -68,7 +68,7 @@ class TestTokens:
         ]
 
     def test_two_character_operators(self):
-        operators = ["<-", ":=", "==", "!=", "<=", ">=", "&&", "||"]
+        operators = ["<-", ":=", "++", "--", "==", "!=", "<=", ">=", "&&", "||"]
         assert kinds(" ".join(operators)) == operators + ["eof"]
 
     def test_one_character_operators(self):
@@ -224,7 +224,7 @@ _REFERENCE_RE = re.compile(
                 |(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)(?:[eE][+-]?[0-9_]*)?
                )i?)
   | (?P<string>"(?:[^"\\\n]|\\[^\n])*"|`[^`\n]*`|'(?:[^'\\\n]|\\[^\n])*')
-  | (?P<op><-|:=|==|!=|<=|>=|&&|\|\||/(?!\*)|[(){}\[\],;.:<>=!+\-*%&|])
+  | (?P<op><-|:=|==|!=|<=|>=|&&|\|\||\+\+|--|/(?!\*)|[(){}\[\],;.:<>=!+\-*%&|])
     """,
     re.VERBOSE | re.DOTALL,
 )

@@ -10,7 +10,6 @@ pick must at least be one of the reachable outcomes.
 import random
 
 from flowcheck.engine import reduce
-from flowcheck.solver import Universe
 from flowcheck.terms import Concrete, CorIns, Directed, RECEIVE, YIELD
 
 from oracle import explore
@@ -35,8 +34,7 @@ def engine_verdict(instances):
         CorIns(tuple(Directed(d, Concrete(s)) for d, s in items))
         for items in instances
     ]
-    universe = Universe(SYMBOLS)
-    verdict, _ = reduce(terms, universe=universe)
+    verdict, _ = reduce(terms)
     return verdict.kind
 
 

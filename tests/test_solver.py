@@ -591,7 +591,7 @@ class TestCaseValuation:
         for case in cases:
             assert set(case.valuation) == {g for g in simplified if pred_free_vars(g)}
             for guard, value in case.valuation.items():
-                assert _decide(guard, case.assumption, u) is value
+                assert _decide(guard, case.assumption) is value
                 assert self.oracle_decide(guard, case.assumption, u) is value
 
 
