@@ -2,7 +2,8 @@
 
 The package clause, imports and struct declarations are checked by the
 parser and then dropped, so a ``Program`` holds only its global variables
-and its functions.
+and its functions.  ``operands`` states Go's order of evaluation, once for
+every node class.
 """
 
 from __future__ import annotations
@@ -147,3 +148,31 @@ class Program(Node):
     # globals: VarDecls; functions: name -> Func, declared functions only (a
     # literal lives in its FuncLit)
     __slots__ = ("globals", "functions")
+
+
+# -- evaluation order ---------------------------------------------------------
+
+# the one operand field of each node that evaluates one expression
+_OPERAND = {
+    Recv: "chan", Unary: "operand", MakeExpr: "size", GoStmt: "call", DeferStmt: "call",
+    If: "cond", VarDecl: "expr", Assign: "expr", ExprStmt: "expr", Return: "expr",
+}
+
+
+def operands(n) -> tuple:
+    """The expressions Go evaluates for ``n``, in Go's order; none for a
+    leaf, a ``make`` without a size or a statement without an expression.
+    A function literal's body and an ``if``'s blocks are no operands: they
+    run later, or not at all."""
+    cls = n.__class__
+    field = _OPERAND.get(cls)
+    if field is not None:
+        e = getattr(n, field)
+        return () if e is None else (e,)
+    if cls is Call:
+        return (n.fn, *n.args)
+    if cls is Binary:
+        return n.left, n.right
+    if cls is Send:
+        return n.chan, n.value
+    return ()

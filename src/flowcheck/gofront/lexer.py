@@ -40,8 +40,8 @@ _PIECE = re.compile(
           |0[bBoO][0-9_]*
           |(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)(?:[eE][+-]?[0-9_]*)?
         )i?
-      | <-|:=|==|!=|<=|>=|&&|\|\||\+\+|--|//[^\n]*|/\*.*?(?:\*/|\Z)
-      | [(){}\[\],;.:<>=!+\-*/%&|]
+      | <-|:=|==|!=|<=|>=|&&|\|\||\+\+|--|<<|>>|&\^|//[^\n]*|/\*.*?(?:\*/|\Z)
+      | [(){}\[\],;.:<>=!+\-*/%&|^]
       | "(?:[^"\\\n]|\\[^\n])*"? | `[^`\n]*`? | '(?:[^'\\\n]|\\[^\n])*'?
       | .
     )""",
@@ -49,7 +49,7 @@ _PIECE = re.compile(
 )
 
 # the pieces that name their own kind, and the newline
-_OPERATORS = "<- := == != <= >= && || ++ -- ( ) { } [ ] , ; . : < > = ! + - * / % & |".split()
+_OPERATORS = "<- := == != <= >= && || ++ -- << >> &^ ( ) { } [ ] , ; . : < > = ! + - * / % & | ^".split()
 _KINDS = {k: k for k in [*KEYWORDS, *_OPERATORS]}
 _KINDS["\n"] = "newline"
 

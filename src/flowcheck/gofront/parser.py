@@ -13,8 +13,8 @@ line, so the analyzer can refuse the file instead of guessing: buffered or
 directional channels, select, close, for loops, switch, pointers, maps,
 sync primitives, if-statements with init clauses, methods, labels, several
 names in one declaration, assignment or return, grouped declarations,
-increments, decrements, compound assignments, and nesting deeper than
-``MAX_NESTING``.
+increments, decrements, compound assignments, assignments to a field,
+bitwise and shift operators, and nesting deeper than ``MAX_NESTING``.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ _UNSUPPORTED_STMTS = {
 }
 
 _INCREMENTS = {"++": "increment statement", "--": "decrement statement"}
-_COMPOUND = {"+=", "-=", "*=", "/=", "%=", "&=", "|=", "<<=", ">>="}  # two tokens each
+_COMPOUND = {"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", "&^="}  # two tokens each
 
 # Go's binary operators by precedence, loosest first
 _PRECEDENCE = {
@@ -86,6 +86,13 @@ _PRECEDENCE = {
     "+": 4, "-": 4,
     "*": 5, "/": 5, "%": 5,
 }
+
+# Go's operators that have no entry there, each by the name it is refused with
+_UNSUPPORTED_BINARY = {
+    "&": "bitwise operator &", "|": "bitwise operator |", "^": "bitwise operator ^",
+    "&^": "bitwise operator &^", "<<": "shift operator <<", ">>": "shift operator >>",
+}
+_UNSUPPORTED_UNARY = {"^": "bitwise complement", "&": "address operation"}
 
 # the kinds that may follow an operand as a call or a selector
 _POSTFIXES = {"(", "."}
@@ -336,6 +343,9 @@ class Parser:
             return VarDecl(tok.value, None, self.parse_expr(), tok.line)
         if kind == "ident" and kinds[pos + 1] + kinds[pos + 2] in _COMPOUND:
             raise Unsupported("compound assignment", tok.line)
+        if kind == "ident" and kinds[pos + 1] == "." and kinds[pos + 2] == "ident" and (
+                kinds[pos + 3] == "=" or kinds[pos + 3] + kinds[pos + 4] in _COMPOUND):
+            raise Unsupported("assignment to a field", tok.line)
         if kind == "go" or kind == "defer":
             self.pos = pos + 1
             call = self.parse_expr()
@@ -388,6 +398,9 @@ class Parser:
             self.pos += 1
             self.descend(tok.line)
             left = Binary(tok.kind, left, self.parse_expr(level + 1), tok.line)
+        if kinds[self.pos] in _UNSUPPORTED_BINARY:
+            tok = self.tokens[self.pos]
+            raise Unsupported(_UNSUPPORTED_BINARY[tok.kind], tok.line)
         self.depth = outer
         return left
 
@@ -473,6 +486,8 @@ class Parser:
             raise Unsupported(_UNSUPPORTED_STMTS[kind], tok.line)
         if kind == "chan":
             raise Unsupported("channel type in expression", tok.line)
+        if kind in _UNSUPPORTED_UNARY:
+            raise Unsupported(_UNSUPPORTED_UNARY[kind], tok.line)
         raise GoSyntaxError(tok.line, "unexpected %r in expression" % tok.value)
 
     def parse_make(self, line) -> MakeExpr:

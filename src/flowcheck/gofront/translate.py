@@ -16,15 +16,20 @@ by statement: sends yield the channel's element type, receives expect it,
 and undecided conditionals become unions guarded by the condition
 predicate; ``Translation.guarded`` records whether any did, and only then
 does the analysis run ``unresolved_condition_preds``, the guard pre-pass.
-One method, ``_call``, translates every call, ``go`` and ``defer``: it
-evaluates the callee and the arguments now (an identifier, selector or
-literal operand yields no flow item and skips ``_expr_items``), and a call
-of a member becomes an inline application, a ``go`` a start application, and
-a ``defer`` an inline application at the end of the flow (last deferred
-first).  Each named member translates once, in declaration order, and a
-call site names its callee with a reference; a function literal is
-translated from its ``FuncLit`` where it runs, with the facts there: at its
-call or ``go``, or at the function's end when deferred.
+Go's order of evaluation is stated once, by ``goast.operands``: ``_walk``
+visits operands in that order, and ``_items``, which translates every
+expression and every statement but ``if``, takes their flow items in it
+before the node's own (an identifier, selector or literal yields none and
+is skipped), so a call in a channel operand or a ``make`` size runs before
+the operation.  The right operand of ``&&`` or ``||`` counts only when the
+left one folds to a value that leaves the result open; one with flow items
+is refused when the left one does not fold.  ``_call`` builds every
+application: a call of a member becomes an inline application, a ``go`` a
+start application, and a ``defer`` an inline application at the end of the
+flow (last deferred first).  Each named member translates once, in
+declaration order, and a call site names its callee with a reference; a
+function literal is translated from its ``FuncLit`` where it runs, with the
+facts there: at its call or ``go``, or at the function's end when deferred.
 One evaluator, ``_fold``, folds an integer expression in one walk: exactly
 over literals, as Go evaluates a constant expression, and with 64-bit
 wrap-around at each operation a variable takes part in.
@@ -66,7 +71,6 @@ from .goast import (
     Call,
     ChanType,
     DeferStmt,
-    ExprStmt,
     Func,
     FuncLit,
     FuncType,
@@ -86,6 +90,7 @@ from .goast import (
     StringLit,
     Unary,
     VarDecl,
+    operands,
 )
 from .parser import Unsupported
 
@@ -199,45 +204,31 @@ class Translator:
                     self.shared.add(decl)
         return scope
 
-    def _walk(self, n, scope, owner, uses, values):
-        """Record, outside in, the Decl each identifier of ``n`` resolves to
-        in ``decls``, each send, receive and call in ``uses`` as ``(owner,
-        node)``, and each function used other than as a callee in ``values``.
-        A block is scanned, and a function literal's body as a function."""
-        cls = n.__class__
-        if cls is Ident:
-            decl = self.decls[id(n)] = scope.get(n.name) or self.package.get(n.name)
-            if decl is not None and decl.gotype.__class__ is Func:
-                values.append(n)
-        elif cls is Call:
-            uses.append((owner, n))
-            self._walk(n.fn, scope, owner, uses, values)
-            if values and values[-1] is n.fn:
-                values.pop()  # a callee is no value
-            for a in n.args:
-                self._walk(a, scope, owner, uses, values)
-        elif cls is Binary:
-            self._walk(n.left, scope, owner, uses, values)
-            self._walk(n.right, scope, owner, uses, values)
-        elif cls is Send or cls is Recv:
-            uses.append((owner, n))
-            self._walk(n.chan, scope, owner, uses, values)
-            if cls is Send:
-                self._walk(n.value, scope, owner, uses, values)
-        elif cls is FuncLit:
-            params = {p: Decl(t, n.func.name) for p, t in n.func.params}
-            self._scan(n.func.body, scope | params, n.func.name, uses, values)
-            values.append(n)
-        elif cls is If:
-            self._walk(n.cond, scope, owner, uses, values)
-            self._scan(n.then, scope, owner, uses, values)
-            self._scan(n.els, scope, owner, uses, values)
-        elif cls is GoStmt or cls is DeferStmt:
-            self._walk(n.call, scope, owner, uses, values)
-        elif cls is Unary:
-            self._walk(n.operand, scope, owner, uses, values)
-        elif (e := getattr(n, "expr", None)) is not None:  # a statement of one expression
-            self._walk(e, scope, owner, uses, values)
+    def _walk(self, s, scope, owner, uses, values):
+        """Record, outside in and in Go's order, the Decl each identifier of
+        statement ``s`` resolves to in ``decls``, each send, receive and call
+        in ``uses`` as ``(owner, node)``, and each function named or written
+        in ``values`` by id.  A function literal's body is scanned as a
+        function, and an ``if``'s blocks after its condition."""
+        work = [s]
+        while work:
+            n = work.pop()
+            cls = n.__class__
+            if cls is Ident:
+                decl = self.decls[id(n)] = scope.get(n.name) or self.package.get(n.name)
+                if decl is not None and decl.gotype.__class__ is Func:
+                    values[id(n)] = n
+            elif cls is FuncLit:
+                params = {p: Decl(t, n.func.name) for p, t in n.func.params}
+                self._scan(n.func.body, scope | params, n.func.name, uses, values)
+                values[id(n)] = n
+            else:
+                if cls is Call or cls is Send or cls is Recv:
+                    uses.append((owner, n))
+                work += reversed(operands(n))
+        if s.__class__ is If:
+            self._scan(s.then, scope, owner, uses, values)
+            self._scan(s.els, scope, owner, uses, values)
 
     def _type(self, e):
         """The Go type a declaration fixes for the expression ``e``, or None:
@@ -258,16 +249,18 @@ class Translator:
         channel operations with it.  So is a channel operation in a global's
         initializer, which would run before ``main``."""
         uses: list = []  # (function name, a send, receive or call in its body)
-        values: list = []  # a function named or written other than as a callee
+        values: dict = {}  # the id of each function named or written -> its node
         self.package.update(self._scan(self.program.globals, {}, None, uses, values))
         for name, f in self.program.functions.items():
             self._scan(f.body, {p: Decl(t, name) for p, t in f.params}, name, uses, values)
         members = {}  # name -> the line of its first channel use or member call
         callers = defaultdict(dict)  # callee name -> {caller: the line of its first call}
         for owner, n in uses:
-            if not isinstance(n, Call):
+            if n.__class__ is not Call:
                 members.setdefault(owner, n.line)
-            elif isinstance(callee := self._type(n.fn), Func):
+                continue
+            values.pop(id(n.fn), None)  # a callee is no value
+            if isinstance(callee := self._type(n.fn), Func):
                 callers[callee.name].setdefault(owner, n.line)
         work = list(members)
         while work:
@@ -277,7 +270,7 @@ class Translator:
                     work.append(caller)
         if None in members:
             raise Unsupported("channel operation in a package-level initializer", members[None])
-        for n in values:
+        for n in values.values():
             func = self._type(n)
             if func.name in members:
                 shown = "literal" if n.__class__ is FuncLit else func.name
@@ -289,7 +282,7 @@ class Translator:
     def translate_all(self) -> dict:
         root = Env({}, set())
         for g in self.program.globals:
-            self._stmt(g, root, None)  # yields no flow: _members refused any
+            self._items(g, root)  # yields no flow: _members refused any
         root.nil -= self.assigned  # some function may make it first
         for name, f in self.program.functions.items():
             if name in self.members:
@@ -315,32 +308,12 @@ class Translator:
         for s in stmts:
             if returned:
                 raise Unsupported("statement after return", s.line)
-            new_items, returned = self._stmt(s, env, deferred)
+            if s.__class__ is If:
+                new_items, returned = self._if(s, env, deferred)
+            else:
+                new_items, returned = self._items(s, env, deferred), s.__class__ is Return
             items.extend(new_items)
         return items, returned
-
-    def _stmt(self, s, env: Env, deferred) -> tuple:
-        if isinstance(s, (VarDecl, Assign)):
-            items = self._expr_items(s.expr, env)
-            self._bind(env, self.decls[id(s)], s.expr)
-            return items, False
-        if isinstance(s, Send):
-            items = self._expr_items(s.value, env)
-            items.append(yielded(Concrete(self._chan_elem(s, env))))
-            return items, False
-        if isinstance(s, ExprStmt):
-            return self._expr_items(s.expr, env), False
-        if isinstance(s, GoStmt):
-            return self._call(s.call, env, StartApp), False
-        if isinstance(s, DeferStmt):
-            if deferred is None:
-                raise Unsupported("defer inside a conditional", s.line)
-            return self._call(s.call, env, InlineApp, deferred), False
-        if isinstance(s, If):
-            return self._if(s, env, deferred)
-        if isinstance(s, Return):
-            return self._expr_items(s.expr, env), True
-        raise Unsupported("unrecognized statement", s.line)
 
     def _if(self, s: If, env: Env, deferred) -> tuple:
         pred = pred_simplify(self._cond_pred(s.cond, env))
@@ -366,35 +339,60 @@ class Translator:
 
     # -- expressions ------------------------------------------------------------
 
-    def _expr_items(self, e, env: Env) -> list:
-        """Flow items an expression evaluation produces, in evaluation order;
-        a call's come from ``_call``.  An absent expression (None) produces
-        none."""
-        if isinstance(e, Recv):
-            fn = getattr(e.chan, "fn", None)
+    def _items(self, n, env: Env, deferred=None, app_cls=InlineApp) -> list:
+        """The flow items of running ``n``, an expression or a statement other
+        than ``if``: its operands', in Go's order (see ``operands``), then
+        its own: a send's, a receive's, or for a call of a member an
+        ``app_cls`` application, which joins ``deferred`` when the call is
+        deferred.  A declaration or assignment then binds its name."""
+        cls = n.__class__
+        if cls is GoStmt:
+            return self._items(*operands(n), env, None, StartApp)
+        if cls is DeferStmt:
+            if deferred is None:
+                raise Unsupported("defer inside a conditional", n.line)
+            return self._items(*operands(n), env, deferred)
+        if cls is Binary and n.op in ("&&", "||"):
+            return self._short_circuit(n, env)
+        items = []
+        for e in operands(n):
+            if e.__class__ not in _NO_ITEMS:
+                items += self._items(e, env)
+        if cls is Call:
+            return self._call(n, env, items, app_cls, deferred)
+        if cls is Send:
+            items.append(yielded(Concrete(self._chan_elem(n, env))))
+        elif cls is Recv:
+            fn = getattr(n.chan, "fn", None)
             if isinstance(fn, Selector) and (fn.pkg, fn.name) == ("time", "After"):
                 # <-time.After(d) completes: the runtime yields a Time on a fresh channel
-                return [yielded(Concrete("Time")), received(Concrete("Time"))]
-            return [received(Concrete(self._chan_elem(e, env)))]
-        if isinstance(e, Call):
-            return self._call(e, env, InlineApp)
-        if isinstance(e, Unary):
-            return self._expr_items(e.operand, env)
-        if isinstance(e, Binary):
-            return self._expr_items(e.left, env) + self._expr_items(e.right, env)
-        if isinstance(e, MakeExpr) and isinstance(e.gotype, ChanType):
-            self.chan_makes[concrete_name(e.gotype.elem)] += 1
-        return []
+                items += [yielded(Concrete("Time")), received(Concrete("Time"))]
+            else:
+                items.append(received(Concrete(self._chan_elem(n, env))))
+        elif cls is VarDecl or cls is Assign:
+            self._bind(env, self.decls[id(n)], n.expr)
+        elif cls is MakeExpr and isinstance(n.gotype, ChanType):
+            self.chan_makes[concrete_name(n.gotype.elem)] += 1
+        return items
 
-    def _call(self, call: Call, env: Env, app_cls, deferred=None) -> list:
-        """The flow items of a call, ``go`` or ``defer``: the callee's and
-        the arguments', then, for a member, an ``app_cls`` application, or
-        none when it joins ``deferred``.  A literal callee translates where
-        it runs: here, or at the function's end when deferred."""
-        items = []
-        for a in (call.fn, *call.args):
-            if a.__class__ not in _NO_ITEMS:
-                items += self._expr_items(a, env)
+    def _short_circuit(self, e: Binary, env: Env) -> list:
+        """The flow items of ``&&`` or ``||``: Go evaluates the right operand
+        only when the left one does not decide the result.  When the right
+        operand yields flow items, the left one must fold to a constant."""
+        left, right = (self._items(o, env) for o in operands(e))
+        if right:
+            value, _ = self._fold(e.left, env)
+            if value is None:
+                raise Unsupported("channel operation in the right operand of %s" % e.op, e.line)
+            if (value != 0) != (e.op == "&&"):
+                return left
+        return left + right
+
+    def _call(self, call: Call, env: Env, items: list, app_cls, deferred) -> list:
+        """``items``, the flow items of a call's operands, then, for a call,
+        ``go`` or ``defer`` of a member, an ``app_cls`` application, or none
+        when it joins ``deferred``.  A literal callee translates where it
+        runs: here, or at the function's end when deferred."""
         func = self._type(call.fn)
         if not isinstance(func, Func) or func.name not in self.members:
             return items

@@ -16,6 +16,7 @@ from flowcheck.gofront import (
     parse,
     unresolved_condition_preds,
 )
+from flowcheck.gofront import goast
 from flowcheck.gofront.goast import (
     ChanType,
     DeferStmt,
@@ -171,9 +172,25 @@ class TestNamedRefusals:
             ("var (\n\ta int\n)\n\n", "", "grouped declaration (line 3)"),
             ("", "\treturn 1, 2\n", "return of several values (line 5)"),
             ("", "\tx := 0\n\tx += 1\n", "compound assignment (line 6)"),
+            ("", "\tx := 1 << 3\n", "shift operator << (line 5)"),
+            ("", "\tx := 8 >> 1\n", "shift operator >> (line 5)"),
+            ("", "\tx := 6 & 3\n", "bitwise operator & (line 5)"),
+            ("", "\tx := 6 | 3\n", "bitwise operator | (line 5)"),
+            ("", "\tx := 6 ^ 3\n", "bitwise operator ^ (line 5)"),
+            ("", "\tx := 6 &^ 3\n", "bitwise operator &^ (line 5)"),
+            ("", "\tx := ^6\n", "bitwise complement (line 5)"),
+            ("", "\tx := 0\n\tx ^= 1\n", "compound assignment (line 6)"),
+            ("", "\tx := 0\n\tx &^= 1\n", "compound assignment (line 6)"),
+            ("", "\tx := 0\n\tx <<= 1\n", "compound assignment (line 6)"),
+            ("type S struct {\n\tn int\n}\n\n", "\tvar s S\n\ts.n = 1\n",
+             "assignment to a field (line 10)"),
+            ("type S struct {\n\tn int\n}\n\n", "\tvar s S\n\ts.n += 1\n",
+             "assignment to a field (line 10)"),
         ],
         ids=["short declaration", "local var", "package var", "assignment", "method", "label",
-             "decrement", "increment", "grouped var", "return", "compound"],
+             "decrement", "increment", "grouped var", "return", "compound", "shift left",
+             "shift right", "and", "or", "xor", "and not", "complement", "xor assign",
+             "and-not assign", "shift assign", "field", "field compound"],
     )
     def test_reason_and_exit_code(self, top, body, reason, tmp_path, capsys):
         source = self.program(top, body)
@@ -1197,6 +1214,154 @@ func main() {
         assert notation.render(tr.cordefs["negated"]) == "corDef[?Int]"
         assert "Inline(negated)" in notation.render(tr.cordefs["twice"])
         assert analyze_source(source).worst() == "NoDeadlock"
+
+
+def operand_program(funcs, body):
+    """A program with the package-level lines ``funcs``, then a ``main``
+    that makes ``ch`` and runs the lines ``body``."""
+    lines = ["package main", "", 'import "fmt"', ""] + list(funcs)
+    lines += ["func main() {", "\tch := make(chan int)"] + ["\t" + b for b in body]
+    return "\n".join(lines + ["\tfmt.Println()", "}", ""])
+
+
+# mk starts a sender or a receiver on its channel and returns it; f starts a
+# sender and returns a size, and g makes a slice of that size; or f sends
+STARTS_SENDER = ("func mk(c chan int) chan int {", "\tgo func() { c <- 1 }()", "\treturn c", "}", "")
+STARTS_RECEIVER = ("func mk(c chan int) chan int {", "\tgo func() { <-c }()", "\treturn c", "}", "")
+SIZE_SENDER = ("func f(c chan int) int {", "\tgo func() { c <- 1 }()", "\treturn 1", "}", "")
+SIZE_IN_G = SIZE_SENDER + ("func g(c chan int) {", "\ts := make([]int, f(c))", "\tfmt.Println(s)",
+                           "}", "")
+SENDS = ("func f(c chan int) bool {", "\tc <- 1", "\treturn true", "}", "")
+
+
+class TestEvaluationOrder:
+    """Every operand Go evaluates yields its flow items, in Go's order."""
+
+    @pytest.mark.parametrize(
+        "funcs, body",
+        [
+            (STARTS_SENDER, ["<-mk(ch)"]),
+            (STARTS_RECEIVER, ["mk(ch) <- 1"]),
+            (SIZE_SENDER, ["s := make([]int, f(ch))", "fmt.Println(s)", "<-ch"]),
+            (SIZE_IN_G, ["go g(ch)", "<-ch"]),
+        ],
+        ids=["receive channel", "send channel", "make size", "make size in a goroutine"],
+    )
+    def test_a_channel_operand_or_make_size_runs_first(self, funcs, body):
+        assert analyze_source(operand_program(funcs, body)).worst() == "NoDeadlock"
+
+    def test_a_call_in_a_make_size_makes_its_caller_a_member(self):
+        source = operand_program(SIZE_IN_G, ["go g(ch)", "<-ch"])
+        assert notation.render(compute_m(parse(source)).cordefs["g"]) == "corDef[Inline(f)]"
+
+    @pytest.mark.parametrize(
+        "body, expected",
+        [
+            # Go never calls f, so the receiver still waits when main returns
+            (["go func() { <-ch }()", "b := false && f(ch)", "fmt.Println(b)"], "Deadlock"),
+            (["ok := true", "b := ok || f(ch)", "fmt.Println(b)"], "NoDeadlock"),
+            (["go func() { <-ch }()", "b := true && f(ch)", "fmt.Println(b)"], "NoDeadlock"),
+            (["ok := false", "b := ok || f(ch)", "fmt.Println(b)"], "Deadlock"),
+        ],
+        ids=["false &&", "true ||", "true &&", "false ||"],
+    )
+    def test_a_decided_left_operand_keeps_or_drops_the_right(self, body, expected):
+        assert analyze_source(operand_program(SENDS, body)).worst() == expected
+
+    def test_an_undecided_left_operand_is_refused(self):
+        source = operand_program(
+            SENDS + ("func g(ok bool, c chan int) {", "\tb := ok && f(c)", "\tfmt.Println(b)", "}", ""),
+            ["go func() { <-ch }()", "g(true, ch)"])
+        assert [str(c.verdict) for c in analyze_source(source).cases] == [
+            "Unsupported(channel operation in the right operand of && (line 11))"]
+
+    def test_a_right_operand_without_flow_items_is_not_folded(self):
+        source = operand_program(
+            ("func g(ok bool, c chan int) {", "\tb := ok && len(\"x\") > 0", "\tfmt.Println(b)",
+             "\tc <- 1", "}", ""),
+            ["go g(true, ch)", "<-ch"])
+        assert analyze_source(source).worst() == "NoDeadlock"
+
+
+class Sentinel:
+    """A stand-in for the value of one field of a node, for ``operands`` to
+    return or leave."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def __repr__(self):
+        return "<%s>" % self.field
+
+
+# each node class with operands, to the fields it evaluates, in Go's order;
+# ``args`` holds several
+OPERAND_FIELDS = {
+    goast.Call: ("fn", "args"),
+    goast.Binary: ("left", "right"),
+    goast.Send: ("chan", "value"),
+    goast.Recv: ("chan",),
+    goast.Unary: ("operand",),
+    goast.MakeExpr: ("size",),
+    goast.GoStmt: ("call",),
+    goast.DeferStmt: ("call",),
+    goast.If: ("cond",),
+    goast.VarDecl: ("expr",),
+    goast.Assign: ("expr",),
+    goast.ExprStmt: ("expr",),
+    goast.Return: ("expr",),
+}
+# nodes Go evaluates nothing inside of: a name, a literal, a function
+# literal (its body runs when it is called), a type, a declaration
+LEAVES = {
+    goast.Ident, goast.Selector, goast.IntLit, goast.StringLit, goast.BoolLit, goast.NilLit,
+    goast.FuncLit, goast.NamedType, goast.ChanType, goast.SliceType, goast.FuncType, goast.Func,
+    goast.Program,
+}
+
+
+def node_classes():
+    found, work = [], [goast.Node]
+    while work:
+        for cls in work.pop().__subclasses__():
+            if cls.__module__ == goast.__name__:
+                found.append(cls)
+                work.append(cls)
+    return found
+
+
+def sentinel_node(cls):
+    """``cls`` with a distinct sentinel in each field, two in ``args``."""
+    fields = [f for f in cls.__slots__ if f != "line"]
+    values = {f: (Sentinel("args.0"), Sentinel("args.1")) if f == "args" else Sentinel(f)
+              for f in fields}
+    return cls(*(values[f] for f in fields)), values
+
+
+class TestOperands:
+    """``operands`` is the one statement of Go's order of evaluation."""
+
+    def test_every_node_class_is_listed(self):
+        assert set(node_classes()) == set(OPERAND_FIELDS) | LEAVES
+        assert not set(OPERAND_FIELDS) & LEAVES
+
+    @pytest.mark.parametrize("cls", sorted(OPERAND_FIELDS, key=lambda c: c.__name__))
+    def test_sentinels_in_go_order(self, cls):
+        node, values = sentinel_node(cls)
+        expected = []
+        for field in OPERAND_FIELDS[cls]:
+            expected += values[field] if field == "args" else [values[field]]
+        assert list(goast.operands(node)) == expected
+
+    @pytest.mark.parametrize("cls", sorted(LEAVES, key=lambda c: c.__name__))
+    def test_a_leaf_has_none(self, cls):
+        assert goast.operands(sentinel_node(cls)[0]) == ()
+
+    @pytest.mark.parametrize("cls", [goast.MakeExpr, goast.VarDecl, goast.Return])
+    def test_an_absent_operand_is_none(self, cls):
+        node, values = sentinel_node(cls)
+        node = cls(*(None if f in OPERAND_FIELDS[cls] else v for f, v in values.items()))
+        assert goast.operands(node) == ()
 
 
 class TestNestingLimit:

@@ -75,6 +75,14 @@ PROGRAMS = [
         id="send-then-call-recv",
     ),
     pytest.param(
+        go("ch := make(chan int)", "<-mk(ch)",
+           funcs=("func mk(c chan int) chan int {", "\tc <- 1", "\treturn c", "}", "")),
+        "Deadlock",
+        marks=gap("FOUND 53: the receive on the channel a callee returns takes the "
+                  "value the callee sent"),
+        id="send-then-return-channel",
+    ),
+    pytest.param(
         go("a := make(chan int)", "b := make(chan int)", "go func() {", "\ta <- 1", "}()",
            "<-b"),
         "Deadlock",

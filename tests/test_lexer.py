@@ -68,12 +68,12 @@ class TestTokens:
         ]
 
     def test_two_character_operators(self):
-        operators = ["<-", ":=", "++", "--", "==", "!=", "<=", ">=", "&&", "||"]
+        operators = ["<-", ":=", "++", "--", "==", "!=", "<=", ">=", "&&", "||", "<<", ">>", "&^"]
         assert kinds(" ".join(operators)) == operators + ["eof"]
 
     def test_one_character_operators(self):
-        assert kinds("( ) { } [ ] , ; . : < > = ! + - * / % & |")[:-1] == (
-            "( ) { } [ ] , ; . : < > = ! + - * / % & |".split())
+        assert kinds("( ) { } [ ] , ; . : < > = ! + - * / % & | ^")[:-1] == (
+            "( ) { } [ ] , ; . : < > = ! + - * / % & | ^".split())
 
     @pytest.mark.parametrize(
         "literal",
@@ -224,7 +224,7 @@ _REFERENCE_RE = re.compile(
                 |(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)(?:[eE][+-]?[0-9_]*)?
                )i?)
   | (?P<string>"(?:[^"\\\n]|\\[^\n])*"|`[^`\n]*`|'(?:[^'\\\n]|\\[^\n])*')
-  | (?P<op><-|:=|==|!=|<=|>=|&&|\|\||\+\+|--|/(?!\*)|[(){}\[\],;.:<>=!+\-*%&|])
+  | (?P<op><-|:=|==|!=|<=|>=|&&|\|\||\+\+|--|<<|>>|&\^|/(?!\*)|[(){}\[\],;.:<>=!+\-*%&|^])
     """,
     re.VERBOSE | re.DOTALL,
 )
