@@ -5,7 +5,9 @@ the case's assumption and valuation make true.  A guard they leave open
 raises ``AmbiguousCondition``; splitting such guards into cases is the job
 of ``solver.partition_cases``, before reduction.  Each application starts
 once per reduction: the assumption, valuation, definitions and scope are
-fixed for it, so equal applications share one instance.
+fixed for it, so equal applications share one instance.  The cases of an
+analysis share a table of what no case changes: each instance whose start
+decided no guard, each union's branches, and each union-free subtree.
 
 One value may be in flight at a time (the pending type); yielded values no
 live coroutine can receive accumulate as external yields.  Rules fire in a
@@ -112,11 +114,10 @@ class AmbiguousCondition(EngineError):
 
 
 def _decide(guard, assumption, valuation=None, scope=()):
-    """True / False when the assumption settles the guard, else None.  A
-    guard the case split partitioned on is read from the case's
-    ``valuation``; only other guards reach the solver, over the symbols of
-    the guard, the assumption and the terms in ``scope``."""
-    guard = pred_simplify(guard)
+    """True / False when the assumption settles the simplified ``guard``,
+    else None.  A guard the case split partitioned on is read from the
+    case's ``valuation``; only other guards reach the solver, over the
+    symbols of the guard, the assumption and the terms in ``scope``."""
     if valuation and guard in valuation:
         return valuation[guard]
     if not pred_free_vars(guard):
@@ -129,24 +130,33 @@ def _decide(guard, assumption, valuation=None, scope=()):
     return None
 
 
-def _resolve(t, decide):
+def _resolve(t, decide, table):
     """The canonical ``t`` with every union replaced by its first branch
     whose guard ``decide`` holds.  Unions sit in flow items and in sequence
     or directed payloads; a yielded definition or a start application keeps
     its unions until it is started itself.  A node rebuilt around a chosen
-    branch goes through ``canon``, so the result is canonical too."""
+    branch goes through ``canon``, so the result is canonical too.
+    ``table`` keeps, by identity, each union's branches with simplified
+    guards, and each subtree found to hold no union, so neither is walked
+    twice; an entry keeps its term alive, so no id is reused."""
     if isinstance(t, Union):
-        for payload, guard in branches(t):
+        entry = table.get(id(t))
+        if entry is None:
+            entry = table[id(t)] = t, [(p, pred_simplify(g)) for p, g in branches(t)]
+        for payload, guard in entry[1]:
             if decide(guard):
-                return _resolve(payload, decide)
+                return _resolve(payload, decide, table)
         raise NoSatisfiableBranch(render(t))
-    if isinstance(t, (Seq, Directed)):
-        rebuilt = term_map(t, lambda s: _resolve(s, decide))
-        return t if rebuilt is t else canon(rebuilt)
+    if isinstance(t, (Seq, Directed)) and id(t) not in table:
+        rebuilt = term_map(t, lambda s: _resolve(s, decide, table))
+        if rebuilt is not t:
+            return canon(rebuilt)
+        table[id(t)] = t  # holds no union
     return t
 
 
-def start(definition, bindings=None, assumption=TRUE, valuation=None, *, defs=None, scope=()):
+def start(definition, bindings=None, assumption=TRUE, valuation=None, *, defs=None, scope=(),
+          table=None):
     """Instantiate a canonical definition, or a reference into ``defs``:
     substitute the arguments and resolve each union to one branch.  Both
     keep the flow canonical, and the new flow is canonicalized one level,
@@ -156,7 +166,10 @@ def start(definition, bindings=None, assumption=TRUE, valuation=None, *, defs=No
     ``AmbiguousCondition``; the case split is what decides such guards.  A
     guard that reaches the solver ranges over the symbols of the bound
     definition and of the terms in ``scope`` (a reduction passes its own).
+    ``table`` is shared by the reductions of one analysis: it holds
+    ``_resolve``'s entries, and each instance whose start decided no guard.
     """
+    key = definition, bindings
     if isinstance(definition, DefRef):
         resolved = (defs or {}).get(definition.name)
         if resolved is None:
@@ -174,8 +187,12 @@ def start(definition, bindings=None, assumption=TRUE, valuation=None, *, defs=No
             )
         return verdict
 
-    flow = tuple(_resolve(item, decide) for item in bound.flow)
-    return canon(CorIns(flow, bound.constraint, definition.label))
+    shared = {} if table is None else table
+    flow = tuple(_resolve(item, decide, shared) for item in bound.flow)
+    inst = canon(CorIns(flow, bound.constraint, definition.label))
+    if table is not None and flow == bound.flow:  # it met no union, so decided no guard
+        table[key] = inst
+    return inst
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +292,11 @@ class ReductionState:
     __slots__ = (
         "insts", "kinds", "pending", "externals", "steps", "max_steps", "trace",
         "assumption", "valuation", "defs", "scope", "main", "last_yielder", "verdict",
-        "heaps", "receivers", "log", "created", "started", "__weakref__",
+        "heaps", "receivers", "log", "created", "started", "table", "__weakref__",
     )
 
     def __init__(self, *, pending=ZERO, max_steps=DEFAULT_MAX_STEPS, assumption=TRUE,
-                 valuation=None, defs=None, scope=()):
+                 valuation=None, defs=None, scope=(), table=None):
         self.insts = {}  # number -> instance of each live coroutine, in creation order
         self.kinds = {}  # number -> head kind of its instance
         self.pending = pending
@@ -300,6 +317,7 @@ class ReductionState:
         self.log = []  # (number, new instance) pairs
         self.created = 0
         self.started = {}  # application -> the instance it started
+        self.table = {} if table is None else table  # shared by an analysis's reductions
 
     def set(self, n, inst: CorIns):
         """Make ``inst`` the instance of coroutine ``n``, log the change and
@@ -345,11 +363,13 @@ class ReductionState:
         """The instance a start or inline application evaluates to, started
         once per reduction: everything else ``start`` reads is fixed for the
         reduction, so equal applications share the one immutable instance.
-        A start that raises is not kept."""
+        One whose start decided no guard is the same in every case: it is
+        kept in ``table``.  A start that raises is not kept."""
         inst = self.started.get(app)
         if inst is None:
-            inst = self.started[app] = start(app.target, app.bindings, self.assumption,
-                                             self.valuation, defs=self.defs, scope=self.scope)
+            inst = self.started[app] = self.table.get((app.target, app.bindings)) or start(
+                app.target, app.bindings, self.assumption, self.valuation,
+                defs=self.defs, scope=self.scope, table=self.table)
         return inst
 
 
@@ -502,20 +522,22 @@ def reduce_step(state: ReductionState):
 
 
 def reduce(initial, max_steps=DEFAULT_MAX_STEPS, assumption=TRUE, defs=None,
-           valuation=None):
+           valuation=None, table=None):
     """Run the machine on a list of instances / start applications.
 
     The first element is the main coroutine; ``defs`` resolves named
     definition references to canonical definitions (as the factories,
     ``flatten`` and ``notation.parse`` build them), ``valuation``
     partitioned guards (see ``_decide``); the solver ranges over the symbols
-    of the initial terms and ``defs``.  Each start counts as a step.  Returns
-    the verdict that ``reduce_step`` sets, and the trace.
+    of the initial terms and ``defs``.  Reductions that differ only in
+    ``assumption`` and ``valuation`` may share a ``table`` (see ``start``).
+    Each start counts as a step.  Returns the verdict that ``reduce_step``
+    sets, and the trace.
     """
     initial = [flatten(t) for t in initial]
     state = ReductionState(
         max_steps=max_steps, assumption=assumption, valuation=valuation, defs=defs,
-        scope=(*initial, *(defs or {}).values()),
+        scope=(*initial, *(defs or {}).values()), table=table,
     )
     for item in initial:
         if state.steps >= state.max_steps:

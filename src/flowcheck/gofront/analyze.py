@@ -59,13 +59,14 @@ def analyze_source(source: str | bytes, max_steps: int = engine.DEFAULT_MAX_STEP
         initial = [start_app(DefRef("main"))]
         # only a union carries a guard that may need a case split
         guards = unresolved_condition_preds(cordefs) if translation.guarded else []
+        table = {}  # what no case changes, worked out by the first case that needs it
         for case in partition_cases(guards):
             verdict, trace = engine.reduce(
                 initial,
                 max_steps=max_steps,
                 assumption=case.assumption,
                 defs=cordefs,
-                valuation=case.valuation,
+                valuation=case.valuation, table=table,
             )
             results.append(CaseResult(case.label, verdict, trace))
             total_steps += len(trace)

@@ -378,13 +378,16 @@ class Translator:
     def _short_circuit(self, e: Binary, env: Env) -> list:
         """The flow items of ``&&`` or ``||``: Go evaluates the right operand
         only when the left one does not decide the result.  When the right
-        operand yields flow items, the left one must fold to a constant."""
+        operand yields flow items, its constants must decide the left one."""
         left, right = (self._items(o, env) for o in operands(e))
         if right:
-            value, _ = self._fold(e.left, env)
-            if value is None:
+            try:
+                pred = pred_simplify(self._cond_pred(e.left, env))
+            except Unsupported:
+                pred = None
+            if pred != TRUE and pred != FALSE:
                 raise Unsupported("channel operation in the right operand of %s" % e.op, e.line)
-            if (value != 0) != (e.op == "&&"):
+            if (pred == TRUE) != (e.op == "&&"):
                 return left
         return left + right
 

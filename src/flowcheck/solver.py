@@ -472,7 +472,8 @@ def partition_cases(predicates) -> list[Case]:
 
     Cells with identical predicate valuations merge into a single case, so
     e.g. two guard intervals over one variable yield at most four cases.
-    Each case keeps its valuation, where the engine reads these guards.
+    Each case keeps its valuation, where the engine reads these guards; a
+    guard over one variable is evaluated once per interval of it.
     Every variable is a Go ``int``: a comparison against anything but an
     integer constant raises ``ConstraintError``, and no case starts or ends
     outside [-2^63, 2^63 - 1], where no value lies.  The order of the
@@ -516,10 +517,22 @@ def partition_cases(predicates) -> list[Case]:
         out.append((Cmp(v, ">=", pts[-1]), pts[-1]))
         return out
 
+    axes = [intervals(n) for n in names]
+    # a guard over one variable takes one value per interval of that variable
+    columns = []  # per predicate: (axis, its value on each interval), or (None, it)
+    for p in predicates:
+        free = [names.index(n) for n in pred_free_vars(p)]
+        if len(free) == 1:
+            axis = free[0]
+            columns.append((axis, [pred_evaluate(p, {names[axis]: s}) for _, s in axes[axis]]))
+        else:
+            columns.append((None, p))
     grouped: dict[tuple, list] = {}  # valuation -> its cells' predicates, first seen first
-    for cell in product(*(intervals(n) for n in names)):
+    for picks in product(*(range(len(axis)) for axis in axes)):
+        cell = [axis[i] for axis, i in zip(axes, picks)]
         assignment = {n: sample for n, (_, sample) in zip(names, cell)}
-        valuation = tuple(pred_evaluate(p, assignment) for p in predicates)
+        valuation = tuple(pred_evaluate(column, assignment) if axis is None
+                          else column[picks[axis]] for axis, column in columns)
         grouped.setdefault(valuation, []).append(conj(*(part for part, _ in cell)))
 
     cases = []

@@ -445,6 +445,26 @@ func main() {
 """
 
 
+# send decides its guard on n, which main binds to the guard variable v
+GUARDED_SENDER = """package main
+
+func send(ch chan int, n int) {
+\tif n > 3 {
+\t\tch <- 1
+\t}
+}
+
+func main() {
+\tvar v int
+\tch := make(chan int)
+\tgo send(ch, v)
+\tif v > 3 {
+\t\t<-ch
+\t}
+}
+"""
+
+
 class TestLiveInvariants:
     """Every live instance stays canonical, and the head kind kept for each
     coroutine is always the kind of its current head."""
@@ -773,8 +793,10 @@ class TestRecursiveInline:
 
 
 class TestStartMemo:
-    """Each application starts once per reduction; equal applications share
-    the instance, and the memo dies with its reduction."""
+    """Each application starts once per reduction, and equal applications
+    share the instance.  A start that decides no guard starts once per
+    analysis: the cases of one analysis share it.  A start that decides one
+    starts again in each case."""
 
     @staticmethod
     def counted_starts(monkeypatch):
@@ -828,6 +850,30 @@ class TestStartMemo:
         assert len(set(mains)) == 4
         for case, inst in zip(analysis.cases, mains):
             assert case.trace[0].state[2] == (inst,)
+
+    def test_a_guard_free_sender_starts_once_per_analysis(self, monkeypatch):
+        from flowcheck.gofront import analyze_source
+
+        calls = self.counted_starts(monkeypatch)
+        analysis = analyze_source(GUARDS_K2)
+        senders = [(d, inst) for d, inst in calls if d != DefRef("main")]
+        assert [(d, render(inst)) for d, inst in senders] == [(DefRef("anon@8"), "[!Int]")]
+        # both cases whose branch starts the sender spawn the one instance
+        spawned = [e.state[2][-1] for c in analysis.cases for e in c.trace if e.rule == "YieldCo"]
+        assert len(spawned) == 2
+        assert all(inst is senders[0][1] for inst in spawned)
+
+    def test_a_start_that_decides_a_guard_starts_in_each_case(self, monkeypatch):
+        from flowcheck.gofront import analyze_source
+
+        calls = self.counted_starts(monkeypatch)
+        analysis = analyze_source(GUARDED_SENDER)
+        assert [(c.label, c.verdict.kind) for c in analysis.cases] == [
+            ("v ≤ 3", "NoDeadlock"), ("v ≥ 4", "NoDeadlock")]
+        assert [(d.name, render(inst)) for d, inst in calls] == [
+            ("main", "[Start(send, n ↦ v)]"), ("send", "[]"),
+            ("main", "[Start(send, n ↦ v); ?Int]"), ("send", "[!Int]"),
+        ]
 
     def test_shared_instances_trace_full_snapshots(self, monkeypatch):
         import flowcheck.engine as engine

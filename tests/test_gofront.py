@@ -1262,8 +1262,14 @@ class TestEvaluationOrder:
             (["ok := true", "b := ok || f(ch)", "fmt.Println(b)"], "NoDeadlock"),
             (["go func() { <-ch }()", "b := true && f(ch)", "fmt.Println(b)"], "NoDeadlock"),
             (["ok := false", "b := ok || f(ch)", "fmt.Println(b)"], "Deadlock"),
+            # a comparison or negation its constants decide also decides
+            (["go func() { <-ch }()", "n := 2", "b := n > 1 && f(ch)", "fmt.Println(b)"],
+             "NoDeadlock"),
+            (["go func() { <-ch }()", "n := 2", "b := !(n > 1) || f(ch)", "fmt.Println(b)"],
+             "NoDeadlock"),
         ],
-        ids=["false &&", "true ||", "true &&", "false ||"],
+        ids=["false &&", "true ||", "true &&", "false ||", "decided comparison &&",
+             "decided negation ||"],
     )
     def test_a_decided_left_operand_keeps_or_drops_the_right(self, body, expected):
         assert analyze_source(operand_program(SENDS, body)).worst() == expected
