@@ -5,9 +5,9 @@ the case's assumption and valuation make true.  A guard they leave open
 raises ``AmbiguousCondition``; splitting such guards into cases is the job
 of ``solver.partition_cases``, before reduction.  Each application starts
 once per reduction: the assumption, valuation, definitions and scope are
-fixed for it, so equal applications share one instance.  The cases of an
-analysis share a table of what no case changes: each instance whose start
-decided no guard, each union's branches, and each union-free subtree.
+fixed for it, so equal applications share one instance.  An analysis's
+cases share what none changes: each instance whose start decided no guard
+over a variable, each union's branches and each union-free subtree.
 
 One value may be in flight at a time (the pending type); yielded values no
 live coroutine can receive accumulate as external yields.  Rules fire in a
@@ -166,8 +166,8 @@ def start(definition, bindings=None, assumption=TRUE, valuation=None, *, defs=No
     ``AmbiguousCondition``; the case split is what decides such guards.  A
     guard that reaches the solver ranges over the symbols of the bound
     definition and of the terms in ``scope`` (a reduction passes its own).
-    ``table`` is shared by the reductions of one analysis: it holds
-    ``_resolve``'s entries, and each instance whose start decided no guard.
+    ``table``, shared by one analysis's reductions, holds ``_resolve``'s
+    entries and each instance whose start decided no guard over a variable.
     """
     key = definition, bindings
     if isinstance(definition, DefRef):
@@ -178,8 +178,11 @@ def start(definition, bindings=None, assumption=TRUE, valuation=None, *, defs=No
     elif not isinstance(definition, CorDef):
         raise EngineError("expected a coroutine definition, got %s" % render(definition))
     bound = substitute(definition, dict(bindings)) if bindings else definition
+    opened = []  # the first guard decided over a variable: another case may decide it otherwise
 
     def decide(guard):
+        if not opened and (guard in (valuation or ()) or pred_free_vars(guard)):
+            opened.append(guard)
         verdict = _decide(guard, assumption, valuation, (bound, *scope))
         if verdict is None:
             raise AmbiguousCondition(
@@ -190,7 +193,7 @@ def start(definition, bindings=None, assumption=TRUE, valuation=None, *, defs=No
     shared = {} if table is None else table
     flow = tuple(_resolve(item, decide, shared) for item in bound.flow)
     inst = canon(CorIns(flow, bound.constraint, definition.label))
-    if table is not None and flow == bound.flow:  # it met no union, so decided no guard
+    if table is not None and not opened:  # every case would start it the same
         table[key] = inst
     return inst
 
@@ -363,8 +366,8 @@ class ReductionState:
         """The instance a start or inline application evaluates to, started
         once per reduction: everything else ``start`` reads is fixed for the
         reduction, so equal applications share the one immutable instance.
-        One whose start decided no guard is the same in every case: it is
-        kept in ``table``.  A start that raises is not kept."""
+        One whose start decided no guard over a variable is the same in every
+        case: it is kept in ``table``.  A start that raises is not kept."""
         inst = self.started.get(app)
         if inst is None:
             inst = self.started[app] = self.table.get((app.target, app.bindings)) or start(

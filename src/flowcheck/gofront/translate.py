@@ -4,35 +4,25 @@ A function joins the coroutine map when it sends or receives on a channel,
 or when it calls or starts a member: membership is reverse reachability
 over the call edges from the functions that use channels.  ``_scan`` alone
 knows Go's scopes: one pass over the blocks, with ``_walk`` entering each
-expression once, resolves each name to its declaration and fixes the
-declaration's Go type, so a call, a channel's element type and the channel
-a call returns all come from the declaration, and the flow facts (constant
-values, channels that may be nil) are keyed by it.  A variable that a
-body other than its own assigns has no constant value.  A global channel
-declared without ``make`` is nil at every use when no statement assigns it,
-and is taken as made otherwise; a global's initializer may not use a
-channel, directly or through a member.  Member bodies translate statement
-by statement: sends yield the channel's element type, receives expect it,
-and undecided conditionals become unions guarded by the condition
-predicate; ``Translation.guarded`` records whether any did, and only then
-does the analysis run ``unresolved_condition_preds``, the guard pre-pass.
-Go's order of evaluation is stated once, by ``goast.operands``: ``_walk``
-visits operands in that order, and ``_items``, which translates every
-expression and every statement but ``if``, takes their flow items in it
-before the node's own (an identifier, selector or literal yields none and
-is skipped), so a call in a channel operand or a ``make`` size runs before
-the operation.  The right operand of ``&&`` or ``||`` counts only when the
-left one folds to a value that leaves the result open; one with flow items
-is refused when the left one does not fold.  ``_call`` builds every
-application: a call of a member becomes an inline application, a ``go`` a
-start application, and a ``defer`` an inline application at the end of the
-flow (last deferred first).  Each named member translates once, in
-declaration order, and a call site names its callee with a reference; a
-function literal is translated from its ``FuncLit`` where it runs, with the
-facts there: at its call or ``go``, or at the function's end when deferred.
-One evaluator, ``_fold``, folds an integer expression in one walk: exactly
-over literals, as Go evaluates a constant expression, and with 64-bit
-wrap-around at each operation a variable takes part in.
+expression once, resolves each name through the ``scope`` table to its
+``Decl``, which fixes its Go type.  Translation keeps the flow facts in the
+``facts`` table, keyed by ``Decl``: a constant value, or whether a channel
+may be nil.  Above the package's names, both change only through ``_set``,
+which logs what it replaced; ``_undo`` takes back a block's names at its
+end, a function's facts once it is translated, and each branch of an
+undecided ``if`` before the two join.  A variable that a body other than its own assigns has no
+constant value; a global channel declared without ``make`` is nil at every
+use when no statement assigns it, and is taken as made otherwise.
+
+Member bodies translate statement by statement, in Go's order of
+evaluation (``goast.operands``): sends yield the channel's element type,
+receives expect it, and undecided conditionals become unions guarded by
+the condition predicate; ``Translation.guarded`` records whether any did,
+and only then does the analysis run ``unresolved_condition_preds``.  A call
+of a member becomes an inline application, a ``go`` a start, and a
+``defer`` an inline application at the end of the flow.  Each named member
+translates once; a function literal translates where it runs, with the
+facts there: at its call or ``go``, or at the function's end if deferred.
 
 Channel identity is deliberately not tracked: two channels with the same
 element type are indistinguishable, so a program that uses them out of
@@ -141,25 +131,6 @@ class Decl:
         self.owner = owner
 
 
-class Env:
-    """The flow facts at a point of a function body, keyed by ``Decl``.
-    ``consts`` maps a variable to its constant value, or to None once it is
-    assigned a value that is not known.  ``nil`` holds the channels that may
-    be nil: declared without ``make``, or assigned ``nil`` or such a
-    channel.  A parameter starts outside it, since a call site passes no
-    nil channel, and so does a global that some statement assigns, since
-    any function may make it first."""
-
-    __slots__ = ("consts", "nil")
-
-    def __init__(self, consts, nil):
-        self.consts = consts
-        self.nil = nil
-
-    def copy(self) -> "Env":
-        return Env(dict(self.consts), set(self.nil))
-
-
 class Translation(Record):
     # cordefs: name -> CorDef, the coroutine map; guarded: whether any
     # undecided conditional became a union, so a guard may need a case split
@@ -172,39 +143,60 @@ class Translator:
         self.decls: dict = {}  # id of an identifier, declaration or assignment -> its Decl
         self.assigned: set = set()  # the Decl of each assignment statement
         self.shared: set = set()  # each Decl that a body other than its owner assigns
-        self.package = {n: Decl(f, None) for n, f in program.functions.items()}
+        self.scope = {n: Decl(f, None) for n, f in program.functions.items()}  # name -> Decl
+        self.facts: dict = {}  # Decl -> its constant value, or a channel's "may be nil"
+        self.log: list = []  # (table, key, the value _set replaced), for _undo
         self.members = self._members()
         self.cordefs: dict[str, CorDef] = {}
         self.chan_makes: defaultdict[str, int] = defaultdict(int)
         self.unknown_args = count(1)
         self.guarded = False  # whether _if built a union
 
+    # -- scope and facts --------------------------------------------------------
+
+    def _set(self, table, key, value):
+        """``table[key] = value``, logged for ``_undo``."""
+        self.log.append((table, key, table.get(key)))
+        table[key] = value
+
+    def _undo(self, mark) -> dict:
+        """Take back every ``_set`` since the log was ``mark`` long, and
+        return the value each changed key held at the end."""
+        done = {}
+        while len(self.log) > mark:
+            table, key, old = self.log.pop()
+            done.setdefault(key, table[key])
+            table[key] = old
+        return done
+
     # -- names and membership -------------------------------------------------
 
-    def _scan(self, block, scope, owner, uses, values) -> dict:
+    def _scan(self, block, params, owner, uses, values) -> dict:
         """Walk ``block`` of function ``owner`` (None for the globals) in
-        source order, and return its ``scope`` at the end: the local names
-        in scope, each to its ``Decl``; any other name is the package's.  A
-        declared name is in scope after its own expression, to the end of
-        its block.  Record in ``decls`` the Decl each declaration or
-        assignment names (``_`` gets its own), in ``assigned`` the Decl of
-        each assignment, and in ``shared`` each such Decl that another body
-        owns; ``_walk`` records the rest."""
+        source order, with ``params``, ``(name, gotype)`` pairs, in scope;
+        return the names it put in scope, each to its ``Decl``, once they
+        are out of scope again.  A declared name is in scope after its own
+        expression, to the end of its block.  Record in ``decls`` the Decl
+        each declaration or assignment names (``_`` gets its own), in
+        ``assigned`` the Decl of each assignment, and in ``shared`` each such
+        Decl that another body owns; ``_walk`` records the rest."""
+        mark = len(self.log)
+        for name, gotype in params:
+            self._set(self.scope, name, Decl(gotype, owner))
         for s in block:
-            self._walk(s, scope, owner, uses, values)
+            self._walk(s, owner, uses, values)
             if s.__class__ is VarDecl:
                 made = s.expr.gotype if isinstance(s.expr, MakeExpr) else self._type(s.expr)
-                scope = {**scope, s.name: Decl(made if s.gotype is None else s.gotype, owner)}
-                self.decls[id(s)] = scope[s.name]
+                decl = self.decls[id(s)] = Decl(made if s.gotype is None else s.gotype, owner)
+                self._set(self.scope, s.name, decl)
             elif s.__class__ is Assign:
-                decl = scope.get(s.name) or self.package.get(s.name) or Decl(None, owner)
-                self.decls[id(s)] = decl
+                decl = self.decls[id(s)] = self.scope.get(s.name) or Decl(None, owner)
                 self.assigned.add(decl)
                 if decl.owner != owner:
                     self.shared.add(decl)
-        return scope
+        return self._undo(mark)
 
-    def _walk(self, s, scope, owner, uses, values):
+    def _walk(self, s, owner, uses, values):
         """Record, outside in and in Go's order, the Decl each identifier of
         statement ``s`` resolves to in ``decls``, each send, receive and call
         in ``uses`` as ``(owner, node)``, and each function named or written
@@ -215,20 +207,19 @@ class Translator:
             n = work.pop()
             cls = n.__class__
             if cls is Ident:
-                decl = self.decls[id(n)] = scope.get(n.name) or self.package.get(n.name)
+                decl = self.decls[id(n)] = self.scope.get(n.name)
                 if decl is not None and decl.gotype.__class__ is Func:
                     values[id(n)] = n
             elif cls is FuncLit:
-                params = {p: Decl(t, n.func.name) for p, t in n.func.params}
-                self._scan(n.func.body, scope | params, n.func.name, uses, values)
+                self._scan(n.func.body, n.func.params, n.func.name, uses, values)
                 values[id(n)] = n
             else:
                 if cls is Call or cls is Send or cls is Recv:
                     uses.append((owner, n))
                 work += reversed(operands(n))
         if s.__class__ is If:
-            self._scan(s.then, scope, owner, uses, values)
-            self._scan(s.els, scope, owner, uses, values)
+            self._scan(s.then, (), owner, uses, values)
+            self._scan(s.els, (), owner, uses, values)
 
     def _type(self, e):
         """The Go type a declaration fixes for the expression ``e``, or None:
@@ -250,9 +241,9 @@ class Translator:
         initializer, which would run before ``main``."""
         uses: list = []  # (function name, a send, receive or call in its body)
         values: dict = {}  # the id of each function named or written -> its node
-        self.package.update(self._scan(self.program.globals, {}, None, uses, values))
+        self.scope.update(self._scan(self.program.globals, (), None, uses, values))
         for name, f in self.program.functions.items():
-            self._scan(f.body, {p: Decl(t, name) for p, t in f.params}, name, uses, values)
+            self._scan(f.body, f.params, name, uses, values)
         members = {}  # name -> the line of its first channel use or member call
         callers = defaultdict(dict)  # callee name -> {caller: the line of its first call}
         for owner, n in uses:
@@ -280,27 +271,29 @@ class Translator:
     # -- translation ----------------------------------------------------------
 
     def translate_all(self) -> dict:
-        root = Env({}, set())
         for g in self.program.globals:
-            self._items(g, root)  # yields no flow: _members refused any
-        root.nil -= self.assigned  # some function may make it first
+            self._items(g)  # yields no flow: _members refused any
+        for decl in self.assigned:  # some function may make a global channel first
+            self._set(self.facts, decl, None)
         for name, f in self.program.functions.items():
             if name in self.members:
-                self._translate(f, root)
+                self._translate(f)
         return self.cordefs
 
-    def _translate(self, f: Func, outer_env: Env):
-        env = outer_env.copy()
+    def _translate(self, f: Func):
+        """Translate ``f`` with the facts where it runs, then take back its changes."""
+        mark = len(self.log)
         deferred: list = []  # (application, literal or None)
-        items, _ = self._block(f.body, env, deferred)
+        items, _ = self._block(f.body, deferred)
         deferred.reverse()  # run last deferred first, at the end, with the facts there
         for app, literal in deferred:
             if literal is not None:
-                self._translate(literal, env)
+                self._translate(literal)
             items.append(app)
+        self._undo(mark)
         self.cordefs[f.name] = cor_def(*items, label=f.name)
 
-    def _block(self, stmts, env: Env, deferred) -> tuple:
+    def _block(self, stmts, deferred) -> tuple:
         """Flow items and whether ``stmts`` return; ``deferred`` is None
         inside an undecided conditional, where ``defer`` is refused."""
         items: list = []
@@ -309,23 +302,27 @@ class Translator:
             if returned:
                 raise Unsupported("statement after return", s.line)
             if s.__class__ is If:
-                new_items, returned = self._if(s, env, deferred)
+                new_items, returned = self._if(s, deferred)
             else:
-                new_items, returned = self._items(s, env, deferred), s.__class__ is Return
+                new_items, returned = self._items(s, deferred), s.__class__ is Return
             items.extend(new_items)
         return items, returned
 
-    def _if(self, s: If, env: Env, deferred) -> tuple:
-        pred = pred_simplify(self._cond_pred(s.cond, env))
+    def _if(self, s: If, deferred) -> tuple:
+        pred = pred_simplify(self._cond_pred(s.cond))
         if pred == TRUE or pred == FALSE:
-            return self._block(s.then if pred == TRUE else s.els, env, deferred)
-        then_env, else_env = env.copy(), env.copy()
-        then_items, t_ret = self._block(s.then, then_env, None)
-        else_items, e_ret = self._block(s.els, else_env, None)
+            return self._block(s.then if pred == TRUE else s.els, deferred)
+        mark = len(self.log)
+        then_items, t_ret = self._block(s.then, None)
+        then_facts = self._undo(mark)
+        else_items, e_ret = self._block(s.els, None)
+        else_facts = self._undo(mark)
         # a variable keeps a value both branches leave it, and a channel may
         # be nil after the conditional when it may at the end of either
-        env.consts = dict(then_env.consts.items() & else_env.consts.items())
-        env.nil = then_env.nil | else_env.nil
+        for decl in then_facts.keys() | else_facts.keys():
+            a, b = (facts.get(decl, self.facts.get(decl)) for facts in (then_facts, else_facts))
+            chan = isinstance(decl.gotype, ChanType)
+            self._set(self.facts, decl, (a or b) if chan else a if a == b else None)
         if t_ret or e_ret:
             raise Unsupported("return inside an undecided conditional", s.line)
         self.guarded = True
@@ -339,7 +336,7 @@ class Translator:
 
     # -- expressions ------------------------------------------------------------
 
-    def _items(self, n, env: Env, deferred=None, app_cls=InlineApp) -> list:
+    def _items(self, n, deferred=None, app_cls=InlineApp) -> list:
         """The flow items of running ``n``, an expression or a statement other
         than ``if``: its operands', in Go's order (see ``operands``), then
         its own: a send's, a receive's, or for a call of a member an
@@ -347,42 +344,42 @@ class Translator:
         deferred.  A declaration or assignment then binds its name."""
         cls = n.__class__
         if cls is GoStmt:
-            return self._items(*operands(n), env, None, StartApp)
+            return self._items(*operands(n), None, StartApp)
         if cls is DeferStmt:
             if deferred is None:
                 raise Unsupported("defer inside a conditional", n.line)
-            return self._items(*operands(n), env, deferred)
+            return self._items(*operands(n), deferred)
         if cls is Binary and n.op in ("&&", "||"):
-            return self._short_circuit(n, env)
+            return self._short_circuit(n)
         items = []
         for e in operands(n):
             if e.__class__ not in _NO_ITEMS:
-                items += self._items(e, env)
+                items += self._items(e)
         if cls is Call:
-            return self._call(n, env, items, app_cls, deferred)
+            return self._call(n, items, app_cls, deferred)
         if cls is Send:
-            items.append(yielded(Concrete(self._chan_elem(n, env))))
+            items.append(yielded(Concrete(self._chan_elem(n))))
         elif cls is Recv:
             fn = getattr(n.chan, "fn", None)
             if isinstance(fn, Selector) and (fn.pkg, fn.name) == ("time", "After"):
                 # <-time.After(d) completes: the runtime yields a Time on a fresh channel
                 items += [yielded(Concrete("Time")), received(Concrete("Time"))]
             else:
-                items.append(received(Concrete(self._chan_elem(n, env))))
+                items.append(received(Concrete(self._chan_elem(n))))
         elif cls is VarDecl or cls is Assign:
-            self._bind(env, self.decls[id(n)], n.expr)
+            self._bind(self.decls[id(n)], n.expr)
         elif cls is MakeExpr and isinstance(n.gotype, ChanType):
             self.chan_makes[concrete_name(n.gotype.elem)] += 1
         return items
 
-    def _short_circuit(self, e: Binary, env: Env) -> list:
+    def _short_circuit(self, e: Binary) -> list:
         """The flow items of ``&&`` or ``||``: Go evaluates the right operand
         only when the left one does not decide the result.  When the right
         operand yields flow items, its constants must decide the left one."""
-        left, right = (self._items(o, env) for o in operands(e))
+        left, right = (self._items(o) for o in operands(e))
         if right:
             try:
-                pred = pred_simplify(self._cond_pred(e.left, env))
+                pred = pred_simplify(self._cond_pred(e.left))
             except Unsupported:
                 pred = None
             if pred != TRUE and pred != FALSE:
@@ -391,7 +388,7 @@ class Translator:
                 return left
         return left + right
 
-    def _call(self, call: Call, env: Env, items: list, app_cls, deferred) -> list:
+    def _call(self, call: Call, items: list, app_cls, deferred) -> list:
         """``items``, the flow items of a call's operands, then, for a call,
         ``go`` or ``defer`` of a member, an ``app_cls`` application, or none
         when it joins ``deferred``.  A literal callee translates where it
@@ -400,19 +397,19 @@ class Translator:
         if not isinstance(func, Func) or func.name not in self.members:
             return items
         for (_, ptype), arg in zip(func.params, call.args):
-            if isinstance(ptype, ChanType) and self.decls.get(id(arg)) in env.nil:
+            if isinstance(ptype, ChanType) and self._nil(arg):
                 raise Unsupported("channel %r may be nil" % arg.name, call.line)
-        app = app_cls(DefRef(func.name), tuple(self._call_bindings(func, call.args, env).items()))
+        app = app_cls(DefRef(func.name), tuple(self._call_bindings(func, call.args).items()))
         literal = func if call.fn.__class__ is FuncLit else None
         if deferred is not None:
             deferred.append((app, literal))
             return items
         if literal is not None:
-            self._translate(literal, env)
+            self._translate(literal)
         items.append(app)
         return items
 
-    def _call_bindings(self, func: Func, args, env: Env) -> dict:
+    def _call_bindings(self, func: Func, args) -> dict:
         """Constant propagation into call arguments.  An argument with no
         constant value stays a free variable for the constraint solver: an
         identifier keeps its name, and any other argument becomes a variable
@@ -423,7 +420,7 @@ class Translator:
         for (pname, ptype), arg in zip(func.params, args):
             if isinstance(ptype, (ChanType, FuncType, SliceType)):
                 continue  # channels resolve via the callee's own signature
-            value = self._eval_value(arg, env)
+            value = self._eval_value(arg)
             if value is not None:
                 bindings[pname] = value
             elif isinstance(arg, Ident):
@@ -432,14 +429,14 @@ class Translator:
                 bindings[pname] = Var("arg@%d" % next(self.unknown_args))
         return bindings
 
-    def _eval_value(self, e, env: Env):
+    def _eval_value(self, e):
         """The constant ``e`` folds to, or None; see ``_fold``."""
-        value, exact = self._fold(e, env)
+        value, exact = self._fold(e)
         if exact:
             _check_fits(value, e.line)
         return value
 
-    def _fold(self, e, env: Env) -> tuple:
+    def _fold(self, e) -> tuple:
         """``(value, exact)``: the integer ``e`` folds to, or None, and
         whether it is built of integer literals only.  Such a value is
         exact, as Go evaluates a constant expression; it must fit ``int``
@@ -450,16 +447,17 @@ class Translator:
             return e.value, True
         if isinstance(e, BoolLit):
             return int(e.value), False
-        if isinstance(e, Ident):
-            return env.consts.get(self.decls.get(id(e))), False
+        if isinstance(e, Ident):  # a channel's fact, a bool, is no value
+            value = self.facts.get(self.decls.get(id(e)))
+            return (None if isinstance(value, bool) else value), False
         if isinstance(e, Unary) and e.op == "-":
-            value, exact = self._fold(e.operand, env)
+            value, exact = self._fold(e.operand)
             if value is not None:
                 value = -value if exact else _wrap(-value)
             return value, exact
         if isinstance(e, Binary) and e.op in _ARITHMETIC:
-            left, left_exact = self._fold(e.left, env)
-            right, right_exact = self._fold(e.right, env)
+            left, left_exact = self._fold(e.left)
+            right, right_exact = self._fold(e.right)
             exact = left_exact and right_exact
             if left_exact and not right_exact:
                 _check_fits(left, e.left.line)
@@ -473,26 +471,26 @@ class Translator:
             return (value, True) if exact else (_wrap(value), False)
         return None, False
 
-    def _cond_pred(self, e, env: Env):
+    def _cond_pred(self, e):
         """The predicate a condition compiles to over its free variables;
         constants fold in."""
         if isinstance(e, BoolLit):
             return TRUE if e.value else FALSE
         if isinstance(e, Ident):
-            value = env.consts.get(self.decls.get(id(e)))
+            value = self._eval_value(e)
             if value is not None:
                 return TRUE if value else FALSE
             return Cmp(Var(e.name), "=", 1)  # a bare flag reads as "is set"
         if isinstance(e, Unary) and e.op == "!":
-            return neg(self._cond_pred(e.operand, env))
+            return neg(self._cond_pred(e.operand))
         if isinstance(e, Binary) and e.op == "&&":
-            return conj(self._cond_pred(e.left, env), self._cond_pred(e.right, env))
+            return conj(self._cond_pred(e.left), self._cond_pred(e.right))
         if isinstance(e, Binary) and e.op == "||":
-            return disj(self._cond_pred(e.left, env), self._cond_pred(e.right, env))
+            return disj(self._cond_pred(e.left), self._cond_pred(e.right))
         if isinstance(e, Binary) and e.op in ("==", "!=", "<", "<=", ">", ">="):
             sides = []
             for side in (e.left, e.right):
-                value = self._eval_value(side, env)
+                value = self._eval_value(side)
                 if value is None and not isinstance(side, Ident):
                     raise Unsupported("condition beyond integer/boolean comparisons", side.line)
                 sides.append(Var(side.name) if value is None else value)
@@ -501,7 +499,7 @@ class Translator:
             return neg(out) if e.op == "!=" else out
         raise Unsupported("condition beyond integer/boolean comparisons", e.line)
 
-    def _chan_elem(self, op, env: Env) -> str:
+    def _chan_elem(self, op) -> str:
         """The element type of the channel a send or receive ``op`` uses, as
         its declaration fixes it; one that may hold nil would block forever,
         and is refused."""
@@ -510,22 +508,24 @@ class Translator:
         if not isinstance(gotype, ChanType):
             name = getattr(getattr(e, "fn", e), "name", "?")
             raise Unsupported("cannot resolve channel %r" % name, e.line)
-        if self.decls.get(id(e)) in env.nil:
+        if self._nil(e):
             raise Unsupported("channel %r may be nil" % e.name, op.line)
         return concrete_name(gotype.elem)
 
-    def _bind(self, env: Env, decl: Decl, expr):
-        """Record what the flow knows of ``decl`` once it holds ``expr``:
-        whether a channel may be nil, or the constant value of any other.
-        One that another body assigns has none, since that body may run
-        between any two uses."""
-        if not isinstance(decl.gotype, ChanType):
-            value = self._eval_value(expr, env)
-            env.consts[decl] = None if decl in self.shared else value
-        elif expr is None or isinstance(expr, NilLit) or self.decls.get(id(expr)) in env.nil:
-            env.nil.add(decl)
+    def _bind(self, decl: Decl, expr):
+        """Record in ``facts`` what the flow knows of ``decl`` once it holds
+        ``expr``: a channel's "may be nil" (a parameter has no fact, as a call
+        site passes no nil channel), or any other's constant value, None when
+        another body assigns it, since that body may run between two uses."""
+        if isinstance(decl.gotype, ChanType):
+            self._set(self.facts, decl, expr is None or isinstance(expr, NilLit) or self._nil(expr))
         else:
-            env.nil.discard(decl)
+            value = self._eval_value(expr)
+            self._set(self.facts, decl, None if decl in self.shared else value)
+
+    def _nil(self, e) -> bool:
+        """Whether ``e`` names a channel that may be nil."""
+        return self.facts.get(self.decls.get(id(e))) is True
 
 
 def _wrap(value: int) -> int:

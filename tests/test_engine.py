@@ -794,9 +794,10 @@ class TestRecursiveInline:
 
 class TestStartMemo:
     """Each application starts once per reduction, and equal applications
-    share the instance.  A start that decides no guard starts once per
-    analysis: the cases of one analysis share it.  A start that decides one
-    starts again in each case."""
+    share the instance.  A start that decides no guard over a variable starts
+    once per analysis: the cases of one analysis share it, also when its
+    bindings close every guard it decides.  A start that decides a guard
+    over a variable starts again in each case."""
 
     @staticmethod
     def counted_starts(monkeypatch):
@@ -873,6 +874,22 @@ class TestStartMemo:
         assert [(d.name, render(inst)) for d, inst in calls] == [
             ("main", "[Start(send, n ↦ v)]"), ("send", "[]"),
             ("main", "[Start(send, n ↦ v); ?Int]"), ("send", "[!Int]"),
+        ]
+
+    def test_a_start_whose_bindings_close_its_guards_starts_once(self, monkeypatch):
+        from flowcheck.gofront import analyze_source
+
+        calls = self.counted_starts(monkeypatch)
+        analysis = analyze_source(GUARDED_SENDER.replace(
+            "\tgo send(ch, v)\n\tif v > 3 {\n\t\t<-ch\n\t}\n",
+            "\tgo send(ch, v)\n\tgo send(ch, 7)\n\t<-ch\n"))
+        assert [(c.label, c.verdict.kind) for c in analysis.cases] == [
+            ("v ≤ 3", "NoDeadlock"), ("v ≥ 4", "Deadlock")]
+        # main decides no guard and send(ch, 7) only 7 > 3: each starts once;
+        # send(ch, v) decides v > 3, once in each case
+        assert [(d.name, render(inst)) for d, inst in calls] == [
+            ("main", "[Start(send, n ↦ v); Start(send, n ↦ 7); ?Int]"),
+            ("send", "[]"), ("send", "[!Int]"), ("send", "[!Int]"),
         ]
 
     def test_shared_instances_trace_full_snapshots(self, monkeypatch):

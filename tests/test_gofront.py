@@ -1,6 +1,8 @@
 """Frontend: parsing, the coroutine map, constant propagation, analysis."""
 
 import ast
+import gc
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -2299,3 +2301,64 @@ func main() {
     def test_recursive_start_is_cut_off_by_main_exit(self):
         analysis = analyze_source(corpus_source("nodeadlock/p07_rec_main.go"))
         assert analysis.worst() == "NoDeadlock"
+
+
+def member_main(lines):
+    """``main``, a member with an unknown ``v`` and a balanced send and
+    receive on ``ch``, then ``lines``."""
+    head = ["package main", "", 'import "fmt"', "", "func main() {", "\tvar v int",
+            "\tch := make(chan int)", "\tgo func() {", "\t\tch <- 1", "\t}()", "\t<-ch"]
+    return "\n".join(head + lines + ["}"]) + "\n"
+
+
+def declarations(n):
+    """``n`` declarations ``xI := I`` in one body."""
+    return member_main(["\tx%d := %d" % (i, i) for i in range(n)])
+
+
+def undecided_ifs(n):
+    """``n`` declarations, then an undecided ``if v > I`` that prints each."""
+    return member_main(["\tx%d := %d" % (i, i) for i in range(n)] + [
+        "\tif v > %d {\n\t\tfmt.Println(x%d)\n\t}" % (i, i) for i in range(n)])
+
+
+def deferred_literals(n):
+    """``n`` declarations, then a deferred literal for each, a member that
+    sends it under an undecided ``if v > I``."""
+    return member_main(["\tx%d := %d" % (i, i) for i in range(n)] + [
+        "\tdefer func() {\n\t\tif v > %d {\n\t\t\tch <- x%d\n\t\t}\n\t}()" % (i, i)
+        for i in range(n)])
+
+
+FRONT_END_FAMILIES = {f.__name__: f for f in (declarations, undecided_ifs, deferred_literals)}
+
+
+def front_end_seconds(source):
+    """The processor time ``parse`` and ``compute_m`` take on ``source``,
+    with the cyclic collector paused: its full collections fall at heap
+    size thresholds, so they would blur a doubling."""
+    gc.disable()
+    try:
+        began = time.process_time()
+        compute_m(parse(source))
+        return time.process_time() - began
+    finally:
+        gc.enable()
+
+
+class TestFrontEndScales:
+    """The front end takes time linear in the file: for each family, the
+    best of three runs at 2n costs at most 3.0 times the best at n, where
+    linear growth reads about 2 and quadratic about 4.  A scope or fact
+    table copied per declaration, per literal or per branch is quadratic
+    in each family.  Runs at n and 2n alternate, so a slow spell of the
+    machine falls on both."""
+
+    @pytest.mark.parametrize("family, n", [
+        (declarations, 6000), (undecided_ifs, 1000), (deferred_literals, 1000),
+    ], ids=["declarations", "undecided ifs", "deferred literals"])
+    def test_a_doubling_costs_at_most_three_times(self, family, n):
+        sources = family(n), family(2 * n)
+        best = [min(times) for times in zip(*(
+            [front_end_seconds(source) for source in sources] for _ in range(3)))]
+        assert best[1] <= 3.0 * best[0], best

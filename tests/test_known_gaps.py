@@ -36,6 +36,8 @@ RECEIVER_CHOICE_SWAPPED = tuple(
     for line in RECEIVER_CHOICE_BODY
 )
 RECV_FUNCS = ("func recv(ch chan int) {", "\t<-ch", "}", "")
+# Go initializes b before a, which reads it, whatever their order in the file
+GLOBAL_ORDER_BODY = ("ch := make(chan int)", "if a > 3 {", "\t<-ch", "}")
 
 
 def gap(reason):
@@ -131,6 +133,17 @@ PROGRAMS = [
         marks=gap("FOUND 14: a self-starting sender feeds itself after main returns and "
                   "hits the step cap"),
         id="pump",
+    ),
+    pytest.param(
+        go(*GLOBAL_ORDER_BODY, funcs=("var a = b", "var b = 1", "")), "NoDeadlock",
+        marks=gap("FOUND 71: globals resolve in source order, not in Go's initialization "
+                  "order, so a has no value and the a >= 4 case reads Deadlock"),
+        id="global-initialization-order",
+    ),
+    # not a gap: with b declared first, a is 1 as in Go
+    pytest.param(
+        go(*GLOBAL_ORDER_BODY, funcs=("var b = 1", "var a = b", "")), "NoDeadlock",
+        id="global-declaration-order",
     ),
     # not a gap: with the go statements swapped, the receiver-choice program
     # reads Go's answer
