@@ -50,17 +50,15 @@ removed never exits.  The step that ends a reduction sets its verdict:
 A step costs what it changes, not how many coroutines are live.  The state
 is plain data: ``insts`` maps each number to its instance, in creation
 order, and ``kinds`` to the kind of its head.  ``ReductionState.set`` is
-the one way an instance changes: it logs the change and refiles the number
-when its head kind changes.  The head index is one heap of numbers per
-kind, whose stale tops are dropped when a rule asks ``first`` for that
-kind, and the set of receivers, sorted when read.  Rules 1-7 pick their
-coroutine from the index; only rule 4's search for a whole coroutine and
-rule 8's residual walk every instance.  The trace is a chain of deltas:
-each entry keeps the pending value and how far the append-only external
-yields and the log of instance changes had grown.  Reading an entry's
-state replays the log forward from the nearest entry already rebuilt and
-keeps the result, so reading a whole trace costs what rendering it does;
-nothing is rendered until read.
+the one way an instance changes: it refiles the number when its head kind
+changes.  The head index is one heap of numbers per kind, whose stale tops
+are dropped when a rule asks ``first`` for that kind, and the set of
+receivers, sorted when read.  Rules 1-7 pick their coroutine from the
+index; only rule 4's search for a whole coroutine and rule 8's residual
+walk every instance.  A run keeps only the names of the rules it fired.
+The machine is deterministic, so reading a state of the trace runs the
+reduction again from the same inputs, once per trace, and keeps the state
+after each rule; a trace nobody reads costs nothing.
 """
 
 from __future__ import annotations
@@ -113,16 +111,11 @@ class AmbiguousCondition(EngineError):
 # starting and inlining definitions
 
 
-def _decide(guard, assumption, valuation=None, scope=()):
-    """True / False when the assumption settles the simplified ``guard``,
-    else None.  A guard the case split partitioned on is read from the
-    case's ``valuation``; only other guards reach the solver, over the
-    symbols of the guard, the assumption and the terms in ``scope``."""
-    if valuation and guard in valuation:
-        return valuation[guard]
-    if not pred_free_vars(guard):
-        return pred_evaluate(guard, {})
-    universe = universe_of(guard, assumption, *scope)
+def _decide(guard, assumption, *terms):
+    """True / False when the assumption settles ``guard``, a simplified
+    guard over a variable, else None.  The solver decides it over the
+    symbols of the guard, the assumption and ``terms``."""
+    universe = universe_of(guard, assumption, *terms)
     if solve(conj(guard, assumption), universe) is None:
         return False
     if solve(conj(neg(guard), assumption), universe) is None:
@@ -162,10 +155,11 @@ def start(definition, bindings=None, assumption=TRUE, valuation=None, *, defs=No
     keep the flow canonical, and the new flow is canonicalized one level,
     where a chosen branch may have put a sequence or Zero.
 
-    A guard the assumption (or the case's ``valuation``) leaves open raises
-    ``AmbiguousCondition``; the case split is what decides such guards.  A
-    guard that reaches the solver ranges over the symbols of the bound
-    definition and of the terms in ``scope`` (a reduction passes its own).
+    A guard the case split partitioned on is read from the case's
+    ``valuation``; only other guards over a variable reach the solver, over
+    the symbols of the bound definition and of the terms in ``scope`` (a
+    reduction passes its own).  One the assumption leaves open raises
+    ``AmbiguousCondition``; the case split is what decides such guards.
     ``table``, shared by one analysis's reductions, holds ``_resolve``'s
     entries and each instance whose start decided no guard over a variable.
     """
@@ -178,16 +172,19 @@ def start(definition, bindings=None, assumption=TRUE, valuation=None, *, defs=No
     elif not isinstance(definition, CorDef):
         raise EngineError("expected a coroutine definition, got %s" % render(definition))
     bound = substitute(definition, dict(bindings)) if bindings else definition
-    opened = []  # the first guard decided over a variable: another case may decide it otherwise
+    opened = []  # the guards decided over a variable: another case may decide them otherwise
 
     def decide(guard):
-        if not opened and (guard in (valuation or ()) or pred_free_vars(guard)):
-            opened.append(guard)
-        verdict = _decide(guard, assumption, valuation, (bound, *scope))
+        verdict = valuation.get(guard) if valuation else None
         if verdict is None:
-            raise AmbiguousCondition(
-                "unresolved branch conditions in %s" % (definition.label or render(definition))
-            )
+            if not pred_free_vars(guard):
+                return pred_evaluate(guard, {})
+            verdict = _decide(guard, assumption, bound, *scope)
+            if verdict is None:
+                raise AmbiguousCondition(
+                    "unresolved branch conditions in %s" % (definition.label or render(definition))
+                )
+        opened.append(guard)
         return verdict
 
     shared = {} if table is None else table
@@ -224,48 +221,21 @@ def _head_kind(inst):
 
 
 class TraceEntry:
-    """A fired rule and the state after it, kept as a delta on the entry
-    before it: the pending value, and how far the append-only external
-    yields and change log of the reduction reached.  The log holds a
-    ``(number, instance)`` pair per change, an instance of ``None`` being
-    a removal.  ``state`` rebuilds the terms ``(pending, externals,
-    instances)``; ``state_after`` renders them."""
+    """The ``step``-th rule of a trace.  ``state`` is the terms ``(pending,
+    externals, instances)`` after it; ``state_after`` renders them."""
 
-    __slots__ = ("step", "rule", "pending", "_externals", "_external_count",
-                 "_log", "_log_end", "_previous", "_insts")
+    __slots__ = ("step", "rule", "_trace")
 
-    def __init__(self, step, rule, pending, externals, log, previous):
-        self.step = step
-        self.rule = rule
-        self.pending = pending
-        self._externals = externals
-        self._external_count = len(externals)
-        self._log = log
-        self._log_end = len(log)
-        self._previous = previous
-        self._insts = None  # number -> instance, in creation order, once rebuilt
+    def __init__(self, trace, index):
+        self.step = index + 1
+        self.rule = trace.rules[index]
+        self._trace = trace
 
     @property
     def state(self) -> tuple:
-        if self._insts is None:
-            unbuilt = []
-            entry = self
-            while entry is not None and entry._insts is None:
-                unbuilt.append(entry)
-                entry = entry._previous
-            insts, start = ({}, 0) if entry is None else (entry._insts, entry._log_end)
-            log = self._log
-            for entry in reversed(unbuilt):
-                insts = dict(insts)
-                for n, inst in log[start:entry._log_end]:
-                    if inst is None:
-                        del insts[n]
-                    else:
-                        insts[n] = inst
-                start = entry._log_end
-                entry._insts = insts
-        externals = tuple(self._externals[:self._external_count])
-        return self.pending, externals, tuple(self._insts.values())
+        states, externals = self._trace.states()
+        pending, count, instances = states[self.step - 1]
+        return pending, tuple(externals[:count]), instances
 
     @property
     def state_after(self) -> str:
@@ -276,6 +246,40 @@ class TraceEntry:
 
     def line(self) -> str:
         return "step %d [%s] %s" % (self.step, self.rule, self.state_after)
+
+
+class Trace:
+    """The rules a reduction fired, read as a sequence of ``TraceEntry``s,
+    each built when read.  The first read of a state runs the reduction
+    again from the same inputs and keeps the state after each rule: the
+    pending value, how far the external yields had grown, the instances."""
+
+    __slots__ = ("rules", "_inputs", "_states")
+
+    def __init__(self, rules, initial, settings):
+        self.rules = rules
+        self._inputs = initial, settings  # ``settings`` are ``ReductionState``'s keywords
+        self._states = None
+
+    def __len__(self):
+        return len(self.rules)
+
+    def __getitem__(self, index):
+        indices = range(len(self.rules))[index]
+        if isinstance(indices, range):
+            return [TraceEntry(self, i) for i in indices]
+        return TraceEntry(self, indices)
+
+    def states(self):
+        if self._states is None:
+            initial, settings = self._inputs
+            state, states = ReductionState(**settings), []
+            for _ in _run(state, initial):
+                if len(state.rules) > len(states):
+                    insts = tuple(state.insts.values())
+                    states.append((state.pending, len(state.externals), insts))
+            self._states = states, state.externals
+        return self._states
 
 
 class Verdict(Record):
@@ -293,9 +297,9 @@ class Verdict(Record):
 
 class ReductionState:
     __slots__ = (
-        "insts", "kinds", "pending", "externals", "steps", "max_steps", "trace",
-        "assumption", "valuation", "defs", "scope", "main", "last_yielder", "verdict",
-        "heaps", "receivers", "log", "created", "started", "table", "__weakref__",
+        "insts", "kinds", "pending", "externals", "rules", "max_steps", "assumption",
+        "valuation", "defs", "scope", "main", "last_yielder", "verdict", "heaps",
+        "receivers", "created", "started", "table", "__weakref__",
     )
 
     def __init__(self, *, pending=ZERO, max_steps=DEFAULT_MAX_STEPS, assumption=TRUE,
@@ -304,9 +308,8 @@ class ReductionState:
         self.kinds = {}  # number -> head kind of its instance
         self.pending = pending
         self.externals = []
-        self.steps = 0
+        self.rules = []  # the name of each rule fired
         self.max_steps = max_steps
-        self.trace = []
         self.assumption = assumption
         self.valuation = {} if valuation is None else valuation
         self.defs = {} if defs is None else defs
@@ -314,20 +317,16 @@ class ReductionState:
         self.main = None  # the number of the main coroutine
         self.last_yielder = None  # the number of the coroutine whose value is in flight
         self.verdict = None
-        # the head index, and the log of instance changes the trace replays
-        self.heaps = {}  # head kind -> heap of numbers
+        self.heaps = {}  # the head index: head kind -> heap of numbers,
         self.receivers = set()  # numbers whose head is a receive
-        self.log = []  # (number, new instance) pairs
         self.created = 0
         self.started = {}  # application -> the instance it started
         self.table = {} if table is None else table  # shared by an analysis's reductions
 
     def set(self, n, inst: CorIns):
-        """Make ``inst`` the instance of coroutine ``n``, log the change and
-        refile ``n`` when its head kind changes.  Every change of an
-        instance goes through here."""
+        """Make ``inst`` the instance of coroutine ``n`` and refile ``n`` when
+        its head kind changes.  Every change of an instance goes through here."""
         self.insts[n] = inst
-        self.log.append((n, inst))
         old = self.kinds.get(n)
         self.kinds[n] = kind = _head_kind(inst)
         if kind == old:
@@ -350,7 +349,6 @@ class ReductionState:
         del self.insts[n]
         del self.kinds[n]  # drops n from the heaps when it reaches a top
         self.receivers.discard(n)
-        self.log.append((n, None))
 
     def first(self, kind):
         """The earliest-created coroutine whose head is of ``kind`` (not a
@@ -374,14 +372,6 @@ class ReductionState:
                 app.target, app.bindings, self.assumption, self.valuation,
                 defs=self.defs, scope=self.scope, table=self.table)
         return inst
-
-
-def _record(state, rule):
-    state.steps += 1
-    previous = state.trace[-1] if state.trace else None
-    state.trace.append(TraceEntry(
-        state.steps, rule, state.pending, state.externals, state.log, previous,
-    ))
 
 
 def _resume(state, n, conditions):
@@ -409,13 +399,13 @@ def _spawn(state, n):
     spawned = state.instantiate(spawn) if isinstance(spawn, StartApp) else spawn
     state.set(n, tail(inst))
     state.add(spawned)
-    _record(state, "YieldCo")
+    state.rules.append("YieldCo")
     return state
 
 
 def _terminate(state, rule, items):
     """Record the last rule and stop: a residual with items is a deadlock."""
-    _record(state, rule)
+    state.rules.append(rule)
     if items:
         state.verdict = Verdict("Deadlock", cor_ins(*items), tuple(state.externals))
     else:
@@ -429,7 +419,7 @@ def reduce_step(state: ReductionState):
     once ``max_steps`` rules have fired, otherwise from the residual."""
     if state.verdict is not None:
         return state
-    if state.steps >= state.max_steps:
+    if len(state.rules) >= state.max_steps:
         state.verdict = Verdict("Inconclusive", reason="step cap %d reached" % state.max_steps)
         return state
     insts = state.insts
@@ -440,14 +430,14 @@ def reduce_step(state: ReductionState):
         inst = insts[n]
         flow = state.instantiate(inst.flow[0]).flow + tail(inst).flow
         state.set(n, canon(CorIns(flow, inst.constraint, inst.label)))
-        _record(state, "InlineEval")
+        state.rules.append("InlineEval")
         return state
 
     # 2. drop a head item with no behavior
     n = state.first("void")
     if n is not None:
         state.set(n, tail(insts[n]))
-        _record(state, "RemoveVoid")
+        state.rules.append("RemoveVoid")
         return state
 
     receivers = sorted(state.receivers)  # in creation order
@@ -473,7 +463,7 @@ def reduce_step(state: ReductionState):
             rule = "External"
         state.pending = ZERO
         state.last_yielder = None
-        _record(state, rule)
+        state.rules.append(rule)
         return state
 
     # 4. a receiver expecting a whole coroutine (only the first is tried)
@@ -488,7 +478,7 @@ def reduce_step(state: ReductionState):
             if conditions is not BOTTOM:
                 _resume(state, receiver, conditions)
                 state.remove(n)
-                _record(state, "ResumeCo")
+                state.rules.append("ResumeCo")
                 return state
         break
 
@@ -510,7 +500,7 @@ def reduce_step(state: ReductionState):
             state.pending = canon(Constrained(state.pending, inst.constraint))
         state.last_yielder = yielder
         state.set(yielder, tail(inst))
-        _record(state, "Yield")
+        state.rules.append("Yield")
         return state
 
     # 7. spawn a yielded coroutine or started definition, breadth-first
@@ -524,6 +514,25 @@ def reduce_step(state: ReductionState):
     return _terminate(state, "CoToExt", items)
 
 
+def _run(state, initial):
+    """Add the initial terms, starting each application, then fire rules
+    until one sets the verdict, yielding after each rule."""
+    for item in initial:
+        if len(state.rules) >= state.max_steps:
+            break
+        if not isinstance(item, (StartApp, CorIns)):
+            raise EngineError("reduce expects instances or start applications, got %s"
+                              % render(item))
+        state.add(state.instantiate(item) if isinstance(item, StartApp) else item)
+        if isinstance(item, StartApp):
+            state.rules.append("StartEval")
+            yield
+    state.main = 0 if state.insts else None  # the first coroutine added
+    while state.verdict is None:
+        reduce_step(state)
+        yield
+
+
 def reduce(initial, max_steps=DEFAULT_MAX_STEPS, assumption=TRUE, defs=None,
            valuation=None, table=None):
     """Run the machine on a list of instances / start applications.
@@ -531,29 +540,19 @@ def reduce(initial, max_steps=DEFAULT_MAX_STEPS, assumption=TRUE, defs=None,
     The first element is the main coroutine; ``defs`` resolves named
     definition references to canonical definitions (as the factories,
     ``flatten`` and ``notation.parse`` build them), ``valuation``
-    partitioned guards (see ``_decide``); the solver ranges over the symbols
+    partitioned guards (see ``start``); the solver ranges over the symbols
     of the initial terms and ``defs``.  Reductions that differ only in
     ``assumption`` and ``valuation`` may share a ``table`` (see ``start``).
     Each start counts as a step.  Returns the verdict that ``reduce_step``
-    sets, and the trace.
+    sets, and the ``Trace``: the run keeps only the names of the rules it
+    fired, and reading a state runs the reduction again.
     """
     initial = [flatten(t) for t in initial]
-    state = ReductionState(
+    settings = dict(
         max_steps=max_steps, assumption=assumption, valuation=valuation, defs=defs,
         scope=(*initial, *(defs or {}).values()), table=table,
     )
-    for item in initial:
-        if state.steps >= state.max_steps:
-            break
-        if not isinstance(item, (StartApp, CorIns)):
-            raise EngineError(
-                "reduce expects instances or start applications, got %s" % render(item)
-            )
-        inst = state.instantiate(item) if isinstance(item, StartApp) else item
-        state.add(inst)
-        if isinstance(item, StartApp):
-            _record(state, "StartEval")
-    state.main = 0 if state.insts else None  # the first coroutine added
-    while state.verdict is None:
-        reduce_step(state)
-    return state.verdict, state.trace
+    state = ReductionState(**settings)
+    for _ in _run(state, initial):
+        pass
+    return state.verdict, Trace(state.rules, initial, settings)

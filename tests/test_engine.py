@@ -1,5 +1,7 @@
 """The reduction machine: rule behavior, traces, verdicts, determinism."""
 
+import contextlib
+
 import pytest
 
 from flowcheck.engine import (
@@ -201,21 +203,21 @@ class TestReduceStep:
     def test_resume_consumes_pending(self):
         state = self._state([cor_ins(received(Err))], pending=Err)
         reduce_step(state)
-        assert state.trace[-1].rule == "Resume"
+        assert state.rules[-1] == "Resume"
         assert state.insts[0] == CorIns(())
         assert state.pending == ZERO
 
     def test_external_when_no_receiver_matches(self):
         state = self._state([cor_ins(received(Int), received(Str))], pending=Str)
         reduce_step(state)
-        assert state.trace[-1].rule == "External"
+        assert state.rules[-1] == "External"
         assert state.externals == [Str]
         assert state.pending == ZERO
 
     def test_empty_input_terminates_clean(self):
         state = self._state([])
         reduce_step(state)
-        assert state.trace[-1].rule == "CoToExt"
+        assert state.rules[-1] == "CoToExt"
         assert state.verdict.kind == "NoDeadlock"
 
     def test_step_cap_sets_inconclusive(self):
@@ -224,11 +226,11 @@ class TestReduceStep:
         reduce_step(state)
         assert state.verdict.kind == "Inconclusive"
         assert state.verdict.reason == "step cap 0 reached"
-        assert state.trace == []
+        assert state.rules == []
         # a finished reduction stays finished
         verdict = state.verdict
         reduce_step(state)
-        assert state.verdict is verdict and state.trace == []
+        assert state.verdict is verdict and state.rules == []
 
 
 class TestReduce:
@@ -346,24 +348,55 @@ def fanout_source(n):
     return "\n".join(lines + ["}"]) + "\n"
 
 
+@contextlib.contextmanager
+def rule_snapshots():
+    """The terms ``(pending, externals, instances)`` after each rule that
+    ``reduce_step`` fires inside the block, and only there: a trace read
+    after the block runs its reduction again unobserved."""
+    import flowcheck.engine as engine
+
+    real, snapshots = engine.reduce_step, []
+
+    def snapshot(state):
+        count = len(state.rules)
+        real(state)
+        if len(state.rules) > count:
+            snapshots.append((state.pending, tuple(state.externals), tuple(state.insts.values())))
+        return state
+
+    engine.reduce_step = snapshot
+    try:
+        yield snapshots
+    finally:
+        engine.reduce_step = real
+
+
+def assert_states_read_both_ways(trace, snapshots):
+    """Each entry's state equals its snapshot, read from the last entry
+    back and then from the first on."""
+    assert len(trace) == len(snapshots)
+    pairs = list(zip(trace, snapshots))
+    for entry, snapshot in reversed(pairs):
+        assert entry.state == snapshot
+    for entry, snapshot in pairs:
+        assert entry.state == snapshot
+
+
 class TestTraceState:
     def test_early_entry_keeps_the_state_of_its_step(self):
         # an entry must hold a copy of the state, not the instances that
         # later steps go on changing
-        state = ReductionState()
-        state.add(cor_ins(yielded(Int), received(Str)))
-        state.add(cor_ins(received(Int), yielded(Str)))
-        state.main = 0
-        reduce_step(state)
-        first = state.trace[0].state_after
-        assert first == "(Int, 0) ⊢ ⊚⟨[?String], [?Int; !String]⟩"
-        while state.verdict is None:
-            reduce_step(state)
-        assert [t.rule for t in state.trace] == [
+        with rule_snapshots() as snapshots:
+            _, trace = reduce([cor_ins(yielded(Int), received(Str)),
+                               cor_ins(received(Int), yielded(Str))])
+        assert [t.rule for t in trace] == [
             "Yield", "Resume", "Yield", "Resume", "MainExit"
         ]
-        assert state.trace[0].state_after == first
-        assert state.trace[-1].state_after == "(0, 0) ⊢ ⊚⟨[], []⟩"
+        first = trace[0].state_after
+        assert first == "(Int, 0) ⊢ ⊚⟨[?String], [?Int; !String]⟩"
+        assert trace[-1].state_after == "(0, 0) ⊢ ⊚⟨[], []⟩"
+        assert trace[0].state_after == first
+        assert_states_read_both_ways(trace, snapshots)
 
     def test_untraced_analysis_renders_nothing(self, monkeypatch):
         import flowcheck.engine as engine
@@ -380,6 +413,24 @@ class TestTraceState:
         assert analysis.cases[0].trace[-1].line().endswith("⊢ ⊚⟨%s⟩" % ", ".join(["[]"] * 9))
         assert calls
 
+    def test_only_a_state_read_runs_the_reduction_again(self, monkeypatch):
+        import flowcheck.engine as engine
+        from flowcheck.gofront import analyze_source
+
+        real, calls = engine.reduce_step, []
+        monkeypatch.setattr(engine, "reduce_step", lambda state: calls.append(1) or real(state))
+        trace = analyze_source(fanout_source(8)).cases[0].trace
+        ran = len(calls)
+        assert ran > 8
+        # the step count and the rule names are what the run kept
+        assert len(trace) == ran + 1  # the start of main
+        assert [entry.rule for entry in trace][:2] == ["StartEval", "YieldCo"]
+        assert [entry.rule for entry in trace[-2:]] == ["Resume", "MainExit"]
+        assert len(calls) == ran
+        last = trace[-1].line()
+        assert len(calls) == 2 * ran
+        assert [entry.line() for entry in trace][-1] == last
+        assert len(calls) == 2 * ran
 
     def test_finished_reduction_is_freed_without_the_cycle_collector(self, monkeypatch):
         # nothing the trace keeps may point back at the state: a cycle would
@@ -499,7 +550,7 @@ class TestLiveInvariants:
             self.check(state)
             real(state)
             self.check(state)
-            steps.append(state.steps)
+            steps.append(len(state.rules))
             return state
 
         monkeypatch.setattr(engine, "reduce_step", checked)
@@ -533,7 +584,7 @@ class TestResume:
         state = ReductionState(pending=pending)
         state.main = state.add(inst)
         reduce_step(state)
-        assert state.trace[-1].rule == "Resume"
+        assert state.rules[-1] == "Resume"
         return state.insts[state.main]
 
     def test_binding_free_resume_keeps_the_rest_of_the_flow(self):
@@ -563,12 +614,12 @@ class TestClassify:
     def test_zero_residual(self):
         # no main: the machine runs until nothing can move
         state = self._run([cor_ins(yielded(Int)), cor_ins(received(Int))])
-        assert state.trace[-1].rule == "CoToExt"
+        assert state.rules[-1] == "CoToExt"
         assert state.verdict.kind == "NoDeadlock" and state.verdict.residual == ZERO
 
     def test_nonzero_residual(self):
         state = self._run([cor_ins(yielded(Str))])
-        assert [t.rule for t in state.trace] == ["Yield", "External", "CoToExt"]
+        assert state.rules == ["Yield", "External", "CoToExt"]
         assert state.verdict.kind == "Deadlock"
         assert render(state.verdict.residual) == "[!String]"
         assert state.verdict.externals == (Str,)
@@ -632,10 +683,10 @@ class TestConservation:
 
             while state.verdict is None:
                 before = sum(census().values())
-                rule_count = len(state.trace)
+                rule_count = len(state.rules)
                 reduce_step(state)
                 after = sum(census().values())
-                rule = state.trace[-1].rule if len(state.trace) > rule_count else None
+                rule = state.rules[-1] if len(state.rules) > rule_count else None
                 if rule == "Resume":
                     assert after == before - 2
                 elif rule == "RemoveVoid":
@@ -661,9 +712,9 @@ class TestRulePriorityTotality:
                 state.add(inst)
             state.main = 0
             while state.verdict is None:
-                steps_before = state.steps
+                steps_before = len(state.rules)
                 reduce_step(state)
-                assert state.steps == steps_before + 1
+                assert len(state.rules) == steps_before + 1
 
 
 def random_calculus_states(seed, count):
@@ -701,8 +752,8 @@ def random_calculus_states(seed, count):
 
 class TestHeadIndex:
     """The head index picks the coroutine a linear walk of the instances
-    would, and the delta trace rebuilds the state a full copy would have
-    kept."""
+    would, and the trace of a reduction of the same instances reads the
+    state a full copy would have kept."""
 
     @staticmethod
     def predictions(state):
@@ -745,11 +796,11 @@ class TestHeadIndex:
             while state.verdict is None:
                 predicted = self.predictions(state)
                 before = dict(state.insts)
-                count = len(state.trace)
+                count = len(state.rules)
                 reduce_step(state)
-                if len(state.trace) == count:
+                if len(state.rules) == count:
                     break  # the step cap
-                rule = state.trace[-1].rule
+                rule = state.rules[-1]
                 fired[rule] += 1
                 # a coroutine that ResumeCo removed was not acted on
                 acted = [n for n, inst in before.items()
@@ -763,19 +814,10 @@ class TestHeadIndex:
 
     def test_delta_trace_equals_full_snapshots(self):
         for state in random_calculus_states(5, 300):
-            snapshots = []
-            while state.verdict is None:
-                count = len(state.trace)
-                reduce_step(state)
-                if len(state.trace) > count:
-                    instances = tuple(state.insts.values())
-                    snapshots.append((state.pending, tuple(state.externals), instances))
-            assert len(snapshots) == len(state.trace)
-            pairs = list(zip(state.trace, snapshots))
-            for entry, snapshot in reversed(pairs):
-                assert entry.state == snapshot
-            for entry, snapshot in pairs:
-                assert entry.state == snapshot
+            with rule_snapshots() as snapshots:
+                _, trace = reduce(list(state.insts.values()), max_steps=state.max_steps,
+                                  defs=state.defs)
+            assert_states_read_both_ways(trace, snapshots)
 
 
 class TestRecursiveInline:
@@ -892,26 +934,30 @@ class TestStartMemo:
             ("send", "[]"), ("send", "[!Int]"), ("send", "[!Int]"),
         ]
 
-    def test_shared_instances_trace_full_snapshots(self, monkeypatch):
-        import flowcheck.engine as engine
+    @pytest.mark.parametrize("source", [GUARDS_K2, GUARDED_SENDER], ids=["k=2", "guarded sender"])
+    def test_a_shared_table_leaves_each_case_trace_as_reduced_alone(self, source):
+        from flowcheck.gofront import analyze_source
+        from flowcheck.gofront.parser import parse
+        from flowcheck.gofront.translate import compute_m, unresolved_condition_preds
+        from flowcheck.solver import partition_cases
+
+        analysis = analyze_source(source)  # every case has run before a trace is read
+        defs = compute_m(parse(source)).cordefs
+        cases = partition_cases(unresolved_condition_preds(defs))
+        assert len(cases) == len(analysis.cases) > 1
+        for result, case in zip(analysis.cases, cases):
+            _, alone = reduce([start_app(DefRef("main"))], defs=defs, assumption=case.assumption,
+                              valuation=case.valuation, table={})
+            assert result.label == case.label
+            assert [entry.line() for entry in result.trace] == [entry.line() for entry in alone]
+
+    def test_shared_instances_trace_full_snapshots(self):
         from flowcheck.gofront import analyze_source
 
-        real = engine.reduce_step
-        snapshots, shared = [], []
-
-        def snapshot(state):
-            count = len(state.trace)
-            real(state)
-            if len(state.trace) > count:
-                instances = tuple(state.insts.values())
-                snapshots.append((state.pending, tuple(state.externals), instances))
-                shared.append(len(set(map(id, instances))) < len(instances))
-            return state
-
-        monkeypatch.setattr(engine, "reduce_step", snapshot)
-        analysis = analyze_source(fanout_source(12))
+        with rule_snapshots() as snapshots:
+            analysis = analyze_source(fanout_source(12))
         trace = analysis.cases[0].trace
-        assert any(shared)
+        assert any(len(set(map(id, instances))) < len(instances) for _, _, instances in snapshots)
         assert len(trace) == len(snapshots) + 1  # the start of main
         for entry, expected in reversed(list(zip(trace[1:], snapshots))):
             assert entry.state == expected
@@ -962,3 +1008,30 @@ class TestReductionSymbols:
         guard = Cmp(x, "=", A)
         assert _decide(guard, disj(Cmp(x, "=", B), guard)) is None
         assert _decide(guard, Cmp(x, "=", B)) is False
+
+
+def straight_line_main(n):
+    """``main`` runs n pairs of ``go func() { ch <- 1 }()`` and ``<-ch``."""
+    lines = ["package main", "", "func main() {", "\tch := make(chan int)"]
+    lines += ["\tgo func() {", "\t\tch <- 1", "\t}()", "\t<-ch"] * n
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def test_a_doubled_straight_line_main_at_most_2_5_times_the_memory():
+    # a run that kept every version of main's shrinking flow would need
+    # memory quadratic in n, about 3.3 times as much per doubling
+    import tracemalloc
+
+    from flowcheck.gofront import analyze_source
+
+    peaks = []
+    for n in (300, 600):
+        source = straight_line_main(n)
+        tracemalloc.start()
+        try:
+            analysis = analyze_source(source, max_steps=10**6)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert analysis.worst() == "NoDeadlock" and analysis.steps == 3 * n + 2
+    assert peaks[1] <= 2.5 * peaks[0], peaks
