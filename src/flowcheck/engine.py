@@ -47,18 +47,24 @@ removed never exits.  The step that ends a reduction sets its verdict:
 ``Deadlock`` when the residual has items, ``NoDeadlock`` when it is empty,
 ``Inconclusive`` once ``max_steps`` rules have fired.
 
-A step costs what it changes, not how many coroutines are live.  The state
-is plain data: ``insts`` maps each number to its instance, in creation
-order, and ``kinds`` to the kind of its head.  ``ReductionState.set`` is
-the one way an instance changes: it refiles the number when its head kind
-changes.  The head index is one heap of numbers per kind, whose stale tops
-are dropped when a rule asks ``first`` for that kind, and the set of
-receivers, sorted when read.  Rules 1-7 pick their coroutine from the
-index; only rule 4's search for a whole coroutine and rule 8's residual
-walk every instance.  A run keeps only the names of the rules it fired.
-The machine is deterministic, so reading a state of the trace runs the
-reduction again from the same inputs, once per trace, and keeps the state
-after each rule; a trace nobody reads costs nothing.
+A step costs what it changes, not how many coroutines are live or how long
+their flows are.  The state is plain data: ``insts`` maps each number to
+its cursor, in creation order, and ``kinds`` to the kind of its head, read
+from the kinds of its flow's items, worked out once per instance.  A
+cursor ``(inst, pos, below, constraint, label)`` is immutable: its head is
+item ``pos`` of the shared ``inst.flow``, and once that flow ends it goes
+on in the frame ``(inst, pos, below)`` of ``below``, so no step copies a
+flow.  ``ReductionState.set`` is the one way a coroutine changes; it
+refiles the number in the head index when its head kind changes: one heap
+of numbers per kind, whose stale tops are dropped when a rule asks
+``first`` for that kind, and the set of receivers, sorted when read.
+Rules 1-7 pick their coroutine from the index; only rule 4's search for a
+whole coroutine and rule 8's residual walk every coroutine.  An instance
+is built from a cursor, through ``canon``, only where one is read.  A run
+keeps only the names of the rules it fired.  The machine is deterministic,
+so reading a state of the trace runs the reduction again from the same
+inputs, once per trace, and keeps the state after each rule; a trace
+nobody reads costs nothing.
 """
 
 from __future__ import annotations
@@ -87,7 +93,6 @@ from .terms import (
     cor_ins,
     flatten,
     substitute,
-    tail,
     term_map,
     yielded,
 )
@@ -161,7 +166,8 @@ def start(definition, bindings=None, assumption=TRUE, valuation=None, *, defs=No
     reduction passes its own).  One the assumption leaves open raises
     ``AmbiguousCondition``; the case split is what decides such guards.
     ``table``, shared by one analysis's reductions, holds ``_resolve``'s
-    entries and each instance whose start decided no guard over a variable.
+    entries, each instance whose start decided no guard over a variable,
+    and by id each union-free definition, whose start shares its flow unwalked.
     """
     key = definition, bindings
     if isinstance(definition, DefRef):
@@ -188,8 +194,9 @@ def start(definition, bindings=None, assumption=TRUE, valuation=None, *, defs=No
         return verdict
 
     shared = {} if table is None else table
-    flow = tuple(_resolve(item, decide, shared) for item in bound.flow)
-    inst = canon(CorIns(flow, bound.constraint, definition.label))
+    inst = CorIns(bound.flow, bound.constraint, definition.label)
+    if shared.get(id(definition)) is not definition:  # one it holds has no union
+        inst = canon(term_map(inst, lambda item: _resolve(item, decide, shared)))
     if table is not None and not opened:  # every case would start it the same
         table[key] = inst
     return inst
@@ -199,12 +206,12 @@ def start(definition, bindings=None, assumption=TRUE, valuation=None, *, defs=No
 # reduction state
 
 
-def _head_kind(inst):
-    """Which rule the head item of ``inst`` can start: "inline", "void",
-    "receive", "yield", "spawn", or None."""
-    if not inst.flow:
+def _head_kind(inst, pos=0):
+    """Which rule item ``pos`` of the flow of ``inst`` can start at its head:
+    "inline", "void", "receive", "yield", "spawn", or None."""
+    if pos == len(inst.flow):
         return None
-    head = inst.flow[0]
+    head = inst.flow[pos]
     if isinstance(head, InlineApp):
         return "inline"
     if isinstance(head, Directed):
@@ -220,6 +227,32 @@ def _head_kind(inst):
     return None
 
 
+def _head(cursor):
+    flow = cursor[0].flow
+    return flow[cursor[1]] if cursor[1] < len(flow) else None
+
+
+def _advance(cursor):
+    """The cursor past its head, in the frame below once its flow ends."""
+    inst, pos, below, constraint, label = cursor
+    if pos + 1 == len(inst.flow) and below is not None:
+        return (*below, constraint, label)
+    return inst, pos + 1, below, constraint, label
+
+
+def _instance(cursor):
+    """The canonical instance ``cursor`` stands for: each frame's rest, top
+    first; at the start of its one instance, that very instance."""
+    inst, pos, below, constraint, label = cursor
+    if not pos and below is None and constraint is inst.constraint and label == inst.label:
+        return inst
+    flow = list(inst.flow[pos:])
+    while below is not None:
+        inst, pos, below = below
+        flow += inst.flow[pos:]
+    return canon(CorIns(tuple(flow), constraint, label))
+
+
 class TraceEntry:
     """The ``step``-th rule of a trace.  ``state`` is the terms ``(pending,
     externals, instances)`` after it; ``state_after`` renders them."""
@@ -233,15 +266,17 @@ class TraceEntry:
 
     @property
     def state(self) -> tuple:
-        states, externals = self._trace.states()
-        pending, count, instances = states[self.step - 1]
-        return pending, tuple(externals[:count]), instances
+        states, externals, made, _ = self._trace.states()  # made: id of a cursor -> instance
+        pending, count, cursors = states[self.step - 1]
+        insts = tuple(made.get(id(c)) or made.setdefault(id(c), _instance(c)) for c in cursors)
+        return pending, tuple(externals[:count]), insts
 
     @property
     def state_after(self) -> str:
         pending, externals, instances = self.state
+        shown = self._trace.states()[3]  # id of an instance -> its text
         ext = render(canon(Seq(externals))) if externals else "0"
-        body = ", ".join(render(i) for i in instances)
+        body = ", ".join([shown.get(id(i)) or shown.setdefault(id(i), render(i)) for i in instances])
         return "(%s, %s) ⊢ ⊚⟨%s⟩" % (render(pending), ext, body)
 
     def line(self) -> str:
@@ -252,7 +287,7 @@ class Trace:
     """The rules a reduction fired, read as a sequence of ``TraceEntry``s,
     each built when read.  The first read of a state runs the reduction
     again from the same inputs and keeps the state after each rule: the
-    pending value, how far the external yields had grown, the instances."""
+    pending value, how far the external yields had grown, the cursors."""
 
     __slots__ = ("rules", "_inputs", "_states")
 
@@ -276,9 +311,9 @@ class Trace:
             state, states = ReductionState(**settings), []
             for _ in _run(state, initial):
                 if len(state.rules) > len(states):
-                    insts = tuple(state.insts.values())
-                    states.append((state.pending, len(state.externals), insts))
-            self._states = states, state.externals
+                    cursors = tuple(state.insts.values())
+                    states.append((state.pending, len(state.externals), cursors))
+            self._states = states, state.externals, {}, {}  # instances, texts, by id
         return self._states
 
 
@@ -299,13 +334,13 @@ class ReductionState:
     __slots__ = (
         "insts", "kinds", "pending", "externals", "rules", "max_steps", "assumption",
         "valuation", "defs", "scope", "main", "last_yielder", "verdict", "heaps",
-        "receivers", "created", "started", "table", "__weakref__",
+        "receivers", "created", "started", "kinds_of", "table", "__weakref__",
     )
 
     def __init__(self, *, pending=ZERO, max_steps=DEFAULT_MAX_STEPS, assumption=TRUE,
                  valuation=None, defs=None, scope=(), table=None):
-        self.insts = {}  # number -> instance of each live coroutine, in creation order
-        self.kinds = {}  # number -> head kind of its instance
+        self.insts = {}  # number -> cursor of each live coroutine, in creation order
+        self.kinds = {}  # number -> head kind of its cursor
         self.pending = pending
         self.externals = []
         self.rules = []  # the name of each rule fired
@@ -321,14 +356,17 @@ class ReductionState:
         self.receivers = set()  # numbers whose head is a receive
         self.created = 0
         self.started = {}  # application -> the instance it started
+        self.kinds_of = {}  # id of an instance -> (it, each item's head kind, then None)
         self.table = {} if table is None else table  # shared by an analysis's reductions
 
-    def set(self, n, inst: CorIns):
-        """Make ``inst`` the instance of coroutine ``n`` and refile ``n`` when
-        its head kind changes.  Every change of an instance goes through here."""
-        self.insts[n] = inst
-        old = self.kinds.get(n)
-        self.kinds[n] = kind = _head_kind(inst)
+    def set(self, n, cursor):
+        """Make ``cursor`` coroutine ``n``'s and refile ``n`` when its head kind
+        changes.  Every change of a coroutine goes through here."""
+        self.insts[n] = cursor
+        inst, old = cursor[0], self.kinds.get(n)
+        kinds = self.kinds_of.get(id(inst)) or self.kinds_of.setdefault(id(inst), (
+            inst, tuple(map(_head_kind, [inst] * (len(inst.flow) + 1), range(len(inst.flow) + 1)))))
+        self.kinds[n] = kind = kinds[1][cursor[1]]
         if kind == old:
             return
         if old == "receive":
@@ -342,13 +380,8 @@ class ReductionState:
         """Number a new coroutine after every earlier one and index its head."""
         n = self.created
         self.created += 1
-        self.set(n, inst)
+        self.set(n, (inst, 0, None, inst.constraint, inst.label))
         return n
-
-    def remove(self, n):
-        del self.insts[n]
-        del self.kinds[n]  # drops n from the heaps when it reaches a top
-        self.receivers.discard(n)
 
     def first(self, kind):
         """The earliest-created coroutine whose head is of ``kind`` (not a
@@ -363,9 +396,10 @@ class ReductionState:
     def instantiate(self, app) -> CorIns:
         """The instance a start or inline application evaluates to, started
         once per reduction: everything else ``start`` reads is fixed for the
-        reduction, so equal applications share the one immutable instance.
-        One whose start decided no guard over a variable is the same in every
-        case: it is kept in ``table``.  A start that raises is not kept."""
+        reduction, so equal applications, and the cursors of their spawns and
+        calls, share the one immutable instance.  One whose start decided no
+        guard over a variable is the same in every case: it is kept in
+        ``table``.  A start that raises is not kept."""
         inst = self.started.get(app)
         if inst is None:
             inst = self.started[app] = self.table.get((app.target, app.bindings)) or start(
@@ -376,28 +410,23 @@ class ReductionState:
 
 def _resume(state, n, conditions):
     """Move receiver ``n`` past its head under the outcome of a successful
-    match.
-
-    Every live instance is canonical and so is its tail, so a match that
-    binds nothing leaves the rest of the flow as it is."""
-    inst = state.insts[n]
-    rest = tail(inst).flow
+    match.  Each frame's rest is canonical, so one that binds nothing only
+    moves the cursor; one that binds variables substitutes into the rest."""
     constraint = None if conditions.residual == TRUE else conditions.residual
-    if not conditions.bindings:
-        state.set(n, CorIns(rest, constraint, inst.label))
-        return
-    rest = tuple(substitute(i, conditions.bindings) for i in rest)
-    state.set(n, canon(CorIns(rest, constraint, inst.label)))
+    cursor = (*_advance(state.insts[n])[:3], constraint, state.insts[n][4])
+    if conditions.bindings:
+        inst = term_map(_instance(cursor), lambda item: substitute(item, conditions.bindings))
+        cursor = canon(inst), 0, None, constraint, inst.label
+    state.set(n, cursor)
 
 
 def _spawn(state, n):
     """Evaluate the yielded coroutine or start application at the head of
     coroutine ``n``, adding the new instance after every live one."""
-    inst = state.insts[n]
-    head = inst.flow[0]
+    head = _head(state.insts[n])
     spawn = head.payload if isinstance(head, Directed) else head
     spawned = state.instantiate(spawn) if isinstance(spawn, StartApp) else spawn
-    state.set(n, tail(inst))
+    state.set(n, _advance(state.insts[n]))
     state.add(spawned)
     state.rules.append("YieldCo")
     return state
@@ -426,17 +455,17 @@ def reduce_step(state: ReductionState):
 
     # 1. inline evaluation at a head
     n = state.first("inline")
-    if n is not None:
-        inst = insts[n]
-        flow = state.instantiate(inst.flow[0]).flow + tail(inst).flow
-        state.set(n, canon(CorIns(flow, inst.constraint, inst.label)))
+    if n is not None:  # push the callee's instance over the rest, unless either is empty
+        rest, callee = _advance(insts[n]), state.instantiate(_head(insts[n]))
+        below = None if _head(rest) is None else rest[:3]
+        state.set(n, (callee, 0, below, *rest[3:]) if callee.flow or below is None else rest)
         state.rules.append("InlineEval")
         return state
 
     # 2. drop a head item with no behavior
     n = state.first("void")
     if n is not None:
-        state.set(n, tail(insts[n]))
+        state.set(n, _advance(insts[n]))
         state.rules.append("RemoveVoid")
         return state
 
@@ -444,12 +473,12 @@ def reduce_step(state: ReductionState):
 
     # 3. a value is in flight: resume a receiver or externalize it
     if not isinstance(state.pending, ZeroType):
-        # the coroutine that just yielded comes last
-        for n in sorted(receivers, key=lambda n: n == state.last_yielder):
-            inst = insts[n]
-            pattern = inst.flow[0].payload
-            if inst.constraint is not None:
-                pattern = Constrained(pattern, inst.constraint)
+        if state.last_yielder in state.receivers:  # the coroutine that just yielded comes last
+            receivers.append(receivers.pop(receivers.index(state.last_yielder)))
+        for n in receivers:
+            pattern, constraint = _head(insts[n]).payload, insts[n][3]
+            if constraint is not None:
+                pattern = Constrained(pattern, constraint)
             conditions = match(state.pending, pattern, scope=state.scope)
             if conditions is not BOTTOM:
                 _resume(state, n, conditions)
@@ -468,16 +497,17 @@ def reduce_step(state: ReductionState):
 
     # 4. a receiver expecting a whole coroutine (only the first is tried)
     for receiver in receivers:
-        pattern = insts[receiver].flow[0].payload
+        pattern = _head(insts[receiver]).payload
         if not isinstance(pattern, (CorIns, CorDef)):
             continue
-        for n, inst in insts.items():
-            if n == receiver or not inst.flow:
+        for n, cursor in insts.items():
+            if n == receiver or _head(cursor) is None:
                 continue
-            conditions = match(inst, pattern, scope=state.scope)
+            conditions = match(_instance(cursor), pattern, scope=state.scope)
             if conditions is not BOTTOM:
                 _resume(state, receiver, conditions)
-                state.remove(n)
+                del insts[n], state.kinds[n]  # drops n from the heaps when it reaches a top
+                state.receivers.discard(n)
                 state.rules.append("ResumeCo")
                 return state
         break
@@ -485,21 +515,21 @@ def reduce_step(state: ReductionState):
     # 5. the main coroutine finished; all values have settled
     yielder = state.first("yield")
     main = insts.get(state.main)
-    if main is not None and not main.flow and yielder is None:
+    if main is not None and yielder is None and _head(main) is None:
         if state.externals:
             items = [yielded(e) for e in state.externals]
         else:
-            items = [yielded(insts[n]) for n in receivers]
+            items = [yielded(_instance(insts[n])) for n in receivers]
         return _terminate(state, "MainExit", items)
 
     # 6. transfer the first yielded value into the pending slot
     if yielder is not None:
-        inst = insts[yielder]
-        state.pending = inst.flow[0].payload
-        if inst.constraint is not None:
-            state.pending = canon(Constrained(state.pending, inst.constraint))
+        cursor = insts[yielder]
+        state.pending = _head(cursor).payload
+        if cursor[3] is not None:
+            state.pending = canon(Constrained(state.pending, cursor[3]))
         state.last_yielder = yielder
-        state.set(yielder, tail(inst))
+        state.set(yielder, _advance(cursor))
         state.rules.append("Yield")
         return state
 
@@ -510,7 +540,7 @@ def reduce_step(state: ReductionState):
 
     # 8. nothing can move
     items = [yielded(e) for e in state.externals]
-    items += [yielded(inst) for inst in insts.values() if inst.flow]
+    items += [yielded(_instance(c)) for c in insts.values() if _head(c) is not None]
     return _terminate(state, "CoToExt", items)
 
 

@@ -59,7 +59,9 @@ def analyze_source(source: str | bytes, max_steps: int = engine.DEFAULT_MAX_STEP
         initial = [start_app(DefRef("main"))]
         # only a union carries a guard that may need a case split
         guards = unresolved_condition_preds(cordefs) if translation.guarded else []
-        table = {}  # what no case changes, worked out by the first case that needs it
+        # what no case changes, worked out by the first case that needs it; a
+        # definition in which no conditional became a union starts as it is
+        table = {id(d): d for name, d in cordefs.items() if name not in translation.guarded}
         for case in partition_cases(guards):
             verdict, trace = engine.reduce(
                 initial,

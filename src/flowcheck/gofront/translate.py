@@ -17,12 +17,14 @@ use when no statement assigns it, and is taken as made otherwise.
 Member bodies translate statement by statement, in Go's order of
 evaluation (``goast.operands``): sends yield the channel's element type,
 receives expect it, and undecided conditionals become unions guarded by
-the condition predicate; ``Translation.guarded`` records whether any did,
-and only then does the analysis run ``unresolved_condition_preds``.  A call
-of a member becomes an inline application, a ``go`` a start, and a
-``defer`` an inline application at the end of the flow.  Each named member
-translates once; a function literal translates where it runs, with the
-facts there: at its call or ``go``, or at the function's end if deferred.
+the condition predicate; ``Translation.guarded`` names the definitions in
+which any did.  When it names none, the analysis skips
+``unresolved_condition_preds``, and a definition it does not name starts
+without a search for unions.  A call of a member becomes an inline
+application, a ``go`` a start, and a ``defer`` an inline application at
+the end of the flow.  Each named member translates once; a function
+literal translates where it runs, with the facts there: at its call or
+``go``, or at the function's end if deferred.
 
 Channel identity is deliberately not tracked: two channels with the same
 element type are indistinguishable, so a program that uses them out of
@@ -132,8 +134,9 @@ class Decl:
 
 
 class Translation(Record):
-    # cordefs: name -> CorDef, the coroutine map; guarded: whether any
-    # undecided conditional became a union, so a guard may need a case split
+    # cordefs: name -> CorDef, the coroutine map; guarded: the names of the
+    # definitions in which an undecided conditional became a union, so a
+    # guard may need a case split
     __slots__ = ("cordefs", "warnings", "guarded")
 
 
@@ -150,7 +153,8 @@ class Translator:
         self.cordefs: dict[str, CorDef] = {}
         self.chan_makes: defaultdict[str, int] = defaultdict(int)
         self.unknown_args = count(1)
-        self.guarded = False  # whether _if built a union
+        self.guarded: set = set()  # the name of each definition in which _if built a union
+        self.function = None  # the name of the body being translated
 
     # -- scope and facts --------------------------------------------------------
 
@@ -282,7 +286,7 @@ class Translator:
 
     def _translate(self, f: Func):
         """Translate ``f`` with the facts where it runs, then take back its changes."""
-        mark = len(self.log)
+        mark, outer, self.function = len(self.log), self.function, f.name
         deferred: list = []  # (application, literal or None)
         items, _ = self._block(f.body, deferred)
         deferred.reverse()  # run last deferred first, at the end, with the facts there
@@ -292,6 +296,7 @@ class Translator:
             items.append(app)
         self._undo(mark)
         self.cordefs[f.name] = cor_def(*items, label=f.name)
+        self.function = outer
 
     def _block(self, stmts, deferred) -> tuple:
         """Flow items and whether ``stmts`` return; ``deferred`` is None
@@ -325,7 +330,7 @@ class Translator:
             self._set(self.facts, decl, (a or b) if chan else a if a == b else None)
         if t_ret or e_ret:
             raise Unsupported("return inside an undecided conditional", s.line)
-        self.guarded = True
+        self.guarded.add(self.function)
         then_branch = constrained(seq(*then_items), pred)
         else_branch = constrained(seq(*else_items), neg(pred))
         # an empty branch flattens to an unguarded 0, which resolution takes
@@ -548,7 +553,7 @@ def compute_m(program: Program) -> Translation:
         "operations on them may be conflated" % (count, elem)
         for elem, count in sorted(tr.chan_makes.items()) if count > 1
     ]
-    return Translation(cordefs, warnings, tr.guarded)
+    return Translation(cordefs, warnings, frozenset(tr.guarded))
 
 
 def unresolved_condition_preds(cordefs: dict) -> list:

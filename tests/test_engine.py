@@ -8,6 +8,7 @@ from flowcheck.engine import (
     AmbiguousCondition,
     NoSatisfiableBranch,
     ReductionState,
+    _instance,
     reduce,
     reduce_step,
     start,
@@ -204,7 +205,7 @@ class TestReduceStep:
         state = self._state([cor_ins(received(Err))], pending=Err)
         reduce_step(state)
         assert state.rules[-1] == "Resume"
-        assert state.insts[0] == CorIns(())
+        assert _instance(state.insts[0]) == CorIns(())
         assert state.pending == ZERO
 
     def test_external_when_no_receiver_matches(self):
@@ -351,8 +352,9 @@ def fanout_source(n):
 @contextlib.contextmanager
 def rule_snapshots():
     """The terms ``(pending, externals, instances)`` after each rule that
-    ``reduce_step`` fires inside the block, and only there: a trace read
-    after the block runs its reduction again unobserved."""
+    ``reduce_step`` fires inside the block, and only there, each cursor made
+    an instance at once: a trace read after the block runs its reduction
+    again unobserved."""
     import flowcheck.engine as engine
 
     real, snapshots = engine.reduce_step, []
@@ -361,7 +363,8 @@ def rule_snapshots():
         count = len(state.rules)
         real(state)
         if len(state.rules) > count:
-            snapshots.append((state.pending, tuple(state.externals), tuple(state.insts.values())))
+            instances = tuple(map(_instance, state.insts.values()))
+            snapshots.append((state.pending, tuple(state.externals), instances))
         return state
 
     engine.reduce_step = snapshot
@@ -517,16 +520,25 @@ func main() {
 
 
 class TestLiveInvariants:
-    """Every live instance stays canonical, and the head kind kept for each
-    coroutine is always the kind of its current head."""
+    """Every cursor's frames hold positions inside their flows, and only the
+    bottom frame may be at its end; the instance a cursor stands for stays
+    canonical, and the head kind kept for each coroutine is always the kind
+    of its current head."""
 
     def check(self, state):
         from flowcheck.engine import _head_kind
         from flowcheck.terms import flatten
 
-        for n, inst in state.insts.items():
-            assert inst == flatten(inst)
-            assert state.kinds[n] == _head_kind(inst)
+        for n, cursor in state.insts.items():
+            inst, pos, below = cursor[:3]
+            assert 0 <= pos <= len(inst.flow)
+            while below is not None:
+                assert pos < len(inst.flow)  # a frame above another is not at its end
+                inst, pos, below = below
+                assert 0 <= pos <= len(inst.flow)
+            materialized = _instance(cursor)
+            assert materialized == flatten(materialized)
+            assert state.kinds[n] == _head_kind(materialized)
 
     def sources(self):
         import random
@@ -565,18 +577,39 @@ class TestLiveInvariants:
         assert len(steps) > 3 * 24 * 3
 
     def test_reassigned_instance_updates_the_kind(self):
-        from flowcheck.terms import tail
+        from flowcheck.engine import _advance, _head
 
         state = ReductionState()
         n = state.add(cor_ins(received(Int), yielded(Str), start_app(DefRef("f"))))
         assert state.kinds[n] == "receive"
         kinds = []
-        while state.insts[n].flow:
-            state.set(n, tail(state.insts[n]))
+        while _head(state.insts[n]) is not None:
+            state.set(n, _advance(state.insts[n]))
             kinds.append(state.kinds[n])
         assert kinds == ["yield", "spawn", None]
-        state.set(n, cor_ins(inline_app(DefRef("f"))))
+        state.set(n, (cor_ins(inline_app(DefRef("f"))), 0, None, None, None))
         assert state.kinds[n] == "inline"
+
+    def test_a_frame_at_its_end_goes_before_the_next_pushes(self):
+        # a chain of calls in tail position keeps one frame; a call with
+        # items after it keeps its caller's frame below the callee's
+        defs = {
+            "f0": cor_def(yielded(Int), inline_app(DefRef("f1")), label="f0"),
+            "f1": cor_def(yielded(Int), inline_app(DefRef("f2")), label="f1"),
+            "f2": cor_def(yielded(Int), label="f2"),
+        }
+        state = ReductionState(defs=defs)
+        state.main = n = state.add(cor_ins(inline_app(DefRef("f0")), yielded(Str)))
+        state.add(cor_ins(received(Int), received(Int), received(Int), received(Str)))
+        depths = []
+        while state.verdict is None:
+            reduce_step(state)
+            depth, frame = 0, state.insts[n]
+            while frame is not None:
+                depth, frame = depth + 1, frame[2]
+            depths.append(depth)
+        assert state.verdict.kind == "NoDeadlock"
+        assert max(depths) == 2 and depths[-1] == 1
 
 
 class TestResume:
@@ -589,13 +622,15 @@ class TestResume:
 
     def test_binding_free_resume_keeps_the_rest_of_the_flow(self):
         inst = cor_ins(received(Int), yielded(Str), received(cor_ins(yielded(A))))
-        after = self._step(inst, Int)
+        cursor = self._step(inst, Int)
+        assert cursor[0] is inst and cursor[1] == 1  # the cursor moved; nothing was copied
+        after = _instance(cursor)
         assert len(after.flow) == 2
         assert all(a is b for a, b in zip(after.flow, inst.flow[1:]))
 
     def test_binding_resume_substitutes_the_rest(self):
         x = Var("x")
-        after = self._step(cor_ins(received(x), yielded(x)), Int)
+        after = _instance(self._step(cor_ins(received(x), yielded(x)), Int))
         assert after == cor_ins(yielded(Int))
 
 
@@ -672,8 +707,8 @@ class TestConservation:
 
             def census():
                 counts = Counter()
-                for inst in state.insts.values():
-                    for item in inst.flow:
+                for cursor in state.insts.values():
+                    for item in _instance(cursor).flow:
                         counts[item] += 1
                 if not isinstance(state.pending, ZeroType):
                     counts[("pending", state.pending)] += 1
@@ -764,7 +799,7 @@ class TestHeadIndex:
         from flowcheck.solver import BOTTOM, match
         from flowcheck.terms import Constrained, CorDef, ZeroType
 
-        insts = state.insts
+        insts = {n: _instance(cursor) for n, cursor in state.insts.items()}
 
         def first(kind):
             return next((n for n, inst in insts.items() if _head_kind(inst) == kind), None)
@@ -815,8 +850,8 @@ class TestHeadIndex:
     def test_delta_trace_equals_full_snapshots(self):
         for state in random_calculus_states(5, 300):
             with rule_snapshots() as snapshots:
-                _, trace = reduce(list(state.insts.values()), max_steps=state.max_steps,
-                                  defs=state.defs)
+                _, trace = reduce(list(map(_instance, state.insts.values())),
+                                  max_steps=state.max_steps, defs=state.defs)
             assert_states_read_both_ways(trace, snapshots)
 
 
@@ -934,6 +969,26 @@ class TestStartMemo:
             ("send", "[]"), ("send", "[!Int]"), ("send", "[!Int]"),
         ]
 
+    def test_a_union_free_definition_starts_as_its_own_flow(self, monkeypatch):
+        # the translator names each definition in which it built a union;
+        # a start of any other shares the definition's flow, unwalked
+        import flowcheck.engine as engine
+        from flowcheck.gofront import analyze_source
+
+        real, shared = engine.start, []
+
+        def start(definition, *args, defs=None, **kwargs):
+            inst = real(definition, *args, defs=defs, **kwargs)
+            shared.append((definition.name, inst.flow is defs[definition.name].flow))
+            return inst
+
+        monkeypatch.setattr(engine, "start", start)
+        assert analyze_source(fanout_source(8)).worst() == "NoDeadlock"
+        assert shared == [("main", True), ("send", True)]
+        shared.clear()
+        analyze_source(GUARDS_K2)  # main holds the unions, the sender none
+        assert sorted(set(shared)) == [("anon@8", True), ("main", False)]
+
     @pytest.mark.parametrize("source", [GUARDS_K2, GUARDED_SENDER], ids=["k=2", "guarded sender"])
     def test_a_shared_table_leaves_each_case_trace_as_reduced_alone(self, source):
         from flowcheck.gofront import analyze_source
@@ -1035,3 +1090,57 @@ def test_a_doubled_straight_line_main_at_most_2_5_times_the_memory():
             tracemalloc.stop()
         assert analysis.worst() == "NoDeadlock" and analysis.steps == 3 * n + 2
     assert peaks[1] <= 2.5 * peaks[0], peaks
+
+
+def straight_line_defs(n):
+    """The straight-line ``main`` as terms: n pairs of a start of ``send``,
+    which sends once, and a receive."""
+    return {
+        "send": cor_def(yielded(Int), label="send"),
+        "main": cor_def(*[start_app(DefRef("send")), received(Int)] * n, label="main"),
+    }
+
+
+def send_chain_defs(n):
+    """``main`` starts ``f0`` and receives n times; each ``fI`` sends and
+    then calls ``fI+1`` inline, and the last one only sends."""
+    defs = {"f%d" % i: cor_def(yielded(Int), inline_app(DefRef("f%d" % (i + 1))), label="f%d" % i)
+            for i in range(n - 1)}
+    defs["f%d" % (n - 1)] = cor_def(yielded(Int), label="f%d" % (n - 1))
+    defs["main"] = cor_def(start_app(DefRef("f0")), *[received(Int)] * n, label="main")
+    return defs
+
+
+def reduce_seconds(defs):
+    """The processor time ``reduce`` takes to run ``main`` of ``defs`` to
+    ``NoDeadlock``, with the cyclic collector paused: its full collections
+    fall at heap size thresholds, so they would blur a doubling."""
+    import gc
+    import time
+
+    gc.disable()
+    try:
+        began = time.process_time()
+        verdict, _ = reduce([start_app(DefRef("main"))], max_steps=10**7, defs=defs)
+        took = time.process_time() - began
+    finally:
+        gc.enable()
+    assert verdict.kind == "NoDeadlock"
+    return took
+
+
+class TestEngineScales:
+    """A step costs the same however long the flow: for each family, the
+    best of three reductions at 2n costs at most 2.5 times the best at n,
+    where linear growth reads about 2 and quadratic about 4.  A step that
+    copied the rest of a flow is quadratic in both families: in ``main``'s
+    long flow, and in the send chain's ``main`` and its inline calls.  Runs
+    at n and 2n alternate, so a slow spell of the machine falls on both."""
+
+    @pytest.mark.parametrize("family, n", [(straight_line_defs, 4000), (send_chain_defs, 8000)],
+                             ids=["straight-line main", "send chain"])
+    def test_a_doubling_costs_at_most_2_5_times(self, family, n):
+        defs = family(n), family(2 * n)
+        best = [min(times) for times in zip(*(
+            [reduce_seconds(d) for d in defs] for _ in range(3)))]
+        assert best[1] <= 2.5 * best[0], best

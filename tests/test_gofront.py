@@ -823,6 +823,18 @@ class TestPartitionedGuardsSkipTheSolver:
         assert solve_calls == []
 
 
+def holds_union(t) -> bool:
+    """Whether a union sits anywhere in ``t``."""
+    found = []
+
+    def visit(s):
+        found.append(isinstance(s, Union) or holds_union(s))
+        return s
+
+    term_map(t, visit)
+    return any(found)
+
+
 def reference_condition_preds(cordefs, entry="main"):
     """The guards in the order a depth-first walk of the calls first meets
     them: an explicit stack of guards and ``(name, bindings)`` calls, each
@@ -905,6 +917,8 @@ class TestGuardPrePass:
         cordefs = translation.cordefs
         guards = unresolved_condition_preds(cordefs)
         assert translation.guarded or not guards, source  # a skipped pre-pass finds nothing
+        # a definition that ``guarded`` does not name starts without a search for unions
+        assert {name for name, d in cordefs.items() if holds_union(d)} == translation.guarded, source
         assert len(set(guards)) == len(guards), source
         assert set(guards) == set(reference_condition_preds(cordefs)), source
         return bool(guards)
