@@ -1,19 +1,19 @@
 """Tokenizer for the supported Go subset, with automatic semicolon insertion.
 
 One ``findall`` of ``_PIECE`` cuts the source into pieces, blanks dropped,
-and one loop names each piece's kind, by a table or by its first character.
-Every character is in a piece, so a stray one is refused, not skipped.  An
-unterminated quoted literal or ``/*`` is one piece to the end of its line or
-of the input, so no text is searched twice.  The pattern must compile on
-Python 3.10, which has no possessive or atomic forms, so its greedy blank
-prefix would give back a trailing blank as a piece: the search ends before
-the trailing blanks instead.
+``map`` over a table names the kind of most, and one loop names the rest by
+the first character and fills ``Tokens``, three lists with no object per
+token.  Every character is in a piece, so a stray one is refused, not
+skipped.  An unterminated quoted literal or ``/*`` is one piece to the end
+of its line or of the input, so no text is searched twice.  The pattern
+must compile on Python 3.10, which has no possessive or atomic forms, so
+its greedy blank prefix would give back a trailing blank as a piece: the
+search ends before the trailing blanks instead.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 
 class GoSyntaxError(Exception):
@@ -122,20 +122,27 @@ def _number_kind(text, line) -> str:
     return "imaginary" if imaginary else m.lastgroup
 
 
-class Token(NamedTuple):
-    kind: str  # "ident" | "int" | "float" | "imaginary" | "string" | keyword or punctuation
-    value: str
-    line: int
+class Tokens:
+    """The tokens of a source as three parallel lists, indexed by position:
+    each one's kind ("ident", "int", "float", "imaginary", "string", a
+    keyword or an operator, ``;`` or ``eof``), its text and its line."""
+
+    def __init__(self, kinds, values, lines):
+        self.kinds, self.values, self.lines = kinds, values, lines
+
+    def __len__(self):
+        return len(self.kinds)
 
 
-def tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
-    append, new = tokens.append, tuple.__new__
+def tokenize(source: str) -> Tokens:
+    kinds, values, lines = [], [], []
+    kind_of, value_of, line_of = kinds.append, values.append, lines.append
     line, last = 1, None  # last: the kind of the last token
     # a byte order mark may open the file, as Go compilers allow
     start = 1 if source.startswith("\ufeff") else 0
-    for piece in _PIECE.findall(source, start, len(source.rstrip(" \t\r"))):
-        kind = _KINDS.get(piece)
+    pieces = _PIECE.findall(source, start, len(source.rstrip(" \t\r")))
+    pieces.append("\n")  # the end of the input ends a statement as a newline does
+    for piece, kind in zip(pieces, map(_KINDS.get, pieces)):
         if kind is None:
             first = piece[0]
             # a word may also start at a numeral such as '²', Go's may not
@@ -154,14 +161,17 @@ def tokenize(source: str) -> list[Token]:
                 raise GoSyntaxError(line, "unterminated comment")
         if kind == "newline" or kind == "comment":
             breaks = piece.count("\n")
-            if breaks and last in _SEMI_AFTER:
-                append(new(Token, (";", ";", line)))
-                last = ";"
             line += breaks
+            if not breaks or last not in _SEMI_AFTER:
+                continue
+            kind = piece = ";"
+            line_of(line - breaks)
         else:
-            append(new(Token, (kind, piece, line)))
-            last = kind
-    if last in _SEMI_AFTER:
-        tokens.append(Token(";", ";", line))
-    tokens.append(Token("eof", "", line))
-    return tokens
+            line_of(line)
+        kind_of(kind)
+        value_of(piece)
+        last = kind
+    kind_of("eof")
+    value_of("")
+    line_of(line - 1)  # the added newline ended no line of the source
+    return Tokens(kinds, values, lines)

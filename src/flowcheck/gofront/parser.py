@@ -1,12 +1,11 @@
 """Recursive-descent parser for the supported Go subset.
 
-The parser reads token kinds from one list, ``kinds``, indexed by its
-position, built once from the tokens ``tokenize`` returns; a token's value
-and line are read only where a node or a message needs them.  Binary
-expressions are read by precedence climbing over one table,
-``_PRECEDENCE``, of Go's five binary levels; every operator is
-left-associative, as in the Go spec.  An operand enters the postfix level
-only when a call or a selector follows it.
+The parser reads the three lists ``tokenize`` returns by position: every
+test reads ``kinds``, and a token's value and line are read only where a
+node or a message needs them.  Binary expressions are read by precedence
+climbing over one table, ``_PRECEDENCE``, of Go's five binary levels; every
+operator is left-associative, as in the Go spec.  An operand enters the
+postfix level only when a call or a selector follows it.
 
 Anything outside the subset raises Unsupported naming the construct and the
 line, so the analyzer can refuse the file instead of guessing: buffered or
@@ -47,7 +46,7 @@ from .goast import (
     Unary,
     VarDecl,
 )
-from .lexer import GoSyntaxError, Token, plain_decimal, tokenize
+from .lexer import GoSyntaxError, plain_decimal, tokenize
 
 
 # Nesting levels: a block, an ``if`` (``else if`` included), an operand
@@ -106,8 +105,8 @@ _UNSUPPORTED_TYPES = {
 
 class Parser:
     def __init__(self, source: str):
-        self.tokens = tokenize(source)
-        self.kinds = [tok.kind for tok in self.tokens]
+        tokens = tokenize(source)
+        self.kinds, self.values, self.lines = tokens.kinds, tokens.values, tokens.lines
         self.pos = 0
         self.depth = 0
         self.literals: dict[int, int] = {}  # line -> function literals named on it
@@ -116,24 +115,19 @@ class Parser:
     # ``pos`` never passes ``eof``, the last token: a kind other than
     # ``eof`` is tested before each step past it.
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
     def accept(self, kind) -> bool:
         if self.kinds[self.pos] == kind:
             self.pos += 1
             return True
         return False
 
-    def expect(self, kind) -> Token:
-        tok = self.tokens[self.pos]
-        if self.kinds[self.pos] != kind:
-            raise GoSyntaxError(tok.line, "expected %r, found %r" % (kind, tok.value))
+    def expect(self, kind) -> int:
+        """Step past a token of ``kind``; its position."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            raise GoSyntaxError(self.lines[pos], "expected %r, found %r" % (kind, self.values[pos]))
         self.pos += 1
-        return tok
+        return pos
 
     def skip_semis(self):
         while self.kinds[self.pos] == ";":
@@ -151,16 +145,16 @@ class Parser:
         """The error for a statement that runs on: Go's label and its lists
         of names are refused by name, anything else is a syntax error."""
         kinds, pos = self.kinds, self.pos
-        tok = self.tokens[pos]
+        kind, line = kinds[pos], self.lines[pos]
         if kinds[pos - 1] == "ident" and kinds[pos - 2] in (";", "{"):  # a statement of one name
-            if tok.kind == ":":
-                raise Unsupported("labeled statement", tok.line)
+            if kind == ":":
+                raise Unsupported("labeled statement", line)
             while kinds[pos] == "," and kinds[pos + 1] == "ident":
                 pos += 2
-            if tok.kind == "," and kinds[pos] in (":=", "="):
+            if kind == "," and kinds[pos] in (":=", "="):
                 several = "declaration of" if kinds[pos] == ":=" else "assignment to"
-                raise Unsupported("%s several variables" % several, tok.line)
-        raise GoSyntaxError(tok.line, "missing ';' before %r" % tok.value)
+                raise Unsupported("%s several variables" % several, line)
+        raise GoSyntaxError(line, "missing ';' before %r" % self.values[self.pos])
 
     def descend(self, line):
         """Enter one more nesting level; the caller restores ``depth``."""
@@ -198,8 +192,8 @@ class Parser:
             elif kind == "type":
                 self.parse_type_decl()
             else:
-                tok = self.tokens[self.pos]
-                raise GoSyntaxError(tok.line, "unexpected %r at top level" % tok.value)
+                raise GoSyntaxError(self.lines[self.pos],
+                                    "unexpected %r at top level" % self.values[self.pos])
             self.end("eof")
         return Program(tuple(globals_), functions)
 
@@ -207,10 +201,10 @@ class Parser:
         """A declaration, or a literal named ``anon@<line>[.k]`` once its
         body is parsed, so nested literals on one line keep their names; a
         literal lives only in its ``FuncLit``."""
-        line = self.expect("func").line
+        line = self.lines[self.expect("func")]
         if not anonymous and self.kinds[self.pos] == "(":
             raise Unsupported("method declaration", line)
-        name = None if anonymous else self.expect("ident").value
+        name = None if anonymous else self.values[self.expect("ident")]
         params = self.parse_params()
         result = None
         if self.kinds[self.pos] not in ("{", ";"):
@@ -235,7 +229,7 @@ class Parser:
 
     def parse_params(self) -> tuple:
         groups = self.parenthesized(lambda: (
-            self.expect("ident").value,
+            self.values[self.expect("ident")],
             None if self.kinds[self.pos] in (",", ")") else self.parse_type(),
         ))
         # back-fill grouped parameters: `a, b int` gives both the int type
@@ -246,14 +240,14 @@ class Parser:
                 params.extend((n, gotype) for n in pending)
                 pending = []
         if pending:
-            raise GoSyntaxError(self.tokens[self.pos].line, "parameters missing a type")
+            raise GoSyntaxError(self.lines[self.pos], "parameters missing a type")
         return tuple(params)
 
     def parse_var_decl(self) -> VarDecl:
-        line = self.expect("var").line
+        line = self.lines[self.expect("var")]
         if self.kinds[self.pos] == "(":
             raise Unsupported("grouped declaration", line)
-        name = self.expect("ident").value
+        name = self.values[self.expect("ident")]
         gotype = None
         expr = None
         if self.kinds[self.pos] not in ("=", ";"):
@@ -268,11 +262,10 @@ class Parser:
         """A ``struct`` declaration: each field type is checked, none kept."""
         self.expect("type")
         self.expect("ident")
-        tok = self.next()
-        if tok.kind != "struct":
-            raise Unsupported(
-                _UNSUPPORTED_TYPES.get(tok.kind, "non-struct type declaration"), tok.line
-            )
+        if (kind := self.kinds[self.pos]) != "struct":
+            feature = _UNSUPPORTED_TYPES.get(kind, "non-struct type declaration")
+            raise Unsupported(feature, self.lines[self.pos])
+        self.pos += 1
         self.expect("{")
         self.skip_semis()
         while not self.accept("}"):
@@ -284,34 +277,35 @@ class Parser:
     # -- types ----------------------------------------------------------------
 
     def parse_type(self):
-        tok = self.tokens[self.pos]
-        if tok.kind in ("chan", "[", "func"):
-            self.descend(tok.line)
+        kind, line = self.kinds[self.pos], self.lines[self.pos]
+        if kind in ("chan", "[", "func"):
+            self.descend(line)
             gotype = self.parse_type_literal()
             self.depth -= 1
             return gotype
-        if tok.kind == "<-":
-            raise Unsupported("directional channel type", tok.line)
-        if tok.kind == "*":
-            raise Unsupported("pointer type", tok.line)
-        if tok.kind in _UNSUPPORTED_TYPES:
-            raise Unsupported(_UNSUPPORTED_TYPES[tok.kind], tok.line)
-        name = self.expect("ident").value
+        if kind == "<-":
+            raise Unsupported("directional channel type", line)
+        if kind == "*":
+            raise Unsupported("pointer type", line)
+        if kind in _UNSUPPORTED_TYPES:
+            raise Unsupported(_UNSUPPORTED_TYPES[kind], line)
+        name = self.values[self.expect("ident")]
         if self.accept("."):
-            qualified = "%s.%s" % (name, self.expect("ident").value)
+            qualified = "%s.%s" % (name, self.values[self.expect("ident")])
             if name == "sync":
-                raise Unsupported("sync primitives", tok.line)
+                raise Unsupported("sync primitives", line)
             return NamedType(qualified)
         return NamedType(name)
 
     def parse_type_literal(self):
         """A ``chan``, ``[]`` or ``func(...)`` type, one nesting level down."""
-        tok = self.next()
-        if tok.kind == "chan":
+        kind, line = self.kinds[self.pos], self.lines[self.pos]
+        self.pos += 1
+        if kind == "chan":
             if self.kinds[self.pos] == "<-":
-                raise Unsupported("directional channel type", tok.line)
+                raise Unsupported("directional channel type", line)
             return ChanType(self.parse_type())
-        if tok.kind == "[":
+        if kind == "[":
             self.expect("]")
             return SliceType(self.parse_type())
         params = self.parenthesized(self.parse_type)
@@ -323,7 +317,7 @@ class Parser:
     # -- statements -------------------------------------------------------------
 
     def parse_block(self) -> tuple:
-        self.descend(self.expect("{").line)
+        self.descend(self.lines[self.expect("{")])
         self.skip_semis()
         kinds, stmts = self.kinds, []
         while kinds[self.pos] != "}":
@@ -335,45 +329,45 @@ class Parser:
 
     def parse_stmt(self):
         kinds, pos = self.kinds, self.pos
-        kind, tok = kinds[pos], self.tokens[pos]
+        kind, line = kinds[pos], self.lines[pos]
         if kind == "ident" and kinds[pos + 1] in (":=", "="):
             self.pos = pos + 2
             if kinds[pos + 1] == "=":
-                return Assign(tok.value, self.parse_expr(), tok.line)
-            return VarDecl(tok.value, None, self.parse_expr(), tok.line)
+                return Assign(self.values[pos], self.parse_expr(), line)
+            return VarDecl(self.values[pos], None, self.parse_expr(), line)
         if kind == "ident" and kinds[pos + 1] + kinds[pos + 2] in _COMPOUND:
-            raise Unsupported("compound assignment", tok.line)
+            raise Unsupported("compound assignment", line)
         if kind == "ident" and kinds[pos + 1] == "." and kinds[pos + 2] == "ident" and (
                 kinds[pos + 3] == "=" or kinds[pos + 3] + kinds[pos + 4] in _COMPOUND):
-            raise Unsupported("assignment to a field", tok.line)
+            raise Unsupported("assignment to a field", line)
         if kind == "go" or kind == "defer":
             self.pos = pos + 1
             call = self.parse_expr()
             if not isinstance(call, Call):
-                raise GoSyntaxError(tok.line, "%s requires a function call" % kind)
-            return (GoStmt if kind == "go" else DeferStmt)(call, tok.line)
+                raise GoSyntaxError(line, "%s requires a function call" % kind)
+            return (GoStmt if kind == "go" else DeferStmt)(call, line)
         if kind == "if":
             return self.parse_if()
         if kind == "return":
             self.pos = pos + 1
             value = None if kinds[pos + 1] in (";", "}") else self.parse_expr()
             if kinds[self.pos] == ",":
-                raise Unsupported("return of several values", tok.line)
-            return Return(value, tok.line)
+                raise Unsupported("return of several values", line)
+            return Return(value, line)
         if kind == "var":
             return self.parse_var_decl()
         if kind in _UNSUPPORTED_STMTS:
-            raise Unsupported(_UNSUPPORTED_STMTS[kind], tok.line)
+            raise Unsupported(_UNSUPPORTED_STMTS[kind], line)
         expr = self.parse_expr()
         if kinds[self.pos] == "<-":
             self.pos += 1
-            return Send(expr, self.parse_expr(), tok.line)
+            return Send(expr, self.parse_expr(), line)
         if kinds[self.pos] in _INCREMENTS:
-            raise Unsupported(_INCREMENTS[kinds[self.pos]], self.tokens[self.pos].line)
-        return ExprStmt(expr, tok.line)
+            raise Unsupported(_INCREMENTS[kinds[self.pos]], self.lines[self.pos])
+        return ExprStmt(expr, line)
 
     def parse_if(self) -> If:
-        line = self.expect("if").line
+        line = self.lines[self.expect("if")]
         self.descend(line)
         cond = self.parse_expr()
         if self.kinds[self.pos] == ";":
@@ -394,13 +388,12 @@ class Parser:
         left = self.parse_unary()
         kinds = self.kinds
         while (level := _PRECEDENCE.get(kinds[self.pos], 0)) >= lowest:
-            tok = self.tokens[self.pos]
+            op, line = kinds[self.pos], self.lines[self.pos]
             self.pos += 1
-            self.descend(tok.line)
-            left = Binary(tok.kind, left, self.parse_expr(level + 1), tok.line)
+            self.descend(line)
+            left = Binary(op, left, self.parse_expr(level + 1), line)
         if kinds[self.pos] in _UNSUPPORTED_BINARY:
-            tok = self.tokens[self.pos]
-            raise Unsupported(_UNSUPPORTED_BINARY[tok.kind], tok.line)
+            raise Unsupported(_UNSUPPORTED_BINARY[kinds[self.pos]], self.lines[self.pos])
         self.depth = outer
         return left
 
@@ -409,23 +402,23 @@ class Parser:
         postfixes, read only when one follows.  An integer literal must fit
         Go's 64-bit ``int``; 9223372036854775808 fits only as the operand
         of a minus."""
-        kind, tok = self.kinds[self.pos], self.tokens[self.pos]
-        self.descend(tok.line)
+        kind, line = self.kinds[self.pos], self.lines[self.pos]
+        self.descend(line)
         if kind in ("!", "-", "<-"):
             self.pos += 1
             expr = self.parse_unary(negated=kind == "-")
             if kind == "<-":
-                expr = Recv(expr, tok.line)
+                expr = Recv(expr, line)
             elif kind == "-" and isinstance(expr, IntLit):
-                expr = IntLit(-expr.value, tok.line)
+                expr = IntLit(-expr.value, line)
             else:
-                expr = Unary(kind, expr, tok.line)
+                expr = Unary(kind, expr, line)
         else:
             expr = self.parse_primary()
             if self.kinds[self.pos] in _POSTFIXES:
                 expr = self.parse_postfix(expr)
         if expr.__class__ is IntLit and expr.value > (2**63 if negated else 2**63 - 1):
-            raise Unsupported("integer literal overflows int", tok.line)
+            raise Unsupported("integer literal overflows int", line)
         self.depth -= 1
         return expr
 
@@ -439,7 +432,7 @@ class Parser:
                 expr = self.make_call(expr, self.parenthesized(self.parse_expr))
             elif kinds[self.pos] == "." and isinstance(expr, Ident):
                 self.pos += 1
-                expr = Selector(expr.name, self.expect("ident").value, expr.line)
+                expr = Selector(expr.name, self.values[self.expect("ident")], expr.line)
             else:
                 self.depth = depth
                 return expr
@@ -453,42 +446,42 @@ class Parser:
 
     def parse_primary(self):
         pos = self.pos
-        kind, tok = self.kinds[pos], self.tokens[pos]
+        kind, value, line = self.kinds[pos], self.values[pos], self.lines[pos]
         if kind == "ident":
             self.pos = pos + 1
-            if tok.value in ("true", "false"):
-                return BoolLit(tok.value == "true", tok.line)
-            if tok.value == "nil":
-                return NilLit(tok.line)
-            if tok.value == "make" and self.kinds[pos + 1] == "(":
-                return self.parse_make(tok.line)
-            return Ident(tok.value, tok.line)
+            if value in ("true", "false"):
+                return BoolLit(value == "true", line)
+            if value == "nil":
+                return NilLit(line)
+            if value == "make" and self.kinds[pos + 1] == "(":
+                return self.parse_make(line)
+            return Ident(value, line)
         if kind == "int":
-            if not plain_decimal(tok.value):
-                raise Unsupported("non-decimal integer literal", tok.line)
+            if not plain_decimal(value):
+                raise Unsupported("non-decimal integer literal", line)
             self.pos = pos + 1
-            return IntLit(int(tok.value), tok.line)
+            return IntLit(int(value), line)
         if kind == "string":
             self.pos = pos + 1
-            return StringLit(tok.value, tok.line)
+            return StringLit(value, line)
         if kind == "(":
             self.pos = pos + 1
             inner = self.parse_expr()
             self.expect(")")
             return inner
         if kind == "func":
-            return FuncLit(self.parse_func(anonymous=True), tok.line)
+            return FuncLit(self.parse_func(anonymous=True), line)
         if kind == "float":
-            raise Unsupported("floating point literal", tok.line)
+            raise Unsupported("floating point literal", line)
         if kind == "imaginary":
-            raise Unsupported("imaginary literal", tok.line)
+            raise Unsupported("imaginary literal", line)
         if kind in _UNSUPPORTED_STMTS:
-            raise Unsupported(_UNSUPPORTED_STMTS[kind], tok.line)
+            raise Unsupported(_UNSUPPORTED_STMTS[kind], line)
         if kind == "chan":
-            raise Unsupported("channel type in expression", tok.line)
+            raise Unsupported("channel type in expression", line)
         if kind in _UNSUPPORTED_UNARY:
-            raise Unsupported(_UNSUPPORTED_UNARY[kind], tok.line)
-        raise GoSyntaxError(tok.line, "unexpected %r in expression" % tok.value)
+            raise Unsupported(_UNSUPPORTED_UNARY[kind], line)
+        raise GoSyntaxError(line, "unexpected %r in expression" % value)
 
     def parse_make(self, line) -> MakeExpr:
         self.expect("(")

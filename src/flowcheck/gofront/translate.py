@@ -24,7 +24,9 @@ without a search for unions.  A call of a member becomes an inline
 application, a ``go`` a start, and a ``defer`` an inline application at
 the end of the flow.  Each named member translates once; a function
 literal translates where it runs, with the facts there: at its call or
-``go``, or at the function's end if deferred.
+``go``, or at the function's end if deferred.  ``_item`` builds each
+distinct send, receive or application item once per translation and
+shares it; the checks of each use run at that use.
 
 Channel identity is deliberately not tracked: two channels with the same
 element type are indistinguishable, so a program that uses them out of
@@ -155,6 +157,17 @@ class Translator:
         self.unknown_args = count(1)
         self.guarded: set = set()  # the name of each definition in which _if built a union
         self.function = None  # the name of the body being translated
+        self.built: dict = {}  # what a flow item is built from -> the one item built
+
+    def _item(self, make, ref, name, *rest):
+        """``make(ref(name), *rest)``, built once per translation: a flow item
+        is immutable, so the equal items of repeated sends, receives and
+        applications can be one object."""
+        key = make, name, *rest
+        item = self.built.get(key)
+        if item is None:
+            item = self.built[key] = make(ref(name), *rest)
+        return item
 
     # -- scope and facts --------------------------------------------------------
 
@@ -363,14 +376,14 @@ class Translator:
         if cls is Call:
             return self._call(n, items, app_cls, deferred)
         if cls is Send:
-            items.append(yielded(Concrete(self._chan_elem(n))))
+            items.append(self._item(yielded, Concrete, self._chan_elem(n)))
         elif cls is Recv:
             fn = getattr(n.chan, "fn", None)
             if isinstance(fn, Selector) and (fn.pkg, fn.name) == ("time", "After"):
                 # <-time.After(d) completes: the runtime yields a Time on a fresh channel
-                items += [yielded(Concrete("Time")), received(Concrete("Time"))]
+                items += (self._item(made, Concrete, "Time") for made in (yielded, received))
             else:
-                items.append(received(Concrete(self._chan_elem(n))))
+                items.append(self._item(received, Concrete, self._chan_elem(n)))
         elif cls is VarDecl or cls is Assign:
             self._bind(self.decls[id(n)], n.expr)
         elif cls is MakeExpr and isinstance(n.gotype, ChanType):
@@ -404,7 +417,7 @@ class Translator:
         for (_, ptype), arg in zip(func.params, call.args):
             if isinstance(ptype, ChanType) and self._nil(arg):
                 raise Unsupported("channel %r may be nil" % arg.name, call.line)
-        app = app_cls(DefRef(func.name), tuple(self._call_bindings(func, call.args).items()))
+        app = self._item(app_cls, DefRef, func.name, self._call_bindings(func, call.args))
         literal = func if call.fn.__class__ is FuncLit else None
         if deferred is not None:
             deferred.append((app, literal))
@@ -414,7 +427,7 @@ class Translator:
         items.append(app)
         return items
 
-    def _call_bindings(self, func: Func, args) -> dict:
+    def _call_bindings(self, func: Func, args) -> tuple:
         """Constant propagation into call arguments.  An argument with no
         constant value stays a free variable for the constraint solver: an
         identifier keeps its name, and any other argument becomes a variable
@@ -432,7 +445,7 @@ class Translator:
                 bindings[pname] = Var(arg.name)
             else:
                 bindings[pname] = Var("arg@%d" % next(self.unknown_args))
-        return bindings
+        return tuple(bindings.items())
 
     def _eval_value(self, e):
         """The constant ``e`` folds to, or None; see ``_fold``."""

@@ -2376,3 +2376,51 @@ class TestFrontEndScales:
         best = [min(times) for times in zip(*(
             [front_end_seconds(source) for source in sources] for _ in range(3)))]
         assert best[1] <= 3.0 * best[0], best
+
+
+def fanout_source(kinds):
+    """``main`` starts one sender per letter of ``kinds``, ``i`` of an int
+    and ``s`` of a string, then receives once per sender, in that order."""
+    chans = {"i": "ci", "s": "cs"}
+    senders = {"i": "sendInt(ci)", "s": "sendString(cs)"}
+    return "\n".join([
+        "package main",
+        "func sendInt(c chan int) {\n\tc <- 1\n}",
+        'func sendString(c chan string) {\n\tc <- "x"\n}',
+        "func main() {\n\tci := make(chan int)\n\tcs := make(chan string)",
+        *("\tgo " + senders[k] for k in kinds),
+        *("\t<-" + chans[k] for k in kinds),
+        "}\n",
+    ])
+
+
+class TestItemSharing:
+    """A translation builds each repeated send, receive or application item
+    once and shares the one immutable object; the table dies with it."""
+
+    def test_one_object_per_distinct_item(self):
+        flow = compute_m(parse(fanout_source("iisisssi"))).cordefs["main"].flow
+        assert len(flow) == 16
+        assert len(set(flow)) == 4  # two starts and two receives
+        assert len({id(item) for item in flow}) == 4
+
+    def test_two_translations_share_no_item(self):
+        program = parse(fanout_source("isi"))
+        first, second = (compute_m(program).cordefs["main"].flow for _ in range(2))
+        assert first == second
+        assert not {id(item) for item in first} & {id(item) for item in second}
+
+    def test_a_non_constant_argument_gets_its_own_variable(self):
+        source = (
+            "package main\n\nfunc send(c chan int, n int) {\n\tc <- n\n}\n\n"
+            "func run(c chan int, n int) {\n\tgo send(c, n+1)\n\tgo send(c, n+1)\n"
+            "\tgo send(c, n)\n\tgo send(c, n)\n\tgo send(c, 3)\n\tgo send(c, 3)\n}\n\n"
+            "func main() {\n\tch := make(chan int)\n\trun(ch, 2)\n}\n"
+        )
+        flow = compute_m(parse(source)).cordefs["run"].flow
+        assert [notation.render(item) for item in flow] == [
+            "Start(send, n ↦ arg@1)", "Start(send, n ↦ arg@2)", "Start(send, n ↦ n)",
+            "Start(send, n ↦ n)", "Start(send, n ↦ 3)", "Start(send, n ↦ 3)",
+        ]
+        assert flow[0] is not flow[1]
+        assert flow[2] is flow[3] and flow[4] is flow[5]

@@ -7,18 +7,34 @@ keywords that end a statement, and so does the end of the input.
 
 import random
 import re
+from typing import NamedTuple
 
 import pytest
 
 from flowcheck.gofront import GoSyntaxError, analyze_source
 from flowcheck.gofront.lexer import (
-    _PIECE, _SEMI_AFTER, KEYWORDS, Token, _check_quoted, _number_kind, tokenize,
+    _PIECE, _SEMI_AFTER, KEYWORDS, Tokens, _check_quoted, _number_kind, tokenize,
 )
 from paths import corpus_files
 
 
+class Token(NamedTuple):
+    kind: str
+    value: str
+    line: int
+
+
+def as_list(lexed: Tokens) -> list:
+    """The tokens ``tokenize`` returned, its three lists zipped into ``Token``s."""
+    return list(map(Token, lexed.kinds, lexed.values, lexed.lines))
+
+
+def token_list(source):
+    return as_list(tokenize(source))
+
+
 def kinds(source):
-    return [tok.kind for tok in tokenize(source)]
+    return tokenize(source).kinds
 
 
 class TestSemicolons:
@@ -30,7 +46,7 @@ class TestSemicolons:
          ("fallthrough", "fallthrough"), ("++", "++"), ("--", "--")],
     )
     def test_inserted_at_a_newline_after(self, source, kind):
-        assert tokenize(source + "\ny") == [
+        assert token_list(source + "\ny") == [
             Token(kind, source, 1), Token(";", ";", 1), Token("ident", "y", 2),
             Token(";", ";", 2), Token("eof", "", 2),
         ]
@@ -44,18 +60,19 @@ class TestSemicolons:
         assert kinds("") == ["eof"]
 
     def test_one_for_a_block_comment_that_spans_lines(self):
-        tokens = tokenize("x /* a\nb\n\nc */ y")
-        assert tokens == [Token("ident", "x", 1), Token(";", ";", 1),
-                          Token("ident", "y", 4), Token(";", ";", 4), Token("eof", "", 4)]
+        assert token_list("x /* a\nb\n\nc */ y") == [
+            Token("ident", "x", 1), Token(";", ";", 1), Token("ident", "y", 4),
+            Token(";", ";", 4), Token("eof", "", 4),
+        ]
 
     def test_none_for_a_block_comment_on_one_line(self):
         assert kinds("x /* a */ y") == ["ident", "ident", ";", "eof"]
 
     def test_a_block_comment_after_a_brace_still_counts_its_lines(self):
-        assert tokenize("{ /*\n*/ x")[1] == Token("ident", "x", 2)
+        assert token_list("{ /*\n*/ x")[1] == Token("ident", "x", 2)
 
     def test_a_line_comment_ends_at_the_newline(self):
-        assert tokenize("x // y z\nw") == [
+        assert token_list("x // y z\nw") == [
             Token("ident", "x", 1), Token(";", ";", 1), Token("ident", "w", 2),
             Token(";", ";", 2), Token("eof", "", 2),
         ]
@@ -63,7 +80,7 @@ class TestSemicolons:
 
 class TestTokens:
     def test_keywords_and_identifiers(self):
-        assert [(t.kind, t.value) for t in tokenize("go gox _a x1 func")[:-1]] == [
+        assert [(t.kind, t.value) for t in token_list("go gox _a x1 func")[:-1]] == [
             ("go", "go"), ("ident", "gox"), ("ident", "_a"), ("ident", "x1"), ("func", "func"),
         ]
 
@@ -80,14 +97,14 @@ class TestTokens:
         ['"a\\"b"', '"a\\\\"', '"tab\\t"', "`raw \\ \"`", "'x'", "'\"'", '""'],
     )
     def test_one_string_token(self, literal):
-        assert tokenize(literal + " x")[0] == Token("string", literal, 1)
+        assert token_list(literal + " x")[0] == Token("string", literal, 1)
 
     @pytest.mark.parametrize("literal", ["1.5", "1.", "10.25"])
     def test_float(self, literal):
-        assert tokenize(literal)[0] == Token("float", literal, 1)
+        assert token_list(literal)[0] == Token("float", literal, 1)
 
     def test_int(self):
-        assert tokenize("042")[0] == Token("int", "042", 1)
+        assert token_list("042")[0] == Token("int", "042", 1)
 
 
 class TestNumbers:
@@ -103,7 +120,7 @@ class TestNumbers:
          ("089i", "imaginary")],
     )
     def test_one_token(self, literal, kind):
-        assert tokenize(literal + "\nx")[:2] == [Token(kind, literal, 1), Token(";", ";", 1)]
+        assert token_list(literal + "\nx")[:2] == [Token(kind, literal, 1), Token(";", ";", 1)]
 
     def test_a_hex_literal_ends_before_a_sign(self):
         # in hexadecimal, e is a digit and not an exponent
@@ -118,7 +135,7 @@ class TestNumbers:
 
 class TestByteOrderMark:
     def test_one_leading_mark_is_dropped(self):
-        assert tokenize("\ufeffx") == tokenize("x")
+        assert token_list("\ufeffx") == token_list("x")
 
     @pytest.mark.parametrize("source", ["\ufeff\ufeffx", "x\ufeff", "x\n\ufeff"])
     def test_any_other_mark_is_a_stray_character(self, source):
@@ -169,7 +186,7 @@ class TestRunesAndEscapes:
          '"\\a\\b\\f\\n\\r\\t\\v\\\\\\""', '"\\000\\x7f\\u2318\\U0010FFFF"', '"\'"'],
     )
     def test_a_valid_literal_is_one_string_token(self, literal):
-        assert tokenize(literal + " x")[0] == Token("string", literal, 1)
+        assert token_list(literal + " x")[0] == Token("string", literal, 1)
 
     @pytest.mark.parametrize(
         "literal, message",
@@ -193,7 +210,7 @@ class TestRunesAndEscapes:
         assert (raised.value.line, raised.value.message) == (2, message)
 
     def test_a_raw_string_has_no_escapes(self):
-        assert tokenize("`\\q`")[0] == Token("string", "`\\q`", 1)
+        assert token_list("`\\q`")[0] == Token("string", "`\\q`", 1)
 
     @pytest.mark.parametrize("literal", ["'ab'", "''", '"\\q"', "'\\q'"])
     def test_the_analysis_refuses_the_program(self, literal):
@@ -267,11 +284,13 @@ def reference_tokenize(source):
 
 
 def outcome(lex, source):
-    """The tokens of ``source``, or the line and message it is refused with."""
+    """The tokens of ``source`` and their count, ``len`` of what ``lex``
+    returns, or the line and message it is refused with."""
     try:
-        return lex(source)
+        lexed = lex(source)
     except GoSyntaxError as e:
         return (e.line, e.message)
+    return (as_list(lexed) if isinstance(lexed, Tokens) else lexed), len(lexed)
 
 
 # characters that start, end or break a piece, or that no piece takes
@@ -323,8 +342,8 @@ class TestPieceEdges:
 
     @pytest.mark.parametrize("source", ["x\r", "x \r", "x  ", "x\t", "x \r\t ", "x // c\r"])
     def test_trailing_blanks_are_no_piece(self, source):
-        assert tokenize(source) == tokenize("x")
-        assert tokenize(source + "\n \r") == tokenize("x\n")
+        assert token_list(source) == token_list("x")
+        assert token_list(source + "\n \r") == token_list("x\n")
 
     @pytest.mark.parametrize("source", ["x // c", "x //", "x // c \r"])
     def test_a_line_comment_may_end_the_input(self, source):
@@ -344,7 +363,7 @@ class TestPieceEdges:
 
     @pytest.mark.parametrize("source", ["\ufeffx  ", "\ufeff", "\ufeff  \r", "\ufeff// c"])
     def test_a_byte_order_mark_then_blanks(self, source):
-        assert tokenize(source) == tokenize(source[1:])
+        assert token_list(source) == token_list(source[1:])
 
     @pytest.mark.parametrize("source, pieces", [
         ("/* a /* b", ["/* a /* b"]),
