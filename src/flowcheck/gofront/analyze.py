@@ -1,7 +1,8 @@
 """End-to-end analysis of one Go source file.
 
 parse -> coroutine map -> partition any unresolved integer conditions ->
-one reduction per case -> verdicts.
+one reduction run for all the cases, forked where their branches part ->
+verdicts.
 """
 
 from __future__ import annotations
@@ -54,24 +55,12 @@ def analyze_source(source: str | bytes, max_steps: int = engine.DEFAULT_MAX_STEP
         if "main" not in cordefs:
             # main never touches channels, directly or transitively
             return Analysis([CaseResult("", Verdict("NoDeadlock"))], translation.warnings)
-        results = []
-        total_steps = 0
-        initial = [start_app(DefRef("main"))]
         # only a union carries a guard that may need a case split
         guards = unresolved_condition_preds(cordefs) if translation.guarded else []
-        # what no case changes, worked out by the first case that needs it; a
-        # definition in which no conditional became a union starts as it is
-        table = {id(d): d for name, d in cordefs.items() if name not in translation.guarded}
-        for case in partition_cases(guards):
-            verdict, trace = engine.reduce(
-                initial,
-                max_steps=max_steps,
-                assumption=case.assumption,
-                defs=cordefs,
-                valuation=case.valuation, table=table,
-            )
-            results.append(CaseResult(case.label, verdict, trace))
-            total_steps += len(trace)
+        cases = partition_cases(guards)
+        runs = engine.reduce_cases([start_app(DefRef("main"))], cases, max_steps, cordefs)
+        results = [CaseResult(case.label, verdict, trace)
+                   for case, (verdict, trace) in zip(cases, runs)]
     except Unsupported as e:
         return _unsupported(str(e))
     except GoSyntaxError as e:
@@ -80,7 +69,7 @@ def analyze_source(source: str | bytes, max_steps: int = engine.DEFAULT_MAX_STEP
         return _unsupported("unresolved condition: %s" % e)
     except EngineError as e:
         return _unsupported(str(e))
-    return Analysis(results, translation.warnings, total_steps)
+    return Analysis(results, translation.warnings, sum(len(trace) for _, trace in runs))
 
 
 def analyze_file(path, max_steps: int = engine.DEFAULT_MAX_STEPS) -> Analysis:

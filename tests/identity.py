@@ -13,8 +13,8 @@ corpus files, 2000 line mutants of them (``test_mutants.mutate``, seed 27),
 the programs of the first 3 blocks of the ``fanout`` and ``guards``
 workloads at seeds 1 and 90210, one program of each front-end family of
 ``test_gofront``, and long flows and chains of calls: a straight-line
-``main`` of 40 start/receive pairs and the call, ``go`` and send chains of
-depth 40.
+``main`` of 40 start/receive pairs, a fan-in of 40 receivers and 40 sends,
+and the call, ``go`` and send chains of depth 40.
 """
 
 import random
@@ -28,7 +28,7 @@ import workloads  # noqa: E402
 from flowcheck.gofront import analyze_source  # noqa: E402
 from flowcheck.notation import render  # noqa: E402
 from paths import corpus_files  # noqa: E402
-from test_engine import straight_line_main  # noqa: E402
+from test_engine import fan_in_source, straight_line_main  # noqa: E402
 from test_gofront import FRONT_END_FAMILIES, TestNestingLimit  # noqa: E402
 from test_mutants import mutate  # noqa: E402
 
@@ -56,6 +56,7 @@ def inputs():
     for name, family in FRONT_END_FAMILIES.items():
         yield "%s %d" % (name, FAMILY_SIZE), family(FAMILY_SIZE)
     yield "straight-line main %d" % FAMILY_SIZE, straight_line_main(FAMILY_SIZE)
+    yield "fan-in %d" % FAMILY_SIZE, fan_in_source(FAMILY_SIZE)
     for shape in ("call", "go", "send"):
         yield "%s chain %d" % (shape, FAMILY_SIZE), TestNestingLimit.call_graph(shape, FAMILY_SIZE)
 

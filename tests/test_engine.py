@@ -31,6 +31,7 @@ from flowcheck.terms import (
     union,
     yielded,
 )
+from test_gofront import independent_guards
 
 Int, Str, Bool, Err = (
     Concrete("Int"),
@@ -187,6 +188,20 @@ class TestUnionResolution:
         result = start(self.nested_payload(), {}, assumption=neg(self.v_small))
         assert result == cor_ins(yielded(Err))
 
+    def test_an_undecided_union_the_reduction_never_reaches_raises_nothing(self):
+        # s waits on ?B for good, and main's external value is the residual:
+        # the union after ?B never reaches a head, and no rest holding it is read
+        p = self.v_small
+        main = cor_def(yielded(A), label="main")
+        s = cor_def(received(Concrete("B")),
+                    union(constrained(yielded(A), p), constrained(received(A), neg(p))), label="s")
+        with pytest.raises(AmbiguousCondition, match="unresolved branch conditions in s$"):
+            start(s, {})
+        verdict, trace = reduce([start_app(main), start_app(s)])
+        assert repr(verdict) == "Deadlock([!A])"
+        assert [entry.rule for entry in trace] == [
+            "StartEval", "StartEval", "Yield", "External", "MainExit"]
+
     def test_decided_union_inside_a_sequence_payload(self):
         assumption = conj(Cmp(Var("v"), "<", 5), Cmp(Var("w"), ">=", 3))
         result = start(self.nested_payload(), {}, assumption=assumption)
@@ -339,6 +354,14 @@ class TestReduce:
             "step 3 [Resume] (0, 0) ⊢ ⊚⟨[], []⟩",
             "step 4 [CoToExt] (0, 0) ⊢ ⊚⟨[], []⟩",
         ]
+
+
+def fan_in_source(n):
+    """``main`` starts n receivers on one channel, then sends n times."""
+    lines = ["package main", "", "func recv(ch chan int) {", "\t<-ch", "}", "",
+             "func main() {", "\tch := make(chan int)"]
+    lines += ["\tgo recv(ch)"] * n + ["\tch <- 1"] * n
+    return "\n".join(lines + ["}"]) + "\n"
 
 
 def fanout_source(n):
@@ -497,6 +520,25 @@ func main() {
 \t}
 }
 """
+
+
+def one_variable_chain(n):
+    """``main`` with n sequential ``if x > I`` blocks on one unknown ``x``,
+    each holding a balanced ``go send; receive`` pair."""
+    lines = ["package main", "", "func main() {", "\tvar x int", "\tch := make(chan int)"]
+    for i in range(n):
+        lines += ["\tif x > %d {" % i, "\t\tgo func() {", "\t\t\tch <- 1", "\t\t}()", "\t\t<-ch",
+                  "\t}"]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def guards_block(seed):
+    """The sources of the first block of the ``guards`` benchmark workload;
+    the caller puts ``bench`` on the import path."""
+    import workloads
+    from paths import ROOT
+
+    return [program.source for program in workloads.build("guards", seed, ROOT).blocks[0]]
 
 
 # send decides its guard on n, which main binds to the guard variable v
@@ -870,38 +912,38 @@ class TestRecursiveInline:
 
 
 class TestStartMemo:
-    """Each application starts once per reduction, and equal applications
-    share the instance.  A start that decides no guard over a variable starts
-    once per analysis: the cases of one analysis share it, also when its
-    bindings close every guard it decides.  A start that decides a guard
-    over a variable starts again in each case."""
+    """Each application is bound once per analysis: a start only binds the
+    arguments, so its instance is the same in every case, and the cases and
+    forks of one run share it.  Main's instance is its definition's own
+    flow, unions and all; each case's trace still shows the branches that
+    case takes, since a trace runs its case again alone."""
 
     @staticmethod
-    def counted_starts(monkeypatch):
+    def counted_binds(monkeypatch):
         import flowcheck.engine as engine
 
         calls = []
-        real = engine.start
+        real = engine._bind
 
-        def counted(definition, *args, **kwargs):
-            inst = real(definition, *args, **kwargs)
+        def counted(definition, bindings, defs):
+            inst = real(definition, bindings, defs)
             calls.append((definition, inst))
             return inst
 
-        monkeypatch.setattr(engine, "start", counted)
+        monkeypatch.setattr(engine, "_bind", counted)
         return calls
 
     def test_fanout_starts_main_and_the_sender_once(self, monkeypatch):
         from flowcheck.gofront import analyze_source
 
-        calls = self.counted_starts(monkeypatch)
+        calls = self.counted_binds(monkeypatch)
         analysis = analyze_source(fanout_source(50))
         assert analysis.worst() == "NoDeadlock"
         assert [definition for definition, _ in calls] == [DefRef("main"), DefRef("send")]
         assert [e.rule for e in analysis.cases[0].trace].count("YieldCo") == 50
 
     def test_different_bindings_start_distinct_instances(self, monkeypatch):
-        calls = self.counted_starts(monkeypatch)
+        calls = self.counted_binds(monkeypatch)
         defs = {"f": cor_def(yielded(Var("x")), label="f")}
         main = cor_def(
             start_app(DefRef("f"), {"x": Int}), start_app(DefRef("f"), {"x": Str}),
@@ -920,91 +962,130 @@ class TestStartMemo:
     def test_each_case_starts_main_with_its_own_branch(self, monkeypatch):
         from flowcheck.gofront import analyze_source
 
-        calls = self.counted_starts(monkeypatch)
+        calls = self.counted_binds(monkeypatch)
         analysis = analyze_source(GUARDS_K2)
         assert len(analysis.cases) == 4
         mains = [inst for definition, inst in calls if definition == DefRef("main")]
-        assert len(mains) == 4
-        assert len(set(mains)) == 4
-        for case, inst in zip(analysis.cases, mains):
-            assert case.trace[0].state[2] == (inst,)
+        assert [render(inst) for inst in mains] == [
+            "[(<Start(anon@8), ?Int> / v0 ≤ 3 | 0); (?Int / v1 > 3 | 0)]"]
+        # each case's first state resolves main's unions its own way
+        assert [render(case.trace[0].state[2][0]) for case in analysis.cases] == [
+            "[Start(anon@8); ?Int]", "[Start(anon@8); ?Int; ?Int]", "[]", "[?Int]"]
 
     def test_a_guard_free_sender_starts_once_per_analysis(self, monkeypatch):
         from flowcheck.gofront import analyze_source
 
-        calls = self.counted_starts(monkeypatch)
+        calls = self.counted_binds(monkeypatch)
         analysis = analyze_source(GUARDS_K2)
         senders = [(d, inst) for d, inst in calls if d != DefRef("main")]
         assert [(d, render(inst)) for d, inst in senders] == [(DefRef("anon@8"), "[!Int]")]
-        # both cases whose branch starts the sender spawn the one instance
+        # both cases whose branch starts the sender spawn that instance; each
+        # trace runs its case again alone, so it shows an equal one
         spawned = [e.state[2][-1] for c in analysis.cases for e in c.trace if e.rule == "YieldCo"]
         assert len(spawned) == 2
-        assert all(inst is senders[0][1] for inst in spawned)
+        assert all(inst == senders[0][1] for inst in spawned)
 
     def test_a_start_that_decides_a_guard_starts_in_each_case(self, monkeypatch):
         from flowcheck.gofront import analyze_source
 
-        calls = self.counted_starts(monkeypatch)
+        calls = self.counted_binds(monkeypatch)
         analysis = analyze_source(GUARDED_SENDER)
         assert [(c.label, c.verdict.kind) for c in analysis.cases] == [
             ("v ≤ 3", "NoDeadlock"), ("v ≥ 4", "NoDeadlock")]
+        # send(ch, v) is bound once; each case resolves its union on v > 3
         assert [(d.name, render(inst)) for d, inst in calls] == [
-            ("main", "[Start(send, n ↦ v)]"), ("send", "[]"),
-            ("main", "[Start(send, n ↦ v); ?Int]"), ("send", "[!Int]"),
+            ("main", "[Start(send, n ↦ v); (?Int / v > 3 | 0)]"),
+            ("send", "[(!Int / v > 3 | 0)]"),
         ]
+        assert [[render(i) for i in c.trace[1].state[2]] for c in analysis.cases] == [
+            ["[]", "[]"], ["[?Int]", "[!Int]"]]
 
     def test_a_start_whose_bindings_close_its_guards_starts_once(self, monkeypatch):
         from flowcheck.gofront import analyze_source
 
-        calls = self.counted_starts(monkeypatch)
+        calls = self.counted_binds(monkeypatch)
         analysis = analyze_source(GUARDED_SENDER.replace(
             "\tgo send(ch, v)\n\tif v > 3 {\n\t\t<-ch\n\t}\n",
             "\tgo send(ch, v)\n\tgo send(ch, 7)\n\t<-ch\n"))
         assert [(c.label, c.verdict.kind) for c in analysis.cases] == [
             ("v ≤ 3", "NoDeadlock"), ("v ≥ 4", "Deadlock")]
-        # main decides no guard and send(ch, 7) only 7 > 3: each starts once;
-        # send(ch, v) decides v > 3, once in each case
+        # main, send(ch, v) and send(ch, 7) are each bound once, whatever
+        # their guards; 7 > 3 is closed, v > 3 is read from each case
         assert [(d.name, render(inst)) for d, inst in calls] == [
             ("main", "[Start(send, n ↦ v); Start(send, n ↦ 7); ?Int]"),
-            ("send", "[]"), ("send", "[!Int]"), ("send", "[!Int]"),
+            ("send", "[(!Int / v > 3 | 0)]"), ("send", "[(!Int | 0)]"),
         ]
 
     def test_a_union_free_definition_starts_as_its_own_flow(self, monkeypatch):
-        # the translator names each definition in which it built a union;
-        # a start of any other shares the definition's flow, unwalked
+        # a start binds no variable of a definition called without arguments,
+        # or whose arguments it does not read: its instance shares the
+        # definition's flow, unions and all, unwalked
         import flowcheck.engine as engine
         from flowcheck.gofront import analyze_source
 
-        real, shared = engine.start, []
+        real, shared = engine._bind, []
 
-        def start(definition, *args, defs=None, **kwargs):
-            inst = real(definition, *args, defs=defs, **kwargs)
+        def bind(definition, bindings, defs):
+            inst = real(definition, bindings, defs)
             shared.append((definition.name, inst.flow is defs[definition.name].flow))
             return inst
 
-        monkeypatch.setattr(engine, "start", start)
+        monkeypatch.setattr(engine, "_bind", bind)
         assert analyze_source(fanout_source(8)).worst() == "NoDeadlock"
         assert shared == [("main", True), ("send", True)]
         shared.clear()
         analyze_source(GUARDS_K2)  # main holds the unions, the sender none
-        assert sorted(set(shared)) == [("anon@8", True), ("main", False)]
+        assert shared == [("main", True), ("anon@8", True)]
 
-    @pytest.mark.parametrize("source", [GUARDS_K2, GUARDED_SENDER], ids=["k=2", "guarded sender"])
-    def test_a_shared_table_leaves_each_case_trace_as_reduced_alone(self, source):
+    FORKED = {  # each name's sources, made when its test runs
+        "k=2": lambda: [GUARDS_K2],
+        "guarded sender": lambda: [GUARDED_SENDER],
+        "guards seed 1": lambda: guards_block(1),
+        "guards seed 90210": lambda: guards_block(90210),
+        "independent k=6": lambda: [independent_guards(6)],
+        "chain of 12": lambda: [one_variable_chain(12)],
+    }
+
+    @pytest.mark.parametrize("name", list(FORKED))
+    def test_a_shared_table_leaves_each_case_trace_as_reduced_alone(self, name, monkeypatch):
+        # each case of the one forked run against a reduction of that case alone
         from flowcheck.gofront import analyze_source
         from flowcheck.gofront.parser import parse
         from flowcheck.gofront.translate import compute_m, unresolved_condition_preds
         from flowcheck.solver import partition_cases
+        from paths import ROOT
 
-        analysis = analyze_source(source)  # every case has run before a trace is read
-        defs = compute_m(parse(source)).cordefs
-        cases = partition_cases(unresolved_condition_preds(defs))
-        assert len(cases) == len(analysis.cases) > 1
-        for result, case in zip(analysis.cases, cases):
-            _, alone = reduce([start_app(DefRef("main"))], defs=defs, assumption=case.assumption,
-                              valuation=case.valuation, table={})
-            assert result.label == case.label
-            assert [entry.line() for entry in result.trace] == [entry.line() for entry in alone]
+        def outcome(verdict):
+            residual = None if verdict.residual is None else render(verdict.residual)
+            return verdict.kind, residual, [render(e) for e in verdict.externals], verdict.reason
+
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        compared = 0
+        for source in self.FORKED[name]():
+            analysis = analyze_source(source)  # every case has run before a trace is read
+            defs = compute_m(parse(source)).cordefs
+            cases = partition_cases(unresolved_condition_preds(defs))
+            assert len(cases) == len(analysis.cases) > 1
+            for result, case in zip(analysis.cases, cases):
+                verdict, alone = reduce([start_app(DefRef("main"))], defs=defs,
+                                        assumption=case.assumption, valuation=case.valuation)
+                assert result.label == case.label
+                assert outcome(result.verdict) == outcome(verdict)
+                assert [entry.line() for entry in result.trace] == [entry.line() for entry in alone]
+            compared += len(cases)
+        assert compared >= 2
+
+    def test_a_forked_analysis_fires_fewer_steps_than_its_cases(self, monkeypatch):
+        # the steps before a fork fire once for every case that shares them
+        import flowcheck.engine as engine
+        from flowcheck.gofront import analyze_source
+
+        real, calls = engine.reduce_step, []
+        monkeypatch.setattr(engine, "reduce_step", lambda state: calls.append(1) or real(state))
+        analysis = analyze_source(independent_guards(8))
+        assert len(analysis.cases) == 256 and analysis.worst() == "NoDeadlock"
+        alone = sum(len(case.trace) for case in analysis.cases)
+        assert (len(calls), alone) == (1021, 3584)
 
     def test_shared_instances_trace_full_snapshots(self):
         from flowcheck.gofront import analyze_source
@@ -1144,3 +1225,16 @@ class TestEngineScales:
         best = [min(times) for times in zip(*(
             [reduce_seconds(d) for d in defs] for _ in range(3)))]
         assert best[1] <= 2.5 * best[0], best
+
+
+def test_a_fan_in_reads_about_one_head_per_rule(monkeypatch):
+    # a step that sorted every receiver, or read each receiver's head to
+    # find one expecting a whole coroutine, would read about n heads per rule
+    import flowcheck.engine as engine
+    from flowcheck.gofront import analyze_source
+
+    real, reads = engine._head, []
+    monkeypatch.setattr(engine, "_head", lambda cursor: reads.append(1) or real(cursor))
+    analysis = analyze_source(fan_in_source(500), max_steps=10**6)
+    assert analysis.worst() == "NoDeadlock" and analysis.steps == 3 * 500 + 2
+    assert len(reads) < 1.5 * analysis.steps, (len(reads), analysis.steps)
