@@ -69,7 +69,8 @@ where one is read, with the unions left in it resolved for the run's
 cases.  A run keeps only the names of the rules it fired.  The machine is
 deterministic, so reading a state of the trace runs that case again alone
 from the same inputs, once per trace, and keeps the state after each rule;
-a trace nobody reads costs nothing.
+a trace nobody reads costs nothing.  A state shows a rest whose union its
+case leaves open as written: no rule reached that union.
 """
 
 from __future__ import annotations
@@ -287,6 +288,15 @@ def _instance(cursor, resolve=None):
     return canon(CorIns(tuple(flow), constraint, label))
 
 
+def _shown(cursor, state):
+    """``cursor``'s instance, its unions resolved for the case of ``state``
+    or, where the case leaves a guard open, as written: no rule read it."""
+    try:
+        return _instance(cursor, state.resolver(cursor))
+    except AmbiguousCondition:
+        return _instance(cursor)
+
+
 class TraceEntry:
     """The ``step``-th rule of a trace.  ``state`` is the terms ``(pending,
     externals, instances)`` after it; ``state_after`` renders them."""
@@ -302,8 +312,7 @@ class TraceEntry:
     def state(self) -> tuple:
         states, last, made, _ = self._trace.states()  # made: id of a cursor -> instance
         pending, count, cursors = states[self.step - 1]
-        insts = tuple(made.get(id(c)) or made.setdefault(id(c), _instance(c, last.resolver(c)))
-                      for c in cursors)
+        insts = tuple(made.get(id(c)) or made.setdefault(id(c), _shown(c, last)) for c in cursors)
         return pending, tuple(last.externals[:count]), insts
 
     @property

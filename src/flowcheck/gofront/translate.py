@@ -16,17 +16,16 @@ use when no statement assigns it, and is taken as made otherwise.
 
 Member bodies translate statement by statement, in Go's order of
 evaluation (``goast.operands``): sends yield the channel's element type,
-receives expect it, and undecided conditionals become unions guarded by
-the condition predicate; ``Translation.guarded`` names the definitions in
-which any did.  When it names none, the analysis skips
-``unresolved_condition_preds``, and a definition it does not name starts
-without a search for unions.  A call of a member becomes an inline
-application, a ``go`` a start, and a ``defer`` an inline application at
-the end of the flow.  Each named member translates once; a function
-literal translates where it runs, with the facts there: at its call or
-``go``, or at the function's end if deferred.  ``_item`` builds each
-distinct send, receive or application item once per translation and
-shares it; the checks of each use run at that use.
+receives expect it, and an undecided conditional becomes one flow item, a
+union guarded by the condition predicate; ``Translation.guarded`` reads
+the definitions that hold one off the coroutine map.  When it names none,
+the analysis skips ``unresolved_condition_preds``.  A call of a member
+becomes an inline application, a ``go`` a start, and a ``defer`` an
+inline application at the end of the flow.  Each named member translates
+once; a function literal translates where it runs, with the facts there:
+at its call or ``go``, or at the function's end if deferred.  ``_item``
+builds each distinct send, receive or application item once per
+translation and shares it; the checks of each use run at that use.
 
 Channel identity is deliberately not tracked: two channels with the same
 element type are indistinguishable, so a program that uses them out of
@@ -136,10 +135,14 @@ class Decl:
 
 
 class Translation(Record):
-    # cordefs: name -> CorDef, the coroutine map; guarded: the names of the
-    # definitions in which an undecided conditional became a union, so a
-    # guard may need a case split
-    __slots__ = ("cordefs", "warnings", "guarded")
+    __slots__ = ("cordefs", "warnings")  # cordefs: name -> CorDef, the coroutine map
+
+    @property
+    def guarded(self) -> frozenset:
+        """The definitions with a union among their flow items, where ``_if``
+        puts each undecided conditional, whose guard may need a case split."""
+        return frozenset(name for name, d in self.cordefs.items()
+                         if any(item.__class__ is Union for item in d.flow))
 
 
 class Translator:
@@ -155,8 +158,6 @@ class Translator:
         self.cordefs: dict[str, CorDef] = {}
         self.chan_makes: defaultdict[str, int] = defaultdict(int)
         self.unknown_args = count(1)
-        self.guarded: set = set()  # the name of each definition in which _if built a union
-        self.function = None  # the name of the body being translated
         self.built: dict = {}  # what a flow item is built from -> the one item built
 
     def _item(self, make, ref, name, *rest):
@@ -299,7 +300,7 @@ class Translator:
 
     def _translate(self, f: Func):
         """Translate ``f`` with the facts where it runs, then take back its changes."""
-        mark, outer, self.function = len(self.log), self.function, f.name
+        mark = len(self.log)
         deferred: list = []  # (application, literal or None)
         items, _ = self._block(f.body, deferred)
         deferred.reverse()  # run last deferred first, at the end, with the facts there
@@ -309,7 +310,6 @@ class Translator:
             items.append(app)
         self._undo(mark)
         self.cordefs[f.name] = cor_def(*items, label=f.name)
-        self.function = outer
 
     def _block(self, stmts, deferred) -> tuple:
         """Flow items and whether ``stmts`` return; ``deferred`` is None
@@ -343,7 +343,6 @@ class Translator:
             self._set(self.facts, decl, (a or b) if chan else a if a == b else None)
         if t_ret or e_ret:
             raise Unsupported("return inside an undecided conditional", s.line)
-        self.guarded.add(self.function)
         then_branch = constrained(seq(*then_items), pred)
         else_branch = constrained(seq(*else_items), neg(pred))
         # an empty branch flattens to an unguarded 0, which resolution takes
@@ -566,7 +565,7 @@ def compute_m(program: Program) -> Translation:
         "operations on them may be conflated" % (count, elem)
         for elem, count in sorted(tr.chan_makes.items()) if count > 1
     ]
-    return Translation(cordefs, warnings, frozenset(tr.guarded))
+    return Translation(cordefs, warnings)
 
 
 def unresolved_condition_preds(cordefs: dict) -> list:
@@ -580,23 +579,25 @@ def unresolved_condition_preds(cordefs: dict) -> list:
     guards: dict = {}  # an ordered set
     calls: list = [("main", ())]
     entered: set = set()
-
-    def visit(t):
-        if isinstance(t, Union):
-            for payload, guard in branches(t):
-                if pred_free_vars(guard):
-                    guards[guard] = None
-                visit(payload)
-        elif isinstance(t, (StartApp, InlineApp)) and isinstance(t.target, DefRef):
-            calls.append((t.target.name, t.bindings))
-        else:
-            term_map(t, visit)
-        return t
-
     while calls:
         name, bindings = call = calls.pop()
         if name in cordefs and call not in entered:
             entered.add(call)
             # branches needs the canonical form: cor_def built it, substitute keeps it
-            visit(substitute(cordefs[name], dict(bindings)))
+            _collect_guards(substitute(cordefs[name], dict(bindings)), guards, calls)
     return list(guards)
+
+
+def _collect_guards(t, guards, calls):
+    """Add each guard over a variable in ``t`` to ``guards``, and the
+    ``(name, bindings)`` of each application of a reference to ``calls``."""
+    if isinstance(t, Union):
+        for payload, guard in branches(t):
+            if pred_free_vars(guard):
+                guards[guard] = None
+            _collect_guards(payload, guards, calls)
+    elif isinstance(t, (StartApp, InlineApp)) and isinstance(t.target, DefRef):
+        calls.append((t.target.name, t.bindings))
+    else:
+        term_map(t, lambda s: _collect_guards(s, guards, calls))
+    return t

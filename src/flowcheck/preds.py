@@ -218,47 +218,41 @@ def pred_evaluate(p, assignment: dict):
     """Evaluate a predicate under an assignment (name -> int | Concrete) in
     three values: True, False, or None while an unassigned variable can
     still tip it either way.  Under a full assignment it is True or False."""
-
-    def term(t):
-        return assignment.get(t.name) if isinstance(t, terms.Var) else t
-
-    def walk(q):
-        if isinstance(q, TruePred):
-            return True
-        if isinstance(q, FalsePred):
-            return False
-        if isinstance(q, (And, Or)):
-            # the first item with the deciding value settles it; an open
-            # item otherwise leaves it open
-            decides = isinstance(q, Or)
-            result = not decides
-            for item in q.items:
-                value = walk(item)
-                if value is decides:
-                    return decides
-                if value is None:
-                    result = None
-            return result
-        if isinstance(q, Not):
-            value = walk(q.item)
-            return None if value is None else not value
-        if isinstance(q, (Cmp, Binding)):
-            if isinstance(q, Binding):
-                lhs, op, rhs = term(q.var), "=", term(q.value)
-            else:
-                lhs, op, rhs = term(q.lhs), q.op, term(q.rhs)
-            if lhs is None or rhs is None:
-                return None
-            if isinstance(lhs, int) and isinstance(rhs, int):
-                return _COMPARE[op](lhs, rhs)
-            if isinstance(lhs, terms.Concrete) and isinstance(rhs, terms.Concrete):
-                if op != "=":
-                    raise ValueError("symbols admit equality only: %r" % (q,))
-                return lhs == rhs
-            return False
-        raise TypeError("not a predicate: %r" % (q,))
-
-    return walk(p)
+    if isinstance(p, TruePred):
+        return True
+    if isinstance(p, FalsePred):
+        return False
+    if isinstance(p, (And, Or)):
+        # the first item with the deciding value settles it; an open item
+        # otherwise leaves it open
+        decides = isinstance(p, Or)
+        result = not decides
+        for item in p.items:
+            value = pred_evaluate(item, assignment)
+            if value is decides:
+                return decides
+            if value is None:
+                result = None
+        return result
+    if isinstance(p, Not):
+        value = pred_evaluate(p.item, assignment)
+        return None if value is None else not value
+    if isinstance(p, (Cmp, Binding)):
+        lhs, op, rhs = (p.var, "=", p.value) if isinstance(p, Binding) else (p.lhs, p.op, p.rhs)
+        if isinstance(lhs, terms.Var):
+            lhs = assignment.get(lhs.name)
+        if isinstance(rhs, terms.Var):
+            rhs = assignment.get(rhs.name)
+        if lhs is None or rhs is None:
+            return None
+        if isinstance(lhs, int) and isinstance(rhs, int):
+            return _COMPARE[op](lhs, rhs)
+        if isinstance(lhs, terms.Concrete) and isinstance(rhs, terms.Concrete):
+            if op != "=":
+                raise ValueError("symbols admit equality only: %r" % (p,))
+            return lhs == rhs
+        return False
+    raise TypeError("not a predicate: %r" % (p,))
 
 
 def pred_simplify(p):

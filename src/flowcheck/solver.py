@@ -108,21 +108,21 @@ universe_of = Universe.collect  # what the engine collects a guard's universe wi
 def collect_concrete(t) -> set:
     """All concrete type names occurring anywhere in a term or predicate."""
     out = set()
-
-    def walk(x):
-        if isinstance(x, Concrete):
-            out.add(x.name)
-        term_map(x, walk, walk_pred)
-        return x
-
-    def walk_pred(p):
-        for atom in pred_atoms(p):
-            for t in atom_terms(atom):
-                walk(t)
-        return p
-
-    (walk_pred if isinstance(t, Pred) else walk)(t)
+    _collect_concrete(t, out)
     return out
+
+
+def _collect_concrete(t, out):
+    """Add the concrete names in ``t``, a term or a predicate, to ``out``."""
+    if isinstance(t, Pred):
+        for atom in pred_atoms(t):
+            for s in atom_terms(atom):
+                _collect_concrete(s, out)
+    elif isinstance(t, Concrete):
+        out.add(t.name)
+    else:
+        term_map(t, lambda s: _collect_concrete(s, out), lambda p: _collect_concrete(p, out))
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +368,7 @@ def solve(expr, universe: Universe):
     witness: dict = {}
     for names, check in _groups(expr):
         found = _search(
-            names, [grid if domains[n] == INT else sym_values for n in names], check
+            names, [grid if domains[n] == INT else sym_values for n in names], check, {}
         )
         if found is None:
             return None
@@ -376,26 +376,23 @@ def solve(expr, universe: Universe):
     return {name: witness[name] for name in sorted(witness)}
 
 
-def _search(names, candidates, check):
+def _search(names, candidates, check, assignment, k=0):
     """The first assignment of ``names`` in candidate order under which
-    ``check`` holds, or None.  ``check`` is evaluated in three values after
-    each name is assigned, and an assignment that already makes it false
-    is never extended."""
-    assignment: dict = {}
-
-    def extend(k):
-        if pred_evaluate(check, assignment) is False:
-            return False
-        if k == len(names):
-            return True
-        for value in candidates[k]:
-            assignment[names[k]] = value
-            if extend(k + 1):
-                return True
-        assignment.pop(names[k], None)
-        return False
-
-    return dict(assignment) if extend(0) else None
+    ``check`` holds, or None, extending ``assignment`` of the names before
+    the ``k``-th.  ``check`` is evaluated in three values after each name
+    is assigned, and an assignment that already makes it false is never
+    extended."""
+    if pred_evaluate(check, assignment) is False:
+        return None
+    if k == len(names):
+        return dict(assignment)
+    for value in candidates[k]:
+        assignment[names[k]] = value
+        found = _search(names, candidates, check, assignment, k + 1)
+        if found is not None:
+            return found
+    assignment.pop(names[k], None)
+    return None
 
 
 def unique_bindings(expr, interp: dict, universe: Universe) -> ConditionSet:

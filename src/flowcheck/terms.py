@@ -28,14 +28,6 @@ class CalculusError(Exception):
     pass
 
 
-class HeadOfDefinition(CalculusError):
-    """Head/tail is only defined on coroutine instances, never definitions."""
-
-
-class EmptyInstance(CalculusError):
-    """Head/tail of an instance with no remaining flow items."""
-
-
 class IllegalBinding(CalculusError):
     """A variable may only be bound to a concrete symbol, an integer, or
     another variable -- never to a structured type or the empty behavior."""
@@ -265,28 +257,6 @@ def inline_app(target, bindings=()):
 # structural helpers
 
 
-def head(i):
-    """First flow item of an instance."""
-    if isinstance(i, CorDef):
-        raise HeadOfDefinition("head of a definition: %r" % (i,))
-    if not isinstance(i, CorIns):
-        raise CalculusError("head expects a coroutine instance, got %r" % (i,))
-    if not i.flow:
-        raise EmptyInstance("head of an exhausted instance")
-    return i.flow[0]
-
-
-def tail(i):
-    """The instance minus its first flow item; may be the empty instance."""
-    if isinstance(i, CorDef):
-        raise HeadOfDefinition("tail of a definition: %r" % (i,))
-    if not isinstance(i, CorIns):
-        raise CalculusError("tail expects a coroutine instance, got %r" % (i,))
-    if not i.flow:
-        raise EmptyInstance("tail of an exhausted instance")
-    return CorIns(i.flow[1:], i.constraint, i.label)
-
-
 def branches(t):
     """The (payload, guard) alternatives of a canonical union tree, left to
     right, each guard the conjunction of the constraints around its payload,
@@ -363,16 +333,13 @@ def substitute(t, binding: dict):
     for name, value in binding.items():
         if not isinstance(value, LEGAL_BINDING_VALUES) or isinstance(value, bool):
             raise IllegalBinding("cannot bind %s to %r" % (name, value))
-    if not binding:
-        return t
+    return _substitute(t, binding) if binding else t
 
-    def walk(s):
-        if isinstance(s, Var):
-            return binding.get(s.name, s)
-        rebuilt = term_map(s, walk, guard)
-        return s if rebuilt is s else canon(rebuilt)
 
-    def guard(p):
-        return preds.pred_substitute(p, binding)
-
-    return walk(t)
+def _substitute(t, binding):
+    """``substitute`` of a nonempty, checked ``binding``."""
+    if isinstance(t, Var):
+        return binding.get(t.name, t)
+    rebuilt = term_map(t, lambda s: _substitute(s, binding),
+                       lambda p: preds.pred_substitute(p, binding))
+    return t if rebuilt is t else canon(rebuilt)

@@ -1,10 +1,12 @@
 """The cases of one analysis share what no case changes, and nothing else.
 
-``analyze_source`` hands one table to the reductions of all its cases.  The
-reference below reduces each case of ``partition_cases`` on its own, with no
-table shared between them; every label, verdict, residual, external yield
-and trace line must come out the same.  The table lives only as long as its
-analysis: no module-level container of ``flowcheck`` grows across analyses.
+``analyze_source`` reduces all its cases in one run, which forks where
+their branches part, so the steps before a fork and the run's tables are
+shared.  The reference below reduces each case of ``partition_cases`` on
+its own, sharing nothing; every label, verdict, residual, external yield
+and trace line must come out the same.  The tables live only as long as
+their analysis: no module-level container of ``flowcheck`` grows across
+analyses.
 """
 
 import random

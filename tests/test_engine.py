@@ -484,6 +484,90 @@ class TestTraceState:
             if enabled:
                 gc.enable()
 
+    def test_a_state_shows_a_union_its_case_leaves_open_as_written(self):
+        # the run never reaches s's union, so reading a state must not
+        # raise where the reduction did not
+        v_small = Cmp(Var("v"), "<", 10)
+        defs = {
+            "main": cor_def(yielded(A), label="main"),
+            "s": cor_def(received(Str), union(constrained(yielded(A), v_small),
+                                              constrained(received(A), neg(v_small))),
+                         label="s"),
+        }
+        verdict, trace = reduce([start_app(DefRef("main")), start_app(DefRef("s"))], defs=defs)
+        assert render(verdict.residual) == "[!A]" and len(trace) == 5
+        s = "[?String; (!A / v < 10 | ?A / v ≥ 10)]"
+        assert [entry.line() for entry in trace] == [
+            "step 1 [StartEval] (0, 0) ⊢ ⊚⟨[!A]⟩",
+            "step 2 [StartEval] (0, 0) ⊢ ⊚⟨[!A], %s⟩" % s,
+            "step 3 [Yield] (A, 0) ⊢ ⊚⟨[], %s⟩" % s,
+            "step 4 [External] (0, A) ⊢ ⊚⟨[], %s⟩" % s,
+            "step 5 [MainExit] (0, A) ⊢ ⊚⟨[], %s⟩" % s,
+        ]
+
+
+def unreachable_after(run):
+    """The number of unreachable objects that ``run()`` leaves for the
+    cyclic collector, which is paused while it runs; the caller's collector
+    state is restored.  Reference counting frees everything else."""
+    import gc
+
+    run()  # a first call may fill caches, which stay reachable
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def read_every_trace(analysis):
+    for case in analysis.cases:
+        for entry in case.trace:
+            entry.line()
+
+
+class TestNoCycles:
+    """An analysis, its traces read, leaves no reference cycle: once the
+    caller drops it, reference counting frees all of it.  The calculus
+    cases reach the solver's walkers, which the Go path never calls."""
+
+    def test_an_analysis_and_its_traces(self):
+        from flowcheck.gofront import analyze_source
+        from paths import corpus_source
+
+        for source in (independent_guards(8), corpus_source("nodeadlock/p01_basic.go")):
+            assert unreachable_after(lambda: read_every_trace(analyze_source(source))) == 0
+
+    def test_a_match_against_a_power(self):
+        from flowcheck.solver import match
+        from flowcheck.terms import power
+
+        def run():
+            assert match(seq(*(Int,) * 5), power(Int, Var("n"))).bindings == {"n": 5}
+
+        assert unreachable_after(run) == 0
+
+    def test_a_guard_that_only_the_assumption_decides(self):
+        v_small = Cmp(Var("v"), "<", 10)
+        defs = {
+            "main": cor_def(start_app(DefRef("s")), received(A), label="main"),
+            "s": cor_def(union(constrained(yielded(A), v_small),
+                               constrained(received(A), neg(v_small))), label="s"),
+        }
+
+        def run():
+            verdict, trace = reduce([start_app(DefRef("main"))], defs=defs,
+                                    assumption=Cmp(Var("v"), "<", 5))
+            assert verdict.kind == "NoDeadlock"
+            for entry in trace:
+                entry.line()
+
+        assert unreachable_after(run) == 0
+
 
 def mixed_fanout_source(rng, n, variant):
     """``main`` starts n senders on an int and a string channel, then

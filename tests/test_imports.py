@@ -2,8 +2,9 @@
 there imports another's underscore-prefixed name, no function there but a
 ``__repr__`` imports a package module, every module-level name
 defined there is read somewhere under ``src/`` or ``tests/``, every
-function there reads each of its parameters, and every module attribute
-the benchmark's span tracer replaces exists.
+function there reads each of its parameters, no nested function there
+refers to itself, every module attribute the benchmark's span tracer
+replaces exists, and a traced analysis counts its steps and cases.
 
 ``__init__.py`` files are skipped by the import check: their imports are
 re-exports.  A one-file run must not load ``dataclasses``."""
@@ -217,6 +218,47 @@ def test_every_parameter_is_read(path):
     assert unread_parameters(path.read_text(encoding="utf-8")) == []
 
 
+def self_referring_closures(source):
+    """Each nested ``def`` that reads its own name, directly or through
+    other ``def``s nested in the same function: every call of the function
+    then leaves a function-cell cycle, which only the cyclic collector
+    frees."""
+    found = set()
+    for outer in ast.walk(ast.parse(source)):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        inner = {n.name: n for n in ast.walk(outer)
+                 if n is not outer and isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        reads = {name: {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)} & inner.keys()
+                 for name, fn in inner.items()}
+        for name in inner:
+            reached, todo = set(), list(reads[name])
+            while todo:
+                other = todo.pop()
+                if other not in reached:
+                    reached.add(other)
+                    todo += reads[other]
+            if name in reached:
+                found.add(name)
+    return sorted(found)
+
+
+def test_the_check_sees_a_self_referring_closure():
+    source = (
+        "def f(t):\n    def walk(s):\n        return [walk(c) for c in s]\n    return walk(t)\n"
+        "def g(t):\n    def one(s):\n        return two(s)\n"
+        "    def two(s):\n        return one(s) if s else s\n    return one(t)\n"
+        "def h(t):\n    def leaf(s):\n        return s\n"
+        "    def node(s):\n        return leaf(s)\n    return node(t)\n"
+    )
+    assert self_referring_closures(source) == ["one", "two", "walk"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_no_nested_function_refers_to_itself(path):
+    assert self_referring_closures(path.read_text(encoding="utf-8")) == []
+
+
 def recursion_limit_uses(source):
     """Lines that name ``setrecursionlimit``: a call, an attribute or an
     import, under any alias."""
@@ -278,3 +320,34 @@ def test_every_hook_of_the_span_tracer_resolves():
     assert targets
     for module_name, attr, _span, _hook in targets:
         assert hasattr(importlib.import_module(module_name), attr), (module_name, attr)
+
+
+def test_a_traced_analysis_counts_its_steps_and_cases():
+    """A layer whose calls stop going through a traced name reads zero in a
+    traced benchmark run, silently: the corpus file must count engine steps
+    and the guarded program its cases.  ``bench/spans.py`` is loaded from
+    its file, read-only."""
+    import importlib.util
+
+    from flowcheck.gofront import analyze_source
+    from paths import corpus_source
+    from test_gofront import independent_guards
+
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    names = [(sys.modules[module], attr) for module, attr, _span, _hook in spans.TARGETS]
+    originals = [getattr(module, attr) for module, attr in names]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert all(getattr(module, attr) is not original
+                   for (module, attr), original in zip(names, originals))
+        tracer.run(0, analyze_source, corpus_source("nodeadlock/p01_basic.go"))
+        steps, cases = tracer.counts["engine.steps"], tracer.counts["solver.cases"]
+        tracer.run(1, analyze_source, independent_guards(2))
+    finally:
+        tracer.uninstall()
+    assert [getattr(module, attr) for module, attr in names] == originals
+    assert steps > 0
+    assert tracer.counts["solver.cases"] - cases == 4  # two guards, each true or false

@@ -15,8 +15,6 @@ from flowcheck.terms import (
     CorIns,
     DefRef,
     Directed,
-    EmptyInstance,
-    HeadOfDefinition,
     IllegalBinding,
     Power,
     Seq,
@@ -28,13 +26,11 @@ from flowcheck.terms import (
     cor_def,
     cor_ins,
     flatten,
-    head,
     power,
     received,
     seq,
     start_app,
     substitute,
-    tail,
     term_map,
     yielded,
 )
@@ -223,45 +219,6 @@ class TestDistribute:
         flat = seq(*items)
         if isinstance(flat, Seq):
             assert len(cor_ins(yielded(flat)).flow) == len(flat.items)
-
-
-class TestHeadTail:
-    def test_head(self):
-        i = cor_ins(yielded(A), received(B))
-        assert head(i) == yielded(A)
-
-    def test_head_single(self):
-        assert head(cor_ins(received(Int))) == received(Int)
-
-    def test_head_of_definition_rejected(self):
-        with pytest.raises(HeadOfDefinition):
-            head(cor_def(yielded(A)))
-
-    def test_tail(self):
-        i = cor_ins(yielded(A), received(B))
-        assert tail(i) == cor_ins(received(B))
-
-    def test_tail_to_empty(self):
-        assert tail(cor_ins(yielded(A))) == CorIns(())
-
-    def test_tail_of_definition_rejected(self):
-        with pytest.raises(HeadOfDefinition):
-            tail(cor_def(yielded(A)))
-
-    def test_empty_instance_rejected(self):
-        with pytest.raises(EmptyInstance):
-            head(CorIns(()))
-        with pytest.raises(EmptyInstance):
-            tail(CorIns(()))
-
-    @given(st.data())
-    def test_round_trip(self, data):
-        from strategies import instances
-
-        i = data.draw(instances())
-        if not i.flow:
-            return
-        assert (head(i),) + tail(i).flow == i.flow
 
 
 class TestSubstitute:
