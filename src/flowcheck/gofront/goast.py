@@ -2,8 +2,10 @@
 
 The package clause, imports and struct declarations are checked by the
 parser and then dropped, so a ``Program`` holds only its global variables
-and its functions.  ``operands`` states Go's order of evaluation, once for
-every node class.
+and its functions.  Each Go construct is one node: an expression statement
+is its expression, a function literal is its ``Func``, and a ``go`` or
+``defer`` statement holds the fields of its call.  ``operands`` states Go's
+order of evaluation, once for every node class.
 """
 
 from __future__ import annotations
@@ -77,11 +79,7 @@ class MakeExpr(Node):
 
 
 class Call(Node):
-    __slots__ = ("fn", "args", "line")  # fn: Ident | Selector | FuncLit
-
-
-class FuncLit(Node):
-    __slots__ = ("func", "line")
+    __slots__ = ("fn", "args", "line")  # fn: Ident | Selector | Func, a literal
 
 
 class Unary(Node):
@@ -109,16 +107,12 @@ class Send(Node):
     __slots__ = ("chan", "value", "line")
 
 
-class ExprStmt(Node):
-    __slots__ = ("expr", "line")
-
-
 class GoStmt(Node):
-    __slots__ = ("call", "line")
+    __slots__ = ("fn", "args", "line")  # as a Call's
 
 
 class DeferStmt(Node):
-    __slots__ = ("call", "line")
+    __slots__ = ("fn", "args", "line")  # as a Call's
 
 
 class If(Node):
@@ -146,7 +140,7 @@ class Func(Node):
 
 class Program(Node):
     # globals: VarDecls; functions: name -> Func, declared functions only (a
-    # literal lives in its FuncLit)
+    # literal lives where it is written)
     __slots__ = ("globals", "functions")
 
 
@@ -154,8 +148,8 @@ class Program(Node):
 
 # the one operand field of each node that evaluates one expression
 _OPERAND = {
-    Recv: "chan", Unary: "operand", MakeExpr: "size", GoStmt: "call", DeferStmt: "call",
-    If: "cond", VarDecl: "expr", Assign: "expr", ExprStmt: "expr", Return: "expr",
+    Recv: "chan", Unary: "operand", MakeExpr: "size", If: "cond", VarDecl: "expr",
+    Assign: "expr", Return: "expr",
 }
 
 
@@ -169,7 +163,7 @@ def operands(n) -> tuple:
     if field is not None:
         e = getattr(n, field)
         return () if e is None else (e,)
-    if cls is Call:
+    if cls is Call or cls is GoStmt or cls is DeferStmt:
         return (n.fn, *n.args)
     if cls is Binary:
         return n.left, n.right

@@ -25,9 +25,7 @@ from .goast import (
     Call,
     ChanType,
     DeferStmt,
-    ExprStmt,
     Func,
-    FuncLit,
     FuncType,
     GoStmt,
     Ident,
@@ -200,7 +198,7 @@ class Parser:
     def parse_func(self, anonymous=False) -> Func:
         """A declaration, or a literal named ``anon@<line>[.k]`` once its
         body is parsed, so nested literals on one line keep their names; a
-        literal lives only in its ``FuncLit``."""
+        literal lives only where it is written, as an expression."""
         line = self.lines[self.expect("func")]
         if not anonymous and self.kinds[self.pos] == "(":
             raise Unsupported("method declaration", line)
@@ -345,7 +343,7 @@ class Parser:
             call = self.parse_expr()
             if not isinstance(call, Call):
                 raise GoSyntaxError(line, "%s requires a function call" % kind)
-            return (GoStmt if kind == "go" else DeferStmt)(call, line)
+            return (GoStmt if kind == "go" else DeferStmt)(call.fn, call.args, call.line)
         if kind == "if":
             return self.parse_if()
         if kind == "return":
@@ -364,7 +362,7 @@ class Parser:
             return Send(expr, self.parse_expr(), line)
         if kinds[self.pos] in _INCREMENTS:
             raise Unsupported(_INCREMENTS[kinds[self.pos]], self.lines[self.pos])
-        return ExprStmt(expr, line)
+        return expr
 
     def parse_if(self) -> If:
         line = self.lines[self.expect("if")]
@@ -470,7 +468,7 @@ class Parser:
             self.expect(")")
             return inner
         if kind == "func":
-            return FuncLit(self.parse_func(anonymous=True), line)
+            return self.parse_func(anonymous=True)
         if kind == "float":
             raise Unsupported("floating point literal", line)
         if kind == "imaginary":

@@ -21,8 +21,9 @@ union guarded by the condition predicate; ``Translation.guarded`` reads
 the definitions that hold one off the coroutine map.  When it names none,
 the analysis skips ``unresolved_condition_preds``.  A call of a member
 becomes an inline application, a ``go`` a start, and a ``defer`` an
-inline application at the end of the flow.  Each named member translates
-once; a function literal translates where it runs, with the facts there:
+inline application at the end of the flow; both walks take a ``go`` or
+``defer`` as the call it holds.  Each named member translates once; a
+function literal translates where it runs, with the facts there:
 at its call or ``go``, or at the function's end if deferred.  ``_item``
 builds each distinct send, receive or application item once per
 translation and shares it; the checks of each use run at that use.
@@ -65,7 +66,6 @@ from .goast import (
     ChanType,
     DeferStmt,
     Func,
-    FuncLit,
     FuncType,
     GoStmt,
     Ident,
@@ -88,7 +88,9 @@ from .goast import (
 from .parser import Unsupported
 
 # operands whose evaluation yields no flow item
-_NO_ITEMS = {Ident, Selector, IntLit, StringLit, BoolLit, NilLit, FuncLit}
+_NO_ITEMS = {Ident, Selector, IntLit, StringLit, BoolLit, NilLit, Func}
+# the application a call, ``go`` or ``defer`` of a member translates to
+_APPS = {Call: InlineApp, GoStmt: StartApp, DeferStmt: InlineApp}
 
 
 def _quotient(a, b):
@@ -216,9 +218,9 @@ class Translator:
 
     def _walk(self, s, owner, uses, values):
         """Record, outside in and in Go's order, the Decl each identifier of
-        statement ``s`` resolves to in ``decls``, each send, receive and call
-        in ``uses`` as ``(owner, node)``, and each function named or written
-        in ``values`` by id.  A function literal's body is scanned as a
+        statement ``s`` resolves to in ``decls``, each send, receive, call,
+        ``go`` and ``defer`` in ``uses`` as ``(owner, node)``, and each
+        function named or written in ``values`` by id.  A function literal's body is scanned as a
         function, and an ``if``'s blocks after its condition."""
         work = [s]
         while work:
@@ -228,11 +230,11 @@ class Translator:
                 decl = self.decls[id(n)] = self.scope.get(n.name)
                 if decl is not None and decl.gotype.__class__ is Func:
                     values[id(n)] = n
-            elif cls is FuncLit:
-                self._scan(n.func.body, n.func.params, n.func.name, uses, values)
+            elif cls is Func:
+                self._scan(n.body, n.params, n.name, uses, values)
                 values[id(n)] = n
             else:
-                if cls is Call or cls is Send or cls is Recv:
+                if cls in _APPS or cls is Send or cls is Recv:
                     uses.append((owner, n))
                 work += reversed(operands(n))
         if s.__class__ is If:
@@ -243,11 +245,11 @@ class Translator:
         """The Go type a declaration fixes for the expression ``e``, or None:
         a name's, a function literal's ``Func``, or the result type of a
         call of either."""
-        if isinstance(e, Call):
+        if e.__class__ is Call:
             return getattr(self._type(e.fn), "result", None)
-        if isinstance(e, FuncLit):
-            return e.func
-        decl = self.decls.get(id(e)) if isinstance(e, Ident) else None
+        if e.__class__ is Func:
+            return e
+        decl = self.decls.get(id(e))  # an identifier's; no other expression is a key
         return decl and decl.gotype
 
     def _members(self) -> dict:
@@ -257,7 +259,7 @@ class Translator:
         is stored, passed or called through a variable would take its
         channel operations with it.  So is a channel operation in a global's
         initializer, which would run before ``main``."""
-        uses: list = []  # (function name, a send, receive or call in its body)
+        uses: list = []  # (function name, a send, receive, call, go or defer in its body)
         values: dict = {}  # the id of each function named or written -> its node
         self.scope.update(self._scan(self.program.globals, (), None, uses, values))
         for name, f in self.program.functions.items():
@@ -265,7 +267,7 @@ class Translator:
         members = {}  # name -> the line of its first channel use or member call
         callers = defaultdict(dict)  # callee name -> {caller: the line of its first call}
         for owner, n in uses:
-            if n.__class__ is not Call:
+            if n.__class__ not in _APPS:  # a send or a receive
                 members.setdefault(owner, n.line)
                 continue
             values.pop(id(n.fn), None)  # a callee is no value
@@ -282,7 +284,7 @@ class Translator:
         for n in values.values():
             func = self._type(n)
             if func.name in members:
-                shown = "literal" if n.__class__ is FuncLit else func.name
+                shown = "literal" if n.__class__ is Func else func.name
                 raise Unsupported("channel-using function %s used as a value" % shown, n.line)
         return members
 
@@ -313,16 +315,22 @@ class Translator:
 
     def _block(self, stmts, deferred) -> tuple:
         """Flow items and whether ``stmts`` return; ``deferred`` is None
-        inside an undecided conditional, where ``defer`` is refused."""
+        inside an undecided conditional, where ``defer`` is refused, and
+        only a ``defer`` statement adds to it."""
         items: list = []
         returned = False
         for s in stmts:
             if returned:
                 raise Unsupported("statement after return", s.line)
-            if s.__class__ is If:
+            cls = s.__class__
+            if cls is If:
                 new_items, returned = self._if(s, deferred)
+            elif cls is DeferStmt:
+                if deferred is None:
+                    raise Unsupported("defer inside a conditional", s.line)
+                new_items = self._items(s, deferred)
             else:
-                new_items, returned = self._items(s, deferred), s.__class__ is Return
+                new_items, returned = self._items(s), cls is Return
             items.extend(new_items)
         return items, returned
 
@@ -353,26 +361,21 @@ class Translator:
 
     # -- expressions ------------------------------------------------------------
 
-    def _items(self, n, deferred=None, app_cls=InlineApp) -> list:
+    def _items(self, n, deferred=None) -> list:
         """The flow items of running ``n``, an expression or a statement other
         than ``if``: its operands', in Go's order (see ``operands``), then
-        its own: a send's, a receive's, or for a call of a member an
-        ``app_cls`` application, which joins ``deferred`` when the call is
-        deferred.  A declaration or assignment then binds its name."""
+        its own: a send's, a receive's, or for a call, ``go`` or ``defer`` of
+        a member an application, which joins ``deferred``, given only to a
+        ``defer``.  A declaration or assignment then binds its name."""
         cls = n.__class__
-        if cls is GoStmt:
-            return self._items(*operands(n), None, StartApp)
-        if cls is DeferStmt:
-            if deferred is None:
-                raise Unsupported("defer inside a conditional", n.line)
-            return self._items(*operands(n), deferred)
         if cls is Binary and n.op in ("&&", "||"):
             return self._short_circuit(n)
         items = []
         for e in operands(n):
             if e.__class__ not in _NO_ITEMS:
                 items += self._items(e)
-        if cls is Call:
+        app_cls = _APPS.get(cls)
+        if app_cls is not None:
             return self._call(n, items, app_cls, deferred)
         if cls is Send:
             items.append(self._item(yielded, Concrete, self._chan_elem(n)))
@@ -405,11 +408,11 @@ class Translator:
                 return left
         return left + right
 
-    def _call(self, call: Call, items: list, app_cls, deferred) -> list:
-        """``items``, the flow items of a call's operands, then, for a call,
-        ``go`` or ``defer`` of a member, an ``app_cls`` application, or none
-        when it joins ``deferred``.  A literal callee translates where it
-        runs: here, or at the function's end when deferred."""
+    def _call(self, call, items: list, app_cls, deferred) -> list:
+        """``items``, the flow items of the operands of ``call``, a call,
+        ``go`` or ``defer``, then, for one of a member, an ``app_cls``
+        application, or none when it joins ``deferred``.  A literal callee
+        translates where it runs: here, or at the function's end if deferred."""
         func = self._type(call.fn)
         if not isinstance(func, Func) or func.name not in self.members:
             return items
@@ -417,7 +420,7 @@ class Translator:
             if isinstance(ptype, ChanType) and self._nil(arg):
                 raise Unsupported("channel %r may be nil" % arg.name, call.line)
         app = self._item(app_cls, DefRef, func.name, self._call_bindings(func, call.args))
-        literal = func if call.fn.__class__ is FuncLit else None
+        literal = func if call.fn is func else None
         if deferred is not None:
             deferred.append((app, literal))
             return items
@@ -523,7 +526,8 @@ class Translator:
         e = op.chan
         gotype = self._type(e)
         if not isinstance(gotype, ChanType):
-            name = getattr(getattr(e, "fn", e), "name", "?")
+            fn = getattr(e, "fn", e)
+            name = "?" if fn.__class__ is Func else getattr(fn, "name", "?")  # a literal shows none
             raise Unsupported("cannot resolve channel %r" % name, e.line)
         if self._nil(e):
             raise Unsupported("channel %r may be nil" % e.name, op.line)

@@ -207,6 +207,27 @@ class TestUnionResolution:
         result = start(self.nested_payload(), {}, assumption=assumption)
         assert result == cor_ins(yielded(Int), yielded(Str))
 
+    @pytest.mark.parametrize("by", ["assumption", "valuation"])
+    def test_a_union_in_a_directed_payload_resolves_at_its_head(self, by):
+        # a flow given as an instance keeps its unions until they reach a
+        # head; the yielded union resolves there, by either half of a case
+        from flowcheck.notation import parse
+        from flowcheck.solver import partition_cases
+
+        main = parse("[!(Int / v ≤ 3 | String / v ≥ 4); ?Int]")
+        expected = {
+            "v ≤ 3": ("NoDeadlock", ["Yield", "Resume", "MainExit"]),
+            "v ≥ 4": ("Deadlock([!String; ![?Int]])", ["Yield", "External", "CoToExt"]),
+        }
+        cases = partition_cases([Cmp(Var("v"), "<=", 3), Cmp(Var("v"), ">=", 4)])
+        assert [case.label for case in cases] == list(expected)
+        for case in cases:
+            if by == "assumption":
+                verdict, trace = reduce([main], assumption=case.assumption)
+            else:
+                verdict, trace = reduce([main], valuation=case.valuation)
+            assert (repr(verdict), [entry.rule for entry in trace]) == expected[case.label]
+
 
 class TestReduceStep:
     def _state(self, live, pending=ZERO):

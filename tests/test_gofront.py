@@ -83,6 +83,15 @@ func main() {
 '''
 
 
+def count_nodes(tree) -> int:
+    """The syntax nodes in ``tree``, a node or a tuple, down every field."""
+    if isinstance(tree, tuple):
+        return sum(count_nodes(t) for t in tree)
+    if not isinstance(tree, goast.Node):
+        return 0
+    return 1 + sum(count_nodes(getattr(tree, f)) for f in tree.__slots__)
+
+
 class TestParse:
     def test_all_features_shape(self):
         prog = parse(ALL_FEATURES)
@@ -92,8 +101,21 @@ class TestParse:
         assert decl.expr == MakeExpr(ChanType(NamedType("int")), None)
         assert isinstance(deferred, DeferStmt)
         assert isinstance(started, GoStmt)
-        assert started.call.fn.func.name.startswith("anon@")
-        assert list(prog.functions) == ["main"]  # a literal lives only in its FuncLit
+        assert started.fn.name.startswith("anon@") and started.args == ()
+        assert list(prog.functions) == ["main"]  # a literal lives only where it is written
+
+    def test_one_node_per_construct(self):
+        """A ``go`` or ``defer`` holds its call's fields, an expression
+        statement is its expression and a function literal its ``Func``:
+        no wrapper node between them."""
+        prog = parse("package main\nfunc main() { go f(c); defer g(c); <-c; func() {}() }")
+        started, deferred, received, called = prog.functions["main"].body
+        assert started == GoStmt(goast.Ident("f"), (goast.Ident("c"),))
+        assert deferred == DeferStmt(goast.Ident("g"), (goast.Ident("c"),))
+        assert received == goast.Recv(goast.Ident("c"))
+        assert isinstance(called, goast.Call) and isinstance(called.fn, goast.Func)
+        # GoStmt, Ident, Ident; DeferStmt, Ident, Ident; Recv, Ident; Call, Func
+        assert count_nodes(prog.functions["main"].body) == 10
 
     def test_empty_main(self):
         prog = parse("package main\n\nfunc main() {\n}\n")
@@ -613,6 +635,41 @@ func main() {
         tr = compute_m(parse(ALL_FEATURES))
         anon_go = max(n for n in tr.cordefs if n.startswith("anon@"))
         assert notation.render(tr.cordefs[anon_go]) == "corDef[!Int]"
+
+
+def element_program(elem, sent, setup=()):
+    """``main`` receives once on a channel of ``elem``; with ``sent``, a
+    literal started before sends it, after the statements of ``setup``."""
+    lines = ["package main", "", "func main() {", "\tc := make(chan %s)" % elem]
+    if sent is not None:
+        lines += ["\tgo func() {", *("\t\t" + s for s in setup), "\t\tc <- " + sent, "\t}()"]
+    return "\n".join(lines + ["\t<-c", "}"]) + "\n"
+
+
+class TestCompositeElementTypes:
+    """A channel of channels, of slices or of functions carries the
+    concrete name of its element type."""
+
+    ELEMENTS = [
+        ("chan int", "make(chan int)", (), "ChanInt"),
+        ("[]int", "s", ("var s []int",), "IntSlice"),
+        ("func()", "func() {}", (), "Func"),
+    ]
+
+    @pytest.mark.parametrize("elem, sent, setup, name", ELEMENTS)
+    def test_a_sender_meets_the_receiver(self, elem, sent, setup, name):
+        source = element_program(elem, sent, setup)
+        rendered = {n: notation.render(d) for n, d in compute_m(parse(source)).cordefs.items()}
+        assert rendered == {"anon@5": "corDef[!%s]" % name,
+                            "main": "corDef[Start(anon@5); ?%s]" % name}
+        assert [repr(case.verdict) for case in analyze_source(source).cases] == ["NoDeadlock"]
+
+    @pytest.mark.parametrize("elem, sent, setup, name", ELEMENTS)
+    def test_a_receiver_alone_deadlocks(self, elem, sent, setup, name):
+        source = element_program(elem, None)
+        assert notation.render(compute_m(parse(source)).cordefs["main"]) == "corDef[?%s]" % name
+        verdicts = [repr(case.verdict) for case in analyze_source(source).cases]
+        assert verdicts == ["Deadlock([![?%s]])" % name]
 
 
 class TestFlowAnalysis:
@@ -1325,20 +1382,18 @@ OPERAND_FIELDS = {
     goast.Recv: ("chan",),
     goast.Unary: ("operand",),
     goast.MakeExpr: ("size",),
-    goast.GoStmt: ("call",),
-    goast.DeferStmt: ("call",),
+    goast.GoStmt: ("fn", "args"),
+    goast.DeferStmt: ("fn", "args"),
     goast.If: ("cond",),
     goast.VarDecl: ("expr",),
     goast.Assign: ("expr",),
-    goast.ExprStmt: ("expr",),
     goast.Return: ("expr",),
 }
-# nodes Go evaluates nothing inside of: a name, a literal, a function
-# literal (its body runs when it is called), a type, a declaration
+# nodes Go evaluates nothing inside of: a name, a literal, a type, a
+# declaration or a function literal (its body runs when it is called)
 LEAVES = {
     goast.Ident, goast.Selector, goast.IntLit, goast.StringLit, goast.BoolLit, goast.NilLit,
-    goast.FuncLit, goast.NamedType, goast.ChanType, goast.SliceType, goast.FuncType, goast.Func,
-    goast.Program,
+    goast.NamedType, goast.ChanType, goast.SliceType, goast.FuncType, goast.Func, goast.Program,
 }
 
 
