@@ -53,24 +53,24 @@ removed never exits.  The step that ends a reduction sets its verdict:
 A step costs what it changes, not how many coroutines are live or how long
 their flows are.  The state is plain data: ``insts`` maps each number to
 its cursor, in creation order, and ``kinds`` to the kind of its head, read
-from the kinds of its flow's items, worked out once per instance.  A
-cursor ``(inst, pos, below, constraint, label)`` is immutable: its head is
-item ``pos`` of the shared ``inst.flow``, and once that flow ends it goes
-on in the frame ``(inst, pos, below)`` of ``below``, so no step copies a
-flow.  ``ReductionState.set`` is the one way a coroutine changes; it
-refiles the number in the head index when its head kind changes: one heap
-of numbers per kind, whose stale tops are dropped when a rule asks
-``first`` for that kind, one more of the receivers that expect a whole
-coroutine, and the set of receivers, sorted only when a value is in flight
-and at main exit.  Rules 1-7 pick their coroutine from the index; only
-rule 4's search for a whole coroutine and rule 8's residual walk every
-coroutine.  An instance is built from a cursor, through ``canon``, only
-where one is read, with the unions left in it resolved for the run's
-cases.  A run keeps only the names of the rules it fired.  The machine is
-deterministic, so reading a state of the trace runs that case again alone
-from the same inputs, once per trace, and keeps the state after each rule;
-a trace nobody reads costs nothing.  A state shows a rest whose union its
-case leaves open as written: no rule reached that union.
+from the head item whenever the cursor changes.  A cursor ``(inst, pos,
+below, constraint, label)`` is immutable: its head is item ``pos`` of the
+shared ``inst.flow``, and once that flow ends it goes on in the frame
+``(inst, pos, below)`` of ``below``, so no step copies a flow.
+``ReductionState.set`` is the one way a coroutine changes; it refiles the
+number in the head index when its head kind changes: one heap of numbers
+per kind, whose stale tops are dropped when a rule asks ``first`` for that
+kind, and the set of receivers, sorted only when a value is in flight and
+at main exit.  A receiver that expects a whole coroutine has a kind of its
+own, "whole", and is in both.  Rules 1-7 pick their coroutine from the
+index; only rule 4's search for a whole coroutine and rule 8's residual
+walk every coroutine.  An instance is built from a cursor, through
+``canon``, only where one is read, with the unions left in it resolved for
+the run's cases.  A run keeps only the names of the rules it fired.  The
+machine is deterministic, so reading a state of the trace runs that case
+again alone from the same inputs, once per trace, and keeps the state
+after each rule; a trace nobody reads costs nothing.  A state shows a rest
+whose union its case leaves open as written: no rule reached that union.
 """
 
 from __future__ import annotations
@@ -208,7 +208,7 @@ def _bind(definition, bindings, defs):
     return CorIns(bound.flow, bound.constraint, definition.label)
 
 
-def start(definition, bindings=None, assumption=TRUE, valuation=None, *, defs=None, scope=()):
+def start(definition, bindings=None, assumption=TRUE, valuation=None, *, defs=None):
     """Instantiate a canonical definition, or a reference into ``defs``:
     substitute the arguments and resolve each union to one branch.  Both
     keep the flow canonical, and the new flow is canonicalized one level,
@@ -216,13 +216,13 @@ def start(definition, bindings=None, assumption=TRUE, valuation=None, *, defs=No
 
     A guard the case split partitioned on is read from the case's
     ``valuation``; only other guards over a variable reach the solver, over
-    the symbols of the bound definition and of the terms in ``scope``.  One
-    the assumption leaves open raises ``AmbiguousCondition``; the case split
+    the symbols of the bound definition and the assumption.  One the
+    assumption leaves open raises ``AmbiguousCondition``; the case split
     is what decides such guards.  The engine itself binds at a start and
     resolves each union when it reaches a head; this is the calculus's Start.
     """
     inst = _bind(definition, bindings, defs)
-    state = ReductionState(cases=(Case(assumption, "", valuation or {}),), scope=scope)
+    state = ReductionState(cases=(Case(assumption, "", valuation or {}),))
     cursor = inst, 0, None, inst.constraint, inst.label
     return _instance(cursor, state.resolver(cursor))
 
@@ -233,8 +233,9 @@ def start(definition, bindings=None, assumption=TRUE, valuation=None, *, defs=No
 
 def _head_kind(inst, pos=0):
     """Which rule item ``pos`` of the flow of ``inst`` can start at its head:
-    "inline", "void", "receive", "yield", "spawn", or None; "union" when a
-    union in it is to be resolved first."""
+    "inline", "void", "receive", "whole" (a receive of a whole coroutine),
+    "yield", "spawn", or None; "union" when a union in it is to be resolved
+    first."""
     if pos == len(inst.flow):
         return None
     head = inst.flow[pos]
@@ -246,7 +247,7 @@ def _head_kind(inst, pos=0):
         if isinstance(head.payload, ZeroType):
             return "void"
         if head.direction == RECEIVE:
-            return "receive"
+            return "whole" if isinstance(head.payload, (CorIns, CorDef)) else "receive"
         if isinstance(head.payload, (CorIns, StartApp)):
             return "spawn"
         return None if isinstance(head.payload, CorDef) else "yield"
@@ -375,9 +376,12 @@ class Verdict(Record):
         return self.kind
 
 
+# the head kinds of a receiver; rule 3 tries both
+_RECEIVES = ("receive", "whole")
+
 # what a fork takes over from its parent as it is; it copies the other fields
 _SHARED = ("pending", "max_steps", "defs", "scope", "main", "last_yielder", "verdict", "created",
-           "started", "kinds_of", "table", "forks")
+           "started", "table", "forks")
 
 
 class ReductionState:
@@ -400,11 +404,10 @@ class ReductionState:
         self.last_yielder = None  # the number of the coroutine whose value is in flight
         self.verdict = None
         self.heaps = {}  # the head index: head kind -> heap of numbers,
-        self.receivers = set()  # numbers whose head is a receive
+        self.receivers = set()  # numbers whose head is a receive of either kind
         self.created = 0
         # what no case changes, shared by every fork
         self.started = {}  # application -> the instance it started
-        self.kinds_of = {}  # id of an instance -> (it, each item's head kind, then None)
         self.table = {}  # what ``_resolve`` keeps
         self.forks = []  # the forks of this run that are still to reduce
 
@@ -412,20 +415,15 @@ class ReductionState:
         """Make ``cursor`` coroutine ``n``'s and refile ``n`` when its head kind
         changes.  Every change of a coroutine goes through here."""
         self.insts[n] = cursor
-        inst, pos = cursor[0], cursor[1]
         old = self.kinds.get(n)
-        kinds = self.kinds_of.get(id(inst)) or self.kinds_of.setdefault(id(inst), (
-            inst, tuple(map(_head_kind, [inst] * (len(inst.flow) + 1), range(len(inst.flow) + 1)))))
-        self.kinds[n] = kind = kinds[1][pos]
-        if kind == "receive" and isinstance(inst.flow[pos].payload, (CorIns, CorDef)):
-            heapq.heappush(self.heaps.setdefault("whole", []), n)
+        self.kinds[n] = kind = _head_kind(cursor[0], cursor[1])
         if kind == old:
             return
-        if old == "receive":
+        if old in _RECEIVES:
             self.receivers.remove(n)
-        if kind == "receive":
+        if kind in _RECEIVES:
             self.receivers.add(n)
-        elif kind is not None:
+        if kind not in (None, "receive"):
             heapq.heappush(self.heaps.setdefault(kind, []), n)
 
     def add(self, inst: CorIns) -> int:
@@ -436,24 +434,13 @@ class ReductionState:
         return n
 
     def first(self, kind):
-        """The earliest-created coroutine whose head is of ``kind`` (not a
-        receive), or None, dropping the stale tops of its heap on the way."""
+        """The earliest-created coroutine whose head is of ``kind`` (any kind
+        but "receive"), or None, dropping the stale tops of its heap on the
+        way."""
         heap = self.heaps.get(kind)
         while heap:
             if self.kinds.get(heap[0]) == kind:
                 return heap[0]
-            heapq.heappop(heap)
-        return None
-
-    def first_whole(self):
-        """The earliest-created receiver that expects a whole coroutine, or
-        None, dropping the stale tops of its heap on the way."""
-        heap = self.heaps.get("whole")
-        while heap:
-            n = heap[0]
-            if self.kinds.get(n) == "receive" and isinstance(
-                    _head(self.insts[n]).payload, (CorIns, CorDef)):
-                return n
             heapq.heappop(heap)
         return None
 
@@ -638,7 +625,7 @@ def reduce_step(state: ReductionState):
         return state
 
     # 4. the first receiver expecting a whole coroutine takes the first that matches
-    receiver = state.first_whole()
+    receiver = state.first("whole")
     if receiver is not None:
         pattern = _head(insts[receiver]).payload
         for n, cursor in insts.items():

@@ -14,6 +14,8 @@ sync primitives, if-statements with init clauses, methods, labels, several
 names in one declaration, assignment or return, grouped declarations,
 increments, decrements, compound assignments, assignments to a field,
 bitwise and shift operators, and nesting deeper than ``MAX_NESTING``.
+What Go itself refuses, such as an expression statement that is neither a
+call nor a receive, raises GoSyntaxError at its line.
 """
 
 from __future__ import annotations
@@ -362,13 +364,17 @@ class Parser:
             return Send(expr, self.parse_expr(), line)
         if kinds[self.pos] in _INCREMENTS:
             raise Unsupported(_INCREMENTS[kinds[self.pos]], self.lines[self.pos])
+        # only a call or a receive may stand alone; a statement that runs on
+        # is left to ``end``, which names a label or a list of names
+        if not isinstance(expr, (Call, Recv)) and kinds[self.pos] in (";", "}"):
+            raise GoSyntaxError(line, "expression is not used")
         return expr
 
     def parse_if(self) -> If:
         line = self.lines[self.expect("if")]
         self.descend(line)
         cond = self.parse_expr()
-        if self.kinds[self.pos] == ";":
+        if self.kinds[self.pos] in (";", ":=", "="):
             raise Unsupported("if with init statement", line)
         then = self.parse_block()
         els = ()

@@ -295,6 +295,34 @@ class TestReduce:
         verdict, _ = reduce([])
         assert verdict.kind == "NoDeadlock"
 
+    def test_a_constrained_instance_yields_its_value_constrained(self):
+        from flowcheck.notation import parse
+
+        verdict, trace = reduce([parse("[!Int] / v < 3"), parse("[?Int]")])
+        assert verdict.kind == "NoDeadlock"
+        assert [entry.rule for entry in trace] == ["Yield", "Resume", "MainExit"]
+        assert trace[0].line() == "step 1 [Yield] (Int / v < 3, 0) ⊢ ⊚⟨[] / v < 3, [?Int]⟩"
+        assert trace[1].line() == "step 2 [Resume] (0, 0) ⊢ ⊚⟨[] / v < 3, [] / v < 3⟩"
+
+    def test_the_step_cap_stops_the_starts(self):
+        sender = cor_def(yielded(Int), label="sender")
+        receiver = cor_def(received(Int), label="receiver")
+        verdict, trace = reduce([start_app(sender), start_app(receiver)], max_steps=1)
+        assert (verdict.kind, verdict.reason) == ("Inconclusive", "step cap 1 reached")
+        assert [entry.rule for entry in trace] == ["StartEval"]
+
+    @pytest.mark.parametrize("initial, message", [
+        ([Int], "reduce expects instances or start applications, got Int"),
+        ([start_app(DefRef("nope"))], "reference to unknown definition nope"),
+        ([start_app(Concrete("X"))], "expected a coroutine definition, got X"),
+    ], ids=["not an instance", "unknown definition", "not a definition"])
+    def test_an_input_that_is_no_coroutine_is_an_engine_error(self, initial, message):
+        from flowcheck.engine import EngineError
+
+        with pytest.raises(EngineError) as raised:
+            reduce(initial)
+        assert str(raised.value) == message
+
     def test_self_cancel_is_permitted(self):
         verdict, _ = reduce(
             [cor_ins(yielded(A), received(A)), cor_ins(received(A), yielded(A))]
@@ -736,6 +764,9 @@ class TestLiveInvariants:
         assert kinds == ["yield", "spawn", None]
         state.set(n, (cor_ins(inline_app(DefRef("f"))), 0, None, None, None))
         assert state.kinds[n] == "inline"
+        state.set(n, (cor_ins(received(cor_ins(yielded(Int)))), 0, None, None, None))
+        assert state.kinds[n] == "whole"
+        assert state.receivers == {n} and state.first("whole") == n
 
     def test_a_frame_at_its_end_goes_before_the_next_pushes(self):
         # a chain of calls in tail position keeps one frame; a call with
@@ -951,7 +982,7 @@ class TestHeadIndex:
         def first(kind):
             return next((n for n, inst in insts.items() if _head_kind(inst) == kind), None)
 
-        receivers = [n for n, inst in insts.items() if _head_kind(inst) == "receive"]
+        receivers = [n for n, inst in insts.items() if _head_kind(inst) in ("receive", "whole")]
         predicted = {
             "InlineEval": first("inline"), "RemoveVoid": first("void"),
             "Yield": first("yield"), "YieldCo": first("spawn"),

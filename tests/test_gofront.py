@@ -173,7 +173,8 @@ class TestParse:
 
 class TestNamedRefusals:
     """Go forms outside the subset are refused with the construct named,
-    not as a syntax error, and ``flowcheck analyze`` exits 2 on them."""
+    not as a syntax error, forms Go refuses too with a syntax error at
+    their line, and ``flowcheck analyze`` exits 2 on them."""
 
     @staticmethod
     def program(top, body):
@@ -210,11 +211,34 @@ class TestNamedRefusals:
              "assignment to a field (line 10)"),
             ("type S struct {\n\tn int\n}\n\n", "\tvar s S\n\ts.n += 1\n",
              "assignment to a field (line 10)"),
+            ("", "\tif x := 1; x > 0 {\n\t}\n", "if with init statement (line 5)"),
+            # Go allows only a call or a receive as an expression statement
+            ("", "\tgo func() { ch <- 1 }()\n\tx := 1; x\n",
+             "syntax error: line 6: expression is not used"),
+            ("", "\tgo func() { ch <- 1 }()\n\t1 + 2\n",
+             "syntax error: line 6: expression is not used"),
+            ("", "\tgo func() { ch <- 1 }()\n\tfunc() {}\n",
+             "syntax error: line 6: expression is not used"),
+            ("", "\tgo func() { ch <- 1 }()\n\tmake(chan int)\n",
+             "syntax error: line 6: expression is not used"),
+            ("func f() {}\n\nfunc f() {}\n\n", "", "syntax error: line 5: duplicate function f"),
+            ("func f(a) {}\n\n", "", "syntax error: line 3: parameters missing a type"),
+            ("type T int\n\n", "", "non-struct type declaration (line 3)"),
+            ("type M map[int]int\n\n", "", "map type (line 3)"),
+            ("func f(c <-chan int) {}\n\n", "", "directional channel type (line 3)"),
+            ('import "sync"\n\n', "\tvar mu sync.Mutex\n", "sync primitives (line 7)"),
+            ('import "sync"\n\n', "\tsync.NewCond(nil)\n", "sync primitives (line 7)"),
+            ("", "\tx := for\n", "for loop (line 5)"),
+            ("func f() bool { return true }\n\n", "\tif f() {\n\t}\n",
+             "condition beyond integer/boolean comparisons (line 7)"),
         ],
         ids=["short declaration", "local var", "package var", "assignment", "method", "label",
              "decrement", "increment", "grouped var", "return", "compound", "shift left",
              "shift right", "and", "or", "xor", "and not", "complement", "xor assign",
-             "and-not assign", "shift assign", "field", "field compound"],
+             "and-not assign", "shift assign", "field", "field compound", "if init",
+             "unused name", "unused sum", "unused literal", "unused make", "duplicate function",
+             "untyped parameter", "non-struct type", "map type", "directional parameter",
+             "sync type", "sync call", "for operand", "call condition"],
     )
     def test_reason_and_exit_code(self, top, body, reason, tmp_path, capsys):
         source = self.program(top, body)
