@@ -2,15 +2,17 @@
 
 A start only binds a definition's arguments, so the instance it begins is
 the same in every case, and an analysis binds each application once.  A
-union is resolved when it reaches the head of a coroutine, before the next
-rule: the first branch whose guard the case's valuation (failing that, its
-assumption) makes true is pushed as a frame, as an inline call pushes its
-callee.  A guard the case leaves open raises ``AmbiguousCondition``;
-splitting such guards into cases is the job of ``solver.partition_cases``,
-before reduction.  ``reduce_cases`` reduces all the cases of an analysis in
-one run: where its cases choose different branches, the state forks once
-per side, so the steps before a fork fire once for every case that shares
-them.  ``reduce`` is that run for one case.
+union, always a flow item, is resolved when it reaches the head of a
+coroutine, before the next rule: the flow of the first branch whose guard
+the case's valuation (failing that, its assumption) makes true is pushed as
+a frame, as an inline call pushes its callee.  A guard the case leaves open
+raises ``AmbiguousCondition``; splitting such guards into cases is the job
+of ``solver.partition_cases``, before reduction.  ``reduce_cases`` reduces
+all the cases of an analysis in one run: a step whose cases choose
+different branches raises ``_Split`` before its rule, and ``_run``, the one
+place a run forks, fires it again in a state per side, so the steps before
+a fork fire once for every case that shares them.  ``reduce`` is that run
+for one case.
 
 One value may be in flight at a time (the pending type); yielded values no
 live coroutine can receive accumulate as external yields.  Rules fire in a
@@ -143,54 +145,36 @@ def _decide(guard, assumption, *terms):
 
 
 def _branches(t, table):
-    """The ``(payload, guard, flow)`` of each branch of the union ``t``: its
-    guard simplified, or its value once simplifying leaves no variable, and
-    the flow it splices in, worked out once per ``table`` and kept by
+    """The ``(guard, flow)`` of each branch of the union ``t``: its guard
+    simplified, or its value once simplifying leaves no variable, and the
+    canonical flow of its items, worked out once per ``table`` and kept by
     identity; an entry keeps its term alive, so no id is reused."""
     entry = table.get(id(t))
     if entry is None:
         guards = [(p, pred_simplify(g)) for p, g in branches(t)]
         entry = table[id(t)] = t, [
-            (p, g if pred_free_vars(g) else pred_evaluate(g, {}), canon(CorIns((p,))))
+            (g if pred_free_vars(g) else pred_evaluate(g, {}), canon(CorIns((p,))))
             for p, g in guards]
     return entry[1]
 
 
 def _choose(t, decide, table):
-    """The ``(payload, flow)`` of the first branch of the union ``t`` whose
-    guard is True or, over a variable, ``decide`` holds."""
-    for payload, guard, flow in _branches(t, table):
+    """The flow of the first branch of the union ``t`` whose guard is True
+    or, over a variable, ``decide`` holds."""
+    for guard, flow in _branches(t, table):
         if guard is True or guard is not False and decide(guard):
-            return payload, flow
+            return flow
     raise NoSatisfiableBranch(render(t))
 
 
-def _resolve(t, decide, table):
-    """The canonical ``t`` with every union replaced by its first branch
-    (see ``_choose``).  Unions sit in flow items and in sequence or directed
-    payloads; a yielded definition or a start application keeps
-    its unions until it is started itself.  A node rebuilt around a chosen
-    branch goes through ``canon``, so the result is canonical too.
-    ``table`` keeps each union's branches (see ``_branches``) and, by
-    identity, each subtree found to hold no union, so neither is walked
-    twice."""
-    if isinstance(t, Union):
-        return _resolve(_choose(t, decide, table)[0], decide, table)
-    if isinstance(t, (Seq, Directed)) and id(t) not in table:
-        rebuilt = term_map(t, lambda s: _resolve(s, decide, table))
-        if rebuilt is not t:
-            return canon(rebuilt)
-        table[id(t)] = t  # holds no union
-    return t
-
-
-def _holds_union(t) -> bool:
-    """Whether ``_resolve`` would replace a union in ``t``."""
-    if isinstance(t, Seq):
-        return any(map(_holds_union, t.items))
-    if isinstance(t, Directed):
-        return _holds_union(t.payload)
-    return isinstance(t, Union)
+def _resolve(item, decide, table):
+    """The flow item ``item`` or, for a union, the items of its chosen
+    branch's flow (see ``_choose``), each resolved in turn, as a sequence.
+    A yielded definition or a start application keeps its unions until it
+    is started itself.  ``table`` keeps each union's branches."""
+    if not isinstance(item, Union):
+        return item
+    return canon(Seq(tuple(_resolve(i, decide, table) for i in _choose(item, decide, table).flow)))
 
 
 def _bind(definition, bindings, defs):
@@ -234,16 +218,13 @@ def start(definition, bindings=None, assumption=TRUE, valuation=None, *, defs=No
 def _head_kind(inst, pos=0):
     """Which rule item ``pos`` of the flow of ``inst`` can start at its head:
     "inline", "void", "receive", "whole" (a receive of a whole coroutine),
-    "yield", "spawn", or None; "union" when a union in it is to be resolved
-    first."""
+    "yield", "spawn", "union", or None."""
     if pos == len(inst.flow):
         return None
     head = inst.flow[pos]
     if isinstance(head, InlineApp):
         return "inline"
     if isinstance(head, Directed):
-        if isinstance(head.payload, (Seq, Union, Directed)) and _holds_union(head.payload):
-            return "union"
         if isinstance(head.payload, ZeroType):
             return "void"
         if head.direction == RECEIVE:
@@ -276,9 +257,7 @@ def _instance(cursor, resolve=None):
     rest is replaced by the branch its run chooses."""
     inst, pos, below, constraint, label = cursor
     if not pos and below is None and constraint is inst.constraint and label == inst.label:
-        if resolve is None:
-            return inst
-        resolved = term_map(inst, resolve)
+        resolved = inst if resolve is None else term_map(inst, resolve)
         return inst if resolved is inst else canon(resolved)
     flow = list(inst.flow[pos:])
     while below is not None:
@@ -381,7 +360,7 @@ _RECEIVES = ("receive", "whole")
 
 # what a fork takes over from its parent as it is; it copies the other fields
 _SHARED = ("pending", "max_steps", "defs", "scope", "main", "last_yielder", "verdict", "created",
-           "started", "table", "forks")
+           "started", "table")
 
 
 class ReductionState:
@@ -409,7 +388,6 @@ class ReductionState:
         # what no case changes, shared by every fork
         self.started = {}  # application -> the instance it started
         self.table = {}  # what ``_resolve`` keeps
-        self.forks = []  # the forks of this run that are still to reduce
 
     def set(self, n, cursor):
         """Make ``cursor`` coroutine ``n``'s and refile ``n`` when its head kind
@@ -511,21 +489,11 @@ def _push(state, n, callee):
 def _open_unions(state):
     """Resolve the union at each head, pushing the flow of the branch that
     the run's cases choose; a union a chosen flow starts with is next.
-    Where the cases part on a guard, the cases on one side go on in a fork,
-    which joins ``forks`` with its unions still to resolve."""
+    Raises ``_Split`` where the cases part on a guard."""
     n = state.first("union")
     while n is not None:
         cursor = state.insts[n]
-        head, decide = _head(cursor), state.decider(cursor)
-        try:
-            if isinstance(head, Union):
-                flow = _choose(head, decide, state.table)[1]
-            else:  # a directed item whose payload holds a union
-                flow = canon(CorIns((_resolve(head, decide, state.table),)))
-        except _Split as split:
-            state.forks.append(state.fork(split.verdicts))
-            continue
-        _push(state, n, flow)
+        _push(state, n, _choose(_head(cursor), state.decider(cursor), state.table))
         n = state.first("union")
 
 
@@ -574,8 +542,8 @@ def reduce_step(state: ReductionState):
     """Fire exactly the first applicable rule and return the state.  The
     step that ends the reduction sets ``state.verdict``: ``Inconclusive``
     once ``max_steps`` rules have fired, otherwise from the residual.  A
-    rule that reads a rest whose unions the run's cases resolve differently
-    raises ``_Split`` before it changes the state."""
+    step that meets a union the run's cases resolve differently raises
+    ``_Split`` before it fires a rule."""
     if state.verdict is not None:
         return state
     if len(state.rules) >= state.max_steps:
@@ -675,8 +643,8 @@ def reduce_step(state: ReductionState):
 def _run(state, initial):
     """Add the initial terms, starting each application, then fire rules
     until every fork has set its verdict, yielding the state after each
-    rule.  Where a rule reads a rest whose unions the cases of a state
-    resolve differently, the step fires again in a fork for each side."""
+    rule.  Where a step meets a union the cases of a state resolve
+    differently, the state forks, and the step fires again in each side."""
     for item in initial:
         if len(state.rules) >= state.max_steps:
             break
@@ -688,8 +656,7 @@ def _run(state, initial):
             state.rules.append("StartEval")
             yield state
     state.main = 0 if state.insts else None  # the first coroutine added
-    forks = state.forks
-    forks.append(state)
+    forks = [state]  # the states still to reduce, each for some of the cases
     while forks:
         state = forks.pop()
         while state.verdict is None:

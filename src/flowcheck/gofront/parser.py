@@ -15,7 +15,9 @@ names in one declaration, assignment or return, grouped declarations,
 increments, decrements, compound assignments, assignments to a field,
 bitwise and shift operators, and nesting deeper than ``MAX_NESTING``.
 What Go itself refuses, such as an expression statement that is neither a
-call nor a receive, raises GoSyntaxError at its line.
+call nor a receive, or a conversion or value-only builtin such as ``len``
+called as a statement (unless the program declares that name itself),
+raises GoSyntaxError at its line.
 """
 
 from __future__ import annotations
@@ -75,6 +77,12 @@ _UNSUPPORTED_STMTS = {
 }
 
 _INCREMENTS = {"++": "increment statement", "--": "decrement statement"}
+
+# Go's builtins that only give a value, then its predeclared types, whose
+# call is a conversion: neither may stand alone as a statement
+_VALUE_ONLY = set("append cap complex imag len max min new real any bool byte complex64 complex128 "
+                  "error float32 float64 int int8 int16 int32 int64 rune string uint uint8 uint16 "
+                  "uint32 uint64 uintptr".split())
 _COMPOUND = {"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", "&^="}  # two tokens each
 
 # Go's binary operators by precedence, loosest first
@@ -110,6 +118,8 @@ class Parser:
         self.pos = 0
         self.depth = 0
         self.literals: dict[int, int] = {}  # line -> function literals named on it
+        self.unused: list = []  # (name, line) of each statement that calls a ``_VALUE_ONLY`` name
+        self.declared: set = set()  # the names of every variable and parameter
 
     # -- token plumbing ----------------------------------------------------
     # ``pos`` never passes ``eof``, the last token: a kind other than
@@ -195,6 +205,9 @@ class Parser:
                 raise GoSyntaxError(self.lines[self.pos],
                                     "unexpected %r at top level" % self.values[self.pos])
             self.end("eof")
+        for name, line in self.unused:  # a name the program declares, at any scope, is its own
+            if name not in functions and name not in self.declared:
+                raise GoSyntaxError(line, "expression is not used")
         return Program(tuple(globals_), functions)
 
     def parse_func(self, anonymous=False) -> Func:
@@ -241,6 +254,7 @@ class Parser:
                 pending = []
         if pending:
             raise GoSyntaxError(self.lines[self.pos], "parameters missing a type")
+        self.declared.update(name for name, _ in params)
         return tuple(params)
 
     def parse_var_decl(self) -> VarDecl:
@@ -248,6 +262,7 @@ class Parser:
         if self.kinds[self.pos] == "(":
             raise Unsupported("grouped declaration", line)
         name = self.values[self.expect("ident")]
+        self.declared.add(name)
         gotype = None
         expr = None
         if self.kinds[self.pos] not in ("=", ";"):
@@ -334,6 +349,7 @@ class Parser:
             self.pos = pos + 2
             if kinds[pos + 1] == "=":
                 return Assign(self.values[pos], self.parse_expr(), line)
+            self.declared.add(self.values[pos])
             return VarDecl(self.values[pos], None, self.parse_expr(), line)
         if kind == "ident" and kinds[pos + 1] + kinds[pos + 2] in _COMPOUND:
             raise Unsupported("compound assignment", line)
@@ -368,13 +384,15 @@ class Parser:
         # is left to ``end``, which names a label or a list of names
         if not isinstance(expr, (Call, Recv)) and kinds[self.pos] in (";", "}"):
             raise GoSyntaxError(line, "expression is not used")
+        if isinstance(expr, Call) and isinstance(expr.fn, Ident) and expr.fn.name in _VALUE_ONLY:
+            self.unused.append((expr.fn.name, line))
         return expr
 
     def parse_if(self) -> If:
         line = self.lines[self.expect("if")]
         self.descend(line)
         cond = self.parse_expr()
-        if self.kinds[self.pos] in (";", ":=", "="):
+        if self.kinds[self.pos] in (";", ":=", "=", ","):
             raise Unsupported("if with init statement", line)
         then = self.parse_block()
         els = ()

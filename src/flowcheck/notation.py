@@ -3,8 +3,9 @@
 This is the format used by reduction traces, reports, and tests:
 ``[!A; ?B]`` for instances, ``corDef[...]`` for definitions, ``t / p`` for
 constraints, ``(a | b)`` for unions, ``<a, b>`` for sequences, ``0`` for the
-empty behavior, and ``Int^n`` for repeated items.  ``parse`` inverts
-``render`` up to canonical form.
+empty behavior, and ``Int^n`` for repeated items; in a flow, a union or
+sequence may hold directed items: ``[(!A / v ≤ 3 | <?B, !A>)]``.  ``parse``
+inverts ``render`` up to canonical form.
 """
 
 from __future__ import annotations
@@ -174,6 +175,7 @@ class _Parser:
             self.tokens.append(_ALIASES.get(token, token))
         self.tokens.append("")
         self.pos = 0
+        self.flows = 0  # how many flows' brackets the parser is inside
 
     def peek(self):
         return self.tokens[self.pos]
@@ -208,7 +210,10 @@ class _Parser:
         return t
 
     def atom(self):
-        """A type with no ``/`` constraint, raised to each ``^`` exponent."""
+        """A type with no ``/`` constraint, raised to each ``^`` exponent; in
+        a flow, also a directed item, as in a union or sequence of items."""
+        if self.flows and self.peek() in (terms.YIELD, terms.RECEIVE):
+            return Directed(self.take(), self.atom())
         if self.accept("0"):
             t = ZERO
         elif self.accept("corDef"):
@@ -251,16 +256,13 @@ class _Parser:
     def flow(self, cls):
         """After ``[``: the items up to ``]``, then any ``/`` constraint."""
         items = []
+        self.flows += 1
         if not self.accept("]"):
-            items = self.some(self.flow_item, ";")
+            items = self.some(self.type_, ";")
             self.expect("]")
+        self.flows -= 1
         constraint = self.pred() if self.accept("/") else None
         return terms.canon(cls(tuple(items), constraint))
-
-    def flow_item(self):
-        if self.peek() in (terms.YIELD, terms.RECEIVE):
-            return Directed(self.take(), self.atom())
-        return self.type_()
 
     def app(self, cls):
         """After ``Start`` or ``Inline``: ``(target, name ↦ value, ...)``."""

@@ -2,9 +2,9 @@
 
 A coroutine's protocol is a list of directed flow items (`!t` yields a value
 of type t, `?t` receives one).  Definitions may branch on predicates via
-union types; instances are branch-free.  All terms are immutable, and every
-factory returns the canonical (flattened) form, so structural equality is
-plain ``==``.
+union types, a union being a flow item whose branches hold flow items;
+instances are branch-free.  All terms are immutable, and every factory
+returns the canonical (flattened) form, so structural equality is ``==``.
 
 ``term_map`` is the one traversal: it rebuilds one level of a term.
 ``canon`` is the one definition of the canonical form, applied to a node
@@ -155,7 +155,8 @@ def canon(t):
     empty ones become Zero, a power of Zero is Zero and a concrete power
     expands, stacked constraints merge into one, and a constraint around a
     coroutine folds into the coroutine's own.  In a flow, Zero vanishes, a
-    sequence splices, and a directed sequence splits into one item each."""
+    sequence splices, a directed sequence splits into one item each, and a
+    directed union becomes a union of directed items (see ``_directed``)."""
     if not isinstance(t, (Seq, CorDef, CorIns, Power, Constrained)):
         return t  # every other node is canonical once its subterms are
     if isinstance(t, Seq):
@@ -172,8 +173,10 @@ def canon(t):
         flow = []
         for item in t.flow:
             for part in item.items if isinstance(item, Seq) else (item,):
-                if isinstance(part, Directed) and isinstance(part.payload, Seq):
-                    flow.extend(Directed(part.direction, p) for p in part.payload.items)
+                if isinstance(part, Directed) and isinstance(part.payload, (Seq, Union)):
+                    part = _directed(part.direction, part.payload)
+                if isinstance(part, Seq):
+                    flow.extend(part.items)
                 elif not isinstance(part, ZeroType):
                     flow.append(part)
         return t if _same(flow, t.flow) else type(t)(tuple(flow), t.constraint, t.label)
@@ -192,6 +195,18 @@ def canon(t):
     if pred == preds.TRUE:
         return base
     return t if base is t.base else Constrained(base, pred)
+
+
+def _directed(direction, payload):
+    """``direction`` applied to a canonical ``payload``, in a flow: a sequence
+    directs each of its items, and a union each branch under its guard."""
+    if isinstance(payload, Seq):
+        return Seq(tuple(_directed(direction, p) for p in payload.items))
+    if not isinstance(payload, Union):
+        return Directed(direction, payload)
+    return Union(*(  # a branch's guard stays outside its items
+        Constrained(_directed(direction, side.base), side.pred) if isinstance(side, Constrained)
+        else _directed(direction, side) for side in (payload.left, payload.right)))
 
 
 def flatten(t):
@@ -241,16 +256,12 @@ def received(payload):
     return canon(Directed(RECEIVE, payload))
 
 
-def start_app(target, bindings=()):
-    if isinstance(bindings, dict):
-        bindings = tuple(bindings.items())
-    return canon(StartApp(target, bindings))
+def start_app(target, bindings=()):  # bindings: a dict or ``(name, value)`` pairs
+    return canon(StartApp(target, tuple(dict(bindings).items())))
 
 
 def inline_app(target, bindings=()):
-    if isinstance(bindings, dict):
-        bindings = tuple(bindings.items())
-    return canon(InlineApp(target, bindings))
+    return canon(InlineApp(target, tuple(dict(bindings).items())))
 
 
 # ---------------------------------------------------------------------------

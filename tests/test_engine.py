@@ -1212,7 +1212,8 @@ class TestStartMemo:
         assert compared >= 2
 
     def test_a_forked_analysis_fires_fewer_steps_than_its_cases(self, monkeypatch):
-        # the steps before a fork fire once for every case that shares them
+        # the steps before a fork fire once for every case that shares them;
+        # the step that meets a fork runs again in each of its two states
         import flowcheck.engine as engine
         from flowcheck.gofront import analyze_source
 
@@ -1221,7 +1222,7 @@ class TestStartMemo:
         analysis = analyze_source(independent_guards(8))
         assert len(analysis.cases) == 256 and analysis.worst() == "NoDeadlock"
         alone = sum(len(case.trace) for case in analysis.cases)
-        assert (len(calls), alone) == (1021, 3584)
+        assert (len(calls), alone) == (1276, 3584)
 
     def test_shared_instances_trace_full_snapshots(self):
         from flowcheck.gofront import analyze_source

@@ -162,12 +162,14 @@ class TestParse:
         assert e.value.line == 2
 
     def test_grouped_parameters(self):
-        prog = parse("package main\nfunc sum(x, y int, ch chan int) {}\nfunc main() {}")
+        prog = parse("package main\nfunc sum(x, y int, ch chan int, d time.Duration) {}\n"
+                     "func main() {}")
         params = prog.functions["sum"].params
         assert params == (
             ("x", NamedType("int")),
             ("y", NamedType("int")),
             ("ch", ChanType(NamedType("int"))),
+            ("d", NamedType("time.Duration")),  # a qualified type keeps its package
         )
 
 
@@ -221,6 +223,14 @@ class TestNamedRefusals:
              "syntax error: line 6: expression is not used"),
             ("", "\tgo func() { ch <- 1 }()\n\tmake(chan int)\n",
              "syntax error: line 6: expression is not used"),
+            # nor a conversion or a builtin that only gives a value
+            ("", "\tgo func() { ch <- 1 }()\n\tint(3)\n",
+             "syntax error: line 6: expression is not used"),
+            ("", '\tgo func() { ch <- 1 }()\n\tstring("a")\n',
+             "syntax error: line 6: expression is not used"),
+            ("", '\tgo func() { ch <- 1 }()\n\tlen("abc")\n',
+             "syntax error: line 6: expression is not used"),
+            ("", "\tif a, b := 1, 2; a > b {\n\t}\n", "if with init statement (line 5)"),
             ("func f() {}\n\nfunc f() {}\n\n", "", "syntax error: line 5: duplicate function f"),
             ("func f(a) {}\n\n", "", "syntax error: line 3: parameters missing a type"),
             ("type T int\n\n", "", "non-struct type declaration (line 3)"),
@@ -236,7 +246,8 @@ class TestNamedRefusals:
              "decrement", "increment", "grouped var", "return", "compound", "shift left",
              "shift right", "and", "or", "xor", "and not", "complement", "xor assign",
              "and-not assign", "shift assign", "field", "field compound", "if init",
-             "unused name", "unused sum", "unused literal", "unused make", "duplicate function",
+             "unused name", "unused sum", "unused literal", "unused make", "unused conversion",
+             "unused string conversion", "unused len", "if init of two names", "duplicate function",
              "untyped parameter", "non-struct type", "map type", "directional parameter",
              "sync type", "sync call", "for operand", "call condition"],
     )
@@ -249,6 +260,16 @@ class TestNamedRefusals:
         path.write_text(source)
         assert main(["analyze", str(path)]) == 2
         assert reason in capsys.readouterr().out
+
+    @pytest.mark.parametrize("top, body", [
+        ("func len(s string) int {\n\treturn 0\n}\n\n", '\tlen("abc")\n'),
+        ("var len = func(s string) int { return 0 }\n\n", '\tlen("abc")\n'),
+        ("func f(len func()) {\n\tlen()\n}\n\n", "\tf(func() {})\n"),
+        ("", "\tint := func() {}\n\tint()\n"),
+    ], ids=["function", "global", "parameter", "local"])
+    def test_a_declared_name_shadows_the_builtin(self, top, body):
+        source = self.program(top, "\tgo func() { ch <- 1 }()\n" + body)
+        assert analyze_source(source).worst() == "NoDeadlock"
 
     @pytest.mark.parametrize("body", ["\ta, b\n", "\tf(a), b = 1, 2\n", "\tch <- 1, 2\n"])
     def test_other_lists_stay_syntax_errors(self, body):
@@ -1372,11 +1393,14 @@ class TestEvaluationOrder:
         assert analyze_source(operand_program(SENDS, body)).worst() == expected
 
     def test_an_undecided_left_operand_is_refused(self):
-        source = operand_program(
-            SENDS + ("func g(ok bool, c chan int) {", "\tb := ok && f(c)", "\tfmt.Println(b)", "}", ""),
-            ["go func() { <-ch }()", "g(true, ch)"])
-        assert [str(c.verdict) for c in analyze_source(source).cases] == [
-            "Unsupported(channel operation in the right operand of && (line 11))"]
+        for funcs, body, line in [
+            (SENDS + ("func g(ok bool, c chan int) {", "\tb := ok && f(c)", "\tfmt.Println(b)", "}",
+                      ""), ["go func() { <-ch }()", "g(true, ch)"], 11),
+            # a left operand outside the conditions the translator reads decides nothing
+            ((), ["go func() { ch <- 1 }()", 'ok := "a" == "b" && <-ch == 1', "fmt.Println(ok)"], 8),
+        ]:
+            assert [str(c.verdict) for c in analyze_source(operand_program(funcs, body)).cases] == [
+                "Unsupported(channel operation in the right operand of && (line %d))" % line]
 
     def test_a_right_operand_without_flow_items_is_not_folded(self):
         source = operand_program(

@@ -65,6 +65,7 @@ class TestRender:
     def test_start_with_reference_and_bindings(self):
         t = start_app(DefRef("s"), {"v": 2})
         assert notation.render(t) == "Start(s, v ↦ 2)"
+        assert notation.render(inline_app(DefRef("s"), {"v": 2})) == "Inline(s, v ↦ 2)"
 
     def test_trace_shapes_from_reduction(self):
         nested = cor_def(start_app(cor_def(yielded(Concrete("Error")))))
@@ -101,6 +102,7 @@ class TestParse:
 
     def test_binding(self):
         assert notation.parse_pred("x ↦ 5") == Binding(Var("x"), 5)
+        assert notation.render_pred(Binding(Var("x"), Int)) == "x ↦ Int"
 
     def test_stray_input_rejected(self):
         with pytest.raises(notation.NotationError):
@@ -164,3 +166,24 @@ class TestRoundTrip:
     @given(simple_preds())
     def test_predicates(self, p):
         assert notation.parse_pred(notation.render_pred(p)) == p
+
+    def test_definitions_the_translator_builds(self, monkeypatch):
+        # an undecided if is a union of flows, each branch's items directed
+        from flowcheck.gofront import GoSyntaxError, Unsupported, compute_m, parse
+        from paths import ROOT, corpus_files
+        from test_engine import guards_block
+        from test_gofront import FRONT_END_FAMILIES
+
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        sources = [path.read_text(encoding="utf-8") for path in corpus_files()]
+        sources += guards_block(1) + guards_block(90210)
+        sources += [family(4) for family in FRONT_END_FAMILIES.values()]
+        definitions = []
+        for source in sources:
+            try:
+                definitions += compute_m(parse(source)).cordefs.values()
+            except (GoSyntaxError, Unsupported):
+                continue
+        assert any("| 0)" in notation.render(d) for d in definitions)
+        for d in definitions:
+            assert notation.parse(notation.render(d)) == d, notation.render(d)

@@ -139,6 +139,15 @@ func main() {
 '''
 
 
+def test_a_record_class_declares_its_fields_with_only_trailing_defaults():
+    from flowcheck.record import Record
+
+    with pytest.raises(TypeError, match="must declare its fields in __slots__"):
+        type("NoSlots", (Record,), {})
+    with pytest.raises(TypeError, match="only trailing fields may have defaults"):
+        type("LeadingDefault", (Record,), {"__slots__": ("a", "b"), "_defaults": {"a": 1}})
+
+
 def test_go_statements_that_differ_only_in_line_are_equal():
     body = parse(PROGRAM).functions["main"].body
     shifted = parse("\n\n\n" + PROGRAM).functions["main"].body

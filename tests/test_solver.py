@@ -21,6 +21,7 @@ from flowcheck.preds import (
     Not,
     Or,
     TRUE,
+    cmp,
     conj,
     disj,
     neg,
@@ -63,6 +64,7 @@ from flowcheck.terms import (
     seq,
     substitute,
     tup,
+    union,
     yielded,
 )
 
@@ -181,6 +183,13 @@ class TestReduceConstrained:
 
     def test_true_guard_vanishes(self):
         assert reduce_constrained(constrained(Int, TRUE)) == Int
+        assert reduce_constrained(constrained(Int, Binding(Var("x"), Var("x")))) == Int
+
+    def test_a_coroutine_applies_its_own_guard(self):
+        guard = conj(Binding(Var("n"), 2), Cmp(Var("v"), ">", 0))
+        t = cor_ins(yielded(power(Int, Var("n"))), constraint=guard)
+        assert reduce_constrained(t) == cor_ins(yielded(Int), yielded(Int),
+                                                constraint=Cmp(Var("v"), ">", 0))
 
     def test_binding_applies_then_ground_guard_folds(self):
         t = constrained(
@@ -599,6 +608,25 @@ class TestEquate:
     def test_variable_never_equals_structured_type(self, universe):
         assert equate(Var("x"), seq(Int, Str)) == FALSE
         assert equate(Var("x"), ZERO) == FALSE
+
+    def test_a_guard_or_a_union_on_either_side(self):
+        p = Cmp(Var("v"), "<", 3)
+        assert equate(constrained(Int, p), Int) == p
+        assert equate(Int, constrained(Int, p)) == p
+        assert equate(union(Int, Var("x")), Str) == Cmp(Var("x"), "=", Str)
+        assert equate(Str, union(Var("x"), Int)) == Cmp(Var("x"), "=", Str)
+
+    def test_a_coroutine_conjoins_its_own_constraint(self):
+        p = Cmp(Var("v"), "<", 3)
+        a, b = cor_ins(yielded(Var("x")), constraint=p), cor_ins(yielded(Int))
+        assert equate(a, b) == conj(Cmp(Var("x"), "=", Int), p)
+
+    def test_a_power_equals_zero_when_its_count_is_zero(self):
+        assert equate(power(Int, Var("n")), ZERO) == Cmp(Var("n"), "=", 0)
+
+    def test_two_variables_compare_in_name_order(self):
+        assert equate(Var("b"), Var("a")) == Cmp(Var("a"), "=", Var("b"))
+        assert cmp(Var("b"), "<", Var("a")) == Cmp(Var("a"), ">", Var("b"))
 
     def test_power_against_single_item(self, universe):
         out = match(power(Int, Var("n")), Int, universe)

@@ -19,6 +19,7 @@ from flowcheck.terms import (
     Power,
     Seq,
     Tup,
+    Union,
     Var,
     YIELD,
     ZERO,
@@ -129,6 +130,36 @@ class TestCanon:
     def test_a_sequence_in_a_flow_splices_and_splits_its_directed_sequence(self):
         raw = CorDef((Seq((yielded(A), Directed(YIELD, Seq((B, C))))),), None, "f")
         assert canon(raw) == CorDef((yielded(A), yielded(B), yielded(C)), None, "f")
+
+    def test_a_directed_union_in_a_flow_directs_each_branch_under_its_guard(self):
+        raw = CorIns((Directed(YIELD, Union(Constrained(A, P), Constrained(B, Q))), received(C)))
+        assert canon(raw).flow == (
+            Union(Constrained(yielded(A), P), Constrained(yielded(B), Q)), received(C))
+        assert render(canon(raw)) == "[(!A / x < 3 | !B / y > 1); ?C]"
+
+    def test_a_union_in_a_directed_sequence_in_a_flow_is_an_item(self):
+        nested = Union(Constrained(Seq((A, Union(B, C))), P), ZERO)
+        raw = CorDef((Directed(YIELD, Seq((A, nested))),))
+        assert canon(raw).flow == (yielded(A), Union(
+            Constrained(Seq((yielded(A), Union(yielded(B), yielded(C)))), P), yielded(ZERO)))
+
+    @given(general_types())
+    def test_no_directed_payload_in_a_flow_is_a_sequence_or_a_union(self, t):
+        def items(item):  # the flow items in an item, through sequences, unions and guards
+            if isinstance(item, Seq):
+                return [i for part in item.items for i in items(part)]
+            if isinstance(item, Union):
+                return items(item.left) + items(item.right)
+            return items(item.base) if isinstance(item, Constrained) else [item]
+
+        def check(t):
+            if isinstance(t, (CorIns, CorDef)):
+                for item in (i for part in t.flow for i in items(part)):
+                    assert not (isinstance(item, Directed)
+                                and isinstance(item.payload, (Seq, Union))), render(t)
+            term_map(t, lambda s: check(s) or s)
+
+        check(t)
 
     def test_zero_in_a_flow_vanishes(self):
         assert canon(CorIns((ZERO, yielded(A), ZERO))).flow == (yielded(A),)
