@@ -1,11 +1,12 @@
 """AST for the supported Go subset: what the translator reads, nothing more.
 
 The package clause, imports and struct declarations are checked by the
-parser and then dropped, so a ``Program`` holds only its global variables
-and its functions.  Each Go construct is one node: an expression statement
-is its expression, a function literal is its ``Func``, and a ``go`` or
-``defer`` statement holds the fields of its call.  ``operands`` states Go's
-order of evaluation, once for every node class.
+parser and then dropped, so a ``Program`` holds only its global variables,
+its functions and the events the translator reads.  Each Go construct is
+one node: an expression statement is its expression, a function literal is
+its ``Func``, and a ``go`` or ``defer`` statement holds the fields of its
+call.  A name carries the ``Decl`` the parser resolved it to.  ``operands``
+states Go's order of evaluation, once for every node class.
 """
 
 from __future__ import annotations
@@ -13,13 +14,40 @@ from __future__ import annotations
 from ..record import Record
 
 
+class Decl:
+    """A declared name, compared by identity, so the flow facts key on it.
+    ``gotype`` is the Go type its declaration fixes, or None: a literal's
+    ``Func``, a function's signature as a ``Func`` with no body (so no body
+    refers back to itself), a ``ChanType``...  ``owner`` is its ``Body``."""
+
+    __slots__ = ("gotype", "owner")
+
+    def __init__(self, gotype, owner):
+        self.gotype = gotype
+        self.owner = owner
+
+
+class Body:
+    """A function body, or the package's (named None): the owner of its
+    names and events.  A literal's is named once it is read."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+
+
 class Node(Record):
     """A syntax node.  A statement or expression keeps its source ``line``
-    for reports; equality and hashing skip it."""
+    for reports, and a name its ``Decl``; equality and hashing skip both."""
 
     __slots__ = ()
-    _defaults = {"line": 0}
-    _uncompared = ("line",)
+    _defaults = {"line": 0, "decl": None}
+    _uncompared = ("line", "decl")
+
+    def __repr__(self):  # a Decl is no syntax, and would show only its address
+        fields = ", ".join("%s=%r" % (f, getattr(self, f)) for f in self.__slots__ if f != "decl")
+        return "%s(%s)" % (type(self).__qualname__, fields)
 
 
 # -- types ------------------------------------------------------------------
@@ -46,7 +74,7 @@ class FuncType(Node):
 
 
 class Ident(Node):
-    __slots__ = ("name", "line")
+    __slots__ = ("name", "line", "decl")
 
 
 class Selector(Node):
@@ -95,12 +123,12 @@ class Binary(Node):
 
 class VarDecl(Node):
     # ``var name [gotype] [= expr]``, or ``name := expr`` with no gotype
-    __slots__ = ("name", "gotype", "expr", "line")
-    _defaults = {"gotype": None, "expr": None, "line": 0}
+    __slots__ = ("name", "gotype", "expr", "line", "decl")
+    _defaults = {"gotype": None, "expr": None, "line": 0, "decl": None}
 
 
 class Assign(Node):
-    __slots__ = ("name", "expr", "line")
+    __slots__ = ("name", "expr", "line", "decl")
 
 
 class Send(Node):
@@ -140,8 +168,23 @@ class Func(Node):
 
 class Program(Node):
     # globals: VarDecls; functions: name -> Func, declared functions only (a
-    # literal lives where it is written)
-    __slots__ = ("globals", "functions")
+    # literal lives where it is written).  events: (Body, node) in the order
+    # a walk of the globals, then the functions, meets them: each send,
+    # receive and call (which a ``go`` or ``defer`` holds), each name that may
+    # hold a function and literal but a callee, and each assignment
+    __slots__ = ("globals", "functions", "events")
+    _uncompared = ("events",)
+
+
+def declared_type(e):
+    """The Go type a declaration fixes for ``e``, or None: a name's, a
+    literal's ``Func``, or the result type of a call of either."""
+    cls = e.__class__
+    if cls is Ident:
+        return e.decl.gotype
+    if cls is Call:
+        return getattr(declared_type(e.fn), "result", None)
+    return e if cls is Func else None
 
 
 # -- evaluation order ---------------------------------------------------------

@@ -7,6 +7,12 @@ climbing over one table, ``_PRECEDENCE``, of Go's five binary levels; every
 operator is left-associative, as in the Go spec.  An operand enters the
 postfix level only when a call or a selector follows it.
 
+Each name resolves where it is read, in Go's block scopes: an ``Ident``,
+``VarDecl`` or ``Assign`` carries its ``Decl``.  A name no body declares is
+the package's, settled once the file is read: a global, else a function,
+from a body; an earlier global, else a function, from a global's
+initializer.  The parser also records the ``Program.events``.
+
 Anything outside the subset raises Unsupported naming the construct and the
 line, so the analyzer can refuse the file instead of guessing: buffered or
 directional channels, select, close, for loops, switch, pointers, maps,
@@ -16,7 +22,7 @@ increments, decrements, compound assignments, assignments to a field,
 bitwise and shift operators, and nesting deeper than ``MAX_NESTING``.
 What Go itself refuses, such as an expression statement that is neither a
 call nor a receive, or a conversion or value-only builtin such as ``len``
-called as a statement (unless the program declares that name itself),
+called as a statement where no declaration of that name is in scope,
 raises GoSyntaxError at its line.
 """
 
@@ -25,9 +31,11 @@ from __future__ import annotations
 from .goast import (
     Assign,
     Binary,
+    Body,
     BoolLit,
     Call,
     ChanType,
+    Decl,
     DeferStmt,
     Func,
     FuncType,
@@ -47,6 +55,7 @@ from .goast import (
     StringLit,
     Unary,
     VarDecl,
+    declared_type,
 )
 from .lexer import GoSyntaxError, plain_decimal, tokenize
 
@@ -118,8 +127,16 @@ class Parser:
         self.pos = 0
         self.depth = 0
         self.literals: dict[int, int] = {}  # line -> function literals named on it
-        self.unused: list = []  # (name, line) of each statement that calls a ``_VALUE_ONLY`` name
-        self.declared: set = set()  # the names of every variable and parameter
+        self.unused: list = []  # (name, line) of each statement calling a package ``_VALUE_ONLY`` name
+        self.package = self.body = Body(None)  # the package's, then the body being read
+        self.scope, self.log = {}, []  # name -> Decl in the bodies around; (name, Decl it hid)
+        # package names to Decls: read from a body, each global so far, and
+        # read from a global's initializer where no earlier global takes it
+        self.names, self.earlier, self.funcs = {}, {}, {}
+        self.visible = self.fallback = self.names  # where ``resolve`` looks past the bodies
+        # (decl, its fixed type or None, expr) to type once the file is read,
+        # and the ``Program.events``: the globals' and then the bodies'
+        self.global_pending, self.pending, self.global_events, self.events = [], [], [], []
 
     # -- token plumbing ----------------------------------------------------
     # ``pos`` never passes ``eof``, the last token: a kind other than
@@ -172,6 +189,41 @@ class Parser:
         if self.depth > MAX_NESTING:
             raise Unsupported("nesting too deep", line)
 
+    # -- names -----------------------------------------------------------------
+
+    def declare(self, name, decl):
+        self.log.append((name, self.scope.get(name)))
+        self.scope[name] = decl
+
+    def resolve(self, name) -> Decl:
+        decl = self.scope.get(name) or self.visible.get(name) or self.fallback.get(name)
+        if decl is None:
+            decl = self.fallback[name] = Decl(None, self.package)
+        return decl
+
+    def declare_var(self, name, gotype, expr, line) -> VarDecl:
+        """Its type is fixed here when written or made, else once the file is read."""
+        fixed = expr.gotype if gotype is None and expr.__class__ is MakeExpr else gotype
+        if self.body is self.package:
+            decl = self.earlier[name] = self.names.setdefault(name, Decl(None, self.package))
+            self.pending.append((decl, fixed, expr))
+        else:
+            decl = Decl(fixed, self.body)
+            if fixed is None and expr is not None:
+                self.pending.append((decl, None, expr))
+            self.declare(name, decl)
+        return VarDecl(name, gotype, expr, line, decl)
+
+    def settle(self, functions):
+        """Give each package name its function where no global takes it,
+        then type the pending declarations, the globals' first."""
+        for table in (self.funcs, self.names):
+            for name, decl in table.items():
+                if (f := functions.get(name)) and decl is not self.earlier.get(name):
+                    decl.gotype = Func(name, f.params, f.result, (), f.line)
+        for decl, fixed, expr in self.global_pending + self.pending:
+            decl.gotype = fixed if fixed is not None or expr is None else declared_type(expr)
+
     # -- declarations --------------------------------------------------------
 
     def parse_program(self) -> Program:
@@ -198,17 +250,28 @@ class Parser:
                     raise GoSyntaxError(f.line, "duplicate function %s" % f.name)
                 functions[f.name] = f
             elif kind == "var":
-                globals_.append(self.parse_var_decl())
+                globals_.append(self.parse_global())
             elif kind == "type":
                 self.parse_type_decl()
             else:
                 raise GoSyntaxError(self.lines[self.pos],
                                     "unexpected %r at top level" % self.values[self.pos])
             self.end("eof")
-        for name, line in self.unused:  # a name the program declares, at any scope, is its own
-            if name not in functions and name not in self.declared:
+        for name, line in self.unused:  # Go's package scope holds every global
+            if name not in functions and name not in self.earlier:
                 raise GoSyntaxError(line, "expression is not used")
-        return Program(tuple(globals_), functions)
+        self.settle(functions)
+        return Program(tuple(globals_), functions, self.global_events + self.events)
+
+    def parse_global(self) -> VarDecl:
+        """A global, whose initializer reads the globals before it."""
+        in_bodies = self.pending, self.events
+        self.pending, self.events = self.global_pending, self.global_events
+        self.visible, self.fallback = self.earlier, self.funcs
+        decl = self.parse_var_decl()
+        self.pending, self.events = in_bodies
+        self.visible = self.fallback = self.names
+        return decl
 
     def parse_func(self, anonymous=False) -> Func:
         """A declaration, or a literal named ``anon@<line>[.k]`` once its
@@ -218,15 +281,22 @@ class Parser:
         if not anonymous and self.kinds[self.pos] == "(":
             raise Unsupported("method declaration", line)
         name = None if anonymous else self.values[self.expect("ident")]
+        outer = self.body
+        self.body = owner = Body(name)
         params = self.parse_params()
         result = None
         if self.kinds[self.pos] not in ("{", ";"):
             result = self.parse_type()
-        body = self.parse_block()
-        if anonymous:
-            k = self.literals[line] = self.literals.get(line, 0) + 1
-            name = "anon@%d" % line + (".%d" % k if k > 1 else "")
-        return Func(name, params, result, body, line)
+        body = self.parse_block(params)
+        self.body = outer
+        if not anonymous:
+            return Func(name, params, result, body, line)
+        k = self.literals[line] = self.literals.get(line, 0) + 1
+        owner.name = "anon@%d" % line + (".%d" % k if k > 1 else "")
+        func = Func(owner.name, params, result, body, line)
+        if self.kinds[self.pos] not in _POSTFIXES:
+            self.events.append((outer, func))
+        return func
 
     def parenthesized(self, item) -> tuple:
         """``( a, b, … )``: ``item()`` for each entry, a trailing comma allowed."""
@@ -254,7 +324,6 @@ class Parser:
                 pending = []
         if pending:
             raise GoSyntaxError(self.lines[self.pos], "parameters missing a type")
-        self.declared.update(name for name, _ in params)
         return tuple(params)
 
     def parse_var_decl(self) -> VarDecl:
@@ -262,7 +331,6 @@ class Parser:
         if self.kinds[self.pos] == "(":
             raise Unsupported("grouped declaration", line)
         name = self.values[self.expect("ident")]
-        self.declared.add(name)
         gotype = None
         expr = None
         if self.kinds[self.pos] not in ("=", ";"):
@@ -271,7 +339,7 @@ class Parser:
             gotype = self.parse_type()
         if self.accept("="):
             expr = self.parse_expr()
-        return VarDecl(name, gotype, expr, line)
+        return self.declare_var(name, gotype, expr, line)
 
     def parse_type_decl(self):
         """A ``struct`` declaration: each field type is checked, none kept."""
@@ -331,15 +399,22 @@ class Parser:
 
     # -- statements -------------------------------------------------------------
 
-    def parse_block(self) -> tuple:
+    def parse_block(self, params=()) -> tuple:
+        """A block, with ``params``, a function's, in scope; its names go out
+        of scope at its end."""
         self.descend(self.lines[self.expect("{")])
         self.skip_semis()
-        kinds, stmts = self.kinds, []
+        kinds, stmts, log, mark = self.kinds, [], self.log, len(self.log)
+        for name, gotype in params:
+            self.declare(name, Decl(gotype, self.body))
         while kinds[self.pos] != "}":
             stmts.append(self.parse_stmt())
             self.end("}")
         self.pos += 1
         self.depth -= 1
+        while len(log) > mark:
+            name, hidden = log.pop()
+            self.scope[name] = hidden
         return tuple(stmts)
 
     def parse_stmt(self):
@@ -347,10 +422,12 @@ class Parser:
         kind, line = kinds[pos], self.lines[pos]
         if kind == "ident" and kinds[pos + 1] in (":=", "="):
             self.pos = pos + 2
-            if kinds[pos + 1] == "=":
-                return Assign(self.values[pos], self.parse_expr(), line)
-            self.declared.add(self.values[pos])
-            return VarDecl(self.values[pos], None, self.parse_expr(), line)
+            name, expr = self.values[pos], self.parse_expr()
+            if kinds[pos + 1] == ":=":
+                return self.declare_var(name, None, expr, line)
+            assign = Assign(name, expr, line, self.resolve(name))
+            self.events.append((self.body, assign))
+            return assign
         if kind == "ident" and kinds[pos + 1] + kinds[pos + 2] in _COMPOUND:
             raise Unsupported("compound assignment", line)
         if kind == "ident" and kinds[pos + 1] == "." and kinds[pos + 2] == "ident" and (
@@ -358,7 +435,7 @@ class Parser:
             raise Unsupported("assignment to a field", line)
         if kind == "go" or kind == "defer":
             self.pos = pos + 1
-            call = self.parse_expr()
+            call = self.parse_expr()  # its event stands for the statement's
             if not isinstance(call, Call):
                 raise GoSyntaxError(line, "%s requires a function call" % kind)
             return (GoStmt if kind == "go" else DeferStmt)(call.fn, call.args, call.line)
@@ -374,18 +451,22 @@ class Parser:
             return self.parse_var_decl()
         if kind in _UNSUPPORTED_STMTS:
             raise Unsupported(_UNSUPPORTED_STMTS[kind], line)
+        mark = len(self.events)
         expr = self.parse_expr()
         if kinds[self.pos] == "<-":
             self.pos += 1
-            return Send(expr, self.parse_expr(), line)
+            send = Send(expr, self.parse_expr(), line)
+            self.events.insert(mark, (self.body, send))
+            return send
         if kinds[self.pos] in _INCREMENTS:
             raise Unsupported(_INCREMENTS[kinds[self.pos]], self.lines[self.pos])
         # only a call or a receive may stand alone; a statement that runs on
         # is left to ``end``, which names a label or a list of names
         if not isinstance(expr, (Call, Recv)) and kinds[self.pos] in (";", "}"):
             raise GoSyntaxError(line, "expression is not used")
-        if isinstance(expr, Call) and isinstance(expr.fn, Ident) and expr.fn.name in _VALUE_ONLY:
-            self.unused.append((expr.fn.name, line))
+        if expr.__class__ is Call and expr.fn.__class__ is Ident and expr.fn.name in _VALUE_ONLY:
+            if expr.fn.decl.owner is self.package:  # no body declares it
+                self.unused.append((expr.fn.name, line))
         return expr
 
     def parse_if(self) -> If:
@@ -424,13 +505,14 @@ class Parser:
         postfixes, read only when one follows.  An integer literal must fit
         Go's 64-bit ``int``; 9223372036854775808 fits only as the operand
         of a minus."""
-        kind, line = self.kinds[self.pos], self.lines[self.pos]
+        kind, line, mark = self.kinds[self.pos], self.lines[self.pos], len(self.events)
         self.descend(line)
         if kind in ("!", "-", "<-"):
             self.pos += 1
             expr = self.parse_unary(negated=kind == "-")
             if kind == "<-":
                 expr = Recv(expr, line)
+                self.events.insert(mark, (self.body, expr))
             elif kind == "-" and isinstance(expr, IntLit):
                 expr = IntLit(-expr.value, line)
             else:
@@ -438,20 +520,22 @@ class Parser:
         else:
             expr = self.parse_primary()
             if self.kinds[self.pos] in _POSTFIXES:
-                expr = self.parse_postfix(expr)
+                expr = self.parse_postfix(expr, mark)
         if expr.__class__ is IntLit and expr.value > (2**63 if negated else 2**63 - 1):
             raise Unsupported("integer literal overflows int", line)
         self.depth -= 1
         return expr
 
-    def parse_postfix(self, expr):
-        """Calls of ``expr`` and its selectors, as long as they follow."""
+    def parse_postfix(self, expr, mark):
+        """Calls of ``expr`` and its selectors, as long as they follow; a
+        call's event goes at ``mark``, before its operands'."""
         kinds, depth = self.kinds, self.depth
         while True:
             if kinds[self.pos] == "(":
                 if isinstance(expr, Call):  # the call of a call's result nests in it
                     self.descend(expr.line)
                 expr = self.make_call(expr, self.parenthesized(self.parse_expr))
+                self.events.insert(mark, (self.body, expr))
             elif kinds[self.pos] == "." and isinstance(expr, Ident):
                 self.pos += 1
                 expr = Selector(expr.name, self.values[self.expect("ident")], expr.line)
@@ -477,7 +561,11 @@ class Parser:
                 return NilLit(line)
             if value == "make" and self.kinds[pos + 1] == "(":
                 return self.parse_make(line)
-            return Ident(value, line)
+            decl = self.scope.get(value) or self.visible.get(value) or self.resolve(value)
+            ident = Ident(value, line, decl)
+            if decl.gotype is None and self.kinds[pos + 1] not in _POSTFIXES:
+                self.events.append((self.body, ident))  # it may name a function
+            return ident
         if kind == "int":
             if not plain_decimal(value):
                 raise Unsupported("non-decimal integer literal", line)
@@ -490,6 +578,9 @@ class Parser:
             self.pos = pos + 1
             inner = self.parse_expr()
             self.expect(")")
+            events = self.events
+            if self.kinds[self.pos] in _POSTFIXES and events and events[-1][1] is inner:
+                events.pop()
             return inner
         if kind == "func":
             return self.parse_func(anonymous=True)

@@ -2,15 +2,14 @@
 
 A function joins the coroutine map when it sends or receives on a channel,
 or when it calls or starts a member: membership is reverse reachability
-over the call edges from the functions that use channels.  ``_scan`` alone
-knows Go's scopes: one pass over the blocks, with ``_walk`` entering each
-expression once, resolves each name through the ``scope`` table to its
-``Decl``, which fixes its Go type.  Translation keeps the flow facts in the
-``facts`` table, keyed by ``Decl``: a constant value, or whether a channel
-may be nil.  Above the package's names, both change only through ``_set``,
-which logs what it replaced; ``_undo`` takes back a block's names at its
-end, a function's facts once it is translated, and each branch of an
-undecided ``if`` before the two join.  A variable that a body other than its own assigns has no
+over the call edges from the functions that use channels, read off the
+parser's ``Program.events`` in one pass; no tree is walked for it.  The
+parser resolved each name to its ``Decl``, which fixes its Go type.
+Translation keeps the flow facts in the ``facts`` table, keyed by ``Decl``:
+a constant value, or whether a channel may be nil.  It changes only through
+``_set``, which logs what it replaced; ``_undo`` takes back a function's
+facts once it is translated, and each branch of an undecided ``if`` before
+the two join.  A variable that a body other than its own assigns has no
 constant value; a global channel declared without ``make`` is nil at every
 use when no statement assigns it, and is taken as made otherwise.
 
@@ -21,7 +20,7 @@ union guarded by the condition predicate; ``Translation.guarded`` reads
 the definitions that hold one off the coroutine map.  When it names none,
 the analysis skips ``unresolved_condition_preds``.  A call of a member
 becomes an inline application, a ``go`` a start, and a ``defer`` an
-inline application at the end of the flow; both walks take a ``go`` or
+inline application at the end of the flow; both passes take a ``go`` or
 ``defer`` as the call it holds.  Each named member translates once; a
 function literal translates where it runs, with the facts there:
 at its call or ``go``, or at the function's end if deferred.  ``_item``
@@ -83,6 +82,7 @@ from .goast import (
     StringLit,
     Unary,
     VarDecl,
+    declared_type,
     operands,
 )
 from .parser import Unsupported
@@ -122,20 +122,6 @@ def concrete_name(gotype) -> str:
     raise TypeError("no concrete name for %r" % (gotype,))
 
 
-class Decl:
-    """A declared name: a variable, a parameter or a program function,
-    compared by identity, so the flow facts key on it.  ``gotype`` is the
-    Go type its declaration fixes, or None: a ``ChanType`` for a channel,
-    the ``Func`` of a program function or literal, or a ``FuncType``.
-    ``owner`` names the body that declares it, None for the package."""
-
-    __slots__ = ("gotype", "owner")
-
-    def __init__(self, gotype, owner):
-        self.gotype = gotype
-        self.owner = owner
-
-
 class Translation(Record):
     __slots__ = ("cordefs", "warnings")  # cordefs: name -> CorDef, the coroutine map
 
@@ -150,12 +136,10 @@ class Translation(Record):
 class Translator:
     def __init__(self, program: Program):
         self.program = program
-        self.decls: dict = {}  # id of an identifier, declaration or assignment -> its Decl
         self.assigned: set = set()  # the Decl of each assignment statement
         self.shared: set = set()  # each Decl that a body other than its owner assigns
-        self.scope = {n: Decl(f, None) for n, f in program.functions.items()}  # name -> Decl
         self.facts: dict = {}  # Decl -> its constant value, or a channel's "may be nil"
-        self.log: list = []  # (table, key, the value _set replaced), for _undo
+        self.log: list = []  # (Decl, the fact _set replaced), for _undo
         self.members = self._members()
         self.cordefs: dict[str, CorDef] = {}
         self.chan_makes: defaultdict[str, int] = defaultdict(int)
@@ -172,85 +156,24 @@ class Translator:
             item = self.built[key] = make(ref(name), *rest)
         return item
 
-    # -- scope and facts --------------------------------------------------------
+    # -- facts --------------------------------------------------------------------
 
-    def _set(self, table, key, value):
-        """``table[key] = value``, logged for ``_undo``."""
-        self.log.append((table, key, table.get(key)))
-        table[key] = value
+    def _set(self, decl, fact):
+        """``facts[decl] = fact``, logged for ``_undo``."""
+        self.log.append((decl, self.facts.get(decl)))
+        self.facts[decl] = fact
 
     def _undo(self, mark) -> dict:
         """Take back every ``_set`` since the log was ``mark`` long, and
-        return the value each changed key held at the end."""
-        done = {}
+        return the fact each changed Decl held at the end."""
+        done, facts = {}, self.facts
         while len(self.log) > mark:
-            table, key, old = self.log.pop()
-            done.setdefault(key, table[key])
-            table[key] = old
+            decl, old = self.log.pop()
+            done.setdefault(decl, facts[decl])
+            facts[decl] = old
         return done
 
-    # -- names and membership -------------------------------------------------
-
-    def _scan(self, block, params, owner, uses, values) -> dict:
-        """Walk ``block`` of function ``owner`` (None for the globals) in
-        source order, with ``params``, ``(name, gotype)`` pairs, in scope;
-        return the names it put in scope, each to its ``Decl``, once they
-        are out of scope again.  A declared name is in scope after its own
-        expression, to the end of its block.  Record in ``decls`` the Decl
-        each declaration or assignment names (``_`` gets its own), in
-        ``assigned`` the Decl of each assignment, and in ``shared`` each such
-        Decl that another body owns; ``_walk`` records the rest."""
-        mark = len(self.log)
-        for name, gotype in params:
-            self._set(self.scope, name, Decl(gotype, owner))
-        for s in block:
-            self._walk(s, owner, uses, values)
-            if s.__class__ is VarDecl:
-                made = s.expr.gotype if isinstance(s.expr, MakeExpr) else self._type(s.expr)
-                decl = self.decls[id(s)] = Decl(made if s.gotype is None else s.gotype, owner)
-                self._set(self.scope, s.name, decl)
-            elif s.__class__ is Assign:
-                decl = self.decls[id(s)] = self.scope.get(s.name) or Decl(None, owner)
-                self.assigned.add(decl)
-                if decl.owner != owner:
-                    self.shared.add(decl)
-        return self._undo(mark)
-
-    def _walk(self, s, owner, uses, values):
-        """Record, outside in and in Go's order, the Decl each identifier of
-        statement ``s`` resolves to in ``decls``, each send, receive, call,
-        ``go`` and ``defer`` in ``uses`` as ``(owner, node)``, and each
-        function named or written in ``values`` by id.  A function literal's body is scanned as a
-        function, and an ``if``'s blocks after its condition."""
-        work = [s]
-        while work:
-            n = work.pop()
-            cls = n.__class__
-            if cls is Ident:
-                decl = self.decls[id(n)] = self.scope.get(n.name)
-                if decl is not None and decl.gotype.__class__ is Func:
-                    values[id(n)] = n
-            elif cls is Func:
-                self._scan(n.body, n.params, n.name, uses, values)
-                values[id(n)] = n
-            else:
-                if cls in _APPS or cls is Send or cls is Recv:
-                    uses.append((owner, n))
-                work += reversed(operands(n))
-        if s.__class__ is If:
-            self._scan(s.then, (), owner, uses, values)
-            self._scan(s.els, (), owner, uses, values)
-
-    def _type(self, e):
-        """The Go type a declaration fixes for the expression ``e``, or None:
-        a name's, a function literal's ``Func``, or the result type of a
-        call of either."""
-        if e.__class__ is Call:
-            return getattr(self._type(e.fn), "result", None)
-        if e.__class__ is Func:
-            return e
-        decl = self.decls.get(id(e))  # an identifier's; no other expression is a key
-        return decl and decl.gotype
+    # -- membership -------------------------------------------------------------
 
     def _members(self) -> dict:
         """The channel users, then every caller of a member, one worklist,
@@ -258,21 +181,24 @@ class Translator:
         other than as the callee of a call is refused: a function value that
         is stored, passed or called through a variable would take its
         channel operations with it.  So is a channel operation in a global's
-        initializer, which would run before ``main``."""
-        uses: list = []  # (function name, a send, receive, call, go or defer in its body)
-        values: dict = {}  # the id of each function named or written -> its node
-        self.scope.update(self._scan(self.program.globals, (), None, uses, values))
-        for name, f in self.program.functions.items():
-            self._scan(f.body, f.params, name, uses, values)
+        initializer, which would run before ``main``.  Each assignment adds
+        to ``assigned``, and to ``shared`` when another body owns its name."""
         members = {}  # name -> the line of its first channel use or member call
         callers = defaultdict(dict)  # callee name -> {caller: the line of its first call}
-        for owner, n in uses:
-            if n.__class__ not in _APPS:  # a send or a receive
-                members.setdefault(owner, n.line)
-                continue
-            values.pop(id(n.fn), None)  # a callee is no value
-            if isinstance(callee := self._type(n.fn), Func):
-                callers[callee.name].setdefault(owner, n.line)
+        values = []  # each name that may hold a function and each literal, but a callee
+        for body, n in self.program.events:
+            cls = n.__class__
+            if cls in _APPS:
+                if isinstance(callee := declared_type(n.fn), Func):
+                    callers[callee.name].setdefault(body.name, n.line)
+            elif cls is Send or cls is Recv:
+                members.setdefault(body.name, n.line)
+            elif cls is Assign:
+                self.assigned.add(n.decl)
+                if n.decl.owner is not body:
+                    self.shared.add(n.decl)
+            else:
+                values.append(n)
         work = list(members)
         while work:
             for caller, line in callers[work.pop()].items():
@@ -281,9 +207,9 @@ class Translator:
                     work.append(caller)
         if None in members:
             raise Unsupported("channel operation in a package-level initializer", members[None])
-        for n in values.values():
-            func = self._type(n)
-            if func.name in members:
+        for n in values:
+            func = declared_type(n)
+            if func.__class__ is Func and func.name in members:
                 shown = "literal" if n.__class__ is Func else func.name
                 raise Unsupported("channel-using function %s used as a value" % shown, n.line)
         return members
@@ -294,7 +220,7 @@ class Translator:
         for g in self.program.globals:
             self._items(g)  # yields no flow: _members refused any
         for decl in self.assigned:  # some function may make a global channel first
-            self._set(self.facts, decl, None)
+            self._set(decl, None)
         for name, f in self.program.functions.items():
             if name in self.members:
                 self._translate(f)
@@ -348,7 +274,7 @@ class Translator:
         for decl in then_facts.keys() | else_facts.keys():
             a, b = (facts.get(decl, self.facts.get(decl)) for facts in (then_facts, else_facts))
             chan = isinstance(decl.gotype, ChanType)
-            self._set(self.facts, decl, (a or b) if chan else a if a == b else None)
+            self._set(decl, (a or b) if chan else a if a == b else None)
         if t_ret or e_ret:
             raise Unsupported("return inside an undecided conditional", s.line)
         then_branch = constrained(seq(*then_items), pred)
@@ -387,7 +313,7 @@ class Translator:
             else:
                 items.append(self._item(received, Concrete, self._chan_elem(n)))
         elif cls is VarDecl or cls is Assign:
-            self._bind(self.decls[id(n)], n.expr)
+            self._bind(n.decl, n.expr)
         elif cls is MakeExpr and isinstance(n.gotype, ChanType):
             self.chan_makes[concrete_name(n.gotype.elem)] += 1
         return items
@@ -413,7 +339,7 @@ class Translator:
         ``go`` or ``defer``, then, for one of a member, an ``app_cls``
         application, or none when it joins ``deferred``.  A literal callee
         translates where it runs: here, or at the function's end if deferred."""
-        func = self._type(call.fn)
+        func = declared_type(call.fn)
         if not isinstance(func, Func) or func.name not in self.members:
             return items
         for (_, ptype), arg in zip(func.params, call.args):
@@ -468,7 +394,7 @@ class Translator:
         if isinstance(e, BoolLit):
             return int(e.value), False
         if isinstance(e, Ident):  # a channel's fact, a bool, is no value
-            value = self.facts.get(self.decls.get(id(e)))
+            value = self.facts.get(e.decl)
             return (None if isinstance(value, bool) else value), False
         if isinstance(e, Unary) and e.op == "-":
             value, exact = self._fold(e.operand)
@@ -524,7 +450,7 @@ class Translator:
         its declaration fixes it; one that may hold nil would block forever,
         and is refused."""
         e = op.chan
-        gotype = self._type(e)
+        gotype = declared_type(e)
         if not isinstance(gotype, ChanType):
             fn = getattr(e, "fn", e)
             name = "?" if fn.__class__ is Func else getattr(fn, "name", "?")  # a literal shows none
@@ -533,20 +459,20 @@ class Translator:
             raise Unsupported("channel %r may be nil" % e.name, op.line)
         return concrete_name(gotype.elem)
 
-    def _bind(self, decl: Decl, expr):
+    def _bind(self, decl, expr):
         """Record in ``facts`` what the flow knows of ``decl`` once it holds
         ``expr``: a channel's "may be nil" (a parameter has no fact, as a call
         site passes no nil channel), or any other's constant value, None when
         another body assigns it, since that body may run between two uses."""
         if isinstance(decl.gotype, ChanType):
-            self._set(self.facts, decl, expr is None or isinstance(expr, NilLit) or self._nil(expr))
+            self._set(decl, expr is None or isinstance(expr, NilLit) or self._nil(expr))
         else:
             value = self._eval_value(expr)
-            self._set(self.facts, decl, None if decl in self.shared else value)
+            self._set(decl, None if decl in self.shared else value)
 
     def _nil(self, e) -> bool:
         """Whether ``e`` names a channel that may be nil."""
-        return self.facts.get(self.decls.get(id(e))) is True
+        return e.__class__ is Ident and self.facts.get(e.decl) is True
 
 
 def _wrap(value: int) -> int:

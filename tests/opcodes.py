@@ -1,0 +1,84 @@
+"""Count the bytecodes each phase of the analysis executes, per workload.
+
+Takes the root of a checkout and analyses block 0 of each benchmark
+workload at seed 1 with that checkout's ``src``, generated by its
+``bench/workloads.py``, which is read and not changed.  After one untraced
+warm-up pass over the block, a ``sys.settrace`` opcode tracer counts the
+opcodes each phase executes: ``tokenize``, ``parse`` (without the
+tokenizer it calls), ``compute_m``, and ``reduction``, the rest of
+``analyze_source`` (the case split and the reduction runs)::
+
+    python tests/opcodes.py [ROOT]
+
+ROOT defaults to this checkout.  Counts are exact for one interpreter
+version, so two checkouts compare by running this script on each in the
+same interpreter.  One line per workload, phases in that order, then the
+total.
+"""
+
+import sys
+from pathlib import Path
+
+PHASES = ("tokenize", "parse", "compute_m", "reduction")
+SEED = 1
+
+
+def counter():
+    """``(trace, counts)``: a global trace function that counts each frame's
+    opcodes in ``counts`` under the phase of the entry function below it."""
+    from flowcheck.gofront import analyze, lexer, parser, translate
+
+    entries = {
+        analyze.analyze_source.__code__: "reduction",
+        lexer.tokenize.__code__: "tokenize",
+        parser.parse.__code__: "parse",
+        translate.compute_m.__code__: "compute_m",
+    }
+    counts = dict.fromkeys(PHASES, 0)
+    stack = []  # the phase of each live traced frame
+
+    def local_for(phase):
+        def local(frame, event, arg):
+            if event == "opcode":
+                counts[phase] += 1
+            elif event == "return":
+                stack.pop()
+            return local
+        return local
+
+    locals_ = {phase: local_for(phase) for phase in PHASES}
+
+    def trace(frame, event, arg):
+        phase = entries.get(frame.f_code) or (stack[-1] if stack else None)
+        if phase is None:
+            return None
+        frame.f_trace_opcodes = True
+        stack.append(phase)
+        return locals_[phase]
+
+    return trace, counts
+
+
+def main(argv):
+    root = Path(argv[1] if len(argv) > 1 else Path(__file__).resolve().parent.parent).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    import workloads
+    from flowcheck.gofront import analyze_source
+
+    for name in workloads.NAMES:
+        block = workloads.build(name, SEED, root).blocks[0]
+        for program in block:  # warm-up
+            analyze_source(program.source)
+        trace, counts = counter()
+        sys.settrace(trace)
+        try:
+            for program in block:
+                analyze_source(program.source)
+        finally:
+            sys.settrace(None)
+        print("%-7s %s total=%d" % (name, " ".join("%s=%d" % (p, counts[p]) for p in PHASES),
+                                    sum(counts.values())))
+
+
+if __name__ == "__main__":
+    main(sys.argv)

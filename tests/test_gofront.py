@@ -230,6 +230,9 @@ class TestNamedRefusals:
              "syntax error: line 6: expression is not used"),
             ("", '\tgo func() { ch <- 1 }()\n\tlen("abc")\n',
              "syntax error: line 6: expression is not used"),
+            # another function's parameter is out of scope in main
+            ("func f(len int) {}\n\n", '\tgo func() { ch <- 1 }()\n\tlen("abc")\n',
+             "syntax error: line 8: expression is not used"),
             ("", "\tif a, b := 1, 2; a > b {\n\t}\n", "if with init statement (line 5)"),
             ("func f() {}\n\nfunc f() {}\n\n", "", "syntax error: line 5: duplicate function f"),
             ("func f(a) {}\n\n", "", "syntax error: line 3: parameters missing a type"),
@@ -247,7 +250,8 @@ class TestNamedRefusals:
              "shift right", "and", "or", "xor", "and not", "complement", "xor assign",
              "and-not assign", "shift assign", "field", "field compound", "if init",
              "unused name", "unused sum", "unused literal", "unused make", "unused conversion",
-             "unused string conversion", "unused len", "if init of two names", "duplicate function",
+             "unused string conversion", "unused len", "unused len, a parameter elsewhere",
+             "if init of two names", "duplicate function",
              "untyped parameter", "non-struct type", "map type", "directional parameter",
              "sync type", "sync call", "for operand", "call condition"],
     )
@@ -275,6 +279,39 @@ class TestNamedRefusals:
     def test_other_lists_stay_syntax_errors(self, body):
         with pytest.raises(GoSyntaxError, match="missing ';' before ','"):
             parse(self.program("", body))
+
+
+class TestPackageNames:
+    """A name no enclosing body declares is the package's: a function
+    declared anywhere in the file, or a global.  A global's initializer
+    sees only the globals before it."""
+
+    SEND = "func send(c chan string) {\n\tc <- \"x\"\n}\n"
+
+    @pytest.mark.parametrize("source", [
+        "package main\n\nfunc main() {\n\tc := mk()\n\tgo send(c)\n\t<-c\n}\n\n"
+        "func mk() chan string {\n\treturn make(chan string)\n}\n\n" + SEND,
+        "package main\n\nfunc f(ch chan int) {\n\tif n > 4 {\n\t\tch <- 1\n\t}\n}\n\n"
+        "var n = 5\n\nfunc main() {\n\tch := make(chan int)\n\tgo f(ch)\n\t<-ch\n}\n",
+        "package main\n\nfunc g(ch chan int) {\n\tch <- 1\n}\n\nfunc main() {\n"
+        "\tch := make(chan int)\n\tgo g(ch)\n\tg := 1\n\t_ = g\n\t<-ch\n}\n",
+        # a callee in parentheses is called, not used as a value
+        "package main\n\n" + SEND + "\nfunc main() {\n\tc := make(chan string)\n"
+        "\tgo (send)(c)\n\t<-c\n}\n",
+    ], ids=["function declared after its call", "global declared after its reader",
+            "local declared after the call it shadows", "parenthesized callee"])
+    def test_reads_no_deadlock(self, source):
+        analysis = analyze_source(source)
+        assert [str(c.verdict) for c in analysis.cases] == ["NoDeadlock"]
+
+    @pytest.mark.parametrize("globals_, labels", [
+        ("var a = b\nvar b = 5\n", ["a ≤ 3", "a ≥ 4"]),  # a reads no value of b
+        ("var b = 5\nvar a = b\n", [""]),
+    ], ids=["later global", "earlier global"])
+    def test_an_initializer_sees_only_earlier_globals(self, globals_, labels):
+        source = ("package main\n\n%s\nfunc main() {\n\tch := make(chan int)\n"
+                  "\tgo func() { ch <- 1 }()\n\tif a > 3 {\n\t\t<-ch\n\t}\n}\n" % globals_)
+        assert [c.label for c in analyze_source(source).cases] == labels
 
 
 GUARDED_SENDER = '''package main
@@ -1465,6 +1502,39 @@ def sentinel_node(cls):
 
 class TestOperands:
     """``operands`` is the one statement of Go's order of evaluation."""
+
+    @pytest.mark.parametrize("workload", ["fanout", "corpus"])
+    def test_translation_reads_each_node_once(self, workload, monkeypatch):
+        # names are resolved while parsing, so no walk before translation
+        # reads a node's operands
+        from collections import Counter
+
+        from flowcheck.gofront import translate
+        from paths import ROOT
+
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        import workloads
+
+        programs = []
+        for program in workloads.build(workload, 1, ROOT).blocks[0]:
+            try:
+                programs.append(parse(program.source))
+            except (GoSyntaxError, Unsupported):
+                continue
+        reads = Counter()
+
+        def counted(n):
+            reads[id(n)] += 1
+            return goast.operands(n)
+
+        monkeypatch.setattr(translate, "operands", counted)
+        total = 0
+        for program in programs:
+            reads.clear()
+            compute_m(program)
+            assert max(reads.values(), default=0) <= 1
+            total += len(reads)
+        assert total > 0
 
     def test_every_node_class_is_listed(self):
         assert set(node_classes()) == set(OPERAND_FIELDS) | LEAVES
