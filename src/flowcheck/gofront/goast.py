@@ -170,8 +170,8 @@ class Program(Node):
     # globals: VarDecls; functions: name -> Func, declared functions only (a
     # literal lives where it is written).  events: (Body, node) in the order
     # a walk of the globals, then the functions, meets them: each send,
-    # receive and call (which a ``go`` or ``defer`` holds), each name that may
-    # hold a function and literal but a callee, and each assignment
+    # receive, call, ``go`` and ``defer``, each name that may hold a
+    # function and literal but a callee, and each assignment
     __slots__ = ("globals", "functions", "events")
     _uncompared = ("events",)
 

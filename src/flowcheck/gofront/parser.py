@@ -4,8 +4,8 @@ The parser reads the three lists ``tokenize`` returns by position: every
 test reads ``kinds``, and a token's value and line are read only where a
 node or a message needs them.  Binary expressions are read by precedence
 climbing over one table, ``_PRECEDENCE``, of Go's five binary levels; every
-operator is left-associative, as in the Go spec.  An operand enters the
-postfix level only when a call or a selector follows it.
+operator is left-associative, as in the Go spec.  An operand is read in
+one frame, and a ``go`` or ``defer`` is built there as the call it holds.
 
 Each name resolves where it is read, in Go's block scopes: an ``Ident``,
 ``VarDecl`` or ``Assign`` carries its ``Decl``.  A name no body declares is
@@ -20,10 +20,10 @@ sync primitives, if-statements with init clauses, methods, labels, several
 names in one declaration, assignment or return, grouped declarations,
 increments, decrements, compound assignments, assignments to a field,
 bitwise and shift operators, and nesting deeper than ``MAX_NESTING``.
-What Go itself refuses, such as an expression statement that is neither a
-call nor a receive, or a conversion or value-only builtin such as ``len``
-called as a statement where no declaration of that name is in scope,
-raises GoSyntaxError at its line.
+What Go itself refuses raises GoSyntaxError at its line: an expression
+statement that is neither a call nor a receive, a ``go`` or ``defer`` of a
+parenthesized call, or a conversion or value-only builtin such as ``len``
+called as a statement where no declaration of that name is in scope.
 """
 
 from __future__ import annotations
@@ -60,10 +60,10 @@ from .goast import (
 from .lexer import GoSyntaxError, plain_decimal, tokenize
 
 
-# Nesting levels: a block, an ``if`` (``else if`` included), an operand
-# (parenthesized, prefixed or a call argument) and each binary operator.
-# The parser and the later tree walks recurse on each level, so a deeper
-# file is refused instead of exhausting the recursion limit.
+# Nesting levels: a block, an ``if`` (``else if`` included), a composite
+# type, an operand, each prefix operator and call of a call's result on it,
+# and each binary operator.  The parser and the later tree walks recurse on
+# each level, so a deeper file is refused instead of exhausting the stack.
 MAX_NESTING = 100
 
 
@@ -75,14 +75,9 @@ class Unsupported(Exception):
 
 
 _UNSUPPORTED_STMTS = {
-    "for": "for loop",
-    "select": "select statement",
-    "switch": "switch statement",
-    "range": "range clause",
-    "const": "const declaration",
-    "goto": "goto statement",
-    "break": "break statement",
-    "continue": "continue statement",
+    "for": "for loop", "select": "select statement", "switch": "switch statement",
+    "range": "range clause", "const": "const declaration", "goto": "goto statement",
+    "break": "break statement", "continue": "continue statement",
 }
 
 _INCREMENTS = {"++": "increment statement", "--": "decrement statement"}
@@ -94,30 +89,34 @@ _VALUE_ONLY = set("append cap complex imag len max min new real any bool byte co
                   "uint32 uint64 uintptr".split())
 _COMPOUND = {"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", "&^="}  # two tokens each
 
-# Go's binary operators by precedence, loosest first
+# Go's binary operators by precedence, loosest first; those outside the
+# subset bind tightest, so the first expression to meet one refuses it
+_UNSUPPORTED_BINARY = {
+    "&": "bitwise operator &", "|": "bitwise operator |", "^": "bitwise operator ^",
+    "&^": "bitwise operator &^", "<<": "shift operator <<", ">>": "shift operator >>",
+}
 _PRECEDENCE = {
     "||": 1,
     "&&": 2,
     "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
     "+": 4, "-": 4,
     "*": 5, "/": 5, "%": 5,
+    **dict.fromkeys(_UNSUPPORTED_BINARY, 6),
 }
 
-# Go's operators that have no entry there, each by the name it is refused with
-_UNSUPPORTED_BINARY = {
-    "&": "bitwise operator &", "|": "bitwise operator |", "^": "bitwise operator ^",
-    "&^": "bitwise operator &^", "<<": "shift operator <<", ">>": "shift operator >>",
-}
-_UNSUPPORTED_UNARY = {"^": "bitwise complement", "&": "address operation"}
-
-# the kinds that may follow an operand as a call or a selector
+# an operand's prefix operators, the kinds that may follow it as a call or a
+# selector, the names it reads as a literal or a ``make``, and the tokens
+# outside the subset that may start one
+_PREFIXES = {"!", "-", "<-"}
 _POSTFIXES = {"(", "."}
-
-_UNSUPPORTED_TYPES = {
-    "map": "map type",
-    "interface": "interface type",
-    "struct": "inline struct type",
+_PREDECLARED = {"true", "false", "nil", "make"}
+_UNSUPPORTED_OPERANDS = {
+    "float": "floating point literal", "imaginary": "imaginary literal",
+    "chan": "channel type in expression", "^": "bitwise complement", "&": "address operation",
+    **_UNSUPPORTED_STMTS,
 }
+
+_UNSUPPORTED_TYPES = {"map": "map type", "interface": "interface type", "struct": "inline struct type"}
 
 
 class Parser:
@@ -163,9 +162,13 @@ class Parser:
     def end(self, closing):
         """End a statement or declaration: a ``;`` must follow it unless
         ``closing``, the token that closes its list, does."""
-        if self.kinds[self.pos] == ";":
-            self.skip_semis()
-        elif self.kinds[self.pos] != closing:
+        kinds, pos = self.kinds, self.pos
+        if kinds[pos] == ";":
+            pos += 1
+            while kinds[pos] == ";":
+                pos += 1
+            self.pos = pos
+        elif kinds[pos] != closing:
             self.refuse_end()
 
     def refuse_end(self):
@@ -420,25 +423,26 @@ class Parser:
     def parse_stmt(self):
         kinds, pos = self.kinds, self.pos
         kind, line = kinds[pos], self.lines[pos]
-        if kind == "ident" and kinds[pos + 1] in (":=", "="):
-            self.pos = pos + 2
-            name, expr = self.values[pos], self.parse_expr()
-            if kinds[pos + 1] == ":=":
-                return self.declare_var(name, None, expr, line)
-            assign = Assign(name, expr, line, self.resolve(name))
-            self.events.append((self.body, assign))
-            return assign
-        if kind == "ident" and kinds[pos + 1] + kinds[pos + 2] in _COMPOUND:
-            raise Unsupported("compound assignment", line)
-        if kind == "ident" and kinds[pos + 1] == "." and kinds[pos + 2] == "ident" and (
-                kinds[pos + 3] == "=" or kinds[pos + 3] + kinds[pos + 4] in _COMPOUND):
-            raise Unsupported("assignment to a field", line)
+        if kind == "ident":
+            if kinds[pos + 1] in (":=", "="):
+                self.pos = pos + 2
+                name, expr = self.values[pos], self.parse_expr()
+                if kinds[pos + 1] == ":=":
+                    return self.declare_var(name, None, expr, line)
+                assign = Assign(name, expr, line, self.resolve(name))
+                self.events.append((self.body, assign))
+                return assign
+            if kinds[pos + 1] + kinds[pos + 2] in _COMPOUND:
+                raise Unsupported("compound assignment", line)
+            if kinds[pos + 1] == "." and kinds[pos + 2] == "ident" and (
+                    kinds[pos + 3] == "=" or kinds[pos + 3] + kinds[pos + 4] in _COMPOUND):
+                raise Unsupported("assignment to a field", line)
         if kind == "go" or kind == "defer":
             self.pos = pos + 1
-            call = self.parse_expr()  # its event stands for the statement's
-            if not isinstance(call, Call):
+            stmt = self.parse_expr(call=GoStmt if kind == "go" else DeferStmt)
+            if stmt.__class__ is not GoStmt and stmt.__class__ is not DeferStmt:
                 raise GoSyntaxError(line, "%s requires a function call" % kind)
-            return (GoStmt if kind == "go" else DeferStmt)(call.fn, call.args, call.line)
+            return stmt
         if kind == "if":
             return self.parse_if()
         if kind == "return":
@@ -453,20 +457,22 @@ class Parser:
             raise Unsupported(_UNSUPPORTED_STMTS[kind], line)
         mark = len(self.events)
         expr = self.parse_expr()
-        if kinds[self.pos] == "<-":
+        kind = kinds[self.pos]
+        if kind == "<-":
             self.pos += 1
             send = Send(expr, self.parse_expr(), line)
             self.events.insert(mark, (self.body, send))
             return send
-        if kinds[self.pos] in _INCREMENTS:
-            raise Unsupported(_INCREMENTS[kinds[self.pos]], self.lines[self.pos])
+        if kind in _INCREMENTS:
+            raise Unsupported(_INCREMENTS[kind], self.lines[self.pos])
         # only a call or a receive may stand alone; a statement that runs on
         # is left to ``end``, which names a label or a list of names
-        if not isinstance(expr, (Call, Recv)) and kinds[self.pos] in (";", "}"):
+        if expr.__class__ is Call:
+            fn = expr.fn
+            if fn.__class__ is Ident and fn.name in _VALUE_ONLY and fn.decl.owner is self.package:
+                self.unused.append((fn.name, line))  # no body declares it
+        elif expr.__class__ is not Recv and kind in (";", "}"):
             raise GoSyntaxError(line, "expression is not used")
-        if expr.__class__ is Call and expr.fn.__class__ is Ident and expr.fn.name in _VALUE_ONLY:
-            if expr.fn.decl.owner is self.package:  # no body declares it
-                self.unused.append((expr.fn.name, line))
         return expr
 
     def parse_if(self) -> If:
@@ -484,117 +490,107 @@ class Parser:
 
     # -- expressions ---------------------------------------------------------------
 
-    def parse_expr(self, lowest=1):
+    def parse_expr(self, lowest=1, call=Call):
         """A binary expression of operators that bind at level ``lowest`` or
-        tighter; each operator nests the tree one level deeper."""
-        outer = self.depth
-        left = self.parse_unary()
-        kinds = self.kinds
-        while (level := _PRECEDENCE.get(kinds[self.pos], 0)) >= lowest:
-            op, line = kinds[self.pos], self.lines[self.pos]
-            self.pos += 1
-            self.descend(line)
-            left = Binary(op, left, self.parse_expr(level + 1), line)
-        if kinds[self.pos] in _UNSUPPORTED_BINARY:
-            raise Unsupported(_UNSUPPORTED_BINARY[kinds[self.pos]], self.lines[self.pos])
-        self.depth = outer
-        return left
-
-    def parse_unary(self, negated=False):
-        """A unary expression: prefix operators, then an operand and its
-        postfixes, read only when one follows.  An integer literal must fit
-        Go's 64-bit ``int``; 9223372036854775808 fits only as the operand
-        of a minus."""
-        kind, line, mark = self.kinds[self.pos], self.lines[self.pos], len(self.events)
-        self.descend(line)
-        if kind in ("!", "-", "<-"):
-            self.pos += 1
-            expr = self.parse_unary(negated=kind == "-")
-            if kind == "<-":
-                expr = Recv(expr, line)
-                self.events.insert(mark, (self.body, expr))
-            elif kind == "-" and isinstance(expr, IntLit):
-                expr = IntLit(-expr.value, line)
+        tighter, its first operand read in this frame: prefix operators, a
+        primary, and the calls and selectors after it, the last call a ``call``
+        (a ``GoStmt`` or ``DeferStmt`` for a ``go`` or ``defer``).  Each prefix
+        operator, primary, call of a call's result and binary operator nests
+        one level.  A call's event, and a receive's, goes before its operands'.
+        An integer literal must fit Go's 64-bit ``int``; 9223372036854775808
+        fits only as the operand of a minus."""
+        kinds, lines, events = self.kinds, self.lines, self.events
+        first = pos = self.pos
+        outer = depth = self.depth
+        mark = len(events)
+        while True:  # a level for each prefix operator, then the primary's
+            depth += 1
+            if depth > MAX_NESTING:
+                raise Unsupported("nesting too deep", lines[pos])
+            if kinds[pos] not in _PREFIXES:
+                break
+            pos += 1
+        self.pos, self.depth = pos + 1, depth
+        kind, value, line = kinds[pos], self.values[pos], lines[pos]
+        if kind == "ident":
+            if value not in _PREDECLARED or value == "make" and kinds[pos + 1] != "(":
+                decl = self.scope.get(value) or self.visible.get(value) or self.resolve(value)
+                expr = Ident(value, line, decl)
+                if decl.gotype is None and kinds[pos + 1] not in _POSTFIXES:
+                    events.append((self.body, expr))  # it may name a function
+            elif value == "make":
+                expr = self.parse_make(line)
             else:
-                expr = Unary(kind, expr, line)
+                expr = NilLit(line) if value == "nil" else BoolLit(value == "true", line)
+        elif kind == "int":
+            if not plain_decimal(value):
+                raise Unsupported("non-decimal integer literal", line)
+            expr = IntLit(int(value), line)
+        elif kind == "string":
+            expr = StringLit(value, line)
+        elif kind == "(":
+            expr = self.parse_expr()
+            self.expect(")")
+            if kinds[self.pos] in _POSTFIXES and events and events[-1][1] is expr:
+                events.pop()
+        elif kind == "func":
+            self.pos = pos
+            expr = self.parse_func(anonymous=True)
+        elif kind in _UNSUPPORTED_OPERANDS:
+            raise Unsupported(_UNSUPPORTED_OPERANDS[kind], line)
         else:
-            expr = self.parse_primary()
-            if self.kinds[self.pos] in _POSTFIXES:
-                expr = self.parse_postfix(expr, mark)
-        if expr.__class__ is IntLit and expr.value > (2**63 if negated else 2**63 - 1):
-            raise Unsupported("integer literal overflows int", line)
-        self.depth -= 1
-        return expr
-
-    def parse_postfix(self, expr, mark):
-        """Calls of ``expr`` and its selectors, as long as they follow; a
-        call's event goes at ``mark``, before its operands'."""
-        kinds, depth = self.kinds, self.depth
-        while True:
-            if kinds[self.pos] == "(":
-                if isinstance(expr, Call):  # the call of a call's result nests in it
-                    self.descend(expr.line)
-                expr = self.make_call(expr, self.parenthesized(self.parse_expr))
-                self.events.insert(mark, (self.body, expr))
-            elif kinds[self.pos] == "." and isinstance(expr, Ident):
+            raise GoSyntaxError(line, "unexpected %r in expression" % value)
+        while True:  # the calls and selectors
+            kind = kinds[self.pos]
+            if kind == "(":
+                if expr.__class__ is Call:  # the call of a call's result nests in it
+                    depth = self.depth = depth + 1
+                    if depth > MAX_NESTING:
+                        raise Unsupported("nesting too deep", expr.line)
+                self.pos += 1
+                args = []
+                while kinds[self.pos] != ")":
+                    args.append(self.parse_expr())
+                    if kinds[self.pos] != ",":
+                        break
+                    self.pos += 1
+                self.expect(")")
+                if expr.__class__ is Ident and expr.name == "close":
+                    raise Unsupported("close", expr.line)
+                if expr.__class__ is Selector and expr.pkg == "sync":
+                    raise Unsupported("sync primitives", expr.line)
+                expr = (Call if kinds[self.pos] == "(" else call)(expr, tuple(args), expr.line)
+                events.insert(mark, (self.body, expr))
+            elif kind == "." and expr.__class__ is Ident:
                 self.pos += 1
                 expr = Selector(expr.name, self.values[self.expect("ident")], expr.line)
             else:
-                self.depth = depth
-                return expr
-
-    def make_call(self, fn, args) -> Call:
-        if isinstance(fn, Ident) and fn.name == "close":
-            raise Unsupported("close", fn.line)
-        if isinstance(fn, Selector) and fn.pkg == "sync":
-            raise Unsupported("sync primitives", fn.line)
-        return Call(fn, args, fn.line)
-
-    def parse_primary(self):
-        pos = self.pos
-        kind, value, line = self.kinds[pos], self.values[pos], self.lines[pos]
-        if kind == "ident":
-            self.pos = pos + 1
-            if value in ("true", "false"):
-                return BoolLit(value == "true", line)
-            if value == "nil":
-                return NilLit(line)
-            if value == "make" and self.kinds[pos + 1] == "(":
-                return self.parse_make(line)
-            decl = self.scope.get(value) or self.visible.get(value) or self.resolve(value)
-            ident = Ident(value, line, decl)
-            if decl.gotype is None and self.kinds[pos + 1] not in _POSTFIXES:
-                self.events.append((self.body, ident))  # it may name a function
-            return ident
-        if kind == "int":
-            if not plain_decimal(value):
-                raise Unsupported("non-decimal integer literal", line)
-            self.pos = pos + 1
-            return IntLit(int(value), line)
-        if kind == "string":
-            self.pos = pos + 1
-            return StringLit(value, line)
-        if kind == "(":
-            self.pos = pos + 1
-            inner = self.parse_expr()
-            self.expect(")")
-            events = self.events
-            if self.kinds[self.pos] in _POSTFIXES and events and events[-1][1] is inner:
-                events.pop()
-            return inner
-        if kind == "func":
-            return self.parse_func(anonymous=True)
-        if kind == "float":
-            raise Unsupported("floating point literal", line)
-        if kind == "imaginary":
-            raise Unsupported("imaginary literal", line)
-        if kind in _UNSUPPORTED_STMTS:
-            raise Unsupported(_UNSUPPORTED_STMTS[kind], line)
-        if kind == "chan":
-            raise Unsupported("channel type in expression", line)
-        if kind in _UNSUPPORTED_UNARY:
-            raise Unsupported(_UNSUPPORTED_UNARY[kind], line)
-        raise GoSyntaxError(line, "unexpected %r in expression" % value)
+                break
+        while True:  # the prefix operators, innermost first
+            if expr.__class__ is IntLit and expr.value > 2**63 - (pos == first or kinds[pos - 1] != "-"):
+                raise Unsupported("integer literal overflows int", lines[pos])
+            if pos == first:
+                break
+            pos -= 1
+            op = kinds[pos]
+            if op == "<-":
+                expr = Recv(expr, lines[pos])
+                events.insert(mark, (self.body, expr))
+            elif op == "-" and expr.__class__ is IntLit:
+                expr = IntLit(-expr.value, lines[pos])
+            else:
+                expr = Unary(op, expr, lines[pos])
+        self.depth = outer
+        while (level := _PRECEDENCE.get(kind, 0)) >= lowest:  # ``kind`` follows the operand
+            line = lines[self.pos]
+            if kind in _UNSUPPORTED_BINARY:
+                raise Unsupported(_UNSUPPORTED_BINARY[kind], line)
+            self.pos += 1
+            self.descend(line)
+            expr = Binary(kind, expr, self.parse_expr(level + 1), line)
+            kind = kinds[self.pos]
+        self.depth = outer
+        return expr
 
     def parse_make(self, line) -> MakeExpr:
         self.expect("(")

@@ -25,7 +25,8 @@ inline application at the end of the flow; both passes take a ``go`` or
 function literal translates where it runs, with the facts there:
 at its call or ``go``, or at the function's end if deferred.  ``_item``
 builds each distinct send, receive or application item once per
-translation and shares it; the checks of each use run at that use.
+translation and shares it; the checks of each use run at that use.  Each
+item is canonical, so a definition is built from them with no ``canon`` pass.
 
 Channel identity is deliberately not tracked: two channels with the same
 element type are indistinguishable, so a program that uses them out of
@@ -48,7 +49,6 @@ from ..terms import (
     Union,
     Var,
     branches,
-    cor_def,
     constrained,
     received,
     seq,
@@ -143,6 +143,7 @@ class Translator:
         self.members = self._members()
         self.cordefs: dict[str, CorDef] = {}
         self.chan_makes: defaultdict[str, int] = defaultdict(int)
+        self.symbols: dict = {}  # the id of a channel type the program holds -> its element's symbol
         self.unknown_args = count(1)
         self.built: dict = {}  # what a flow item is built from -> the one item built
 
@@ -237,7 +238,8 @@ class Translator:
                 self._translate(literal)
             items.append(app)
         self._undo(mark)
-        self.cordefs[f.name] = cor_def(*items, label=f.name)
+        # canon would return it as it is: no item is a sequence or 0
+        self.cordefs[f.name] = CorDef(tuple(items), None, f.name)
 
     def _block(self, stmts, deferred) -> tuple:
         """Flow items and whether ``stmts`` return; ``deferred`` is None
@@ -447,8 +449,8 @@ class Translator:
 
     def _chan_elem(self, op) -> str:
         """The element type of the channel a send or receive ``op`` uses, as
-        its declaration fixes it; one that may hold nil would block forever,
-        and is refused."""
+        its declaration fixes it, worked out once per type; one that may hold
+        nil would block forever, and is refused."""
         e = op.chan
         gotype = declared_type(e)
         if not isinstance(gotype, ChanType):
@@ -457,7 +459,8 @@ class Translator:
             raise Unsupported("cannot resolve channel %r" % name, e.line)
         if self._nil(e):
             raise Unsupported("channel %r may be nil" % e.name, op.line)
-        return concrete_name(gotype.elem)
+        key = id(gotype)
+        return self.symbols.get(key) or self.symbols.setdefault(key, concrete_name(gotype.elem))
 
     def _bind(self, decl, expr):
         """Record in ``facts`` what the flow knows of ``decl`` once it holds
@@ -513,7 +516,7 @@ def unresolved_condition_preds(cordefs: dict) -> list:
         name, bindings = call = calls.pop()
         if name in cordefs and call not in entered:
             entered.add(call)
-            # branches needs the canonical form: cor_def built it, substitute keeps it
+            # branches needs the canonical form: _translate built it, substitute keeps it
             _collect_guards(substitute(cordefs[name], dict(bindings)), guards, calls)
     return list(guards)
 

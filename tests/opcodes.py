@@ -8,15 +8,18 @@ opcodes each phase executes: ``tokenize``, ``parse`` (without the
 tokenizer it calls), ``compute_m``, and ``reduction``, the rest of
 ``analyze_source`` (the case split and the reduction runs)::
 
-    python tests/opcodes.py [ROOT]
+    python tests/opcodes.py [ROOT] [--functions N]
 
 ROOT defaults to this checkout.  Counts are exact for one interpreter
 version, so two checkouts compare by running this script on each in the
 same interpreter.  One line per workload, phases in that order, then the
-total.
+total; with ``--functions N``, each phase's N functions that executed the
+most opcodes follow their workload's line, one indented line each.
 """
 
+import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 PHASES = ("tokenize", "parse", "compute_m", "reduction")
@@ -25,7 +28,8 @@ SEED = 1
 
 def counter():
     """``(trace, counts)``: a global trace function that counts each frame's
-    opcodes in ``counts`` under the phase of the entry function below it."""
+    opcodes in ``counts[phase]``, a ``Counter`` keyed by the frame's code,
+    under the phase of the entry function below it."""
     from flowcheck.gofront import analyze, lexer, parser, translate
 
     entries = {
@@ -34,13 +38,15 @@ def counter():
         parser.parse.__code__: "parse",
         translate.compute_m.__code__: "compute_m",
     }
-    counts = dict.fromkeys(PHASES, 0)
+    counts = {phase: Counter() for phase in PHASES}
     stack = []  # the phase of each live traced frame
 
     def local_for(phase):
+        tally = counts[phase]
+
         def local(frame, event, arg):
             if event == "opcode":
-                counts[phase] += 1
+                tally[frame.f_code] += 1
             elif event == "return":
                 stack.pop()
             return local
@@ -59,8 +65,20 @@ def counter():
     return trace, counts
 
 
+def function_lines(phase, tally, n) -> list:
+    """The ``n`` functions of ``tally`` with the most opcodes, most first."""
+    return ["    %-9s %9d  %s:%d %s" % (phase, ops, Path(code.co_filename).name, code.co_firstlineno,
+                                       getattr(code, "co_qualname", code.co_name))
+            for code, ops in tally.most_common(n)]
+
+
 def main(argv):
-    root = Path(argv[1] if len(argv) > 1 else Path(__file__).resolve().parent.parent).resolve()
+    options = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    options.add_argument("root", nargs="?", default=Path(__file__).resolve().parent.parent)
+    options.add_argument("--functions", type=int, default=0, metavar="N",
+                         help="also list each phase's N functions with the most opcodes")
+    args = options.parse_args(argv[1:])
+    root = Path(args.root).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     import workloads
     from flowcheck.gofront import analyze_source
@@ -76,8 +94,11 @@ def main(argv):
                 analyze_source(program.source)
         finally:
             sys.settrace(None)
-        print("%-7s %s total=%d" % (name, " ".join("%s=%d" % (p, counts[p]) for p in PHASES),
-                                    sum(counts.values())))
+        totals = {phase: sum(counts[phase].values()) for phase in PHASES}
+        print("%-7s %s total=%d" % (name, " ".join("%s=%d" % (p, totals[p]) for p in PHASES),
+                                    sum(totals.values())))
+        for phase in PHASES if args.functions > 0 else ():
+            print("\n".join(function_lines(phase, counts[phase], args.functions)))
 
 
 if __name__ == "__main__":

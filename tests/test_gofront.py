@@ -233,6 +233,10 @@ class TestNamedRefusals:
             # another function's parameter is out of scope in main
             ("func f(len int) {}\n\n", '\tgo func() { ch <- 1 }()\n\tlen("abc")\n',
              "syntax error: line 8: expression is not used"),
+            # Go refuses a parenthesized call after go or defer
+            ("", "\tgo (func() { ch <- 1 }())\n", "syntax error: line 5: go requires a function call"),
+            ("", "\tgo func() { ch <- 1 }()\n\tdefer (func() {}())\n",
+             "syntax error: line 6: defer requires a function call"),
             ("", "\tif a, b := 1, 2; a > b {\n\t}\n", "if with init statement (line 5)"),
             ("func f() {}\n\nfunc f() {}\n\n", "", "syntax error: line 5: duplicate function f"),
             ("func f(a) {}\n\n", "", "syntax error: line 3: parameters missing a type"),
@@ -251,7 +255,7 @@ class TestNamedRefusals:
              "and-not assign", "shift assign", "field", "field compound", "if init",
              "unused name", "unused sum", "unused literal", "unused make", "unused conversion",
              "unused string conversion", "unused len", "unused len, a parameter elsewhere",
-             "if init of two names", "duplicate function",
+             "parenthesized go", "parenthesized defer", "if init of two names", "duplicate function",
              "untyped parameter", "non-struct type", "map type", "directional parameter",
              "sync type", "sync call", "for operand", "call condition"],
     )
@@ -613,6 +617,12 @@ class TestStatementSeparators:
         with pytest.raises(GoSyntaxError) as raised:
             parse(source)
         assert (raised.value.line, raised.value.message) == (line, "missing ';' before %r" % found)
+
+    def test_empty_statements(self):
+        # Go reads each lone ';' as an empty statement, at a block's start too
+        spaced = parse("package main\n\nfunc main() {;\n\tx := 1;;\n\tprintln(x);\n}\n")
+        plain = parse("package main\n\nfunc main() {\n\tx := 1\n\tprintln(x)\n}\n")
+        assert spaced == plain
 
     def test_a_closing_token_ends_the_last_item(self):
         program = parse('package main; import ("fmt"); type T struct { a int }; '
@@ -1580,12 +1590,18 @@ class TestNestingLimit:
             (lambda n: " || ".join("v > %d" % k for k in range(n)), 96, "NoDeadlock"),
             (lambda n: "%sv%s > 0" % ("f(" * n, ")" * n), 97,
              "Unsupported(condition beyond integer/boolean comparisons (line 10))"),
+            (lambda n: "%sch > 0" % ("<-" * n), 97,
+             "Unsupported(condition beyond integer/boolean comparisons (line 10))"),
+            (lambda n: "f%s > 0" % ("()" * n), 98,
+             "Unsupported(condition beyond integer/boolean comparisons (line 10))"),
         ],
-        ids=["parentheses", "prefix operators", "operator chain", "call arguments"],
+        ids=["parentheses", "prefix operators", "operator chain", "call arguments",
+             "receive prefixes", "calls of calls"],
     )
     def test_deep_expressions(self, shape, accepted, verdict):
-        # the exact boundary: each operand, operator and call argument
-        # counts one level, so a path that skipped one would accept more
+        # the exact boundary: each operand, prefix operator, binary operator,
+        # call argument and call of a call's result counts one level, so a
+        # path that skipped one would accept more
         at_limit = analyze_source(self.program(shape(accepted)))
         assert [str(c.verdict) for c in at_limit.cases] == [verdict] * len(at_limit.cases)
         for depth in (accepted + 1, 1000):
@@ -2465,6 +2481,29 @@ class TestCorDefPayloadDiscipline:
             for definition in tr.cordefs.values():
                 for item in definition.flow:
                     check_item(item)
+
+    def test_every_definition_is_canonical(self, monkeypatch):
+        # the translator builds each CorDef from its items with no canon pass
+        from flowcheck.terms import canon, flatten
+        from paths import ROOT
+        from test_mutants import mutants
+
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        import workloads
+
+        sources = [path.read_text(encoding="utf-8") for path in corpus_files()]
+        for name in ("fanout", "guards"):
+            sources += [program.source for program in workloads.build(name, 1, ROOT).blocks[0]]
+        sources += [source for _, source in mutants()]
+        definitions = []
+        for source in sources:
+            try:
+                definitions += compute_m(parse(source)).cordefs.values()
+            except (GoSyntaxError, Unsupported):
+                continue
+        assert any(isinstance(item, Union) for d in definitions for item in d.flow)
+        for d in definitions:
+            assert canon(d) is d and flatten(d) is d, notation.render(d)
 
 
 class TestRecursion:

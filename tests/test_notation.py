@@ -58,6 +58,11 @@ class TestRender:
         t = cor_ins(received(Int), constraint=Cmp(Var("j"), ">", 0))
         assert notation.render(t) == "[?Int] / j > 0"
 
+    def test_power_of_a_structured_base_is_parenthesized(self):
+        t = power(tup(Int, Str), Var("n"))
+        assert notation.render(t) == "((Int, String))^n"
+        assert notation.parse("((Int, String))^n") == t
+
     def test_constrained_payload_is_parenthesized(self):
         t = cor_ins(yielded(constrained(Int, Cmp(Var("v"), "<", 10))))
         assert notation.render(t) == "[!(Int / v < 10)]"
@@ -99,6 +104,11 @@ class TestParse:
         assert notation.parse_pred("v <= 3 && v >= 1") == notation.parse_pred(
             "v ≤ 3 ∧ v ≥ 1"
         )
+
+    def test_negation(self):
+        assert notation.parse_pred("¬(v < 3)") == notation.parse_pred("v ≥ 3")
+        assert notation.parse_pred("!v < 3") == notation.parse_pred("v ≥ 3")
+        assert notation.parse_pred("¬¬v < 3") == notation.parse_pred("v < 3")
 
     def test_binding(self):
         assert notation.parse_pred("x ↦ 5") == Binding(Var("x"), 5)
