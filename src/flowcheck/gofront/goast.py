@@ -1,12 +1,12 @@
 """AST for the supported Go subset: what the translator reads, nothing more.
 
-The package clause, imports and struct declarations are checked by the
-parser and then dropped, so a ``Program`` holds only its global variables,
-its functions and the events the translator reads.  Each Go construct is
-one node: an expression statement is its expression, a function literal is
-its ``Func``, and a ``go`` or ``defer`` statement holds the fields of its
-call.  A name carries the ``Decl`` the parser resolved it to.  ``operands``
-states Go's order of evaluation, once for every node class.
+The parser checks and drops the package clause, imports and struct types:
+a ``Program`` holds its globals, its functions and the events the translator
+reads, appended as the parser finishes each node, in source order.  Each Go
+construct is one node: an expression statement is its expression, a
+function literal its ``Func``, and a ``go`` or ``defer`` statement holds the
+fields of its call.  A name carries the ``Decl`` the parser resolved it to.
+``operands`` states Go's order of evaluation, once for every node class.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ class Decl:
 
 
 class Body:
-    """A function body, or the package's (named None): the owner of its
-    names and events.  A literal's is named once it is read."""
+    """A function body, or the package's (named None), owning its names and
+    the events appended while it is read; a literal's is named after."""
 
     __slots__ = ("name",)
 
@@ -168,10 +168,10 @@ class Func(Node):
 
 class Program(Node):
     # globals: VarDecls; functions: name -> Func, declared functions only (a
-    # literal lives where it is written).  events: (Body, node) in the order
-    # a walk of the globals, then the functions, meets them: each send,
-    # receive, call, ``go`` and ``defer``, each name that may hold a
-    # function and literal but a callee, and each assignment
+    # literal lives where it is written).  events: (Body, node), appended as
+    # the parser finishes each node, in source order: each send, receive,
+    # call, ``go`` and ``defer`` after its operands', each name that may hold
+    # a function and literal but a callee, and each assignment
     __slots__ = ("globals", "functions", "events")
     _uncompared = ("events",)
 

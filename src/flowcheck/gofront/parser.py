@@ -11,7 +11,9 @@ Each name resolves where it is read, in Go's block scopes: an ``Ident``,
 ``VarDecl`` or ``Assign`` carries its ``Decl``.  A name no body declares is
 the package's, settled once the file is read: a global, else a function,
 from a body; an earlier global, else a function, from a global's
-initializer.  The parser also records the ``Program.events``.
+initializer.  ``true``, ``false``, ``nil`` and ``make`` are Go's own where
+no body or earlier global declares them.  Each of the ``Program.events`` is
+appended once its node is read, so they come in source order.
 
 Anything outside the subset raises Unsupported naming the construct and the
 line, so the analyzer can refuse the file instead of guessing: buffered or
@@ -105,8 +107,8 @@ _PRECEDENCE = {
 }
 
 # an operand's prefix operators, the kinds that may follow it as a call or a
-# selector, the names it reads as a literal or a ``make``, and the tokens
-# outside the subset that may start one
+# selector, the names it reads as a literal or ``make`` unless declared, and
+# the tokens outside the subset that may start one
 _PREFIXES = {"!", "-", "<-"}
 _POSTFIXES = {"(", "."}
 _PREDECLARED = {"true", "false", "nil", "make"}
@@ -134,8 +136,8 @@ class Parser:
         self.names, self.earlier, self.funcs = {}, {}, {}
         self.visible = self.fallback = self.names  # where ``resolve`` looks past the bodies
         # (decl, its fixed type or None, expr) to type once the file is read,
-        # and the ``Program.events``: the globals' and then the bodies'
-        self.global_pending, self.pending, self.global_events, self.events = [], [], [], []
+        # the globals' and then the bodies'; and the ``Program.events``
+        self.global_pending, self.pending, self.events = [], [], []
 
     # -- token plumbing ----------------------------------------------------
     # ``pos`` never passes ``eof``, the last token: a kind other than
@@ -209,7 +211,7 @@ class Parser:
         fixed = expr.gotype if gotype is None and expr.__class__ is MakeExpr else gotype
         if self.body is self.package:
             decl = self.earlier[name] = self.names.setdefault(name, Decl(None, self.package))
-            self.pending.append((decl, fixed, expr))
+            self.global_pending.append((decl, fixed, expr))
         else:
             decl = Decl(fixed, self.body)
             if fixed is None and expr is not None:
@@ -252,8 +254,10 @@ class Parser:
                 if f.name in functions:
                     raise GoSyntaxError(f.line, "duplicate function %s" % f.name)
                 functions[f.name] = f
-            elif kind == "var":
-                globals_.append(self.parse_global())
+            elif kind == "var":  # a global, whose initializer reads the globals before it
+                self.visible, self.fallback = self.earlier, self.funcs
+                globals_.append(self.parse_var_decl())
+                self.visible = self.fallback = self.names
             elif kind == "type":
                 self.parse_type_decl()
             else:
@@ -264,17 +268,7 @@ class Parser:
             if name not in functions and name not in self.earlier:
                 raise GoSyntaxError(line, "expression is not used")
         self.settle(functions)
-        return Program(tuple(globals_), functions, self.global_events + self.events)
-
-    def parse_global(self) -> VarDecl:
-        """A global, whose initializer reads the globals before it."""
-        in_bodies = self.pending, self.events
-        self.pending, self.events = self.global_pending, self.global_events
-        self.visible, self.fallback = self.earlier, self.funcs
-        decl = self.parse_var_decl()
-        self.pending, self.events = in_bodies
-        self.visible = self.fallback = self.names
-        return decl
+        return Program(tuple(globals_), functions, self.events)
 
     def parse_func(self, anonymous=False) -> Func:
         """A declaration, or a literal named ``anon@<line>[.k]`` once its
@@ -455,13 +449,12 @@ class Parser:
             return self.parse_var_decl()
         if kind in _UNSUPPORTED_STMTS:
             raise Unsupported(_UNSUPPORTED_STMTS[kind], line)
-        mark = len(self.events)
         expr = self.parse_expr()
         kind = kinds[self.pos]
         if kind == "<-":
             self.pos += 1
             send = Send(expr, self.parse_expr(), line)
-            self.events.insert(mark, (self.body, send))
+            self.events.append((self.body, send))
             return send
         if kind in _INCREMENTS:
             raise Unsupported(_INCREMENTS[kind], self.lines[self.pos])
@@ -496,13 +489,12 @@ class Parser:
         primary, and the calls and selectors after it, the last call a ``call``
         (a ``GoStmt`` or ``DeferStmt`` for a ``go`` or ``defer``).  Each prefix
         operator, primary, call of a call's result and binary operator nests
-        one level.  A call's event, and a receive's, goes before its operands'.
+        one level.  A call's event, and a receive's, follows its operands'.
         An integer literal must fit Go's 64-bit ``int``; 9223372036854775808
         fits only as the operand of a minus."""
         kinds, lines, events = self.kinds, self.lines, self.events
         first = pos = self.pos
         outer = depth = self.depth
-        mark = len(events)
         while True:  # a level for each prefix operator, then the primary's
             depth += 1
             if depth > MAX_NESTING:
@@ -513,7 +505,8 @@ class Parser:
         self.pos, self.depth = pos + 1, depth
         kind, value, line = kinds[pos], self.values[pos], lines[pos]
         if kind == "ident":
-            if value not in _PREDECLARED or value == "make" and kinds[pos + 1] != "(":
+            if (value not in _PREDECLARED or self.scope.get(value) or self.earlier.get(value)
+                    or value == "make" and kinds[pos + 1] != "("):
                 decl = self.scope.get(value) or self.visible.get(value) or self.resolve(value)
                 expr = Ident(value, line, decl)
                 if decl.gotype is None and kinds[pos + 1] not in _POSTFIXES:
@@ -560,7 +553,7 @@ class Parser:
                 if expr.__class__ is Selector and expr.pkg == "sync":
                     raise Unsupported("sync primitives", expr.line)
                 expr = (Call if kinds[self.pos] == "(" else call)(expr, tuple(args), expr.line)
-                events.insert(mark, (self.body, expr))
+                events.append((self.body, expr))
             elif kind == "." and expr.__class__ is Ident:
                 self.pos += 1
                 expr = Selector(expr.name, self.values[self.expect("ident")], expr.line)
@@ -575,7 +568,7 @@ class Parser:
             op = kinds[pos]
             if op == "<-":
                 expr = Recv(expr, lines[pos])
-                events.insert(mark, (self.body, expr))
+                events.append((self.body, expr))
             elif op == "-" and expr.__class__ is IntLit:
                 expr = IntLit(-expr.value, lines[pos])
             else:

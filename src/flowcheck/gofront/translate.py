@@ -2,9 +2,10 @@
 
 A function joins the coroutine map when it sends or receives on a channel,
 or when it calls or starts a member: membership is reverse reachability
-over the call edges from the functions that use channels, read off the
-parser's ``Program.events`` in one pass; no tree is walked for it.  The
-parser resolved each name to its ``Decl``, which fixes its Go type.
+over the call edges from the functions that use channels, read in one pass
+off ``Program.events``, which the parser appends as it finishes each node,
+in source order; no tree is walked, and no answer depends on that order.
+The parser resolved each name to its ``Decl``, which fixes its Go type.
 Translation keeps the flow facts in the ``facts`` table, keyed by ``Decl``:
 a constant value, or whether a channel may be nil.  It changes only through
 ``_set``, which logs what it replaced; ``_undo`` takes back a function's
@@ -93,6 +94,10 @@ _NO_ITEMS = {Ident, Selector, IntLit, StringLit, BoolLit, NilLit, Func}
 _APPS = {Call: InlineApp, GoStmt: StartApp, DeferStmt: InlineApp}
 
 
+def _member(e, members) -> bool:  # whether ``e`` names or is a member
+    return (func := declared_type(e)).__class__ is Func and func.name in members
+
+
 def _quotient(a, b):
     """``a / b`` as Go divides integers: truncated toward zero."""
     q = abs(a) // abs(b)
@@ -176,24 +181,25 @@ class Translator:
 
     # -- membership -------------------------------------------------------------
 
-    def _members(self) -> dict:
+    def _members(self) -> set:
         """The channel users, then every caller of a member, one worklist,
         where the globals' initializers are the owner None.  A member used
         other than as the callee of a call is refused: a function value that
         is stored, passed or called through a variable would take its
         channel operations with it.  So is a channel operation in a global's
-        initializer, which would run before ``main``.  Each assignment adds
-        to ``assigned``, and to ``shared`` when another body owns its name."""
-        members = {}  # name -> the line of its first channel use or member call
-        callers = defaultdict(dict)  # callee name -> {caller: the line of its first call}
+        initializer, which would run before ``main``.  Each refusal names its
+        earliest line.  Each assignment adds to ``assigned``, and to
+        ``shared`` when another body owns its name."""
+        members = set()
+        callers = defaultdict(set)  # callee name -> the names of its callers
         values = []  # each name that may hold a function and each literal, but a callee
         for body, n in self.program.events:
             cls = n.__class__
             if cls in _APPS:
                 if isinstance(callee := declared_type(n.fn), Func):
-                    callers[callee.name].setdefault(body.name, n.line)
+                    callers[callee.name].add(body.name)
             elif cls is Send or cls is Recv:
-                members.setdefault(body.name, n.line)
+                members.add(body.name)
             elif cls is Assign:
                 self.assigned.add(n.decl)
                 if n.decl.owner is not body:
@@ -202,17 +208,17 @@ class Translator:
                 values.append(n)
         work = list(members)
         while work:
-            for caller, line in callers[work.pop()].items():
-                if caller not in members:
-                    members[caller] = line
-                    work.append(caller)
-        if None in members:
-            raise Unsupported("channel operation in a package-level initializer", members[None])
-        for n in values:
-            func = declared_type(n)
-            if func.__class__ is Func and func.name in members:
-                shown = "literal" if n.__class__ is Func else func.name
-                raise Unsupported("channel-using function %s used as a value" % shown, n.line)
+            for caller in callers[work.pop()] - members:
+                members.add(caller)
+                work.append(caller)
+        if None in members:  # the initializers' earliest channel operation or member call
+            line = min(n.line for body, n in self.program.events if body.name is None and (
+                n.__class__ in _APPS and _member(n.fn, members) or n.__class__ in (Send, Recv)))
+            raise Unsupported("channel operation in a package-level initializer", line)
+        if refused := [n for n in values if _member(n, members)]:
+            n = min(refused, key=lambda n: n.line)
+            shown = "literal" if n.__class__ is Func else declared_type(n).name
+            raise Unsupported("channel-using function %s used as a value" % shown, n.line)
         return members
 
     # -- translation ----------------------------------------------------------

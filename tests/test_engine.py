@@ -228,6 +228,14 @@ class TestUnionResolution:
                 verdict, trace = reduce([main], valuation=case.valuation)
             assert (repr(verdict), [entry.rule for entry in trace]) == expected[case.label]
 
+    @pytest.mark.xfail(strict=True, reason="FOUND 92: canon lifts only a union directly under "
+                       "a direction, so a doubly directed payload keeps its union")
+    def test_a_union_in_a_doubly_directed_payload_resolves_at_its_head(self):
+        v, B = Var("v"), Concrete("B")
+        payload = union(constrained(A, Cmp(v, "<", 3)), constrained(B, Cmp(v, ">=", 3)))
+        verdict, _ = reduce([cor_ins(yielded(received(payload)))], assumption=Cmp(v, "<", 3))
+        assert repr(verdict) == "Deadlock([!?A])"
+
 
 class TestReduceStep:
     def _state(self, live, pending=ZERO):

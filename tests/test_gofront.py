@@ -269,6 +269,21 @@ class TestNamedRefusals:
         assert main(["analyze", str(path)]) == 2
         assert reason in capsys.readouterr().out
 
+    @pytest.mark.parametrize("source, reason", [
+        ("package main\n\nfunc f(ch chan int) {\n\tch <- 1\n}\n\nfunc main() {\n\th := f\n"
+         "\tch := make(chan int)\n\tgo h(ch)\n\t<-ch\n}\n\nvar g = f\n",
+         "channel-using function f used as a value (line 8)"),
+        ("package main\n\nfunc get(c chan int) int {\n\treturn <-c\n}\n\n"
+         "var ch = make(chan int)\nvar x = get(ch)\nvar y = <-ch\n\nfunc main() {\n}\n",
+         "channel operation in a package-level initializer (line 8)"),
+    ], ids=["function value", "package initializer"])
+    def test_the_earliest_line_is_named(self, source, reason):
+        """Whatever the order of the parser's events: a later global's
+        use does not hide an earlier one in a body, nor a later receive a
+        member call."""
+        assert [str(c.verdict) for c in analyze_source(source).cases] == [
+            "Unsupported(%s)" % reason]
+
     @pytest.mark.parametrize("top, body", [
         ("func len(s string) int {\n\treturn 0\n}\n\n", '\tlen("abc")\n'),
         ("var len = func(s string) int { return 0 }\n\n", '\tlen("abc")\n'),
@@ -2282,6 +2297,20 @@ class TestNameResolution:
             "func main() {%s}\n" % body
         )
         assert [c.verdict.kind for c in analyze_source(source).cases] == [verdict]
+
+    @pytest.mark.parametrize("body, verdict, code", [
+        # the local true is false, so the receive never runs
+        ("\ttrue := false\n\tif true {\n\t\t<-ch\n\t}\n", "NoDeadlock", 0),
+        ("\tnil := make(chan int)\n\tgo s(nil)\n\t<-nil\n", "NoDeadlock", 0),
+        ("\tif true {\n\t\t<-ch\n\t}\n", "Deadlock", 1),
+    ], ids=["true", "nil", "true unshadowed"])
+    def test_a_declaration_hides_a_predeclared_name(self, body, verdict, code, tmp_path):
+        source = ("package main\n\nfunc s(c chan int) {\n\tc <- 1\n}\n\n"
+                  "func main() {\n\tch := make(chan int)\n%s}\n" % body)
+        assert [c.verdict.kind for c in analyze_source(source).cases] == [verdict]
+        path = tmp_path / "shadow.go"
+        path.write_text(source, encoding="utf-8")
+        assert main(["analyze", str(path)]) == code
 
 
 class TestConstantOverflow:

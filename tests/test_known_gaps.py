@@ -140,6 +140,13 @@ PROGRAMS = [
                   "order, so a has no value and the a >= 4 case reads Deadlock"),
         id="global-initialization-order",
     ),
+    pytest.param(
+        go("ch := make(chan int)", "if true {", "\t<-ch", "}") + "\nvar true = false\n",
+        "NoDeadlock",
+        marks=gap("FOUND 101: a predeclared name that a later global declares is read as "
+                  "predeclared, so main's true is not the global false and <-ch runs"),
+        id="later-global-true",
+    ),
     # not a gap: with b declared first, a is 1 as in Go
     pytest.param(
         go(*GLOBAL_ORDER_BODY, funcs=("var b = 1", "var a = b", "")), "NoDeadlock",
