@@ -524,8 +524,9 @@ class Parser:
         elif kind == "(":
             expr = self.parse_expr()
             self.expect(")")
-            if kinds[self.pos] in _POSTFIXES and events and events[-1][1] is expr:
-                events.pop()
+            if expr.__class__ in (Ident, Func) and kinds[self.pos] in _POSTFIXES and events:
+                if events[-1][1] is expr:  # a name or literal called or selected is no value
+                    events.pop()
         elif kind == "func":
             self.pos = pos
             expr = self.parse_func(anonymous=True)
@@ -588,9 +589,7 @@ class Parser:
     def parse_make(self, line) -> MakeExpr:
         self.expect("(")
         gotype = self.parse_type()
-        size = None
-        if self.accept(","):
-            size = self.parse_expr()
+        size = self.parse_expr() if self.accept(",") else None
         self.expect(")")
         if isinstance(gotype, ChanType):
             if size is not None and not (isinstance(size, IntLit) and size.value == 0):

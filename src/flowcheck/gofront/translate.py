@@ -94,8 +94,8 @@ _NO_ITEMS = {Ident, Selector, IntLit, StringLit, BoolLit, NilLit, Func}
 _APPS = {Call: InlineApp, GoStmt: StartApp, DeferStmt: InlineApp}
 
 
-def _member(e, members) -> bool:  # whether ``e`` names or is a member
-    return (func := declared_type(e)).__class__ is Func and func.name in members
+def _member(e, members) -> bool:  # whether ``e`` names or is a member, by the worklist's callee test
+    return isinstance(callee := declared_type(e), Func) and callee.name in members
 
 
 def _quotient(a, b):
@@ -196,7 +196,7 @@ class Translator:
         for body, n in self.program.events:
             cls = n.__class__
             if cls in _APPS:
-                if isinstance(callee := declared_type(n.fn), Func):
+                if isinstance(callee := declared_type(n.fn), Func):  # as ``_member`` tests
                     callers[callee.name].add(body.name)
             elif cls is Send or cls is Recv:
                 members.add(body.name)

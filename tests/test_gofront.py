@@ -2312,6 +2312,16 @@ class TestNameResolution:
         path.write_text(source, encoding="utf-8")
         assert main(["analyze", str(path)]) == code
 
+    @pytest.mark.parametrize("call", ["(g(c, k()))()", "(g(c, 1))()", "(g)(c, 1)()",
+                                      "(func() {\n\t\tc <- 1\n\t})()"])
+    def test_a_parenthesized_callee_keeps_its_calls(self, call):
+        # h sends on c only through the call in parentheses
+        source = ("package main\n\nfunc k() int {\n\treturn 1\n}\n\n"
+                  "func g(c chan int, x int) func() {\n\tc <- 1\n\treturn func() {}\n}\n\n"
+                  "func h(c chan int) {\n\t%s\n}\n\n"
+                  "func main() {\n\tch := make(chan int)\n\tgo h(ch)\n\t<-ch\n}\n" % call)
+        assert [c.verdict.kind for c in analyze_source(source).cases] == ["NoDeadlock"]
+
 
 class TestConstantOverflow:
     """Go evaluates a constant expression exactly and refuses one that
